@@ -11,8 +11,10 @@
 //   peak_within_budget   both tile caches' peak bytes stayed within their
 //                        configured budgets
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
-// quotes. Exit status is nonzero when a property fails, so a smoke run
-// turns CI red on its own.
+// quotes. A {"section":"codegen"} record times one repair against the
+// in-memory kernel on the same matrix (repair_gops, kernel_gops and their
+// ratio repair_vs_kernel, which CI gates). Exit status is nonzero when a
+// property fails, so a smoke run turns CI red on its own.
 //
 // Apply-path timings come from the span tracer (docs/OBSERVABILITY.md) —
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
@@ -290,6 +292,69 @@ int main(int argc, char** argv) {
           .field_bool("peak_within_budget", within_budget)
           .field("bit_mismatches", mismatches);
     }
+    // Codegen guard for the out-of-core repair kernel: one repair of 5% of
+    // hosts on a violation-dense matrix against the in-memory
+    // all_severities of the same matrix, both single-threaded and in the
+    // same run, so repair_vs_kernel does not depend on the runner's speed.
+    // Both run witness_ratio_accumulate over warm tiles; if the repair's
+    // call site compiles to a scalar loop (one vdivsd per witness) the
+    // ratio drops from ~0.9 to ~0.3. Fixed at n=512, tile 64 — the quick
+    // run's 16-wide tiles would measure per-tile overhead, not codegen.
+    {
+      constexpr HostId kGuardHosts = 512;
+      constexpr std::uint32_t kGuardTile = 64;
+      constexpr double kGuardDirty = 0.05;
+      tiv::set_parallel_thread_count(1);
+      const DelayMatrix m = random_matrix(kGuardHosts, 0.1, seed);
+      const std::string in_path = scratch_file(dir, "guard_in");
+      const std::string out_path = scratch_file(dir, "guard_sev");
+      tiv::shard::TileStore::write_matrix(in_path, m, kGuardTile);
+      const auto store = tiv::shard::TileStore::open(in_path);
+      // Room for the whole store: the repair reads only warm tiles.
+      tiv::shard::TileCache cache(store, std::size_t{4} << 20);
+      tiv::sink::SeverityTileStore::create(out_path, kGuardHosts, kGuardTile);
+      auto sink = tiv::sink::SeverityTileStore::open(out_path,
+                                                     /*writable=*/true);
+      tiv::core::all_severities_to_sink(store, cache, sink);
+
+      Rng rng(seed ^ 0x9e7ull);
+      const auto picks = rng.sample_without_replacement(
+          kGuardHosts, static_cast<std::uint32_t>(kGuardHosts * kGuardDirty));
+      std::vector<HostId> dirty(picks.begin(), picks.end());
+      std::sort(dirty.begin(), dirty.end());
+      tiv::core::SinkRepairStats repair;
+      const double repair_ms = tiv::bench::best_ms(3, [&] {
+        repair = tiv::core::repair_severities_to_sink(store, cache, sink,
+                                                      dirty);
+      });
+      const TivAnalyzer analyzer(m);
+      SeverityMatrix full;
+      const double kernel_ms =
+          tiv::bench::best_ms(2, [&] { full = analyzer.all_severities(); });
+      std::filesystem::remove(in_path);
+      std::filesystem::remove(out_path);
+      tiv::set_parallel_thread_count(0);
+
+      const auto nd = static_cast<double>(kGuardHosts);
+      const double repair_ops =
+          static_cast<double>(repair.edges_recomputed) * nd;
+      const double kernel_ops = nd * (nd - 1.0) / 2.0 * nd;
+      const double repair_gops = repair_ops / repair_ms / 1e6;
+      const double kernel_gops = kernel_ops / kernel_ms / 1e6;
+      json.object()
+          .field("section", std::string("codegen"))
+          .field("n", kGuardHosts)
+          .field("tile_dim", kGuardTile)
+          .field("dirty_fraction", kGuardDirty, 4)
+          .field("threads", 1)
+          .field("repair_edges", repair.edges_recomputed)
+          .field("repair_ms", repair_ms, 3)
+          .field("kernel_ms", kernel_ms, 3)
+          .field_sig("repair_gops", repair_gops, 4)
+          .field_sig("kernel_gops", kernel_gops, 4)
+          .field_sig("repair_vs_kernel", repair_gops / kernel_gops, 3);
+    }
+
     tiv::bench::emit_metrics_json(json,
                                   tiv::obs::MetricsRegistry::instance()
                                       .snapshot());

@@ -180,6 +180,21 @@ struct BandPairResult {
   bool committed = false;      ///< sink tile rewritten
 };
 
+/// Per-thread working buffers of process_band_pair_to_sink — the sink tile
+/// image, the selected pairs, and their accumulator lanes (O(T^2), outside
+/// the cache budgets by design). Kept per pool worker and reused across
+/// band pairs and epochs, so the repair loop allocates nothing once warm.
+struct BandPairScratch {
+  std::vector<float> buf;
+  std::vector<PairTask> tasks;
+  std::vector<double> acc;
+};
+
+BandPairScratch& band_pair_scratch() {
+  thread_local BandPairScratch scratch;
+  return scratch;
+}
+
 /// Recomputes the selected pairs of band pair (bi, bj) and commits the sink
 /// tile. dirty_i/dirty_j flag dirty tile-local rows of the two bands
 /// (ignored when full_build, which selects every pair and skips the
@@ -197,13 +212,14 @@ BandPairResult process_band_pair_to_sink(
   const auto nd = static_cast<double>(store.size());
   const TileRef dac_tile = cache.acquire(bi, bj);
 
-  // Worker-local tile image (O(T^2), like the accumulator block — outside
-  // the cache budgets by design).
-  std::vector<float> buf(sink.payload_floats(), 0.0f);
+  BandPairScratch& scratch = band_pair_scratch();
+  std::vector<float>& buf = scratch.buf;
+  std::vector<PairTask>& tasks = scratch.tasks;
+  buf.assign(sink.payload_floats(), 0.0f);
   if (!full_build) sink.read_tile(bi, bj, buf.data());
+  tasks.clear();
 
   BandPairResult res;
-  std::vector<PairTask> tasks;
   bool zeroed = false;  ///< a stale value was reset to 0 in buf
   for (std::uint32_t al = 0; al < rows_i; ++al) {
     const float* dac_row = dac_tile->row(al);
@@ -228,7 +244,8 @@ BandPairResult process_band_pair_to_sink(
   if (!full_build && tasks.empty() && !zeroed) return res;  // tile untouched
 
   if (!tasks.empty()) {
-    std::vector<double> acc(tasks.size() * kWitnessLanes, 0.0);
+    std::vector<double>& acc = scratch.acc;
+    acc.assign(tasks.size() * kWitnessLanes, 0.0);
     for (std::uint32_t k = 0; k < bands; ++k) {
       prefetch_band(cache, bi, bj, k + 1, bands);
       const TileRef ta = cache.acquire(bi, k);

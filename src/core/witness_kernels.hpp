@@ -35,9 +35,19 @@ inline constexpr std::size_t kWitnessLanes = 8;
 /// [0, len) of packed rows ra/rc. len must be a multiple of kWitnessLanes.
 /// Lane phase follows the caller's global column offset: pass rows whose
 /// column 0 is a multiple of kWitnessLanes globally.
+///
+/// The lanes are copied into a function-local array for the scan and
+/// stored back once, for the reason witness_violation_minmax documents:
+/// accumulating through the caller's pointer (a heap block in the
+/// out-of-core band-pair loops) makes GCC emit a scalar
+/// compare-and-branch loop with one vdivsd per witness (~3x slower);
+/// local lanes compile to masked vector divides at every call site. Each lane still adds its terms in
+/// the same order, so the sums are bit-identical either way.
 inline void witness_ratio_accumulate(const float* ra, const float* rc,
                                      std::size_t len, float dac,
                                      double* acc) {
+  double lanes[kWitnessLanes];
+  for (std::size_t l = 0; l < kWitnessLanes; ++l) lanes[l] = acc[l];
   for (std::size_t b = 0; b < len; b += kWitnessLanes) {
     for (std::size_t l = 0; l < kWitnessLanes; ++l) {
       const float detour = ra[b + l] + rc[b + l];
@@ -48,9 +58,10 @@ inline void witness_ratio_accumulate(const float* ra, const float* rc,
       // (only the summation order differs).
       const double ratio = static_cast<double>(dac) /
                            (violates ? static_cast<double>(detour) : 1.0);
-      acc[l] += violates ? ratio : 0.0;
+      lanes[l] += violates ? ratio : 0.0;
     }
   }
+  for (std::size_t l = 0; l < kWitnessLanes; ++l) acc[l] = lanes[l];
 }
 
 /// Fixed pairwise reduction of the lane accumulators. Deterministic order;

@@ -11,7 +11,7 @@
 namespace tiv::scenario {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'I', 'V', 'T', 'R', 'C', 'E', '1'};
+constexpr char kMagic[8] = {'T', 'I', 'V', 'T', 'R', 'C', 'E', '2'};
 
 [[noreturn]] void fail_io(const std::string& what, const std::string& path) {
   throw std::runtime_error("DelayTrace: " + what + ": " + path);
@@ -121,7 +121,7 @@ void DelayTrace::save(const std::string& path) const {
     append_events(buf, epoch.truth);
     append_events(buf, epoch.samples);
   }
-  const std::uint64_t sum = shard::fnv1a(buf.data(), buf.size());
+  const std::uint64_t sum = shard::checksum64(buf.data(), buf.size());
   append(buf, &sum, sizeof(sum));
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -151,7 +151,7 @@ DelayTrace DelayTrace::load(const std::string& path) {
   }
   std::uint64_t sum = 0;
   std::memcpy(&sum, buf.data() + buf.size() - sizeof(sum), sizeof(sum));
-  if (shard::fnv1a(buf.data(), buf.size() - sizeof(sum)) != sum) {
+  if (shard::checksum64(buf.data(), buf.size() - sizeof(sum)) != sum) {
     fail_format("checksum mismatch (torn or corrupted trace)", path);
   }
 

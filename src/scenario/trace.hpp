@@ -24,15 +24,15 @@
 // commits, the scorer sees the noiseless truth, and precision/recall/
 // time-to-detect measure the gap between them.
 //
-// On-disk format (little-endian, FNV-1a trailer over everything before it,
-// following stream::EpochManifest):
+// On-disk format (little-endian, shard::checksum64 trailer over everything
+// before it, following stream::EpochManifest):
 //
-//   [magic "TIVTRCE1"][u32 hosts][u64 seed][u32 family_len][family bytes]
+//   [magic "TIVTRCE2"][u32 hosts][u64 seed][u32 family_len][family bytes]
 //   [u32 epoch_count]
 //   per epoch: [u32 truth_count][u32 sample_count]
 //              [truth events...][sample events...]
 //   per event: [u32 a][u32 b][f32 delay_ms][f64 timestamp]
-//   [u64 fnv1a]
+//   [u64 checksum64]
 //
 // Unlike the epoch manifest — where a torn trailer means "nothing was
 // mutated yet, report clean" — a trace is *input data*: a file that fails

@@ -17,6 +17,17 @@
 // from the map, so a tile's bytes are released exactly when its entry is
 // erased. The hard invariant is therefore: peak bytes <= max(budget,
 // largest simultaneous pinned set).
+//
+// Slot pool: a tile's memory is a slot — the tile object, its shared_ptr
+// control block, its map node and its LRU list node, all allocated
+// together once. Eviction and invalidation return the slot to a free
+// pool instead of freeing it, and the next load refills a pooled slot in
+// place. The pool therefore holds at most max(budget, largest pinned
+// set) tiles' worth of slots and stops growing once the cache has
+// warmed up: a steady-state load allocates nothing, whichever thread
+// (compute worker or prefetch thread) runs it. Without the pool every
+// load allocated on its own thread and the evicting thread freed, which
+// grew glibc's per-thread arenas with the number of epochs run.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +35,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -50,6 +62,7 @@ struct CacheStats {
   std::size_t peak_bytes = 0;   ///< high-water mark of live tile bytes
   std::size_t current_bytes = 0;
   std::size_t prefetch_drops = 0;  ///< hints shed by the background queue
+  std::size_t slot_allocs = 0;  ///< tile slots ever allocated (pool growth)
 
   double hit_rate() const {
     const std::size_t total = hits + misses;
@@ -62,24 +75,30 @@ template <typename TileT>
 class LruTileCache {
  public:
   using Ref = std::shared_ptr<const TileT>;
+  /// A pooled tile: allocated by `make_slot` when the pool is empty,
+  /// refilled in place by every later load.
+  using Slot = std::shared_ptr<TileT>;
 
   /// `metric_prefix`, when given, links this instance's counters into the
   /// process metrics registry under "<prefix>.hits", ".misses",
-  /// ".evictions", ".invalidations", ".current_bytes" (summed across live
-  /// instances) and ".peak_bytes" (max). Unnamed caches still count, just
-  /// unregistered.
+  /// ".evictions", ".invalidations", ".slot_allocs", ".current_bytes"
+  /// (summed across live instances) and ".peak_bytes" (max). Unnamed
+  /// caches still count, just unregistered.
   LruTileCache(std::size_t budget_bytes, std::size_t tile_footprint,
+               std::function<Slot()> make_slot,
                const char* metric_prefix = nullptr)
-      : budget_(budget_bytes), tile_footprint_(tile_footprint) {
+      : budget_(budget_bytes),
+        tile_footprint_(tile_footprint),
+        make_slot_(std::move(make_slot)) {
     if (metric_prefix != nullptr) link_metrics(metric_prefix);
   }
 
   LruTileCache(const LruTileCache&) = delete;
   LruTileCache& operator=(const LruTileCache&) = delete;
 
-  /// Returns the tile under `key`, invoking `loader()` (unlocked, may
-  /// throw) to produce it on a miss. Thread-safe; blocks only while
-  /// another thread is loading the same key.
+  /// Returns the tile under `key`, invoking `loader(TileT&)` (unlocked,
+  /// may throw) to fill a pooled slot on a miss. Thread-safe; blocks only
+  /// while another thread is loading the same key.
   template <typename Loader>
   Ref acquire(std::uint64_t key, Loader&& loader) {
     std::unique_lock<std::mutex> lk(mutex_);
@@ -115,9 +134,7 @@ class LruTileCache {
       }
       assert(it->second.tile.use_count() == 1 &&
              "invalidating a pinned tile");
-      lru_.erase(it->second.lru);
-      map_.erase(it);
-      current_bytes_ -= tile_footprint_;
+      release_locked(it);
       invalidations_.increment();
       return;
     }
@@ -137,6 +154,7 @@ class LruTileCache {
     s.misses = misses_.value();
     s.evictions = evictions_.value();
     s.invalidations = invalidations_.value();
+    s.slot_allocs = slot_allocs_.value();
     std::lock_guard<std::mutex> lk(mutex_);
     s.current_bytes = current_bytes_;
     s.peak_bytes = peak_bytes_;
@@ -145,45 +163,79 @@ class LruTileCache {
 
  private:
   struct Entry {
-    Ref tile;  ///< null while loading
+    Slot tile;  ///< owned by the loader (not readable) while loading
     bool loading = false;
     std::list<std::uint64_t>::iterator lru;  ///< valid once loaded
   };
+  using Map = std::unordered_map<std::uint64_t, Entry>;
 
   template <typename Loader>
   Ref load_and_publish(std::uint64_t key, Loader& loader,
                        std::unique_lock<std::mutex>& lk) {
     misses_.increment();
     evict_for_locked(tile_footprint_);
+    // Keep a reference, not the iterator: concurrent inserts during the
+    // unlocked I/O below may rehash the map, which invalidates iterators
+    // but never references, and only this thread erases entry `key`.
+    Entry& entry = insert_loading_locked(key);
     // Reserve the bytes before dropping the lock so concurrent loaders see
     // each other's in-flight tiles in the accounting.
     current_bytes_ += tile_footprint_;
     peak_bytes_ = std::max(peak_bytes_, current_bytes_);
-    // Keep a reference, not the iterator: concurrent emplaces during the
-    // unlocked I/O below may rehash the map, which invalidates iterators
-    // but never references, and only this thread erases entry `key`.
-    Entry& entry =
-        map_.emplace(key, Entry{nullptr, true, lru_.end()}).first->second;
     lk.unlock();
 
-    Ref tile;
     try {
-      tile = loader();
+      loader(*entry.tile);
     } catch (...) {
       lk.lock();
       current_bytes_ -= tile_footprint_;
-      map_.erase(key);
+      free_.push_back(map_.extract(key));
       loaded_cv_.notify_all();
       throw;
     }
 
     lk.lock();
-    entry.tile = tile;
     entry.loading = false;
-    lru_.push_front(key);
+    if (lru_spare_.empty()) {
+      lru_.push_front(key);
+    } else {
+      lru_.splice(lru_.begin(), lru_spare_, lru_spare_.begin());
+      lru_.front() = key;
+    }
     entry.lru = lru_.begin();
     loaded_cv_.notify_all();
-    return tile;
+    return entry.tile;
+  }
+
+  /// Maps `key` to a loading entry holding a pooled slot: a recycled map
+  /// node (with its tile) when the pool has one, a fresh one otherwise.
+  Entry& insert_loading_locked(std::uint64_t key) {
+    if (free_.empty()) {
+      slot_allocs_.increment();
+      return map_.emplace(key, Entry{make_slot_(), true, lru_.end()})
+          .first->second;
+    }
+    typename Map::node_type node = std::move(free_.back());
+    free_.pop_back();
+    node.key() = key;
+    node.mapped().loading = true;
+    return map_.insert(std::move(node)).position->second;
+  }
+
+  /// Unmaps the loaded, unpinned entry `it` and returns its slot, map node
+  /// and LRU node to the pool.
+  void release_locked(typename Map::iterator it) {
+    lru_spare_.splice(lru_spare_.end(), lru_, it->second.lru);
+    typename Map::node_type node = map_.extract(it);
+    current_bytes_ -= tile_footprint_;
+    // A slot a reader still pins (only if invalidate()'s precondition is
+    // broken) is dropped, never refilled under the reader. The check
+    // copies the pointer: that refcount increment is an acq_rel RMW, so it
+    // also orders the last reader's accesses (and its unpin) before the
+    // slot's next refill — use_count() alone is a relaxed load.
+    if (Slot(node.mapped().tile).use_count() == 2) {
+      free_.push_back(std::move(node));
+    }
   }
 
   void evict_for_locked(std::size_t incoming_bytes) {
@@ -196,10 +248,8 @@ class LruTileCache {
       --it;
       auto mit = map_.find(*it);
       if (mit->second.tile.use_count() > 1) continue;  // pinned
-      mit->second.tile.reset();  // frees the tile (sole owner)
-      map_.erase(mit);
-      it = lru_.erase(it);
-      current_bytes_ -= tile_footprint_;
+      it = std::next(it);  // the LRU node moves to the spare list
+      release_locked(mit);
       evictions_.increment();
     }
   }
@@ -208,7 +258,7 @@ class LruTileCache {
     auto& reg = obs::MetricsRegistry::instance();
     using Agg = obs::MetricsRegistry::Agg;
     const std::string p(prefix);
-    links_.reserve(6);
+    links_.reserve(7);
     links_.push_back(reg.link(p + ".hits", Agg::kSum,
                               [this] { return hits_.value(); }));
     links_.push_back(reg.link(p + ".misses", Agg::kSum,
@@ -217,6 +267,8 @@ class LruTileCache {
                               [this] { return evictions_.value(); }));
     links_.push_back(reg.link(p + ".invalidations", Agg::kSum,
                               [this] { return invalidations_.value(); }));
+    links_.push_back(reg.link(p + ".slot_allocs", Agg::kSum,
+                              [this] { return slot_allocs_.value(); }));
     // Byte levels: current sums live instances only (a destroyed cache
     // holds nothing), peak is the process-wide high-water mark.
     links_.push_back(reg.link(
@@ -234,11 +286,15 @@ class LruTileCache {
 
   const std::size_t budget_;
   const std::size_t tile_footprint_;  ///< bytes one resident tile accounts
+  const std::function<Slot()> make_slot_;
 
   mutable std::mutex mutex_;
   std::condition_variable loaded_cv_;
-  std::unordered_map<std::uint64_t, Entry> map_;
+  Map map_;
   std::list<std::uint64_t> lru_;  ///< front = most recently used
+  // The pool: map nodes carrying an idle slot, and spare LRU list nodes.
+  std::vector<typename Map::node_type> free_;
+  std::list<std::uint64_t> lru_spare_;
 
   // Event counts: obs registry metrics, the single point of maintenance
   // (CacheStats is a view — see stats()). Byte accounting stays plain
@@ -247,6 +303,7 @@ class LruTileCache {
   obs::Counter misses_;
   obs::Counter evictions_;
   obs::Counter invalidations_;
+  obs::Counter slot_allocs_;
   std::size_t current_bytes_ = 0;
   std::size_t peak_bytes_ = 0;
   std::vector<obs::MetricsRegistry::Link> links_;

@@ -18,18 +18,20 @@ TileCache::TileCache(const TileStore& store, std::size_t budget_bytes)
       // Footprint charged per resident tile: the serialized size. The
       // in-memory layout is identical (payload + mask words); allocator
       // slack is not modeled.
-      cache_(budget_bytes, store.tile_bytes(), "cache.input"),
+      cache_(budget_bytes, store.tile_bytes(),
+             [s = &store] {
+               return std::make_shared<Tile>(s->tile_dim(),
+                                             s->payload_floats(),
+                                             s->mask_words());
+             },
+             "cache.input"),
       drops_link_(obs::MetricsRegistry::instance().link(
           "cache.input.prefetch_drops", obs::MetricsRegistry::Agg::kSum,
           [this] { return prefetcher_.dropped(); })) {}
 
 TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
-  return cache_.acquire(key(r, c), [&]() -> TileRef {
-    auto fresh = std::make_shared<Tile>(store_.tile_dim(),
-                                        store_.payload_floats(),
-                                        store_.mask_words());
-    store_.read_tile(r, c, fresh->payload(), fresh->masks());
-    return fresh;
+  return cache_.acquire(key(r, c), [&](Tile& slot) {
+    store_.read_tile(r, c, slot.payload(), slot.masks());
   });
 }
 

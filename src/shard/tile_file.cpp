@@ -114,11 +114,11 @@ TileFile::Writer::~Writer() {
 void TileFile::Writer::append_tile(
     std::initializer_list<ConstTileSection> sections) {
   assert(appended_ < checksums_.size());
-  std::uint64_t h = kFnvOffsetBasis;
+  std::uint64_t h = 0;
   std::size_t bytes = 0;
   for (const ConstTileSection& s : sections) {
     fwrite_all(s.data, s.bytes, f_, params_.store_name, path_);
-    h = fnv1a(s.data, s.bytes, h);
+    h = checksum64(s.data, s.bytes, h);
     bytes += s.bytes;
   }
   assert(bytes == tile_bytes_);
@@ -197,10 +197,15 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   if (::pread(fd, &h, sizeof(h), 0) != static_cast<ssize_t>(sizeof(h))) {
     f.fail("short header");
   }
-  if (std::memcmp(h.magic, params.magic, sizeof(h.magic)) != 0) {
-    f.fail("bad magic");
+  // The magic's last byte is the format generation digit: a store written
+  // by an older generation (e.g. with the previous checksum) reads as an
+  // unsupported version, not as a foreign file.
+  constexpr std::size_t kFamily = sizeof(h.magic) - 1;
+  if (std::memcmp(h.magic, params.magic, kFamily) != 0) f.fail("bad magic");
+  if (h.magic[kFamily] != params.magic[kFamily] ||
+      h.version != params.version) {
+    f.fail("unsupported version");
   }
-  if (h.version != params.version) f.fail("unsupported version");
   if (h.tile_dim == 0 || h.tile_dim % DelayMatrixView::kLaneFloats != 0 ||
       h.tiles != (h.n + h.tile_dim - 1) / h.tile_dim) {
     f.fail("inconsistent header");
@@ -337,8 +342,8 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c,
         }
       }
     }
-    std::uint64_t h = kFnvOffsetBasis;
-    for (const TileSection& s : sections) h = fnv1a(s.data, s.bytes, h);
+    std::uint64_t h = 0;
+    for (const TileSection& s : sections) h = checksum64(s.data, s.bytes, h);
     if (h == tile_checksums_[idx]) return;
     // Mismatch: a bit flipped between platter and checksum is transient —
     // a fresh pread serves clean bytes — while rot or a torn commit
@@ -387,14 +392,14 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
                         std::to_string(r) + ", " + std::to_string(c) + ")");
   }
 
-  std::uint64_t h = kFnvOffsetBasis;
+  std::uint64_t h = 0;
   std::uint64_t off = tile_offsets_[idx];
   for (const ConstTileSection& s : sections) {
     if (::pwrite(fd_, s.data, s.bytes, static_cast<off_t>(off)) !=
         static_cast<ssize_t>(s.bytes)) {
       fail("tile write failed");
     }
-    h = fnv1a(s.data, s.bytes, h);
+    h = checksum64(s.data, s.bytes, h);
     off += s.bytes;
   }
   if (fault == WriteFault::kFailBeforeChecksum) {

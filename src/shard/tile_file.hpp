@@ -3,10 +3,10 @@
 // sink::SeverityTileStore (severity output, upper-band-triangle grid).
 // One definition of the header/index/checksum-table format, fd lifecycle,
 // and read/write+validate paths, so a hardening fix cannot land in one
-// store and miss the other. The byte layout is exactly the PR 5 format:
+// store and miss the other. The byte layout:
 //
 //   [RawHeader 40B][index: tile_count u64 offsets]
-//   [checksums: tile_count u64 FNV-1a][pad to 64B][tile 0][tile 1]..
+//   [checksums: tile_count u64 checksum64][pad to 64B][tile 0][tile 1]..
 //
 // Stores differ only in their magic/version, their index shape (square vs
 // triangular), their per-tile byte formula, and how a tile's bytes are
@@ -14,7 +14,7 @@
 // here, not copies of the machinery.
 //
 // Reliability lives at this layer, once for both stores:
-//  - every read validates the chained FNV-1a over the tile's sections;
+//  - every read validates the chained checksum64 (shard/checksum.hpp) over the tile's sections;
 //    a mismatch OR a truncated tile body throws CorruptTileError carrying
 //    the tile coordinates and store path (recoverable), while a hard pread
 //    failure stays a std::runtime_error (not a data-integrity signal);
@@ -103,7 +103,7 @@ class TileFile {
     std::size_t tile_bytes() const { return tile_bytes_; }
 
     /// Appends the next tile (sections in serialized order) and records
-    /// its chained FNV-1a checksum.
+    /// its chained checksum64.
     void append_tile(std::initializer_list<ConstTileSection> sections);
 
     /// Commits the checksums accumulated by append_tile and closes.
@@ -172,7 +172,7 @@ class TileFile {
   FaultInjector* fault_injector() const { return injector_; }
 
   /// Reads tile (r, c) into `sections` (serialized order) with positional
-  /// reads — thread-safe — and validates the chained FNV-1a checksum. A
+  /// reads — thread-safe — and validates the chained checksum64. A
   /// mismatch is first retried with a fresh pread (up to kReadRetries
   /// times): a bit flipped in flight — bus/DMA/RAM, or the injector's
   /// read-flip — is gone on the re-read, so only *persistent* damage (rot
@@ -211,7 +211,7 @@ class TileFile {
   std::uint32_t tiles_ = 0;
   std::size_t tile_bytes_ = 0;
   std::vector<std::uint64_t> tile_offsets_;    ///< flat index
-  std::vector<std::uint64_t> tile_checksums_;  ///< FNV-1a, same indexing
+  std::vector<std::uint64_t> tile_checksums_;  ///< checksum64, same indexing
   mutable std::atomic<std::uint64_t> read_retries_{0};
   FaultInjector* injector_ = nullptr;
 

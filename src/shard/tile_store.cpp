@@ -18,7 +18,9 @@ std::size_t store_tile_bytes(std::uint32_t tile_dim) {
   return payload_floats * sizeof(float) + mask_words * sizeof(std::uint64_t);
 }
 
-constexpr TileFileParams kParams{"TIVSHRD2", 2, "TileStore",
+// Version 3: tile checksums are checksum64 (v2 files carry FNV-1a sums and
+// are rejected at open as "unsupported version").
+constexpr TileFileParams kParams{"TIVSHRD3", 3, "TileStore",
                                  TileIndexShape::kSquare, store_tile_bytes,
                                  "shard.input"};
 

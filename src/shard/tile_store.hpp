@@ -23,7 +23,7 @@
 // destination keeps every payload row cache-line aligned for the SIMD
 // kernels.
 //
-// The file format (header/offset-index/checksum-table layout, FNV-1a
+// The file format (header/offset-index/checksum-table layout, checksum64
 // validation on every read, in-place tile commits, fault-injection hooks)
 // is shard::TileFile with a square index shape — shared with the severity
 // output store, which differs only in its parameters. This store owns what

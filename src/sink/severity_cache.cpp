@@ -10,10 +10,8 @@ using delayspace::HostId;
 
 SevTileRef SeverityCache::acquire(std::uint32_t r, std::uint32_t c) {
   assert(r <= c);
-  return cache_.acquire(key(r, c), [&]() -> SevTileRef {
-    auto fresh = std::make_shared<std::vector<float>>(store_.payload_floats());
-    store_.read_tile(r, c, fresh->data());
-    return fresh;
+  return cache_.acquire(key(r, c), [&](std::vector<float>& slot) {
+    store_.read_tile(r, c, slot.data());
   });
 }
 

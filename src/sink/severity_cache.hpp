@@ -34,7 +34,13 @@ class SeverityCache {
   /// Keeps a reference to `store`; it must outlive the cache, and the
   /// cache must outlive every SevTileRef it hands out.
   SeverityCache(const SeverityTileStore& store, std::size_t budget_bytes)
-      : store_(store), cache_(budget_bytes, store.tile_bytes(), "cache.sink") {}
+      : store_(store),
+        cache_(budget_bytes, store.tile_bytes(),
+               [s = &store] {
+                 return std::make_shared<std::vector<float>>(
+                     s->payload_floats());
+               },
+               "cache.sink") {}
 
   SeverityCache(const SeverityCache&) = delete;
   SeverityCache& operator=(const SeverityCache&) = delete;

@@ -9,7 +9,9 @@ std::size_t store_tile_bytes(std::uint32_t tile_dim) {
   return static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
 }
 
-constexpr shard::TileFileParams kParams{"TIVSSEV1", 1, "SeverityTileStore",
+// Version 2: tile checksums are checksum64 (v1 files carry FNV-1a sums and
+// are rejected at open as "unsupported version").
+constexpr shard::TileFileParams kParams{"TIVSSEV2", 2, "SeverityTileStore",
                                         shard::TileIndexShape::kTriangular,
                                         store_tile_bytes, "shard.sink"};
 
@@ -22,7 +24,7 @@ void SeverityTileStore::create(const std::string& path, HostId n,
   // of a zero tile (and the tile region itself can stay a hole).
   const std::vector<float> zero_tile(
       static_cast<std::size_t>(tile_dim) * tile_dim, 0.0f);
-  w.finish_sparse(shard::fnv1a(zero_tile.data(), w.tile_bytes()));
+  w.finish_sparse(shard::checksum64(zero_tile.data(), w.tile_bytes()));
 }
 
 SeverityTileStore SeverityTileStore::open(const std::string& path,

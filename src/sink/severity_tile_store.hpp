@@ -19,7 +19,7 @@
 // row i still walks tiles (c, band(i)) for c < band(i) column-wise, which
 // the budgeted cache (severity_cache.hpp) keeps cheap.
 //
-// The file machinery (header/offset-index/checksum-table layout, FNV-1a
+// The file machinery (header/offset-index/checksum-table layout, checksum64
 // validation on every read_tile, in-place write_tile commits,
 // fault-injection hooks) is shard::TileFile with a triangular index shape —
 // one definition shared with the input store. create() builds the store

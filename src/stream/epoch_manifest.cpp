@@ -13,7 +13,7 @@
 namespace tiv::stream {
 namespace {
 
-constexpr char kMagic[8] = {'T', 'I', 'V', 'E', 'P', 'O', 'C', '1'};
+constexpr char kMagic[8] = {'T', 'I', 'V', 'E', 'P', 'O', 'C', '2'};
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
   throw std::runtime_error("EpochManifest: " + what + ": " + path);
@@ -49,7 +49,7 @@ void EpochManifest::write(const std::string& path) const {
   append(buf, &sc, sizeof(sc));
   append_pairs(buf, input_tiles);
   append_pairs(buf, sink_tiles);
-  const std::uint64_t sum = shard::fnv1a(buf.data(), buf.size());
+  const std::uint64_t sum = shard::checksum64(buf.data(), buf.size());
   append(buf, &sum, sizeof(sum));
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -87,7 +87,7 @@ std::optional<EpochManifest> EpochManifest::load(const std::string& path) {
   }
   std::uint64_t sum = 0;
   std::memcpy(&sum, buf.data() + buf.size() - sizeof(sum), sizeof(sum));
-  if (shard::fnv1a(buf.data(), buf.size() - sizeof(sum)) != sum) {
+  if (shard::checksum64(buf.data(), buf.size() - sizeof(sum)) != sum) {
     return std::nullopt;
   }
 

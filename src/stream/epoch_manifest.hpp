@@ -26,11 +26,12 @@
 // during step 1, before any store mutation — the stores are clean and the
 // torn manifest is simply discarded.
 //
-// Format (little-endian, FNV-1a trailer over everything before it):
+// Format (little-endian, shard::checksum64 trailer over everything before
+// it):
 //
-//   [magic "TIVEPOC1"][u64 generation]
+//   [magic "TIVEPOC2"][u64 generation]
 //   [u32 input_count][u32 sink_count][input r,c u32 pairs...][sink pairs...]
-//   [u64 fnv1a]
+//   [u64 checksum64]
 #pragma once
 
 #include <cstdint>

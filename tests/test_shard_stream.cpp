@@ -307,6 +307,59 @@ TEST(ShardStreamEngine, BitIdenticalDenseAndMostlyMissing) {
   replay_and_check_engine(48, 0.9, 16, 44, 4);
 }
 
+TEST(ShardStreamEngine, TileSlotPoolsStopGrowingAfterWarmup) {
+  // Both caches recycle evicted and invalidated tile slots, so once the
+  // first epochs have filled them to budget, further epochs and reads
+  // allocate no tile memory — what keeps a long-running monitor's RSS
+  // flat (shard/lru_tile_cache.hpp).
+  set_parallel_thread_count(2);
+  const HostId n = 96;
+  const std::uint32_t tile_dim = 16;
+  DelayStream stream(random_matrix(n, 0.2, 71));
+  ShardStreamConfig cfg;
+  cfg.tile_dim = tile_dim;
+  cfg.input_path = scratch_path("slots_in");
+  cfg.sink_path = scratch_path("slots_out");
+  const std::size_t in_tile =
+      tile_dim * tile_dim * sizeof(float) + tile_dim * sizeof(std::uint64_t);
+  const std::size_t out_tile = tile_dim * tile_dim * sizeof(float);
+  cfg.input_budget_bytes = 10 * in_tile;  // of 36 input tiles
+  cfg.output_budget_bytes = 4 * out_tile;  // of 21 sink tiles
+  ShardStreamEngine engine(stream.matrix(), cfg);
+
+  Rng rng(72);
+  std::vector<float> row(n);
+  double t = 0.0;
+  auto run_epochs = [&](int epochs) {
+    for (int e = 0; e < epochs; ++e, t += 1.0) {
+      for (int u = 0; u < 8; ++u) {
+        const auto a = static_cast<HostId>(rng.uniform_index(n));
+        const auto b = static_cast<HostId>(rng.uniform_index(n));
+        if (a == b) continue;
+        stream.ingest({a, b, static_cast<float>(rng.uniform(1.0, 400.0)), t});
+      }
+      const Epoch epoch = stream.commit_epoch();
+      engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      for (HostId a = 0; a < n; a += 7) engine.severity_row(a, row);
+    }
+  };
+  run_epochs(3);
+  const auto in_warm = engine.input_cache_stats();
+  const auto out_warm = engine.output_cache_stats();
+  EXPECT_LE(in_warm.slot_allocs, 10u);
+  EXPECT_LE(out_warm.slot_allocs, 4u);
+
+  run_epochs(10);
+  const auto in_stats = engine.input_cache_stats();
+  const auto out_stats = engine.output_cache_stats();
+  EXPECT_EQ(in_stats.slot_allocs, in_warm.slot_allocs);
+  EXPECT_EQ(out_stats.slot_allocs, out_warm.slot_allocs);
+  // The loads kept coming; they were served from recycled slots.
+  EXPECT_GT(in_stats.misses, in_warm.misses);
+  EXPECT_GT(out_stats.misses, out_warm.misses);
+  set_parallel_thread_count(0);
+}
+
 TEST(ShardStreamEngine, CleanEpochRepairsNothing) {
   const DelayMatrix m = random_matrix(24, 0.2, 51);
   ShardStreamConfig cfg;

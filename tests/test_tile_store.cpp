@@ -3,9 +3,12 @@
 // streaming severity driver's bit-identical equivalence to the in-memory
 // kernel — on dense and 30%-missing matrices, across tile sizes that do and
 // do not divide N, and under a tiny cache budget that forces eviction.
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -16,8 +19,11 @@
 #include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
+#include "shard/checksum.hpp"
+#include "shard/fault_injector.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
+#include "sink/severity_tile_store.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -306,6 +312,242 @@ TEST(TileStore, CorruptTileIsRejectedLoudly) {
                std::runtime_error);
   store.read_tile(0, 0, payload.data(), masks.data());
   std::filesystem::remove(path);
+}
+
+// --- Tile checksum detection -------------------------------------------------
+
+/// One serialized input tile (payload then masks, 16 896 B at T = 64) and
+/// one sink tile (16 384 B) of a 30%-missing matrix, read back through the
+/// stores so the bytes are exactly what the checksums cover.
+struct TileBytes {
+  std::vector<unsigned char> input;
+  std::size_t input_payload_bytes = 0;
+  std::vector<unsigned char> sink;
+};
+
+TileBytes real_tile_bytes() {
+  const DelayMatrix m = random_matrix(64, 0.3, 61);
+  const std::string in_path = scratch_path("bytes_in");
+  const std::string out_path = scratch_path("bytes_out");
+  TileStore::write_matrix(in_path, m, 64);
+  const TileStore store = TileStore::open(in_path);
+  TileCache cache(store, 1u << 20);
+  sink::SeverityTileStore::create(out_path, 64, 64);
+  auto sink = sink::SeverityTileStore::open(out_path, /*writable=*/true);
+  all_severities_to_sink(store, cache, sink);
+
+  TileBytes t;
+  std::vector<float> payload(store.payload_floats());
+  std::vector<std::uint64_t> masks(store.mask_words());
+  store.read_tile(0, 0, payload.data(), masks.data());
+  t.input_payload_bytes = payload.size() * sizeof(float);
+  t.input.resize(store.tile_bytes());
+  std::memcpy(t.input.data(), payload.data(), t.input_payload_bytes);
+  std::memcpy(t.input.data() + t.input_payload_bytes, masks.data(),
+              masks.size() * sizeof(std::uint64_t));
+  std::vector<float> sev(sink.payload_floats());
+  sink.read_tile(0, 0, sev.data());
+  t.sink.resize(sink.tile_bytes());
+  std::memcpy(t.sink.data(), sev.data(), t.sink.size());
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+  return t;
+}
+
+/// The tile checksum exactly as shard::TileFile chains it over sections.
+std::uint64_t tile_hash(const std::vector<unsigned char>& bytes,
+                        std::size_t first_section_bytes) {
+  const std::uint64_t h = shard::checksum64(bytes.data(), first_section_bytes);
+  return shard::checksum64(bytes.data() + first_section_bytes,
+                           bytes.size() - first_section_bytes, h);
+}
+
+/// The rejected design, kept as the control that proves the flip tests
+/// have teeth: the same four-lane structure with XOR-then-multiply
+/// (word-FNV) lanes. Bit 63 of a word passes through such a lane
+/// linearly, so two sign-bit flips in one lane cancel.
+std::uint64_t word_fnv_tile_hash(const std::vector<unsigned char>& bytes) {
+  constexpr std::uint64_t kBasis = 14695981039346656037ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  std::uint64_t v[4] = {kBasis, kBasis, kBasis, kBasis};
+  for (std::size_t i = 0; i + 32 <= bytes.size(); i += 32) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      std::uint64_t w;
+      std::memcpy(&w, bytes.data() + i + 8 * l, sizeof(w));
+      v[l] = (v[l] ^ w) * kPrime;
+    }
+  }
+  std::uint64_t h = std::rotl(v[0], 1) + std::rotl(v[1], 7) +
+                    std::rotl(v[2], 12) + std::rotl(v[3], 18);
+  h ^= h >> 33;
+  h *= kPrime;
+  h ^= h >> 29;
+  return h;
+}
+
+void flip_bit(std::vector<unsigned char>& bytes, std::size_t bit) {
+  bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+}
+
+TEST(TileChecksum, EverySingleBitFlipChangesTheHash) {
+  TileBytes t = real_tile_bytes();
+  ASSERT_EQ(t.input.size(), 16896u);
+  ASSERT_EQ(t.sink.size(), 16384u);
+  for (auto* tile : {&t.input, &t.sink}) {
+    const std::size_t first =
+        tile == &t.input ? t.input_payload_bytes : tile->size();
+    const std::uint64_t clean = tile_hash(*tile, first);
+    std::size_t missed = 0;
+    for (std::size_t bit = 0; bit < tile->size() * 8; ++bit) {
+      flip_bit(*tile, bit);
+      missed += tile_hash(*tile, first) == clean;
+      flip_bit(*tile, bit);
+    }
+    EXPECT_EQ(missed, 0u) << "tile of " << tile->size() << " bytes";
+  }
+}
+
+TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
+  const DelayMatrix m = random_matrix(64, 0.3, 62);
+  const std::string in_path = scratch_path("flip_in");
+  const std::string out_path = scratch_path("flip_out");
+  TileStore::write_matrix(in_path, m, 64);
+  TileStore store = TileStore::open(in_path);
+  sink::SeverityTileStore::create(out_path, 64, 64);
+  auto sink = sink::SeverityTileStore::open(out_path);
+  std::vector<float> payload(store.payload_floats());
+  std::vector<std::uint64_t> masks(store.mask_words());
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    // Every read attempt flips one (seeded) bit, so each retry fails too:
+    // the flip is indistinguishable from persistent rot.
+    shard::FaultInjector::Config cfg;
+    cfg.seed = seed;
+    cfg.bitflip_every_kth_read = 1;
+    shard::FaultInjector injector(cfg);
+    store.set_fault_injector(&injector);
+    sink.set_fault_injector(&injector);
+    const std::uint64_t in_retries = store.read_retries();
+    const std::uint64_t sink_retries = sink.read_retries();
+    EXPECT_THROW(store.read_tile(0, 0, payload.data(), masks.data()),
+                 shard::CorruptTileError);
+    EXPECT_THROW(sink.read_tile(0, 0, payload.data()),
+                 shard::CorruptTileError);
+    EXPECT_EQ(store.read_retries() - in_retries,
+              static_cast<std::uint64_t>(shard::TileFile::kReadRetries));
+    EXPECT_EQ(sink.read_retries() - sink_retries,
+              static_cast<std::uint64_t>(shard::TileFile::kReadRetries));
+    EXPECT_EQ(injector.stats().bitflips,
+              2u * (shard::TileFile::kReadRetries + 1));
+    store.set_fault_injector(nullptr);
+    sink.set_fault_injector(nullptr);
+  }
+  store.read_tile(0, 0, payload.data(), masks.data());  // disk is intact
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+}
+
+TEST(TileChecksum, DetectsSameLaneSignBitPairsAndRandomTwoBitFlips) {
+  std::vector<unsigned char> tile = real_tile_bytes().input;
+  const std::size_t first = 16384;
+  const std::uint64_t clean = tile_hash(tile, first);
+  const std::uint64_t clean_fnv = word_fnv_tile_hash(tile);
+
+  // Bit 63 of words i and j sharing a lane (i = j mod 4), first 256 words.
+  std::size_t pairs = 0;
+  std::size_t missed = 0;
+  std::size_t missed_fnv = 0;
+  for (std::size_t i = 0; i < 256; ++i) {
+    for (std::size_t j = i + 4; j < 256; j += 4) {
+      flip_bit(tile, 64 * i + 63);
+      flip_bit(tile, 64 * j + 63);
+      ++pairs;
+      missed += tile_hash(tile, first) == clean;
+      missed_fnv += word_fnv_tile_hash(tile) == clean_fnv;
+      flip_bit(tile, 64 * i + 63);
+      flip_bit(tile, 64 * j + 63);
+    }
+  }
+  EXPECT_EQ(pairs, 4u * (64 * 63 / 2));
+  EXPECT_EQ(missed, 0u);
+  EXPECT_EQ(missed_fnv, pairs);  // the control misses every one
+
+  Rng rng(0x2b17);
+  const std::size_t bits = tile.size() * 8;
+  missed = 0;
+  missed_fnv = 0;
+  for (int trial = 0; trial < 100000; ++trial) {
+    const std::size_t a = rng.uniform_index(bits);
+    std::size_t b = rng.uniform_index(bits - 1);
+    b += b >= a;  // distinct from a
+    flip_bit(tile, a);
+    flip_bit(tile, b);
+    missed += tile_hash(tile, first) == clean;
+    missed_fnv += word_fnv_tile_hash(tile) == clean_fnv;
+    flip_bit(tile, a);
+    flip_bit(tile, b);
+  }
+  EXPECT_EQ(missed, 0u);
+  EXPECT_GT(missed_fnv, 0u);
+}
+
+/// Writes a bare 40-byte tile-file header (the on-disk RawHeader layout).
+void write_raw_header(const std::string& path, const char (&magic)[9],
+                      std::uint32_t version, std::uint32_t n,
+                      std::uint32_t tile_dim, std::uint64_t tile_bytes) {
+  std::ofstream f(path, std::ios::binary);
+  const std::uint32_t tiles = (n + tile_dim - 1) / tile_dim;
+  const std::uint64_t data_offset = 64;
+  f.write(magic, 8);
+  f.write(reinterpret_cast<const char*>(&version), 4);
+  f.write(reinterpret_cast<const char*>(&n), 4);
+  f.write(reinterpret_cast<const char*>(&tile_dim), 4);
+  f.write(reinterpret_cast<const char*>(&tiles), 4);
+  f.write(reinterpret_cast<const char*>(&tile_bytes), 8);
+  f.write(reinterpret_cast<const char*>(&data_offset), 8);
+  const std::vector<char> rest(64 + tile_bytes, 0);  // index, sums, tile
+  f.write(rest.data(), static_cast<std::streamsize>(rest.size()));
+}
+
+std::string open_error(const std::function<void()>& open) {
+  try {
+    open();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
+  const std::string path = scratch_path("old_version");
+  write_raw_header(path, "TIVSHRD2", 2, 16, 16, 16 * 16 * 4 + 16 * 8);
+  EXPECT_NE(open_error([&] { TileStore::open(path); })
+                .find("unsupported version"),
+            std::string::npos);
+  write_raw_header(path, "TIVSSEV1", 1, 16, 16, 16 * 16 * 4);
+  EXPECT_NE(open_error([&] { sink::SeverityTileStore::open(path); })
+                .find("unsupported version"),
+            std::string::npos);
+  // A foreign magic is still a foreign file.
+  write_raw_header(path, "NOTATILE", 3, 16, 16, 16 * 16 * 4 + 16 * 8);
+  EXPECT_NE(open_error([&] { TileStore::open(path); }).find("bad magic"),
+            std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(TileChecksum, GoldenValuesArePinned) {
+  // Every store, manifest and trace on disk carries these hashes: a change
+  // here makes existing files unreadable and needs a format version bump.
+  std::vector<unsigned char> bytes(1000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 7 + 3);
+  }
+  EXPECT_EQ(shard::checksum64(bytes.data(), 0), 0x9090306c6e91ed59ull);
+  EXPECT_EQ(shard::checksum64(bytes.data(), 5), 0x56f25f6298ebe7b1ull);
+  EXPECT_EQ(shard::checksum64(bytes.data(), 32), 0x2644d7437bfec4c1ull);
+  EXPECT_EQ(shard::checksum64(bytes.data(), 1000), 0xd72543d89a218b37ull);
+  EXPECT_EQ(shard::checksum64(bytes.data() + 640, 360,
+                              shard::checksum64(bytes.data(), 640)),
+            0x9afafba09d4b17d6ull);
 }
 
 TEST(TileCache, InvalidateDropsResidentTileAndRereadsRepack) {
