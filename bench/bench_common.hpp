@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -336,6 +337,31 @@ inline void emit_metrics_json(JsonArrayWriter& json,
         .field("p90", h.quantile(0.9), 1)
         .field("p99", h.quantile(0.99), 1);
   }
+}
+
+/// Exit-status check on the registry snapshot a bench embeds: every name
+/// in `registered` must be present (as a counter, gauge or histogram) and
+/// every counter in `positive` must be > 0. Each failure is reported on
+/// stderr under `bench`; returns true when all hold.
+inline bool check_metrics(const char* bench, const obs::MetricsSnapshot& snap,
+                          std::initializer_list<const char*> registered,
+                          std::initializer_list<const char*> positive = {}) {
+  bool ok = true;
+  for (const char* name : registered) {
+    if (snap.counters.count(name) == 0 && snap.gauges.count(name) == 0 &&
+        snap.histograms.count(name) == 0) {
+      std::cerr << bench << ": metric " << name << " not registered\n";
+      ok = false;
+    }
+  }
+  for (const char* name : positive) {
+    const auto it = snap.counters.find(name);
+    if (it == snap.counters.end() || it->second == 0) {
+      std::cerr << bench << ": counter " << name << " is not > 0\n";
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 /// JSON twin of print_cdfs_on_grid: one record per (series, x) with the

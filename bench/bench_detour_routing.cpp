@@ -127,7 +127,9 @@ int main(int argc, char** argv) {
 
   // Oracle-scan kernel: the seed's branchy per-element scan vs the masked
   // lane scan, over the same sampled edges. The two are exactly equivalent
-  // (gtest-enforced in test_detour); here we report the measured speedup.
+  // (gtest-enforced in test_detour); here we report the measured speedup,
+  // and the exit status is nonzero if the two sums differ at all.
+  bool scans_equal = false;
   {
     core::PairSampleOptions opt;
     opt.require_positive = true;
@@ -150,6 +152,7 @@ int main(int argc, char** argv) {
       }
     });
     const double speedup = scalar_ms > 0.0 ? scalar_ms / masked_ms : 0.0;
+    scans_equal = std::abs(sum_scalar - sum_masked) == 0.0;
     if (cfg.json) {
       json->object()
           .field("section", std::string("oracle_scan"))
@@ -168,6 +171,11 @@ int main(int argc, char** argv) {
                   format_double(speedup, 2)});
       emit(ot, cfg);
     }
+  }
+  if (!scans_equal) {
+    std::cerr << "bench_detour_routing: masked oracle scan differs from the "
+                 "scalar scan\n";
+    return 1;
   }
   return 0;
 }

@@ -14,14 +14,16 @@
 //                             at a chosen commit ordinal; recover() replays
 //                             the journaled epoch from the manifest
 //
-// Each record carries the acceptance properties CI asserts:
+// Each record carries the acceptance properties the exit status enforces:
 //   bit_mismatches     severities read back after recovery vs the in-memory
 //                      all_severities of the same matrix — must be 0
 //   recovered_cheaper  recovery wall time strictly below the full
 //                      out-of-core rebuild of the same matrix
 // plus the healed-tile / replayed-epoch counters that prove the recovery
-// path (not a silent full rebuild) produced the bytes. Exit status is
-// nonzero when a property fails, so a smoke run turns CI red on its own.
+// path (not a silent full rebuild) produced the bytes. The registry
+// snapshot must also show injected torn writes, replayed torn epochs and
+// recovered sink tiles (each counter > 0). Exit status is nonzero when a
+// property fails, so a smoke run turns CI red on its own.
 //
 // Each record also reports recovery_action_ms — the span tracer's total of
 // "recovery-action" spans (manifest replay plus every lazy tile heal), the
@@ -357,9 +359,16 @@ int main(int argc, char** argv) {
           .field_bool("recovered_cheaper", cheaper)
           .field("bit_mismatches", mismatches);
     }
-    tiv::bench::emit_metrics_json(json,
-                                  tiv::obs::MetricsRegistry::instance()
-                                      .snapshot());
+    // Injected faults and recovery actions must both have flowed through
+    // the registry.
+    const auto snap = tiv::obs::MetricsRegistry::instance().snapshot();
+    tiv::bench::emit_metrics_json(json, snap);
+    ok = tiv::bench::check_metrics(
+             "bench_fault_recovery", snap, {},
+             {"fault.injected_torn_writes",
+              "engine.recovery.torn_epochs_replayed",
+              "engine.recovery.sink_tiles_recovered"}) &&
+         ok;
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;

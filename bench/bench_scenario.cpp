@@ -19,7 +19,11 @@
 // on both tile stores ("flash_crowd_faulted"): the engine must self-heal
 // and stay bit-identical, with the recovery work reported alongside the
 // (unchanged) quality numbers. Exit status is nonzero when any property
-// fails, so a smoke run turns CI red on its own.
+// fails, so a smoke run turns CI red on its own: every scenario record
+// (at least 4, faulted leg included, the leg having landed rot) must have
+// bit_mismatches == 0 and precision and recall in (0, 1], threshold-sweep
+// records must be present, and the registry snapshot must carry the
+// scenario.* telemetry.
 //
 // Flags:
 //   --quick           reduced scale (CI run: committed baseline scale)
@@ -47,6 +51,7 @@
 #include "scenario/replay.hpp"
 #include "scenario/score.hpp"
 #include "shard/fault_injector.hpp"
+#include "shard/tile_file.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 
@@ -106,6 +111,21 @@ ScenarioRun replay_and_score(const DelayMatrix& base, const DelayTrace& trace,
       static_cast<double>(tracer.total_ns("scenario-score") - score_ns0) /
       1e6 / static_cast<double>(epochs);
   return run;
+}
+
+/// The exit-status properties of one scenario record: bit-identical replay
+/// and non-degenerate detection rates. Failures are reported on stderr.
+bool scenario_ok(const std::string& label, const ScenarioRun& run) {
+  const auto& c = run.scorer.headline().counts;
+  const bool ok = run.result.bit_mismatches == 0 && c.precision() > 0.0 &&
+                  c.precision() <= 1.0 && c.recall() > 0.0 &&
+                  c.recall() <= 1.0;
+  if (!ok) {
+    std::cerr << "bench_scenario: " << label << " failed ("
+              << run.result.bit_mismatches << " bit mismatches, precision "
+              << c.precision() << ", recall " << c.recall() << ")\n";
+  }
+  return ok;
 }
 
 void emit_scenario_record(tiv::bench::BenchReport& json,
@@ -173,23 +193,20 @@ int main(int argc, char** argv) {
   // Same pinned-working-set budget floor as bench_shard_stream: the
   // band-pair drivers pin <= 3 input tiles per worker plus one prefetch,
   // sink reads pin one tile per reader.
-  const std::size_t in_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
-  const std::size_t out_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+  const std::size_t tile_bytes = tiv::shard::tile_size_bytes(tile_dim);
   const std::size_t input_budget = std::max<std::size_t>(
       std::size_t{256} << 10,
-      (3 * tiv::parallel_thread_count() + 2) * in_tile_bytes);
+      (3 * tiv::parallel_thread_count() + 2) * tile_bytes);
   const std::size_t output_budget = std::max<std::size_t>(
       std::size_t{128} << 10,
-      (tiv::parallel_thread_count() + 1) * out_tile_bytes);
+      (tiv::parallel_thread_count() + 1) * tile_bytes);
 
   tiv::obs::SpanTracer tracer(1 << 14);
   tiv::obs::SpanTracer::attach(&tracer);
 
   bool ok = true;
+  std::size_t scenario_records = 0;
+  std::size_t sweep_records = 0;
   {
     tiv::bench::BenchConfig bench_cfg;
     bench_cfg.hosts = n;
@@ -230,13 +247,15 @@ int main(int argc, char** argv) {
       cfg.shard.sink_path = scratch_file(dir, family + "_sev");
       const ScenarioRun run =
           replay_and_score(base, trace, cfg, scorer_params, tracer);
-      ok = ok && run.result.bit_mismatches == 0;
+      ok = scenario_ok(family, run) && ok;
 
       emit_scenario_record(json, family, trace, n, threshold, run);
+      ++scenario_records;
       // Sweep records: the same replay graded at tighter/looser
       // thresholds (informational, not gated).
       for (std::size_t t = 1; t < run.scorer.thresholds().size(); ++t) {
         const auto& tq = run.scorer.thresholds()[t];
+        ++sweep_records;
         json.object()
             .field("section", std::string("threshold_sweep"))
             .field("scenario", family)
@@ -278,14 +297,28 @@ int main(int argc, char** argv) {
       const std::size_t injected =
           input_fault.stats().bitflips + sink_fault.stats().bitflips;
       // The soak only proves something if rot actually landed.
-      ok = ok && run.result.bit_mismatches == 0 && injected > 0;
+      if (injected == 0) std::cerr << "bench_scenario: no rot injected\n";
+      ok = scenario_ok("flash_crowd_faulted", run) && injected > 0 && ok;
 
       emit_scenario_record(json, "flash_crowd_faulted", trace, n, threshold,
                            run);
+      ++scenario_records;
     }
 
-    tiv::bench::emit_metrics_json(
-        json, tiv::obs::MetricsRegistry::instance().snapshot());
+    const auto snap = tiv::obs::MetricsRegistry::instance().snapshot();
+    tiv::bench::emit_metrics_json(json, snap);
+    ok = tiv::bench::check_metrics(
+             "bench_scenario", snap,
+             {"scenario.epochs_replayed", "scenario.bit_mismatches",
+              "scenario.true_positives", "scenario.onsets_detected",
+              "scenario.detour_wins"}) &&
+         ok;
+  }
+  if (scenario_records < 4 || sweep_records == 0) {
+    std::cerr << "bench_scenario: " << scenario_records
+              << " scenario records, " << sweep_records
+              << " threshold-sweep records\n";
+    ok = false;
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;

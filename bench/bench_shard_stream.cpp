@@ -4,17 +4,20 @@
 // all_severities_to_sink), under small input/output cache budgets.
 //
 // One JSON record per churn point (bench_common JsonArrayWriter), each
-// carrying the acceptance properties CI asserts:
+// carrying the acceptance properties the exit status enforces:
 //   bit_mismatches       engine severities read back through the sink
 //                        cache vs the in-memory all_severities of the
 //                        final mutated matrix — must be 0
 //   peak_within_budget   both tile caches' peak bytes stayed within their
 //                        configured budgets
+//   repair_epoch_ms      the tracer saw the epoch spans — must be > 0
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
 // quotes. A {"section":"codegen"} record times one repair against the
 // in-memory kernel on the same matrix (repair_gops, kernel_gops and their
-// ratio repair_vs_kernel, which CI gates). Exit status is nonzero when a
-// property fails, so a smoke run turns CI red on its own.
+// ratio repair_vs_kernel, which CI gates). The embedded registry snapshot
+// must carry the storage, cache, engine and stream telemetry. Exit status
+// is nonzero when a property fails, so a smoke run turns CI red on its
+// own.
 //
 // Apply-path timings come from the span tracer (docs/OBSERVABILITY.md) —
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
@@ -147,21 +150,16 @@ int main(int argc, char** argv) {
   tiv::reject_unknown_flags(flags);
 
   // Floor the budgets at the pinned working sets so a many-core pool
-  // cannot overshoot through pins alone (same rationale as
-  // bench_shard_severity): the band-pair drivers pin <= 3 input tiles per
-  // worker plus one prefetch; sink reads pin one tile per reader.
-  const std::size_t in_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
-  const std::size_t out_tile_bytes =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+  // cannot overshoot through pins alone: the band-pair drivers pin <= 3
+  // input tiles per worker plus one prefetch; sink reads pin one tile per
+  // reader.
+  const std::size_t tile_bytes = tiv::shard::tile_size_bytes(tile_dim);
   const std::size_t input_budget =
       std::max(input_budget_flag,
-               (3 * tiv::parallel_thread_count() + 2) * in_tile_bytes);
+               (3 * tiv::parallel_thread_count() + 2) * tile_bytes);
   const std::size_t output_budget =
       std::max(output_budget_flag,
-               (tiv::parallel_thread_count() + 1) * out_tile_bytes);
+               (tiv::parallel_thread_count() + 1) * tile_bytes);
 
   const std::vector<double> dirty_fractions =
       quick ? std::vector<double>{0.02, 0.2}
@@ -256,9 +254,15 @@ int main(int argc, char** argv) {
       const auto out_stats = engine->output_cache_stats();
       const bool within_budget = in_stats.peak_bytes <= input_budget &&
                                  out_stats.peak_bytes <= output_budget;
-      ok = ok && mismatches == 0 && within_budget;
-
       const double repair_epoch_ms = apply_ms / epochs;
+      if (mismatches != 0 || !within_budget || !(repair_epoch_ms > 0.0)) {
+        std::cerr << "bench_shard_stream: churn " << frac << " failed ("
+                  << mismatches << " bit mismatches, within budget "
+                  << within_budget << ", repair_epoch_ms " << repair_epoch_ms
+                  << ")\n";
+        ok = false;
+      }
+
       json.object()
           .field("section", std::string("shard_churn"))
           .field("n", n)
@@ -355,9 +359,13 @@ int main(int argc, char** argv) {
           .field_sig("repair_vs_kernel", repair_gops / kernel_gops, 3);
     }
 
-    tiv::bench::emit_metrics_json(json,
-                                  tiv::obs::MetricsRegistry::instance()
-                                      .snapshot());
+    const auto snap = tiv::obs::MetricsRegistry::instance().snapshot();
+    tiv::bench::emit_metrics_json(json, snap);
+    ok = tiv::bench::check_metrics(
+             "bench_shard_stream", snap,
+             {"shard.input.reads", "cache.input.hits", "engine.epochs_applied",
+              "engine.epoch_ns", "stream.samples_applied"}) &&
+         ok;
   }
   if (!profile_out.empty()) {
     profiler.stop();

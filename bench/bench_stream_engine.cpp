@@ -15,7 +15,8 @@
 //     drift test.
 //
 // Output is a JSON record array (machine-checkable; --json is accepted for
-// CI-invocation uniformity but this bench never prints tables).
+// CI-invocation uniformity but this bench never prints tables). Exit
+// status is nonzero when any record's bit_mismatches is not 0.
 //
 // Flags:
 //   --quick        n = 96, 2 epochs/point (CI smoke run)
@@ -122,6 +123,8 @@ int main(int argc, char** argv) {
       .field("policy", policy_name)
       .field("quick", quick);
 
+  bool ok = true;  // every record bit-identical to the full rebuild
+
   // --- Churn sweep -------------------------------------------------------
   const std::vector<double> dirty_fractions{0.004, 0.01, 0.05, 0.2};
   for (const double frac : dirty_fractions) {
@@ -157,6 +160,7 @@ int main(int argc, char** argv) {
     const TivAnalyzer analyzer(stream.matrix());
     const double full_ms = time_ms([&] { full = analyzer.all_severities(); });
     const std::size_t mismatches = bit_mismatches(inc->severities(), full);
+    ok = ok && mismatches == 0;
 
     const double inc_epoch_ms = apply_ms / epochs;
     json.object()
@@ -228,6 +232,8 @@ int main(int argc, char** argv) {
     SeverityMatrix full;
     const TivAnalyzer analyzer(stream.matrix());
     const double full_ms = time_ms([&] { full = analyzer.all_severities(); });
+    const std::size_t mismatches = bit_mismatches(inc.severities(), full);
+    ok = ok && mismatches == 0;
     json.object()
         .field("section", std::string("oscillation"))
         .field("n", n)
@@ -242,7 +248,8 @@ int main(int argc, char** argv) {
                    ? full_ms / (apply_ms / osc_epochs)
                    : 0.0,
                2)
-        .field("bit_mismatches", bit_mismatches(inc.severities(), full));
+        .field("bit_mismatches", mismatches);
   }
-  return 0;
+  if (!ok) std::cerr << "bench_stream_engine: FAILED (bit mismatches)\n";
+  return ok ? 0 : 1;
 }

@@ -62,6 +62,7 @@
 #include "scenario/generators.hpp"
 #include "scenario/trace.hpp"
 #include "shard/fault_injector.hpp"
+#include "shard/tile_file.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/flags.hpp"
@@ -201,13 +202,11 @@ int main(int argc, char** argv) {
   // too, where pinned tiles alone would exceed a fixed 12-tile budget.
   stream::ShardStreamConfig cfg;
   cfg.tile_dim = 32;
-  const std::size_t in_tile =
-      std::size_t{32} * 32 * sizeof(float) + std::size_t{32} * sizeof(std::uint64_t);
-  const std::size_t out_tile = std::size_t{32} * 32 * sizeof(float);
+  const std::size_t tile_bytes = shard::tile_size_bytes(cfg.tile_dim);
   cfg.input_budget_bytes =
-      std::max(std::size_t{12}, 3 * parallel_thread_count() + 2) * in_tile;
+      std::max(std::size_t{12}, 3 * parallel_thread_count() + 2) * tile_bytes;
   cfg.output_budget_bytes =
-      std::max(std::size_t{6}, parallel_thread_count() + 1) * out_tile;
+      std::max(std::size_t{6}, parallel_thread_count() + 1) * tile_bytes;
   stream::ShardStreamEngine monitor(live.matrix(), cfg);
 
   // The live matrix is the repair source for corrupt *input* tiles; sink

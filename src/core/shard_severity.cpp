@@ -1,12 +1,8 @@
 #include "core/shard_severity.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -42,13 +38,18 @@ using shard::TileStore;
 // triangle, so consecutive pairs share band I and re-hit its (I, K) tiles;
 // while band K computes, tiles for K+1 load on the cache's background I/O
 // thread.
+//
+// One body, process_band_pair_to_sink, serves the full build (every pair),
+// the dirty-epoch repair (pairs incident to dirty hosts) and the one-tile
+// rebuild, writing tile-shaped results into the sink instead of filling an
+// N^2 buffer.
 // ---------------------------------------------------------------------------
 
 /// Runs fn(I, J) over all band pairs I <= J, dynamically scheduled
 /// (core/triangle_schedule.hpp, shared with the in-memory tile loop).
 ///
 /// Unlike the in-memory kernels — noexcept in practice — the band body does
-/// tile I/O, which can throw (truncated spill file, disk error). The pool
+/// tile I/O, which can throw (truncated store file, disk error). The pool
 /// contract terminates the process on a worker-thread exception, so the
 /// body is wrapped: the first failure is captured, remaining pairs are
 /// skipped, and the exception rethrows on the calling thread after the
@@ -78,95 +79,6 @@ void prefetch_band(TileCache& cache, std::uint32_t bi, std::uint32_t bj,
   cache.prefetch(bi, k);
   if (bj != bi) cache.prefetch(bj, k);
 }
-
-/// The per-band-pair streaming skeleton shared by both drivers: walks
-/// witness bands k in ascending order, prefetching band k+1 while k is
-/// pinned, and invokes fn(al, cl, d_ac, ta, tc) for every measured (a, c)
-/// pair of band pair (bi, bj) — al/cl tile-local, c_lo clamped past the
-/// diagonal on diagonal band pairs. Ascending k is load-bearing: it keeps
-/// the severity lane sums bit-identical to the monolithic scan.
-template <typename WitnessFn>
-void walk_band_pair(const TileStore& store, TileCache& cache,
-                    std::uint32_t bi, std::uint32_t bj,
-                    const shard::Tile& dac_tile, WitnessFn&& fn) {
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::uint32_t rows_i = store.band_rows(bi);
-  const std::uint32_t rows_j = store.band_rows(bj);
-  for (std::uint32_t k = 0; k < bands; ++k) {
-    prefetch_band(cache, bi, bj, k + 1, bands);
-    const TileRef ta = cache.acquire(bi, k);
-    const TileRef tc = bj == bi ? ta : cache.acquire(bj, k);
-    for (std::uint32_t al = 0; al < rows_i; ++al) {
-      const float* dac_row = dac_tile.row(al);
-      const std::uint32_t c_lo = bi == bj ? al + 1 : 0;
-      for (std::uint32_t cl = c_lo; cl < rows_j; ++cl) {
-        const float d_ac = dac_row[cl];
-        if (d_ac >= DelayMatrixView::kMaskedDelay) continue;  // unmeasured
-        fn(al, cl, d_ac, *ta, *tc);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-std::size_t packed_view_bytes(HostId n) {
-  return DelayMatrixView::bytes_for(n);
-}
-
-SeverityMatrix all_severities_streamed(const TileStore& store,
-                                       TileCache& cache) {
-  const HostId n = store.size();
-  SeverityMatrix sev(n);
-  if (n < 2) return sev;
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::size_t scan_len = T;  // full tile width; padding sums to +0.0
-  const auto nd = static_cast<double>(n);
-
-  for_each_band_pair(bands, [&](std::uint32_t bi, std::uint32_t bj) {
-    const TileRef dac_tile = cache.acquire(bi, bj);
-    const std::uint32_t rows_i = store.band_rows(bi);
-    const std::uint32_t rows_j = store.band_rows(bj);
-    // One kWitnessLanes accumulator block per (a, c) pair of the band pair,
-    // carried across witness bands. ~T*T*64 B (256 KiB at T = 64); owned by
-    // the worker, not the cache budget (it is O(T^2), not O(N)).
-    std::vector<double> acc(static_cast<std::size_t>(rows_i) * rows_j *
-                                kWitnessLanes,
-                            0.0);
-    walk_band_pair(store, cache, bi, bj, *dac_tile,
-                   [&](std::uint32_t al, std::uint32_t cl, float d_ac,
-                       const shard::Tile& ta, const shard::Tile& tc) {
-                     witness_ratio_accumulate(
-                         ta.row(al), tc.row(cl), scan_len, d_ac,
-                         acc.data() +
-                             (static_cast<std::size_t>(al) * rows_j + cl) *
-                                 kWitnessLanes);
-                   });
-    for (std::uint32_t al = 0; al < rows_i; ++al) {
-      const float* dac_row = dac_tile->row(al);
-      const auto a = static_cast<HostId>(bi * T + al);
-      const std::uint32_t c_lo = bi == bj ? al + 1 : 0;
-      for (std::uint32_t cl = c_lo; cl < rows_j; ++cl) {
-        if (dac_row[cl] >= DelayMatrixView::kMaskedDelay) continue;
-        const double ratio_sum = witness_ratio_reduce(
-            acc.data() +
-            (static_cast<std::size_t>(al) * rows_j + cl) * kWitnessLanes);
-        sev.set(a, static_cast<HostId>(bj * T + cl),
-                static_cast<float>(ratio_sum / nd));
-      }
-    }
-  });
-  return sev;
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Sink-fed severity: the band-pair driver writing tile-shaped results
-// instead of filling an N^2 buffer. One shared body serves the full build
-// (every pair) and the dirty-epoch repair (pairs incident to dirty hosts).
-// ---------------------------------------------------------------------------
 
 /// One (a, c) pair of a band pair selected for recomputation, tile-local.
 struct PairTask {
@@ -198,9 +110,9 @@ BandPairScratch& band_pair_scratch() {
 /// Recomputes the selected pairs of band pair (bi, bj) and commits the sink
 /// tile. dirty_i/dirty_j flag dirty tile-local rows of the two bands
 /// (ignored when full_build, which selects every pair and skips the
-/// read-modify cycle — create() zeroed the tile). The witness walk is the
-/// same ascending-k, full-tile-width scan as all_severities_streamed, so
-/// every stored float is bit-identical to the in-memory kernel's.
+/// read-modify cycle — create() zeroed the tile). The witness walk scans
+/// full tile widths in ascending k, so every stored float is bit-identical
+/// to the in-memory kernel's.
 BandPairResult process_band_pair_to_sink(
     const TileStore& store, TileCache& cache, sink::SeverityTileStore& sink,
     std::uint32_t bi, std::uint32_t bj, const std::uint8_t* dirty_i,
@@ -337,109 +249,6 @@ SinkRepairStats repair_severities_to_sink(
   stats.edges_recomputed = recomputed.load();
   stats.tiles_committed = committed.load();
   return stats;
-}
-
-double violating_triangle_fraction_streamed(const TileStore& store,
-                                            TileCache& cache) {
-  const HostId n = store.size();
-  if (n < 3) return 0.0;
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::size_t scan_len = T;
-  const std::size_t mask_len = store.mask_words_per_row();
-  // Same triangle-role accounting as the in-memory exact mode: every
-  // measurable triangle is scanned in 3 pair-roles but violates in exactly
-  // one, so fraction = 3 * violations / witness_total.
-  std::atomic<std::size_t> violations{0};
-  std::atomic<std::size_t> witness_total{0};
-
-  for_each_band_pair(bands, [&](std::uint32_t bi, std::uint32_t bj) {
-    const TileRef dac_tile = cache.acquire(bi, bj);
-    std::size_t local_v = 0;
-    std::size_t local_t = 0;
-    walk_band_pair(store, cache, bi, bj, *dac_tile,
-                   [&](std::uint32_t al, std::uint32_t cl, float d_ac,
-                       const shard::Tile& ta, const shard::Tile& tc) {
-                     local_t += masked_witness_count(
-                         ta.mask_row(al), tc.mask_row(cl), mask_len);
-                     local_v += witness_violation_count(
-                         ta.row(al), tc.row(cl), scan_len, d_ac);
-                   });
-    violations.fetch_add(local_v, std::memory_order_relaxed);
-    witness_total.fetch_add(local_t, std::memory_order_relaxed);
-  });
-  const auto t = static_cast<double>(witness_total.load());
-  return t == 0.0 ? 0.0 : 3.0 * static_cast<double>(violations.load()) / t;
-}
-
-namespace {
-
-std::string derive_spill_path(const OutOfCoreConfig& config) {
-  if (!config.spill_path.empty()) return config.spill_path;
-  static std::atomic<unsigned> counter{0};
-  const auto name = "tiv_spill_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(counter.fetch_add(1)) + ".tiles";
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-/// Spills m, runs fn(store, cache), fills the report, cleans up the spill.
-template <typename Fn>
-auto spill_and_run(const DelayMatrix& m, const OutOfCoreConfig& config,
-                   OutOfCoreReport* report, Fn&& fn) {
-  const std::string path = derive_spill_path(config);
-  // Scope guard, not a success-path remove: a failed analysis must not
-  // leave a matrix-sized spill behind (it is the dominant disk cost at the
-  // host counts this path exists for). Destroyed last, after the TileStore
-  // below closes its fd (unlink-while-open would also be fine on POSIX).
-  struct SpillGuard {
-    const std::string& path;
-    bool keep;
-    ~SpillGuard() {
-      if (keep) return;
-      std::error_code ec;  // best-effort cleanup on every exit path
-      std::filesystem::remove(path, ec);
-    }
-  } guard{path, config.keep_spill};
-  TileStore::write_matrix(path, m, config.tile_dim);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, config.memory_budget_bytes);
-  auto result = fn(store, cache);
-  if (report != nullptr) {
-    report->out_of_core = true;
-    report->cache = cache.stats();
-  }
-  return result;
-}
-
-}  // namespace
-
-SeverityMatrix all_severities_budgeted(const DelayMatrix& m,
-                                       const OutOfCoreConfig& config,
-                                       OutOfCoreReport* report) {
-  if (report != nullptr) *report = {};
-  if (config.memory_budget_bytes == 0 ||
-      packed_view_bytes(m.size()) <= config.memory_budget_bytes) {
-    return TivAnalyzer(m).all_severities();
-  }
-  return spill_and_run(m, config, report,
-                       [](const TileStore& store, TileCache& cache) {
-                         return all_severities_streamed(store, cache);
-                       });
-}
-
-double violating_triangle_fraction_budgeted(const DelayMatrix& m,
-                                            const OutOfCoreConfig& config,
-                                            OutOfCoreReport* report) {
-  if (report != nullptr) *report = {};
-  if (config.memory_budget_bytes == 0 ||
-      packed_view_bytes(m.size()) <= config.memory_budget_bytes) {
-    return TivAnalyzer(m).violating_triangle_fraction();
-  }
-  return spill_and_run(m, config, report,
-                       [](const TileStore& store, TileCache& cache) {
-                         return violating_triangle_fraction_streamed(store,
-                                                                     cache);
-                       });
 }
 
 }  // namespace tiv::core

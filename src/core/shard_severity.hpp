@@ -1,18 +1,15 @@
 // Out-of-core TIV severity: streams (a-band, c-band, witness-band) tile
 // triples from a shard::TileStore through the branch-free witness kernels,
-// honoring a user-set memory budget via a shard::TileCache.
-//
-// The budget governs the *delay-matrix* working set. The all_severities
-// entry point still returns an in-memory SeverityMatrix (N^2 floats), so
-// its total footprint is O(budget) + O(N^2) for the output;
-// violating_triangle_fraction is O(budget) end to end. For matrices whose
-// *result* no longer fits either, all_severities_to_sink streams the
-// severity output band pair by band pair into a sink::SeverityTileStore —
-// O(budget + tile^2) working memory total — and
-// repair_severities_to_sink is its incremental counterpart: after an
-// epoch dirtied a host set, only the edges incident to those hosts are
-// recomputed and only the affected sink tiles are rewritten (the
-// out-of-core half of the src/stream/ dirty-epoch engine).
+// honoring a user-set memory budget via a shard::TileCache, and writes the
+// result into a sink::SeverityTileStore band pair by band pair — neither
+// the delay matrix nor the N^2 severity result is ever materialized, so
+// the working set is O(budget + tile^2) in total. all_severities_to_sink
+// is the full build; repair_severities_to_sink is its incremental
+// counterpart: after an epoch dirtied a host set, only the edges incident
+// to those hosts are recomputed and only the affected sink tiles are
+// rewritten (the out-of-core half of the src/stream/ dirty-epoch engine);
+// rebuild_sink_tile is the one-tile form the engine's self-healing uses.
+// All three run the same band-pair walk.
 //
 // Results are bit-identical to the in-memory TivAnalyzer path: tiles are
 // the packed view cut at lane-aligned column boundaries, the streamed scan
@@ -22,8 +19,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
 
 #include "core/severity.hpp"
 #include "shard/tile_cache.hpp"
@@ -32,27 +29,13 @@
 
 namespace tiv::core {
 
-/// Bytes the in-memory DelayMatrixView of an n-host matrix would occupy
-/// (padded delay rows + bitmask rows + alignment slack) — the quantity the
-/// auto-selection below compares against the budget.
-std::size_t packed_view_bytes(HostId n);
-
-/// All-edges severity matrix computed by streaming tiles of `store` through
-/// `cache`. Bit-identical to TivAnalyzer::all_severities on the matrix the
-/// store serialized. The band-pair loop is dynamically scheduled over the
-/// parallel pool; tile loads for the next witness band are prefetched on
-/// the cache's background I/O thread while the current band computes.
-SeverityMatrix all_severities_streamed(const shard::TileStore& store,
-                                       shard::TileCache& cache);
-
 /// All-edges severity streamed from `store` *into* `sink` — the fully
 /// out-of-core form: neither the delay matrix nor the severity result is
 /// ever materialized in memory (working set = cache budget + one O(tile^2)
 /// buffer per pool worker). `sink` must be writable with the same n and
 /// tile_dim as `store`. Every stored entry is bit-identical to the
-/// corresponding all_severities / all_severities_streamed cell; entries the
-/// in-memory path never sets (unmeasured pairs, the diagonal, padding) are
-/// 0.0f.
+/// corresponding all_severities cell; entries the in-memory path never
+/// sets (unmeasured pairs, the diagonal, padding) are 0.0f.
 void all_severities_to_sink(const shard::TileStore& store,
                             shard::TileCache& cache,
                             sink::SeverityTileStore& sink);
@@ -88,42 +71,5 @@ SinkRepairStats repair_severities_to_sink(
 void rebuild_sink_tile(const shard::TileStore& store, shard::TileCache& cache,
                        sink::SeverityTileStore& sink, std::uint32_t bi,
                        std::uint32_t bj);
-
-/// Exact violating-triangle fraction, streamed. Matches
-/// TivAnalyzer::violating_triangle_fraction(0) bit for bit (the reduction
-/// is integer counting; the final division is the same arithmetic).
-double violating_triangle_fraction_streamed(const shard::TileStore& store,
-                                            shard::TileCache& cache);
-
-/// Policy + plumbing for the auto-selecting entry points.
-struct OutOfCoreConfig {
-  /// Budget for delay-matrix storage during the analysis. 0 = unbounded
-  /// (always run in memory). When the packed view exceeds the budget the
-  /// matrix is spilled to a TileStore and streamed with a cache of this
-  /// many bytes.
-  std::size_t memory_budget_bytes = 0;
-  std::uint32_t tile_dim = shard::kDefaultTileDim;
-  /// Spill file path; "" derives a unique name under the system temp
-  /// directory. The file is deleted after the analysis unless keep_spill.
-  std::string spill_path;
-  bool keep_spill = false;
-};
-
-/// What the auto-selection did, for benches/tests.
-struct OutOfCoreReport {
-  bool out_of_core = false;
-  shard::CacheStats cache;  ///< zero-initialized when in-memory
-};
-
-/// TivAnalyzer::all_severities when the packed view fits the budget,
-/// spill-and-stream otherwise. Either way the result is the same matrix.
-SeverityMatrix all_severities_budgeted(const DelayMatrix& m,
-                                       const OutOfCoreConfig& config,
-                                       OutOfCoreReport* report = nullptr);
-
-/// Budget-aware violating_triangle_fraction (exact mode only).
-double violating_triangle_fraction_budgeted(const DelayMatrix& m,
-                                            const OutOfCoreConfig& config,
-                                            OutOfCoreReport* report = nullptr);
 
 }  // namespace tiv::core

@@ -183,17 +183,4 @@ inline std::size_t witness_violation_count(const float* ra, const float* rc,
   return total;
 }
 
-/// Witnesses with both legs measured: popcount over the AND of two
-/// missing-entry bitmask rows (a row's own bit is never set, so b == a and
-/// b == c fall out automatically). Chunk-sum-safe like the count above.
-inline std::size_t masked_witness_count(const std::uint64_t* ma,
-                                        const std::uint64_t* mc,
-                                        std::size_t words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    count += static_cast<std::size_t>(std::popcount(ma[w] & mc[w]));
-  }
-  return count;
-}
-
 }  // namespace tiv::core

@@ -96,13 +96,6 @@ std::size_t view_mask_words(HostId n) {
 
 }  // namespace
 
-std::size_t DelayMatrixView::bytes_for(HostId n) {
-  return (static_cast<std::size_t>(n) * view_stride(n) + kLaneFloats) *
-             sizeof(float) +
-         static_cast<std::size_t>(n) * view_mask_words(n) *
-             sizeof(std::uint64_t);
-}
-
 DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
   stride_ = view_stride(n_);
   mask_words_ = view_mask_words(n_);

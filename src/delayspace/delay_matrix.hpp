@@ -112,19 +112,14 @@ class DelayMatrixView {
 
   explicit DelayMatrixView(const DelayMatrix& m);
 
-  /// Bytes an n-host view occupies (padded delay rows + alignment slack +
-  /// bitmask rows) — what budget-aware callers compare against a memory
-  /// budget without building the view. Kept next to the constructor that
-  /// defines the layout.
-  static std::size_t bytes_for(HostId n);
-
   /// Packs columns [col_begin, col_end) of matrix row i into the view
   /// encoding: measured -> value + mask bit, diagonal -> 0, missing ->
   /// kMaskedDelay. out holds col_end - col_begin floats; mask bits land at
   /// segment-local index b - col_begin in words the caller has zeroed.
   /// This is the single definition of the encoding — shared by this view's
-  /// constructor and shard::TileStore's tile writer, whose bit-identity
-  /// contract depends on the two never diverging.
+  /// constructor and shard::TileStore's tile writer (which keeps the floats
+  /// and drops the mask bits), whose bit-identity contract depends on the
+  /// two never diverging.
   static void pack_row_segment(const DelayMatrix& m, HostId i,
                                HostId col_begin, HostId col_end, float* out,
                                std::uint64_t* mask);

@@ -19,9 +19,9 @@
 // tail round, and every step after it is a bijection of the state — a
 // lane round is bijective in both the word (P2 odd) and the accumulator
 // (P1 odd), the merge is a sum, the avalanche is invertible — so the
-// final value must differ. Chaining keeps that property across sections:
-// the seed is added after the lane merge, so a section's hash is a
-// bijection of the previous section's hash.
+// final value must differ. Chaining keeps that property across buffers:
+// the seed is added after the lane merge, so a buffer's hash is a
+// bijection of the previous buffer's hash.
 //
 // Not xxHash64-compatible (the merge skips xxHash's per-lane merge rounds,
 // which would break the bijection above). XOR-then-multiply (word-FNV)
@@ -95,9 +95,8 @@ inline std::uint64_t load_word(const unsigned char* p) {
 
 }  // namespace checksum_detail
 
-/// Hashes `bytes` bytes at `data`. Chain calls over the sections of one
-/// record (payload, then masks) by passing the previous return value as
-/// `seed`.
+/// Hashes `bytes` bytes at `data`. Chain calls over several buffers of one
+/// record by passing the previous return value as `seed`.
 inline std::uint64_t checksum64(const void* data, std::size_t bytes,
                                 std::uint64_t seed = 0) {
   using namespace checksum_detail;

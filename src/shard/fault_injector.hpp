@@ -98,7 +98,7 @@ class FaultInjector {
   /// After the pread, before checksum validation: decides whether this
   /// read's bytes get one bit flipped. When it returns true, *byte_index
   /// (in [0, tile_bytes), over the tile's serialized byte order) and *bit
-  /// name the flip; TileFile applies it to the right section buffer.
+  /// name the flip; TileFile applies it to the tile buffer.
   bool corrupt_read(std::size_t tile_bytes, std::size_t* byte_index,
                     unsigned* bit);
 

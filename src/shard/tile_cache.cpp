@@ -1,29 +1,15 @@
 #include "shard/tile_cache.hpp"
 
-#include <new>
 #include <utility>
 
 namespace tiv::shard {
 
-Tile::Tile(std::uint32_t tile_dim, std::size_t payload_floats,
-           std::size_t mask_words)
-    : tile_dim_(tile_dim),
-      words_per_row_((tile_dim + 63) / 64),
-      payload_(static_cast<float*>(
-          ::operator new[](payload_floats * sizeof(float), kAlignVal))),
-      masks_(mask_words, 0) {}
-
 TileCache::TileCache(const TileStore& store, std::size_t budget_bytes)
     : store_(store),
-      // Footprint charged per resident tile: the serialized size. The
-      // in-memory layout is identical (payload + mask words); allocator
-      // slack is not modeled.
+      // Footprint charged per resident tile: the serialized size, which is
+      // also the in-memory layout; allocator slack is not modeled.
       cache_(budget_bytes, store.tile_bytes(),
-             [s = &store] {
-               return std::make_shared<Tile>(s->tile_dim(),
-                                             s->payload_floats(),
-                                             s->mask_words());
-             },
+             [s = &store] { return std::make_shared<Tile>(s->tile_dim()); },
              "cache.input"),
       drops_link_(obs::MetricsRegistry::instance().link(
           "cache.input.prefetch_drops", obs::MetricsRegistry::Agg::kSum,
@@ -31,7 +17,7 @@ TileCache::TileCache(const TileStore& store, std::size_t budget_bytes)
 
 TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
   return cache_.acquire(key(r, c), [&](Tile& slot) {
-    store_.read_tile(r, c, slot.payload(), slot.masks());
+    store_.read_tile(r, c, slot.data());
   });
 }
 

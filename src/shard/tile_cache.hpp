@@ -7,59 +7,24 @@
 // per thread, so any sane budget dominates and stats().peak_bytes stays
 // under it.
 //
-// What this layer adds on top of the core:
-//  - the Tile block itself (64-byte-aligned payload rows + mask words,
-//    ready for the branch-free witness kernels), and
-//  - prefetch riding the pool-friendly util/BackgroundQueue: hints are
-//    shed (not queued unboundedly, never blocking the compute thread)
-//    when the I/O worker falls behind, and drain_prefetch() is the
-//    quiesce point before TileStore::repack_tile rewrites tiles this
-//    cache maps.
+// What this layer adds on top of the core is prefetch riding the
+// pool-friendly util/BackgroundQueue: hints are shed (not queued
+// unboundedly, never blocking the compute thread) when the I/O worker
+// falls behind, and drain_prefetch() is the quiesce point before
+// TileStore::repack_tile rewrites tiles this cache maps. The slot type is
+// shard::Tile (shard/tile_file.hpp): 64-byte-aligned rows, ready for the
+// branch-free witness kernels.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "shard/lru_tile_cache.hpp"
 #include "shard/tile_store.hpp"
 #include "util/background_queue.hpp"
 
 namespace tiv::shard {
-
-/// A tile resident in memory: the packed-view block for rows
-/// [row_band*T, ..+T) x columns [col_band*T, ..+T). Payload rows are
-/// 64-byte aligned (tile_dim is a multiple of 16 floats), ready for the
-/// branch-free witness kernels.
-class Tile {
- public:
-  Tile(std::uint32_t tile_dim, std::size_t payload_floats,
-       std::size_t mask_words);
-
-  /// Payload row lr (tile-local), tile_dim floats.
-  const float* row(std::size_t lr) const {
-    return payload_.get() + lr * tile_dim_;
-  }
-  /// Bitmask row lr, mask_words_per_row words.
-  const std::uint64_t* mask_row(std::size_t lr) const {
-    return masks_.data() + lr * words_per_row_;
-  }
-
-  float* payload() { return payload_.get(); }
-  std::uint64_t* masks() { return masks_.data(); }
-
- private:
-  struct AlignedFree {
-    void operator()(float* p) const { ::operator delete[](p, kAlignVal); }
-  };
-  static constexpr std::align_val_t kAlignVal{64};
-
-  std::uint32_t tile_dim_;
-  std::size_t words_per_row_;
-  std::unique_ptr<float[], AlignedFree> payload_;
-  std::vector<std::uint64_t> masks_;
-};
 
 using TileRef = std::shared_ptr<const Tile>;
 

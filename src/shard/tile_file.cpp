@@ -56,6 +56,11 @@ std::uint64_t data_offset_for(std::size_t tile_count) {
 
 }  // namespace
 
+Tile::Tile(std::uint32_t tile_dim)
+    : dim_(tile_dim),
+      data_(static_cast<float*>(
+          ::operator new[](tile_size_bytes(tile_dim), kAlignVal))) {}
+
 // --- Writer -----------------------------------------------------------------
 
 TileFile::Writer::Writer(const TileFileParams& params,
@@ -69,7 +74,7 @@ TileFile::Writer::Writer(const TileFileParams& params,
         std::to_string(DelayMatrixView::kLaneFloats));
   }
   tiles_ = (n + tile_dim - 1) / tile_dim;
-  tile_bytes_ = params.tile_bytes(tile_dim);
+  tile_bytes_ = tile_size_bytes(tile_dim);
   const std::size_t count = tile_count_for(params.shape, tiles_);
   checksums_.assign(count, 0);
   data_offset_ = data_offset_for(count);
@@ -111,18 +116,10 @@ TileFile::Writer::~Writer() {
   if (f_ != nullptr) std::fclose(f_);  // unfinished: abandon, no commit
 }
 
-void TileFile::Writer::append_tile(
-    std::initializer_list<ConstTileSection> sections) {
+void TileFile::Writer::append_tile(const float* tile) {
   assert(appended_ < checksums_.size());
-  std::uint64_t h = 0;
-  std::size_t bytes = 0;
-  for (const ConstTileSection& s : sections) {
-    fwrite_all(s.data, s.bytes, f_, params_.store_name, path_);
-    h = checksum64(s.data, s.bytes, h);
-    bytes += s.bytes;
-  }
-  assert(bytes == tile_bytes_);
-  checksums_[appended_++] = h;
+  fwrite_all(tile, tile_bytes_, f_, params_.store_name, path_);
+  checksums_[appended_++] = checksum64(tile, tile_bytes_);
 }
 
 void TileFile::Writer::commit_checksums_and_close() {
@@ -221,7 +218,7 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   f.n_ = h.n;
   f.tile_dim_ = h.tile_dim;
   f.tiles_ = h.tiles;
-  f.tile_bytes_ = params.tile_bytes(h.tile_dim);
+  f.tile_bytes_ = tile_size_bytes(h.tile_dim);
   if (h.tile_bytes != f.tile_bytes_) f.fail("tile size mismatch");
 
   const std::size_t count = tile_count_for(params.shape, f.tiles_);
@@ -303,8 +300,7 @@ std::size_t TileFile::tile_index(std::uint32_t r, std::uint32_t c) const {
          static_cast<std::size_t>(r) * (r - 1) / 2 + (c - r);
 }
 
-void TileFile::read_tile(std::uint32_t r, std::uint32_t c,
-                         std::initializer_list<TileSection> sections) const {
+void TileFile::read_tile(std::uint32_t r, std::uint32_t c, float* tile) const {
   const std::size_t idx = tile_index(r, c);
   if (metrics_.reads != nullptr) {
     metrics_.reads->increment();
@@ -312,39 +308,27 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c,
   }
   for (int attempt = 0;; ++attempt) {
     if (injector_ != nullptr) injector_->before_read();
-    std::uint64_t off = tile_offsets_[idx];
-    for (const TileSection& s : sections) {
-      const ssize_t got = ::pread(fd_, s.data, s.bytes,
-                                  static_cast<off_t>(off));
-      if (got < 0) fail("tile read failed");
-      if (got != static_cast<ssize_t>(s.bytes)) {
-        // A valid offset returning fewer bytes than the fixed record
-        // length means the file lost its tail — data damage a re-read
-        // cannot undo, so it escalates straight to the recoverable path.
-        if (metrics_.corrupt_tiles != nullptr) {
-          metrics_.corrupt_tiles->increment();
-        }
-        throw CorruptTileError(store_name_, path_, r, c, "truncated tile");
+    const ssize_t got = ::pread(fd_, tile, tile_bytes_,
+                                static_cast<off_t>(tile_offsets_[idx]));
+    if (got < 0) fail("tile read failed");
+    if (got != static_cast<ssize_t>(tile_bytes_)) {
+      // A valid offset returning fewer bytes than the fixed record length
+      // means the file lost its tail — data damage a re-read cannot undo,
+      // so it escalates straight to the recoverable path.
+      if (metrics_.corrupt_tiles != nullptr) {
+        metrics_.corrupt_tiles->increment();
       }
-      off += s.bytes;
+      throw CorruptTileError(store_name_, path_, r, c, "truncated tile");
     }
     if (injector_ != nullptr) {
       std::size_t byte = 0;
       unsigned bit = 0;
       if (injector_->corrupt_read(tile_bytes_, &byte, &bit)) {
-        for (const TileSection& s : sections) {
-          if (byte < s.bytes) {
-            static_cast<unsigned char*>(s.data)[byte] ^=
-                static_cast<unsigned char>(1u << bit);
-            break;
-          }
-          byte -= s.bytes;
-        }
+        reinterpret_cast<unsigned char*>(tile)[byte] ^=
+            static_cast<unsigned char>(1u << bit);
       }
     }
-    std::uint64_t h = 0;
-    for (const TileSection& s : sections) h = checksum64(s.data, s.bytes, h);
-    if (h == tile_checksums_[idx]) return;
+    if (checksum64(tile, tile_bytes_) == tile_checksums_[idx]) return;
     // Mismatch: a bit flipped between platter and checksum is transient —
     // a fresh pread serves clean bytes — while rot or a torn commit
     // mismatches every time. Retry a bounded number of times so only the
@@ -362,7 +346,7 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c,
 }
 
 void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
-                          std::initializer_list<ConstTileSection> sections) {
+                          const float* tile) {
   if (!writable_) fail("tile write on a read-only store");
   const std::size_t idx = tile_index(r, c);
   if (metrics_.writes != nullptr) {
@@ -371,37 +355,24 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
   }
   const WriteFault fault =
       injector_ != nullptr ? injector_->on_write() : WriteFault::kNone;
+  const auto off = static_cast<off_t>(tile_offsets_[idx]);
   if (fault == WriteFault::kTornWrite) {
     // Persist only the first half of the tile bytes, leave the checksum
     // table untouched, and die: the on-disk tile is now genuinely torn.
-    std::size_t remaining = tile_bytes_ / 2;
-    std::uint64_t off = tile_offsets_[idx];
-    for (const ConstTileSection& s : sections) {
-      const std::size_t chunk = std::min(remaining, s.bytes);
-      if (chunk != 0 &&
-          ::pwrite(fd_, s.data, chunk, static_cast<off_t>(off)) !=
-              static_cast<ssize_t>(chunk)) {
-        fail("tile write failed");
-      }
-      off += s.bytes;
-      remaining -= chunk;
-      if (remaining == 0) break;
+    const std::size_t half = tile_bytes_ / 2;
+    if (::pwrite(fd_, tile, half, off) != static_cast<ssize_t>(half)) {
+      fail("tile write failed");
     }
     throw InjectedCrash(std::string(store_name_) +
                         ": injected torn write on tile (" +
                         std::to_string(r) + ", " + std::to_string(c) + ")");
   }
 
-  std::uint64_t h = 0;
-  std::uint64_t off = tile_offsets_[idx];
-  for (const ConstTileSection& s : sections) {
-    if (::pwrite(fd_, s.data, s.bytes, static_cast<off_t>(off)) !=
-        static_cast<ssize_t>(s.bytes)) {
-      fail("tile write failed");
-    }
-    h = checksum64(s.data, s.bytes, h);
-    off += s.bytes;
+  if (::pwrite(fd_, tile, tile_bytes_, off) !=
+      static_cast<ssize_t>(tile_bytes_)) {
+    fail("tile write failed");
   }
+  const std::uint64_t h = checksum64(tile, tile_bytes_);
   if (fault == WriteFault::kFailBeforeChecksum) {
     // The tile bytes landed but the checksum slot never will: the table
     // still describes the old bytes, so the next read reports corruption.

@@ -8,13 +8,14 @@
 //   [RawHeader 40B][index: tile_count u64 offsets]
 //   [checksums: tile_count u64 checksum64][pad to 64B][tile 0][tile 1]..
 //
-// Stores differ only in their magic/version, their index shape (square vs
-// triangular), their per-tile byte formula, and how a tile's bytes are
-// split into sections (payload+masks vs payload only) — all parameters
-// here, not copies of the machinery.
+// Every tile of either store is the same record: tile_dim x tile_dim
+// floats, row-major (tile_size_bytes). Stores differ only in their
+// magic/version and their index shape (square vs triangular) — parameters
+// here, not copies of the machinery. Tile is that record resident in
+// memory, the slot type of both tile caches.
 //
 // Reliability lives at this layer, once for both stores:
-//  - every read validates the chained checksum64 (shard/checksum.hpp) over the tile's sections;
+//  - every read validates the tile's checksum64 (shard/checksum.hpp);
 //    a mismatch OR a truncated tile body throws CorruptTileError carrying
 //    the tile coordinates and store path (recoverable), while a hard pread
 //    failure stays a std::runtime_error (not a data-integrity signal);
@@ -29,7 +30,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,33 @@ using delayspace::HostId;
 /// only the upper band triangle r <= c.
 enum class TileIndexShape : std::uint8_t { kSquare, kTriangular };
 
+/// Serialized bytes of one tile: tile_dim^2 floats, a multiple of 64 bytes
+/// for every valid tile_dim. Also each resident tile's cache footprint.
+inline constexpr std::size_t tile_size_bytes(std::uint32_t tile_dim) {
+  return static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+}
+
+/// A tile resident in memory: tile_dim rows of tile_dim floats, 64-byte
+/// aligned (tile_dim is a multiple of 16 floats), so every row drops
+/// straight into the branch-free witness kernels.
+class Tile {
+ public:
+  explicit Tile(std::uint32_t tile_dim);
+
+  /// Row lr (tile-local), tile_dim floats.
+  const float* row(std::size_t lr) const { return data_.get() + lr * dim_; }
+  float* data() { return data_.get(); }
+
+ private:
+  static constexpr std::align_val_t kAlignVal{64};
+  struct AlignedFree {
+    void operator()(float* p) const { ::operator delete[](p, kAlignVal); }
+  };
+
+  std::uint32_t dim_;
+  std::unique_ptr<float[], AlignedFree> data_;
+};
+
 /// The store-specific constants of a tile-file format. Each store defines
 /// one of these (static, constant) and passes it to every TileFile call.
 struct TileFileParams {
@@ -54,22 +83,10 @@ struct TileFileParams {
   std::uint32_t version;
   const char* store_name;  ///< error-message prefix ("TileStore", ...)
   TileIndexShape shape;
-  /// Serialized bytes of one tile as a function of tile_dim.
-  std::size_t (*tile_bytes)(std::uint32_t tile_dim);
   /// Registry namespace for this store's I/O counters
   /// ("<prefix>.reads", ".read_bytes", ".read_retries", ".corrupt_tiles",
   /// ".writes", ".write_bytes" — see docs/OBSERVABILITY.md).
   const char* metric_prefix = "tile";
-};
-
-/// One section of a tile's serialized bytes (payload, masks, ...).
-struct TileSection {
-  void* data;
-  std::size_t bytes;
-};
-struct ConstTileSection {
-  const void* data;
-  std::size_t bytes;
 };
 
 class TileFile {
@@ -102,9 +119,9 @@ class TileFile {
     std::size_t tile_count() const { return checksums_.size(); }
     std::size_t tile_bytes() const { return tile_bytes_; }
 
-    /// Appends the next tile (sections in serialized order) and records
-    /// its chained checksum64.
-    void append_tile(std::initializer_list<ConstTileSection> sections);
+    /// Appends the next tile (tile_bytes() bytes) and records its
+    /// checksum64.
+    void append_tile(const float* tile);
 
     /// Commits the checksums accumulated by append_tile and closes.
     void finish();
@@ -171,16 +188,15 @@ class TileFile {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
-  /// Reads tile (r, c) into `sections` (serialized order) with positional
-  /// reads — thread-safe — and validates the chained checksum64. A
+  /// Reads tile (r, c) into `tile` (tile_bytes() bytes) with a positional
+  /// read — thread-safe — and validates its checksum64. A
   /// mismatch is first retried with a fresh pread (up to kReadRetries
   /// times): a bit flipped in flight — bus/DMA/RAM, or the injector's
   /// read-flip — is gone on the re-read, so only *persistent* damage (rot
   /// on the platter, a torn commit) escalates. Throws CorruptTileError on
   /// a persistent mismatch or a truncated tile body, std::runtime_error on
   /// a hard I/O failure.
-  void read_tile(std::uint32_t r, std::uint32_t c,
-                 std::initializer_list<TileSection> sections) const;
+  void read_tile(std::uint32_t r, std::uint32_t c, float* tile) const;
 
   /// Extra read attempts after a checksum mismatch before giving up.
   static constexpr int kReadRetries = 2;
@@ -191,12 +207,11 @@ class TileFile {
     return read_retries_.load(std::memory_order_relaxed);
   }
 
-  /// Commits tile (r, c) in place: positional writes of `sections`, then
-  /// the refreshed checksum into the table slot (disk and memory). Safe
+  /// Commits tile (r, c) in place: a positional write of `tile`, then the
+  /// refreshed checksum into the table slot (disk and memory). Safe
   /// from concurrent threads for distinct tiles. Throws std::runtime_error
   /// on I/O failure or a read-only open.
-  void write_tile(std::uint32_t r, std::uint32_t c,
-                  std::initializer_list<ConstTileSection> sections);
+  void write_tile(std::uint32_t r, std::uint32_t c, const float* tile);
 
  private:
   [[noreturn]] void fail(const std::string& what) const;

@@ -10,31 +10,23 @@ namespace {
 
 using delayspace::DelayMatrixView;
 
-std::size_t store_tile_bytes(std::uint32_t tile_dim) {
-  const std::size_t payload_floats =
-      static_cast<std::size_t>(tile_dim) * tile_dim;
-  const std::size_t mask_words =
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64);
-  return payload_floats * sizeof(float) + mask_words * sizeof(std::uint64_t);
-}
+// Version 4: tiles are payload only (v3 also stored per-row missing-entry
+// bitmasks; v3 and older files are rejected at open as "unsupported
+// version").
+constexpr TileFileParams kParams{"TIVSHRD4", 4, "TileStore",
+                                 TileIndexShape::kSquare, "shard.input"};
 
-// Version 3: tile checksums are checksum64 (v2 files carry FNV-1a sums and
-// are rejected at open as "unsupported version").
-constexpr TileFileParams kParams{"TIVSHRD3", 3, "TileStore",
-                                 TileIndexShape::kSquare, store_tile_bytes,
-                                 "shard.input"};
-
-/// Packs tile (tr, tc) of `m` into payload/masks — the single definition of
-/// a tile's bytes, shared by write_matrix and repack_tile so an in-place
+/// Packs tile (tr, tc) of `m` into `tile` — the single definition of a
+/// tile's bytes, shared by write_matrix and repack_tile so an in-place
 /// repack is byte-identical to a fresh build.
 void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
-               std::uint32_t tc, std::vector<float>& payload,
-               std::vector<std::uint64_t>& masks) {
+               std::uint32_t tc, std::vector<float>& tile) {
   const HostId n = m.size();
-  const std::size_t words_per_row = (tile_dim + 63) / 64;
-  payload.assign(static_cast<std::size_t>(tile_dim) * tile_dim,
-                 DelayMatrixView::kMaskedDelay);
-  masks.assign(tile_dim * words_per_row, 0);
+  tile.assign(static_cast<std::size_t>(tile_dim) * tile_dim,
+              DelayMatrixView::kMaskedDelay);
+  // pack_row_segment also emits the view's mask bits, which tiles do not
+  // store: they land in this scratch row and are dropped.
+  std::vector<std::uint64_t> mask_scratch((tile_dim + 63) / 64);
   const HostId row_end =
       std::min<HostId>(n, static_cast<HostId>(tr + 1) * tile_dim);
   const HostId col_base = static_cast<HostId>(tc) * tile_dim;
@@ -44,8 +36,8 @@ void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
     // Shared encoding definition — bit-identity with the in-memory
     // view depends on writing exactly its representation.
     DelayMatrixView::pack_row_segment(m, i, col_base, col_end,
-                                      payload.data() + lr * tile_dim,
-                                      masks.data() + lr * words_per_row);
+                                      tile.data() + lr * tile_dim,
+                                      mask_scratch.data());
   }
 }
 
@@ -57,13 +49,11 @@ void TileStore::write_matrix(const std::string& path, const DelayMatrix& m,
   const std::uint32_t tiles = w.tiles_per_side();
   // Stream one tile at a time, walking a tile-row band of the source so the
   // writer's working set is one tile, not the packed view.
-  std::vector<float> payload;
-  std::vector<std::uint64_t> masks;
+  std::vector<float> tile;
   for (std::uint32_t tr = 0; tr < tiles; ++tr) {
     for (std::uint32_t tc = 0; tc < tiles; ++tc) {
-      pack_tile(m, tile_dim, tr, tc, payload, masks);
-      w.append_tile({{payload.data(), payload.size() * sizeof(float)},
-                     {masks.data(), masks.size() * sizeof(std::uint64_t)}});
+      pack_tile(m, tile_dim, tr, tc, tile);
+      w.append_tile(tile.data());
     }
   }
   w.finish();
@@ -78,25 +68,15 @@ TileStore TileStore::open(const std::string& path, bool writable,
   return s;
 }
 
-void TileStore::read_tile(std::uint32_t r, std::uint32_t c, float* payload,
-                          std::uint64_t* masks) const {
-  file_.read_tile(r, c,
-                  {{payload, payload_floats() * sizeof(float)},
-                   {masks, mask_words() * sizeof(std::uint64_t)}});
-}
-
 void TileStore::repack_tile(const DelayMatrix& m, std::uint32_t r,
                             std::uint32_t c) {
   if (m.size() != size()) {
     throw std::runtime_error("TileStore: repack_tile matrix size mismatch: " +
                              path());
   }
-  std::vector<float> payload;
-  std::vector<std::uint64_t> masks;
-  pack_tile(m, tile_dim(), r, c, payload, masks);
-  file_.write_tile(r, c,
-                   {{payload.data(), payload.size() * sizeof(float)},
-                    {masks.data(), masks.size() * sizeof(std::uint64_t)}});
+  std::vector<float> tile;
+  pack_tile(m, tile_dim(), r, c, tile);
+  file_.write_tile(r, c, tile.data());
 }
 
 }  // namespace tiv::shard

@@ -5,23 +5,15 @@
 // A store is the serialized form of a DelayMatrixView, cut into fixed-size
 // square tiles of tile_dim x tile_dim entries (tile_dim a multiple of
 // DelayMatrixView::kLaneFloats). Tile (r, c) holds the view entries for
-// rows [r*T, r*T + T) x columns [c*T, c*T + T):
-//
-//   payload  tile_dim rows of tile_dim floats, exactly the view's packed
-//            representation: missing entries are kMaskedDelay, the diagonal
-//            is 0, rows/columns beyond the matrix edge are kMaskedDelay
-//            padding. A loaded tile therefore drops straight into the
-//            branch-free witness kernels with no fixup pass.
-//   masks    per-row missing-entry bitmasks for the tile's column range:
-//            ceil(tile_dim / 64) words per row, bit b set iff global entry
-//            (r*T + row, c*T + b) is a usable measurement. Padding bits are
-//            zero, so chunked AND+popcount witness counting over tiles sums
-//            to the full-row counts.
-//
-// Payload precedes masks within a tile; with tile_dim % 16 == 0 both
-// sections are themselves multiples of 64 bytes, so an aligned in-memory
-// destination keeps every payload row cache-line aligned for the SIMD
-// kernels.
+// rows [r*T, r*T + T) x columns [c*T, c*T + T): tile_dim rows of tile_dim
+// floats, exactly the view's packed representation — missing entries are
+// kMaskedDelay, the diagonal is 0, rows/columns beyond the matrix edge are
+// kMaskedDelay padding. A loaded tile therefore drops straight into the
+// branch-free witness kernels with no fixup pass. With tile_dim % 16 == 0
+// every row is a whole number of 64-byte lines, so an aligned in-memory
+// destination (shard::Tile) keeps every row cache-line aligned for the
+// SIMD kernels. The view's missing-entry bitmasks are not stored: the
+// kernels read a missing entry as kMaskedDelay.
 //
 // The file format (header/offset-index/checksum-table layout, checksum64
 // validation on every read, in-place tile commits, fault-injection hooks)
@@ -48,7 +40,7 @@ namespace tiv::shard {
 using delayspace::DelayMatrix;
 using delayspace::HostId;
 
-/// Default tile edge: 64 rows x 64 cols x 4 B = 16 KiB payload per tile —
+/// Default tile edge: 64 rows x 64 cols x 4 B = 16 KiB per tile —
 /// large enough that pread cost amortizes, small enough that a few-MB cache
 /// budget holds dozens of tiles.
 inline constexpr std::uint32_t kDefaultTileDim = 64;
@@ -79,17 +71,12 @@ class TileStore {
   std::uint32_t tile_dim() const { return file_.tile_dim(); }
   std::uint32_t tiles_per_side() const { return file_.tiles_per_side(); }
 
-  /// Floats in a tile payload (tile_dim^2).
+  /// Floats in a tile (tile_dim^2).
   std::size_t payload_floats() const {
     return static_cast<std::size_t>(tile_dim()) * tile_dim();
   }
-  /// Bitmask words per tile row (ceil(tile_dim / 64)).
-  std::size_t mask_words_per_row() const { return (tile_dim() + 63) / 64; }
-  /// Bitmask words in a whole tile.
-  std::size_t mask_words() const {
-    return tile_dim() * mask_words_per_row();
-  }
-  /// Serialized tile size (payload + masks), a multiple of 64 bytes.
+  /// Serialized tile size (tile_size_bytes(tile_dim)), a multiple of 64
+  /// bytes.
   std::size_t tile_bytes() const { return file_.tile_bytes(); }
 
   /// Rows of tile-row band r that carry real matrix rows (tile_dim except
@@ -115,12 +102,13 @@ class TileStore {
   /// TileFile::read_retries).
   std::uint64_t read_retries() const { return file_.read_retries(); }
 
-  /// Reads tile (r, c) into caller-provided buffers: payload_floats()
-  /// floats and mask_words() words. Thread-safe (positional reads). Throws
-  /// std::runtime_error on I/O failure and CorruptTileError when the tile
-  /// bytes do not match their stored checksum (or the tile is truncated).
-  void read_tile(std::uint32_t r, std::uint32_t c, float* payload,
-                 std::uint64_t* masks) const;
+  /// Reads tile (r, c) into payload_floats() caller-provided floats.
+  /// Thread-safe (positional reads). Throws std::runtime_error on I/O
+  /// failure and CorruptTileError when the tile bytes do not match their
+  /// stored checksum (or the tile is truncated).
+  void read_tile(std::uint32_t r, std::uint32_t c, float* payload) const {
+    file_.read_tile(r, c, payload);
+  }
 
   /// Rewrites tile (r, c) in place from `m` (the matrix this store
   /// serialized, same size, mutated since), committing the tile bytes and

@@ -10,7 +10,7 @@ using delayspace::HostId;
 
 SevTileRef SeverityCache::acquire(std::uint32_t r, std::uint32_t c) {
   assert(r <= c);
-  return cache_.acquire(key(r, c), [&](std::vector<float>& slot) {
+  return cache_.acquire(key(r, c), [&](shard::Tile& slot) {
     store_.read_tile(r, c, slot.data());
   });
 }
@@ -25,7 +25,7 @@ float SeverityCache::at(HostId a, HostId b) {
   const std::uint32_t r = a / T;
   const std::uint32_t c = b / T;
   const SevTileRef tile = acquire(r, c);
-  return (*tile)[static_cast<std::size_t>(a % T) * T + (b % T)];
+  return tile->row(a % T)[b % T];
 }
 
 void SeverityCache::read_row(HostId a, std::span<float> out) {
@@ -39,13 +39,11 @@ void SeverityCache::read_row(HostId a, std::span<float> out) {
     if (c >= ba) {
       // Row la of tile (ba, c), contiguous.
       const SevTileRef tile = acquire(ba, c);
-      std::memcpy(out.data() + base,
-                  tile->data() + static_cast<std::size_t>(la) * T,
-                  cols * sizeof(float));
+      std::memcpy(out.data() + base, tile->row(la), cols * sizeof(float));
     } else {
       // Column la of tile (c, ba): sev(a, x) = sev(x, a) for x in band c.
       const SevTileRef tile = acquire(c, ba);
-      const float* p = tile->data();
+      const float* p = tile->row(0);
       for (std::uint32_t lr = 0; lr < cols; ++lr) {
         out[base + lr] = p[static_cast<std::size_t>(lr) * T + la];
       }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "shard/lru_tile_cache.hpp"
 #include "sink/severity_tile_store.hpp"
@@ -27,7 +26,7 @@
 namespace tiv::sink {
 
 /// A severity tile resident in memory: tile_dim^2 floats, row-major.
-using SevTileRef = std::shared_ptr<const std::vector<float>>;
+using SevTileRef = std::shared_ptr<const shard::Tile>;
 
 class SeverityCache {
  public:
@@ -37,8 +36,7 @@ class SeverityCache {
       : store_(store),
         cache_(budget_bytes, store.tile_bytes(),
                [s = &store] {
-                 return std::make_shared<std::vector<float>>(
-                     s->payload_floats());
+                 return std::make_shared<shard::Tile>(s->tile_dim());
                },
                "cache.sink") {}
 
@@ -74,7 +72,7 @@ class SeverityCache {
   }
 
   const SeverityTileStore& store_;
-  shard::LruTileCache<std::vector<float>> cache_;
+  shard::LruTileCache<shard::Tile> cache_;
 };
 
 }  // namespace tiv::sink

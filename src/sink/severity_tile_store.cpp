@@ -5,15 +5,11 @@
 namespace tiv::sink {
 namespace {
 
-std::size_t store_tile_bytes(std::uint32_t tile_dim) {
-  return static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
-}
-
 // Version 2: tile checksums are checksum64 (v1 files carry FNV-1a sums and
 // are rejected at open as "unsupported version").
 constexpr shard::TileFileParams kParams{"TIVSSEV2", 2, "SeverityTileStore",
                                         shard::TileIndexShape::kTriangular,
-                                        store_tile_bytes, "shard.sink"};
+                                        "shard.sink"};
 
 }  // namespace
 

@@ -2,8 +2,9 @@
 // shard::TileStore. The ROADMAP's N >= 1e5 target makes even the severity
 // result (an N^2 float matrix, ~40 GB) too large for RAM; this store keeps
 // it on disk in the same fixed-size-tile, header + offset-index format as
-// the input store, so the out-of-core pipeline is tile-structured end to
-// end.
+// the input store, with tiles of the same shape (tile_dim^2 floats,
+// shard::tile_size_bytes), so the out-of-core pipeline is tile-structured
+// end to end and both tile caches hold the same shard::Tile.
 //
 // Severity is symmetric and the band-pair streaming driver
 // (core/shard_severity) produces exactly the upper band triangle, so the
@@ -14,7 +15,7 @@
 //
 // with 0.0f for unmeasured pairs, the diagonal, and the padding beyond the
 // matrix edge — the exact values the in-memory SeverityMatrix holds there.
-// Diagonal tiles (r == r) store their little square in full (both local
+// Diagonal tiles (r == c) store their little square in full (both local
 // triangles), so a row read never transposes within a tile; reading global
 // row i still walks tiles (c, band(i)) for c < band(i) column-wise, which
 // the budgeted cache (severity_cache.hpp) keeps cheap.
@@ -110,7 +111,7 @@ class SeverityTileStore {
   /// Throws std::runtime_error on I/O failure, shard::CorruptTileError on a
   /// checksum mismatch or a truncated tile.
   void read_tile(std::uint32_t r, std::uint32_t c, float* payload) const {
-    file_.read_tile(r, c, {{payload, tile_bytes()}});
+    file_.read_tile(r, c, payload);
   }
 
   /// Rewrites tile (r, c), r <= c, in place and commits its checksum.
@@ -118,7 +119,7 @@ class SeverityTileStore {
   /// tiles; not safe concurrently with reads of the same tile (the repair
   /// driver owns a dirty tile exclusively while it rewrites it).
   void write_tile(std::uint32_t r, std::uint32_t c, const float* payload) {
-    file_.write_tile(r, c, {{payload, tile_bytes()}});
+    file_.write_tile(r, c, payload);
   }
 
   bool writable() const { return file_.writable(); }

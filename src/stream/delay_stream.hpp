@@ -9,8 +9,8 @@
 // DelayMatrix, absorbs batches of raw (a, b, delay, timestamp) samples
 // through per-edge smoothing estimators, and tracks exactly which hosts
 // were perturbed since the last epoch commit so the incremental consumers
-// (IncrementalView, IncrementalSeverity in this directory) can repair their
-// derived state in O(dirty * n) instead of rebuilding in O(n^2)/O(n^3).
+// (IncrementalSeverity, ShardStreamEngine in this directory) can repair
+// their derived state in O(dirty * n) instead of rebuilding in O(n^2)/O(n^3).
 #pragma once
 
 #include <cstdint>

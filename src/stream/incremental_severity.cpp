@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
 
 namespace tiv::stream {
 
@@ -11,14 +12,19 @@ using core::TivAnalyzer;
 
 IncrementalSeverity::IncrementalSeverity(const DelayMatrix& matrix)
     : view_(matrix),
-      severities_(TivAnalyzer(matrix).all_severities(&view_.view())) {}
+      severities_(TivAnalyzer(matrix).all_severities(&view_)) {}
 
 IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
     const DelayMatrix& matrix, std::span<const HostId> dirty_hosts) {
   ApplyStats stats;
   if (dirty_hosts.empty()) return stats;
   obs::Span span("view-repair");
-  view_.apply_epoch(matrix, dirty_hosts);
+  // Row repacks are independent; epochs large enough to matter (bulk churn,
+  // initial backfill) spread across the pool, tiny ones stay cheap because
+  // parallel_for degenerates to the calling thread.
+  parallel_for(dirty_hosts.size(), [&](std::size_t k) {
+    view_.repack_row(matrix, dirty_hosts[k]);
+  });
   stats.rows_repacked = dirty_hosts.size();
 
   // Every edge incident to a dirty host, each unordered pair once: (h, x)
@@ -47,7 +53,7 @@ IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
   // is bit-identical to a full rebuild's.
   const TivAnalyzer analyzer(matrix);
   const std::vector<double> sevs =
-      analyzer.edge_severity_batch(edges, &view_.view());
+      analyzer.edge_severity_batch(edges, &view_);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     severities_.set(edges[e].first, edges[e].second,
                     static_cast<float>(sevs[e]));

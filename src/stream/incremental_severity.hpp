@@ -9,24 +9,30 @@
 // edges incident to H — |H| * (n - 1) of them, deduplicated — and every
 // other severity is untouched.
 //
-// Those edges are recomputed through TivAnalyzer::edge_severity_batch
-// against the incrementally repacked view. That path runs the same
-// witness_ratio_accumulate / witness_ratio_reduce lanes over the same
-// packed rows as the from-scratch all_severities kernel, so the maintained
-// matrix is *bit-identical* to a full rebuild after every epoch — asserted
-// by tests/test_stream_engine.cpp over randomized update sequences.
+// The packed view is repaired first. Its encoding is row-local — an edge
+// update (a, b) changes exactly rows a and b (delays and missing bitmask)
+// — so repacking the dirty hosts' rows (DelayMatrixView::repack_row, which
+// reuses pack_row_segment, the single definition of the encoding) costs
+// O(dirty * n) and leaves the view byte-identical to a from-scratch build
+// over the mutated matrix. Those edges are then recomputed through
+// TivAnalyzer::edge_severity_batch against the repaired view. That path
+// runs the same witness_ratio_accumulate / witness_ratio_reduce lanes over
+// the same packed rows as the from-scratch all_severities kernel, so the
+// maintained matrix is *bit-identical* to a full rebuild after every epoch —
+// asserted by tests/test_stream_engine.cpp over randomized update sequences.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "core/severity.hpp"
+#include "delayspace/delay_matrix.hpp"
 #include "stream/delay_stream.hpp"
-#include "stream/incremental_view.hpp"
 
 namespace tiv::stream {
 
 using core::SeverityMatrix;
+using delayspace::DelayMatrixView;
 
 class IncrementalSeverity {
  public:
@@ -42,7 +48,9 @@ class IncrementalSeverity {
 
   /// Current severities, synchronized to the last applied epoch.
   const SeverityMatrix& severities() const { return severities_; }
-  const DelayMatrixView& view() const { return view_.view(); }
+  /// The packed view, synchronized to the last applied epoch — byte-
+  /// identical to a DelayMatrixView built from the current matrix.
+  const DelayMatrixView& view() const { return view_; }
 
   /// Repairs view and severities after an epoch that dirtied
   /// `dirty_hosts` (sorted, distinct — what DelayStream::commit_epoch
@@ -57,7 +65,7 @@ class IncrementalSeverity {
   }
 
  private:
-  IncrementalView view_;
+  DelayMatrixView view_;
   SeverityMatrix severities_;
 };
 

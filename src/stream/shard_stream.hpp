@@ -73,7 +73,7 @@ struct ShardStreamConfig {
   std::size_t input_budget_bytes = std::size_t{4} << 20;
   std::size_t output_budget_bytes = std::size_t{4} << 20;
   /// Keep the on-disk stores when the engine is destroyed (default:
-  /// removed, like the budgeted analyzers' spill files). Crash-recovery
+  /// removed). Crash-recovery
   /// harnesses set this so the files of a "killed" engine survive for
   /// recover().
   bool keep_files = false;

@@ -146,11 +146,9 @@ TEST(FaultInjector, AttachedInjectorCorruptsStoreReads) {
   FaultInjector inj(cfg);
   store.set_fault_injector(&inj);
   std::vector<float> payload(store.payload_floats());
-  std::vector<std::uint64_t> masks(store.mask_words());
-  EXPECT_THROW(store.read_tile(0, 0, payload.data(), masks.data()),
-               CorruptTileError);
+  EXPECT_THROW(store.read_tile(0, 0, payload.data()), CorruptTileError);
   store.set_fault_injector(nullptr);  // disk untouched: clean read now
-  store.read_tile(0, 0, payload.data(), masks.data());
+  store.read_tile(0, 0, payload.data());
   EXPECT_GE(inj.stats().bitflips, 1u);
   std::filesystem::remove(path);
 }
@@ -432,9 +430,8 @@ TEST(FaultRecovery, BitflipSoakStaysBitIdentical) {
   // Budgets far below the tile grids (just above the 2-thread pinned
   // working set): constant eviction keeps the injectors on the read path —
   // a fully-cached store would never exercise them.
-  const std::size_t in_tile = 16 * 16 * sizeof(float) + 16 * sizeof(std::uint64_t);
-  cfg.input_budget_bytes = 8 * in_tile;
-  cfg.output_budget_bytes = 3 * (16 * 16 * sizeof(float));
+  cfg.input_budget_bytes = 8 * shard::tile_size_bytes(16);
+  cfg.output_budget_bytes = 3 * shard::tile_size_bytes(16);
   ShardStreamEngine engine(stream.matrix(), cfg);
 
   // Flip one bit on every ~40th read of either store — well inside the

@@ -154,8 +154,14 @@ TEST(SeverityTileStore, CorruptTileIsRejectedLoudly) {
 
 // --- Sink-fed streaming driver ---------------------------------------------
 
-void expect_sink_build_matches_in_memory(const DelayMatrix& m,
-                                         std::uint32_t tile_dim) {
+/// Full sink build of `m` through an input cache of `budget_bytes`, read
+/// back bit for bit against the in-memory kernel. Budgets here always
+/// dominate the pinned working set, so the cache's accounting invariant
+/// tightens to peak_bytes <= budget.
+void expect_sink_build_matches_in_memory(
+    const DelayMatrix& m, std::uint32_t tile_dim,
+    std::size_t budget_bytes = std::size_t{1} << 22,
+    bool expect_evictions = false) {
   const std::string in_path = scratch_path(
       "sinkbuild_in_n" + std::to_string(m.size()) + "_t" +
       std::to_string(tile_dim));
@@ -164,10 +170,17 @@ void expect_sink_build_matches_in_memory(const DelayMatrix& m,
       std::to_string(tile_dim));
   shard::TileStore::write_matrix(in_path, m, tile_dim);
   const auto store = shard::TileStore::open(in_path);
-  shard::TileCache cache(store, std::size_t{1} << 22);
+  shard::TileCache cache(store, budget_bytes);
   SeverityTileStore::create(out_path, m.size(), tile_dim);
   auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
   core::all_severities_to_sink(store, cache, sink);
+
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_LE(stats.peak_bytes, budget_bytes);
+  if (expect_evictions) {
+    EXPECT_GT(stats.evictions, 0u);
+  }
 
   const SeverityMatrix want = TivAnalyzer(m).all_severities();
   SeverityCache reader(sink, std::size_t{1} << 22);
@@ -192,8 +205,47 @@ TEST(SinkSeverity, FullBuildMatchesInMemoryDense) {
 }
 
 TEST(SinkSeverity, FullBuildMatchesInMemoryMissingAndRagged) {
+  expect_sink_build_matches_in_memory(random_matrix(96, 0.3, 12), 32);
   expect_sink_build_matches_in_memory(random_matrix(37, 0.3, 32), 16);
   expect_sink_build_matches_in_memory(random_matrix(70, 0.9, 33), 16);
+}
+
+TEST(SinkSeverity, TileSizeNotDividingN) {
+  // 133 = 8*16 + 5 = 2*48 + 37: a ragged last band in both grids.
+  expect_sink_build_matches_in_memory(random_matrix(133, 0.3, 13), 16);
+  expect_sink_build_matches_in_memory(random_matrix(133, 0.2, 14), 48);
+}
+
+TEST(SinkSeverity, TinyBudgetForcesEvictionAndStaysWithinIt) {
+  // 8x8 bands of 16-wide tiles; a budget of 8 tiles cannot hold the 36
+  // upper-triangle band pairs' worth of working set, so the LRU must evict
+  // — and the accounting must keep peak bytes within the budget. Two
+  // workers pin at most 3 tiles each plus a prefetch, inside the 8.
+  set_parallel_thread_count(2);
+  expect_sink_build_matches_in_memory(random_matrix(128, 0.1, 15), 16,
+                                      8 * shard::tile_size_bytes(16), true);
+  set_parallel_thread_count(0);
+}
+
+TEST(SinkSeverity, TileReadFailurePropagatesAsException) {
+  // Tile I/O runs on pool workers, where an escaped exception would
+  // terminate the process; the band-pair driver must capture it and
+  // rethrow on the calling thread as a catchable error.
+  set_parallel_thread_count(2);
+  const DelayMatrix m = random_matrix(96, 0.1, 20);
+  const std::string in_path = scratch_path("truncated_in");
+  const std::string out_path = scratch_path("truncated_out");
+  shard::TileStore::write_matrix(in_path, m, 16);
+  const auto store = shard::TileStore::open(in_path);
+  std::filesystem::resize_file(in_path, 512);  // header survives, tiles gone
+  shard::TileCache cache(store, std::size_t{1} << 20);
+  SeverityTileStore::create(out_path, m.size(), 16);
+  auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
+  EXPECT_THROW(core::all_severities_to_sink(store, cache, sink),
+               std::runtime_error);
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+  set_parallel_thread_count(0);
 }
 
 TEST(SinkSeverity, GeometryMismatchRejected) {
@@ -228,7 +280,7 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
   // Pin the pool width: the peak-vs-budget assertions below only hold when
   // the tight budgets dominate the pinned working set (3 input tiles per
   // band-pair worker + one prefetch), which an unbounded many-core pool
-  // would exceed. Same pattern as test_tile_store's tiny-budget test.
+  // would exceed. Same pattern as the sink build's tiny-budget test.
   set_parallel_thread_count(2);
   DelayStream stream(random_matrix(n, missing, seed));
   IncrementalSeverity in_memory(stream.matrix());
@@ -242,13 +294,9 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
   // Tight-but-sane budgets: a handful of tiles each, far below the whole
   // tile grid, above the 2-thread pinned working set (3*2 + 2 tiles in,
   // one per worker out).
-  const std::size_t in_tile =
-      static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float) +
-      static_cast<std::size_t>(tile_dim) * ((tile_dim + 63) / 64) *
-          sizeof(std::uint64_t);
-  cfg.input_budget_bytes = 10 * in_tile;
-  cfg.output_budget_bytes =
-      4 * static_cast<std::size_t>(tile_dim) * tile_dim * sizeof(float);
+  const std::size_t tile_bytes = shard::tile_size_bytes(tile_dim);
+  cfg.input_budget_bytes = 10 * tile_bytes;
+  cfg.output_budget_bytes = 4 * tile_bytes;
   ShardStreamEngine engine(stream.matrix(), cfg);
 
   ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
@@ -320,11 +368,9 @@ TEST(ShardStreamEngine, TileSlotPoolsStopGrowingAfterWarmup) {
   cfg.tile_dim = tile_dim;
   cfg.input_path = scratch_path("slots_in");
   cfg.sink_path = scratch_path("slots_out");
-  const std::size_t in_tile =
-      tile_dim * tile_dim * sizeof(float) + tile_dim * sizeof(std::uint64_t);
-  const std::size_t out_tile = tile_dim * tile_dim * sizeof(float);
-  cfg.input_budget_bytes = 10 * in_tile;  // of 36 input tiles
-  cfg.output_budget_bytes = 4 * out_tile;  // of 21 sink tiles
+  const std::size_t tile_bytes = shard::tile_size_bytes(tile_dim);
+  cfg.input_budget_bytes = 10 * tile_bytes;  // of 36 input tiles
+  cfg.output_budget_bytes = 4 * tile_bytes;  // of 21 sink tiles
   ShardStreamEngine engine(stream.matrix(), cfg);
 
   Rng rng(72);

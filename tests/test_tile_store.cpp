@@ -1,8 +1,9 @@
 // Tests for the out-of-core shard subsystem: TileStore round-tripping the
-// packed-view representation, TileCache budget/eviction accounting, and the
-// streaming severity driver's bit-identical equivalence to the in-memory
-// kernel — on dense and 30%-missing matrices, across tile sizes that do and
-// do not divide N, and under a tiny cache budget that forces eviction.
+// packed-view representation (and repacking tiles in place byte-identically
+// to a fresh build), the tile checksum's detection power over real tiles,
+// format-version rejection, and TileCache budget/eviction accounting. The
+// band-pair severity driver's bit-identity to the in-memory kernel is
+// tested through its sink in test_shard_stream.cpp.
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -16,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/shard_severity.hpp"
-#include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
 #include "shard/checksum.hpp"
@@ -24,7 +24,6 @@
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
 #include "sink/severity_tile_store.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::core {
@@ -48,42 +47,6 @@ std::string scratch_path(const std::string& tag) {
       .string();
 }
 
-void expect_streamed_matches_in_memory(const DelayMatrix& m,
-                                       std::uint32_t tile_dim,
-                                       std::size_t budget_bytes,
-                                       bool expect_evictions) {
-  const std::string path = scratch_path(
-      "equiv_n" + std::to_string(m.size()) + "_t" + std::to_string(tile_dim));
-  TileStore::write_matrix(path, m, tile_dim);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, budget_bytes);
-
-  const SeverityMatrix streamed = all_severities_streamed(store, cache);
-  const SeverityMatrix in_memory = TivAnalyzer(m).all_severities();
-  const HostId n = m.size();
-  for (HostId i = 0; i < n; ++i) {
-    for (HostId j = i + 1; j < n; ++j) {
-      // Bit-for-bit: the streamed driver feeds the same accumulator lanes
-      // in the same order as the monolithic row scan.
-      EXPECT_EQ(streamed.at(i, j), in_memory.at(i, j))
-          << "edge (" << i << ", " << j << ")";
-    }
-  }
-
-  const double streamed_frac = violating_triangle_fraction_streamed(
-      store, cache);
-  const double in_memory_frac = TivAnalyzer(m).violating_triangle_fraction();
-  EXPECT_EQ(streamed_frac, in_memory_frac);
-
-  const auto stats = cache.stats();
-  EXPECT_GT(stats.misses, 0u);
-  // Budgets in these tests always dominate the pinned working set, so the
-  // accounting invariant tightens to a hard bound.
-  EXPECT_LE(stats.peak_bytes, budget_bytes);
-  if (expect_evictions) EXPECT_GT(stats.evictions, 0u);
-  std::filesystem::remove(path);
-}
-
 TEST(TileStore, RoundTripsPackedViewBlocks) {
   const HostId n = 37;  // does not divide the 16-wide tile
   const DelayMatrix m = random_matrix(n, 0.25, 5);
@@ -98,26 +61,18 @@ TEST(TileStore, RoundTripsPackedViewBlocks) {
 
   const DelayMatrixView view(m);
   std::vector<float> payload(store.payload_floats());
-  std::vector<std::uint64_t> masks(store.mask_words());
   for (std::uint32_t tr = 0; tr < store.tiles_per_side(); ++tr) {
     for (std::uint32_t tc = 0; tc < store.tiles_per_side(); ++tc) {
-      store.read_tile(tr, tc, payload.data(), masks.data());
+      store.read_tile(tr, tc, payload.data());
       for (std::uint32_t lr = 0; lr < 16; ++lr) {
         const HostId i = tr * 16 + lr;
         for (std::uint32_t lb = 0; lb < 16; ++lb) {
           const HostId b = tc * 16 + lb;
           const float got = payload[lr * 16 + lb];
-          const bool mask_bit = (masks[lr * store.mask_words_per_row() +
-                                       (lb >> 6)] >>
-                                 (lb & 63)) &
-                                1;
           if (i >= n || b >= n) {
-            // Edge-tile padding: masked payload, zero mask bits.
-            EXPECT_EQ(got, DelayMatrixView::kMaskedDelay);
-            EXPECT_FALSE(mask_bit);
+            EXPECT_EQ(got, DelayMatrixView::kMaskedDelay);  // edge padding
           } else {
             EXPECT_EQ(got, view.row(i)[b]) << "(" << i << ", " << b << ")";
-            EXPECT_EQ(mask_bit, m.has(i, b)) << "(" << i << ", " << b << ")";
           }
         }
       }
@@ -147,94 +102,11 @@ TEST(TileStore, OpenRejectsMissingAndMalformed) {
   std::filesystem::remove(path);
 }
 
-TEST(ShardSeverity, StreamedMatchesInMemoryDense) {
-  // 96 divides the 16- and 32-wide grids; generous budget (no eviction
-  // pressure beyond capacity).
-  expect_streamed_matches_in_memory(random_matrix(96, 0.0, 11), 32,
-                                    1u << 22, false);
-}
-
-TEST(ShardSeverity, StreamedMatchesInMemoryThirtyPercentMissing) {
-  expect_streamed_matches_in_memory(random_matrix(96, 0.3, 12), 32,
-                                    1u << 22, false);
-}
-
-TEST(ShardSeverity, TileSizeNotDividingN) {
-  // 133 = 8*16 + 5: ragged last band in both 16- and 48-wide grids.
-  expect_streamed_matches_in_memory(random_matrix(133, 0.3, 13), 16,
-                                    1u << 22, false);
-  expect_streamed_matches_in_memory(random_matrix(133, 0.2, 14), 48,
-                                    1u << 22, false);
-}
-
-TEST(ShardSeverity, TinyBudgetForcesEvictionAndStaysWithinIt) {
-  // 8x8 bands of 16-wide tiles; a budget of 8 tiles cannot hold the 36
-  // upper-triangle band pairs' worth of working set, so the LRU must evict
-  // — and the accounting must keep peak bytes within the budget.
-  set_parallel_thread_count(2);
-  const HostId n = 128;
-  const std::uint32_t tile_dim = 16;
-  const std::size_t tile_bytes =
-      tile_dim * tile_dim * sizeof(float) + tile_dim * sizeof(std::uint64_t);
-  expect_streamed_matches_in_memory(random_matrix(n, 0.1, 15), tile_dim,
-                                    8 * tile_bytes, true);
-  set_parallel_thread_count(0);
-}
-
-TEST(ShardSeverity, BudgetedAutoSelection) {
-  const DelayMatrix m = random_matrix(97, 0.2, 16);
-  const SeverityMatrix reference = TivAnalyzer(m).all_severities();
-
-  // Unbounded budget: in-memory path.
-  OutOfCoreReport report;
-  OutOfCoreConfig in_mem;
-  const SeverityMatrix s1 = all_severities_budgeted(m, in_mem, &report);
-  EXPECT_FALSE(report.out_of_core);
-
-  // Budget below the packed view: spill-and-stream, same result.
-  OutOfCoreConfig ooc;
-  ooc.memory_budget_bytes = packed_view_bytes(m.size()) / 4;
-  ooc.tile_dim = 16;
-  ooc.spill_path = scratch_path("auto");
-  const SeverityMatrix s2 = all_severities_budgeted(m, ooc, &report);
-  EXPECT_TRUE(report.out_of_core);
-  EXPECT_GT(report.cache.misses, 0u);
-  EXPECT_FALSE(std::filesystem::exists(ooc.spill_path));  // spill cleaned up
-
-  for (HostId i = 0; i < m.size(); ++i) {
-    for (HostId j = i + 1; j < m.size(); ++j) {
-      EXPECT_EQ(s1.at(i, j), reference.at(i, j));
-      EXPECT_EQ(s2.at(i, j), reference.at(i, j));
-    }
-  }
-
-  const double f_in = violating_triangle_fraction_budgeted(m, in_mem);
-  const double f_ooc = violating_triangle_fraction_budgeted(m, ooc);
-  EXPECT_EQ(f_in, TivAnalyzer(m).violating_triangle_fraction());
-  EXPECT_EQ(f_ooc, f_in);
-}
-
-TEST(ShardSeverity, TileReadFailurePropagatesAsException) {
-  // Tile I/O runs on pool workers, where an escaped exception would
-  // terminate the process; the band-pair driver must capture it and
-  // rethrow on the calling thread as a catchable error.
-  set_parallel_thread_count(2);
-  const DelayMatrix m = random_matrix(96, 0.1, 20);
-  const std::string path = scratch_path("truncated");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
-  std::filesystem::resize_file(path, 512);  // header survives, tiles gone
-  TileCache cache(store, 1u << 20);
-  EXPECT_THROW(all_severities_streamed(store, cache), std::runtime_error);
-  std::filesystem::remove(path);
-  set_parallel_thread_count(0);
-}
-
 TEST(TileStore, RepackTileIsByteIdenticalToFreshBuild) {
   // Mutate a few edges (values and missing toggles), repack exactly the
   // dirty hosts' row-band tiles in place, and demand the whole store file
   // equals a from-scratch write_matrix of the mutated matrix byte for byte
-  // — tile payloads, masks, and the checksum table included.
+  // — tiles and the checksum table included.
   DelayMatrix m = random_matrix(70, 0.3, 21);  // 70 = 4*16 + 6: ragged band
   const std::string path = scratch_path("repack");
   TileStore::write_matrix(path, m, 16);
@@ -302,26 +174,24 @@ TEST(TileStore, CorruptTileIsRejectedLoudly) {
   }
   const TileStore store = TileStore::open(path);
   std::vector<float> payload(store.payload_floats());
-  std::vector<std::uint64_t> masks(store.mask_words());
   const std::uint32_t last = store.tiles_per_side() - 1;
-  EXPECT_THROW(store.read_tile(last, last, payload.data(), masks.data()),
+  EXPECT_THROW(store.read_tile(last, last, payload.data()),
                shard::CorruptTileError);
   // CorruptTileError is still a runtime_error for coarse-grained handlers,
   // and other tiles stay readable.
-  EXPECT_THROW(store.read_tile(last, last, payload.data(), masks.data()),
+  EXPECT_THROW(store.read_tile(last, last, payload.data()),
                std::runtime_error);
-  store.read_tile(0, 0, payload.data(), masks.data());
+  store.read_tile(0, 0, payload.data());
   std::filesystem::remove(path);
 }
 
 // --- Tile checksum detection -------------------------------------------------
 
-/// One serialized input tile (payload then masks, 16 896 B at T = 64) and
-/// one sink tile (16 384 B) of a 30%-missing matrix, read back through the
-/// stores so the bytes are exactly what the checksums cover.
+/// One serialized input tile and one sink tile (16 384 B each at T = 64)
+/// of a 30%-missing matrix, read back through the stores so the bytes are
+/// exactly what the checksums cover.
 struct TileBytes {
   std::vector<unsigned char> input;
-  std::size_t input_payload_bytes = 0;
   std::vector<unsigned char> sink;
 };
 
@@ -338,13 +208,9 @@ TileBytes real_tile_bytes() {
 
   TileBytes t;
   std::vector<float> payload(store.payload_floats());
-  std::vector<std::uint64_t> masks(store.mask_words());
-  store.read_tile(0, 0, payload.data(), masks.data());
-  t.input_payload_bytes = payload.size() * sizeof(float);
+  store.read_tile(0, 0, payload.data());
   t.input.resize(store.tile_bytes());
-  std::memcpy(t.input.data(), payload.data(), t.input_payload_bytes);
-  std::memcpy(t.input.data() + t.input_payload_bytes, masks.data(),
-              masks.size() * sizeof(std::uint64_t));
+  std::memcpy(t.input.data(), payload.data(), t.input.size());
   std::vector<float> sev(sink.payload_floats());
   sink.read_tile(0, 0, sev.data());
   t.sink.resize(sink.tile_bytes());
@@ -354,12 +220,9 @@ TileBytes real_tile_bytes() {
   return t;
 }
 
-/// The tile checksum exactly as shard::TileFile chains it over sections.
-std::uint64_t tile_hash(const std::vector<unsigned char>& bytes,
-                        std::size_t first_section_bytes) {
-  const std::uint64_t h = shard::checksum64(bytes.data(), first_section_bytes);
-  return shard::checksum64(bytes.data() + first_section_bytes,
-                           bytes.size() - first_section_bytes, h);
+/// The tile checksum exactly as shard::TileFile computes it.
+std::uint64_t tile_hash(const std::vector<unsigned char>& bytes) {
+  return shard::checksum64(bytes.data(), bytes.size());
 }
 
 /// The rejected design, kept as the control that proves the flip tests
@@ -391,16 +254,14 @@ void flip_bit(std::vector<unsigned char>& bytes, std::size_t bit) {
 
 TEST(TileChecksum, EverySingleBitFlipChangesTheHash) {
   TileBytes t = real_tile_bytes();
-  ASSERT_EQ(t.input.size(), 16896u);
+  ASSERT_EQ(t.input.size(), 16384u);
   ASSERT_EQ(t.sink.size(), 16384u);
   for (auto* tile : {&t.input, &t.sink}) {
-    const std::size_t first =
-        tile == &t.input ? t.input_payload_bytes : tile->size();
-    const std::uint64_t clean = tile_hash(*tile, first);
+    const std::uint64_t clean = tile_hash(*tile);
     std::size_t missed = 0;
     for (std::size_t bit = 0; bit < tile->size() * 8; ++bit) {
       flip_bit(*tile, bit);
-      missed += tile_hash(*tile, first) == clean;
+      missed += tile_hash(*tile) == clean;
       flip_bit(*tile, bit);
     }
     EXPECT_EQ(missed, 0u) << "tile of " << tile->size() << " bytes";
@@ -416,7 +277,6 @@ TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
   sink::SeverityTileStore::create(out_path, 64, 64);
   auto sink = sink::SeverityTileStore::open(out_path);
   std::vector<float> payload(store.payload_floats());
-  std::vector<std::uint64_t> masks(store.mask_words());
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     // Every read attempt flips one (seeded) bit, so each retry fails too:
     // the flip is indistinguishable from persistent rot.
@@ -428,7 +288,7 @@ TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
     sink.set_fault_injector(&injector);
     const std::uint64_t in_retries = store.read_retries();
     const std::uint64_t sink_retries = sink.read_retries();
-    EXPECT_THROW(store.read_tile(0, 0, payload.data(), masks.data()),
+    EXPECT_THROW(store.read_tile(0, 0, payload.data()),
                  shard::CorruptTileError);
     EXPECT_THROW(sink.read_tile(0, 0, payload.data()),
                  shard::CorruptTileError);
@@ -441,15 +301,14 @@ TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
     store.set_fault_injector(nullptr);
     sink.set_fault_injector(nullptr);
   }
-  store.read_tile(0, 0, payload.data(), masks.data());  // disk is intact
+  store.read_tile(0, 0, payload.data());  // disk is intact
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
 }
 
 TEST(TileChecksum, DetectsSameLaneSignBitPairsAndRandomTwoBitFlips) {
   std::vector<unsigned char> tile = real_tile_bytes().input;
-  const std::size_t first = 16384;
-  const std::uint64_t clean = tile_hash(tile, first);
+  const std::uint64_t clean = tile_hash(tile);
   const std::uint64_t clean_fnv = word_fnv_tile_hash(tile);
 
   // Bit 63 of words i and j sharing a lane (i = j mod 4), first 256 words.
@@ -461,7 +320,7 @@ TEST(TileChecksum, DetectsSameLaneSignBitPairsAndRandomTwoBitFlips) {
       flip_bit(tile, 64 * i + 63);
       flip_bit(tile, 64 * j + 63);
       ++pairs;
-      missed += tile_hash(tile, first) == clean;
+      missed += tile_hash(tile) == clean;
       missed_fnv += word_fnv_tile_hash(tile) == clean_fnv;
       flip_bit(tile, 64 * i + 63);
       flip_bit(tile, 64 * j + 63);
@@ -481,7 +340,7 @@ TEST(TileChecksum, DetectsSameLaneSignBitPairsAndRandomTwoBitFlips) {
     b += b >= a;  // distinct from a
     flip_bit(tile, a);
     flip_bit(tile, b);
-    missed += tile_hash(tile, first) == clean;
+    missed += tile_hash(tile) == clean;
     missed_fnv += word_fnv_tile_hash(tile) == clean_fnv;
     flip_bit(tile, a);
     flip_bit(tile, b);
@@ -519,7 +378,8 @@ std::string open_error(const std::function<void()>& open) {
 
 TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
   const std::string path = scratch_path("old_version");
-  write_raw_header(path, "TIVSHRD2", 2, 16, 16, 16 * 16 * 4 + 16 * 8);
+  // v3 input stores carried per-row bitmasks after each tile's floats.
+  write_raw_header(path, "TIVSHRD3", 3, 16, 16, 16 * 16 * 4 + 16 * 8);
   EXPECT_NE(open_error([&] { TileStore::open(path); })
                 .find("unsupported version"),
             std::string::npos);
@@ -528,9 +388,24 @@ TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
                 .find("unsupported version"),
             std::string::npos);
   // A foreign magic is still a foreign file.
-  write_raw_header(path, "NOTATILE", 3, 16, 16, 16 * 16 * 4 + 16 * 8);
+  write_raw_header(path, "NOTATILE", 4, 16, 16, 16 * 16 * 4);
   EXPECT_NE(open_error([&] { TileStore::open(path); }).find("bad magic"),
             std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(TileStore, WritesVersion4PayloadOnlyTiles) {
+  const DelayMatrix m = random_matrix(64, 0.3, 63);
+  const std::string path = scratch_path("v4");
+  TileStore::write_matrix(path, m, 64);
+  EXPECT_EQ(TileStore::open(path).tile_bytes(), 16384u);  // 64 x 64 floats
+  char magic[8];
+  std::uint32_t version = 0;
+  std::ifstream f(path, std::ios::binary);
+  f.read(magic, sizeof(magic));
+  f.read(reinterpret_cast<char*>(&version), sizeof(version));
+  EXPECT_EQ(std::string(magic, sizeof(magic)), "TIVSHRD4");
+  EXPECT_EQ(version, 4u);
   std::filesystem::remove(path);
 }
 
