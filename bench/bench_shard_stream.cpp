@@ -11,6 +11,11 @@
 //   peak_within_budget   both tile caches' peak bytes stayed within their
 //                        configured budgets
 //   repair_epoch_ms      the tracer saw the epoch spans — must be > 0
+//   input_tile_loads     input-tile acquires of the repair passes — at
+//                        most sum over epochs of bands * (bands + dirty
+//                        bands): the dirty rows pinned once, then every
+//                        tile read once (per host group, when the input
+//                        budget splits the dirty hosts)
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
 // quotes. A {"section":"codegen"} record times one repair against the
 // in-memory kernel on the same matrix (repair_gops, kernel_gops and their
@@ -21,8 +26,10 @@
 //
 // Apply-path timings come from the span tracer (docs/OBSERVABILITY.md) —
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
-// tile-repack / band-pair-stream / sink-commit split reported alongside —
-// so the bench's numbers are the same spans a trace capture shows. The
+// epoch-journal / tile-repack / band-pair-stream / sink-commit split, the
+// residual outside them (unattributed_ms), and the repair pass's
+// row-pin / witness-walk / sink-merge phases reported alongside — so the
+// bench's numbers are the same spans a trace capture shows. The
 // record stream ends with the registry's metrics snapshot
 // ({"section":"metrics",...} records: I/O volume, cache traffic, pool
 // utilization for the whole run).
@@ -206,28 +213,47 @@ int main(int argc, char** argv) {
       std::size_t tiles_repacked = 0;
       std::size_t sev_tiles_committed = 0;
       std::size_t edges_recomputed = 0;
-      const std::uint64_t epoch_ns0 = tracer.total_ns("epoch");
-      const std::uint64_t repack_ns0 = tracer.total_ns("tile-repack");
-      const std::uint64_t band_ns0 = tracer.total_ns("band-pair-stream");
-      const std::uint64_t commit_ns0 = tracer.total_ns("sink-commit");
+      std::size_t input_tile_loads = 0;
+      std::size_t load_bound = 0;
+      const std::size_t bands = (n + tile_dim - 1) / tile_dim;
+      const std::size_t group = tiv::core::repair_group_hosts(
+          n, tile_dim, input_budget);
+      const char* const phases[] = {"epoch",       "epoch-journal",
+                                    "tile-repack", "band-pair-stream",
+                                    "sink-commit", "row-pin",
+                                    "witness-walk", "sink-merge"};
+      std::vector<std::uint64_t> phase_ns0;
+      for (const char* p : phases) phase_ns0.push_back(tracer.total_ns(p));
       for (int e = 0; e < epochs; ++e) {
         replay_churn_epoch(stream, rng, dirty_target, double(e));
-        const auto stats = engine->apply_epoch(stream);
+        const tiv::stream::Epoch epoch = stream.commit_epoch();
+        const auto stats =
+            engine->apply_epoch(stream.matrix(), epoch.dirty_hosts);
         tiles_repacked += stats.input_tiles_repacked;
         sev_tiles_committed += stats.severity_tiles_committed;
         edges_recomputed += stats.edges_recomputed;
+        input_tile_loads += stats.input_tile_loads;
+        // Per host group: the group's dirty bands pinned, then every tile.
+        for (std::size_t g = 0; g < epoch.dirty_hosts.size(); g += group) {
+          const std::size_t end =
+              std::min(g + group, epoch.dirty_hosts.size());
+          std::size_t group_bands = 0;
+          for (std::size_t i = g; i < end; ++i) {
+            group_bands += i == g || epoch.dirty_hosts[i] / tile_dim !=
+                                         epoch.dirty_hosts[i - 1] / tile_dim;
+          }
+          load_bound += bands * (bands + group_bands);
+        }
       }
-      const double apply_ms =
-          static_cast<double>(tracer.total_ns("epoch") - epoch_ns0) / 1e6;
-      const double repack_ms =
-          static_cast<double>(tracer.total_ns("tile-repack") - repack_ns0) /
-          1e6;
-      const double band_ms =
-          static_cast<double>(tracer.total_ns("band-pair-stream") - band_ns0) /
-          1e6;
-      const double commit_ms =
-          static_cast<double>(tracer.total_ns("sink-commit") - commit_ns0) /
-          1e6;
+      std::vector<double> phase_ms;
+      for (std::size_t p = 0; p < phase_ns0.size(); ++p) {
+        phase_ms.push_back(
+            static_cast<double>(tracer.total_ns(phases[p]) - phase_ns0[p]) /
+            1e6);
+      }
+      const double apply_ms = phase_ms[0];
+      const double unattributed_ms =
+          apply_ms - phase_ms[1] - phase_ms[2] - phase_ms[3] - phase_ms[4];
 
       // Full out-of-core rebuild of the final matrix — what every epoch
       // would cost without the dirty-tile repair path: fresh input spill +
@@ -255,11 +281,13 @@ int main(int argc, char** argv) {
       const bool within_budget = in_stats.peak_bytes <= input_budget &&
                                  out_stats.peak_bytes <= output_budget;
       const double repair_epoch_ms = apply_ms / epochs;
-      if (mismatches != 0 || !within_budget || !(repair_epoch_ms > 0.0)) {
+      if (mismatches != 0 || !within_budget || !(repair_epoch_ms > 0.0) ||
+          input_tile_loads > load_bound) {
         std::cerr << "bench_shard_stream: churn " << frac << " failed ("
                   << mismatches << " bit mismatches, within budget "
                   << within_budget << ", repair_epoch_ms " << repair_epoch_ms
-                  << ")\n";
+                  << ", input_tile_loads " << input_tile_loads << " of "
+                  << load_bound << ")\n";
         ok = false;
       }
 
@@ -276,10 +304,16 @@ int main(int argc, char** argv) {
           .field("input_tiles_repacked", tiles_repacked)
           .field("severity_tiles_committed", sev_tiles_committed)
           .field("edges_recomputed", edges_recomputed)
+          .field("input_tile_loads", input_tile_loads)
           .field("repair_epoch_ms", repair_epoch_ms, 3)
-          .field("tile_repack_ms", repack_ms / epochs, 3)
-          .field("band_pair_stream_ms", band_ms / epochs, 3)
-          .field("sink_commit_ms", commit_ms / epochs, 3)
+          .field("epoch_journal_ms", phase_ms[1] / epochs, 3)
+          .field("tile_repack_ms", phase_ms[2] / epochs, 3)
+          .field("band_pair_stream_ms", phase_ms[3] / epochs, 3)
+          .field("sink_commit_ms", phase_ms[4] / epochs, 3)
+          .field("row_pin_ms", phase_ms[5] / epochs, 3)
+          .field("witness_walk_ms", phase_ms[6] / epochs, 3)
+          .field("sink_merge_ms", phase_ms[7] / epochs, 3)
+          .field("unattributed_ms", unattributed_ms / epochs, 3)
           .field("oocore_rebuild_ms", rebuild_ms, 3)
           .field("speedup_vs_oocore_rebuild",
                  repair_epoch_ms > 0.0 ? rebuild_ms / repair_epoch_ms : 0.0,
@@ -364,7 +398,8 @@ int main(int argc, char** argv) {
     ok = tiv::bench::check_metrics(
              "bench_shard_stream", snap,
              {"shard.input.reads", "cache.input.hits", "engine.epochs_applied",
-              "engine.epoch_ns", "stream.samples_applied"}) &&
+              "engine.epoch_ns", "engine.input_tile_loads",
+              "stream.samples_applied"}) &&
          ok;
   }
   if (!profile_out.empty()) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "core/edge_sampling.hpp"
 #include "core/triangle_schedule.hpp"
@@ -412,6 +414,23 @@ TivAnalyzer::violating_triangle_fraction_sampled(std::size_t sample_triangles,
   out.exhausted = t < sample_triangles;
   out.fraction = t == 0 ? 0.0 : static_cast<double>(v) / static_cast<double>(t);
   return out;
+}
+
+void check_dirty_hosts(std::span<const HostId> dirty_hosts, HostId n,
+                       const char* who) {
+  for (std::size_t i = 0; i < dirty_hosts.size(); ++i) {
+    const HostId h = dirty_hosts[i];
+    if (h >= n) {
+      throw std::invalid_argument(std::string(who) + ": dirty host " +
+                                  std::to_string(h) + " out of range (n = " +
+                                  std::to_string(n) + ")");
+    }
+    if (i > 0 && h <= dirty_hosts[i - 1]) {
+      throw std::invalid_argument(
+          std::string(who) +
+          ": dirty hosts must be strictly ascending (sorted, no duplicates)");
+    }
+  }
 }
 
 }  // namespace tiv::core

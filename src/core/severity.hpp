@@ -175,4 +175,13 @@ class TivAnalyzer {
   const DelayMatrix& matrix_;
 };
 
+/// Validates an epoch's dirty-host list against an n-host matrix: strictly
+/// ascending (sorted, no duplicates) and every host < n — the shape
+/// DelayStream::commit_epoch returns and the repair passes index by.
+/// Throws std::invalid_argument naming `who` otherwise. A release-build
+/// check: an out-of-range host would index the engines' per-host and
+/// per-band tables out of bounds.
+void check_dirty_hosts(std::span<const HostId> dirty_hosts, HostId n,
+                       const char* who);
+
 }  // namespace tiv::core

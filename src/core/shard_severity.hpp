@@ -1,21 +1,29 @@
-// Out-of-core TIV severity: streams (a-band, c-band, witness-band) tile
-// triples from a shard::TileStore through the branch-free witness kernels,
-// honoring a user-set memory budget via a shard::TileCache, and writes the
-// result into a sink::SeverityTileStore band pair by band pair — neither
-// the delay matrix nor the N^2 severity result is ever materialized, so
-// the working set is O(budget + tile^2) in total. all_severities_to_sink
-// is the full build; repair_severities_to_sink is its incremental
-// counterpart: after an epoch dirtied a host set, only the edges incident
-// to those hosts are recomputed and only the affected sink tiles are
-// rewritten (the out-of-core half of the src/stream/ dirty-epoch engine);
-// rebuild_sink_tile is the one-tile form the engine's self-healing uses.
-// All three run the same band-pair walk.
+// Out-of-core TIV severity: streams tiles of a shard::TileStore through
+// the branch-free witness kernels, honoring a user-set memory budget via a
+// shard::TileCache, and writes the result into a sink::SeverityTileStore —
+// neither the delay matrix nor the N^2 severity result is ever
+// materialized. Two walks share the kernels:
+//
+//  - The band-pair walk: all_severities_to_sink (the full build) and
+//    rebuild_sink_tile (its one-tile form, the engine's self-healing
+//    primitive) stream (a-band, c-band, witness-band) tile triples band
+//    pair by band pair; working set O(budget + tile^2) per worker.
+//  - The dirty-row walk: repair_severities_to_sink, the out-of-core half of
+//    the src/stream/ dirty-epoch engine. After an epoch dirtied a host set
+//    H, only the edges incident to H are recomputed, and each input tile is
+//    read once: (0) pin H's packed rows, (1) walk the column bands, each
+//    tile (J, K) feeding every edge (h, c in J) from the pinned slice
+//    d(h, band K), (2) merge the results into the affected sink tiles, one
+//    writer per tile. The pinned rows and the result rows take
+//    2 * |H| * stride * 4 bytes (stride = the padded row); when that would
+//    exceed the input cache budget, H is split into ascending groups of
+//    repair_group_hosts() hosts that run one pass each.
 //
 // Results are bit-identical to the in-memory TivAnalyzer path: tiles are
-// the packed view cut at lane-aligned column boundaries, the streamed scan
-// feeds the same accumulator lanes in ascending column order, and the final
+// the packed view cut at lane-aligned column boundaries, both walks feed
+// the same accumulator lanes in ascending column order, and the final
 // reduction tree is shared (core/witness_kernels.hpp). See
-// docs/PERFORMANCE.md ("Sharded storage & out-of-core severity").
+// docs/PERFORMANCE.md ("Sink-fed drivers").
 #pragma once
 
 #include <cstddef>
@@ -42,15 +50,28 @@ void all_severities_to_sink(const shard::TileStore& store,
 
 /// Accounting for one repair_severities_to_sink call.
 struct SinkRepairStats {
-  std::size_t tiles_committed = 0;   ///< sink tiles rewritten in place
+  std::size_t tiles_committed = 0;   ///< distinct sink tiles rewritten
   std::size_t edges_recomputed = 0;  ///< dirty pairs re-evaluated (incl.
                                      ///< pairs reset to 0 on a loss)
+  /// Input-tile acquires of the pass — deterministic, unlike cache hits and
+  /// misses under prefetch: bands * (bands + dirty bands) for a one-group
+  /// pass (the pinned rows' tiles, then every tile once).
+  std::size_t input_tile_loads = 0;
 };
+
+/// Dirty hosts per pass of repair_severities_to_sink: the most whose pinned
+/// and result rows (2 * bands * tile_dim floats each) fit in budget_bytes,
+/// at least 1.
+std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
+                               std::size_t budget_bytes);
 
 /// Incremental form of all_severities_to_sink: recomputes exactly the
 /// edges incident to `dirty_hosts` (ascending, distinct — what
-/// DelayStream::commit_epoch returns) through the band-pair streaming
-/// driver and rewrites only the sink tiles containing such edges. `store`
+/// DelayStream::commit_epoch returns; std::invalid_argument otherwise)
+/// through the dirty-row walk and rewrites only the sink tiles whose
+/// values a rebuild would change: those holding a measured dirty edge or a
+/// stale value reset to 0. Host groups are sized against
+/// cache.budget_bytes() (repair_group_hosts). `store`
 /// must already hold the post-epoch matrix (TileStore::repack_tile on the
 /// dirty bands, with the cache invalidated — src/stream/shard_stream owns
 /// that sequencing). Severities the in-memory
@@ -62,7 +83,7 @@ SinkRepairStats repair_severities_to_sink(
     sink::SeverityTileStore& sink, std::span<const HostId> dirty_hosts);
 
 /// Recomputes sink tile (bi, bj), bi <= bj, from scratch through the
-/// band-pair streaming driver and commits it — the one-tile form of
+/// band-pair walk and commits it — the one-tile form of
 /// all_severities_to_sink, bit-identical to the tile a full build would
 /// write (same kernels, same ascending-witness-band order). This is the
 /// self-healing primitive of the out-of-core engine: when a sink tile

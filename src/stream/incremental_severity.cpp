@@ -16,6 +16,8 @@ IncrementalSeverity::IncrementalSeverity(const DelayMatrix& matrix)
 
 IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
     const DelayMatrix& matrix, std::span<const HostId> dirty_hosts) {
+  core::check_dirty_hosts(dirty_hosts, matrix.size(),
+                          "IncrementalSeverity::apply_epoch");
   ApplyStats stats;
   if (dirty_hosts.empty()) return stats;
   obs::Span span("view-repair");

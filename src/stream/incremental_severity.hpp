@@ -54,7 +54,9 @@ class IncrementalSeverity {
 
   /// Repairs view and severities after an epoch that dirtied
   /// `dirty_hosts` (sorted, distinct — what DelayStream::commit_epoch
-  /// returns). `matrix` must be the stream's mutated matrix.
+  /// returns). `matrix` must be the stream's mutated matrix. Throws
+  /// std::invalid_argument, before touching any state, on an unsorted,
+  /// duplicate or out-of-range host list (core::check_dirty_hosts).
   ApplyStats apply_epoch(const DelayMatrix& matrix,
                          std::span<const HostId> dirty_hosts);
 

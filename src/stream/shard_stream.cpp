@@ -36,6 +36,11 @@ obs::Counter& engine_edges_recomputed() {
       obs::MetricsRegistry::instance().counter("engine.edges_recomputed");
   return c;
 }
+obs::Counter& engine_input_tile_loads() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("engine.input_tile_loads");
+  return c;
+}
 obs::Histogram& engine_epoch_ns() {
   static obs::Histogram& h =
       obs::MetricsRegistry::instance().histogram("engine.epoch_ns");
@@ -188,7 +193,10 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
   }
   if (e.path() == input_->path() && source_ != nullptr) {
     // The live matrix (DelayStream keeps it in RAM) is the ground truth
-    // for input tiles; repack is byte-identical to a fresh build.
+    // for input tiles; repack is byte-identical to a fresh build. Prefetch
+    // hints of the interrupted pass may still be reading this very tile:
+    // quiesce them first, as apply_epoch does before its repacks.
+    input_cache_->drain_prefetch();
     input_->repack_tile(*source_, r, c);
     input_cache_->invalidate(r, c);
     recovery_.input_tiles_recovered.increment();
@@ -246,15 +254,14 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
     throw std::invalid_argument(
         "ShardStreamEngine::apply_epoch: matrix size changed");
   }
+  // Before anything is journaled or rewritten: a bad host list would index
+  // the band tables out of bounds.
+  core::check_dirty_hosts(dirty_hosts, matrix.size(),
+                          "ShardStreamEngine::apply_epoch");
   if (dirty_hosts.empty()) return stats;
 
   obs::Span epoch_span("epoch");
   const auto epoch_t0 = obs::kEnabled ? obs::SpanTracer::now_ns() : 0;
-
-  const std::uint32_t T = input_->tile_dim();
-  const std::uint32_t bands = input_->tiles_per_side();
-  std::vector<std::uint8_t> band_dirty(bands, 0);
-  for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
 
   // `matrix` is the ground truth while this epoch applies: make it the
   // repair source so corrupt input tiles heal mid-epoch too (restored on
@@ -266,34 +273,42 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   } scope{*this, source_};
   source_ = &matrix;
 
-  // 0. Quiesce the prefetcher: hints left over from the previous band-pair
-  // scan must not read tiles concurrently with the repacks below (a racing
-  // read could pin a tile across invalidate(), or observe a torn write).
-  input_cache_->drain_prefetch();
-
-  // 1. Journal the epoch before the first in-place write: the input tiles
-  // about to be repacked and the superset of sink tiles that can hold a
-  // dirty edge. A kill anywhere past this point leaves a manifest naming
-  // every possibly-torn tile; recover() replays exactly those (replaying
-  // an untouched one is an idempotent rewrite of identical bytes).
   EpochManifest manifest;
-  manifest.generation = epochs_applied_ + 1;
-  for (std::uint32_t b = 0; b < bands; ++b) {
-    if (!band_dirty[b]) continue;
-    for (std::uint32_t c = 0; c < bands; ++c) {
-      if (band_dirty[c]) manifest.input_tiles.emplace_back(b, c);
-    }
-  }
-  for (std::uint32_t bi = 0; bi < bands; ++bi) {
-    for (std::uint32_t bj = bi; bj < bands; ++bj) {
-      if (band_dirty[bi] || band_dirty[bj]) {
-        manifest.sink_tiles.emplace_back(bi, bj);
+  const std::string manifest_path = EpochManifest::path_for(sink_->path());
+  {
+    obs::Span journal_span("epoch-journal");
+    // 0. Quiesce the prefetcher: hints left over from the previous repair
+    // pass must not read tiles concurrently with the repacks below (a
+    // racing read could pin a tile across invalidate(), or observe a torn
+    // write).
+    input_cache_->drain_prefetch();
+
+    // 1. Journal the epoch before the first in-place write: the input
+    // tiles about to be repacked and the superset of sink tiles that can
+    // hold a dirty edge. A kill anywhere past this point leaves a manifest
+    // naming every possibly-torn tile; recover() replays exactly those
+    // (replaying an untouched one is an idempotent rewrite of identical
+    // bytes).
+    const std::uint32_t T = input_->tile_dim();
+    const std::uint32_t bands = input_->tiles_per_side();
+    std::vector<std::uint8_t> band_dirty(bands, 0);
+    for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
+    manifest.generation = epochs_applied_ + 1;
+    for (std::uint32_t b = 0; b < bands; ++b) {
+      if (!band_dirty[b]) continue;
+      for (std::uint32_t c = 0; c < bands; ++c) {
+        if (band_dirty[c]) manifest.input_tiles.emplace_back(b, c);
       }
     }
+    for (std::uint32_t bi = 0; bi < bands; ++bi) {
+      for (std::uint32_t bj = bi; bj < bands; ++bj) {
+        if (band_dirty[bi] || band_dirty[bj]) {
+          manifest.sink_tiles.emplace_back(bi, bj);
+        }
+      }
+    }
+    manifest.write(manifest_path);
   }
-  const std::string manifest_path =
-      EpochManifest::path_for(sink_->path());
-  manifest.write(manifest_path);
 
   // 2. Input repair. A changed entry (x, y) requires edge (x, y) updated,
   // and DelayStream dirties both endpoints — so a tile can only have
@@ -321,6 +336,7 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   });
   stats.severity_tiles_committed = repair.tiles_committed;
   stats.edges_recomputed = repair.edges_recomputed;
+  stats.input_tile_loads = repair.input_tile_loads;
 
   {
     obs::Span commit_span("sink-commit");
@@ -339,6 +355,7 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   engine_tiles_repacked().add(stats.input_tiles_repacked);
   engine_sink_tiles_committed().add(stats.severity_tiles_committed);
   engine_edges_recomputed().add(stats.edges_recomputed);
+  engine_input_tile_loads().add(stats.input_tile_loads);
   if (obs::kEnabled) {
     engine_epoch_ns().record(obs::SpanTracer::now_ns() - epoch_t0);
   }

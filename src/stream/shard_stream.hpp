@@ -15,9 +15,10 @@
 //      tile-granular mirror of DelayMatrixView::repack_row) and dropped
 //      from the tile cache (the dirty-tile invalidation rule).
 //   2. Only the edges incident to dirty hosts are recomputed, through the
-//      same band-pair streaming driver as the full out-of-core build
-//      (core/shard_severity), and only the sink tiles containing such
-//      edges are rewritten and committed with fresh checksums.
+//      dirty-row walk of core/shard_severity (the dirty hosts' rows pinned
+//      once, then every input tile read once), and only the sink tiles
+//      whose values change are rewritten and committed with fresh
+//      checksums.
 //
 // After every epoch the sink contents are *bit-identical* to the in-memory
 // DelayStream -> IncrementalSeverity -> all_severities path over the same
@@ -86,6 +87,9 @@ class ShardStreamEngine {
     std::size_t input_tiles_repacked = 0;
     std::size_t severity_tiles_committed = 0;
     std::size_t edges_recomputed = 0;
+    /// Input-tile acquires of the severity repair
+    /// (core::SinkRepairStats::input_tile_loads).
+    std::size_t input_tile_loads = 0;
   };
 
   /// Cumulative self-healing accounting, per store. A view over the
@@ -136,9 +140,11 @@ class ShardStreamEngine {
   /// Repairs input tiles and sink severities after an epoch that dirtied
   /// `dirty_hosts` (ascending, distinct — what DelayStream::commit_epoch
   /// returns). `matrix` must be the stream's mutated matrix (same size as
-  /// at construction). Crash-safe: the tiles about to be rewritten are
-  /// journaled first, so a kill anywhere inside is recoverable via
-  /// recover().
+  /// at construction). Throws std::invalid_argument on a size change or an
+  /// unsorted, duplicate or out-of-range host list, before the manifest is
+  /// written or any tile rewritten. Crash-safe: the tiles about to be
+  /// rewritten are journaled first, so a kill anywhere inside is
+  /// recoverable via recover().
   EpochStats apply_epoch(const delayspace::DelayMatrix& matrix,
                          std::span<const HostId> dirty_hosts);
 
@@ -191,7 +197,10 @@ class ShardStreamEngine {
   /// Attach deterministic fault injectors (shard/fault_injector.hpp) to
   /// the two stores — the hook the soak tests and the recovery bench use.
   /// Injectors must outlive the engine or be detached (nullptr) first.
+  /// The input store's hook is swapped only after the prefetcher's
+  /// leftover reads have drained, so no background read sees the change.
   void set_input_fault_injector(shard::FaultInjector* injector) {
+    input_cache_->drain_prefetch();
     input_->set_fault_injector(injector);
   }
   void set_sink_fault_injector(shard::FaultInjector* injector) {

@@ -355,6 +355,7 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   EXPECT_GT(epoch_ev->dur_ns, 0u);
 
   EXPECT_EQ(tracer.count("ingest"), 1u);  // the one batch ingested above
+  EXPECT_EQ(tracer.count("epoch-journal"), 1u);
   EXPECT_GE(tracer.count("tile-repack"), 1u);
   EXPECT_GE(tracer.count("band-pair-stream"), 1u);
   EXPECT_GE(tracer.count("sink-commit"), 1u);
@@ -362,16 +363,32 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   // RAII containment: every child phase ran on the epoch's thread, inside
   // the epoch span's [start, start + dur] window, and took measurable time.
   const std::uint64_t epoch_end = epoch_ev->start_ns + epoch_ev->dur_ns;
+  const TraceEvent* band_ev = nullptr;
   for (const TraceEvent& e : evs) {
     const std::string_view name(e.name);
-    if (name != "tile-repack" && name != "band-pair-stream" &&
-        name != "sink-commit") {
+    if (name == "band-pair-stream") band_ev = &e;
+    if (name != "epoch-journal" && name != "tile-repack" &&
+        name != "band-pair-stream" && name != "sink-commit") {
       continue;
     }
     EXPECT_EQ(e.tid, epoch_ev->tid) << name;
     EXPECT_GE(e.start_ns, epoch_ev->start_ns) << name;
     EXPECT_LE(e.start_ns + e.dur_ns, epoch_end) << name;
     EXPECT_GT(e.dur_ns, 0u) << name;
+  }
+  // The repair pass's three phases nest inside its band-pair-stream span.
+  ASSERT_NE(band_ev, nullptr);
+  const std::uint64_t band_end = band_ev->start_ns + band_ev->dur_ns;
+  for (const char* phase : {"row-pin", "witness-walk", "sink-merge"}) {
+    std::size_t seen = 0;
+    for (const TraceEvent& e : evs) {
+      if (std::string_view(e.name) != phase) continue;
+      ++seen;
+      EXPECT_EQ(e.tid, band_ev->tid) << phase;
+      EXPECT_GE(e.start_ns, band_ev->start_ns) << phase;
+      EXPECT_LE(e.start_ns + e.dur_ns, band_end) << phase;
+    }
+    EXPECT_EQ(seen, 1u) << phase;
   }
   set_parallel_thread_count(0);
 }

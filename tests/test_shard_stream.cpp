@@ -5,12 +5,20 @@
 // on-disk severities, read back through the budgeted sink cache, are
 // bit-identical to the in-memory streaming path (and hence to a
 // from-scratch TivAnalyzer::all_severities rebuild) — across densities,
-// measured<->missing churn, tile sizes that do not divide n, and n < 8.
+// measured<->missing churn, tile sizes that do not divide n, and n < 8 —
+// plus the dirty-row repair pass's own edges: dirty hosts packed into one
+// band or spread over adjacent ones, ragged last bands, dirty-dirty edges
+// that lose their measurement, host groups forced by a small budget, pool
+// widths, mid-walk corruption, and malformed dirty-host lists.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +32,7 @@
 #include "sink/severity_cache.hpp"
 #include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
+#include "stream/epoch_manifest.hpp"
 #include "stream/incremental_severity.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
@@ -442,6 +451,280 @@ TEST(ShardStreamEngine, MatrixSizeChangeRejected) {
   const DelayMatrix wrong = random_matrix(24, 0.1, 53);
   EXPECT_THROW(engine.apply_epoch(wrong, std::vector<HostId>{1}),
                std::invalid_argument);
+}
+
+// --- Dirty-row repair pass ---------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+ShardStreamConfig repair_config(const std::string& tag,
+                                std::uint32_t tile_dim) {
+  ShardStreamConfig cfg;
+  cfg.tile_dim = tile_dim;
+  cfg.input_path = scratch_path(tag + "_in");
+  cfg.sink_path = scratch_path(tag + "_out");
+  return cfg;
+}
+
+/// Feeds `epochs` (one explicit sample batch each, timestamped by epoch)
+/// through one DelayStream into IncrementalSeverity and a ShardStreamEngine,
+/// asserting after every epoch that the sink is bit-identical to the
+/// in-memory matrix and that both engines recomputed the same edges.
+void expect_epochs_match(DelayMatrix initial, std::uint32_t tile_dim,
+                         const std::vector<std::vector<DelaySample>>& epochs,
+                         const std::string& tag) {
+  DelayStream stream(std::move(initial));
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamEngine engine(stream.matrix(), repair_config(tag, tile_dim));
+  for (std::size_t e = 0; e < epochs.size(); ++e) {
+    for (DelaySample s : epochs[e]) {
+      s.timestamp = static_cast<double>(e);
+      stream.ingest(s);
+    }
+    const Epoch epoch = stream.commit_epoch();
+    const auto want = in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    const auto got = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    EXPECT_EQ(got.edges_recomputed, want.edges_recomputed) << "epoch " << e;
+    ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
+        << tag << " epoch " << e;
+  }
+}
+
+constexpr float kLost = DelayMatrix::kMissing;
+
+TEST(DirtyRowRepair, DirtyHostsInOneBandAndAdjacentBands) {
+  // 4 bands of 16. Epoch 0 dirties {17, 20, 30}, all in band 1: every
+  // dirty-dirty edge lands on diagonal sink tile (1, 1). Epoch 1 spreads
+  // {18, 30, 33, 40} over adjacent bands 1 and 2: dirty-dirty edges on the
+  // off-diagonal tile (1, 2) and on the diagonal tile (2, 2), where (33, 40)
+  // is recomputed though not itself re-measured. Epoch 2 loses two of them.
+  set_parallel_thread_count(2);
+  expect_epochs_match(random_matrix(64, 0.2, 81), 16,
+                      {{{17, 20, 31.0f}, {20, 30, 7.0f}, {17, 30, 250.0f}},
+                       {{18, 33, 12.0f}, {30, 40, 390.0f}, {18, 40, 3.0f}},
+                       {{30, 40, kLost}, {17, 20, kLost}, {33, 41, 2.0f}}},
+                      "oneband");
+  set_parallel_thread_count(0);
+}
+
+TEST(DirtyRowRepair, DirtyHostInRaggedLastBand) {
+  // 133 = 8*16 + 5 = 2*48 + 37: hosts 130 and 132 sit in the ragged last
+  // band of both grids, and (130, 132) is a dirty-dirty edge on its
+  // diagonal tile.
+  for (const std::uint32_t tile : {16u, 48u}) {
+    expect_epochs_match(
+        random_matrix(133, 0.3, 82), tile,
+        {{{130, 5, 44.0f}, {132, 130, 9.0f}, {132, 64, 301.0f}},
+         {{132, 130, kLost}, {131, 0, 17.0f}}},
+        "ragged_t" + std::to_string(tile));
+  }
+}
+
+TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
+  // Hosts 1 and 5 (band 0) are measured only to each other, at 100 ms, and
+  // to witnesses 33..35 (band 2), at 10 ms each, so (1, 5) violates through
+  // all three and has a nonzero severity. When (1, 5) goes missing, the
+  // epoch's only measured dirty edges are (1|5, w) in sink tile (0, 2); the
+  // stale (1, 5) value must still be reset to 0 in diagonal tile (0, 0) —
+  // both of its cells — so exactly those two tiles commit.
+  const HostId n = 48;
+  DelayMatrix m = random_matrix(n, 0.1, 83);
+  for (const HostId h : {1u, 5u}) {
+    for (HostId x = 0; x < n; ++x) {
+      if (x != h) m.set_missing(h, x);
+    }
+    for (const HostId w : {33u, 34u, 35u}) m.set(h, w, 10.0f);
+  }
+  m.set(1, 5, 100.0f);
+
+  DelayStream stream(m);
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamEngine engine(stream.matrix(), repair_config("lost", 16));
+  ASSERT_GT(engine.severity(1, 5), 0.0f);
+  ASSERT_GT(engine.severity(5, 1), 0.0f);
+
+  stream.ingest({1, 5, kLost, 1.0});
+  const Epoch epoch = stream.commit_epoch();
+  ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{1, 5}));
+  in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+  const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+  EXPECT_EQ(stats.severity_tiles_committed, 2u);
+  EXPECT_EQ(engine.severity(1, 5), 0.0f);
+  EXPECT_EQ(engine.severity(5, 1), 0.0f);
+  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+}
+
+/// Randomized epoch `e` of `updates` samples over n hosts (value updates
+/// and measured<->missing toggles), timestamped e.
+std::vector<DelaySample> random_epoch(Rng& rng, HostId n, std::size_t updates,
+                                      int e) {
+  std::vector<DelaySample> batch;
+  for (std::size_t u = 0; u < updates; ++u) {
+    const auto a = static_cast<HostId>(rng.uniform_index(n));
+    const auto b = static_cast<HostId>(rng.uniform_index(n));
+    if (a == b) continue;
+    const float value = rng.bernoulli(0.2)
+                            ? kLost
+                            : static_cast<float>(rng.uniform(1.0, 400.0));
+    batch.push_back({a, b, value, double(e)});
+  }
+  return batch;
+}
+
+TEST(DirtyRowRepair, HostGroupsMatchOnePass) {
+  // An 8-tile input budget holds the pinned and result rows of only
+  // repair_group_hosts() = 10 hosts, so ~30 dirty hosts per epoch run in
+  // several ascending groups. The sink must come out byte-identical to a
+  // one-group engine's, with the same edge and commit counts.
+  set_parallel_thread_count(2);
+  const HostId n = 96;
+  const std::uint32_t tile = 16;
+  const std::size_t small_budget = 8 * shard::tile_size_bytes(tile);
+  const std::size_t group = core::repair_group_hosts(n, tile, small_budget);
+  ASSERT_EQ(group, 10u);
+
+  DelayStream stream(random_matrix(n, 0.2, 84));
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamEngine one(stream.matrix(), repair_config("group_one", tile));
+  ShardStreamConfig cfg = repair_config("group_many", tile);
+  cfg.input_budget_bytes = small_budget;
+  ShardStreamEngine many(stream.matrix(), cfg);
+
+  Rng rng(85);
+  for (int e = 0; e < 4; ++e) {
+    stream.ingest(random_epoch(rng, n, 16, e));
+    const Epoch epoch = stream.commit_epoch();
+    ASSERT_GT(epoch.dirty_hosts.size(), 2 * group) << "epoch " << e;
+    in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    const auto a = one.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    const auto b = many.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    EXPECT_EQ(a.edges_recomputed, b.edges_recomputed) << "epoch " << e;
+    EXPECT_EQ(a.severity_tiles_committed, b.severity_tiles_committed)
+        << "epoch " << e;
+    EXPECT_EQ(file_bytes(one.sink_path()), file_bytes(many.sink_path()))
+        << "epoch " << e;
+    ASSERT_TRUE(engine_matches(many, in_memory.severities())) << "epoch " << e;
+  }
+  set_parallel_thread_count(0);
+}
+
+TEST(DirtyRowRepair, PoolWidthDoesNotChangeSinkBytes) {
+  // 1, 2 and 4 pool threads: identical sink files and identical
+  // (deterministic) work counts, input-tile loads included.
+  const HostId n = 80;
+  std::vector<std::string> sinks;
+  std::vector<std::vector<std::size_t>> counts;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    set_parallel_thread_count(threads);
+    DelayStream stream(random_matrix(n, 0.25, 86));
+    ShardStreamEngine engine(stream.matrix(),
+                             repair_config("width" + std::to_string(threads),
+                                           16));
+    Rng rng(87);
+    std::vector<std::size_t> c;
+    for (int e = 0; e < 4; ++e) {
+      stream.ingest(random_epoch(rng, n, 6, e));
+      const auto stats = engine.apply_epoch(stream);
+      c.insert(c.end(), {stats.edges_recomputed,
+                         stats.severity_tiles_committed,
+                         stats.input_tile_loads});
+    }
+    sinks.push_back(file_bytes(engine.sink_path()));
+    counts.push_back(c);
+  }
+  set_parallel_thread_count(0);
+  EXPECT_EQ(sinks[0], sinks[1]);
+  EXPECT_EQ(sinks[0], sinks[2]);
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0], counts[2]);
+}
+
+TEST(DirtyRowRepair, InputLoadsAreOnePerTilePlusPinnedBands) {
+  // 5 bands of 16; dirty hosts {3, 40, 41} sit in bands 0 and 2, so the
+  // pass loads 2 * 5 tiles to pin their rows, then each of the 25 tiles
+  // once.
+  DelayStream stream(random_matrix(70, 0.1, 88));
+  ShardStreamEngine engine(stream.matrix(), repair_config("loads", 16));
+  stream.ingest(std::vector<DelaySample>{{3, 40, 5.0f, 0.0}, {40, 41, 6.0f, 0.0}});
+  EXPECT_EQ(engine.apply_epoch(stream).input_tile_loads, 5u * (5u + 2u));
+}
+
+TEST(DirtyRowRepair, InputCorruptionMidWalkHealsAndConverges) {
+  // Rot input tile (2, 3) on disk, then reopen cold: the repair pass of an
+  // epoch dirtying bands 0 and 4 only meets the tile in its column walk
+  // (band 2), on a pool worker. The engine must repack it from the live
+  // matrix, retry the pass, and stay bit-identical over later epochs.
+  set_parallel_thread_count(2);
+  DelayStream stream(random_matrix(70, 0.2, 89));
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamConfig cfg = repair_config("midwalk", 16);
+  cfg.keep_files = true;
+  { ShardStreamEngine build(stream.matrix(), cfg); }
+  corrupt_byte_at(cfg.input_path,
+                  static_cast<long>(
+                      shard::TileStore::open(cfg.input_path).tile_offset(2, 3) +
+                      64));
+  {
+    ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+    Rng rng(90);
+    for (int e = 0; e < 3; ++e) {
+      if (e == 0) {
+        stream.ingest(
+            std::vector<DelaySample>{{2, 66, 13.0f, 0.0}, {9, 69, kLost, 0.0}});
+      } else {
+        stream.ingest(random_epoch(rng, 70, 10, e));
+      }
+      const Epoch epoch = stream.commit_epoch();
+      in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
+          << "epoch " << e;
+    }
+    EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 1u);
+  }
+  std::filesystem::remove(cfg.input_path);
+  std::filesystem::remove(cfg.sink_path);
+  set_parallel_thread_count(0);
+}
+
+TEST(DirtyRowRepair, MalformedDirtyHostListsAreRejectedUntouched) {
+  const HostId n = 40;
+  const DelayMatrix m = random_matrix(n, 0.2, 91);
+  ShardStreamEngine engine(m, repair_config("badlist", 16));
+  IncrementalSeverity in_memory(m);
+  const std::string manifest = EpochManifest::path_for(engine.sink_path());
+  const std::string input_before = file_bytes(engine.input_path());
+  const std::string sink_before = file_bytes(engine.sink_path());
+  const SeverityMatrix sev_before = in_memory.severities();
+
+  const std::vector<std::vector<HostId>> bad = {
+      {5, 3}, {3, 3}, {n}, {1, n + 7}, {2, 9, 9, 30}};
+  for (const auto& hosts : bad) {
+    EXPECT_THROW(engine.apply_epoch(m, hosts), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(manifest));
+    EXPECT_EQ(file_bytes(engine.input_path()), input_before);
+    EXPECT_EQ(file_bytes(engine.sink_path()), sink_before);
+    EXPECT_EQ(engine.epochs_applied(), 0u);
+
+    EXPECT_THROW(in_memory.apply_epoch(m, hosts), std::invalid_argument);
+    for (HostId a = 0; a < n; ++a) {
+      for (HostId b = 0; b < n; ++b) {
+        ASSERT_EQ(in_memory.severities().at(a, b), sev_before.at(a, b));
+      }
+    }
+  }
+
+  // The core pass validates on its own, too.
+  const auto store = shard::TileStore::open(engine.input_path());
+  shard::TileCache cache(store, std::size_t{1} << 20);
+  auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
+  EXPECT_THROW(core::repair_severities_to_sink(store, cache, sink,
+                                               std::vector<HostId>{4, 2}),
+               std::invalid_argument);
+  EXPECT_EQ(file_bytes(engine.sink_path()), sink_before);
 }
 
 }  // namespace
