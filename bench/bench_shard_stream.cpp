@@ -336,7 +336,9 @@ int main(int argc, char** argv) {
     // same run, so repair_vs_kernel does not depend on the runner's speed.
     // Both run witness_ratio_accumulate over warm tiles; if the repair's
     // call site compiles to a scalar loop (one vdivsd per witness) the
-    // ratio drops from ~0.9 to ~0.3. Fixed at n=512, tile 64 — the quick
+    // ratio drops from ~0.9 to ~0.3. On an AVX-512 build the kernel's
+    // full rows run the faster AVX-512 body and the repair's 64-wide calls
+    // the portable one, so the healthy ratio there is ~0.55-0.75. Fixed at n=512, tile 64 — the quick
     // run's 16-wide tiles would measure per-tile overhead, not codegen.
     {
       constexpr HostId kGuardHosts = 512;

@@ -22,10 +22,12 @@ namespace {
 //   - missing leg:  detour >= kMaskedDelay, never < d_ac
 //   - b == a:       detour == 0 + d_ac    , never < d_ac (strictly)
 //   - b == c:       detour == d_ac + 0    , never < d_ac
-// so the loop body is pure arithmetic + compares, which the compiler
-// auto-vectorizes. The loop bodies live in core/witness_kernels.hpp, shared
-// with the out-of-core streaming driver (shard_severity.cpp), which feeds
-// the same accumulator lanes in tile-sized chunks for bit-identical sums.
+// so the loop body is pure arithmetic + compares: it auto-vectorizes, and
+// the ratio scan has an explicit AVX-512VL body that divides only blocks
+// holding a violator. The loop bodies live in core/witness_kernels.hpp,
+// shared with the out-of-core streaming driver (shard_severity.cpp), which
+// feeds the same accumulator lanes in tile-sized chunks for bit-identical
+// sums.
 // ---------------------------------------------------------------------------
 
 static_assert(DelayMatrixView::kLaneFloats % kWitnessLanes == 0);

@@ -5,10 +5,13 @@
 // The contract under test: all_severities (tiled, branch-free, dynamically
 // scheduled) must match the scalar edge_stats reference to within 1e-6
 // relative on dense and sparse matrices, including the implicit b == a /
-// b == c witness exclusions and exact-equality (non-)violations.
+// b == c witness exclusions and exact-equality (non-)violations. The
+// WitnessKernel tests pin the compiled witness_ratio_accumulate body to
+// witness_ratio_accumulate_portable bit for bit, on every accumulator lane.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -17,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include "core/severity.hpp"
+#include "core/witness_kernels.hpp"
+#include "delayspace/datasets.hpp"
 #include "delayspace/delay_matrix.hpp"
+#include "delayspace/generate.hpp"
 #include "matrix_test_utils.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -140,6 +146,161 @@ TEST(SeverityKernel, SampledSeveritiesAreDistinct) {
     EXPECT_LT(edge.first, edge.second);
     EXPECT_TRUE(unique.insert(edge).second)
         << "duplicate edge (" << edge.first << ", " << edge.second << ")";
+  }
+}
+
+// --- witness_ratio_accumulate: compiled body vs portable body -------------
+
+constexpr float kMasked = DelayMatrixView::kMaskedDelay;
+
+/// Runs both bodies from the same starting lanes and requires all 8 lane
+/// doubles to be memcmp-equal; returns the compiled body's lanes.
+std::vector<double> expect_bodies_identical(const float* ra, const float* rc,
+                                            std::size_t len, float dac,
+                                            const double* start) {
+  std::vector<double> got(start, start + kWitnessLanes);
+  std::vector<double> want(start, start + kWitnessLanes);
+  witness_ratio_accumulate(ra, rc, len, dac, got.data());
+  witness_ratio_accumulate_portable(ra, rc, len, dac, want.data());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        kWitnessLanes * sizeof(double)),
+            0)
+      << "len " << len << ", dac " << dac << " (" << kWitnessKernelIsa
+      << " body)";
+  return got;
+}
+
+/// Every measured pair (a, c) of m, scanned over the full padded stride.
+void expect_bodies_identical_on_matrix(const DelayMatrix& m) {
+  const DelayMatrixView v(m);
+  const double zero[kWitnessLanes] = {};
+  for (HostId a = 0; a < v.size(); ++a) {
+    for (HostId c = a + 1; c < v.size(); ++c) {
+      const float dac = v.row(a)[c];
+      if (dac >= kMasked) continue;
+      expect_bodies_identical(v.row(a), v.row(c), v.stride(), dac, zero);
+    }
+  }
+}
+
+/// Packed-view-like random row pair of len floats: uniform RTTs in
+/// [1, 400) ms with a `missing` share of kMaskedDelay entries.
+void random_rows(std::size_t len, double missing, std::uint64_t seed,
+                 std::vector<float>& ra, std::vector<float>& rc) {
+  Rng rng(seed);
+  ra.resize(len);
+  rc.resize(len);
+  for (std::size_t b = 0; b < len; ++b) {
+    ra[b] = rng.bernoulli(missing)
+                ? kMasked
+                : static_cast<float>(rng.uniform(1.0, 400.0));
+    rc[b] = rng.bernoulli(missing)
+                ? kMasked
+                : static_cast<float>(rng.uniform(1.0, 400.0));
+  }
+}
+
+TEST(WitnessKernel, MatchesPortableOnDenseRows) {
+  expect_bodies_identical_on_matrix(random_matrix(133, 0.0, 31));
+}
+
+TEST(WitnessKernel, MatchesPortableOnThirtyPercentMissingRows) {
+  expect_bodies_identical_on_matrix(random_matrix(133, 0.3, 32));
+}
+
+TEST(WitnessKernel, MatchesPortableOnRaggedRows) {
+  // n = 257: the padded stride ends in a partial compaction chunk and a
+  // row of mostly kMaskedDelay padding.
+  expect_bodies_identical_on_matrix(random_matrix(257, 0.1, 33));
+}
+
+TEST(WitnessKernel, MatchesPortableOnDs2Rows) {
+  // The DS^2 preset: few violators, mostly empty 8-witness blocks.
+  const auto space = delayspace::generate_delay_space(
+      delayspace::dataset_params(delayspace::DatasetId::kDs2, 257));
+  expect_bodies_identical_on_matrix(space.measured);
+}
+
+TEST(WitnessKernel, MatchesPortableAcrossChunkTails) {
+  // One block, whole chunks of 16 blocks, and chunks with a partial tail.
+  std::vector<float> ra;
+  std::vector<float> rc;
+  const double zero[kWitnessLanes] = {};
+  for (const std::size_t len : {8u, 64u, 120u, 128u, 136u, 1040u}) {
+    random_rows(len, 0.1, 40 + len, ra, rc);
+    for (const float dac : {50.0f, 200.0f, 400.0f, 800.0f}) {
+      expect_bodies_identical(ra.data(), rc.data(), len, dac, zero);
+    }
+  }
+}
+
+TEST(WitnessKernel, AscendingChunkedCallsFromNonzeroLanes) {
+  // Feeding a row in ascending chunks (as the out-of-core tile loops do)
+  // from nonzero starting lanes matches the portable body after every
+  // chunk, and the chunked sum equals one monolithic call bit for bit.
+  std::vector<float> ra;
+  std::vector<float> rc;
+  random_rows(1040, 0.2, 51, ra, rc);
+  const float dac = 300.0f;
+  const double start[kWitnessLanes] = {0.5, 1.25, 3.0,  0.0,
+                                       7.5, 2.0,  0.75, 11.0};
+  std::vector<double> lanes(start, start + kWitnessLanes);
+  std::size_t b = 0;
+  for (const std::size_t chunk : {24u, 136u, 8u, 128u, 256u, 488u}) {
+    lanes = expect_bodies_identical(ra.data() + b, rc.data() + b, chunk, dac,
+                                    lanes.data());
+    b += chunk;
+  }
+  ASSERT_EQ(b, ra.size());
+  std::vector<double> whole(start, start + kWitnessLanes);
+  witness_ratio_accumulate_portable(ra.data(), rc.data(), ra.size(), dac,
+                                    whole.data());
+  EXPECT_EQ(std::memcmp(lanes.data(), whole.data(),
+                        kWitnessLanes * sizeof(double)),
+            0);
+}
+
+TEST(WitnessKernel, AdversarialWitnesses) {
+  constexpr std::size_t kLen = 136;
+  const double zero[kWitnessLanes] = {};
+  std::vector<float> ra(kLen);
+  std::vector<float> rc(kLen);
+  // Detours exactly equal to dac, zero detours (the diagonal: both legs 0),
+  // and both legs masked, interleaved with genuine violators.
+  const float dac = 100.0f;
+  for (std::size_t b = 0; b < kLen; ++b) {
+    switch (b % 4) {
+      case 0: ra[b] = 40.0f; rc[b] = 60.0f; break;      // detour == dac
+      case 1: ra[b] = 0.0f; rc[b] = 0.0f; break;        // detour == 0
+      case 2: ra[b] = kMasked; rc[b] = kMasked; break;  // both missing
+      default: ra[b] = 10.0f + b; rc[b] = 3.0f; break;  // violates
+    }
+  }
+  const auto mixed =
+      expect_bodies_identical(ra.data(), rc.data(), kLen, dac, zero);
+  // Only the b % 4 == 3 witnesses count: lanes 3 and 7.
+  for (std::size_t l = 0; l < kWitnessLanes; ++l) {
+    EXPECT_EQ(mixed[l] > 0.0, l % 4 == 3) << "lane " << l;
+  }
+
+  // Every witness violates; none does.
+  std::fill(ra.begin(), ra.end(), 1.0f);
+  std::fill(rc.begin(), rc.end(), 2.0f);
+  const auto all =
+      expect_bodies_identical(ra.data(), rc.data(), kLen, dac, zero);
+  for (const double lane : all) EXPECT_GT(lane, 0.0);
+  const auto none =
+      expect_bodies_identical(ra.data(), rc.data(), kLen, 3.0f, zero);
+  for (const double lane : none) EXPECT_EQ(lane, 0.0);
+
+  // Tiny and huge dac: subnormal-scale detours and near-sentinel ones.
+  random_rows(kLen, 0.2, 61, ra, rc);
+  for (std::size_t b = 0; b < kLen; b += 3) {
+    ra[b] = 1e-38f;
+    rc[b] = 2e-38f;
+  }
+  for (const float d : {1e-37f, 1e-30f, 1e20f, 1e29f}) {
+    expect_bodies_identical(ra.data(), rc.data(), kLen, d, zero);
   }
 }
 
