@@ -24,7 +24,8 @@ namespace {
 //   - b == c:       detour == d_ac + 0    , never < d_ac
 // so the loop body is pure arithmetic + compares: it auto-vectorizes, and
 // the ratio scan has an explicit AVX-512VL body that divides only blocks
-// holding a violator. The loop bodies live in core/witness_kernels.hpp,
+// holding a violator (edge_severity_batch, which streams its witness rows,
+// keeps the portable body). The loop bodies live in core/witness_kernels.hpp,
 // shared with the out-of-core streaming driver (shard_severity.cpp), which
 // feeds the same accumulator lanes in tile-sized chunks for bit-identical
 // sums.
@@ -240,7 +241,16 @@ std::vector<double> TivAnalyzer::edge_severity_batch(
             out[e] = 0.0;
             continue;
           }
-          out[e] = pair_ratio_sum(v.row(a), v.row(c), stride, d_ac) / nd;
+          // The portable body on purpose. Unlike an all_severities tile,
+          // whose rows stay in L1/L2, each edge here streams a whole witness
+          // row from L3 or DRAM. The masked body scans fast enough to make
+          // that memory-bound, so its time follows the memory traffic of
+          // other processes; the portable body stays divide-bound and
+          // steady (docs/PERFORMANCE.md §3). The lanes are bit-identical.
+          double acc[kWitnessLanes] = {};
+          witness_ratio_accumulate_portable(v.row(a), v.row(c), stride, d_ac,
+                                            acc);
+          out[e] = witness_ratio_reduce(acc) / nd;
         }
       });
   return out;

@@ -46,7 +46,10 @@ inline constexpr std::size_t kWitnessLanes = 8;
 ///
 /// This portable body divides once per witness, violating or not. Builds
 /// without AVX-512VL run it as witness_ratio_accumulate; every build keeps
-/// it as the oracle the compiled body is tested and benchmarked against.
+/// it as the oracle the compiled body is tested and benchmarked against,
+/// and TivAnalyzer::edge_severity_batch calls it directly: that batch
+/// streams its witness rows from beyond L2, where the masked body's time
+/// follows other processes' memory traffic.
 ///
 /// The lanes are copied into a function-local array for the scan and
 /// stored back once, for the reason witness_violation_minmax documents:

@@ -48,9 +48,10 @@ IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
   }
   stats.edges_recomputed = edges.size();
 
-  // edge_severity_batch with an explicit view runs witness_ratio_accumulate
-  // over the full padded stride and witness_ratio_reduce — the identical
-  // float sequence the all_severities kernel produces for that edge — and
+  // edge_severity_batch with an explicit view runs the portable ratio body
+  // over the full padded stride and witness_ratio_reduce — lanes
+  // bit-identical to those the all_severities kernel produces for that
+  // edge — and
   // SeverityMatrix::set stores the same float cast, so each repaired cell
   // is bit-identical to a full rebuild's.
   const TivAnalyzer analyzer(matrix);

@@ -16,8 +16,8 @@
 // O(dirty * n) and leaves the view byte-identical to a from-scratch build
 // over the mutated matrix. Those edges are then recomputed through
 // TivAnalyzer::edge_severity_batch against the repaired view. That path
-// runs the same witness_ratio_accumulate / witness_ratio_reduce lanes over
-// the same packed rows as the from-scratch all_severities kernel, so the
+// runs bit-identical witness-ratio lanes and the same witness_ratio_reduce
+// over the same packed rows as the from-scratch all_severities kernel, so the
 // maintained matrix is *bit-identical* to a full rebuild after every epoch —
 // asserted by tests/test_stream_engine.cpp over randomized update sequences.
 #pragma once
