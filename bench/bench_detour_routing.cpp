@@ -17,6 +17,7 @@
 #include "core/detour.hpp"
 #include "core/edge_sampling.hpp"
 #include "embedding/vivaldi.hpp"
+#include "reference/oracles.hpp"
 #include "util/flags.hpp"
 
 int main(int argc, char** argv) {
@@ -141,7 +142,8 @@ int main(int argc, char** argv) {
     const double scalar_ms = best_ms(3, [&] {
       sum_scalar = 0.0;
       for (const auto& [a, b] : sample.pairs) {
-        sum_scalar += router.oracle_one_hop_scalar(a, b);
+        sum_scalar +=
+            tiv::reference::oracle_one_hop_scalar(space.measured, a, b);
       }
     });
     double sum_masked = 0.0;

@@ -9,7 +9,6 @@
 #include "core/dynamic_neighbor.hpp"
 #include "core/severity.hpp"
 #include "util/flags.hpp"
-#include "util/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace tiv;
@@ -37,12 +36,7 @@ int main(int argc, char** argv) {
   core::DynamicNeighborVivaldi dyn(space.measured, vp, dp);
 
   auto severity_cdf = [&]() {
-    const auto edges = dyn.neighbor_edges();
-    std::vector<double> sev(edges.size());
-    parallel_for(edges.size(), [&](std::size_t e) {
-      sev[e] = analyzer.edge_severity(edges[e].first, edges[e].second);
-    });
-    return Cdf(std::move(sev));
+    return Cdf(analyzer.edge_severity_batch(dyn.neighbor_edges()));
   };
 
   std::vector<std::string> names;

@@ -31,6 +31,7 @@
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
+#include "reference/oracles.hpp"
 #include "routing/graph_engine.hpp"
 #include "routing/policy_routing.hpp"
 #include "routing/shortest_path.hpp"
@@ -112,10 +113,10 @@ int main(int argc, char** argv) {
       std::vector<Route> ref_policy(static_cast<std::size_t>(n) * n);
       std::vector<PathInfo> ref_sssp(static_cast<std::size_t>(n) * n);
       for (AsId v = 0; v < n; ++v) {
-        const auto routes = tiv::routing::policy_routes_to(graph, v);
+        const auto routes = tiv::reference::policy_routes_to(graph, v);
         std::copy(routes.begin(), routes.end(),
                   ref_policy.begin() + static_cast<std::size_t>(v) * n);
-        const auto paths = tiv::routing::shortest_paths_from(graph, v);
+        const auto paths = tiv::reference::shortest_paths_from(graph, v);
         std::copy(paths.begin(), paths.end(),
                   ref_sssp.begin() + static_cast<std::size_t>(v) * n);
       }
@@ -125,12 +126,12 @@ int main(int argc, char** argv) {
       std::vector<std::vector<PathInfo>> sssp_rows(n);
       const double scalar_policy_ms = best_ms(reps, [&] {
         for (AsId v = 0; v < n; ++v) {
-          policy_rows[v] = tiv::routing::policy_routes_to(graph, v);
+          policy_rows[v] = tiv::reference::policy_routes_to(graph, v);
         }
       });
       const double scalar_sssp_ms = best_ms(reps, [&] {
         for (AsId v = 0; v < n; ++v) {
-          sssp_rows[v] = tiv::routing::shortest_paths_from(graph, v);
+          sssp_rows[v] = tiv::reference::shortest_paths_from(graph, v);
         }
       });
       const double checksum =

@@ -22,7 +22,6 @@
 #include "embedding/trackers.hpp"
 #include "embedding/vivaldi.hpp"
 #include "util/flags.hpp"
-#include "util/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace tiv;
@@ -79,13 +78,13 @@ int main(int argc, char** argv) {
       double mean_ratio;
       std::size_t violations;
     };
-    std::vector<EdgeInfo> infos(sampled.size());
-    parallel_for(sampled.size(), [&](std::size_t i) {
-      const auto stats =
-          analyzer.edge_stats(sampled[i].first.first, sampled[i].first.second);
-      infos[i] = {stats.violating_fraction(), stats.mean_ratio,
-                  stats.violation_count};
-    });
+    std::vector<std::pair<delayspace::HostId, delayspace::HostId>> edges;
+    for (const auto& [edge, sev] : sampled) edges.push_back(edge);
+    std::vector<EdgeInfo> infos;
+    for (const auto& stats : analyzer.edge_stats_batch(edges)) {
+      infos.push_back({stats.violating_fraction(), stats.mean_ratio,
+                       stats.violation_count});
+    }
     // Top 10% by violating fraction whose mean ratio is in the bottom 10%.
     std::vector<double> fracs;
     std::vector<double> ratios;

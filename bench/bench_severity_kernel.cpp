@@ -70,6 +70,7 @@
 #include "core/witness_kernels.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "delayspace/generate.hpp"
+#include "reference/oracles.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -250,8 +251,8 @@ int main(int argc, char** argv) {
     // per-core cost, the denominator of every speedup below.
     tiv::set_parallel_thread_count(1);
     SeverityMatrix ref;
-    const Timing scalar =
-        repeat_ms(reps, [&] { ref = analyzer.all_severities_reference(); });
+    const Timing scalar = repeat_ms(
+        reps, [&] { ref = tiv::reference::all_severities_reference(m); });
 
     // Algorithmic roofline: every pair (i,j) relaxes through every
     // witness k, two float loads per relaxation.

@@ -83,6 +83,7 @@ using tiv::Rng;
 using tiv::core::SeverityMatrix;
 using tiv::core::TivAnalyzer;
 using tiv::delayspace::DelayMatrix;
+using tiv::delayspace::DelayMatrixView;
 using tiv::delayspace::HostId;
 using tiv::stream::DelaySample;
 using tiv::stream::DelayStream;
@@ -332,14 +333,15 @@ int main(int argc, char** argv) {
     }
     // Codegen guard for the out-of-core repair kernel: one repair of 5% of
     // hosts on a violation-dense matrix against the in-memory
-    // all_severities of the same matrix, both single-threaded and in the
-    // same run, so repair_vs_kernel does not depend on the runner's speed.
-    // Both run witness_ratio_accumulate over warm tiles; if the repair's
-    // call site compiles to a scalar loop (one vdivsd per witness) the
-    // ratio drops from ~0.9 to ~0.3. On an AVX-512 build the kernel's
-    // full rows run the faster AVX-512 body and the repair's 64-wide calls
-    // the portable one, so the healthy ratio there is ~0.55-0.75. Fixed at n=512, tile 64 — the quick
-    // run's 16-wide tiles would measure per-tile overhead, not codegen.
+    // edge_severity_batch over every upper-triangle pair of the same
+    // matrix (prebuilt view), both single-threaded and in the same run, so
+    // repair_vs_kernel does not depend on the runner's speed. Both run the
+    // portable witness body on every ISA — the repair's 64-wide calls and
+    // edge_severity_batch by design — so if the repair's call site
+    // compiles to a scalar loop (one vdivsd per witness) the ratio drops
+    // from ~0.9 to ~0.3 whatever the build targets. Fixed at n=512, tile
+    // 64 — the quick run's 16-wide tiles would measure per-tile overhead,
+    // not codegen.
     {
       constexpr HostId kGuardHosts = 512;
       constexpr std::uint32_t kGuardTile = 64;
@@ -368,9 +370,14 @@ int main(int argc, char** argv) {
                                                       dirty);
       });
       const TivAnalyzer analyzer(m);
-      SeverityMatrix full;
-      const double kernel_ms =
-          tiv::bench::best_ms(2, [&] { full = analyzer.all_severities(); });
+      const DelayMatrixView view(m);
+      std::vector<std::pair<HostId, HostId>> pairs;
+      for (HostId a = 0; a < kGuardHosts; ++a) {
+        for (HostId c = a + 1; c < kGuardHosts; ++c) pairs.emplace_back(a, c);
+      }
+      std::vector<double> sevs;
+      const double kernel_ms = tiv::bench::best_ms(
+          2, [&] { sevs = analyzer.edge_severity_batch(pairs, &view); });
       std::filesystem::remove(in_path);
       std::filesystem::remove(out_path);
       tiv::set_parallel_thread_count(0);

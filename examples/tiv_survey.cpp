@@ -103,10 +103,14 @@ int main(int argc, char** argv) {
   auto sorted = samples;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
+  sorted.resize(std::min(worst, sorted.size()));
+  std::vector<std::pair<delayspace::HostId, delayspace::HostId>> worst_edges;
+  for (const auto& [edge, s] : sorted) worst_edges.push_back(edge);
+  const auto worst_stats = analyzer.edge_stats_batch(worst_edges);
   Table wt({"edge", "delay (ms)", "severity", "#TIVs", "max ratio"});
-  for (std::size_t i = 0; i < std::min(worst, sorted.size()); ++i) {
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
     const auto [edge, s] = sorted[i];
-    const auto stats = analyzer.edge_stats(edge.first, edge.second);
+    const auto& stats = worst_stats[i];
     wt.add_row({std::to_string(edge.first) + "-" + std::to_string(edge.second),
                 format_double(matrix.at(edge.first, edge.second), 1),
                 format_double(s, 3), std::to_string(stats.violation_count),

@@ -43,22 +43,6 @@ double DetourRouter::oracle_one_hop(HostId a, HostId b) const {
   return std::min(direct, relay);
 }
 
-double DetourRouter::oracle_one_hop_scalar(HostId a, HostId b) const {
-  const auto& m = system_.matrix();
-  double best = m.has(a, b) ? m.at(a, b)
-                            : std::numeric_limits<double>::infinity();
-  const auto row_a = m.row(a);
-  const auto row_b = m.row(b);
-  for (HostId c = 0; c < m.size(); ++c) {
-    if (c == a || c == b) continue;
-    const float ac = row_a[c];
-    const float cb = row_b[c];
-    if (ac < 0.0f || cb < 0.0f) continue;
-    best = std::min(best, static_cast<double>(ac) + cb);
-  }
-  return best;
-}
-
 DetourDecision DetourRouter::route(HostId a, HostId b, Rng& rng) const {
   DetourDecision d;
   d.measured = system_.matrix().has(a, b);

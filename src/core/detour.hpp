@@ -77,14 +77,10 @@ class DetourRouter {
                        Rng& rng) const;
 
   /// Best possible one-hop relay path (oracle; no probe accounting).
-  /// Branch-free lane scan over the masked rows; exactly equal to
-  /// oracle_one_hop_scalar. Requires a != b.
+  /// Branch-free lane scan over the masked rows; exactly equal to the
+  /// seed's branchy scan, tiv::reference::oracle_one_hop_scalar. Requires
+  /// a != b.
   double oracle_one_hop(delayspace::HostId a, delayspace::HostId b) const;
-
-  /// The seed's branchy per-element scan, kept as the correctness reference
-  /// for tests and the baseline bench_detour_routing measures against.
-  double oracle_one_hop_scalar(delayspace::HostId a,
-                               delayspace::HostId b) const;
 
  private:
   const embedding::VivaldiSystem& system_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -15,60 +16,90 @@
 namespace tiv::core {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Blocked, branch-free witness scans over the padded rows of a
-// DelayMatrixView, in which missing entries are kMaskedDelay (huge) and the
-// diagonal is 0. That representation makes every exclusion implicit:
-//   - missing leg:  detour >= kMaskedDelay, never < d_ac
-//   - b == a:       detour == 0 + d_ac    , never < d_ac (strictly)
-//   - b == c:       detour == d_ac + 0    , never < d_ac
-// so the loop body is pure arithmetic + compares: it auto-vectorizes, and
-// the ratio scan has an explicit AVX-512VL body that divides only blocks
-// holding a violator (edge_severity_batch, which streams its witness rows,
-// keeps the portable body). The loop bodies live in core/witness_kernels.hpp,
-// shared with the out-of-core streaming driver (shard_severity.cpp), which
-// feeds the same accumulator lanes in tile-sized chunks for bit-identical
-// sums.
-// ---------------------------------------------------------------------------
+// Every scan here runs the branch-free witness loops of
+// core/witness_kernels.hpp over padded rows in the DelayMatrixView encoding
+// (missing entries kMaskedDelay, diagonal 0), which makes every exclusion
+// implicit: a missing leg sums past d_ac, and b == a or b == c gives
+// detour == d_ac, never strictly less. The out-of-core band-pair walk
+// (shard_severity.cpp) feeds the same lanes in tile-sized chunks, so its
+// sums are bit-identical.
 
 static_assert(DelayMatrixView::kLaneFloats % kWitnessLanes == 0);
-
-/// Sum over witnesses b of d_ac / (d_ab + d_bc) for violating b
-/// (detour < d_ac, detour > 0) — the unnormalized severity of edge (a, c).
-double pair_ratio_sum(const float* ra, const float* rc, std::size_t stride,
-                      float dac) {
-  double acc[kWitnessLanes] = {};
-  witness_ratio_accumulate(ra, rc, stride, dac, acc);
-  return witness_ratio_reduce(acc);
-}
 
 // Dynamic-scheduling grain for the batched per-edge engine: per-edge cost
 // is one O(stride) row scan, so a handful of edges per claimed chunk keeps
 // dispatch overhead negligible without starving the balancer.
 constexpr std::size_t kEdgeBatchGrain = 8;
 
-/// View selection for a batched per-edge call: a caller-provided view is
-/// already paid for; otherwise the O(N^2) local build only happens when
-/// enough scans amortize it (edges * 4 >= N, the guard sampled_severities
-/// has always used). get() == nullptr means "run the scalar path".
-class BatchView {
- public:
-  BatchView(const DelayMatrix& matrix, const DelayMatrixView* prebuilt,
-            std::size_t batch_size) {
-    if (prebuilt != nullptr) {
-      view_ = prebuilt;
-    } else if (batch_size * 4 >= matrix.size()) {
-      local_.emplace(matrix);
-      view_ = &*local_;
-    }
-  }
-
-  const DelayMatrixView* get() const { return view_; }
-
- private:
-  std::optional<DelayMatrixView> local_;
-  const DelayMatrixView* view_ = nullptr;
+/// One edge's two rows in the view encoding, with their measured-entry
+/// bitmasks: from a DelayMatrixView, or packed per edge by pack_edge.
+struct EdgeRows {
+  const float* a;
+  const float* c;
+  const std::uint64_t* mask_a;
+  const std::uint64_t* mask_c;
+  std::size_t stride;
+  std::size_t mask_words;
+  float d_ac;
 };
+
+/// Rows a and c of one edge packed into the thread's 64-byte-aligned
+/// scratch: O(N) per edge, for calls with no view and too few edges to
+/// amortize building one. pack_row rewrites the padding and zeroes the mask
+/// words on every pack, so nothing of an earlier, larger edge leaks in.
+EdgeRows pack_edge(const DelayMatrix& m, HostId a, HostId c) {
+  thread_local std::vector<float> floats;  // over-allocated for alignment
+  thread_local std::vector<std::uint64_t> masks;
+  const std::size_t stride = DelayMatrixView::stride_for(m.size());
+  const std::size_t words = DelayMatrixView::mask_words_for(m.size());
+  floats.resize(
+      std::max(floats.size(), 2 * stride + DelayMatrixView::kLaneFloats));
+  masks.resize(std::max(masks.size(), 2 * words));
+  void* base = floats.data();
+  std::size_t space = floats.size() * sizeof(float);
+  auto* ra = static_cast<float*>(
+      std::align(64, 2 * stride * sizeof(float), base, space));
+  float* rc = ra + stride;
+  std::uint64_t* ma = masks.data();
+  std::uint64_t* mc = ma + words;
+  DelayMatrixView::pack_row(m, a, ra, ma);
+  DelayMatrixView::pack_row(m, c, rc, mc);
+  return {ra, rc, ma, mc, stride, words, ra[c]};
+}
+
+/// The loop behind every per-edge call: out[e] = body(rows of edges[e])
+/// for each measured edge with a != c, and T{} for the rest, dynamically
+/// scheduled. A caller's view is already paid for; otherwise the O(N^2)
+/// local build only happens when enough scans amortize it (edges * 4 >= N,
+/// the guard sampled_severities has always used), and smaller batches run
+/// pack_edge. All three sources hold the same bytes, so no result depends
+/// on which one ran.
+template <typename T, typename Body>
+std::vector<T> map_edges(const DelayMatrix& matrix,
+                             std::span<const std::pair<HostId, HostId>> edges,
+                             const DelayMatrixView* view, Body body) {
+  std::vector<T> out(edges.size());
+  std::optional<DelayMatrixView> local;
+  if (view == nullptr && edges.size() * 4 >= matrix.size()) {
+    view = &local.emplace(matrix);
+  }
+  parallel_for_dynamic(
+      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t e = begin; e < end; ++e) {
+          const auto [a, c] = edges[e];
+          if (view != nullptr) {
+            const float d_ac = view->row(a)[c];
+            if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) continue;
+            out[e] = body(EdgeRows{view->row(a), view->row(c),
+                                   view->mask_row(a), view->mask_row(c),
+                                   view->stride(), view->mask_words(), d_ac});
+          } else if (matrix.has(a, c)) {
+            out[e] = body(pack_edge(matrix, a, c));
+          }
+        }
+      });
+  return out;
+}
 
 // Tile edge for the blocked (a, c) pair loop. 16 rows of each endpoint keep
 // the working set (2 * 16 padded rows) inside L2 even at n = 8192 while
@@ -104,175 +135,72 @@ std::vector<double> SeverityMatrix::values_for_measured_edges(
 }
 
 EdgeTivStats TivAnalyzer::edge_stats(HostId a, HostId c) const {
-  EdgeTivStats stats;
-  if (!matrix_.has(a, c)) return stats;
-  const float d_ac = matrix_.at(a, c);
-  const auto row_a = matrix_.row(a);
-  const auto row_c = matrix_.row(c);
-  const HostId n = matrix_.size();
-  double ratio_sum = 0.0;
-  for (HostId b = 0; b < n; ++b) {
-    if (b == a || b == c) continue;
-    const float d_ab = row_a[b];
-    const float d_bc = row_c[b];
-    if (d_ab < 0.0f || d_bc < 0.0f) continue;  // missing leg
-    ++stats.witness_count;
-    const float detour = d_ab + d_bc;
-    if (detour < d_ac && detour > 0.0f) {
-      const double ratio = static_cast<double>(d_ac) / detour;
-      ++stats.violation_count;
-      ratio_sum += ratio;
-      stats.max_ratio = std::max(stats.max_ratio, ratio);
-    }
-  }
-  // Normalization is by |S| (all nodes), per the paper's definition — not by
-  // the witness count — so edges in sparse neighborhoods are not inflated.
-  stats.severity = ratio_sum / static_cast<double>(n);
-  stats.mean_ratio = stats.violation_count == 0
-                         ? 0.0
-                         : ratio_sum / static_cast<double>(
-                                           stats.violation_count);
-  return stats;
+  const std::pair<HostId, HostId> edge{a, c};
+  return edge_stats_batch({&edge, 1})[0];
 }
 
 double TivAnalyzer::edge_severity(HostId a, HostId c) const {
-  return edge_stats(a, c).severity;
+  const std::pair<HostId, HostId> edge{a, c};
+  return edge_severity_batch({&edge, 1})[0];
 }
 
 std::vector<EdgeTivStats> TivAnalyzer::edge_stats_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<EdgeTivStats> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_stats(edges[e].first, edges[e].second);
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
   const auto nd = static_cast<double>(matrix_.size());
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          EdgeTivStats stats;
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = stats;  // unmeasured edge: all-zero, as in edge_stats
-            continue;
-          }
-          // Two vectorized passes over the same L2-resident rows: the ratio
-          // sum (bit-identical lanes to the all_severities kernel) and the
-          // count/min-detour scan, from which the max ratio follows by one
-          // division (see witness_violation_minmax).
-          double acc[kWitnessLanes] = {};
-          witness_ratio_accumulate(v.row(a), v.row(c), stride, d_ac, acc);
-          const WitnessViolationStats vs =
-              witness_violation_minmax(v.row(a), v.row(c), stride, d_ac);
-          const double ratio_sum = witness_ratio_reduce(acc);
-          stats.violation_count = vs.count;
-          stats.witness_count = v.witness_count(a, c);
-          stats.max_ratio =
-              vs.count == 0 ? 0.0
-                            : static_cast<double>(d_ac) /
-                                  static_cast<double>(vs.min_detour);
-          stats.severity = ratio_sum / nd;
-          stats.mean_ratio =
-              stats.violation_count == 0
-                  ? 0.0
-                  : ratio_sum / static_cast<double>(stats.violation_count);
-          out[e] = stats;
-        }
+  return map_edges<EdgeTivStats>(
+      matrix_, edges, view, [nd](const EdgeRows& r) {
+        // Two vectorized passes over the same L2-resident rows: the ratio
+        // sum (bit-identical lanes to the all_severities kernel) and the
+        // count/min-detour scan, from which the max ratio follows by one
+        // division (see witness_violation_minmax).
+        double acc[kWitnessLanes] = {};
+        witness_ratio_accumulate(r.a, r.c, r.stride, r.d_ac, acc);
+        const WitnessViolationStats vs =
+            witness_violation_minmax(r.a, r.c, r.stride, r.d_ac);
+        const double ratio_sum = witness_ratio_reduce(acc);
+        EdgeTivStats stats;
+        stats.violation_count = vs.count;
+        stats.witness_count = DelayMatrixView::measured_in_both(
+            r.mask_a, r.mask_c, r.mask_words);
+        stats.max_ratio = vs.count == 0
+                              ? 0.0
+                              : static_cast<double>(r.d_ac) /
+                                    static_cast<double>(vs.min_detour);
+        // Normalization is by |S| (all nodes), per the paper's definition —
+        // not by the witness count — so edges in sparse neighborhoods are
+        // not inflated.
+        stats.severity = ratio_sum / nd;
+        stats.mean_ratio =
+            vs.count == 0 ? 0.0 : ratio_sum / static_cast<double>(vs.count);
+        return stats;
       });
-  return out;
 }
 
 std::vector<std::size_t> TivAnalyzer::edge_violation_count_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<std::size_t> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_stats(edges[e].first, edges[e].second).violation_count;
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = 0;
-            continue;
-          }
-          out[e] =
-              witness_violation_minmax(v.row(a), v.row(c), stride, d_ac).count;
-        }
+  return map_edges<std::size_t>(
+      matrix_, edges, view, [](const EdgeRows& r) {
+        return witness_violation_minmax(r.a, r.c, r.stride, r.d_ac).count;
       });
-  return out;
 }
 
 std::vector<double> TivAnalyzer::edge_severity_batch(
     std::span<const std::pair<HostId, HostId>> edges,
     const DelayMatrixView* view) const {
-  std::vector<double> out(edges.size());
-  const BatchView bv(matrix_, view, edges.size());
-  if (bv.get() == nullptr) {
-    parallel_for(edges.size(), [&](std::size_t e) {
-      out[e] = edge_severity(edges[e].first, edges[e].second);
-    });
-    return out;
-  }
-  const DelayMatrixView& v = *bv.get();
-  const std::size_t stride = v.stride();
   const auto nd = static_cast<double>(matrix_.size());
-  parallel_for_dynamic(
-      edges.size(), kEdgeBatchGrain, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t e = begin; e < end; ++e) {
-          const auto [a, c] = edges[e];
-          const float d_ac = v.row(a)[c];
-          if (a == c || d_ac >= DelayMatrixView::kMaskedDelay) {
-            out[e] = 0.0;
-            continue;
-          }
-          // The portable body on purpose. Unlike an all_severities tile,
-          // whose rows stay in L1/L2, each edge here streams a whole witness
-          // row from L3 or DRAM. The masked body scans fast enough to make
-          // that memory-bound, so its time follows the memory traffic of
-          // other processes; the portable body stays divide-bound and
-          // steady (docs/PERFORMANCE.md §3). The lanes are bit-identical.
-          double acc[kWitnessLanes] = {};
-          witness_ratio_accumulate_portable(v.row(a), v.row(c), stride, d_ac,
-                                            acc);
-          out[e] = witness_ratio_reduce(acc) / nd;
-        }
-      });
-  return out;
-}
-
-std::vector<double> TivAnalyzer::violation_ratios(HostId a, HostId c) const {
-  std::vector<double> out;
-  if (!matrix_.has(a, c)) return out;
-  const float d_ac = matrix_.at(a, c);
-  const auto row_a = matrix_.row(a);
-  const auto row_c = matrix_.row(c);
-  for (HostId b = 0; b < matrix_.size(); ++b) {
-    if (b == a || b == c) continue;
-    const float d_ab = row_a[b];
-    const float d_bc = row_c[b];
-    if (d_ab < 0.0f || d_bc < 0.0f) continue;
-    const float detour = d_ab + d_bc;
-    if (detour < d_ac && detour > 0.0f) {
-      out.push_back(static_cast<double>(d_ac) / detour);
-    }
-  }
-  return out;
+  return map_edges<double>(matrix_, edges, view, [nd](const EdgeRows& r) {
+    // The portable body on purpose. Unlike an all_severities tile, whose
+    // rows stay in L1/L2, each edge here streams a whole witness row from
+    // L3 or DRAM. The masked body scans fast enough to make that
+    // memory-bound, so its time follows the memory traffic of other
+    // processes; the portable body stays divide-bound and steady
+    // (docs/PERFORMANCE.md §3). The lanes are bit-identical.
+    double acc[kWitnessLanes] = {};
+    witness_ratio_accumulate_portable(r.a, r.c, r.stride, r.d_ac, acc);
+    return witness_ratio_reduce(acc) / nd;
+  });
 }
 
 SeverityMatrix TivAnalyzer::all_severities(
@@ -293,43 +221,10 @@ SeverityMatrix TivAnalyzer::all_severities(
       for (HostId c = c_lo; c < c_end; ++c) {
         const float d_ac = row_a[c];
         if (d_ac >= DelayMatrixView::kMaskedDelay) continue;  // unmeasured
-        const double ratio_sum =
-            pair_ratio_sum(row_a, view.row(c), stride, d_ac);
-        sev.set(a, c, static_cast<float>(ratio_sum / nd));
+        double acc[kWitnessLanes] = {};
+        witness_ratio_accumulate(row_a, view.row(c), stride, d_ac, acc);
+        sev.set(a, c, static_cast<float>(witness_ratio_reduce(acc) / nd));
       }
-    }
-  });
-  return sev;
-}
-
-SeverityMatrix TivAnalyzer::all_severities_reference() const {
-  const HostId n = matrix_.size();
-  SeverityMatrix sev(n);
-  const auto nd = static_cast<double>(n);
-  // Parallel over the first endpoint; each task owns rows i and writes only
-  // the (i, j>i) strip, then we mirror. The inner witness scan reads two
-  // matrix rows sequentially — contiguous and branch-light.
-  parallel_for(n, [&](std::size_t ai) {
-    const auto a = static_cast<HostId>(ai);
-    const auto row_a = matrix_.row(a);
-    for (HostId c = a + 1; c < n; ++c) {
-      const float d_ac = row_a[c];
-      if (d_ac < 0.0f) continue;  // missing edge -> severity 0
-      const auto row_c = matrix_.row(c);
-      double ratio_sum = 0.0;
-      for (HostId b = 0; b < n; ++b) {
-        const float d_ab = row_a[b];
-        const float d_bc = row_c[b];
-        // b == a or b == c gives detour == d_ac, never < d_ac; missing legs
-        // are negative and excluded by the detour > 0 check only when both
-        // are missing, so test them explicitly.
-        if (d_ab < 0.0f || d_bc < 0.0f) continue;
-        const float detour = d_ab + d_bc;
-        if (detour < d_ac && detour > 0.0f) {
-          ratio_sum += static_cast<double>(d_ac) / detour;
-        }
-      }
-      sev.set(a, c, static_cast<float>(ratio_sum / nd));
     }
   });
   return sev;

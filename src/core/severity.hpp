@@ -10,7 +10,8 @@
 // normalized by the node-set size. It is 0 for a violation-free edge and
 // grows both with the number of violations and with how badly each one
 // violates — the two properties §2.1 shows neither the violation count nor
-// the mean ratio captures alone.
+// the mean ratio captures alone. The exact violation predicates (severity
+// vs triangle count) are stated once, in core/witness_kernels.hpp.
 #pragma once
 
 #include <cstdint>
@@ -82,20 +83,20 @@ class TivAnalyzer {
   /// Full per-edge statistics; O(N).
   EdgeTivStats edge_stats(HostId a, HostId c) const;
 
-  /// Batched per-edge statistics — the single witness-scan path for the
+  /// Batched per-edge statistics — the witness-scan path of every per-edge
+  /// call (edge_stats and edge_severity are batches of one) and of the
   /// sampled consumers (cluster_tiv_stats, proximity_experiment,
-  /// sampled_severities). One packed DelayMatrixView is amortized across
-  /// all requested edges and the branch-free lane kernels run under
-  /// parallel_for_dynamic; severities are bit-identical to the
-  /// all_severities kernel's per-edge values and the integer counts are
-  /// exactly the scalar edge_stats counts.
+  /// sampled_severities). Each edge runs the lane kernels of
+  /// core/witness_kernels.hpp, whose header states the violation
+  /// predicates, under parallel_for_dynamic. Every severity equals the
+  /// all_severities value for its edge after the float cast, whatever the
+  /// batch size or view.
   ///
   /// Pass `view` (a packed view of this analyzer's matrix) to skip the
   /// O(N^2) view build — figure drivers that make several batched calls
-  /// should pack once and share it. With view == nullptr a batch too small
-  /// to amortize a local build (edges * 4 < N) falls back to the scalar
-  /// per-edge scan, which computes identical counts and severities to
-  /// ~1e-15 relative (summation order only).
+  /// should pack once and share it. With view == nullptr a batch large
+  /// enough to amortize it (edges * 4 >= N) builds a local view; a smaller
+  /// one packs each edge's two rows into per-thread scratch.
   std::vector<EdgeTivStats> edge_stats_batch(
       std::span<const std::pair<HostId, HostId>> edges,
       const DelayMatrixView* view = nullptr) const;
@@ -106,33 +107,21 @@ class TivAnalyzer {
       std::span<const std::pair<HostId, HostId>> edges,
       const DelayMatrixView* view = nullptr) const;
 
-  /// Violation-count-only batch (the edge_stats strict classification:
-  /// detour < d_ac and detour > 0): same contract as edge_stats_batch but
-  /// runs only the fused count/min kernel — consumers like
-  /// cluster_tiv_stats that read nothing else skip the ratio-accumulate
-  /// pass and the witness popcounts.
+  /// Violation-count-only batch (EdgeTivStats::violation_count, the
+  /// severity predicate): same contract as edge_stats_batch but runs only
+  /// the fused count/min kernel — consumers like cluster_tiv_stats that
+  /// read nothing else skip the ratio-accumulate pass and the witness
+  /// popcounts.
   std::vector<std::size_t> edge_violation_count_batch(
       std::span<const std::pair<HostId, HostId>> edges,
       const DelayMatrixView* view = nullptr) const;
 
-  /// Triangulation ratios of all violations caused by the edge (the Fig. 1
-  /// distribution), unsorted.
-  std::vector<double> violation_ratios(HostId a, HostId c) const;
-
   /// All-edges severity matrix; O(N^3). Runs the tiled, branch-free kernel
   /// over a packed DelayMatrixView (see docs/PERFORMANCE.md), dynamically
-  /// scheduled over (a, c) tiles of the upper triangle. Matches
-  /// all_severities_reference to within ~1e-7 relative (float-division
-  /// rounding; both round the result to float).
+  /// scheduled over (a, c) tiles of the upper triangle.
   /// Pass `view` (a packed view of this matrix) to reuse a view the caller
   /// already built; nullptr packs one locally.
   SeverityMatrix all_severities(const DelayMatrixView* view = nullptr) const;
-
-  /// The straightforward scalar kernel (the original implementation): two
-  /// data-dependent branches per witness, statically partitioned rows. Kept
-  /// as the correctness reference for tests and as the baseline
-  /// bench_severity_kernel measures the blocked kernel against.
-  SeverityMatrix all_severities_reference() const;
 
   /// Severities of `count` distinct random measured edges — enough for CDFs
   /// at a fraction of the all-edges cost. Returns (edge, severity) pairs.

@@ -1,6 +1,19 @@
-// Branch-free witness-scan primitives shared by the in-memory severity
-// kernel (severity.cpp) and the out-of-core streaming driver
+// Branch-free witness-scan primitives: the one witness loop of the
+// library, shared by the in-memory severity kernel and every per-edge call
+// (severity.cpp) and by the out-of-core band-pair walk
 // (shard_severity.cpp).
+//
+// Two violation predicates, for witness b of edge (a, c) with
+// detour = d_ab + d_bc in float:
+//   - severity (witness_ratio_accumulate*, witness_violation_minmax, and
+//     so EdgeTivStats' violation_count and max_ratio):
+//       detour < d_ac && detour > 0
+//     A zero-length detour (both legs measured as 0) is excluded: its
+//     ratio d_ac / 0 is infinite and would swamp the sum.
+//   - triangle count (witness_violation_count, behind the exact
+//     violating_triangle_fraction): detour < d_ac, with no exclusion. That
+//     triangle still breaks the triangle inequality, and a count has no
+//     ratio to blow up.
 //
 // All functions scan packed-view data: missing entries are
 // DelayMatrixView::kMaskedDelay (huge), the diagonal is 0, so missing-leg
@@ -172,16 +185,15 @@ inline double witness_ratio_reduce(const double* acc) {
          ((acc[4] + acc[5]) + (acc[6] + acc[7]));
 }
 
-/// Strict-violation count (detour < dac AND detour > 0 — the edge_stats
-/// classification; unlike witness_violation_count below it excludes
-/// zero-length detours) and minimum violating detour in [0, len).
+/// Violation count by the severity predicate (see the header comment) and
+/// minimum violating detour in [0, len).
 struct WitnessViolationStats {
   std::size_t count = 0;
   /// The edge's own d_ac when count == 0 (callers must gate on count). The
   /// max triangulation ratio follows in O(1): dac / detour is monotone
   /// decreasing in detour, so max ratio = dac / min_detour — dividing the
-  /// identical float detour the scalar reference divides, hence
-  /// bit-identical to its running max.
+  /// identical float detour a scalar running max divides, hence
+  /// bit-identical to it.
   float min_detour = 0.0f;
 
   /// Exact composition (integer sum, order-free min; an empty chunk's dac
@@ -263,11 +275,10 @@ inline double relay_min_scan(const float* ra, const float* rb,
   return out;
 }
 
-/// Number of witnesses b in [0, len) with detour < d_ac. Unlike the ratio
-/// scan there is no detour > 0 exclusion: a measured zero-length detour
-/// violates the triangle inequality for counting purposes (matches the
-/// scalar violating_triangle_fraction reference). Exact integer math, so
-/// chunked calls sum to the monolithic count in any order.
+/// Number of witnesses b in [0, len) violating by the triangle-count
+/// predicate (see the header comment): detour < d_ac, no detour > 0
+/// exclusion. Exact integer math, so chunked calls sum to the monolithic
+/// count in any order.
 inline std::size_t witness_violation_count(const float* ra, const float* rc,
                                            std::size_t len, float dac) {
   std::size_t acc[kWitnessLanes] = {};

@@ -1,5 +1,6 @@
 #include "delayspace/delay_matrix.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -79,26 +80,21 @@ DelayMatrix DelayMatrix::load(const std::string& path) {
   return m;
 }
 
-namespace {
-
-std::size_t view_stride(HostId n) {
+std::size_t DelayMatrixView::stride_for(HostId n) {
   const std::size_t stride =
-      ((static_cast<std::size_t>(n) + DelayMatrixView::kLaneFloats - 1) /
-       DelayMatrixView::kLaneFloats) *
-      DelayMatrixView::kLaneFloats;
-  return stride == 0 ? DelayMatrixView::kLaneFloats : stride;
+      (static_cast<std::size_t>(n) + kLaneFloats - 1) / kLaneFloats *
+      kLaneFloats;
+  return stride == 0 ? kLaneFloats : stride;
 }
 
-std::size_t view_mask_words(HostId n) {
+std::size_t DelayMatrixView::mask_words_for(HostId n) {
   const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
   return words == 0 ? 1 : words;
 }
 
-}  // namespace
-
 DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
-  stride_ = view_stride(n_);
-  mask_words_ = view_mask_words(n_);
+  stride_ = stride_for(n_);
+  mask_words_ = mask_words_for(n_);
 
   // 64-byte-aligned delay rows; std::vector gives no alignment guarantee
   // beyond alignof(float), so over-allocate and align the base by hand.
@@ -106,8 +102,7 @@ DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
   // start 64-byte aligned (stride_ is a multiple of kLaneFloats).
   static_assert(kLaneFloats * sizeof(float) == 64,
                 "row alignment contract assumes 64-byte lanes");
-  delay_storage_.assign(static_cast<std::size_t>(n_) * stride_ + kLaneFloats,
-                        kMaskedDelay);
+  delay_storage_.resize(static_cast<std::size_t>(n_) * stride_ + kLaneFloats);
   auto addr = reinterpret_cast<std::uintptr_t>(delay_storage_.data());
   const std::size_t misalign =
       (addr / sizeof(float)) % kLaneFloats == 0
@@ -115,12 +110,8 @@ DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
           : kLaneFloats - (addr / sizeof(float)) % kLaneFloats;
   delays_ = delay_storage_.data() + misalign;
 
-  masks_.assign(static_cast<std::size_t>(n_) * mask_words_, 0);
-  for (HostId i = 0; i < n_; ++i) {
-    pack_row_segment(m, i, 0, n_, delays_ + i * stride_,
-                     masks_.data() + i * mask_words_);
-    // padding columns [n_, stride_) already hold kMaskedDelay
-  }
+  masks_.resize(static_cast<std::size_t>(n_) * mask_words_);
+  for (HostId i = 0; i < n_; ++i) repack_row(m, i);
 }
 
 void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,
@@ -141,22 +132,25 @@ void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,
   }
 }
 
-void DelayMatrixView::repack_row(const DelayMatrix& m, HostId i) {
-  assert(m.size() == n_ && i < n_);
-  // pack_row_segment only ORs mask bits in, so clear the row's words first;
-  // padding columns [n_, stride_) hold kMaskedDelay from construction and
-  // are never written by either path, so they stay byte-identical to a
-  // fresh build.
-  std::uint64_t* mask = masks_.data() + i * mask_words_;
-  for (std::size_t w = 0; w < mask_words_; ++w) mask[w] = 0;
-  pack_row_segment(m, i, 0, n_, delays_ + i * stride_, mask);
+void DelayMatrixView::pack_row(const DelayMatrix& m, HostId i, float* out,
+                               std::uint64_t* mask) {
+  const HostId n = m.size();
+  // pack_row_segment only ORs mask bits in, so clear the words first.
+  std::fill_n(mask, mask_words_for(n), std::uint64_t{0});
+  pack_row_segment(m, i, 0, n, out, mask);
+  std::fill(out + n, out + stride_for(n), kMaskedDelay);
 }
 
-std::size_t DelayMatrixView::witness_count(HostId a, HostId c) const {
-  const std::uint64_t* ma = mask_row(a);
-  const std::uint64_t* mc = mask_row(c);
+void DelayMatrixView::repack_row(const DelayMatrix& m, HostId i) {
+  assert(m.size() == n_ && i < n_);
+  pack_row(m, i, delays_ + i * stride_, masks_.data() + i * mask_words_);
+}
+
+std::size_t DelayMatrixView::measured_in_both(const std::uint64_t* ma,
+                                              const std::uint64_t* mc,
+                                              std::size_t words) {
   std::size_t count = 0;
-  for (std::size_t w = 0; w < mask_words_; ++w) {
+  for (std::size_t w = 0; w < words; ++w) {
     count += static_cast<std::size_t>(std::popcount(ma[w] & mc[w]));
   }
   return count;

@@ -124,6 +124,16 @@ class DelayMatrixView {
                                HostId col_begin, HostId col_end, float* out,
                                std::uint64_t* mask);
 
+  /// Padded row length (floats) and bitmask words per row of an n-host view.
+  static std::size_t stride_for(HostId n);
+  static std::size_t mask_words_for(HostId n);
+
+  /// Packs matrix row i into one view row: stride_for(n) floats, padding
+  /// included, and mask_words_for(n) mask words, zeroed first. Builds every
+  /// view row, and TivAnalyzer's per-edge scratch rows.
+  static void pack_row(const DelayMatrix& m, HostId i, float* out,
+                       std::uint64_t* mask);
+
   /// Re-packs row i (delays + missing bitmask) from `m`, which must be the
   /// matrix this view was built from (same size), possibly mutated since.
   /// An edge update (a, b) changes exactly rows a and b of the packed
@@ -155,7 +165,13 @@ class DelayMatrixView {
 
   /// Witnesses of edge (a, c) with both legs measured (excludes a and c
   /// themselves): popcount over the AND of the two mask rows.
-  std::size_t witness_count(HostId a, HostId c) const;
+  std::size_t witness_count(HostId a, HostId c) const {
+    return measured_in_both(mask_row(a), mask_row(c), mask_words_);
+  }
+  /// The same count over any two mask rows of `words` words.
+  static std::size_t measured_in_both(const std::uint64_t* ma,
+                                      const std::uint64_t* mc,
+                                      std::size_t words);
 
  private:
   HostId n_ = 0;

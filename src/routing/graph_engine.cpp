@@ -177,8 +177,8 @@ PolicyWorkspace& policy_workspace() {
 // ---------------------------------------------------------------------------
 // Kernels. Each writes one row of the flat output buffer and must produce
 // results exactly equal (== on every field) to the scalar references in
-// shortest_path.cpp / policy_routing.cpp: same segment scan order
-// (providers, customers, peers — the seed's adjacent() order), same
+// reference/routing_oracles.cpp: same segment scan order
+// (providers, customers, peers — the seed's adjacency order), same
 // improvement predicates, same heap discipline.
 
 void relax_segment_sssp(const AsGraph::Segment& seg, double d,
@@ -214,6 +214,33 @@ void sssp_one(const AsGraph& graph, AsId src, PathInfo* dist,
   ++c.sources_run;
 }
 
+// Valley-free policy routes toward dest — three phases, each a monotone
+// lexicographic Dijkstra. tiv::reference::policy_routes_to
+// (reference/routing_oracles.cpp) runs the same phases with one
+// std::priority_queue each; this kernel must reproduce its rows exactly,
+// so keep the two in lockstep when touching either.
+//
+//  1. Customer routes. A route reaches v "from below" through a chain of
+//     provider->customer steps ending at dest. Announcements flow up the
+//     provider chains: dest announces to its providers; an AS whose selected
+//     route is customer-learned re-announces to *its* providers. Because
+//     class dominates the decision process, any AS with a customer route
+//     selects its best customer route, so the propagation is a Dijkstra over
+//     customer->provider edges keyed by (hops, delay).
+//
+//  2. Peer routes. v may use peer p's route only if p's selected route is
+//     customer-learned (export rule), i.e. p has a phase-1 route. One
+//     relaxation step, no propagation (a peer-learned route is never
+//     exported to another peer or provider).
+//
+//  3. Provider routes. A provider exports its selected route — of any class
+//     — to its customers. best[] therefore satisfies
+//        best[v] = min(best_cust[v], best_peer[v],
+//                      min over providers w of extend(best[w]))
+//     which is again a Dijkstra: seed the queue with the phase-1/2 routes,
+//     pop the globally best route, and relax downhill to customers with
+//     class forced to kProvider. Extension strictly increases the
+//     (class, hops, delay) key, so settled nodes are final.
 void policy_one(const AsGraph& graph, AsId dest, Route* best,
                 PolicyWorkspace& ws, LocalCounts& c) {
   const std::size_t n = graph.size();

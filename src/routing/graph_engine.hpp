@@ -13,7 +13,8 @@
 //
 // Parity contract: for the same graph, every batched row is exactly equal
 // (operator== on delay/hops/class, bitwise for the doubles) to the kept
-// scalar reference (`shortest_paths_from`, `policy_routes_to`). Both sides
+// scalar reference (`tiv::reference::shortest_paths_from` and
+// `policy_routes_to`, in the test-only reference/ library). Both sides
 // pop (key, node) lexicographically and scan segments in the same order,
 // so even delay ties resolve identically. The differential tests in
 // tests/test_routing.cpp and bench_graph_engine's parity cross-check
@@ -34,8 +35,8 @@
 
 namespace tiv::routing {
 
-/// Multi-source Dijkstra minimizing experienced delay (same semantics as
-/// shortest_paths_from). Row r of `out` — out[r * graph.size() + v] — is
+/// Multi-source Dijkstra minimizing experienced delay (hops recorded along
+/// the chosen path, for diagnostics). Row r of `out` — out[r * graph.size() + v] — is
 /// the path info from sources[r] to v. `out` must hold
 /// sources.size() * graph.size() entries. Parallel over sources.
 void shortest_paths_batch(const topology::AsGraph& graph,
@@ -48,8 +49,9 @@ std::vector<PathInfo> shortest_paths_batch(
     const topology::AsGraph& graph,
     const std::vector<topology::AsId>& sources);
 
-/// Multi-destination valley-free policy routing (same semantics as
-/// policy_routes_to). Row r of `out` — out[r * graph.size() + v] — is the
+/// Multi-destination valley-free policy routing: the selected route from
+/// every AS toward each destination, in O(E log V) per destination (see
+/// graph_engine.cpp for the three phases). Row r of `out` — out[r * graph.size() + v] — is the
 /// selected route from v toward dests[r]. `out` must hold
 /// dests.size() * graph.size() entries. Parallel over destinations.
 void policy_routes_batch(const topology::AsGraph& graph,

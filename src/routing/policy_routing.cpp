@@ -3,9 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <tuple>
-#include <utility>
 
 #include "routing/graph_engine.hpp"
 #include "util/parallel.hpp"
@@ -15,22 +12,6 @@ namespace {
 
 using topology::AsGraph;
 using topology::AsId;
-using topology::Role;
-
-// Lexicographic priority key for Dijkstra over routes.
-struct Key {
-  std::uint8_t cls;
-  std::uint32_t hops;
-  double delay;
-  AsId node;
-
-  bool operator>(const Key& o) const {
-    return std::tie(cls, hops, delay, node) >
-           std::tie(o.cls, o.hops, o.delay, o.node);
-  }
-};
-
-using MinQueue = std::priority_queue<Key, std::vector<Key>, std::greater<>>;
 
 /// One parallel pass over the flat route buffer: per-chunk local totals,
 /// one atomic merge per chunk (self cells src == dest excluded).
@@ -63,111 +44,6 @@ RouteClassCounts count_classes(const std::vector<Route>& cells, std::size_t n,
 }
 
 }  // namespace
-
-// Scalar reference implementation — three phases, each a monotone
-// lexicographic Dijkstra. The batched engine (routing/graph_engine.cpp)
-// must reproduce these rows exactly; keep the two in lockstep when
-// touching either.
-//
-//  1. Customer routes. A route reaches v "from below" through a chain of
-//     provider->customer steps ending at dest. Announcements flow up the
-//     provider chains: dest announces to its providers; an AS whose selected
-//     route is customer-learned re-announces to *its* providers. Because
-//     class dominates the decision process, any AS with a customer route
-//     selects its best customer route, so the propagation is a Dijkstra over
-//     customer->provider edges keyed by (hops, delay).
-//
-//  2. Peer routes. v may use peer p's route only if p's selected route is
-//     customer-learned (export rule), i.e. p has a phase-1 route. One
-//     relaxation step, no propagation (a peer-learned route is never
-//     exported to another peer or provider).
-//
-//  3. Provider routes. A provider exports its selected route — of any class
-//     — to its customers. best[] therefore satisfies
-//        best[v] = min(best_cust[v], best_peer[v],
-//                      min over providers w of extend(best[w]))
-//     which is again a Dijkstra: seed the queue with the phase-1/2 routes,
-//     pop the globally best route, and relax downhill to customers with
-//     class forced to kProvider. Extension strictly increases the
-//     (class, hops, delay) key, so settled nodes are final.
-std::vector<Route> policy_routes_to(const AsGraph& graph, AsId dest) {
-  const std::size_t n = graph.size();
-  std::vector<Route> cust(n);  // best customer-learned route per AS
-
-  // Phase 1: customer routes, flowing up provider chains from dest.
-  {
-    MinQueue pq;
-    cust[dest] = {RouteClass::kCustomer, 0, 0.0, 0.0};
-    pq.push({0, 0, 0.0, dest});
-    std::vector<bool> done(n, false);
-    while (!pq.empty()) {
-      const Key k = pq.top();
-      pq.pop();
-      if (done[k.node]) continue;
-      done[k.node] = true;
-      for (const auto& adj : graph.adjacent(k.node)) {
-        if (adj.role != Role::kToProvider) continue;  // only announce upward
-        const Route cand{RouteClass::kCustomer, k.hops + 1,
-                         k.delay + adj.delay_ms,
-                         cust[k.node].data_delay_ms + adj.data_delay_ms};
-        if (cand.better_than(cust[adj.neighbor])) {
-          cust[adj.neighbor] = cand;
-          pq.push({0, cand.hops, cand.delay_ms, adj.neighbor});
-        }
-      }
-    }
-  }
-
-  // Phase 2 + 3 seeds: best of customer route and peer route per AS.
-  std::vector<Route> best = cust;
-  for (AsId v = 0; v < n; ++v) {
-    for (const auto& adj : graph.adjacent(v)) {
-      if (adj.role != Role::kToPeer) continue;
-      const Route& via = cust[adj.neighbor];
-      if (!via.reachable()) continue;  // peer only exports customer routes
-      const Route cand{RouteClass::kPeer, via.hops + 1,
-                       via.delay_ms + adj.delay_ms,
-                       via.data_delay_ms + adj.data_delay_ms};
-      if (cand.better_than(best[v])) best[v] = cand;
-    }
-  }
-
-  // Phase 3: provider routes flow down to customers.
-  {
-    MinQueue pq;
-    for (AsId v = 0; v < n; ++v) {
-      if (best[v].reachable()) {
-        pq.push({static_cast<std::uint8_t>(best[v].cls), best[v].hops,
-                 best[v].delay_ms, v});
-      }
-    }
-    std::vector<bool> done(n, false);
-    while (!pq.empty()) {
-      const Key k = pq.top();
-      pq.pop();
-      if (done[k.node]) continue;
-      // Skip stale queue entries (a better route was settled meanwhile).
-      const Route& cur = best[k.node];
-      if (static_cast<std::uint8_t>(cur.cls) != k.cls || cur.hops != k.hops ||
-          cur.delay_ms != k.delay) {
-        continue;
-      }
-      done[k.node] = true;
-      for (const auto& adj : graph.adjacent(k.node)) {
-        if (adj.role != Role::kToCustomer) continue;  // export downhill only
-        const Route cand{RouteClass::kProvider, cur.hops + 1,
-                         cur.delay_ms + adj.delay_ms,
-                         cur.data_delay_ms + adj.data_delay_ms};
-        if (cand.better_than(best[adj.neighbor])) {
-          best[adj.neighbor] = cand;
-          pq.push({static_cast<std::uint8_t>(cand.cls), cand.hops,
-                   cand.delay_ms, adj.neighbor});
-        }
-      }
-    }
-  }
-  return best;
-}
 
 PolicyRoutingMatrix::PolicyRoutingMatrix(const AsGraph& graph)
     : n_(graph.size()), cells_(graph.size() * graph.size()) {

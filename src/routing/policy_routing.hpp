@@ -55,13 +55,6 @@ struct Route {
   }
 };
 
-/// Computes the selected route from every AS toward one destination.
-/// O(E log V); see the .cpp for the three-phase algorithm. This is the
-/// scalar reference the batched engine (routing/graph_engine.hpp) is
-/// differentially tested against.
-std::vector<Route> policy_routes_to(const topology::AsGraph& graph,
-                                    topology::AsId dest);
-
 /// Ordered-pair route-class totals of a routing matrix, accumulated in one
 /// parallel pass at construction (self pairs src == dest excluded).
 struct RouteClassCounts {

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <utility>
 
 #include "routing/graph_engine.hpp"
 
@@ -11,33 +9,6 @@ namespace tiv::routing {
 
 using topology::AsGraph;
 using topology::AsId;
-
-// Scalar reference implementation. The batched engine
-// (routing/graph_engine.cpp) must reproduce these rows exactly; keep the
-// two in lockstep when touching either.
-std::vector<PathInfo> shortest_paths_from(const AsGraph& graph, AsId src) {
-  std::vector<PathInfo> dist(graph.size());
-  using Item = std::pair<double, AsId>;  // (delay, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[src] = {0.0, 0};
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    const auto [d, v] = pq.top();
-    pq.pop();
-    if (d > dist[v].delay_ms) continue;  // stale entry
-    for (const auto& adj : graph.adjacent(v)) {
-      // Experienced delay: the best physically achievable path including
-      // congestion, i.e. what an ideal (policy-free, congestion-aware)
-      // routing could deliver.
-      const double nd = d + adj.data_delay_ms;
-      if (nd < dist[adj.neighbor].delay_ms) {
-        dist[adj.neighbor] = {nd, dist[v].hops + 1};
-        pq.emplace(nd, adj.neighbor);
-      }
-    }
-  }
-  return dist;
-}
 
 ShortestPathMatrix::ShortestPathMatrix(const AsGraph& graph)
     : n_(graph.size()), cells_(graph.size() * graph.size()) {

@@ -21,12 +21,6 @@ struct PathInfo {
   }
 };
 
-/// Single-source Dijkstra minimizing delay (hops recorded along the chosen
-/// path, used for diagnostics). This is the scalar reference the batched
-/// engine (routing/graph_engine.hpp) is differentially tested against.
-std::vector<PathInfo> shortest_paths_from(const topology::AsGraph& graph,
-                                          topology::AsId src);
-
 /// Shortest delays from a set of sources (all of them by default), stored
 /// as one flat row-major buffer of num_sources() x size() cells and built
 /// by the batched multi-source engine.

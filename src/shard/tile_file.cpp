@@ -1,9 +1,11 @@
 #include "shard/tile_file.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cassert>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -203,8 +205,9 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
       h.version != params.version) {
     f.fail("unsupported version");
   }
+  // 64-bit: h.n + h.tile_dim - 1 wraps in uint32_t for n near 2^32.
   if (h.tile_dim == 0 || h.tile_dim % DelayMatrixView::kLaneFloats != 0 ||
-      h.tiles != (h.n + h.tile_dim - 1) / h.tile_dim) {
+      h.tiles != (std::uint64_t{h.n} + h.tile_dim - 1) / h.tile_dim) {
     f.fail("inconsistent header");
   }
   if (expected_n != 0 &&
@@ -215,13 +218,27 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
            std::to_string(expected_n) + ", tile_dim=" +
            std::to_string(expected_tile_dim) + ")");
   }
+  // Before anything is sized from the header, both tables and one tile
+  // must fit the file. The tile region may end early: a torn tail reads
+  // back as a CorruptTileError, which self-healing rewrites in place.
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) f.fail("cannot stat");
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+  const std::uint64_t count = tile_count_for(params.shape, h.tiles);
+  if (count > file_bytes / (2 * sizeof(std::uint64_t)) ||
+      data_offset_for(count) > file_bytes ||
+      (count != 0 && std::uint64_t{h.tile_dim} * h.tile_dim >
+                         file_bytes / sizeof(float))) {
+    f.fail("header (n=" + std::to_string(h.n) + ", tiles=" +
+           std::to_string(h.tiles) + ") does not fit the file's " +
+           std::to_string(file_bytes) + " bytes");
+  }
   f.n_ = h.n;
   f.tile_dim_ = h.tile_dim;
   f.tiles_ = h.tiles;
   f.tile_bytes_ = tile_size_bytes(h.tile_dim);
   if (h.tile_bytes != f.tile_bytes_) f.fail("tile size mismatch");
 
-  const std::size_t count = tile_count_for(params.shape, f.tiles_);
   f.tile_offsets_.resize(count);
   f.tile_checksums_.resize(count);
   const std::size_t index_bytes = count * sizeof(std::uint64_t);

@@ -68,7 +68,7 @@ AsGraph::AsGraph(std::vector<AsNode> nodes, std::vector<AsLink> links)
   offset_[n] = at;
 
   // Pass 2: stable fill (within a segment, entries keep link order — the
-  // seed's push_back order, so the adjacent() view is order-compatible).
+  // seed's push_back order).
   neighbor_.resize(at);
   delay_ms_.resize(at);
   data_delay_ms_.resize(at);

@@ -10,12 +10,9 @@
 // structure-of-arrays lanes (neighbor_, delay_ms_, data_delay_ms_). The
 // three policy-routing phases each scan exactly one segment with no role
 // branch, and role counts are O(1) segment widths instead of per-call scans.
-// adjacent(v) remains source-compatible with the seed vector-of-Adjacency
-// API via a lightweight iterable view.
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <vector>
 
 namespace tiv::topology {
@@ -59,14 +56,6 @@ struct AsLink {
 /// How a link looks from one endpoint's perspective.
 enum class Role : std::uint8_t { kToProvider, kToCustomer, kToPeer };
 
-/// One adjacency entry of a node (materialized from the CSR lanes).
-struct Adjacency {
-  AsId neighbor = 0;
-  Role role = Role::kToPeer;
-  double delay_ms = 0.0;       ///< propagation delay (what routing sees)
-  double data_delay_ms = 0.0;  ///< experienced delay (delay_ms * congestion)
-};
-
 /// Immutable AS graph with role-segmented CSR adjacency.
 ///
 /// Invariants (checked by validate()): link endpoints are in range and
@@ -102,60 +91,6 @@ class AsGraph {
   /// for role-oblivious consumers like the shortest-path engine.
   Segment neighbors(AsId v) const { return segment(offset_[v], offset_[v + 1]); }
 
-  /// Iterable view over all adjacency entries of one node, in segment order
-  /// (providers, customers, peers). Source-compatible with the seed
-  /// vector<Adjacency> API: range-for, size(), operator[].
-  class AdjacencyView {
-   public:
-    class iterator {
-     public:
-      using iterator_category = std::forward_iterator_tag;
-      using value_type = Adjacency;
-      using difference_type = std::ptrdiff_t;
-      using pointer = const Adjacency*;
-      using reference = Adjacency;
-
-      iterator(const AsGraph* g, AsId v, std::uint32_t i)
-          : g_(g), v_(v), i_(i) {}
-      Adjacency operator*() const { return g_->entry(v_, i_); }
-      iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      iterator operator++(int) {
-        iterator old = *this;
-        ++i_;
-        return old;
-      }
-      bool operator==(const iterator& o) const { return i_ == o.i_; }
-      bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-     private:
-      const AsGraph* g_;
-      AsId v_;
-      std::uint32_t i_;
-    };
-
-    AdjacencyView(const AsGraph* g, AsId v) : g_(g), v_(v) {}
-    iterator begin() const { return {g_, v_, g_->offset_[v_]}; }
-    iterator end() const { return {g_, v_, g_->offset_[v_ + 1]}; }
-    std::size_t size() const {
-      return g_->offset_[v_ + 1] - g_->offset_[v_];
-    }
-    bool empty() const { return size() == 0; }
-    Adjacency operator[](std::size_t i) const {
-      return g_->entry(v_,
-                       g_->offset_[v_] + static_cast<std::uint32_t>(i));
-    }
-
-   private:
-    const AsGraph* g_;
-    AsId v_;
-  };
-
-  /// All neighbors of v with the relationship seen from v's side.
-  AdjacencyView adjacent(AsId v) const { return {this, v}; }
-
   /// Number of links in which v is the customer / provider / a peer.
   /// O(1): segment widths precomputed at build time.
   std::size_t provider_count(AsId v) const {
@@ -177,16 +112,6 @@ class AsGraph {
   Segment segment(std::uint32_t begin, std::uint32_t end) const {
     return {neighbor_.data() + begin, delay_ms_.data() + begin,
             data_delay_ms_.data() + begin, end - begin};
-  }
-  /// Materializes entry i (a CSR index inside v's range) of node v.
-  Adjacency entry(AsId v, std::uint32_t i) const {
-    Role role = Role::kToPeer;
-    if (i < cust_begin_[v]) {
-      role = Role::kToProvider;
-    } else if (i < peer_begin_[v]) {
-      role = Role::kToCustomer;
-    }
-    return {neighbor_[i], role, delay_ms_[i], data_delay_ms_[i]};
   }
 
   std::vector<AsNode> nodes_;

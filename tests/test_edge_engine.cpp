@@ -6,14 +6,18 @@
 //  - sample_measured_pairs returns distinct measured pairs and reports
 //    achieved-vs-requested instead of silently under-sampling when the
 //    rejection budget exhausts on a missing-heavy matrix;
-//  - the batched engine's integer counts equal the scalar edge_stats
-//    counts exactly, its severities are bit-identical to the
-//    all_severities kernel's per-edge values, and both hold on dense,
-//    30%-missing, missing-heavy, and tiny (n < 8) matrices;
-//  - a caller-provided prebuilt view produces the same results as the
-//    locally built one.
+//  - the batched engine's integer counts and max ratios equal the scalar
+//    oracle's (tiv::reference::edge_stats_scalar) exactly, its severities
+//    are bit-identical to the all_severities kernel's per-edge values, and
+//    both hold on dense, 30%-missing, missing-heavy, and tiny (n < 8)
+//    matrices;
+//  - every per-edge entry point — edge_stats, edge_severity, and batches
+//    with a caller's view, a local view, or per-edge scratch rows —
+//    returns the same bits.
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,8 +25,11 @@
 
 #include "core/edge_sampling.hpp"
 #include "core/severity.hpp"
+#include "delayspace/datasets.hpp"
 #include "delayspace/delay_matrix.hpp"
+#include "delayspace/generate.hpp"
 #include "matrix_test_utils.hpp"
+#include "reference/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::core {
@@ -120,7 +127,7 @@ void expect_batch_matches_scalar(const DelayMatrix& m) {
   const auto edges = all_pairs(m.size());
   const DelayMatrixView view(m);
   // Both the prebuilt-view path and the self-building path must agree with
-  // the scalar reference.
+  // the scalar oracle.
   const auto with_view = analyzer.edge_stats_batch(edges, &view);
   const auto self_built = analyzer.edge_stats_batch(edges);
   const auto severities = analyzer.edge_severity_batch(edges, &view);
@@ -128,7 +135,7 @@ void expect_batch_matches_scalar(const DelayMatrix& m) {
   ASSERT_EQ(with_view.size(), edges.size());
   for (std::size_t e = 0; e < edges.size(); ++e) {
     const auto [a, c] = edges[e];
-    const EdgeTivStats scalar = analyzer.edge_stats(a, c);
+    const EdgeTivStats scalar = reference::edge_stats_scalar(m, a, c);
     const EdgeTivStats& batch = with_view[e];
     // Integer counts: exact (both the full-stats and count-only batches).
     EXPECT_EQ(batch.violation_count, scalar.violation_count)
@@ -138,7 +145,7 @@ void expect_batch_matches_scalar(const DelayMatrix& m) {
     EXPECT_EQ(batch.witness_count, scalar.witness_count)
         << "edge (" << a << ", " << c << ")";
     // max_ratio terms are computed identically in both paths: exact.
-    EXPECT_DOUBLE_EQ(batch.max_ratio, scalar.max_ratio);
+    EXPECT_EQ(batch.max_ratio, scalar.max_ratio);
     // Sums differ only in lane order: ~1e-15 relative.
     const double tol =
         1e-12 * std::max({1.0, std::abs(batch.severity),
@@ -150,12 +157,12 @@ void expect_batch_matches_scalar(const DelayMatrix& m) {
     // severity-only batch equals the stats batch bit for bit (same kernel
     // lanes, same reduction).
     EXPECT_EQ(severities[e], batch.severity);
-    // The self-building path (scalar fallback or local view, depending on
-    // batch size) must agree on counts exactly and severity to the same
-    // tolerance.
-    EXPECT_EQ(self_built[e].violation_count, scalar.violation_count);
-    EXPECT_EQ(self_built[e].witness_count, scalar.witness_count);
-    EXPECT_NEAR(self_built[e].severity, scalar.severity, tol);
+    // The self-building path (a local view here) runs the same kernel over
+    // the same bytes: bit for bit.
+    EXPECT_EQ(self_built[e].violation_count, batch.violation_count);
+    EXPECT_EQ(self_built[e].witness_count, batch.witness_count);
+    EXPECT_EQ(self_built[e].severity, batch.severity);
+    EXPECT_EQ(self_built[e].mean_ratio, batch.mean_ratio);
   }
 }
 
@@ -214,7 +221,7 @@ TEST(EdgeStatsBatch, UnmeasuredAndSelfEdgesAreZero) {
   EXPECT_EQ(batch[1].witness_count, 0u);
   EXPECT_DOUBLE_EQ(batch[1].severity, 0.0);
   EXPECT_EQ(batch[2].witness_count,
-            analyzer.edge_stats(0, 1).witness_count);
+            reference::edge_stats_scalar(m, 0, 1).witness_count);
 }
 
 TEST(EdgeStatsBatch, AllSeveritiesAcceptsPrebuiltView) {
@@ -226,6 +233,98 @@ TEST(EdgeStatsBatch, AllSeveritiesAcceptsPrebuiltView) {
   for (HostId i = 0; i < m.size(); ++i) {
     for (HostId j = i + 1; j < m.size(); ++j) {
       EXPECT_EQ(with_view.at(i, j), self_built.at(i, j));
+    }
+  }
+}
+
+// --- One witness loop for every per-edge entry point -----------------------
+
+/// Every per-edge entry point must return its edge's all_severities value,
+/// bit for bit after the float cast: edge_stats, edge_severity, and
+/// no-view batches of 1 and n/4 - 1 edges (per-edge scratch rows) and of n
+/// edges (a local view). Counts and max ratios must equal the scalar
+/// oracle's exactly.
+void expect_every_entry_point_matches_kernel(const DelayMatrix& m) {
+  const TivAnalyzer analyzer(m);
+  const SeverityMatrix sev = analyzer.all_severities();
+  const HostId n = m.size();
+  std::vector<std::pair<HostId, HostId>> edges;
+  for (HostId i = 0; i < n; ++i) {
+    for (HostId j = i + 1; j < n; ++j) edges.emplace_back(i, j);
+  }
+  std::size_t mismatches = 0;
+  const auto check = [&](bool ok, const char* what, HostId a, HostId c) {
+    if (!ok && ++mismatches <= 10) {
+      ADD_FAILURE() << what << " differs on edge (" << a << ", " << c
+                    << ") of n=" << n;
+    }
+  };
+  const auto check_stats = [&](const EdgeTivStats& got, HostId a, HostId c,
+                               const char* what) {
+    const EdgeTivStats want = reference::edge_stats_scalar(m, a, c);
+    check(static_cast<float>(got.severity) == sev.at(a, c), what, a, c);
+    check(got.violation_count == want.violation_count &&
+              got.witness_count == want.witness_count &&
+              got.max_ratio == want.max_ratio,
+          what, a, c);
+  };
+  for (const auto& [a, c] : edges) {
+    check_stats(analyzer.edge_stats(a, c), a, c, "edge_stats");
+    check(static_cast<float>(analyzer.edge_severity(a, c)) == sev.at(a, c),
+          "edge_severity", a, c);
+  }
+  for (const std::size_t size : {std::size_t{1}, std::size_t{n / 4 - 1},
+                                 std::size_t{n}}) {
+    for (std::size_t begin = 0; begin < edges.size(); begin += size) {
+      const std::span<const std::pair<HostId, HostId>> batch(
+          edges.data() + begin, std::min(size, edges.size() - begin));
+      const auto stats = analyzer.edge_stats_batch(batch);
+      const auto sevs = analyzer.edge_severity_batch(batch);
+      const auto counts = analyzer.edge_violation_count_batch(batch);
+      for (std::size_t e = 0; e < batch.size(); ++e) {
+        const auto [a, c] = batch[e];
+        check_stats(stats[e], a, c, "edge_stats_batch");
+        check(static_cast<float>(sevs[e]) == sev.at(a, c),
+              "edge_severity_batch", a, c);
+        check(counts[e] == stats[e].violation_count,
+              "edge_violation_count_batch", a, c);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(EdgeEntryPoints, BitIdenticalToAllSeveritiesDense) {
+  expect_every_entry_point_matches_kernel(random_matrix(130, 0.0, 71));
+}
+
+TEST(EdgeEntryPoints, BitIdenticalToAllSeveritiesThirtyPercentMissing) {
+  expect_every_entry_point_matches_kernel(random_matrix(130, 0.3, 72));
+}
+
+TEST(EdgeEntryPoints, BitIdenticalToAllSeveritiesDs2) {
+  const auto ds = delayspace::generate_delay_space(
+      delayspace::dataset_params(delayspace::DatasetId::kDs2, 257));
+  expect_every_entry_point_matches_kernel(ds.measured);
+}
+
+TEST(EdgeEntryPoints, ScratchRowsCarryNothingOver) {
+  // Per-edge calls reuse one scratch buffer per thread. A 17-host edge
+  // scanned right after a 200-host one must see kMaskedDelay in its
+  // padding columns and none of the earlier row's mask bits, or it would
+  // count phantom witnesses and violations.
+  const DelayMatrix big = random_matrix(200, 0.0, 61);
+  const DelayMatrix small = random_matrix(17, 0.3, 62);
+  const TivAnalyzer big_analyzer(big);
+  const TivAnalyzer small_analyzer(small);
+  for (HostId a = 0; a < small.size(); ++a) {
+    for (HostId c = a + 1; c < small.size(); ++c) {
+      (void)big_analyzer.edge_stats(a, c + 100);
+      const EdgeTivStats got = small_analyzer.edge_stats(a, c);
+      const EdgeTivStats want = reference::edge_stats_scalar(small, a, c);
+      EXPECT_EQ(got.violation_count, want.violation_count);
+      EXPECT_EQ(got.witness_count, want.witness_count);
+      EXPECT_EQ(got.max_ratio, want.max_ratio);
     }
   }
 }

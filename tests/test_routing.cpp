@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference/oracles.hpp"
 #include "routing/graph_engine.hpp"
 #include "topology/generator.hpp"
 
@@ -27,7 +28,7 @@ AsGraph line_graph() {
 
 TEST(ShortestPath, LineGraphDistances) {
   const AsGraph g = line_graph();
-  const auto d = shortest_paths_from(g, 0);
+  const auto d = reference::shortest_paths_from(g, 0);
   EXPECT_DOUBLE_EQ(d[0].delay_ms, 0.0);
   EXPECT_DOUBLE_EQ(d[1].delay_ms, 10.0);
   EXPECT_DOUBLE_EQ(d[2].delay_ms, 30.0);
@@ -42,7 +43,7 @@ TEST(ShortestPath, PicksCheaperOfTwoRoutes) {
       {0, 2, LinkKind::kPeerPeer, 50.0, 1.0},
   };
   const AsGraph g(nodes, links);
-  const auto d = shortest_paths_from(g, 0);
+  const auto d = reference::shortest_paths_from(g, 0);
   EXPECT_DOUBLE_EQ(d[2].delay_ms, 20.0);
 }
 
@@ -55,14 +56,14 @@ TEST(ShortestPath, UsesExperiencedDelay) {
       {0, 2, LinkKind::kPeerPeer, 15.0, 5.0},  // experienced 75
   };
   const AsGraph g(nodes, links);
-  const auto d = shortest_paths_from(g, 0);
+  const auto d = reference::shortest_paths_from(g, 0);
   EXPECT_DOUBLE_EQ(d[2].delay_ms, 20.0);
 }
 
 TEST(ShortestPath, UnreachableIsInfinite) {
   std::vector<AsNode> nodes(2);
   const AsGraph g(nodes, {});
-  const auto d = shortest_paths_from(g, 0);
+  const auto d = reference::shortest_paths_from(g, 0);
   EXPECT_FALSE(d[1].reachable());
 }
 
@@ -74,7 +75,7 @@ TEST(ShortestPathMatrix, MatchesSingleSource) {
     return p;
   }());
   const ShortestPathMatrix m(g);
-  const auto row0 = shortest_paths_from(g, 0);
+  const auto row0 = reference::shortest_paths_from(g, 0);
   for (AsId v = 0; v < g.size(); ++v) {
     EXPECT_DOUBLE_EQ(m.delay(0, v), row0[v].delay_ms);
   }
@@ -84,7 +85,7 @@ TEST(ShortestPathMatrix, MatchesSingleSource) {
 
 TEST(PolicyRouting, DestinationRouteIsSelf) {
   const AsGraph g = line_graph();
-  const auto r = policy_routes_to(g, 0);
+  const auto r = reference::policy_routes_to(g, 0);
   EXPECT_EQ(r[0].cls, RouteClass::kCustomer);
   EXPECT_DOUBLE_EQ(r[0].delay_ms, 0.0);
 }
@@ -92,7 +93,7 @@ TEST(PolicyRouting, DestinationRouteIsSelf) {
 TEST(PolicyRouting, CustomerRoutesFlowUpProviderChain) {
   const AsGraph g = line_graph();
   // Destination 0 announces up: 1 and 2 learn customer routes.
-  const auto r = policy_routes_to(g, 0);
+  const auto r = reference::policy_routes_to(g, 0);
   EXPECT_EQ(r[1].cls, RouteClass::kCustomer);
   EXPECT_DOUBLE_EQ(r[1].delay_ms, 10.0);
   EXPECT_EQ(r[2].cls, RouteClass::kCustomer);
@@ -102,7 +103,7 @@ TEST(PolicyRouting, CustomerRoutesFlowUpProviderChain) {
 TEST(PolicyRouting, ProviderRoutesFlowDown) {
   const AsGraph g = line_graph();
   // Destination 2 (top provider): 1 and 0 reach it via provider routes.
-  const auto r = policy_routes_to(g, 2);
+  const auto r = reference::policy_routes_to(g, 2);
   EXPECT_EQ(r[1].cls, RouteClass::kProvider);
   EXPECT_EQ(r[0].cls, RouteClass::kProvider);
   EXPECT_DOUBLE_EQ(r[0].delay_ms, 30.0);
@@ -117,7 +118,7 @@ TEST(PolicyRouting, ValleyFreeBlocksPeerTransit) {
       {1, 2, LinkKind::kPeerPeer, 10.0, 1.0},
   };
   const AsGraph g(nodes, links);
-  const auto r = policy_routes_to(g, 2);
+  const auto r = reference::policy_routes_to(g, 2);
   EXPECT_TRUE(r[1].reachable());
   EXPECT_FALSE(r[0].reachable());
 }
@@ -137,7 +138,7 @@ TEST(PolicyRouting, PeerRouteCarriesOnlyCustomerRoutes) {
       {d, t1b, LinkKind::kCustomerProvider, 4.0, 1.0},
   };
   const AsGraph g(nodes, links);
-  const auto r = policy_routes_to(g, c);
+  const auto r = reference::policy_routes_to(g, c);
   ASSERT_TRUE(r[d].reachable());
   EXPECT_EQ(r[d].cls, RouteClass::kProvider);
   EXPECT_DOUBLE_EQ(r[d].delay_ms, 12.0);
@@ -161,7 +162,7 @@ TEST(PolicyRouting, PrefersCustomerOverShorterPeerRoute) {
       {dest, peer, LinkKind::kCustomerProvider, 5.0, 1.0},
   };
   const AsGraph g(nodes, links);
-  const auto r = policy_routes_to(g, dest);
+  const auto r = reference::policy_routes_to(g, dest);
   ASSERT_TRUE(r[v].reachable());
   EXPECT_EQ(r[v].cls, RouteClass::kCustomer);
   EXPECT_DOUBLE_EQ(r[v].delay_ms, 100.0);
@@ -173,7 +174,7 @@ TEST(PolicyRouting, TracksExperiencedDelaySeparately) {
   std::vector<AsNode> nodes(2);
   std::vector<AsLink> links{{0, 1, LinkKind::kCustomerProvider, 10.0, 3.0}};
   const AsGraph g(nodes, links);
-  const auto r = policy_routes_to(g, 0);
+  const auto r = reference::policy_routes_to(g, 0);
   EXPECT_DOUBLE_EQ(r[1].delay_ms, 10.0);
   EXPECT_DOUBLE_EQ(r[1].data_delay_ms, 30.0);
 }
@@ -264,8 +265,8 @@ void expect_exact_parity(const AsGraph& g) {
   ASSERT_EQ(batched_policy.size(), n * n);
   ASSERT_EQ(batched_sssp.size(), n * n);
   for (AsId v = 0; v < n; ++v) {
-    const auto scalar_policy = policy_routes_to(g, v);
-    const auto scalar_sssp = shortest_paths_from(g, v);
+    const auto scalar_policy = reference::policy_routes_to(g, v);
+    const auto scalar_sssp = reference::shortest_paths_from(g, v);
     for (AsId u = 0; u < n; ++u) {
       const Route& b = batched_policy[static_cast<std::size_t>(v) * n + u];
       EXPECT_EQ(b.cls, scalar_policy[u].cls) << v << " -> " << u;

@@ -1,11 +1,13 @@
 // The TIV severity metric: hand-computed cases, metric-space zero property,
-// symmetry, bulk-vs-single consistency, and scale invariance.
+// symmetry, bulk-vs-single consistency (against the library and the scalar
+// oracle of tiv::reference), and scale invariance.
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/severity.hpp"
 #include "delayspace/generate.hpp"
+#include "reference/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::core {
@@ -49,15 +51,11 @@ TEST(Severity, EdgeStatsDetail) {
   EXPECT_DOUBLE_EQ(s.mean_ratio, 10.0);
   EXPECT_DOUBLE_EQ(s.max_ratio, 10.0);
   EXPECT_DOUBLE_EQ(s.violating_fraction(), 0.5);
-}
-
-TEST(Severity, ViolationRatiosList) {
-  const DelayMatrix m = hand_matrix();
-  const TivAnalyzer a(m);
-  const auto ratios = a.violation_ratios(0, 2);
-  ASSERT_EQ(ratios.size(), 1u);
-  EXPECT_DOUBLE_EQ(ratios[0], 10.0);
-  EXPECT_TRUE(a.violation_ratios(0, 1).empty());
+  // The short edge 0-1 has a witness (node 2) but no violation.
+  const EdgeTivStats short_edge = a.edge_stats(0, 1);
+  EXPECT_EQ(short_edge.violation_count, 0u);
+  EXPECT_DOUBLE_EQ(short_edge.mean_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(short_edge.max_ratio, 0.0);
 }
 
 TEST(Severity, MetricSpaceHasZeroSeverityEverywhere) {
@@ -93,7 +91,10 @@ TEST(Severity, AllSeveritiesMatchesSingleEdgeComputation) {
     const auto i = static_cast<delayspace::HostId>(rng.uniform_index(90));
     const auto j = static_cast<delayspace::HostId>(rng.uniform_index(90));
     if (i == j) continue;
-    EXPECT_NEAR(sev.at(i, j), a.edge_severity(i, j), 1e-5);
+    EXPECT_EQ(sev.at(i, j), static_cast<float>(a.edge_severity(i, j)));
+    EXPECT_NEAR(sev.at(i, j),
+                reference::edge_stats_scalar(ds.measured, i, j).severity,
+                1e-5);
   }
 }
 
@@ -139,6 +140,10 @@ TEST(Severity, MissingLegsExcluded) {
   EXPECT_EQ(s.witness_count, 1u);  // only node 3 has both legs
   EXPECT_EQ(s.violation_count, 1u);
   EXPECT_NEAR(s.severity, (100.0 / 10.0) / 4.0, 1e-9);
+  const EdgeTivStats oracle = reference::edge_stats_scalar(m, 0, 2);
+  EXPECT_EQ(s.witness_count, oracle.witness_count);
+  EXPECT_EQ(s.violation_count, oracle.violation_count);
+  EXPECT_EQ(s.max_ratio, oracle.max_ratio);
 }
 
 TEST(Severity, UnmeasuredEdgeHasZeroSeverity) {
@@ -160,7 +165,12 @@ TEST(Severity, SampledSeveritiesAreConsistent) {
   const auto samples = a.sampled_severities(100, 9);
   EXPECT_EQ(samples.size(), 100u);
   for (const auto& [edge, sev] : samples) {
-    EXPECT_NEAR(sev, a.edge_severity(edge.first, edge.second), 1e-9);
+    EXPECT_EQ(sev, a.edge_severity(edge.first, edge.second));
+    EXPECT_NEAR(
+        sev,
+        reference::edge_stats_scalar(ds.measured, edge.first, edge.second)
+            .severity,
+        1e-9);
   }
 }
 

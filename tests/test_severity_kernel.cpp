@@ -3,7 +3,7 @@
 // thread pool's dynamic scheduling.
 //
 // The contract under test: all_severities (tiled, branch-free, dynamically
-// scheduled) must match the scalar edge_stats reference to within 1e-6
+// scheduled) must match the scalar oracles of tiv::reference to within 1e-6
 // relative on dense and sparse matrices, including the implicit b == a /
 // b == c witness exclusions and exact-equality (non-)violations. The
 // WitnessKernel tests pin the compiled witness_ratio_accumulate body to
@@ -25,6 +25,7 @@
 #include "delayspace/delay_matrix.hpp"
 #include "delayspace/generate.hpp"
 #include "matrix_test_utils.hpp"
+#include "reference/oracles.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -40,13 +41,13 @@ using tiv::test::random_matrix;
 void expect_matches_scalar_reference(const DelayMatrix& m) {
   const TivAnalyzer a(m);
   const SeverityMatrix blocked = a.all_severities();
-  const SeverityMatrix reference = a.all_severities_reference();
+  const SeverityMatrix oracle = reference::all_severities_reference(m);
   const HostId n = m.size();
   for (HostId i = 0; i < n; ++i) {
     for (HostId j = i + 1; j < n; ++j) {
       const double got = blocked.at(i, j);
-      const double scalar = a.edge_stats(i, j).severity;
-      const double ref = reference.at(i, j);
+      const double scalar = reference::edge_stats_scalar(m, i, j).severity;
+      const double ref = oracle.at(i, j);
       const double tol = 1e-6 * std::max({1.0, std::abs(got),
                                           std::abs(scalar)});
       EXPECT_NEAR(got, scalar, tol) << "edge (" << i << ", " << j << ")";

@@ -349,12 +349,13 @@ TEST(TileChecksum, DetectsSameLaneSignBitPairsAndRandomTwoBitFlips) {
   EXPECT_GT(missed_fnv, 0u);
 }
 
-/// Writes a bare 40-byte tile-file header (the on-disk RawHeader layout).
+/// Writes a bare 40-byte tile-file header (the on-disk RawHeader layout)
+/// claiming `tiles` bands, then 64 + tile_bytes zero bytes.
 void write_raw_header(const std::string& path, const char (&magic)[9],
                       std::uint32_t version, std::uint32_t n,
-                      std::uint32_t tile_dim, std::uint64_t tile_bytes) {
+                      std::uint32_t tile_dim, std::uint32_t tiles,
+                      std::uint64_t tile_bytes) {
   std::ofstream f(path, std::ios::binary);
-  const std::uint32_t tiles = (n + tile_dim - 1) / tile_dim;
   const std::uint64_t data_offset = 64;
   f.write(magic, 8);
   f.write(reinterpret_cast<const char*>(&version), 4);
@@ -365,6 +366,14 @@ void write_raw_header(const std::string& path, const char (&magic)[9],
   f.write(reinterpret_cast<const char*>(&data_offset), 8);
   const std::vector<char> rest(64 + tile_bytes, 0);  // index, sums, tile
   f.write(rest.data(), static_cast<std::streamsize>(rest.size()));
+}
+
+/// The same header with a consistent band count, ceil(n / tile_dim).
+void write_raw_header(const std::string& path, const char (&magic)[9],
+                      std::uint32_t version, std::uint32_t n,
+                      std::uint32_t tile_dim, std::uint64_t tile_bytes) {
+  write_raw_header(path, magic, version, n, tile_dim,
+                   (n + tile_dim - 1) / tile_dim, tile_bytes);
 }
 
 std::string open_error(const std::function<void()>& open) {
@@ -390,6 +399,37 @@ TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
   // A foreign magic is still a foreign file.
   write_raw_header(path, "NOTATILE", 4, 16, 16, 16 * 16 * 4);
   EXPECT_NE(open_error([&] { TileStore::open(path); }).find("bad magic"),
+            std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
+  const std::string path = scratch_path("hostile");
+  constexpr std::uint32_t kDim = 64;
+  constexpr std::uint64_t kTileBytes = kDim * kDim * 4;
+  // n + tile_dim - 1 wraps to 15 in 32 bits, so tiles = 0 once passed
+  // for a store of 4 294 967 280 hosts.
+  write_raw_header(path, "TIVSHRD4", 4, 0xFFFFFFF0u, kDim, 0, kTileBytes);
+  EXPECT_NE(open_error([&] { TileStore::open(path); })
+                .find("inconsistent header"),
+            std::string::npos);
+  // Consistent geometry whose index and checksum table (2^32 and 2^24
+  // entries per table) cannot fit this ~16 KiB file: rejected before the
+  // tables are sized from the header (32 GiB and 128 MiB before).
+  for (const std::uint32_t tiles : {1u << 16, 1u << 12}) {
+    write_raw_header(path, "TIVSHRD4", 4, tiles * kDim, kDim, tiles,
+                     kTileBytes);
+    EXPECT_NE(open_error([&] { TileStore::open(path); })
+                  .find("does not fit the file"),
+              std::string::npos)
+        << "tiles=" << tiles;
+  }
+  // The sink format shares the check (its triangular index holds 2^31
+  // entries here).
+  write_raw_header(path, "TIVSSEV2", 2, (1u << 16) * kDim, kDim, 1u << 16,
+                   kTileBytes);
+  EXPECT_NE(open_error([&] { sink::SeverityTileStore::open(path); })
+                .find("does not fit the file"),
             std::string::npos);
   std::filesystem::remove(path);
 }

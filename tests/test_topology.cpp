@@ -1,5 +1,6 @@
 #include "topology/generator.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -25,22 +26,23 @@ TEST(AsGraph, AdjacencyRolesAreConsistent) {
       {1, 2, LinkKind::kPeerPeer, 7.0, 2.0},
   };
   const AsGraph g(nodes, links);
-  ASSERT_EQ(g.adjacent(0).size(), 1u);
-  EXPECT_EQ(g.adjacent(0)[0].role, Role::kToProvider);
-  EXPECT_EQ(g.adjacent(1).size(), 2u);
+  ASSERT_EQ(g.degree(0), 1u);
+  ASSERT_EQ(g.providers(0).count, 1u);
+  EXPECT_EQ(g.providers(0).neighbor[0], 1u);
+  EXPECT_EQ(g.degree(1), 2u);
   EXPECT_EQ(g.provider_count(0), 1u);
   EXPECT_EQ(g.customer_count(1), 1u);
   EXPECT_EQ(g.peer_count(1), 1u);
   EXPECT_EQ(g.peer_count(2), 1u);
   // Experienced delay = propagation * congestion.
-  EXPECT_DOUBLE_EQ(g.adjacent(1)[1].data_delay_ms, 14.0);
+  EXPECT_DOUBLE_EQ(g.peers(1).data_delay_ms[0], 14.0);
 }
 
 // --- CSR segment invariants ----------------------------------------------
 
-/// The role segments must tile [offset(v), offset(v+1)) exactly, agree with
-/// the adjacent() view entry-for-entry, and reproduce every link twice (once
-/// per endpoint) with the role flipped across the link.
+/// The role segments must tile [offset(v), offset(v+1)) exactly and
+/// reproduce every link twice (once per endpoint) with the role flipped
+/// across the link.
 void expect_csr_invariants(const AsGraph& g) {
   std::size_t total_entries = 0;
   // Per-link role tallies rebuilt from the raw link list.
@@ -75,21 +77,6 @@ void expect_csr_invariants(const AsGraph& g) {
     EXPECT_EQ(cust.neighbor, prov.neighbor + prov.count);
     EXPECT_EQ(peer.neighbor, cust.neighbor + cust.count);
     EXPECT_EQ(all.neighbor, prov.neighbor);
-    // The materialized adjacent() view walks the same entries in segment
-    // order with the derived role.
-    const auto view = g.adjacent(v);
-    ASSERT_EQ(view.size(), g.degree(v));
-    std::size_t i = 0;
-    for (const Adjacency& adj : view) {
-      const Role want = i < prov.count ? Role::kToProvider
-                        : i < prov.count + cust.count ? Role::kToCustomer
-                                                      : Role::kToPeer;
-      EXPECT_EQ(adj.role, want) << "node " << v << " entry " << i;
-      EXPECT_EQ(adj.neighbor, all.neighbor[i]);
-      EXPECT_DOUBLE_EQ(adj.delay_ms, all.delay_ms[i]);
-      EXPECT_DOUBLE_EQ(adj.data_delay_ms, all.data_delay_ms[i]);
-      ++i;
-    }
     total_entries += g.degree(v);
   }
   // Every link contributes exactly two CSR entries.
@@ -224,10 +211,10 @@ TEST(Generator, Tier1sFormFullPeerMesh) {
   for (AsId a : tier1s) {
     for (AsId b : tier1s) {
       if (a == b) continue;
-      bool peered = false;
-      for (const auto& adj : g.adjacent(a)) {
-        if (adj.neighbor == b && adj.role == Role::kToPeer) peered = true;
-      }
+      const AsGraph::Segment peers = g.peers(a);
+      const bool peered =
+          std::find(peers.neighbor, peers.neighbor + peers.count, b) !=
+          peers.neighbor + peers.count;
       EXPECT_TRUE(peered) << "tier1 " << a << " and " << b << " not peered";
     }
   }
@@ -305,9 +292,10 @@ TEST(Generator, RemoteTransitCreatesCrossClusterProviders) {
   std::size_t local = 0;
   for (AsId v = 0; v < g.size(); ++v) {
     if (g.node(v).tier != Tier::kTier2) continue;
-    for (const auto& adj : g.adjacent(v)) {
-      if (adj.role != Role::kToProvider) continue;
-      (g.node(adj.neighbor).cluster != g.node(v).cluster ? remote : local)++;
+    const AsGraph::Segment providers = g.providers(v);
+    for (std::uint32_t i = 0; i < providers.count; ++i) {
+      const AsId p = providers.neighbor[i];
+      (g.node(p).cluster != g.node(v).cluster ? remote : local)++;
     }
   }
   EXPECT_GT(remote, 0u);
