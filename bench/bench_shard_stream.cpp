@@ -15,19 +15,23 @@
 //                        most sum over epochs of bands * (bands + dirty
 //                        bands): the dirty rows pinned once, then every
 //                        tile read once (per host group, when the input
-//                        budget splits the dirty hosts)
+//                        budget splits the dirty hosts); the screen
+//                        (core/epoch_screen) drops the column bands with
+//                        no flagged edge and the rows without one
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
 // quotes. A {"section":"codegen"} record times one repair against the
 // in-memory kernel on the same matrix (repair_gops, kernel_gops and their
-// ratio repair_vs_kernel, which CI gates). The embedded registry snapshot
+// ratio repair_vs_kernel, which CI gates); that repair flags every
+// incident edge, so it measures the walk, not the screen. The embedded registry snapshot
 // must carry the storage, cache, engine and stream telemetry. Exit status
 // is nonzero when a property fails, so a smoke run turns CI red on its
 // own.
 //
 // Apply-path timings come from the span tracer (docs/OBSERVABILITY.md) —
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
-// epoch-journal / tile-repack / band-pair-stream / sink-commit split, the
-// residual outside them (unattributed_ms), and the repair pass's
+// epoch-screen / epoch-journal / tile-repack / band-pair-stream /
+// sink-commit split, the residual outside them (unattributed_ms), and the
+// repair pass's
 // row-pin / witness-walk / sink-merge phases reported alongside — so the
 // bench's numbers are the same spans a trace capture shows. The
 // record stream ends with the registry's metrics snapshot
@@ -219,10 +223,11 @@ int main(int argc, char** argv) {
       const std::size_t bands = (n + tile_dim - 1) / tile_dim;
       const std::size_t group = tiv::core::repair_group_hosts(
           n, tile_dim, input_budget);
-      const char* const phases[] = {"epoch",       "epoch-journal",
-                                    "tile-repack", "band-pair-stream",
-                                    "sink-commit", "row-pin",
-                                    "witness-walk", "sink-merge"};
+      const char* const phases[] = {"epoch",        "epoch-journal",
+                                    "tile-repack",  "band-pair-stream",
+                                    "sink-commit",  "row-pin",
+                                    "witness-walk", "sink-merge",
+                                    "epoch-screen"};
       std::vector<std::uint64_t> phase_ns0;
       for (const char* p : phases) phase_ns0.push_back(tracer.total_ns(p));
       for (int e = 0; e < epochs; ++e) {
@@ -253,8 +258,8 @@ int main(int argc, char** argv) {
             1e6);
       }
       const double apply_ms = phase_ms[0];
-      const double unattributed_ms =
-          apply_ms - phase_ms[1] - phase_ms[2] - phase_ms[3] - phase_ms[4];
+      const double unattributed_ms = apply_ms - phase_ms[1] - phase_ms[2] -
+                                     phase_ms[3] - phase_ms[4] - phase_ms[8];
 
       // Full out-of-core rebuild of the final matrix — what every epoch
       // would cost without the dirty-tile repair path: fresh input spill +
@@ -307,6 +312,7 @@ int main(int argc, char** argv) {
           .field("edges_recomputed", edges_recomputed)
           .field("input_tile_loads", input_tile_loads)
           .field("repair_epoch_ms", repair_epoch_ms, 3)
+          .field("epoch_screen_ms", phase_ms[8] / epochs, 3)
           .field("epoch_journal_ms", phase_ms[1] / epochs, 3)
           .field("tile_repack_ms", phase_ms[2] / epochs, 3)
           .field("band_pair_stream_ms", phase_ms[3] / epochs, 3)
@@ -364,10 +370,15 @@ int main(int argc, char** argv) {
           kGuardHosts, static_cast<std::uint32_t>(kGuardHosts * kGuardDirty));
       std::vector<HostId> dirty(picks.begin(), picks.end());
       std::sort(dirty.begin(), dirty.end());
+      // Every incident edge flagged: the walk's full work, as an epoch
+      // without the screen would run it.
+      tiv::core::EpochEdges all_incident;
+      all_incident.reset(dirty, kGuardHosts);
+      all_incident.flag_all();
       tiv::core::SinkRepairStats repair;
       const double repair_ms = tiv::bench::best_ms(3, [&] {
         repair = tiv::core::repair_severities_to_sink(store, cache, sink,
-                                                      dirty);
+                                                      dirty, all_incident);
       });
       const TivAnalyzer analyzer(m);
       const DelayMatrixView view(m);
@@ -408,6 +419,7 @@ int main(int argc, char** argv) {
              "bench_shard_stream", snap,
              {"shard.input.reads", "cache.input.hits", "engine.epochs_applied",
               "engine.epoch_ns", "engine.input_tile_loads",
+              "engine.edges_changed",
               "stream.samples_applied"}) &&
          ok;
   }

@@ -4,6 +4,7 @@
 // libtiv_core defines none of these (CI checks its symbol table).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/severity.hpp"
@@ -26,6 +27,15 @@ core::EdgeTivStats edge_stats_scalar(const DelayMatrix& m, HostId a,
 /// All-edges severities by the scalar scan; equal to
 /// TivAnalyzer::all_severities after the float cast.
 core::SeverityMatrix all_severities_reference(const DelayMatrix& m);
+
+/// Edges {a, c}, a < c, whose severity an epoch from `before` to `after`
+/// can change, by brute force over every edge and witness: d(a, c)
+/// changed, or some witness b with a changed leg d(a, b) or d(b, c)
+/// violates (a, c) — both legs and the edge measured, detour = d_ab + d_bc
+/// in float, detour < d_ac && detour > 0 — in `before` or in `after`.
+/// O(n^3); the oracle core::EpochScreen::flag must equal.
+std::vector<std::pair<HostId, HostId>> reachable_edges_scalar(
+    const DelayMatrix& before, const DelayMatrix& after);
 
 /// min(direct, best one-hop relay a -> c -> b), +inf when neither exists;
 /// DetourRouter::oracle_one_hop equals it bit for bit.

@@ -37,6 +37,32 @@ core::EdgeTivStats edge_stats_scalar(const DelayMatrix& m, HostId a,
   return stats;
 }
 
+std::vector<std::pair<HostId, HostId>> reachable_edges_scalar(
+    const DelayMatrix& before, const DelayMatrix& after) {
+  const HostId n = after.size();
+  const auto changed = [&](HostId x, HostId y) {
+    return before.at(x, y) != after.at(x, y);
+  };
+  const auto violates = [](const DelayMatrix& m, HostId a, HostId b,
+                           HostId c) {
+    if (!m.has(a, c) || !m.has(a, b) || !m.has(b, c)) return false;
+    const float detour = m.at(a, b) + m.at(b, c);
+    return detour < m.at(a, c) && detour > 0.0f;
+  };
+  std::vector<std::pair<HostId, HostId>> edges;
+  for (HostId a = 0; a < n; ++a) {
+    for (HostId c = a + 1; c < n; ++c) {
+      bool reach = changed(a, c);
+      for (HostId b = 0; b < n && !reach; ++b) {
+        if (b == a || b == c || !(changed(a, b) || changed(b, c))) continue;
+        reach = violates(before, a, b, c) || violates(after, a, b, c);
+      }
+      if (reach) edges.emplace_back(a, c);
+    }
+  }
+  return edges;
+}
+
 core::SeverityMatrix all_severities_reference(const DelayMatrix& m) {
   const HostId n = m.size();
   core::SeverityMatrix sev(n);

@@ -43,10 +43,11 @@ using shard::TileStore;
 // thread.
 //
 // Dirty-row walk (epoch repair): every recomputed edge has a dirty
-// endpoint h, so the pass pins the dirty hosts' packed rows once and then
-// loads each input tile once — column band J walks tiles (J, K) and
-// accumulates every edge (h, c in J) from the pinned slice d(h, band K) and
-// tile row c. See repair_severities_to_sink for its three phases.
+// endpoint h, so the pass pins those hosts' packed rows once and then
+// loads each input tile at most once — column band J walks tiles (J, K)
+// and accumulates every flagged edge (h, c in J) from the pinned slice
+// d(h, band K) and tile row c. See repair_severities_to_sink for its three
+// phases.
 // ---------------------------------------------------------------------------
 
 /// Funnels the first exception thrown by a pool-scheduled body back to the
@@ -189,12 +190,12 @@ void check_sink_matches(const TileStore& store,
 /// The repair pass's per-epoch buffers, owned by the calling thread and
 /// reused across epochs: the pinned packed rows of one host group and its
 /// severity rows, each |group| x stride floats (stride = bands * T, the
-/// store's padded row), plus the epoch's dirty-host bitmap and the
-/// committed-sink-tile set.
+/// store's padded row), plus two per-sink-tile maps: the tiles holding a
+/// flagged edge of the current group, and the tiles committed so far.
 struct RepairBuffers {
   std::vector<float> rows;
   std::vector<float> result;
-  std::vector<std::uint8_t> dirty;
+  std::vector<std::uint8_t> touched;
   std::vector<std::uint8_t> committed;
 };
 
@@ -203,66 +204,94 @@ RepairBuffers& repair_buffers() {
   return buffers;
 }
 
-/// The group's hosts in one row band: indices [begin, end) of the group.
+/// Hosts of one row band: indices [begin, end) of an ascending host list.
 struct BandRun {
   std::uint32_t band;
   std::uint32_t begin;
   std::uint32_t end;
 };
 
-/// One pass of the dirty-row walk over `group` (an ascending slice of the
-/// epoch's dirty hosts; every host before group.front() was repaired by an
-/// earlier pass). Accumulates into `stats`.
+/// The band runs of the ascending `hosts` for which keep(i) holds.
+template <typename Keep>
+std::vector<BandRun> band_runs(std::span<const HostId> hosts,
+                               std::uint32_t T, Keep&& keep) {
+  std::vector<BandRun> runs;
+  for (std::uint32_t i = 0; i < hosts.size(); ++i) {
+    if (!keep(i)) continue;
+    const std::uint32_t b = hosts[i] / T;
+    if (runs.empty() || runs.back().band != b) runs.push_back({b, i, i});
+    runs.back().end = i + 1;
+  }
+  return runs;
+}
+
+/// Calls fn(i, k, slice) on the pool for every host i of `runs` and every
+/// band K, where slice is d(hosts[i], band K): tile_dim floats of tile
+/// (band(hosts[i]), K). One acquire per (run, K).
+template <typename SliceFn>
+void for_each_row_slice(const TileStore& store, TileCache& cache,
+                        std::span<const HostId> hosts,
+                        const std::vector<BandRun>& runs, SliceFn&& fn) {
+  const std::uint32_t T = store.tile_dim();
+  const std::uint32_t bands = store.tiles_per_side();
+  for_each_unit(runs.size() * bands, [&](std::size_t u) {
+    const BandRun& r = runs[u / bands];
+    const auto k = static_cast<std::uint32_t>(u % bands);
+    const TileRef tile = cache.acquire(r.band, k);
+    for (std::uint32_t i = r.begin; i < r.end; ++i) {
+      fn(i, k, tile->row(hosts[i] - r.band * T));
+    }
+  });
+}
+
+/// One pass of the dirty-row walk over `group`, the ascending slice of the
+/// epoch's dirty hosts that starts at dirty index `first`: recomputes the
+/// flagged edges of rows [first, first + |group|) of `edges`. Accumulates
+/// into `stats`.
 void repair_host_group(const TileStore& store, TileCache& cache,
                        sink::SeverityTileStore& sink,
-                       std::span<const HostId> group, RepairBuffers& rb,
-                       SinkRepairStats& stats) {
+                       std::span<const HostId> group, std::size_t first,
+                       const EpochEdges& edges, std::span<std::uint8_t> written,
+                       RepairBuffers& rb, SinkRepairStats& stats) {
   const HostId n = store.size();
   const std::uint32_t T = store.tile_dim();
   const std::uint32_t bands = store.tiles_per_side();
   const std::size_t stride = static_cast<std::size_t>(bands) * T;
   const auto nd = static_cast<double>(n);
-  const HostId lo = group.front();
-  const std::uint8_t* dirty = rb.dirty.data();
   rb.rows.resize(group.size() * stride);
   rb.result.resize(group.size() * stride);
   float* const rows = rb.rows.data();
   float* const result = rb.result.data();
 
-  std::vector<BandRun> runs;
-  for (std::uint32_t i = 0; i < group.size(); ++i) {
-    const std::uint32_t b = group[i] / T;
-    if (runs.empty() || runs.back().band != b) runs.push_back({b, i, i});
-    runs.back().end = i + 1;
-  }
+  // Band runs of the group hosts that have a flagged edge: only their rows
+  // are pinned, and only their bands can hold a tile to merge.
+  const std::vector<BandRun> runs = band_runs(
+      group, T, [&](std::uint32_t i) { return edges.row_any(first + i); });
   std::vector<const BandRun*> run_of_band(bands, nullptr);
   for (const BandRun& r : runs) run_of_band[r.band] = &r;
 
   std::atomic<std::size_t> loads{0};
-  std::atomic<std::size_t> edges{0};
   std::atomic<std::size_t> committed{0};
 
-  // (0) Pin the group's packed rows: one acquire per (dirty band, K).
+  // (0) Pin the group's packed rows: one acquire per (run band, K).
   {
     obs::Span span("row-pin");
-    for_each_unit(runs.size() * bands, [&](std::size_t u) {
-      const BandRun& r = runs[u / bands];
-      const auto k = static_cast<std::uint32_t>(u % bands);
-      const TileRef tile = cache.acquire(r.band, k);
-      loads.fetch_add(1, std::memory_order_relaxed);
-      for (std::uint32_t i = r.begin; i < r.end; ++i) {
-        std::memcpy(rows + i * stride + static_cast<std::size_t>(k) * T,
-                    tile->row(group[i] - r.band * T), T * sizeof(float));
-      }
-    });
+    for_each_row_slice(store, cache, group, runs,
+                       [&](std::uint32_t i, std::uint32_t k,
+                           const float* slice) {
+                         std::memcpy(rows + i * stride +
+                                         static_cast<std::size_t>(k) * T,
+                                     slice, T * sizeof(float));
+                       });
+    loads.fetch_add(runs.size() * bands, std::memory_order_relaxed);
   }
 
   // (1) Walk the column bands: unit J loads tiles (J, K) once each and
-  // accumulates every edge (h, c in J). Edges are enumerated as
-  // IncrementalSeverity::apply_epoch does — each unordered pair once, as
-  // (h, c) with c != h and c not a dirty host below h — and unmeasured
-  // ones get the 0 a rebuild leaves there. The group's own bands go first:
-  // phase 0 just loaded their tiles, so they are still cached.
+  // accumulates every flagged edge (h, c in J); unmeasured ones get the 0
+  // a rebuild leaves there. A band with no measured flagged edge loads
+  // nothing. The group's own bands go first: phase 0 just loaded their
+  // tiles, so they are still cached.
+  std::size_t group_edges = 0;
   {
     obs::Span span("witness-walk");
     std::vector<std::uint32_t> order;
@@ -278,21 +307,18 @@ void repair_host_group(const TileStore& store, TileCache& cache,
       WalkScratch& scratch = walk_scratch();
       std::vector<PairTask>& tasks = scratch.tasks;
       tasks.clear();
-      std::size_t unit_edges = 0;
-      for (std::uint32_t i = 0; i < group.size(); ++i) {
-        const HostId h = group[i];
-        const float* prow = rows + i * stride;
-        for (HostId c = c0; c < c1; ++c) {
-          if (c == h || (dirty[c] && c < h)) continue;
-          ++unit_edges;
-          if (prow[c] < DelayMatrixView::kMaskedDelay) {
-            tasks.push_back({i, c - c0, prow[c]});
-          } else {
-            result[i * stride + c] = 0.0f;
-          }
+      for (const BandRun& r : runs) {
+        for (std::uint32_t i = r.begin; i < r.end; ++i) {
+          const float* prow = rows + i * stride;
+          edges.for_each_in_row(first + i, c0, c1, [&](HostId c) {
+            if (prow[c] < DelayMatrixView::kMaskedDelay) {
+              tasks.push_back({i, c - c0, prow[c]});
+            } else {
+              result[i * stride + c] = 0.0f;
+            }
+          });
         }
       }
-      edges.fetch_add(unit_edges, std::memory_order_relaxed);
       if (tasks.empty()) return;
 
       std::vector<double>& acc = scratch.acc;
@@ -313,27 +339,30 @@ void repair_host_group(const TileStore& store, TileCache& cache,
             witness_ratio_reduce(acc.data() + t * kWitnessLanes) / nd);
       }
     });
-    // Dirty-dirty edges inside the group were computed from the lower
-    // host's row; mirror them into the higher host's.
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      for (std::size_t x = i + 1; x < group.size(); ++x) {
-        result[x * stride + group[i]] = result[i * stride + group[x]];
-      }
-    }
   }
 
-  // (2) Merge into the sink: one writer per sink tile holding a group
-  // edge. It overwrites the group's rows and columns and commits iff one
-  // of those edges is measured or a stale value was reset to 0; a tile
-  // whose dirty edges are all unmeasured and already 0 is left as is.
-  // Edges to hosts of an earlier group are already final there and are
-  // left alone.
+  // (2) Merge into the sink: one writer per sink tile holding a flagged
+  // edge of the group. It writes exactly the flagged cells (both mirror
+  // cells on a diagonal tile) and commits iff one of them is measured or a
+  // stale value was reset to 0; a tile whose flagged edges are all
+  // unmeasured and already 0 is left as is.
   {
     obs::Span span("sink-merge");
+    rb.touched.assign(sink.tile_count(), 0);
+    for (const BandRun& r : runs) {
+      for (std::uint32_t i = r.begin; i < r.end; ++i) {
+        edges.for_each_in_row(first + i, 0, n, [&](HostId c) {
+          ++group_edges;
+          const std::uint32_t bc = c / T;
+          rb.touched[sink.tile_index(std::min(r.band, bc),
+                                     std::max(r.band, bc))] = 1;
+        });
+      }
+    }
     std::vector<std::pair<std::uint32_t, std::uint32_t>> tiles;
     for (std::uint32_t bi = 0; bi < bands; ++bi) {
       for (std::uint32_t bj = bi; bj < bands; ++bj) {
-        if (run_of_band[bi] || run_of_band[bj]) tiles.emplace_back(bi, bj);
+        if (rb.touched[sink.tile_index(bi, bj)]) tiles.emplace_back(bi, bj);
       }
     }
     for_each_unit(tiles.size(), [&](std::size_t u) {
@@ -342,38 +371,39 @@ void repair_host_group(const TileStore& store, TileCache& cache,
       buf.resize(sink.payload_floats());
       sink.read_tile(bi, bj, buf.data());
       bool commit = false;
-      // Writes edge (group[i], x) into tile cell `cell`.
-      const auto merge = [&](std::uint32_t i, HostId x, std::size_t cell) {
-        const std::size_t o = i * stride + x;
+      // Writes flagged edge (group[i], c) into tile cell `cell`.
+      const auto merge = [&](std::uint32_t i, HostId c, std::size_t cell) {
+        const std::size_t o = i * stride + c;
         commit |= rows[o] < DelayMatrixView::kMaskedDelay || buf[cell] != 0.0f;
         buf[cell] = result[o];
       };
-      const auto skip = [&](HostId h, HostId x) {
-        return x == h || (dirty[x] && x < lo);
-      };
+      const HostId row0 = bi * T;
+      const HostId col0 = bj * T;
       if (const BandRun* r = run_of_band[bi]) {  // group rows of band bi
         for (std::uint32_t i = r->begin; i < r->end; ++i) {
-          const HostId h = group[i];
-          const std::size_t row = static_cast<std::size_t>(h - bi * T) * T;
-          for (HostId x = bj * T; x < bj * T + store.band_rows(bj); ++x) {
-            if (!skip(h, x)) merge(i, x, row + (x - bj * T));
-          }
+          const std::size_t row = static_cast<std::size_t>(group[i] - row0) * T;
+          edges.for_each_in_row(
+              first + i, col0, col0 + store.band_rows(bj),
+              [&](HostId c) { merge(i, c, row + (c - col0)); });
         }
       }
       if (const BandRun* r = run_of_band[bj]) {  // group columns of band bj
         for (std::uint32_t i = r->begin; i < r->end; ++i) {
-          const HostId h = group[i];
-          const std::size_t col = h - bj * T;
-          for (HostId x = bi * T; x < bi * T + store.band_rows(bi); ++x) {
-            if (!skip(h, x)) merge(i, x, (x - bi * T) * std::size_t{T} + col);
-          }
+          const std::size_t col = group[i] - col0;
+          edges.for_each_in_row(
+              first + i, row0, row0 + store.band_rows(bi), [&](HostId c) {
+                merge(i, c, (c - row0) * std::size_t{T} + col);
+              });
         }
       }
       if (!commit) return;
+      const std::size_t index = sink.tile_index(bi, bj);
+      // Marked before the write, so a write that throws still counts.
+      if (!written.empty()) written[index] = 1;
       sink.write_tile(bi, bj, buf.data());
       // Distinct tiles across groups: a tile with hosts of two groups is
       // written twice but counts once, as it does in a one-group pass.
-      std::uint8_t& seen = rb.committed[sink.tile_index(bi, bj)];
+      std::uint8_t& seen = rb.committed[index];
       if (!seen) {
         seen = 1;
         committed.fetch_add(1, std::memory_order_relaxed);
@@ -381,7 +411,7 @@ void repair_host_group(const TileStore& store, TileCache& cache,
     });
   }
   stats.input_tile_loads += loads.load();
-  stats.edges_recomputed += edges.load();
+  stats.edges_recomputed += group_edges;
   stats.tiles_committed += committed.load();
 }
 
@@ -411,17 +441,39 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
   return std::max<std::size_t>(1, budget_bytes / host_bytes);
 }
 
+void diff_dirty_rows(const TileStore& store, TileCache& cache,
+                     std::span<const HostId> dirty_hosts,
+                     EpochScreen& screen) {
+  check_dirty_hosts(dirty_hosts, store.size(), "diff_dirty_rows");
+  const std::uint32_t T = store.tile_dim();
+  for_each_row_slice(
+      store, cache, dirty_hosts,
+      band_runs(dirty_hosts, T, [](std::uint32_t) { return true; }),
+      [&](std::uint32_t i, std::uint32_t k, const float* slice) {
+        screen.diff(i, k * T, slice, T);
+      });
+}
+
 SinkRepairStats repair_severities_to_sink(
     const TileStore& store, TileCache& cache, sink::SeverityTileStore& sink,
-    std::span<const HostId> dirty_hosts) {
+    std::span<const HostId> dirty_hosts, const EpochEdges& edges,
+    std::span<std::uint8_t> written) {
   check_sink_matches(store, sink);
   check_dirty_hosts(dirty_hosts, store.size(), "repair_severities_to_sink");
   SinkRepairStats stats;
   if (dirty_hosts.empty() || store.size() < 2) return stats;
+  if (edges.rows() != dirty_hosts.size() || edges.size() != store.size()) {
+    throw std::invalid_argument(
+        "repair_severities_to_sink: edge set geometry (dirty hosts, n) must "
+        "match the epoch");
+  }
+  if (!written.empty() && written.size() != sink.tile_count()) {
+    throw std::invalid_argument(
+        "repair_severities_to_sink: written map must hold one byte per sink "
+        "tile");
+  }
 
   RepairBuffers& rb = repair_buffers();
-  rb.dirty.assign(store.size(), 0);
-  for (const HostId h : dirty_hosts) rb.dirty[h] = 1;
   rb.committed.assign(sink.tile_count(), 0);
 
   obs::Span span("band-pair-stream");
@@ -430,8 +482,8 @@ SinkRepairStats repair_severities_to_sink(
   for (std::size_t g = 0; g < dirty_hosts.size(); g += group) {
     repair_host_group(
         store, cache, sink,
-        dirty_hosts.subspan(g, std::min(group, dirty_hosts.size() - g)), rb,
-        stats);
+        dirty_hosts.subspan(g, std::min(group, dirty_hosts.size() - g)), g,
+        edges, written, rb, stats);
   }
   return stats;
 }

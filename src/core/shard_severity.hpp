@@ -10,11 +10,15 @@
 //    pair by band pair; working set O(budget + tile^2) per worker.
 //  - The dirty-row walk: repair_severities_to_sink, the out-of-core half of
 //    the src/stream/ dirty-epoch engine. After an epoch dirtied a host set
-//    H, only the edges incident to H are recomputed, and each input tile is
-//    read once: (0) pin H's packed rows, (1) walk the column bands, each
-//    tile (J, K) feeding every edge (h, c in J) from the pinned slice
-//    d(h, band K), (2) merge the results into the affected sink tiles, one
-//    writer per tile. The pinned rows and the result rows take
+//    H, only the edges flagged in an EpochEdges set (core/epoch_screen:
+//    the exact screen flags the incident edges whose severity can change;
+//    EpochEdges::flag_all flags every incident edge) are recomputed, and
+//    each input tile is read at most once: (0) pin the packed rows of the
+//    hosts with a flagged edge, (1) walk the column bands, each tile
+//    (J, K) feeding every flagged edge (h, c in J) from the pinned slice
+//    d(h, band K) — a band with no measured flagged edge is skipped —
+//    (2) merge the results into the sink tiles holding a flagged edge,
+//    one writer per tile. The pinned rows and the result rows take
 //    2 * |H| * stride * 4 bytes (stride = the padded row); when that would
 //    exceed the input cache budget, H is split into ascending groups of
 //    repair_group_hosts() hosts that run one pass each.
@@ -30,6 +34,7 @@
 #include <cstdint>
 #include <span>
 
+#include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
@@ -51,11 +56,12 @@ void all_severities_to_sink(const shard::TileStore& store,
 /// Accounting for one repair_severities_to_sink call.
 struct SinkRepairStats {
   std::size_t tiles_committed = 0;   ///< distinct sink tiles rewritten
-  std::size_t edges_recomputed = 0;  ///< dirty pairs re-evaluated (incl.
+  std::size_t edges_recomputed = 0;  ///< flagged pairs re-evaluated (incl.
                                      ///< pairs reset to 0 on a loss)
   /// Input-tile acquires of the pass — deterministic, unlike cache hits and
-  /// misses under prefetch: bands * (bands + dirty bands) for a one-group
-  /// pass (the pinned rows' tiles, then every tile once).
+  /// misses under prefetch. At most bands * (bands + dirty bands) for a
+  /// one-group pass (the pinned rows' tiles, then every tile once), exactly
+  /// that when every incident edge is flagged.
   std::size_t input_tile_loads = 0;
 };
 
@@ -66,21 +72,39 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
                                std::size_t budget_bytes);
 
 /// Incremental form of all_severities_to_sink: recomputes exactly the
-/// edges incident to `dirty_hosts` (ascending, distinct — what
-/// DelayStream::commit_epoch returns; std::invalid_argument otherwise)
-/// through the dirty-row walk and rewrites only the sink tiles whose
-/// values a rebuild would change: those holding a measured dirty edge or a
-/// stale value reset to 0. Host groups are sized against
-/// cache.budget_bytes() (repair_group_hosts). `store`
-/// must already hold the post-epoch matrix (TileStore::repack_tile on the
-/// dirty bands, with the cache invalidated — src/stream/shard_stream owns
-/// that sequencing). Severities the in-memory
-/// IncrementalSeverity::apply_epoch would leave untouched are untouched
-/// here too, so the sink stays bit-identical to a from-scratch
-/// all_severities of the mutated matrix after every epoch.
+/// edges flagged in `edges` — a set over `dirty_hosts` (ascending,
+/// distinct — what DelayStream::commit_epoch returns; std::invalid_argument
+/// otherwise, and on an edge set of another geometry) — through the
+/// dirty-row walk, and rewrites only the sink tiles whose values a rebuild
+/// would change: those holding a measured flagged edge or a stale value
+/// reset to 0. Host groups are sized against cache.budget_bytes()
+/// (repair_group_hosts). `store` must already hold the post-epoch matrix
+/// (TileStore::repack_tile on the dirty bands, with the cache invalidated
+/// — src/stream/shard_stream owns that sequencing). Severities the
+/// in-memory IncrementalSeverity::apply_epoch would leave untouched are
+/// untouched here too, so with the screen's flags (or every incident edge
+/// flagged) the sink stays bit-identical to a from-scratch all_severities
+/// of the mutated matrix after every epoch.
+///
+/// `written`, when not empty, holds one byte per sink tile
+/// (sink.tile_count(), indexed by sink.tile_index); the pass sets the byte
+/// of every tile it writes, before the write. Bytes are only ever set, so
+/// across a pass that throws and its retry they name every tile either
+/// attempt wrote — the tiles whose cached copies are stale.
 SinkRepairStats repair_severities_to_sink(
     const shard::TileStore& store, shard::TileCache& cache,
-    sink::SeverityTileStore& sink, std::span<const HostId> dirty_hosts);
+    sink::SeverityTileStore& sink, std::span<const HostId> dirty_hosts,
+    const EpochEdges& edges, std::span<std::uint8_t> written = {});
+
+/// The screen's read of the pre-epoch rows (core/epoch_screen): calls
+/// screen.diff on every dirty host's packed row, read from `store` one
+/// acquire per (dirty band, K) on the pool, as the repair's row pin reads
+/// them. Call after screen.begin and before the epoch's tiles are
+/// repacked. Rethrows the first error of a unit — a corrupt tile, or the
+/// screen's std::invalid_argument — on the calling thread.
+void diff_dirty_rows(const shard::TileStore& store, shard::TileCache& cache,
+                     std::span<const HostId> dirty_hosts,
+                     EpochScreen& screen);
 
 /// Recomputes sink tile (bi, bj), bi <= bj, from scratch through the
 /// band-pair walk and commits it — the one-tile form of

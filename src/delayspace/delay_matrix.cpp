@@ -121,14 +121,9 @@ void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,
   for (HostId b = col_begin; b < col_end; ++b) {
     const std::size_t lb = b - col_begin;
     const float d = row[b];
-    if (b == i) {
-      out[lb] = 0.0f;  // diagonal: keeps the b==a/b==c self-exclusion trick
-    } else if (d >= 0.0f) {
-      out[lb] = d;
-      mask[lb >> 6] |= std::uint64_t{1} << (lb & 63);
-    } else {
-      out[lb] = kMaskedDelay;
-    }
+    // The diagonal's 0 keeps the b==a/b==c self-exclusion trick.
+    out[lb] = pack_entry(d, b == i);
+    if (b != i && d >= 0.0f) mask[lb >> 6] |= std::uint64_t{1} << (lb & 63);
   }
 }
 

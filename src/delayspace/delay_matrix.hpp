@@ -112,9 +112,16 @@ class DelayMatrixView {
 
   explicit DelayMatrixView(const DelayMatrix& m);
 
+  /// The view encoding of one entry d of row i, column b: 0 on the
+  /// diagonal (diagonal = b == i), d where measured, kMaskedDelay where
+  /// missing. Branch-free, so loops over it vectorize.
+  static float pack_entry(float d, bool diagonal) {
+    return diagonal ? 0.0f : (d >= 0.0f ? d : kMaskedDelay);
+  }
+
   /// Packs columns [col_begin, col_end) of matrix row i into the view
   /// encoding: measured -> value + mask bit, diagonal -> 0, missing ->
-  /// kMaskedDelay. out holds col_end - col_begin floats; mask bits land at
+  /// kMaskedDelay (pack_entry). out holds col_end - col_begin floats; mask bits land at
   /// segment-local index b - col_begin in words the caller has zeroed.
   /// This is the single definition of the encoding — shared by this view's
   /// constructor and shard::TileStore's tile writer (which keeps the floats

@@ -9,13 +9,15 @@
 //   epoch                 one ShardStreamEngine::apply_epoch call
 //   ├─ ingest             DelayStream::ingest(batch)   (precedes the epoch)
 //   ├─ view-repair        IncrementalSeverity view repair (in-memory path)
+//   │  └─ epoch-screen    the screen's diff of the dirty view rows
+//   ├─ epoch-screen       pre-epoch dirty rows read and diffed, edges flagged
 //   ├─ epoch-journal      prefetch drain + manifest planning and write
 //   ├─ tile-repack        dirty input tiles rewritten in place
 //   ├─ band-pair-stream   the streaming severity driver (build or repair)
-//   │  ├─ row-pin         repair: dirty hosts' packed rows pinned
-//   │  ├─ witness-walk    repair: column bands walked, each tile once
-//   │  └─ sink-merge      repair: results merged into the sink tiles
-//   └─ sink-commit        sink cache invalidation + manifest clear
+//   │  ├─ row-pin         repair: flagged hosts' packed rows pinned
+//   │  ├─ witness-walk    repair: flagged column bands walked, each tile once
+//   │  └─ sink-merge      repair: flagged edges merged into their sink tiles
+//   └─ sink-commit        rewritten tiles' cache invalidation + manifest clear
 //   recovery-action       one heal (tile rebuild/repack) or replay
 //
 // Attachment mirrors shard::FaultInjector: a process-global tracer pointer,

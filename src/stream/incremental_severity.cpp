@@ -21,6 +21,18 @@ IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
   ApplyStats stats;
   if (dirty_hosts.empty()) return stats;
   obs::Span span("view-repair");
+  const HostId n = matrix.size();
+  {
+    // Diff before the repack, while the view still holds the pre-epoch
+    // rows: diff() throws on an out-of-contract change before any row
+    // moves, and counts the changed entries.
+    obs::Span screen_span("epoch-screen");
+    screen_.begin(matrix, dirty_hosts);
+    for (std::size_t i = 0; i < dirty_hosts.size(); ++i) {
+      screen_.diff(i, 0, view_.row(dirty_hosts[i]), n);
+    }
+    stats.edges_changed = screen_.edges_changed();
+  }
   // Row repacks are independent; epochs large enough to matter (bulk churn,
   // initial backfill) spread across the pool, tiny ones stay cheap because
   // parallel_for degenerates to the calling thread.
@@ -30,21 +42,20 @@ IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
   stats.rows_repacked = dirty_hosts.size();
 
   // Every edge incident to a dirty host, each unordered pair once: (h, x)
-  // for all x, skipped when x is itself dirty and precedes h (that pair was
-  // emitted as (x, h)). Unmeasured pairs are included on purpose — an edge
-  // that transitioned measured -> missing this epoch must have its stale
-  // severity overwritten with the 0 the batch returns for it, exactly what
-  // a from-scratch rebuild would leave there.
-  const HostId n = matrix.size();
-  std::vector<std::uint8_t> dirty(n, 0);
-  for (const HostId h : dirty_hosts) dirty[h] = 1;
-  std::vector<std::pair<HostId, HostId>> edges;
-  edges.reserve(dirty_hosts.size() * (n - 1));
-  for (const HostId h : dirty_hosts) {
-    for (HostId x = 0; x < n; ++x) {
-      if (x == h || (dirty[x] && x < h)) continue;
-      edges.emplace_back(h, x);
-    }
+  // by ascending h, then x, skipping x == h and a dirty x < h (that pair
+  // is (x, h)). This engine does not act on the screen's flags yet (see
+  // the file comment). Unmeasured pairs are included on purpose — an edge
+  // that went measured -> missing this epoch must have its stale severity
+  // overwritten with the 0 the batch returns for it, exactly what a
+  // from-scratch rebuild leaves.
+  edges_.reset(dirty_hosts, n);
+  edges_.flag_all();
+  std::vector<std::pair<HostId, HostId>>& edges = batch_;
+  edges.clear();
+  for (std::size_t i = 0; i < dirty_hosts.size(); ++i) {
+    edges_.for_each_in_row(i, 0, n, [&](HostId x) {
+      edges.emplace_back(dirty_hosts[i], x);
+    });
   }
   stats.edges_recomputed = edges.size();
 

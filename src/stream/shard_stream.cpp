@@ -36,6 +36,11 @@ obs::Counter& engine_edges_recomputed() {
       obs::MetricsRegistry::instance().counter("engine.edges_recomputed");
   return c;
 }
+obs::Counter& engine_edges_changed() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("engine.edges_changed");
+  return c;
+}
 obs::Counter& engine_input_tile_loads() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("engine.input_tile_loads");
@@ -93,6 +98,7 @@ ShardStreamEngine::ShardStreamEngine(const delayspace::DelayMatrix& initial,
   sink_ = sink::SeverityTileStore::open(config_.sink_path,
                                         /*writable=*/true);
   sink_cache_.emplace(*sink_, config_.output_budget_bytes);
+  sink_written_.assign(sink_->tile_count(), 0);
   core::all_severities_to_sink(*input_, *input_cache_, *sink_);
   guard.armed = false;
   link_recovery_metrics();
@@ -116,6 +122,7 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag,
   sink_ = sink::SeverityTileStore::open(config_.sink_path, /*writable=*/true,
                                         matrix.size(), config_.tile_dim);
   sink_cache_.emplace(*sink_, config_.output_budget_bytes);
+  sink_written_.assign(sink_->tile_count(), 0);
 
   link_recovery_metrics();
 
@@ -199,6 +206,7 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
     input_cache_->drain_prefetch();
     input_->repack_tile(*source_, r, c);
     input_cache_->invalidate(r, c);
+    ++input_heals_;
     recovery_.input_tiles_recovered.increment();
     return;
   }
@@ -273,11 +281,31 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   } scope{*this, source_};
   source_ = &matrix;
 
+  // 0. Screen (core/epoch_screen): diff the dirty rows' pre-epoch values,
+  // read tile by tile from the input store before anything is repacked,
+  // against `matrix`, and flag the edges whose severity can change. A
+  // changed entry outside the dirty-host contract throws here, before the
+  // manifest or any tile is written. A heal in this phase repacks the
+  // corrupt tile from the post-epoch matrix and so loses its pre-epoch
+  // values: the epoch then flags every incident edge instead.
+  {
+    obs::Span screen_span("epoch-screen");
+    const std::uint64_t heals = input_heals_;
+    with_recovery([&] {
+      screen_.begin(matrix, dirty_hosts);
+      core::diff_dirty_rows(*input_, *input_cache_, dirty_hosts, screen_);
+      return 0;
+    });
+    screen_.flag(edges_);
+    if (input_heals_ != heals) edges_.flag_all();
+    stats.edges_changed = screen_.edges_changed();
+  }
+
   EpochManifest manifest;
   const std::string manifest_path = EpochManifest::path_for(sink_->path());
   {
     obs::Span journal_span("epoch-journal");
-    // 0. Quiesce the prefetcher: hints left over from the previous repair
+    // Quiesce the prefetcher: hints left over from the previous repair
     // pass must not read tiles concurrently with the repacks below (a
     // racing read could pin a tile across invalidate(), or observe a torn
     // write).
@@ -326,13 +354,15 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
     }
   }
 
-  // 3. Severity repair: recompute the edges incident to dirty hosts and
-  // commit the affected sink tiles. Self-healing: a corrupt tile hit by
-  // the repair scan is rebuilt and the repair retried (recommitting a
-  // tile the aborted attempt already wrote is idempotent).
+  // 3. Severity repair: recompute the flagged edges and commit the sink
+  // tiles that hold one. Self-healing: a corrupt tile hit by the repair
+  // scan is rebuilt and the repair retried (recommitting a tile the
+  // aborted attempt already wrote is idempotent); sink_written_ collects
+  // the tiles every attempt wrote.
   const core::SinkRepairStats repair = with_recovery([&] {
     return core::repair_severities_to_sink(*input_, *input_cache_, *sink_,
-                                           dirty_hosts);
+                                           dirty_hosts, edges_,
+                                           sink_written_);
   });
   stats.severity_tiles_committed = repair.tiles_committed;
   stats.edges_recomputed = repair.edges_recomputed;
@@ -340,11 +370,15 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
 
   {
     obs::Span commit_span("sink-commit");
-    // 4. Sink-cache coherence: drop every cached severity tile that can
-    // contain a dirty edge (a superset of the tiles actually rewritten —
-    // re-reading an unchanged tile is just a cold read).
+    // 4. Sink-cache coherence: drop the cached copies of the tiles the
+    // repair rewrote — every one of them lies in the journaled superset —
+    // so the cached tiles in between keep serving reads.
     for (const auto& [bi, bj] : manifest.sink_tiles) {
-      sink_cache_->invalidate(bi, bj);
+      std::uint8_t& written = sink_written_[sink_->tile_index(bi, bj)];
+      if (written) {
+        sink_cache_->invalidate(bi, bj);
+        written = 0;
+      }
     }
 
     // 5. Commit point: both stores are consistent, drop the journal.
@@ -355,6 +389,7 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   engine_tiles_repacked().add(stats.input_tiles_repacked);
   engine_sink_tiles_committed().add(stats.severity_tiles_committed);
   engine_edges_recomputed().add(stats.edges_recomputed);
+  engine_edges_changed().add(stats.edges_changed);
   engine_input_tile_loads().add(stats.input_tile_loads);
   if (obs::kEnabled) {
     engine_epoch_ns().record(obs::SpanTracer::now_ns() - epoch_t0);

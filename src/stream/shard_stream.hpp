@@ -14,11 +14,16 @@
 //      TileStore::repack_tile (byte-identical to a fresh build, the
 //      tile-granular mirror of DelayMatrixView::repack_row) and dropped
 //      from the tile cache (the dirty-tile invalidation rule).
-//   2. Only the edges incident to dirty hosts are recomputed, through the
-//      dirty-row walk of core/shard_severity (the dirty hosts' rows pinned
-//      once, then every input tile read once), and only the sink tiles
-//      whose values change are rewritten and committed with fresh
-//      checksums.
+//   2. Before the repack, the exact screen of core/epoch_screen diffs the
+//      dirty hosts' pre-epoch rows, read tile by tile from the input
+//      store, against the mutated matrix and flags the incident edges
+//      whose severity can change: those that changed themselves or have a
+//      changed witness term that violates before or after the epoch.
+//   3. Only the flagged edges are recomputed, through the dirty-row walk
+//      of core/shard_severity (their hosts' rows pinned once, then every
+//      column band holding a flagged edge read once), and only the sink
+//      tiles holding one are rewritten and committed with fresh
+//      checksums; only those are dropped from the sink cache.
 //
 // After every epoch the sink contents are *bit-identical* to the in-memory
 // DelayStream -> IncrementalSeverity -> all_severities path over the same
@@ -35,7 +40,9 @@
 //     tile is rebuilt from its band pair of the (trusted) input store, a
 //     corrupt input tile is repacked from the attached live matrix
 //     (attach_source), and the interrupted operation retries. Healed-tile
-//     counts are in recovery_stats().
+//     counts are in recovery_stats(). A heal during the screen's read of
+//     the pre-epoch rows loses those rows' old values, so that epoch
+//     recomputes every edge incident to a dirty host instead.
 //   - Epoch commits are crash-safe: apply_epoch journals the tiles it is
 //     about to rewrite (stream/epoch_manifest) before the first in-place
 //     write and clears the journal after the last. recover() reopens the
@@ -51,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "core/epoch_screen.hpp"
 #include "obs/metrics.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
@@ -86,6 +94,10 @@ class ShardStreamEngine {
   struct EpochStats {
     std::size_t input_tiles_repacked = 0;
     std::size_t severity_tiles_committed = 0;
+    /// Changed unordered entries the screen's diff found.
+    std::size_t edges_changed = 0;
+    /// Edges the screen flagged and the repair recomputed (every edge
+    /// incident to a dirty host when a heal hit the screen).
     std::size_t edges_recomputed = 0;
     /// Input-tile acquires of the severity repair
     /// (core::SinkRepairStats::input_tile_loads).
@@ -140,8 +152,9 @@ class ShardStreamEngine {
   /// Repairs input tiles and sink severities after an epoch that dirtied
   /// `dirty_hosts` (ascending, distinct — what DelayStream::commit_epoch
   /// returns). `matrix` must be the stream's mutated matrix (same size as
-  /// at construction). Throws std::invalid_argument on a size change or an
-  /// unsorted, duplicate or out-of-range host list, before the manifest is
+  /// at construction). Throws std::invalid_argument on a size change, an
+  /// unsorted, duplicate or out-of-range host list, or a changed entry
+  /// with an endpoint outside `dirty_hosts`, before the manifest is
   /// written or any tile rewritten. Crash-safe: the tiles about to be
   /// rewritten are journaled first, so a kill anywhere inside is
   /// recoverable via recover().
@@ -245,6 +258,14 @@ class ShardStreamEngine {
   std::optional<sink::SeverityCache> sink_cache_;
   const delayspace::DelayMatrix* source_ = nullptr;
   std::uint64_t epochs_applied_ = 0;
+  /// Input tiles healed so far — a plain count, unlike the registry
+  /// counters (zero under TIV_OBS_DISABLE), so apply_epoch can tell that a
+  /// heal hit its screen.
+  std::uint64_t input_heals_ = 0;
+  core::EpochScreen screen_;
+  core::EpochEdges edges_;
+  /// One byte per sink tile: written by the current epoch's repair.
+  std::vector<std::uint8_t> sink_written_;
   RecoveryCounters recovery_;
 };
 

@@ -2,8 +2,9 @@
 // log2 histogram bucket boundaries, snapshot/delta semantics, registry
 // link aggregation (sum with retained fold, max), span-tracer ring
 // wraparound, and the pipeline contract — a ShardStreamEngine epoch
-// records an "epoch" span that nests its tile-repack / band-pair-stream /
-// sink-commit child phases with non-zero durations.
+// records an "epoch" span that nests its epoch-screen / epoch-journal /
+// tile-repack / band-pair-stream / sink-commit child phases with non-zero
+// durations.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -355,6 +356,7 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   EXPECT_GT(epoch_ev->dur_ns, 0u);
 
   EXPECT_EQ(tracer.count("ingest"), 1u);  // the one batch ingested above
+  EXPECT_EQ(tracer.count("epoch-screen"), 1u);
   EXPECT_EQ(tracer.count("epoch-journal"), 1u);
   EXPECT_GE(tracer.count("tile-repack"), 1u);
   EXPECT_GE(tracer.count("band-pair-stream"), 1u);
@@ -367,8 +369,9 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   for (const TraceEvent& e : evs) {
     const std::string_view name(e.name);
     if (name == "band-pair-stream") band_ev = &e;
-    if (name != "epoch-journal" && name != "tile-repack" &&
-        name != "band-pair-stream" && name != "sink-commit") {
+    if (name != "epoch-screen" && name != "epoch-journal" &&
+        name != "tile-repack" && name != "band-pair-stream" &&
+        name != "sink-commit") {
       continue;
     }
     EXPECT_EQ(e.tid, epoch_ev->tid) << name;

@@ -9,13 +9,18 @@
 // plus the dirty-row repair pass's own edges: dirty hosts packed into one
 // band or spread over adjacent ones, ragged last bands, dirty-dirty edges
 // that lose their measurement, host groups forced by a small budget, pool
-// widths, mid-walk corruption, and malformed dirty-host lists.
+// widths, mid-walk corruption, and malformed dirty-host lists — and the
+// screened repair's: multi-edge epochs against a rebuild and against an
+// unscreened sink, a heal during the screen, out-of-contract changes, and
+// the narrowed sink-cache invalidation.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -23,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
 #include "core/shard_severity.hpp"
 #include "matrix_test_utils.hpp"
+#include "reference/oracles.hpp"
 #include "shard/checksum.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
@@ -270,7 +277,8 @@ TEST(SinkSeverity, GeometryMismatchRejected) {
                std::invalid_argument);
   auto sink_ro = SeverityTileStore::open(out_path);  // right flag matters too
   EXPECT_THROW(core::repair_severities_to_sink(store, cache, sink_ro,
-                                               std::vector<HostId>{1}),
+                                               std::vector<HostId>{1},
+                                               core::EpochEdges{}),
                std::invalid_argument);
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
@@ -472,7 +480,9 @@ ShardStreamConfig repair_config(const std::string& tag,
 /// Feeds `epochs` (one explicit sample batch each, timestamped by epoch)
 /// through one DelayStream into IncrementalSeverity and a ShardStreamEngine,
 /// asserting after every epoch that the sink is bit-identical to the
-/// in-memory matrix and that both engines recomputed the same edges.
+/// in-memory matrix, that both engines found the same changed entries, and
+/// that the out-of-core engine recomputed exactly the edges the
+/// brute-force oracle says the epoch can reach.
 void expect_epochs_match(DelayMatrix initial, std::uint32_t tile_dim,
                          const std::vector<std::vector<DelaySample>>& epochs,
                          const std::string& tag) {
@@ -480,6 +490,7 @@ void expect_epochs_match(DelayMatrix initial, std::uint32_t tile_dim,
   IncrementalSeverity in_memory(stream.matrix());
   ShardStreamEngine engine(stream.matrix(), repair_config(tag, tile_dim));
   for (std::size_t e = 0; e < epochs.size(); ++e) {
+    const DelayMatrix before = stream.matrix();
     for (DelaySample s : epochs[e]) {
       s.timestamp = static_cast<double>(e);
       stream.ingest(s);
@@ -487,7 +498,10 @@ void expect_epochs_match(DelayMatrix initial, std::uint32_t tile_dim,
     const Epoch epoch = stream.commit_epoch();
     const auto want = in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
     const auto got = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-    EXPECT_EQ(got.edges_recomputed, want.edges_recomputed) << "epoch " << e;
+    EXPECT_EQ(got.edges_changed, want.edges_changed) << "epoch " << e;
+    EXPECT_EQ(got.edges_recomputed,
+              reference::reachable_edges_scalar(before, stream.matrix()).size())
+        << "epoch " << e;
     ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
         << tag << " epoch " << e;
   }
@@ -527,9 +541,12 @@ TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
   // Hosts 1 and 5 (band 0) are measured only to each other, at 100 ms, and
   // to witnesses 33..35 (band 2), at 10 ms each, so (1, 5) violates through
   // all three and has a nonzero severity. When (1, 5) goes missing, the
-  // epoch's only measured dirty edges are (1|5, w) in sink tile (0, 2); the
-  // stale (1, 5) value must still be reset to 0 in diagonal tile (0, 0) —
-  // both of its cells — so exactly those two tiles commit.
+  // stale (1, 5) value must be reset to 0 in diagonal tile (0, 0) — both
+  // of its cells. Its other incident edges (1|5, w) keep their severities
+  // (no detour through the 100 ms edge violates them), so the screen flags
+  // only (1, 5) itself and sink tile (0, 2) is left alone: exactly one
+  // tile commits. With every incident edge flagged, the measured (1|5, w)
+  // edges commit (0, 2) as well.
   const HostId n = 48;
   DelayMatrix m = random_matrix(n, 0.1, 83);
   for (const HostId h : {1u, 5u}) {
@@ -551,10 +568,36 @@ TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
   ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{1, 5}));
   in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
   const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-  EXPECT_EQ(stats.severity_tiles_committed, 2u);
+  EXPECT_EQ(stats.edges_changed, 1u);
+  EXPECT_EQ(stats.edges_recomputed, 1u);
+  EXPECT_EQ(stats.severity_tiles_committed, 1u);
   EXPECT_EQ(engine.severity(1, 5), 0.0f);
   EXPECT_EQ(engine.severity(5, 1), 0.0f);
   EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+
+  // The unscreened pass over a fresh copy of the pre-epoch sink.
+  const std::string in_path = scratch_path("lost_all_in");
+  const std::string out_path = scratch_path("lost_all_out");
+  shard::TileStore::write_matrix(in_path, m, 16);
+  SeverityTileStore::create(out_path, n, 16);
+  {
+    auto store = shard::TileStore::open(in_path, /*writable=*/true);
+    shard::TileCache cache(store, std::size_t{1} << 20);
+    auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
+    core::all_severities_to_sink(store, cache, sink);
+    store.repack_tile(stream.matrix(), 0, 0);
+    cache.invalidate(0, 0);
+    core::EpochEdges all;
+    all.reset(epoch.dirty_hosts, n);
+    all.flag_all();
+    const auto full = core::repair_severities_to_sink(
+        store, cache, sink, epoch.dirty_hosts, all);
+    EXPECT_EQ(full.edges_recomputed, 2u * (n - 1) - 1u);
+    EXPECT_EQ(full.tiles_committed, 2u);
+  }
+  EXPECT_EQ(file_bytes(out_path), file_bytes(engine.sink_path()));
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
 }
 
 /// Randomized epoch `e` of `updates` samples over n hosts (value updates
@@ -643,13 +686,28 @@ TEST(DirtyRowRepair, PoolWidthDoesNotChangeSinkBytes) {
 }
 
 TEST(DirtyRowRepair, InputLoadsAreOnePerTilePlusPinnedBands) {
-  // 5 bands of 16; dirty hosts {3, 40, 41} sit in bands 0 and 2, so the
-  // pass loads 2 * 5 tiles to pin their rows, then each of the 25 tiles
-  // once.
+  // 5 bands of 16; dirty hosts {3, 40, 41} sit in bands 0 and 2, so a pass
+  // with every incident edge flagged loads 2 * 5 tiles to pin their rows,
+  // then each of the 25 tiles once. The screened engine loads no more.
   DelayStream stream(random_matrix(70, 0.1, 88));
   ShardStreamEngine engine(stream.matrix(), repair_config("loads", 16));
   stream.ingest(std::vector<DelaySample>{{3, 40, 5.0f, 0.0}, {40, 41, 6.0f, 0.0}});
-  EXPECT_EQ(engine.apply_epoch(stream).input_tile_loads, 5u * (5u + 2u));
+  const Epoch epoch = stream.commit_epoch();
+  ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{3, 40, 41}));
+  EXPECT_LE(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts)
+                .input_tile_loads,
+            5u * (5u + 2u));
+
+  const auto store = shard::TileStore::open(engine.input_path());
+  shard::TileCache cache(store, std::size_t{1} << 20);
+  auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
+  core::EpochEdges all;
+  all.reset(epoch.dirty_hosts, 70);
+  all.flag_all();
+  EXPECT_EQ(core::repair_severities_to_sink(store, cache, sink,
+                                            epoch.dirty_hosts, all)
+                .input_tile_loads,
+            5u * (5u + 2u));
 }
 
 TEST(DirtyRowRepair, InputCorruptionMidWalkHealsAndConverges) {
@@ -722,9 +780,225 @@ TEST(DirtyRowRepair, MalformedDirtyHostListsAreRejectedUntouched) {
   shard::TileCache cache(store, std::size_t{1} << 20);
   auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
   EXPECT_THROW(core::repair_severities_to_sink(store, cache, sink,
-                                               std::vector<HostId>{4, 2}),
+                                               std::vector<HostId>{4, 2},
+                                               core::EpochEdges{}),
                std::invalid_argument);
   EXPECT_EQ(file_bytes(engine.sink_path()), sink_before);
+}
+
+// --- Screened repair ---------------------------------------------------------
+
+/// The repair as it ran before the screen, over its own store pair: every
+/// epoch repacks the dirty-band input tiles and recomputes every edge
+/// incident to a dirty host (EpochEdges::flag_all).
+class UnscreenedShadow {
+ public:
+  UnscreenedShadow(const DelayMatrix& m, std::uint32_t tile_dim,
+                   std::size_t budget, const std::string& tag)
+      : in_path_(scratch_path(tag + "_shadow_in")),
+        out_path_(scratch_path(tag + "_shadow_out")) {
+    shard::TileStore::write_matrix(in_path_, m, tile_dim);
+    SeverityTileStore::create(out_path_, m.size(), tile_dim);
+    store_.emplace(shard::TileStore::open(in_path_, /*writable=*/true));
+    cache_.emplace(*store_, budget);
+    sink_.emplace(SeverityTileStore::open(out_path_, /*writable=*/true));
+    core::all_severities_to_sink(*store_, *cache_, *sink_);
+  }
+  ~UnscreenedShadow() {
+    sink_.reset();
+    cache_.reset();
+    store_.reset();
+    std::filesystem::remove(in_path_);
+    std::filesystem::remove(out_path_);
+  }
+
+  void apply(const DelayMatrix& m, std::span<const HostId> dirty) {
+    if (dirty.empty()) return;
+    const std::uint32_t T = store_->tile_dim();
+    std::vector<std::uint32_t> bands;
+    for (const HostId h : dirty) {
+      if (bands.empty() || bands.back() != h / T) bands.push_back(h / T);
+    }
+    for (const std::uint32_t b : bands) {
+      for (const std::uint32_t c : bands) {
+        store_->repack_tile(m, b, c);
+        cache_->invalidate(b, c);
+      }
+    }
+    core::EpochEdges all;
+    all.reset(dirty, m.size());
+    all.flag_all();
+    core::repair_severities_to_sink(*store_, *cache_, *sink_, dirty, all);
+  }
+
+  const std::string& sink_path() const { return out_path_; }
+
+ private:
+  std::string in_path_;
+  std::string out_path_;
+  std::optional<shard::TileStore> store_;
+  std::optional<shard::TileCache> cache_;
+  std::optional<SeverityTileStore> sink_;
+};
+
+TEST(ScreenedRepair, MultiEdgeEpochsMatchRebuildAndUnscreenedSink) {
+  // n = 75 = 4*16 + 11: a ragged last band. Every epoch changes several
+  // edges per host (dirty-dirty edges, loss toggles, id neighbours, the
+  // last host). After each one, both engines equal all_severities bit for
+  // bit, and the screened sink file equals an unscreened repair's byte for
+  // byte. The small budget splits the dirty hosts into groups.
+  set_parallel_thread_count(2);
+  const HostId n = 75;
+  const std::uint32_t tile = 16;
+  for (const std::size_t budget :
+       {std::size_t{4} << 20, 6 * shard::tile_size_bytes(tile)}) {
+    const std::size_t group = core::repair_group_hosts(n, tile, budget);
+    const std::string tag = "screened_b" + std::to_string(budget);
+    DelayStream stream(random_matrix(n, 0.2, 95));
+    IncrementalSeverity in_memory(stream.matrix());
+    ShardStreamConfig cfg = repair_config(tag, tile);
+    cfg.input_budget_bytes = budget;
+    ShardStreamEngine engine(stream.matrix(), cfg);
+    UnscreenedShadow shadow(stream.matrix(), tile, budget, tag);
+    Rng rng(96);
+    std::size_t screened = 0;
+    std::size_t incident = 0;
+    std::size_t multi_group = 0;
+    for (int e = 0; e < 10; ++e) {
+      const DelayMatrix before = stream.matrix();
+      stream.ingest(test::multi_edge_epoch(rng, n, e));
+      const Epoch epoch = stream.commit_epoch();
+      const auto want = in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      const auto got = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      shadow.apply(stream.matrix(), epoch.dirty_hosts);
+      EXPECT_EQ(got.edges_changed, want.edges_changed) << "epoch " << e;
+      EXPECT_EQ(
+          got.edges_recomputed,
+          reference::reachable_edges_scalar(before, stream.matrix()).size())
+          << "epoch " << e;
+      const SeverityMatrix rebuild =
+          TivAnalyzer(stream.matrix()).all_severities();
+      ASSERT_TRUE(engine_matches(engine, rebuild)) << tag << " epoch " << e;
+      for (HostId a = 0; a < n; ++a) {
+        for (HostId b = 0; b < n; ++b) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(in_memory.severities().at(a, b)),
+                    std::bit_cast<std::uint32_t>(rebuild.at(a, b)))
+              << "in-memory (" << a << ", " << b << ") epoch " << e;
+        }
+      }
+      ASSERT_EQ(file_bytes(engine.sink_path()), file_bytes(shadow.sink_path()))
+          << tag << " epoch " << e;
+      const std::size_t h = epoch.dirty_hosts.size();
+      screened += got.edges_recomputed;
+      incident += h * (n - 1) - h * (h - 1) / 2;
+      multi_group += h > group;
+    }
+    EXPECT_LT(screened, incident);
+    if (budget < (std::size_t{1} << 20)) EXPECT_GT(multi_group, 0u);
+  }
+  set_parallel_thread_count(0);
+}
+
+TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
+  // A bit of input tile (0, 0) flips on disk. The epoch changes (2, 9),
+  // inside that tile, so the screen's read of the pre-epoch rows meets the
+  // corrupt tile first. The heal repacks it from the post-epoch matrix —
+  // the old value of (2, 9) is gone — so the epoch must recompute every
+  // edge incident to hosts 2 and 9, and still converge.
+  set_parallel_thread_count(2);
+  const HostId n = 70;
+  DelayStream stream(random_matrix(n, 0.2, 97));
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamConfig cfg = repair_config("screenheal", 16);
+  cfg.keep_files = true;
+  { ShardStreamEngine build(stream.matrix(), cfg); }
+  {
+    const auto offset =
+        shard::TileStore::open(cfg.input_path).tile_offset(0, 0) + 40;
+    std::FILE* f = std::fopen(cfg.input_path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    const int c = std::fgetc(f);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+    std::fputc(c ^ 0x01, f);
+    std::fclose(f);
+  }
+  {
+    ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+    stream.ingest({2, 9, 3.0f, 0.0});
+    const Epoch epoch = stream.commit_epoch();
+    ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{2, 9}));
+    in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 1u);
+    EXPECT_EQ(stats.edges_recomputed, 2u * (n - 1) - 1u);
+    ASSERT_TRUE(engine_matches(engine, in_memory.severities()));
+
+    // The next epoch screens again.
+    const DelayMatrix before = stream.matrix();
+    stream.ingest({2, 9, 250.0f, 1.0});
+    const Epoch next = stream.commit_epoch();
+    in_memory.apply_epoch(stream.matrix(), next.dirty_hosts);
+    const auto got = engine.apply_epoch(stream.matrix(), next.dirty_hosts);
+    EXPECT_EQ(got.edges_recomputed,
+              reference::reachable_edges_scalar(before, stream.matrix()).size());
+    EXPECT_LT(got.edges_recomputed, 2u * (n - 1) - 1u);
+    EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  }
+  std::filesystem::remove(cfg.input_path);
+  std::filesystem::remove(cfg.sink_path);
+  set_parallel_thread_count(0);
+}
+
+TEST(ScreenedRepair, ChangeOutsideDirtyHostsIsRejectedBeforeAnyWrite) {
+  // Entry (3, 17) changed but the host list leaves one endpoint out: the
+  // screen throws before the manifest, an input tile or a sink tile is
+  // written, and the engine applies the corrected epoch afterwards.
+  const HostId n = 40;
+  const DelayMatrix original = random_matrix(n, 0.2, 98);
+  ShardStreamEngine engine(original, repair_config("contract", 16));
+  const std::string manifest = EpochManifest::path_for(engine.sink_path());
+  const std::string input_before = file_bytes(engine.input_path());
+  const std::string sink_before = file_bytes(engine.sink_path());
+  DelayMatrix m = original;
+  m.set(3, 17, 5.0f);
+  for (const std::vector<HostId>& hosts :
+       {std::vector<HostId>{3}, std::vector<HostId>{17},
+        std::vector<HostId>{3, 20}}) {
+    EXPECT_THROW(engine.apply_epoch(m, hosts), std::invalid_argument);
+    EXPECT_FALSE(std::filesystem::exists(manifest));
+    EXPECT_EQ(file_bytes(engine.input_path()), input_before);
+    EXPECT_EQ(file_bytes(engine.sink_path()), sink_before);
+    EXPECT_EQ(engine.epochs_applied(), 0u);
+  }
+  engine.apply_epoch(m, std::vector<HostId>{3, 17});
+  EXPECT_TRUE(engine_matches(engine, TivAnalyzer(m).all_severities()));
+}
+
+TEST(ScreenedRepair, SinkCacheDropsOnlyRewrittenTiles) {
+  // With the whole sink cached, an epoch invalidates exactly the tiles its
+  // repair committed — fewer than the journaled superset of tiles touching
+  // a dirty band — and the rest keep serving reads from the cache.
+  const HostId n = 96;
+  ShardStreamConfig cfg = repair_config("narrow", 16);
+  DelayStream stream(random_matrix(n, 0.1, 99));
+  IncrementalSeverity in_memory(stream.matrix());
+  ShardStreamEngine engine(stream.matrix(), cfg);
+  std::vector<float> row(n);
+  for (HostId a = 0; a < n; ++a) engine.severity_row(a, row);  // warm
+
+  stream.ingest({10, 70, 150.0f, 0.0});
+  const Epoch epoch = stream.commit_epoch();
+  in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+  const auto before = engine.output_cache_stats();
+  const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+  const auto after = engine.output_cache_stats();
+  // Bands 0 and 4 of 6 are dirty: 6 + 6 - 1 tiles touch one of them.
+  EXPECT_EQ(after.invalidations - before.invalidations,
+            stats.severity_tiles_committed);
+  EXPECT_LT(stats.severity_tiles_committed, 11u);
+  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  EXPECT_GT(engine.output_cache_stats().hits, after.hits);
 }
 
 }  // namespace

@@ -3,17 +3,24 @@
 // incrementally maintained severity matrix is *bit-identical* to a
 // from-scratch TivAnalyzer::all_severities rebuild after every committed
 // epoch, across randomized update sequences that include measured<->missing
-// toggles and repeated same-edge updates within one epoch.
+// toggles and repeated same-edge updates within one epoch — and the exact
+// epoch screen behind its repair (core/epoch_screen), checked against a
+// brute-force oracle.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
 #include "matrix_test_utils.hpp"
+#include "reference/oracles.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/incremental_severity.hpp"
 #include "util/rng.hpp"
@@ -315,6 +322,138 @@ TEST(IncrementalSeverity, EdgeToggleMeasuredMissingMeasured) {
   inc.apply_epoch(stream);
   EXPECT_TRUE(severities_bit_identical(
       inc.severities(), TivAnalyzer(stream.matrix()).all_severities()));
+}
+
+TEST(IncrementalSeverity, BitIdenticalOverMultiEdgeEpochs) {
+  // Several changed edges per host, dirty-dirty edges, loss toggles and
+  // id-neighbour edges every epoch: the repair must equal a full rebuild,
+  // recomputing every incident edge once, and the screen's diff must count
+  // the changed entries the brute-force definition finds.
+  const HostId n = 75;
+  for (const double missing : {0.0, 0.3}) {
+    DelayStream stream(test::random_matrix(n, missing, 31));
+    IncrementalSeverity inc(stream.matrix());
+    Rng rng(32);
+    for (int e = 0; e < 8; ++e) {
+      const DelayMatrix before = stream.matrix();
+      stream.ingest(test::multi_edge_epoch(rng, n, e));
+      const Epoch epoch = stream.commit_epoch();
+      const std::size_t h = epoch.dirty_hosts.size();
+      const auto stats = inc.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      EXPECT_EQ(stats.edges_recomputed, h * (n - 1) - h * (h - 1) / 2);
+      std::size_t changed = 0;
+      for (HostId a = 0; a < n; ++a) {
+        for (HostId c = a + 1; c < n; ++c) {
+          changed += before.at(a, c) != stream.matrix().at(a, c);
+        }
+      }
+      EXPECT_EQ(stats.edges_changed, changed);
+      ASSERT_TRUE(severities_bit_identical(
+          inc.severities(), TivAnalyzer(stream.matrix()).all_severities()))
+          << "missing=" << missing << " epoch=" << e;
+    }
+  }
+}
+
+TEST(IncrementalSeverity, ChangeOutsideDirtyHostsIsRejectedUntouched) {
+  // Entry (3, 17) changes, but the host list leaves 17 (or 3) out:
+  // apply_epoch must throw before repacking a row or writing a severity.
+  const DelayMatrix original = test::random_matrix(40, 0.2, 17);
+  IncrementalSeverity inc(original);
+  const SeverityMatrix sev_before = inc.severities();
+  DelayMatrix m = original;
+  m.set(3, 17, 5.0f);
+  for (const std::vector<HostId>& hosts :
+       {std::vector<HostId>{3}, std::vector<HostId>{17},
+        std::vector<HostId>{2, 3}}) {
+    EXPECT_THROW(inc.apply_epoch(m, hosts), std::invalid_argument);
+    expect_views_identical(inc.view(), DelayMatrixView(original));
+    ASSERT_TRUE(severities_bit_identical(inc.severities(), sev_before));
+  }
+  inc.apply_epoch(m, std::vector<HostId>{3, 17});
+  EXPECT_TRUE(severities_bit_identical(inc.severities(),
+                                       TivAnalyzer(m).all_severities()));
+}
+
+// --- The epoch screen --------------------------------------------------------
+
+/// Screens the epoch from `before` to `after` as IncrementalSeverity does:
+/// pre-epoch rows from a view of `before`.
+core::EpochEdges screen_epoch(const DelayMatrix& before,
+                              const DelayMatrix& after,
+                              std::span<const HostId> dirty) {
+  const DelayMatrixView old_view(before);
+  core::EpochScreen screen;
+  screen.begin(after, dirty);
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    screen.diff(i, 0, old_view.row(dirty[i]), after.size());
+  }
+  core::EpochEdges edges;
+  screen.flag(edges);
+  return edges;
+}
+
+/// The flagged edges as ascending (min, max) pairs.
+std::vector<std::pair<HostId, HostId>> flagged_pairs(
+    const core::EpochEdges& edges, std::span<const HostId> dirty) {
+  std::vector<std::pair<HostId, HostId>> pairs;
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    edges.for_each_in_row(i, 0, edges.size(), [&](HostId c) {
+      pairs.emplace_back(std::min(dirty[i], c), std::max(dirty[i], c));
+    });
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+TEST(EpochScreen, FlagsExactlyTheBruteForceReachableEdges) {
+  // The screen equals the scalar definition edge for edge, and it is
+  // sound: every edge whose all_severities bits move is flagged.
+  for (const HostId n : {37u, 70u}) {
+    for (const double missing : {0.0, 0.3}) {
+      DelayStream stream(test::random_matrix(n, missing, 41 + n));
+      Rng rng(42);
+      for (int e = 0; e < 6; ++e) {
+        const DelayMatrix before = stream.matrix();
+        stream.ingest(test::multi_edge_epoch(rng, n, e));
+        const Epoch epoch = stream.commit_epoch();
+        const DelayMatrix& after = stream.matrix();
+        const core::EpochEdges edges =
+            screen_epoch(before, after, epoch.dirty_hosts);
+        const auto flagged = flagged_pairs(edges, epoch.dirty_hosts);
+        EXPECT_EQ(flagged, reference::reachable_edges_scalar(before, after))
+            << "n=" << n << " missing=" << missing << " epoch=" << e;
+
+        const SeverityMatrix sb = TivAnalyzer(before).all_severities();
+        const SeverityMatrix sa = TivAnalyzer(after).all_severities();
+        for (HostId a = 0; a < n; ++a) {
+          for (HostId c = a + 1; c < n; ++c) {
+            if (std::bit_cast<std::uint32_t>(sb.at(a, c)) ==
+                std::bit_cast<std::uint32_t>(sa.at(a, c))) {
+              continue;
+            }
+            EXPECT_TRUE(std::binary_search(flagged.begin(), flagged.end(),
+                                           std::pair{a, c}))
+                << "severity (" << a << ", " << c << ") changed unflagged, n="
+                << n << " epoch=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EpochScreen, FlagAllIsEveryIncidentEdgeOnce) {
+  const HostId n = 70;
+  const std::vector<HostId> dirty = {0, 5, 63, 64, 69};
+  core::EpochEdges edges;
+  edges.reset(dirty, n);
+  edges.flag_all();
+  const auto pairs = flagged_pairs(edges, dirty);
+  EXPECT_EQ(pairs.size(), dirty.size() * (n - 1) - dirty.size() *
+                                                      (dirty.size() - 1) / 2);
+  EXPECT_TRUE(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end());
+  for (const auto& [a, c] : pairs) EXPECT_NE(a, c);
 }
 
 }  // namespace
