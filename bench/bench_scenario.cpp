@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
   tiv::reject_unknown_flags(flags);
 
   // Same pinned-working-set budget floor as bench_shard_stream: the
-  // band-pair drivers pin <= 3 input tiles per worker plus one prefetch,
-  // sink reads pin one tile per reader.
+  // band-pair drivers pin <= 3 input tiles per worker (plus two tiles of
+  // headroom), sink reads pin one tile per reader.
   const std::size_t tile_bytes = tiv::shard::tile_size_bytes(tile_dim);
   const std::size_t input_budget = std::max<std::size_t>(
       std::size_t{256} << 10,

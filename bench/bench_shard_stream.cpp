@@ -11,6 +11,8 @@
 //   peak_within_budget   both tile caches' peak bytes stayed within their
 //                        configured budgets
 //   repair_epoch_ms      the tracer saw the epoch spans — must be > 0
+//   unattributed_ms      the epoch time outside its named child spans —
+//                        at most 5% of repair_epoch_ms
 //   input_tile_loads     input-tile acquires of the repair passes — at
 //                        most sum over epochs of bands * (bands + dirty
 //                        bands): the dirty rows pinned once, then every
@@ -97,6 +99,9 @@ using tiv::stream::ShardStreamEngine;
 using tiv::bench::random_matrix;
 using tiv::bench::time_ms;
 
+/// The epoch's named child spans must cover all but this share of it.
+constexpr double kMaxUnattributedFrac = 0.05;
+
 /// One epoch of churn: `hosts` distinct hosts paired off into disjoint
 /// edges, each re-measured once (the bench_stream_engine workload).
 void replay_churn_epoch(DelayStream& stream, Rng& rng, std::size_t hosts,
@@ -163,8 +168,8 @@ int main(int argc, char** argv) {
 
   // Floor the budgets at the pinned working sets so a many-core pool
   // cannot overshoot through pins alone: the band-pair drivers pin <= 3
-  // input tiles per worker plus one prefetch; sink reads pin one tile per
-  // reader.
+  // input tiles per worker (the floor adds two tiles of headroom); sink
+  // reads pin one tile per reader.
   const std::size_t tile_bytes = tiv::shard::tile_size_bytes(tile_dim);
   const std::size_t input_budget =
       std::max(input_budget_flag,
@@ -288,10 +293,12 @@ int main(int argc, char** argv) {
                                  out_stats.peak_bytes <= output_budget;
       const double repair_epoch_ms = apply_ms / epochs;
       if (mismatches != 0 || !within_budget || !(repair_epoch_ms > 0.0) ||
-          input_tile_loads > load_bound) {
+          input_tile_loads > load_bound ||
+          unattributed_ms > kMaxUnattributedFrac * apply_ms) {
         std::cerr << "bench_shard_stream: churn " << frac << " failed ("
                   << mismatches << " bit mismatches, within budget "
                   << within_budget << ", repair_epoch_ms " << repair_epoch_ms
+                  << ", unattributed_ms " << unattributed_ms / epochs
                   << ", input_tile_loads " << input_tile_loads << " of "
                   << load_bound << ")\n";
         ok = false;

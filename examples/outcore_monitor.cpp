@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
   // Deliberately tiny budgets: a dozen input tiles and half a dozen
   // severity tiles — far below the full tile grids — so every round
   // genuinely streams from disk. Floored at the pinned working set
-  // (3 input tiles per band-pair worker + one prefetch; one output tile
+  // (3 input tiles per band-pair worker, plus headroom; one output tile
   // per worker) so the within-budget claim below holds on many-core hosts
   // too, where pinned tiles alone would exceed a fixed 12-tile budget.
   stream::ShardStreamConfig cfg;

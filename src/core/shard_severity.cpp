@@ -156,10 +156,6 @@ void process_band_pair_to_sink(const TileStore& store, TileCache& cache,
   std::vector<double>& acc = scratch.acc;
   acc.assign(tasks.size() * kWitnessLanes, 0.0);
   for (std::uint32_t k = 0; k < bands && !tasks.empty(); ++k) {
-    if (k + 1 < bands) {
-      cache.prefetch(bi, k + 1);
-      if (bj != bi) cache.prefetch(bj, k + 1);
-    }
     const TileRef ta = cache.acquire(bi, k);
     const TileRef tc = bj == bi ? ta : cache.acquire(bj, k);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -324,7 +320,6 @@ void repair_host_group(const TileStore& store, TileCache& cache,
       std::vector<double>& acc = scratch.acc;
       acc.assign(tasks.size() * kWitnessLanes, 0.0);
       for (std::uint32_t k = 0; k < bands; ++k) {
-        if (k + 1 < bands) cache.prefetch(j, k + 1);
         const TileRef tile = cache.acquire(j, k);
         loads.fetch_add(1, std::memory_order_relaxed);
         const std::size_t slice = static_cast<std::size_t>(k) * T;

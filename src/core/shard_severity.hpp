@@ -58,10 +58,9 @@ struct SinkRepairStats {
   std::size_t tiles_committed = 0;   ///< distinct sink tiles rewritten
   std::size_t edges_recomputed = 0;  ///< flagged pairs re-evaluated (incl.
                                      ///< pairs reset to 0 on a loss)
-  /// Input-tile acquires of the pass — deterministic, unlike cache hits and
-  /// misses under prefetch. At most bands * (bands + dirty bands) for a
-  /// one-group pass (the pinned rows' tiles, then every tile once), exactly
-  /// that when every incident edge is flagged.
+  /// Input-tile acquires of the pass. At most bands * (bands + dirty
+  /// bands) for a one-group pass (the pinned rows' tiles, then every tile
+  /// once), exactly that when every incident edge is flagged.
   std::size_t input_tile_loads = 0;
 };
 

@@ -32,19 +32,13 @@ std::string escape_help(std::string_view s) {
 
 }  // namespace prom
 
-SnapshotReporter::SnapshotReporter(std::ostream& out, Options opts)
-    : out_(out), opts_(opts), start_time_(std::chrono::steady_clock::now()) {}
-
-SnapshotReporter::~SnapshotReporter() { stop(); }
+SnapshotReporter::SnapshotReporter(std::ostream& out)
+    : out_(out), start_time_(std::chrono::steady_clock::now()) {}
 
 void SnapshotReporter::report_now(std::string_view label) {
   std::lock_guard<std::mutex> lk(mutex_);
-  emit_locked(label);
-}
-
-void SnapshotReporter::emit_locked(std::string_view label) {
   const MetricsSnapshot now = MetricsRegistry::instance().snapshot();
-  const MetricsSnapshot line = opts_.cumulative ? now : now.delta_since(last_);
+  const MetricsSnapshot line = now.delta_since(last_);
   last_ = now;
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start_time_);
@@ -58,9 +52,7 @@ void SnapshotReporter::emit_locked(std::string_view label) {
     out_ << "\"";
   }
   out_ << ",";
-  MetricsSnapshot::JsonOptions jopts;
-  jopts.dense_histograms = opts_.dense_histograms;
-  line.write_json_fields(out_, jopts);
+  line.write_json_fields(out_);
   out_ << "}\n";
   out_.flush();
 }
@@ -105,31 +97,6 @@ void SnapshotReporter::write_prometheus(std::ostream& out,
     out << n << "_sum " << h.sum << "\n";
     out << n << "_count " << h.count << "\n";
   }
-}
-
-void SnapshotReporter::start() {
-  std::lock_guard<std::mutex> lk(mutex_);
-  if (ticker_.joinable()) return;
-  stopping_ = false;
-  ticker_ = std::thread([this] {
-    std::unique_lock<std::mutex> lk(mutex_);
-    for (;;) {
-      if (stop_cv_.wait_for(lk, opts_.interval, [&] { return stopping_; })) {
-        return;
-      }
-      emit_locked({});
-    }
-  });
-}
-
-void SnapshotReporter::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!ticker_.joinable()) return;
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
-  ticker_.join();
 }
 
 }  // namespace tiv::obs

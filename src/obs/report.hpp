@@ -1,15 +1,14 @@
-// Periodic metrics snapshot reporter — the JSONL emitter behind
-// `outcore_monitor --metrics-out` and the future service /stats endpoint.
+// Metrics snapshot reporter — the JSONL emitter behind
+// `outcore_monitor --metrics-out`.
 //
 // Each line is one self-contained JSON object:
 //
 //   {"seq":3,"elapsed_ms":3021,"label":"round-3",
 //    "counters":{...},"gauges":{...},"histograms":{...}}
 //
-// where counters/histograms are *deltas since the previous line* (set
-// Options::cumulative for running totals) and gauges are current levels.
-// Lines come from report_now() (the monitor calls it per round) or from an
-// optional background thread ticking every Options::interval.
+// where counters/histograms are *deltas since the previous line* and
+// gauges are current levels. Lines come from report_now() (the monitor
+// calls it per round).
 //
 // The reporter also renders the registry in Prometheus text exposition
 // format (write_prometheus) — cumulative totals, `tiv_`-prefixed
@@ -18,13 +17,11 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "obs/metrics.hpp"
 
@@ -41,31 +38,15 @@ std::string escape_help(std::string_view s);
 
 class SnapshotReporter {
  public:
-  struct Options {
-    std::chrono::milliseconds interval{1000};  ///< background tick period
-    bool cumulative = false;  ///< running totals instead of per-line deltas
-    bool dense_histograms = false;  ///< fixed 65-entry bucket arrays instead
-                                    ///< of the sparse occupied-bucket object
-  };
-
   /// Emits to `out`, which must outlive the reporter. Callers that want a
   /// file own the ofstream themselves (same pattern as JsonArrayWriter).
-  explicit SnapshotReporter(std::ostream& out) : SnapshotReporter(out, Options()) {}
-  SnapshotReporter(std::ostream& out, Options opts);
-  ~SnapshotReporter();
+  explicit SnapshotReporter(std::ostream& out);
 
   SnapshotReporter(const SnapshotReporter&) = delete;
   SnapshotReporter& operator=(const SnapshotReporter&) = delete;
 
-  /// Emits one line now (thread-safe; serialized with the background
-  /// thread's ticks).
+  /// Emits one line now (thread-safe).
   void report_now(std::string_view label = {});
-
-  /// Starts/stops the interval-driven background emitter. stop() is
-  /// idempotent and implied by destruction; the final stop emits nothing
-  /// (callers wanting a closing line call report_now first).
-  void start();
-  void stop();
 
   /// Renders a fresh registry snapshot to `out` in Prometheus text
   /// exposition format (always cumulative — scrapers do their own rate()).
@@ -75,18 +56,11 @@ class SnapshotReporter {
   static void write_prometheus(std::ostream& out, const MetricsSnapshot& snap);
 
  private:
-  void emit_locked(std::string_view label);
-
   std::ostream& out_;
-  Options opts_;
   std::mutex mutex_;
   MetricsSnapshot last_;  ///< baseline for delta lines
   std::uint64_t seq_ = 0;
   std::chrono::steady_clock::time_point start_time_;
-
-  std::condition_variable stop_cv_;
-  std::thread ticker_;
-  bool stopping_ = false;
 };
 
 }  // namespace tiv::obs

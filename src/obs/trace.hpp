@@ -11,7 +11,7 @@
 //   ├─ view-repair        IncrementalSeverity view repair (in-memory path)
 //   │  └─ epoch-screen    the screen's diff of the dirty view rows
 //   ├─ epoch-screen       pre-epoch dirty rows read and diffed, edges flagged
-//   ├─ epoch-journal      prefetch drain + manifest planning and write
+//   ├─ epoch-journal      manifest planning and write
 //   ├─ tile-repack        dirty input tiles rewritten in place
 //   ├─ band-pair-stream   the streaming severity driver (build or repair)
 //   │  ├─ row-pin         repair: flagged hosts' packed rows pinned

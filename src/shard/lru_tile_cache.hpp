@@ -25,9 +25,9 @@
 // place. The pool therefore holds at most max(budget, largest pinned
 // set) tiles' worth of slots and stops growing once the cache has
 // warmed up: a steady-state load allocates nothing, whichever thread
-// (compute worker or prefetch thread) runs it. Without the pool every
-// load allocated on its own thread and the evicting thread freed, which
-// grew glibc's per-thread arenas with the number of epochs run.
+// runs it. Without the pool every load allocated on its own thread and
+// the evicting thread freed, which grew glibc's per-thread arenas with
+// the number of epochs run.
 #pragma once
 
 #include <algorithm>
@@ -56,12 +56,11 @@ namespace tiv::shard {
 /// functional state (it drives eviction) and is always live.
 struct CacheStats {
   std::size_t hits = 0;
-  std::size_t misses = 0;       ///< tiles loaded from disk (incl. prefetch)
+  std::size_t misses = 0;       ///< tiles loaded from disk
   std::size_t evictions = 0;
   std::size_t invalidations = 0;  ///< resident tiles dropped by invalidate()
   std::size_t peak_bytes = 0;   ///< high-water mark of live tile bytes
   std::size_t current_bytes = 0;
-  std::size_t prefetch_drops = 0;  ///< hints shed by the background queue
   std::size_t slot_allocs = 0;  ///< tile slots ever allocated (pool growth)
 
   double hit_rate() const {
@@ -138,12 +137,6 @@ class LruTileCache {
       invalidations_.increment();
       return;
     }
-  }
-
-  /// True when `key` is resident or loading (the prefetch dedup check).
-  bool contains(std::uint64_t key) const {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return map_.count(key) != 0;
   }
 
   std::size_t budget_bytes() const { return budget_; }

@@ -7,8 +7,7 @@
 // shard::TileCache: bytes charged per resident tile, eviction from the
 // LRU tail skipping pinned tiles, stats().peak_bytes <= max(budget,
 // pinned working set). The row/edge readers pin one tile at a time, so
-// any budget >= one tile keeps the peak under it. No prefetcher: severity
-// reads are point/row lookups, not streaming scans.
+// any budget >= one tile keeps the peak under it.
 //
 // invalidate(r, c) is the commit hook: after the repair driver rewrites a
 // dirty tile in the store, dropping the cached copy makes the next read

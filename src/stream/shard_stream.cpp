@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,29 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag,
   if (!manifest.has_value()) return;  // clean shutdown (or torn manifest
                                       // write — stores untouched either way)
 
+  // The manifest's checksum proves it intact, not sane: every journaled
+  // coordinate must name a tile of these stores before anything is
+  // rewritten (the tile-offset asserts behind repack_tile and
+  // rebuild_sink_tile are gone in Release builds).
+  const std::uint32_t bands = input_->tiles_per_side();
+  for (const auto& [r, c] : manifest->input_tiles) {
+    if (r >= bands || c >= bands) {
+      throw std::runtime_error(
+          "ShardStreamEngine::recover: manifest names input tile (" +
+          std::to_string(r) + ", " + std::to_string(c) + ") outside " +
+          std::to_string(bands) + " bands");
+    }
+  }
+  for (const auto& [r, c] : manifest->sink_tiles) {
+    if (r > c || c >= bands) {
+      throw std::runtime_error(
+          "ShardStreamEngine::recover: manifest names sink tile (" +
+          std::to_string(r) + ", " + std::to_string(c) +
+          ") outside the upper triangle of " + std::to_string(bands) +
+          " bands");
+    }
+  }
+
   obs::Span span("recovery-action");
   // Torn epoch: only the journaled tiles are suspect. Re-repack every
   // journaled input tile from the post-epoch matrix (idempotent for the
@@ -200,10 +224,7 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
   }
   if (e.path() == input_->path() && source_ != nullptr) {
     // The live matrix (DelayStream keeps it in RAM) is the ground truth
-    // for input tiles; repack is byte-identical to a fresh build. Prefetch
-    // hints of the interrupted pass may still be reading this very tile:
-    // quiesce them first, as apply_epoch does before its repacks.
-    input_cache_->drain_prefetch();
+    // for input tiles; repack is byte-identical to a fresh build.
     input_->repack_tile(*source_, r, c);
     input_cache_->invalidate(r, c);
     ++input_heals_;
@@ -305,12 +326,6 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   const std::string manifest_path = EpochManifest::path_for(sink_->path());
   {
     obs::Span journal_span("epoch-journal");
-    // Quiesce the prefetcher: hints left over from the previous repair
-    // pass must not read tiles concurrently with the repacks below (a
-    // racing read could pin a tile across invalidate(), or observe a torn
-    // write).
-    input_cache_->drain_prefetch();
-
     // 1. Journal the epoch before the first in-place write: the input
     // tiles about to be repacked and the superset of sink tiles that can
     // hold a dirty edge. A kill anywhere past this point leaves a manifest

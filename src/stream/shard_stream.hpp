@@ -210,10 +210,7 @@ class ShardStreamEngine {
   /// Attach deterministic fault injectors (shard/fault_injector.hpp) to
   /// the two stores — the hook the soak tests and the recovery bench use.
   /// Injectors must outlive the engine or be detached (nullptr) first.
-  /// The input store's hook is swapped only after the prefetcher's
-  /// leftover reads have drained, so no background read sees the change.
   void set_input_fault_injector(shard::FaultInjector* injector) {
-    input_cache_->drain_prefetch();
     input_->set_fault_injector(injector);
   }
   void set_sink_fault_injector(shard::FaultInjector* injector) {

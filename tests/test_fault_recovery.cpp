@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -417,6 +418,38 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
   EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
   remove_store_files(cfg);
   set_parallel_thread_count(0);
+}
+
+TEST(FaultRecovery, OutOfRangeManifestTileIsRejectedBeforeAnyRepack) {
+  // A manifest with a valid checksum is still untrusted input: a tile
+  // coordinate outside the stores must throw, never reach a tile offset.
+  const DelayMatrix m = random_matrix(64, 0.2, 69);  // 4 bands of 16
+  const IncrementalSeverity want(m);
+  auto cfg = engine_config("bad_manifest", /*keep_files=*/true);
+  { ShardStreamEngine engine(m, cfg); }
+  const std::string manifest_path = EpochManifest::path_for(cfg.sink_path);
+
+  using Tiles = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  const auto recover_with = [&](const Tiles& input, const Tiles& sink) {
+    EpochManifest bad;
+    bad.generation = 1;
+    bad.input_tiles = input;
+    bad.sink_tiles = sink;
+    bad.write(manifest_path);
+    return ShardStreamEngine::recover(m, cfg);
+  };
+  EXPECT_THROW(recover_with({{0, 0}, {4000000, 7}}, {}), std::runtime_error);
+  EXPECT_THROW(recover_with({{4, 0}}, {{0, 0}}), std::runtime_error);
+  EXPECT_THROW(recover_with({{0, 4}}, {}), std::runtime_error);
+  EXPECT_THROW(recover_with({}, {{0, 4}}), std::runtime_error);
+  EXPECT_THROW(recover_with({}, {{2, 1}}), std::runtime_error);
+
+  // The stores still hold the build's severities, and an in-range
+  // manifest replays as before.
+  ShardStreamEngine engine = recover_with({{3, 3}}, {{0, 3}, {3, 3}});
+  EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
+  EXPECT_TRUE(engine_matches(engine, want.severities()));
+  remove_store_files(cfg);
 }
 
 // --- The soak: randomized epochs under sustained bit-flips -------------------

@@ -236,7 +236,7 @@ TEST(SinkSeverity, TinyBudgetForcesEvictionAndStaysWithinIt) {
   // 8x8 bands of 16-wide tiles; a budget of 8 tiles cannot hold the 36
   // upper-triangle band pairs' worth of working set, so the LRU must evict
   // — and the accounting must keep peak bytes within the budget. Two
-  // workers pin at most 3 tiles each plus a prefetch, inside the 8.
+  // workers pin at most 3 tiles each, inside the 8.
   set_parallel_thread_count(2);
   expect_sink_build_matches_in_memory(random_matrix(128, 0.1, 15), 16,
                                       8 * shard::tile_size_bytes(16), true);
@@ -296,8 +296,8 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
                              std::uint64_t seed, int epochs) {
   // Pin the pool width: the peak-vs-budget assertions below only hold when
   // the tight budgets dominate the pinned working set (3 input tiles per
-  // band-pair worker + one prefetch), which an unbounded many-core pool
-  // would exceed. Same pattern as the sink build's tiny-budget test.
+  // band-pair worker), which an unbounded many-core pool would exceed.
+  // Same pattern as the sink build's tiny-budget test.
   set_parallel_thread_count(2);
   DelayStream stream(random_matrix(n, missing, seed));
   IncrementalSeverity in_memory(stream.matrix());
@@ -309,8 +309,8 @@ void replay_and_check_engine(HostId n, double missing, std::uint32_t tile_dim,
   cfg.sink_path = scratch_path("engine_out_n" + std::to_string(n) + "_s" +
                                std::to_string(seed));
   // Tight-but-sane budgets: a handful of tiles each, far below the whole
-  // tile grid, above the 2-thread pinned working set (3*2 + 2 tiles in,
-  // one per worker out).
+  // tile grid, above the 2-thread pinned working set (3*2 tiles in, one
+  // per worker out).
   const std::size_t tile_bytes = shard::tile_size_bytes(tile_dim);
   cfg.input_budget_bytes = 10 * tile_bytes;
   cfg.output_budget_bytes = 4 * tile_bytes;
@@ -420,6 +420,47 @@ TEST(ShardStreamEngine, TileSlotPoolsStopGrowingAfterWarmup) {
   // The loads kept coming; they were served from recycled slots.
   EXPECT_GT(in_stats.misses, in_warm.misses);
   EXPECT_GT(out_stats.misses, out_warm.misses);
+  set_parallel_thread_count(0);
+}
+
+TEST(ShardStreamEngine, InputCacheCountsAreDeterministicOnOneThread) {
+  // Input tiles are read only on demand, by the thread that acquires them:
+  // on one thread, two engines replaying the same epochs under a budget
+  // that forces eviction see the same hits, misses and evictions.
+  set_parallel_thread_count(1);
+  const HostId n = 96;
+  const std::uint32_t tile_dim = 16;
+  DelayStream stream(random_matrix(n, 0.2, 73));
+  const auto make_config = [&](const std::string& tag) {
+    ShardStreamConfig cfg;
+    cfg.tile_dim = tile_dim;
+    cfg.input_path = scratch_path(tag + "_in");
+    cfg.sink_path = scratch_path(tag + "_out");
+    cfg.input_budget_bytes = 6 * shard::tile_size_bytes(tile_dim);
+    return cfg;
+  };
+  ShardStreamEngine a(stream.matrix(), make_config("det_a"));
+  ShardStreamEngine b(stream.matrix(), make_config("det_b"));
+
+  Rng rng(74);
+  for (int e = 0; e < 6; ++e) {
+    for (int u = 0; u < 12; ++u) {
+      const auto x = static_cast<HostId>(rng.uniform_index(n));
+      const auto y = static_cast<HostId>(rng.uniform_index(n));
+      if (x == y) continue;
+      stream.ingest({x, y, static_cast<float>(rng.uniform(1.0, 400.0)),
+                     double(e)});
+    }
+    const Epoch epoch = stream.commit_epoch();
+    a.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    b.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+    const auto sa = a.input_cache_stats();
+    const auto sb = b.input_cache_stats();
+    EXPECT_EQ(sa.hits, sb.hits) << "epoch " << e;
+    EXPECT_EQ(sa.misses, sb.misses) << "epoch " << e;
+    EXPECT_EQ(sa.evictions, sb.evictions) << "epoch " << e;
+  }
+  EXPECT_GT(a.input_cache_stats().evictions, 0u);
   set_parallel_thread_count(0);
 }
 

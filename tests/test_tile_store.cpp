@@ -535,22 +535,5 @@ TEST(TileCache, EvictsLeastRecentlyUsedButNeverPinned) {
   std::filesystem::remove(path);
 }
 
-TEST(TileCache, PrefetchLoadsInBackground) {
-  const DelayMatrix m = random_matrix(64, 0.1, 19);
-  const std::string path = scratch_path("prefetch");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, 1u << 20);
-
-  cache.prefetch(3, 3);
-  // acquire() waits for an in-flight background load of the same tile (or
-  // loads it itself if the hint was shed) — either way the tile arrives.
-  const auto tile = cache.acquire(3, 3);
-  EXPECT_NE(tile.get(), nullptr);
-  const DelayMatrixView view(m);
-  EXPECT_EQ(tile->row(0)[1], view.row(48)[49]);
-  std::filesystem::remove(path);
-}
-
 }  // namespace
 }  // namespace tiv::core
