@@ -13,18 +13,18 @@
 //   repair_epoch_ms      the tracer saw the epoch spans — must be > 0
 //   unattributed_ms      the epoch time outside its named child spans —
 //                        at most 5% of repair_epoch_ms
-//   input_tile_loads     input-tile acquires of the repair passes — at
-//                        most sum over epochs of bands * (bands + dirty
-//                        bands): the dirty rows pinned once, then every
-//                        tile read once (per host group, when the input
-//                        budget splits the dirty hosts); the screen
-//                        (core/epoch_screen) drops the column bands with
-//                        no flagged edge and the rows without one
+//   input_tile_loads     input-tile acquires of the epochs (input cache
+//                        hits + misses) — exactly the screen's
+//                        (core/epoch_screen) read of the pre-epoch dirty
+//                        rows, sum over epochs of bands * dirty bands: the
+//                        repair packs its rows from the live matrix and
+//                        reads no input tile
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
 // quotes. A {"section":"codegen"} record times one repair against the
 // in-memory kernel on the same matrix (repair_gops, kernel_gops and their
 // ratio repair_vs_kernel, which CI gates); that repair flags every
-// incident edge, so it measures the walk, not the screen. The embedded registry snapshot
+// incident edge, so it measures the repair loop, not the screen. The
+// embedded registry snapshot
 // must carry the storage, cache, engine and stream telemetry. Exit status
 // is nonzero when a property fails, so a smoke run turns CI red on its
 // own.
@@ -33,8 +33,7 @@
 // the per-record repair_epoch_ms is the mean "epoch" span, with the
 // epoch-screen / epoch-journal / tile-repack / band-pair-stream /
 // sink-commit split, the residual outside them (unattributed_ms), and the
-// repair pass's
-// row-pin / witness-walk / sink-merge phases reported alongside — so the
+// repair pass's edge-repair / sink-merge phases reported alongside — so the
 // bench's numbers are the same spans a trace capture shows. The
 // record stream ends with the registry's metrics snapshot
 // ({"section":"metrics",...} records: I/O volume, cache traffic, pool
@@ -223,16 +222,17 @@ int main(int argc, char** argv) {
       std::size_t tiles_repacked = 0;
       std::size_t sev_tiles_committed = 0;
       std::size_t edges_recomputed = 0;
-      std::size_t input_tile_loads = 0;
-      std::size_t load_bound = 0;
+      std::size_t screen_loads = 0;
       const std::size_t bands = (n + tile_dim - 1) / tile_dim;
-      const std::size_t group = tiv::core::repair_group_hosts(
-          n, tile_dim, input_budget);
-      const char* const phases[] = {"epoch",        "epoch-journal",
-                                    "tile-repack",  "band-pair-stream",
-                                    "sink-commit",  "row-pin",
-                                    "witness-walk", "sink-merge",
-                                    "epoch-screen"};
+      const auto in_acquires = [&] {
+        const auto s = engine->input_cache_stats();
+        return s.hits + s.misses;
+      };
+      const std::size_t acquires0 = in_acquires();
+      const char* const phases[] = {"epoch",       "epoch-journal",
+                                    "tile-repack", "band-pair-stream",
+                                    "sink-commit", "edge-repair",
+                                    "sink-merge",  "epoch-screen"};
       std::vector<std::uint64_t> phase_ns0;
       for (const char* p : phases) phase_ns0.push_back(tracer.total_ns(p));
       for (int e = 0; e < epochs; ++e) {
@@ -243,19 +243,15 @@ int main(int argc, char** argv) {
         tiles_repacked += stats.input_tiles_repacked;
         sev_tiles_committed += stats.severity_tiles_committed;
         edges_recomputed += stats.edges_recomputed;
-        input_tile_loads += stats.input_tile_loads;
-        // Per host group: the group's dirty bands pinned, then every tile.
-        for (std::size_t g = 0; g < epoch.dirty_hosts.size(); g += group) {
-          const std::size_t end =
-              std::min(g + group, epoch.dirty_hosts.size());
-          std::size_t group_bands = 0;
-          for (std::size_t i = g; i < end; ++i) {
-            group_bands += i == g || epoch.dirty_hosts[i] / tile_dim !=
-                                         epoch.dirty_hosts[i - 1] / tile_dim;
+        // The screen reads every tile of each dirty band once.
+        for (std::size_t i = 0; i < epoch.dirty_hosts.size(); ++i) {
+          if (i == 0 || epoch.dirty_hosts[i] / tile_dim !=
+                            epoch.dirty_hosts[i - 1] / tile_dim) {
+            screen_loads += bands;
           }
-          load_bound += bands * (bands + group_bands);
         }
       }
+      const std::size_t input_tile_loads = in_acquires() - acquires0;
       std::vector<double> phase_ms;
       for (std::size_t p = 0; p < phase_ns0.size(); ++p) {
         phase_ms.push_back(
@@ -264,7 +260,7 @@ int main(int argc, char** argv) {
       }
       const double apply_ms = phase_ms[0];
       const double unattributed_ms = apply_ms - phase_ms[1] - phase_ms[2] -
-                                     phase_ms[3] - phase_ms[4] - phase_ms[8];
+                                     phase_ms[3] - phase_ms[4] - phase_ms[7];
 
       // Full out-of-core rebuild of the final matrix — what every epoch
       // would cost without the dirty-tile repair path: fresh input spill +
@@ -293,14 +289,14 @@ int main(int argc, char** argv) {
                                  out_stats.peak_bytes <= output_budget;
       const double repair_epoch_ms = apply_ms / epochs;
       if (mismatches != 0 || !within_budget || !(repair_epoch_ms > 0.0) ||
-          input_tile_loads > load_bound ||
+          input_tile_loads != screen_loads ||
           unattributed_ms > kMaxUnattributedFrac * apply_ms) {
         std::cerr << "bench_shard_stream: churn " << frac << " failed ("
                   << mismatches << " bit mismatches, within budget "
                   << within_budget << ", repair_epoch_ms " << repair_epoch_ms
                   << ", unattributed_ms " << unattributed_ms / epochs
-                  << ", input_tile_loads " << input_tile_loads << " of "
-                  << load_bound << ")\n";
+                  << ", input_tile_loads " << input_tile_loads
+                  << ", the screen's " << screen_loads << ")\n";
         ok = false;
       }
 
@@ -319,14 +315,13 @@ int main(int argc, char** argv) {
           .field("edges_recomputed", edges_recomputed)
           .field("input_tile_loads", input_tile_loads)
           .field("repair_epoch_ms", repair_epoch_ms, 3)
-          .field("epoch_screen_ms", phase_ms[8] / epochs, 3)
+          .field("epoch_screen_ms", phase_ms[7] / epochs, 3)
           .field("epoch_journal_ms", phase_ms[1] / epochs, 3)
           .field("tile_repack_ms", phase_ms[2] / epochs, 3)
           .field("band_pair_stream_ms", phase_ms[3] / epochs, 3)
           .field("sink_commit_ms", phase_ms[4] / epochs, 3)
-          .field("row_pin_ms", phase_ms[5] / epochs, 3)
-          .field("witness_walk_ms", phase_ms[6] / epochs, 3)
-          .field("sink_merge_ms", phase_ms[7] / epochs, 3)
+          .field("edge_repair_ms", phase_ms[5] / epochs, 3)
+          .field("sink_merge_ms", phase_ms[6] / epochs, 3)
           .field("unattributed_ms", unattributed_ms / epochs, 3)
           .field("oocore_rebuild_ms", rebuild_ms, 3)
           .field("speedup_vs_oocore_rebuild",
@@ -349,12 +344,11 @@ int main(int argc, char** argv) {
     // edge_severity_batch over every upper-triangle pair of the same
     // matrix (prebuilt view), both single-threaded and in the same run, so
     // repair_vs_kernel does not depend on the runner's speed. Both run the
-    // portable witness body on every ISA — the repair's 64-wide calls and
-    // edge_severity_batch by design — so if the repair's call site
-    // compiles to a scalar loop (one vdivsd per witness) the ratio drops
-    // from ~0.9 to ~0.3 whatever the build targets. Fixed at n=512, tile
-    // 64 — the quick run's 16-wide tiles would measure per-tile overhead,
-    // not codegen.
+    // portable witness body over the full padded row on every ISA, by
+    // design, so if the repair loop's call site compiles to a scalar loop
+    // (one vdivsd per witness) the ratio drops from ~0.9 to ~0.3 whatever
+    // the build targets. Fixed at n=512 (sink tile 64), the size at which
+    // the baseline ratio was recorded.
     {
       constexpr HostId kGuardHosts = 512;
       constexpr std::uint32_t kGuardTile = 64;
@@ -365,7 +359,6 @@ int main(int argc, char** argv) {
       const std::string out_path = scratch_file(dir, "guard_sev");
       tiv::shard::TileStore::write_matrix(in_path, m, kGuardTile);
       const auto store = tiv::shard::TileStore::open(in_path);
-      // Room for the whole store: the repair reads only warm tiles.
       tiv::shard::TileCache cache(store, std::size_t{4} << 20);
       tiv::sink::SeverityTileStore::create(out_path, kGuardHosts, kGuardTile);
       auto sink = tiv::sink::SeverityTileStore::open(out_path,
@@ -377,15 +370,15 @@ int main(int argc, char** argv) {
           kGuardHosts, static_cast<std::uint32_t>(kGuardHosts * kGuardDirty));
       std::vector<HostId> dirty(picks.begin(), picks.end());
       std::sort(dirty.begin(), dirty.end());
-      // Every incident edge flagged: the walk's full work, as an epoch
+      // Every incident edge flagged: the repair's full work, as an epoch
       // without the screen would run it.
       tiv::core::EpochEdges all_incident;
       all_incident.reset(dirty, kGuardHosts);
       all_incident.flag_all();
       tiv::core::SinkRepairStats repair;
       const double repair_ms = tiv::bench::best_ms(3, [&] {
-        repair = tiv::core::repair_severities_to_sink(store, cache, sink,
-                                                      dirty, all_incident);
+        repair = tiv::core::repair_severities_to_sink(
+            m, sink, std::size_t{4} << 20, dirty, all_incident);
       });
       const TivAnalyzer analyzer(m);
       const DelayMatrixView view(m);
@@ -425,7 +418,7 @@ int main(int argc, char** argv) {
     ok = tiv::bench::check_metrics(
              "bench_shard_stream", snap,
              {"shard.input.reads", "cache.input.hits", "engine.epochs_applied",
-              "engine.epoch_ns", "engine.input_tile_loads",
+              "engine.epoch_ns", "engine.edges_recomputed",
               "engine.edges_changed",
               "stream.samples_applied"}) &&
          ok;

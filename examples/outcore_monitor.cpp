@@ -77,6 +77,7 @@ namespace {
 struct PhaseTotals {
   std::uint64_t ingest = 0;
   std::uint64_t epoch = 0;
+  std::uint64_t screen = 0;
   std::uint64_t journal = 0;
   std::uint64_t repack = 0;
   std::uint64_t band = 0;
@@ -87,6 +88,7 @@ PhaseTotals sample_phases(const tiv::obs::SpanTracer& tracer) {
   PhaseTotals t;
   t.ingest = tracer.total_ns("ingest");
   t.epoch = tracer.total_ns("epoch");
+  t.screen = tracer.total_ns("epoch-screen");
   t.journal = tracer.total_ns("epoch-journal");
   t.repack = tracer.total_ns("tile-repack");
   t.band = tracer.total_ns("band-pair-stream");
@@ -359,7 +361,9 @@ int main(int argc, char** argv) {
               << format_double(ms(phases.ingest, last_phases.ingest), 2)
               << " ms, epoch "
               << format_double(ms(phases.epoch, last_phases.epoch), 2)
-              << " ms (journal "
+              << " ms (screen "
+              << format_double(ms(phases.screen, last_phases.screen), 2)
+              << ", journal "
               << format_double(ms(phases.journal, last_phases.journal), 2)
               << ", repack "
               << format_double(ms(phases.repack, last_phases.repack), 2)

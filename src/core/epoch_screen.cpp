@@ -68,12 +68,6 @@ void EpochEdges::flag_all() {
   }
 }
 
-bool EpochEdges::row_any(std::size_t i) const {
-  const std::uint64_t* row = bits_.data() + i * words_;
-  return std::any_of(row, row + words_,
-                     [](std::uint64_t w) { return w != 0; });
-}
-
 void EpochScreen::begin(const DelayMatrix& after,
                         std::span<const HostId> dirty_hosts) {
   after_ = &after;
@@ -175,10 +169,7 @@ void EpochScreen::flag(EpochEdges& out) {
   std::uint8_t* const hx = hits_.data();
   std::uint8_t* const hw = hx + n;
   const auto pack = [&](HostId h, float* now, float* before) {
-    const auto row = after_->row(h);
-    for (HostId c = 0; c < n; ++c) {
-      now[c] = DelayMatrixView::pack_entry(row[c], c == h);
-    }
+    DelayMatrixView::pack_row_segment(*after_, h, 0, n, now);
     std::copy_n(now, n, before);
     for (std::size_t p = patch_begin_[h]; p < patch_begin_[h + 1]; ++p) {
       before[patches_[p].first] = patches_[p].second;

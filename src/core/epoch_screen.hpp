@@ -95,8 +95,10 @@ class EpochEdges {
     }
   }
 
-  /// Whether row i holds any flagged edge.
-  bool row_any(std::size_t i) const;
+  /// Whether edge (i, c), bit c of row i, is flagged.
+  bool test(std::size_t i, HostId c) const {
+    return (bits_[i * words_ + c / 64] >> (c % 64)) & 1;
+  }
 
   std::size_t rows() const { return rows_; }
   HostId size() const { return n_; }

@@ -45,8 +45,9 @@ struct EdgeRows {
 
 /// Rows a and c of one edge packed into the thread's 64-byte-aligned
 /// scratch: O(N) per edge, for calls with no view and too few edges to
-/// amortize building one. pack_row rewrites the padding and zeroes the mask
-/// words on every pack, so nothing of an earlier, larger edge leaks in.
+/// amortize building one. pack_row rewrites the padding and pack_mask
+/// zeroes the mask words on every pack, so nothing of an earlier, larger
+/// edge leaks in.
 EdgeRows pack_edge(const DelayMatrix& m, HostId a, HostId c) {
   thread_local std::vector<float> floats;  // over-allocated for alignment
   thread_local std::vector<std::uint64_t> masks;
@@ -62,8 +63,10 @@ EdgeRows pack_edge(const DelayMatrix& m, HostId a, HostId c) {
   float* rc = ra + stride;
   std::uint64_t* ma = masks.data();
   std::uint64_t* mc = ma + words;
-  DelayMatrixView::pack_row(m, a, ra, ma);
-  DelayMatrixView::pack_row(m, c, rc, mc);
+  DelayMatrixView::pack_row(m, a, ra);
+  DelayMatrixView::pack_mask(m, a, ma);
+  DelayMatrixView::pack_row(m, c, rc);
+  DelayMatrixView::pack_mask(m, c, mc);
   return {ra, rc, ma, mc, stride, words, ra[c]};
 }
 

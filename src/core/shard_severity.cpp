@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "core/edge_repair.hpp"
 #include "core/triangle_schedule.hpp"
 #include "core/witness_kernels.hpp"
 #include "obs/trace.hpp"
@@ -23,10 +23,10 @@ using shard::TileRef;
 using shard::TileStore;
 
 // ---------------------------------------------------------------------------
-// Two walks over the tile store.
+// The band-pair walk over the tile store, and the epoch repair beside it.
 //
 // The matrix is stored as square tiles of T = store.tile_dim() rows; band b
-// is rows (and, by symmetry, columns) [b*T, b*T + T). Both walks feed
+// is rows (and, by symmetry, columns) [b*T, b*T + T). The walk feeds
 // kWitnessLanes accumulators per edge with witness bands K in ascending
 // column order. Ascending K plus lane-aligned tile widths is what makes the
 // partial sums land in the same lanes, in the same order, as the monolithic
@@ -38,16 +38,12 @@ using shard::TileStore;
 // (I, J), I <= J, of the upper triangle are dynamically scheduled over the
 // pool. A pair pins the d_ac tile (I, J), then streams tiles (I, K) and
 // (J, K) for every K and writes sink tile (I, J). Pairs are walked
-// row-major, so consecutive pairs share band I and re-hit its tiles; while
-// band K computes, tiles for K+1 load on the cache's background I/O
-// thread.
+// row-major, so consecutive pairs share band I and re-hit its tiles.
 //
-// Dirty-row walk (epoch repair): every recomputed edge has a dirty
-// endpoint h, so the pass pins those hosts' packed rows once and then
-// loads each input tile at most once — column band J walks tiles (J, K)
-// and accumulates every flagged edge (h, c in J) from the pinned slice
-// d(h, band K) and tile row c. See repair_severities_to_sink for its three
-// phases.
+// Epoch repair: the flagged edges run through the repair loop both engines
+// share (core/edge_repair) over rows packed from the post-epoch matrix, so
+// it reads no input tile; their results merge into the sink tiles. See
+// repair_severities_to_sink.
 // ---------------------------------------------------------------------------
 
 /// Funnels the first exception thrown by a pool-scheduled body back to the
@@ -103,18 +99,18 @@ void for_each_unit(std::size_t count, UnitFn&& fn) {
   error.rethrow();
 }
 
-/// One edge of a walk selected for recomputation: tile-local rows (or a
-/// pinned-row index and a tile-local column) plus the edge's own delay.
+/// One edge of a band pair selected for recomputation: tile-local rows
+/// plus the edge's own delay.
 struct PairTask {
   std::uint32_t a;
   std::uint32_t c;
   float dac;
 };
 
-/// Per-thread working buffers of both walks — a sink tile image, the
-/// selected edges, and their accumulator lanes (O(T^2) resp. O(|H|·T),
-/// outside the cache budgets by design). Kept per pool worker and reused
-/// across units and epochs, so the repair loop allocates nothing once warm.
+/// Per-thread working buffers — a sink tile image, and a band pair's
+/// selected edges and their accumulator lanes (O(T^2), outside the cache
+/// budgets by design). Kept per pool worker and reused across units and
+/// epochs, so the walk and the sink merge allocate nothing once warm.
 struct WalkScratch {
   std::vector<float> buf;
   std::vector<PairTask> tasks;
@@ -172,11 +168,11 @@ void process_band_pair_to_sink(const TileStore& store, TileCache& cache,
   sink.write_tile(bi, bj, buf.data());
 }
 
-void check_sink_matches(const TileStore& store,
+void check_sink_matches(HostId n, std::uint32_t tile_dim,
                         const sink::SeverityTileStore& sink) {
-  if (sink.size() != store.size() || sink.tile_dim() != store.tile_dim()) {
+  if (sink.size() != n || sink.tile_dim() != tile_dim) {
     throw std::invalid_argument(
-        "severity sink geometry (n, tile_dim) must match the input store");
+        "severity sink geometry (n, tile_dim) must match the input");
   }
   if (!sink.writable()) {
     throw std::invalid_argument("severity sink must be opened writable");
@@ -184,12 +180,10 @@ void check_sink_matches(const TileStore& store,
 }
 
 /// The repair pass's per-epoch buffers, owned by the calling thread and
-/// reused across epochs: the pinned packed rows of one host group and its
-/// severity rows, each |group| x stride floats (stride = bands * T, the
-/// store's padded row), plus two per-sink-tile maps: the tiles holding a
-/// flagged edge of the current group, and the tiles committed so far.
+/// reused across epochs: one host group's severity rows (|group| x n
+/// floats), plus two per-sink-tile maps: the tiles holding a flagged edge
+/// of the current group, and the tiles committed so far.
 struct RepairBuffers {
-  std::vector<float> rows;
   std::vector<float> result;
   std::vector<std::uint8_t> touched;
   std::vector<std::uint8_t> committed;
@@ -207,13 +201,11 @@ struct BandRun {
   std::uint32_t end;
 };
 
-/// The band runs of the ascending `hosts` for which keep(i) holds.
-template <typename Keep>
+/// The band runs of the ascending `hosts`.
 std::vector<BandRun> band_runs(std::span<const HostId> hosts,
-                               std::uint32_t T, Keep&& keep) {
+                               std::uint32_t T) {
   std::vector<BandRun> runs;
   for (std::uint32_t i = 0; i < hosts.size(); ++i) {
-    if (!keep(i)) continue;
     const std::uint32_t b = hosts[i] / T;
     if (runs.empty() || runs.back().band != b) runs.push_back({b, i, i});
     runs.back().end = i + 1;
@@ -221,133 +213,40 @@ std::vector<BandRun> band_runs(std::span<const HostId> hosts,
   return runs;
 }
 
-/// Calls fn(i, k, slice) on the pool for every host i of `runs` and every
-/// band K, where slice is d(hosts[i], band K): tile_dim floats of tile
-/// (band(hosts[i]), K). One acquire per (run, K).
-template <typename SliceFn>
-void for_each_row_slice(const TileStore& store, TileCache& cache,
-                        std::span<const HostId> hosts,
-                        const std::vector<BandRun>& runs, SliceFn&& fn) {
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  for_each_unit(runs.size() * bands, [&](std::size_t u) {
-    const BandRun& r = runs[u / bands];
-    const auto k = static_cast<std::uint32_t>(u % bands);
-    const TileRef tile = cache.acquire(r.band, k);
-    for (std::uint32_t i = r.begin; i < r.end; ++i) {
-      fn(i, k, tile->row(hosts[i] - r.band * T));
-    }
-  });
-}
-
-/// One pass of the dirty-row walk over `group`, the ascending slice of the
-/// epoch's dirty hosts that starts at dirty index `first`: recomputes the
-/// flagged edges of rows [first, first + |group|) of `edges`. Accumulates
-/// into `stats`.
-void repair_host_group(const TileStore& store, TileCache& cache,
+/// One repair pass over `group`, the ascending slice of the epoch's dirty
+/// hosts that starts at dirty index `first`: recomputes the flagged edges of
+/// rows [first, first + |group|) of `edges` into the group's result rows,
+/// then merges them into the sink. Accumulates into `stats`.
+void repair_host_group(const DelayMatrix& matrix,
                        sink::SeverityTileStore& sink,
                        std::span<const HostId> group, std::size_t first,
                        const EpochEdges& edges, std::span<std::uint8_t> written,
                        RepairBuffers& rb, SinkRepairStats& stats) {
-  const HostId n = store.size();
-  const std::uint32_t T = store.tile_dim();
-  const std::uint32_t bands = store.tiles_per_side();
-  const std::size_t stride = static_cast<std::size_t>(bands) * T;
-  const auto nd = static_cast<double>(n);
-  rb.rows.resize(group.size() * stride);
-  rb.result.resize(group.size() * stride);
-  float* const rows = rb.rows.data();
-  float* const result = rb.result.data();
+  const HostId n = matrix.size();
+  const std::uint32_t T = sink.tile_dim();
+  const std::uint32_t bands = sink.tiles_per_side();
+  rb.result.resize(group.size() * n);
+  const float* const result = rb.result.data();
 
-  // Band runs of the group hosts that have a flagged edge: only their rows
-  // are pinned, and only their bands can hold a tile to merge.
-  const std::vector<BandRun> runs = band_runs(
-      group, T, [&](std::uint32_t i) { return edges.row_any(first + i); });
+  const std::vector<BandRun> runs = band_runs(group, T);
   std::vector<const BandRun*> run_of_band(bands, nullptr);
   for (const BandRun& r : runs) run_of_band[r.band] = &r;
 
-  std::atomic<std::size_t> loads{0};
+  stats.edges_recomputed +=
+      repair_flagged_edges(matrix, nullptr, group, first, edges, rb.result);
+
+  // Merge into the sink: one writer per sink tile holding a flagged edge of
+  // the group. It writes exactly the flagged cells (both mirror cells on a
+  // diagonal tile) and commits iff one of them is measured or a stale value
+  // was reset to 0; a tile whose flagged edges are all unmeasured and
+  // already 0 is left as is.
   std::atomic<std::size_t> committed{0};
-
-  // (0) Pin the group's packed rows: one acquire per (run band, K).
-  {
-    obs::Span span("row-pin");
-    for_each_row_slice(store, cache, group, runs,
-                       [&](std::uint32_t i, std::uint32_t k,
-                           const float* slice) {
-                         std::memcpy(rows + i * stride +
-                                         static_cast<std::size_t>(k) * T,
-                                     slice, T * sizeof(float));
-                       });
-    loads.fetch_add(runs.size() * bands, std::memory_order_relaxed);
-  }
-
-  // (1) Walk the column bands: unit J loads tiles (J, K) once each and
-  // accumulates every flagged edge (h, c in J); unmeasured ones get the 0
-  // a rebuild leaves there. A band with no measured flagged edge loads
-  // nothing. The group's own bands go first: phase 0 just loaded their
-  // tiles, so they are still cached.
-  std::size_t group_edges = 0;
-  {
-    obs::Span span("witness-walk");
-    std::vector<std::uint32_t> order;
-    order.reserve(bands);
-    for (const BandRun& r : runs) order.push_back(r.band);
-    for (std::uint32_t b = 0; b < bands; ++b) {
-      if (!run_of_band[b]) order.push_back(b);
-    }
-    for_each_unit(bands, [&](std::size_t unit) {
-      const std::uint32_t j = order[unit];
-      const HostId c0 = j * T;
-      const HostId c1 = c0 + store.band_rows(j);
-      WalkScratch& scratch = walk_scratch();
-      std::vector<PairTask>& tasks = scratch.tasks;
-      tasks.clear();
-      for (const BandRun& r : runs) {
-        for (std::uint32_t i = r.begin; i < r.end; ++i) {
-          const float* prow = rows + i * stride;
-          edges.for_each_in_row(first + i, c0, c1, [&](HostId c) {
-            if (prow[c] < DelayMatrixView::kMaskedDelay) {
-              tasks.push_back({i, c - c0, prow[c]});
-            } else {
-              result[i * stride + c] = 0.0f;
-            }
-          });
-        }
-      }
-      if (tasks.empty()) return;
-
-      std::vector<double>& acc = scratch.acc;
-      acc.assign(tasks.size() * kWitnessLanes, 0.0);
-      for (std::uint32_t k = 0; k < bands; ++k) {
-        const TileRef tile = cache.acquire(j, k);
-        loads.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t slice = static_cast<std::size_t>(k) * T;
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-          witness_ratio_accumulate(rows + tasks[t].a * stride + slice,
-                                   tile->row(tasks[t].c), T, tasks[t].dac,
-                                   acc.data() + t * kWitnessLanes);
-        }
-      }
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        result[tasks[t].a * stride + c0 + tasks[t].c] = static_cast<float>(
-            witness_ratio_reduce(acc.data() + t * kWitnessLanes) / nd);
-      }
-    });
-  }
-
-  // (2) Merge into the sink: one writer per sink tile holding a flagged
-  // edge of the group. It writes exactly the flagged cells (both mirror
-  // cells on a diagonal tile) and commits iff one of them is measured or a
-  // stale value was reset to 0; a tile whose flagged edges are all
-  // unmeasured and already 0 is left as is.
   {
     obs::Span span("sink-merge");
     rb.touched.assign(sink.tile_count(), 0);
     for (const BandRun& r : runs) {
       for (std::uint32_t i = r.begin; i < r.end; ++i) {
         edges.for_each_in_row(first + i, 0, n, [&](HostId c) {
-          ++group_edges;
           const std::uint32_t bc = c / T;
           rb.touched[sink.tile_index(std::min(r.band, bc),
                                      std::max(r.band, bc))] = 1;
@@ -368,8 +267,8 @@ void repair_host_group(const TileStore& store, TileCache& cache,
       bool commit = false;
       // Writes flagged edge (group[i], c) into tile cell `cell`.
       const auto merge = [&](std::uint32_t i, HostId c, std::size_t cell) {
-        const std::size_t o = i * stride + c;
-        commit |= rows[o] < DelayMatrixView::kMaskedDelay || buf[cell] != 0.0f;
+        const std::size_t o = i * std::size_t{n} + c;
+        commit |= matrix.at(group[i], c) >= 0.0f || buf[cell] != 0.0f;
         buf[cell] = result[o];
       };
       const HostId row0 = bi * T;
@@ -378,7 +277,7 @@ void repair_host_group(const TileStore& store, TileCache& cache,
         for (std::uint32_t i = r->begin; i < r->end; ++i) {
           const std::size_t row = static_cast<std::size_t>(group[i] - row0) * T;
           edges.for_each_in_row(
-              first + i, col0, col0 + store.band_rows(bj),
+              first + i, col0, col0 + sink.band_rows(bj),
               [&](HostId c) { merge(i, c, row + (c - col0)); });
         }
       }
@@ -386,7 +285,7 @@ void repair_host_group(const TileStore& store, TileCache& cache,
         for (std::uint32_t i = r->begin; i < r->end; ++i) {
           const std::size_t col = group[i] - col0;
           edges.for_each_in_row(
-              first + i, row0, row0 + store.band_rows(bi), [&](HostId c) {
+              first + i, row0, row0 + sink.band_rows(bi), [&](HostId c) {
                 merge(i, c, (c - row0) * std::size_t{T} + col);
               });
         }
@@ -405,8 +304,6 @@ void repair_host_group(const TileStore& store, TileCache& cache,
       }
     });
   }
-  stats.input_tile_loads += loads.load();
-  stats.edges_recomputed += group_edges;
   stats.tiles_committed += committed.load();
 }
 
@@ -414,7 +311,7 @@ void repair_host_group(const TileStore& store, TileCache& cache,
 
 void all_severities_to_sink(const TileStore& store, TileCache& cache,
                             sink::SeverityTileStore& sink) {
-  check_sink_matches(store, sink);
+  check_sink_matches(store.size(), store.tile_dim(), sink);
   obs::Span span("band-pair-stream");
   for_each_band_pair(store.tiles_per_side(),
                      [&](std::uint32_t bi, std::uint32_t bj) {
@@ -425,7 +322,7 @@ void all_severities_to_sink(const TileStore& store, TileCache& cache,
 void rebuild_sink_tile(const TileStore& store, TileCache& cache,
                        sink::SeverityTileStore& sink, std::uint32_t bi,
                        std::uint32_t bj) {
-  check_sink_matches(store, sink);
+  check_sink_matches(store.size(), store.tile_dim(), sink);
   process_band_pair_to_sink(store, cache, sink, bi, bj);
 }
 
@@ -441,23 +338,31 @@ void diff_dirty_rows(const TileStore& store, TileCache& cache,
                      EpochScreen& screen) {
   check_dirty_hosts(dirty_hosts, store.size(), "diff_dirty_rows");
   const std::uint32_t T = store.tile_dim();
-  for_each_row_slice(
-      store, cache, dirty_hosts,
-      band_runs(dirty_hosts, T, [](std::uint32_t) { return true; }),
-      [&](std::uint32_t i, std::uint32_t k, const float* slice) {
-        screen.diff(i, k * T, slice, T);
-      });
+  const std::uint32_t bands = store.tiles_per_side();
+  const std::vector<BandRun> runs = band_runs(dirty_hosts, T);
+  // One acquire per (run band, K), each diffing its hosts' slices.
+  for_each_unit(runs.size() * bands, [&](std::size_t u) {
+    const BandRun& r = runs[u / bands];
+    const auto k = static_cast<std::uint32_t>(u % bands);
+    const TileRef tile = cache.acquire(r.band, k);
+    for (std::uint32_t i = r.begin; i < r.end; ++i) {
+      screen.diff(i, k * T, tile->row(dirty_hosts[i] - r.band * T), T);
+    }
+  });
 }
 
-SinkRepairStats repair_severities_to_sink(
-    const TileStore& store, TileCache& cache, sink::SeverityTileStore& sink,
-    std::span<const HostId> dirty_hosts, const EpochEdges& edges,
-    std::span<std::uint8_t> written) {
-  check_sink_matches(store, sink);
-  check_dirty_hosts(dirty_hosts, store.size(), "repair_severities_to_sink");
+SinkRepairStats repair_severities_to_sink(const DelayMatrix& matrix,
+                                          sink::SeverityTileStore& sink,
+                                          std::size_t budget_bytes,
+                                          std::span<const HostId> dirty_hosts,
+                                          const EpochEdges& edges,
+                                          std::span<std::uint8_t> written) {
+  const HostId n = matrix.size();
+  check_sink_matches(n, sink.tile_dim(), sink);
+  check_dirty_hosts(dirty_hosts, n, "repair_severities_to_sink");
   SinkRepairStats stats;
-  if (dirty_hosts.empty() || store.size() < 2) return stats;
-  if (edges.rows() != dirty_hosts.size() || edges.size() != store.size()) {
+  if (dirty_hosts.empty() || n < 2) return stats;
+  if (edges.rows() != dirty_hosts.size() || edges.size() != n) {
     throw std::invalid_argument(
         "repair_severities_to_sink: edge set geometry (dirty hosts, n) must "
         "match the epoch");
@@ -472,11 +377,11 @@ SinkRepairStats repair_severities_to_sink(
   rb.committed.assign(sink.tile_count(), 0);
 
   obs::Span span("band-pair-stream");
-  const std::size_t group = repair_group_hosts(
-      store.size(), store.tile_dim(), cache.budget_bytes());
+  const std::size_t group =
+      repair_group_hosts(n, sink.tile_dim(), budget_bytes);
   for (std::size_t g = 0; g < dirty_hosts.size(); g += group) {
     repair_host_group(
-        store, cache, sink,
+        matrix, sink,
         dirty_hosts.subspan(g, std::min(group, dirty_hosts.size() - g)), g,
         edges, written, rb, stats);
   }

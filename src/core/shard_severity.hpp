@@ -1,33 +1,25 @@
-// Out-of-core TIV severity: streams tiles of a shard::TileStore through
-// the branch-free witness kernels, honoring a user-set memory budget via a
-// shard::TileCache, and writes the result into a sink::SeverityTileStore —
-// neither the delay matrix nor the N^2 severity result is ever
-// materialized. Two walks share the kernels:
+// Out-of-core TIV severity: writes results into a sink::SeverityTileStore
+// without materializing the N^2 severity matrix. Two drivers:
 //
 //  - The band-pair walk: all_severities_to_sink (the full build) and
 //    rebuild_sink_tile (its one-tile form, the engine's self-healing
-//    primitive) stream (a-band, c-band, witness-band) tile triples band
-//    pair by band pair; working set O(budget + tile^2) per worker.
-//  - The dirty-row walk: repair_severities_to_sink, the out-of-core half of
-//    the src/stream/ dirty-epoch engine. After an epoch dirtied a host set
-//    H, only the edges flagged in an EpochEdges set (core/epoch_screen:
-//    the exact screen flags the incident edges whose severity can change;
-//    EpochEdges::flag_all flags every incident edge) are recomputed, and
-//    each input tile is read at most once: (0) pin the packed rows of the
-//    hosts with a flagged edge, (1) walk the column bands, each tile
-//    (J, K) feeding every flagged edge (h, c in J) from the pinned slice
-//    d(h, band K) — a band with no measured flagged edge is skipped —
-//    (2) merge the results into the sink tiles holding a flagged edge,
-//    one writer per tile. The pinned rows and the result rows take
-//    2 * |H| * stride * 4 bytes (stride = the padded row); when that would
-//    exceed the input cache budget, H is split into ascending groups of
-//    repair_group_hosts() hosts that run one pass each.
+//    primitive) stream (a-band, c-band, witness-band) tiles of a
+//    shard::TileStore through the witness kernels, honoring the budget of a
+//    shard::TileCache; working set O(budget + tile^2) per worker.
+//  - The epoch repair: repair_severities_to_sink, the out-of-core half of
+//    the src/stream/ dirty-epoch engine. It recomputes the edges flagged in
+//    an EpochEdges set (core/epoch_screen) with the flagged-edge repair
+//    loop both engines share (core/edge_repair), over rows packed from the
+//    live post-epoch DelayMatrix, so it reads no input tile, and merges the
+//    results into the sink tiles holding a flagged edge, one writer per
+//    tile. Dirty hosts run in ascending groups of repair_group_hosts(),
+//    sized so the group's packed and result rows fit the input budget.
 //
-// Results are bit-identical to the in-memory TivAnalyzer path: tiles are
-// the packed view cut at lane-aligned column boundaries, both walks feed
-// the same accumulator lanes in ascending column order, and the final
-// reduction tree is shared (core/witness_kernels.hpp). See
-// docs/PERFORMANCE.md ("Sink-fed drivers").
+// Results are bit-identical to the in-memory TivAnalyzer path: tiles and
+// packed rows hold the view's encoding, every path feeds the same
+// accumulator lanes in ascending column order, and the final reduction
+// tree is shared (core/witness_kernels.hpp). See docs/PERFORMANCE.md
+// ("Sink-fed drivers").
 #pragma once
 
 #include <cstddef>
@@ -58,13 +50,9 @@ struct SinkRepairStats {
   std::size_t tiles_committed = 0;   ///< distinct sink tiles rewritten
   std::size_t edges_recomputed = 0;  ///< flagged pairs re-evaluated (incl.
                                      ///< pairs reset to 0 on a loss)
-  /// Input-tile acquires of the pass. At most bands * (bands + dirty
-  /// bands) for a one-group pass (the pinned rows' tiles, then every tile
-  /// once), exactly that when every incident edge is flagged.
-  std::size_t input_tile_loads = 0;
 };
 
-/// Dirty hosts per pass of repair_severities_to_sink: the most whose pinned
+/// Dirty hosts per pass of repair_severities_to_sink: the most whose packed
 /// and result rows (2 * bands * tile_dim floats each) fit in budget_bytes,
 /// at least 1.
 std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
@@ -74,16 +62,15 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
 /// edges flagged in `edges` — a set over `dirty_hosts` (ascending,
 /// distinct — what DelayStream::commit_epoch returns; std::invalid_argument
 /// otherwise, and on an edge set of another geometry) — through the
-/// dirty-row walk, and rewrites only the sink tiles whose values a rebuild
-/// would change: those holding a measured flagged edge or a stale value
-/// reset to 0. Host groups are sized against cache.budget_bytes()
-/// (repair_group_hosts). `store` must already hold the post-epoch matrix
-/// (TileStore::repack_tile on the dirty bands, with the cache invalidated
-/// — src/stream/shard_stream owns that sequencing). Severities the
-/// in-memory IncrementalSeverity::apply_epoch would leave untouched are
-/// untouched here too, so with the screen's flags (or every incident edge
-/// flagged) the sink stays bit-identical to a from-scratch all_severities
-/// of the mutated matrix after every epoch.
+/// flagged-edge repair loop over rows packed from `matrix`, the post-epoch
+/// matrix, and rewrites only the sink tiles whose values a rebuild would
+/// change: those holding a measured flagged edge or a stale value reset to
+/// 0. Reads no input tile. Host groups are sized against `budget_bytes`
+/// (repair_group_hosts; the engine passes its input cache budget).
+/// Severities the in-memory IncrementalSeverity::apply_epoch would leave
+/// untouched are untouched here too, so with the screen's flags (or every
+/// incident edge flagged) the sink stays bit-identical to a from-scratch
+/// all_severities of `matrix` after every epoch.
 ///
 /// `written`, when not empty, holds one byte per sink tile
 /// (sink.tile_count(), indexed by sink.tile_index); the pass sets the byte
@@ -91,14 +78,14 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
 /// across a pass that throws and its retry they name every tile either
 /// attempt wrote — the tiles whose cached copies are stale.
 SinkRepairStats repair_severities_to_sink(
-    const shard::TileStore& store, shard::TileCache& cache,
-    sink::SeverityTileStore& sink, std::span<const HostId> dirty_hosts,
+    const DelayMatrix& matrix, sink::SeverityTileStore& sink,
+    std::size_t budget_bytes, std::span<const HostId> dirty_hosts,
     const EpochEdges& edges, std::span<std::uint8_t> written = {});
 
 /// The screen's read of the pre-epoch rows (core/epoch_screen): calls
 /// screen.diff on every dirty host's packed row, read from `store` one
-/// acquire per (dirty band, K) on the pool, as the repair's row pin reads
-/// them. Call after screen.begin and before the epoch's tiles are
+/// acquire per (dirty band, K) on the pool — the epoch's only input-tile
+/// reads. Call after screen.begin and before the epoch's tiles are
 /// repacked. Rethrows the first error of a unit — a corrupt tile, or the
 /// screen's std::invalid_argument — on the calling thread.
 void diff_dirty_rows(const shard::TileStore& store, shard::TileCache& cache,

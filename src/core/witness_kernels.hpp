@@ -1,7 +1,7 @@
 // Branch-free witness-scan primitives: the one witness loop of the
 // library, shared by the in-memory severity kernel and every per-edge call
-// (severity.cpp) and by the out-of-core band-pair walk
-// (shard_severity.cpp).
+// (severity.cpp), the engines' flagged-edge repair loop (edge_repair.cpp)
+// and the out-of-core band-pair walk (shard_severity.cpp).
 //
 // Two violation predicates, for witness b of edge (a, c) with
 // detour = d_ab + d_bc in float:
@@ -60,9 +60,9 @@ inline constexpr std::size_t kWitnessLanes = 8;
 /// This portable body divides once per witness, violating or not. Builds
 /// without AVX-512VL run it as witness_ratio_accumulate; every build keeps
 /// it as the oracle the compiled body is tested and benchmarked against,
-/// and TivAnalyzer::edge_severity_batch calls it directly: that batch
-/// streams its witness rows from beyond L2, where the masked body's time
-/// follows other processes' memory traffic.
+/// and TivAnalyzer::edge_severity_batch and repair_flagged_edges call it
+/// directly: they stream their witness rows from beyond L2, where the
+/// masked body's time follows other processes' memory traffic.
 ///
 /// The lanes are copied into a function-local array for the scan and
 /// stored back once, for the reason witness_violation_minmax documents:

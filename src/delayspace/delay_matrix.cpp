@@ -116,29 +116,42 @@ DelayMatrixView::DelayMatrixView(const DelayMatrix& m) : n_(m.size()) {
 
 void DelayMatrixView::pack_row_segment(const DelayMatrix& m, HostId i,
                                        HostId col_begin, HostId col_end,
-                                       float* out, std::uint64_t* mask) {
-  const auto row = m.row(i);
+                                       float* out) {
+  const float* row = m.row(i).data();
+  // The diagonal's 0 keeps the b==a/b==c self-exclusion trick.
   for (HostId b = col_begin; b < col_end; ++b) {
-    const std::size_t lb = b - col_begin;
-    const float d = row[b];
-    // The diagonal's 0 keeps the b==a/b==c self-exclusion trick.
-    out[lb] = pack_entry(d, b == i);
-    if (b != i && d >= 0.0f) mask[lb >> 6] |= std::uint64_t{1} << (lb & 63);
+    out[b - col_begin] = pack_entry(row[b], b == i);
   }
 }
 
-void DelayMatrixView::pack_row(const DelayMatrix& m, HostId i, float* out,
-                               std::uint64_t* mask) {
+void DelayMatrixView::pack_row(const DelayMatrix& m, HostId i, float* out) {
   const HostId n = m.size();
-  // pack_row_segment only ORs mask bits in, so clear the words first.
-  std::fill_n(mask, mask_words_for(n), std::uint64_t{0});
-  pack_row_segment(m, i, 0, n, out, mask);
+  pack_row_segment(m, i, 0, n, out);
   std::fill(out + n, out + stride_for(n), kMaskedDelay);
+}
+
+void DelayMatrixView::pack_mask(const DelayMatrix& m, HostId i,
+                                std::uint64_t* mask) {
+  const HostId n = m.size();
+  const float* row = m.row(i).data();
+  std::fill_n(mask, mask_words_for(n), std::uint64_t{0});
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    const std::size_t b0 = w * 64;
+    const std::size_t len = std::min<std::size_t>(64, n - b0);
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      word |= static_cast<std::uint64_t>(row[b0 + k] >= 0.0f) << k;
+    }
+    mask[w] = word;
+  }
+  // The diagonal holds 0, which reads as measured, but is no witness.
+  mask[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
 }
 
 void DelayMatrixView::repack_row(const DelayMatrix& m, HostId i) {
   assert(m.size() == n_ && i < n_);
-  pack_row(m, i, delays_ + i * stride_, masks_.data() + i * mask_words_);
+  pack_row(m, i, delays_ + i * stride_);
+  pack_mask(m, i, masks_.data() + i * mask_words_);
 }
 
 std::size_t DelayMatrixView::measured_in_both(const std::uint64_t* ma,

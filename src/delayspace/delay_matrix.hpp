@@ -119,27 +119,28 @@ class DelayMatrixView {
     return diagonal ? 0.0f : (d >= 0.0f ? d : kMaskedDelay);
   }
 
-  /// Packs columns [col_begin, col_end) of matrix row i into the view
-  /// encoding: measured -> value + mask bit, diagonal -> 0, missing ->
-  /// kMaskedDelay (pack_entry). out holds col_end - col_begin floats; mask bits land at
-  /// segment-local index b - col_begin in words the caller has zeroed.
-  /// This is the single definition of the encoding — shared by this view's
-  /// constructor and shard::TileStore's tile writer (which keeps the floats
-  /// and drops the mask bits), whose bit-identity contract depends on the
-  /// two never diverging.
+  /// Packs columns [col_begin, col_end) of matrix row i into the view's
+  /// float encoding, pack_entry per column, into out[0, col_end - col_begin).
+  /// One branch-free loop; it is the single definition of the encoding —
+  /// shared by this view, shard::TileStore's tile writer, the epoch screen
+  /// and the epoch repair's packed rows, whose bit-identity contracts
+  /// depend on them never diverging.
   static void pack_row_segment(const DelayMatrix& m, HostId i,
-                               HostId col_begin, HostId col_end, float* out,
-                               std::uint64_t* mask);
+                               HostId col_begin, HostId col_end, float* out);
 
   /// Padded row length (floats) and bitmask words per row of an n-host view.
   static std::size_t stride_for(HostId n);
   static std::size_t mask_words_for(HostId n);
 
-  /// Packs matrix row i into one view row: stride_for(n) floats, padding
-  /// included, and mask_words_for(n) mask words, zeroed first. Builds every
-  /// view row, and TivAnalyzer's per-edge scratch rows.
-  static void pack_row(const DelayMatrix& m, HostId i, float* out,
-                       std::uint64_t* mask);
+  /// Packs matrix row i into one view row of floats: stride_for(n) floats,
+  /// padding (kMaskedDelay) included. No mask bits: pack_mask adds those.
+  static void pack_row(const DelayMatrix& m, HostId i, float* out);
+
+  /// The measured-entry bitmask of matrix row i: mask_words_for(n) words,
+  /// bit b set iff (i, b) is a usable measurement (b != i, measured). A
+  /// separate pass, taken only by the rows that keep their masks (view
+  /// rows and TivAnalyzer's per-edge scratch rows).
+  static void pack_mask(const DelayMatrix& m, HostId i, std::uint64_t* mask);
 
   /// Re-packs row i (delays + missing bitmask) from `m`, which must be the
   /// matrix this view was built from (same size), possibly mutated since.

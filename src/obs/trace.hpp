@@ -9,13 +9,14 @@
 //   epoch                 one ShardStreamEngine::apply_epoch call
 //   ├─ ingest             DelayStream::ingest(batch)   (precedes the epoch)
 //   ├─ view-repair        IncrementalSeverity view repair (in-memory path)
-//   │  └─ epoch-screen    the screen's diff of the dirty view rows
+//   │  ├─ epoch-screen    the screen's diff of the dirty view rows
+//   │  └─ edge-repair     the flagged-edge repair loop over the view's rows
 //   ├─ epoch-screen       pre-epoch dirty rows read and diffed, edges flagged
 //   ├─ epoch-journal      manifest planning and write
 //   ├─ tile-repack        dirty input tiles rewritten in place
 //   ├─ band-pair-stream   the streaming severity driver (build or repair)
-//   │  ├─ row-pin         repair: flagged hosts' packed rows pinned
-//   │  ├─ witness-walk    repair: flagged column bands walked, each tile once
+//   │  ├─ edge-repair     repair: flagged edges over rows packed from the
+//   │  │                  live matrix (one per host group)
 //   │  └─ sink-merge      repair: flagged edges merged into their sink tiles
 //   └─ sink-commit        rewritten tiles' cache invalidation + manifest clear
 //   recovery-action       one heal (tile rebuild/repack) or replay

@@ -167,6 +167,11 @@ DelayTrace DelayTrace::load(const std::string& path) {
                       family_len);
   cur.off += family_len;
   const std::uint32_t epoch_count = cur.u32();
+  // Every epoch holds at least its two u32 event counts: bound the count by
+  // the bytes left before sizing anything by it.
+  if (epoch_count > (cur.size - cur.off) / 8) {
+    fail_format("epoch count overruns file", path);
+  }
   trace.epochs.resize(epoch_count);
   for (auto& epoch : trace.epochs) {
     const std::uint32_t tc = cur.u32();

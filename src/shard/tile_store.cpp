@@ -24,9 +24,6 @@ void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
   const HostId n = m.size();
   tile.assign(static_cast<std::size_t>(tile_dim) * tile_dim,
               DelayMatrixView::kMaskedDelay);
-  // pack_row_segment also emits the view's mask bits, which tiles do not
-  // store: they land in this scratch row and are dropped.
-  std::vector<std::uint64_t> mask_scratch((tile_dim + 63) / 64);
   const HostId row_end =
       std::min<HostId>(n, static_cast<HostId>(tr + 1) * tile_dim);
   const HostId col_base = static_cast<HostId>(tc) * tile_dim;
@@ -36,8 +33,7 @@ void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
     // Shared encoding definition — bit-identity with the in-memory
     // view depends on writing exactly its representation.
     DelayMatrixView::pack_row_segment(m, i, col_base, col_end,
-                                      tile.data() + lr * tile_dim,
-                                      mask_scratch.data());
+                                      tile.data() + lr * tile_dim);
   }
 }
 

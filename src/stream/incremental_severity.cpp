@@ -1,8 +1,6 @@
 #include "stream/incremental_severity.hpp"
 
-#include <utility>
-#include <vector>
-
+#include "core/edge_repair.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 
@@ -41,36 +39,28 @@ IncrementalSeverity::ApplyStats IncrementalSeverity::apply_epoch(
   });
   stats.rows_repacked = dirty_hosts.size();
 
-  // Every edge incident to a dirty host, each unordered pair once: (h, x)
-  // by ascending h, then x, skipping x == h and a dirty x < h (that pair
-  // is (x, h)). This engine does not act on the screen's flags yet (see
-  // the file comment). Unmeasured pairs are included on purpose — an edge
-  // that went measured -> missing this epoch must have its stale severity
-  // overwritten with the 0 the batch returns for it, exactly what a
-  // from-scratch rebuild leaves.
+  // Every edge incident to a dirty host, each unordered pair once (the
+  // EpochEdges enumeration). This engine does not act on the screen's flags
+  // yet (see the file comment). Unmeasured pairs are included on purpose:
+  // an edge that went measured -> missing this epoch must have its stale
+  // severity overwritten with the 0 the repair stores for it, exactly what
+  // a from-scratch rebuild leaves.
   edges_.reset(dirty_hosts, n);
   edges_.flag_all();
-  std::vector<std::pair<HostId, HostId>>& edges = batch_;
-  edges.clear();
+  // The one repair loop (core/edge_repair) over the repaired view's rows;
+  // SeverityMatrix::set stores its float in both orientations, so each
+  // repaired cell is bit-identical to a full rebuild's. The stores run on
+  // this thread, not on the pool: they touch a page of every row of the
+  // matrix, and the point reads that follow on this thread then find those
+  // pages in its TLB (tivbench's in-memory query_us_p50 doubled with the
+  // stores spread over the pool workers).
+  result_.resize(dirty_hosts.size() * std::size_t{n});
+  stats.edges_recomputed = core::repair_flagged_edges(
+      matrix, &view_, dirty_hosts, 0, edges_, result_);
   for (std::size_t i = 0; i < dirty_hosts.size(); ++i) {
-    edges_.for_each_in_row(i, 0, n, [&](HostId x) {
-      edges.emplace_back(dirty_hosts[i], x);
+    edges_.for_each_in_row(i, 0, n, [&](HostId c) {
+      severities_.set(dirty_hosts[i], c, result_[i * n + c]);
     });
-  }
-  stats.edges_recomputed = edges.size();
-
-  // edge_severity_batch with an explicit view runs the portable ratio body
-  // over the full padded stride and witness_ratio_reduce — lanes
-  // bit-identical to those the all_severities kernel produces for that
-  // edge — and
-  // SeverityMatrix::set stores the same float cast, so each repaired cell
-  // is bit-identical to a full rebuild's.
-  const TivAnalyzer analyzer(matrix);
-  const std::vector<double> sevs =
-      analyzer.edge_severity_batch(edges, &view_);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    severities_.set(edges[e].first, edges[e].second,
-                    static_cast<float>(sevs[e]));
   }
   return stats;
 }

@@ -27,17 +27,17 @@
 // — so repacking the dirty hosts' rows (DelayMatrixView::repack_row, which
 // reuses pack_row_segment, the single definition of the encoding) costs
 // O(dirty * n) and leaves the view byte-identical to a from-scratch build
-// over the mutated matrix. The incident edges are then recomputed through
-// TivAnalyzer::edge_severity_batch against the repaired view. That path
-// runs bit-identical witness-ratio lanes and the same witness_ratio_reduce
-// over the same packed rows as the from-scratch all_severities kernel, so the
-// maintained matrix is *bit-identical* to a full rebuild after every epoch —
-// asserted by tests/test_stream_engine.cpp over randomized update sequences.
+// over the mutated matrix. The incident edges are then recomputed by the
+// flagged-edge repair loop both engines share (core/edge_repair) over the
+// repaired view's rows. It runs the same witness-ratio lanes and the same
+// witness_ratio_reduce over the same packed rows as the from-scratch
+// all_severities kernel, so the maintained matrix is *bit-identical* to a
+// full rebuild after every epoch — asserted by tests/test_stream_engine.cpp
+// over randomized update sequences.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/epoch_screen.hpp"
@@ -92,7 +92,7 @@ class IncrementalSeverity {
   SeverityMatrix severities_;
   core::EpochScreen screen_;
   core::EpochEdges edges_;
-  std::vector<std::pair<HostId, HostId>> batch_;
+  std::vector<float> result_;  ///< the repair's result rows, |H| x n
 };
 
 }  // namespace tiv::stream

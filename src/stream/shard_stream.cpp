@@ -42,11 +42,6 @@ obs::Counter& engine_edges_changed() {
       obs::MetricsRegistry::instance().counter("engine.edges_changed");
   return c;
 }
-obs::Counter& engine_input_tile_loads() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("engine.input_tile_loads");
-  return c;
-}
 obs::Histogram& engine_epoch_ns() {
   static obs::Histogram& h =
       obs::MetricsRegistry::instance().histogram("engine.epoch_ns");
@@ -369,19 +364,20 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
     }
   }
 
-  // 3. Severity repair: recompute the flagged edges and commit the sink
-  // tiles that hold one. Self-healing: a corrupt tile hit by the repair
-  // scan is rebuilt and the repair retried (recommitting a tile the
-  // aborted attempt already wrote is idempotent); sink_written_ collects
-  // the tiles every attempt wrote.
+  // 3. Severity repair: recompute the flagged edges from rows packed from
+  // `matrix` (no input tile is read) and commit the sink tiles that hold
+  // one. Self-healing: a corrupt sink tile hit by the merge is rebuilt and
+  // the repair retried (recommitting a tile the aborted attempt already
+  // wrote is idempotent); sink_written_ collects the tiles every attempt
+  // wrote.
   const core::SinkRepairStats repair = with_recovery([&] {
-    return core::repair_severities_to_sink(*input_, *input_cache_, *sink_,
+    return core::repair_severities_to_sink(matrix, *sink_,
+                                           input_cache_->budget_bytes(),
                                            dirty_hosts, edges_,
                                            sink_written_);
   });
   stats.severity_tiles_committed = repair.tiles_committed;
   stats.edges_recomputed = repair.edges_recomputed;
-  stats.input_tile_loads = repair.input_tile_loads;
 
   {
     obs::Span commit_span("sink-commit");
@@ -405,7 +401,6 @@ ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
   engine_sink_tiles_committed().add(stats.severity_tiles_committed);
   engine_edges_recomputed().add(stats.edges_recomputed);
   engine_edges_changed().add(stats.edges_changed);
-  engine_input_tile_loads().add(stats.input_tile_loads);
   if (obs::kEnabled) {
     engine_epoch_ns().record(obs::SpanTracer::now_ns() - epoch_t0);
   }

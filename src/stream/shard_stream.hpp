@@ -19,9 +19,9 @@
 //      store, against the mutated matrix and flags the incident edges
 //      whose severity can change: those that changed themselves or have a
 //      changed witness term that violates before or after the epoch.
-//   3. Only the flagged edges are recomputed, through the dirty-row walk
-//      of core/shard_severity (their hosts' rows pinned once, then every
-//      column band holding a flagged edge read once), and only the sink
+//   3. Only the flagged edges are recomputed, by the repair loop both
+//      engines share (core/edge_repair) over rows packed from the
+//      post-epoch matrix, so the repair reads no input tile. Only the sink
 //      tiles holding one are rewritten and committed with fresh
 //      checksums; only those are dropped from the sink cache.
 //
@@ -99,9 +99,6 @@ class ShardStreamEngine {
     /// Edges the screen flagged and the repair recomputed (every edge
     /// incident to a dirty host when a heal hit the screen).
     std::size_t edges_recomputed = 0;
-    /// Input-tile acquires of the severity repair
-    /// (core::SinkRepairStats::input_tile_loads).
-    std::size_t input_tile_loads = 0;
   };
 
   /// Cumulative self-healing accounting, per store. A view over the

@@ -258,17 +258,17 @@ TEST(FaultRecovery, DiskRotInInputTileHealsFromLiveMatrix) {
   auto cfg = engine_config("inrot", /*keep_files=*/true);
   { ShardStreamEngine build(m, cfg); }
 
-  {  // rot input tile (1, 2) — outside the dirty band repacked below
+  {  // rot input tile (0, 2) — in the dirty band, but not repacked below
     const auto in = shard::TileStore::open(cfg.input_path);
-    rot_byte_at(cfg.input_path, in.tile_offset(1, 2) + 64);
+    rot_byte_at(cfg.input_path, in.tile_offset(0, 2) + 64);
   }
   DelayStream stream(m);
   IncrementalSeverity in_memory(stream.matrix());
   ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
 
-  // An epoch dirtying band 0 scans input tiles of every band, including
-  // the rotten (1, 2): the engine must repack it from the live matrix and
-  // finish the epoch bit-identically.
+  // An epoch dirtying band 0 screens every input tile of that band,
+  // including the rotten (0, 2), which it does not repack: the engine must
+  // repack it from the live matrix and finish the epoch bit-identically.
   stream.ingest({0, 5, 17.0f, 0.0});
   const Epoch epoch = stream.commit_epoch();
   in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);

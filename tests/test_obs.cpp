@@ -379,10 +379,10 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
     EXPECT_LE(e.start_ns + e.dur_ns, epoch_end) << name;
     EXPECT_GT(e.dur_ns, 0u) << name;
   }
-  // The repair pass's three phases nest inside its band-pair-stream span.
+  // The repair pass's two phases nest inside its band-pair-stream span.
   ASSERT_NE(band_ev, nullptr);
   const std::uint64_t band_end = band_ev->start_ns + band_ev->dur_ns;
-  for (const char* phase : {"row-pin", "witness-walk", "sink-merge"}) {
+  for (const char* phase : {"edge-repair", "sink-merge"}) {
     std::size_t seen = 0;
     for (const TraceEvent& e : evs) {
       if (std::string_view(e.name) != phase) continue;

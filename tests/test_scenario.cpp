@@ -5,6 +5,7 @@
 // under-replay soak asserting post-recovery bit-identity.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,6 +20,7 @@
 #include "scenario/generators.hpp"
 #include "scenario/replay.hpp"
 #include "scenario/score.hpp"
+#include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -170,6 +172,18 @@ TEST(TraceFormat, RejectsTornAndCorruptFiles) {
 
   // Too short to even hold magic + trailer.
   { std::ofstream(path, std::ios::binary) << "TIV"; }
+  EXPECT_THROW(DelayTrace::load(path), TraceFormatError);
+
+  // Hostile header with a valid trailer: an epoch count of 2^32 - 1, far
+  // more than the bytes left can hold, must fail before it sizes anything.
+  bad = good;
+  const std::size_t count_at = 8 + 4 + 8 + 4 + trace.family.size();
+  const std::uint32_t hostile = 0xffffffffu;
+  std::memcpy(bad.data() + count_at, &hostile, sizeof(hostile));
+  const std::size_t body = bad.size() - sizeof(std::uint64_t);
+  const std::uint64_t sum = shard::checksum64(bad.data(), body);
+  std::memcpy(bad.data() + body, &sum, sizeof(sum));
+  { std::ofstream(path, std::ios::binary) << bad; }
   EXPECT_THROW(DelayTrace::load(path), TraceFormatError);
 
   std::filesystem::remove(path);

@@ -6,10 +6,11 @@
 // bit-identical to the in-memory streaming path (and hence to a
 // from-scratch TivAnalyzer::all_severities rebuild) — across densities,
 // measured<->missing churn, tile sizes that do not divide n, and n < 8 —
-// plus the dirty-row repair pass's own edges: dirty hosts packed into one
+// plus the epoch repair pass's own edges: dirty hosts packed into one
 // band or spread over adjacent ones, ragged last bands, dirty-dirty edges
 // that lose their measurement, host groups forced by a small budget, pool
-// widths, mid-walk corruption, and malformed dirty-host lists — and the
+// widths, the screen as the epoch's only input reader, input corruption,
+// and malformed dirty-host lists — and the
 // screened repair's: multi-edge epochs against a rebuild and against an
 // unscreened sink, a heal during the screen, out-of-contract changes, and
 // the narrowed sink-cache invalidation.
@@ -276,7 +277,7 @@ TEST(SinkSeverity, GeometryMismatchRejected) {
   EXPECT_THROW(core::all_severities_to_sink(store, cache, sink),
                std::invalid_argument);
   auto sink_ro = SeverityTileStore::open(out_path);  // right flag matters too
-  EXPECT_THROW(core::repair_severities_to_sink(store, cache, sink_ro,
+  EXPECT_THROW(core::repair_severities_to_sink(m, sink_ro, std::size_t{1} << 20,
                                                std::vector<HostId>{1},
                                                core::EpochEdges{}),
                std::invalid_argument);
@@ -622,17 +623,15 @@ TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
   shard::TileStore::write_matrix(in_path, m, 16);
   SeverityTileStore::create(out_path, n, 16);
   {
-    auto store = shard::TileStore::open(in_path, /*writable=*/true);
+    const auto store = shard::TileStore::open(in_path);
     shard::TileCache cache(store, std::size_t{1} << 20);
     auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
     core::all_severities_to_sink(store, cache, sink);
-    store.repack_tile(stream.matrix(), 0, 0);
-    cache.invalidate(0, 0);
     core::EpochEdges all;
     all.reset(epoch.dirty_hosts, n);
     all.flag_all();
     const auto full = core::repair_severities_to_sink(
-        store, cache, sink, epoch.dirty_hosts, all);
+        stream.matrix(), sink, std::size_t{1} << 20, epoch.dirty_hosts, all);
     EXPECT_EQ(full.edges_recomputed, 2u * (n - 1) - 1u);
     EXPECT_EQ(full.tiles_committed, 2u);
   }
@@ -659,7 +658,7 @@ std::vector<DelaySample> random_epoch(Rng& rng, HostId n, std::size_t updates,
 }
 
 TEST(DirtyRowRepair, HostGroupsMatchOnePass) {
-  // An 8-tile input budget holds the pinned and result rows of only
+  // An 8-tile input budget holds the packed and result rows of only
   // repair_group_hosts() = 10 hosts, so ~30 dirty hosts per epoch run in
   // several ascending groups. The sink must come out byte-identical to a
   // one-group engine's, with the same edge and commit counts.
@@ -695,9 +694,16 @@ TEST(DirtyRowRepair, HostGroupsMatchOnePass) {
   set_parallel_thread_count(0);
 }
 
+/// Input-tile acquires of `engine`'s cache so far: every acquire is one hit
+/// or one miss.
+std::size_t input_acquires(const ShardStreamEngine& engine) {
+  const auto s = engine.input_cache_stats();
+  return s.hits + s.misses;
+}
+
 TEST(DirtyRowRepair, PoolWidthDoesNotChangeSinkBytes) {
   // 1, 2 and 4 pool threads: identical sink files and identical
-  // (deterministic) work counts, input-tile loads included.
+  // (deterministic) work counts, input-tile acquires included.
   const HostId n = 80;
   std::vector<std::string> sinks;
   std::vector<std::vector<std::size_t>> counts;
@@ -711,10 +717,11 @@ TEST(DirtyRowRepair, PoolWidthDoesNotChangeSinkBytes) {
     std::vector<std::size_t> c;
     for (int e = 0; e < 4; ++e) {
       stream.ingest(random_epoch(rng, n, 6, e));
+      const std::size_t acquires = input_acquires(engine);
       const auto stats = engine.apply_epoch(stream);
       c.insert(c.end(), {stats.edges_recomputed,
                          stats.severity_tiles_committed,
-                         stats.input_tile_loads});
+                         input_acquires(engine) - acquires});
     }
     sinks.push_back(file_bytes(engine.sink_path()));
     counts.push_back(c);
@@ -726,40 +733,40 @@ TEST(DirtyRowRepair, PoolWidthDoesNotChangeSinkBytes) {
   EXPECT_EQ(counts[0], counts[2]);
 }
 
-TEST(DirtyRowRepair, InputLoadsAreOnePerTilePlusPinnedBands) {
-  // 5 bands of 16; dirty hosts {3, 40, 41} sit in bands 0 and 2, so a pass
-  // with every incident edge flagged loads 2 * 5 tiles to pin their rows,
-  // then each of the 25 tiles once. The screened engine loads no more.
+TEST(DirtyRowRepair, EpochReadsOnlyTheScreensInputTiles) {
+  // 5 bands of 16. The repair packs its rows from the live matrix, so an
+  // epoch's only input-tile acquires are the screen's: one per dirty band
+  // and column band K. On one pool thread every acquire is counted once.
+  set_parallel_thread_count(1);
   DelayStream stream(random_matrix(70, 0.1, 88));
   ShardStreamEngine engine(stream.matrix(), repair_config("loads", 16));
+  // Dirty hosts {3, 40, 41}: bands 0 and 2, so 2 * 5 acquires.
   stream.ingest(std::vector<DelaySample>{{3, 40, 5.0f, 0.0}, {40, 41, 6.0f, 0.0}});
-  const Epoch epoch = stream.commit_epoch();
-  ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{3, 40, 41}));
-  EXPECT_LE(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts)
-                .input_tile_loads,
-            5u * (5u + 2u));
-
-  const auto store = shard::TileStore::open(engine.input_path());
-  shard::TileCache cache(store, std::size_t{1} << 20);
-  auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
-  core::EpochEdges all;
-  all.reset(epoch.dirty_hosts, 70);
-  all.flag_all();
-  EXPECT_EQ(core::repair_severities_to_sink(store, cache, sink,
-                                            epoch.dirty_hosts, all)
-                .input_tile_loads,
-            5u * (5u + 2u));
+  std::size_t before = input_acquires(engine);
+  auto stats = engine.apply_epoch(stream);
+  EXPECT_GT(stats.edges_recomputed, 0u);
+  EXPECT_EQ(input_acquires(engine) - before, 2u * 5u);
+  // Dirty hosts {1, 20, 50, 69}: bands 0, 1, 3 and 4, so 4 * 5 acquires.
+  stream.ingest(std::vector<DelaySample>{{1, 50, 7.0f, 1.0}, {20, 69, kLost, 1.0}});
+  before = input_acquires(engine);
+  stats = engine.apply_epoch(stream);
+  EXPECT_GT(stats.edges_recomputed, 0u);
+  EXPECT_EQ(input_acquires(engine) - before, 4u * 5u);
+  set_parallel_thread_count(0);
 }
 
-TEST(DirtyRowRepair, InputCorruptionMidWalkHealsAndConverges) {
-  // Rot input tile (2, 3) on disk, then reopen cold: the repair pass of an
-  // epoch dirtying bands 0 and 4 only meets the tile in its column walk
-  // (band 2), on a pool worker. The engine must repack it from the live
-  // matrix, retry the pass, and stay bit-identical over later epochs.
+TEST(DirtyRowRepair, InputCorruptionHealsWhenTheScreenReadsIt) {
+  // Rot input tile (2, 3) on disk, then reopen cold. The repair reads no
+  // input tile, so an epoch dirtying bands 0 and 4 only never meets it and
+  // heals nothing. The first epoch with a dirty host in band 2 reads the
+  // tile in its screen: the engine must repack it from the live matrix,
+  // fall back to every incident edge, and stay bit-identical over later
+  // epochs.
   set_parallel_thread_count(2);
-  DelayStream stream(random_matrix(70, 0.2, 89));
+  const HostId n = 70;
+  DelayStream stream(random_matrix(n, 0.2, 89));
   IncrementalSeverity in_memory(stream.matrix());
-  ShardStreamConfig cfg = repair_config("midwalk", 16);
+  ShardStreamConfig cfg = repair_config("screenrot", 16);
   cfg.keep_files = true;
   { ShardStreamEngine build(stream.matrix(), cfg); }
   corrupt_byte_at(cfg.input_path,
@@ -769,18 +776,25 @@ TEST(DirtyRowRepair, InputCorruptionMidWalkHealsAndConverges) {
   {
     ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
     Rng rng(90);
-    for (int e = 0; e < 3; ++e) {
+    for (int e = 0; e < 4; ++e) {
       if (e == 0) {
         stream.ingest(
             std::vector<DelaySample>{{2, 66, 13.0f, 0.0}, {9, 69, kLost, 0.0}});
+      } else if (e == 1) {
+        stream.ingest({33, 50, 21.0f, 1.0});
       } else {
-        stream.ingest(random_epoch(rng, 70, 10, e));
+        stream.ingest(random_epoch(rng, n, 10, e));
       }
       const Epoch epoch = stream.commit_epoch();
       in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-      engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
       ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
           << "epoch " << e;
+      if (e == 0) {
+        EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 0u);
+      } else if (e == 1) {
+        EXPECT_EQ(stats.edges_recomputed, 2u * (n - 1) - 1u);
+      }
     }
     EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 1u);
   }
@@ -817,10 +831,8 @@ TEST(DirtyRowRepair, MalformedDirtyHostListsAreRejectedUntouched) {
   }
 
   // The core pass validates on its own, too.
-  const auto store = shard::TileStore::open(engine.input_path());
-  shard::TileCache cache(store, std::size_t{1} << 20);
   auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
-  EXPECT_THROW(core::repair_severities_to_sink(store, cache, sink,
+  EXPECT_THROW(core::repair_severities_to_sink(m, sink, std::size_t{1} << 20,
                                                std::vector<HostId>{4, 2},
                                                core::EpochEdges{}),
                std::invalid_argument);
@@ -829,56 +841,42 @@ TEST(DirtyRowRepair, MalformedDirtyHostListsAreRejectedUntouched) {
 
 // --- Screened repair ---------------------------------------------------------
 
-/// The repair as it ran before the screen, over its own store pair: every
-/// epoch repacks the dirty-band input tiles and recomputes every edge
-/// incident to a dirty host (EpochEdges::flag_all).
+/// The repair as it ran before the screen, over its own sink: every epoch
+/// recomputes every edge incident to a dirty host (EpochEdges::flag_all).
 class UnscreenedShadow {
  public:
   UnscreenedShadow(const DelayMatrix& m, std::uint32_t tile_dim,
                    std::size_t budget, const std::string& tag)
-      : in_path_(scratch_path(tag + "_shadow_in")),
-        out_path_(scratch_path(tag + "_shadow_out")) {
-    shard::TileStore::write_matrix(in_path_, m, tile_dim);
+      : out_path_(scratch_path(tag + "_shadow_out")), budget_(budget) {
+    const std::string in_path = scratch_path(tag + "_shadow_in");
+    shard::TileStore::write_matrix(in_path, m, tile_dim);
     SeverityTileStore::create(out_path_, m.size(), tile_dim);
-    store_.emplace(shard::TileStore::open(in_path_, /*writable=*/true));
-    cache_.emplace(*store_, budget);
     sink_.emplace(SeverityTileStore::open(out_path_, /*writable=*/true));
-    core::all_severities_to_sink(*store_, *cache_, *sink_);
+    {
+      const auto store = shard::TileStore::open(in_path);
+      shard::TileCache cache(store, budget);
+      core::all_severities_to_sink(store, cache, *sink_);
+    }
+    std::filesystem::remove(in_path);
   }
   ~UnscreenedShadow() {
     sink_.reset();
-    cache_.reset();
-    store_.reset();
-    std::filesystem::remove(in_path_);
     std::filesystem::remove(out_path_);
   }
 
   void apply(const DelayMatrix& m, std::span<const HostId> dirty) {
     if (dirty.empty()) return;
-    const std::uint32_t T = store_->tile_dim();
-    std::vector<std::uint32_t> bands;
-    for (const HostId h : dirty) {
-      if (bands.empty() || bands.back() != h / T) bands.push_back(h / T);
-    }
-    for (const std::uint32_t b : bands) {
-      for (const std::uint32_t c : bands) {
-        store_->repack_tile(m, b, c);
-        cache_->invalidate(b, c);
-      }
-    }
     core::EpochEdges all;
     all.reset(dirty, m.size());
     all.flag_all();
-    core::repair_severities_to_sink(*store_, *cache_, *sink_, dirty, all);
+    core::repair_severities_to_sink(m, *sink_, budget_, dirty, all);
   }
 
   const std::string& sink_path() const { return out_path_; }
 
  private:
-  std::string in_path_;
   std::string out_path_;
-  std::optional<shard::TileStore> store_;
-  std::optional<shard::TileCache> cache_;
+  std::size_t budget_;
   std::optional<SeverityTileStore> sink_;
 };
 
