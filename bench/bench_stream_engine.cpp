@@ -14,12 +14,18 @@
 //     for many epochs, with a final bit-identity check — the long-horizon
 //     drift test.
 //
+// Plus one "ingest" record: DelayStream alone under a probe load
+// (windowed-min 8, every measured edge primed, then random 32768-sample
+// batches that mostly re-read an edge's floor), timed at 1 thread and at
+// the default thread count. The two runs' matrices and per-epoch dirty
+// sets are bit-compared.
+//
 // Output is a JSON record array (machine-checkable; --json is accepted for
 // CI-invocation uniformity but this bench never prints tables). Exit
 // status is nonzero when any record's bit_mismatches is not 0.
 //
 // Flags:
-//   --quick        n = 96, 2 epochs/point (CI smoke run)
+//   --quick        n = 96, 2 epochs/point, ingest n = 96 (CI smoke run)
 //   --hosts=N      matrix size (default 512)
 //   --missing=F    missing-entry fraction (default 0.1)
 //   --policy=P     latest | ewma | winmin (default ewma)
@@ -27,7 +33,9 @@
 //   --seed=S       RNG seed
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -38,6 +46,7 @@
 #include "stream/delay_stream.hpp"
 #include "stream/incremental_severity.hpp"
 #include "util/flags.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -93,6 +102,38 @@ std::size_t replay_churn_epoch(DelayStream& stream, Rng& rng,
   }
   stream.ingest(batch);
   return batch.size();
+}
+
+/// One timed pass of the ingest section: the stream's final matrix, every
+/// epoch's dirty hosts, and the ingest wall time.
+struct IngestRun {
+  DelayMatrix matrix;
+  std::vector<std::vector<HostId>> dirty;
+  double ingest_ms = 0.0;
+};
+
+IngestRun run_ingest(const DelayMatrix& base,
+                     const std::vector<std::vector<DelaySample>>& batches) {
+  DelayStream stream(base, {SmoothingPolicy::kWindowedMin, 0.25f, 8});
+  std::vector<DelaySample> prime;
+  for (HostId a = 0; a < base.size(); ++a) {
+    for (HostId b = a + 1; b < base.size(); ++b) {
+      if (base.has(a, b)) prime.push_back({a, b, base.at(a, b), -1.0});
+    }
+  }
+  stream.ingest(prime);
+  stream.commit_epoch();
+  IngestRun run;
+  for (const std::vector<DelaySample>& batch : batches) {
+    const auto t0 = std::chrono::steady_clock::now();
+    stream.ingest(batch);
+    run.ingest_ms += std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    run.dirty.push_back(stream.commit_epoch().dirty_hosts);
+  }
+  run.matrix = stream.matrix();
+  return run;
 }
 
 }  // namespace
@@ -248,6 +289,68 @@ int main(int argc, char** argv) {
                    ? full_ms / (apply_ms / osc_epochs)
                    : 0.0,
                2)
+        .field("bit_mismatches", mismatches);
+  }
+  // --- Probe-load ingest ----------------------------------------------
+  {
+    const HostId ingest_n = quick ? 96 : 1024;
+    const DelayMatrix base = random_matrix(ingest_n, missing, seed);
+    std::vector<std::pair<HostId, HostId>> edges;
+    std::vector<float> floors;
+    for (HostId a = 0; a < ingest_n; ++a) {
+      for (HostId b = a + 1; b < ingest_n; ++b) {
+        if (!base.has(a, b)) continue;
+        edges.emplace_back(a, b);
+        floors.push_back(base.at(a, b));
+      }
+    }
+    // Per batch, a few floors drop (those edges change); every other
+    // sample reads its edge's floor or a queueing-inflated value.
+    constexpr std::size_t kBatchSamples = 32768;
+    const int ingest_batches = quick ? 8 : 64;
+    Rng rng(seed ^ 0x1a9e57ull);
+    std::vector<std::vector<DelaySample>> batches(ingest_batches);
+    for (int e = 0; e < ingest_batches; ++e) {
+      std::vector<DelaySample>& batch = batches[e];
+      batch.reserve(kBatchSamples);
+      while (batch.size() < kBatchSamples) {
+        const std::size_t k = rng.uniform_index(edges.size());
+        float d = floors[k];
+        if (batch.size() < 4) {
+          floors[k] *= 0.8f;
+          d = floors[k];
+        } else if (rng.uniform() >= 0.7) {
+          d *= static_cast<float>(rng.uniform(1.01, 1.5));
+        }
+        batch.push_back({edges[k].first, edges[k].second, d, double(e)});
+      }
+    }
+
+    tiv::set_parallel_thread_count(1);
+    const IngestRun one = run_ingest(base, batches);
+    tiv::set_parallel_thread_count(0);
+    const IngestRun many = run_ingest(base, batches);
+    std::size_t mismatches = one.dirty != many.dirty;
+    for (HostId i = 0; i < ingest_n; ++i) {
+      mismatches += std::memcmp(one.matrix.row(i).data(),
+                                many.matrix.row(i).data(),
+                                ingest_n * sizeof(float)) != 0;
+    }
+    ok = ok && mismatches == 0;
+    const double samples = double(ingest_batches) * double(kBatchSamples);
+    json.object()
+        .field("section", std::string("ingest"))
+        .field("n", ingest_n)
+        .field("policy", std::string("winmin"))
+        .field("window", 8)
+        .field("edges", edges.size())
+        .field("batches", ingest_batches)
+        .field("batch_samples", kBatchSamples)
+        .field("threads", tiv::parallel_thread_count())
+        .field("ns_per_sample_1t", one.ingest_ms * 1e6 / samples, 1)
+        .field("ns_per_sample", many.ingest_ms * 1e6 / samples, 1)
+        .field("speedup_vs_1t",
+               many.ingest_ms > 0.0 ? one.ingest_ms / many.ingest_ms : 0.0, 2)
         .field("bit_mismatches", mismatches);
   }
   if (!ok) std::cerr << "bench_stream_engine: FAILED (bit mismatches)\n";

@@ -4,6 +4,7 @@
 // libtiv_core defines none of these (CI checks its symbol table).
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "delayspace/delay_matrix.hpp"
 #include "routing/policy_routing.hpp"
 #include "routing/shortest_path.hpp"
+#include "stream/delay_stream.hpp"
 #include "topology/as_graph.hpp"
 
 namespace tiv::reference {
@@ -49,5 +51,27 @@ std::vector<routing::PathInfo> shortest_paths_from(
 
 std::vector<routing::Route> policy_routes_to(const topology::AsGraph& graph,
                                              topology::AsId dest);
+
+/// One edge's smoothing state as its own object: a heap ring per
+/// windowed-min edge and a copy of the parameters. stream::DelayStream
+/// keeps the same state in flat per-edge slots and must produce the same
+/// estimates bit for bit.
+class EdgeEstimator {
+ public:
+  explicit EdgeEstimator(const stream::EstimatorParams& params);
+
+  /// Folds one measured sample (>= 0) in and returns the new estimate.
+  float update(float sample_ms);
+
+  /// Current estimate; DelayMatrix::kMissing before the first update.
+  float estimate() const { return estimate_; }
+
+ private:
+  stream::EstimatorParams params_;
+  float estimate_ = DelayMatrix::kMissing;
+  std::vector<float> ring_;  ///< kWindowedMin only
+  std::uint32_t ring_next_ = 0;
+  std::uint32_t ring_count_ = 0;
+};
 
 }  // namespace tiv::reference

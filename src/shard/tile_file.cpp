@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "shard/fault_injector.hpp"
@@ -299,18 +300,25 @@ TileFile::~TileFile() {
 }
 
 std::uint32_t TileFile::band_rows(std::uint32_t r) const {
-  assert(r < tiles_);
+  if (r >= tiles_) {
+    throw std::out_of_range("TileFile: band " + std::to_string(r) +
+                            " outside " + std::to_string(tiles_) + " bands");
+  }
   const std::size_t base = static_cast<std::size_t>(r) * tile_dim_;
   return static_cast<std::uint32_t>(
       std::min<std::size_t>(tile_dim_, n_ - base));
 }
 
 std::size_t TileFile::tile_index(std::uint32_t r, std::uint32_t c) const {
-  assert(r < tiles_ && c < tiles_);
+  if (r >= tiles_ || c >= tiles_ ||
+      (shape_ != TileIndexShape::kSquare && r > c)) {
+    throw std::out_of_range("TileFile: tile (" + std::to_string(r) + ", " +
+                            std::to_string(c) + ") outside the " +
+                            std::to_string(tiles_) + "-band index");
+  }
   if (shape_ == TileIndexShape::kSquare) {
     return static_cast<std::size_t>(r) * tiles_ + c;
   }
-  assert(r <= c);
   // Row r of the upper triangle starts after r full rows minus the
   // triangle above: r*tiles - r*(r-1)/2, then offset (c - r) within it.
   return static_cast<std::size_t>(r) * tiles_ -

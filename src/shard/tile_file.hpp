@@ -169,11 +169,12 @@ class TileFile {
   const std::string& path() const { return path_; }
 
   /// Rows of tile-row band r that carry real matrix rows (tile_dim except
-  /// for the last band).
+  /// for the last band). Throws std::out_of_range unless r < tiles.
   std::uint32_t band_rows(std::uint32_t r) const;
 
-  /// Flat index of tile (r, c) under the file's index shape (requires
-  /// r <= c for triangular files).
+  /// Flat index of tile (r, c) under the file's index shape. Throws
+  /// std::out_of_range unless r, c < tiles and, for triangular files,
+  /// r <= c.
   std::size_t tile_index(std::uint32_t r, std::uint32_t c) const;
 
   /// Byte offset of tile (r, c) within the file — stable for the file's

@@ -11,12 +11,22 @@
 // were perturbed since the last epoch commit so the incremental consumers
 // (IncrementalSeverity, ShardStreamEngine in this directory) can repair
 // their derived state in O(dirty * n) instead of rebuilding in O(n^2)/O(n^3).
+//
+// Estimator state is flat: one fixed-size slot per edge ever sampled (key,
+// newest timestamp, policy state inline), in open-addressing tables split
+// into kShards by the edge key's hash. A large batch is sorted into its
+// shards on the calling thread and the shards are walked in parallel; an
+// edge's samples all land in one shard, in batch order, and write only the
+// edge's own two matrix cells, so the result is identical at any thread
+// count. Memory scales with the edges seen, not with n^2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "delayspace/delay_matrix.hpp"
@@ -32,7 +42,7 @@ using delayspace::HostId;
 /// estimator history is discarded and the matrix entry transitions to
 /// missing — the measured->missing direction of churn the dynamic-neighbor
 /// experiments exercise. Non-finite delays (NaN, +-inf) are rejected as
-/// producer bugs and only counted.
+/// producer bugs and only counted, as are non-finite timestamps.
 struct DelaySample {
   HostId a = 0;
   HostId b = 0;
@@ -48,32 +58,13 @@ enum class SmoothingPolicy {
                  ///< Vivaldi-style low-pass that rejects queueing spikes)
 };
 
+/// Smoothing parameters, stored once per stream. DelayStream's
+/// constructor throws std::invalid_argument outside the ranges below.
 struct EstimatorParams {
   SmoothingPolicy policy = SmoothingPolicy::kLatest;
-  float ewma_alpha = 0.25f;  ///< weight of the newest sample (kEwma)
-  std::uint32_t window = 8;  ///< ring capacity (kWindowedMin), >= 1
-};
-
-/// Per-edge smoothing state. kLatest carries no history; kEwma one float;
-/// kWindowedMin a fixed-capacity ring of the most recent samples. A
-/// DelayStream materializes one lazily per edge on first sample and drops
-/// it again on a loss report, so idle edges cost nothing.
-class EdgeEstimator {
- public:
-  explicit EdgeEstimator(const EstimatorParams& params);
-
-  /// Folds one measured sample (>= 0) in and returns the new estimate.
-  float update(float sample_ms);
-
-  /// Current estimate; DelayMatrix::kMissing before the first update.
-  float estimate() const { return estimate_; }
-
- private:
-  EstimatorParams params_;
-  float estimate_ = DelayMatrix::kMissing;
-  std::vector<float> ring_;     ///< kWindowedMin only
-  std::uint32_t ring_next_ = 0;
-  std::uint32_t ring_count_ = 0;
+  float ewma_alpha = 0.25f;  ///< weight of the newest sample (kEwma), (0, 1]
+  std::uint32_t window = 8;  ///< ring capacity (kWindowedMin), [1, 255]; it
+                             ///< sets every edge's slot size
 };
 
 /// Per-epoch ingestion accounting. A view: the stream maintains these as
@@ -120,18 +111,25 @@ struct Epoch {
 /// Out-of-order protection: a sample older than the newest timestamp
 /// already applied to its edge is rejected (counted, not applied) — the
 /// arrival-order hazard of a real ingest fan-in.
+///
+/// The "stream.*" registry counters advance once per batch (or per
+/// single-sample ingest), after every sample in it has been applied.
 class DelayStream {
  public:
+  /// Throws std::invalid_argument on an unknown policy, a window outside
+  /// [1, 255], or an ewma_alpha that is not finite and in (0, 1].
   explicit DelayStream(DelayMatrix initial, EstimatorParams params = {});
 
   const DelayMatrix& matrix() const { return matrix_; }
   const EstimatorParams& estimator_params() const { return params_; }
 
   void ingest(const DelaySample& sample);
+  /// Applies the batch in order (per edge; edges are independent). Batches
+  /// of kParallelMinSamples or more walk their shards on the thread pool.
   void ingest(std::span<const DelaySample> batch);
 
-  /// Hosts perturbed since the last commit (unsorted, distinct).
-  std::size_t pending_dirty_hosts() const { return dirty_hosts_.size(); }
+  /// Hosts perturbed since the last commit (distinct).
+  std::size_t pending_dirty_hosts() const;
   /// Epochs sealed so far; the next commit returns index epochs_committed().
   std::uint64_t epochs_committed() const { return epoch_; }
 
@@ -140,10 +138,65 @@ class DelayStream {
   Epoch commit_epoch();
 
  private:
+  /// Estimator tables; the top bits of the key's hash pick the shard.
+  static constexpr std::size_t kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+  /// Smaller batches walk their shards on the calling thread: pool
+  /// dispatch costs more than applying them.
+  static constexpr std::size_t kParallelMinSamples = 2048;
+
+  /// Fixed head of an edge's slot; kWindowedMin's ring of `window` floats
+  /// follows it inline.
+  struct Slot {
+    std::uint64_t key;     ///< edge_key; 0 (never a valid key) = empty
+    double last_timestamp;
+    float estimate;        ///< kEwma; kMissing until the first sample
+    std::uint8_t ring_next;
+    std::uint8_t ring_count;
+  };
+  struct FreeDeleter {
+    void operator()(std::byte* p) const;
+  };
+  /// Samples applied and matrix changes made by one shard walk.
+  struct Tally {
+    std::size_t samples_applied = 0;
+    std::size_t rejected_stale = 0;
+    std::size_t edges_touched = 0;
+    std::size_t became_measured = 0;
+    std::size_t became_missing = 0;
+  };
+  /// One open-addressing table (linear probing, power-of-two capacity,
+  /// load <= 3/4). Slots are never deleted: a loss report resets the
+  /// edge's history in place and keeps its timestamp watermark.
+  struct alignas(64) Shard {
+    std::unique_ptr<std::byte[], FreeDeleter> slots;  ///< zeroed = empty
+    std::size_t capacity = 0;
+    std::size_t size = 0;
+    Tally tally;
+  };
+
   static std::uint64_t edge_key(HostId i, HostId j) {
     if (i > j) std::swap(i, j);
     return (static_cast<std::uint64_t>(i) << 32) | j;
   }
+  static std::uint64_t edge_hash(std::uint64_t key);
+  /// Slot k of a slab. The slab comes from calloc and moves by memcpy,
+  /// both of which create the Slot and ring objects implicitly.
+  Slot* slot_at(std::byte* slab, std::size_t k) const {
+    return std::launder(reinterpret_cast<Slot*>(slab + k * slot_bytes_));
+  }
+
+  /// Guards, counting sort, shard walks and the per-batch counter merge
+  /// behind both ingest overloads (the "ingest" span is the caller's).
+  void ingest_batch(std::span<const DelaySample> batch);
+  /// Grows `shard` so `incoming` more edges fit without a rehash.
+  void reserve(Shard& shard, std::size_t incoming) const;
+  /// Applies `shard`'s samples, batch[*it] for it in [begin, end).
+  void walk(Shard& shard, std::span<const DelaySample> batch,
+            const std::uint32_t* begin, const std::uint32_t* end);
+  /// Folds a measured sample into the slot's policy state.
+  float update(Slot& slot, float sample_ms) const;
+  /// Adds h to the dirty set; shard walks call this concurrently.
   void mark_dirty(HostId h);
 
   /// Cumulative ingestion counters, linked into the metrics registry under
@@ -164,10 +217,13 @@ class DelayStream {
 
   DelayMatrix matrix_;
   EstimatorParams params_;
-  std::unordered_map<std::uint64_t, EdgeEstimator> estimators_;
-  std::unordered_map<std::uint64_t, double> last_timestamp_;
-  std::vector<HostId> dirty_hosts_;       ///< distinct, insertion order
-  std::vector<std::uint8_t> host_dirty_;  ///< membership bitmap for the above
+  std::size_t slot_bytes_ = 0;  ///< Slot plus the ring, 8-byte aligned
+  std::vector<Shard> shards_;   ///< kShards tables
+  std::vector<std::uint64_t> host_dirty_;  ///< dirty-host bitset, n bits
+  /// Per-batch scratch of the counting sort: each sample's shard
+  /// (kShards = rejected), then the admitted sample indices by shard.
+  std::vector<std::uint8_t> sample_shard_;
+  std::vector<std::uint32_t> order_;
   std::unique_ptr<IngestCounters> counters_;
   EpochStats committed_base_;  ///< cumulative totals at the last commit
   std::uint64_t epoch_ = 0;

@@ -8,8 +8,12 @@
 // brute-force oracle.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -23,6 +27,7 @@
 #include "reference/oracles.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/incremental_severity.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::stream {
@@ -33,8 +38,9 @@ using core::TivAnalyzer;
 using delayspace::DelayMatrix;
 using delayspace::DelayMatrixView;
 using delayspace::HostId;
+using reference::EdgeEstimator;
 
-// --- EdgeEstimator ----------------------------------------------------------
+// --- EdgeEstimator (the per-edge oracle) ----------------------------------------------------------
 
 TEST(EdgeEstimator, LatestTracksMostRecentSample) {
   EstimatorParams p;
@@ -115,6 +121,52 @@ TEST(DelayStream, RejectsNonFiniteSamples) {
   EXPECT_FLOAT_EQ(stream.matrix().at(0, 1), 60.0f);
 }
 
+TEST(DelayStream, RejectsNonFiniteTimestamps) {
+  // A NaN timestamp compares false with everything: stored as the edge's
+  // watermark, it would let the stale sample after it through.
+  DelayStream stream(DelayMatrix(4));
+  stream.ingest({0, 1, 10.0f, 10.0});
+  stream.ingest({0, 1, 20.0f, std::numeric_limits<double>::quiet_NaN()});
+  stream.ingest({0, 1, 30.0f, 3.0});
+  stream.ingest({2, 3, 40.0f, std::numeric_limits<double>::infinity()});
+  stream.ingest({2, 3, 50.0f, -std::numeric_limits<double>::infinity()});
+  const Epoch ep = stream.commit_epoch();
+  EXPECT_EQ(ep.stats.samples_applied, 1u);
+  EXPECT_EQ(ep.stats.rejected_nonfinite, 3u);
+  EXPECT_EQ(ep.stats.rejected_stale, 1u);
+  EXPECT_FLOAT_EQ(stream.matrix().at(0, 1), 10.0f);
+  EXPECT_FALSE(stream.matrix().has(2, 3));
+}
+
+TEST(DelayStream, ValidatesEstimatorParams) {
+  const auto make = [](SmoothingPolicy policy, float alpha,
+                       std::uint32_t window) {
+    DelayStream stream(DelayMatrix(3), EstimatorParams{policy, alpha, window});
+  };
+  for (const SmoothingPolicy policy :
+       {SmoothingPolicy::kLatest, SmoothingPolicy::kEwma,
+        SmoothingPolicy::kWindowedMin}) {
+    EXPECT_NO_THROW(make(policy, 0.25f, 1));
+    EXPECT_NO_THROW(make(policy, 0.25f, 255));
+    EXPECT_NO_THROW(make(policy, 1.0f, 8));
+    EXPECT_NO_THROW(make(policy, std::numeric_limits<float>::min(), 8));
+    EXPECT_THROW(make(policy, 0.25f, 0), std::invalid_argument);
+    EXPECT_THROW(make(policy, 0.25f, 256), std::invalid_argument);
+    EXPECT_THROW(make(policy, 0.25f, 1u << 31), std::invalid_argument);
+    for (const float alpha :
+         {0.0f, -0.0f, -0.5f, std::nextafter(1.0f, 2.0f), 2.0f,
+          std::numeric_limits<float>::quiet_NaN(),
+          std::numeric_limits<float>::infinity(),
+          -std::numeric_limits<float>::infinity()}) {
+      EXPECT_THROW(make(policy, alpha, 8), std::invalid_argument) << alpha;
+    }
+  }
+  EXPECT_THROW(make(static_cast<SmoothingPolicy>(3), 0.25f, 8),
+               std::invalid_argument);
+  EXPECT_THROW(make(static_cast<SmoothingPolicy>(-1), 0.25f, 8),
+               std::invalid_argument);
+}
+
 TEST(DelayStream, RejectsSelfPairsAndStaleTimestamps) {
   DelayStream stream(DelayMatrix(4));
   stream.ingest({2, 2, 5.0f, 0.0});  // self pair
@@ -156,6 +208,170 @@ TEST(DelayStream, MissingReportOnMissingEdgeStaysClean) {
   const Epoch ep = stream.commit_epoch();
   EXPECT_TRUE(ep.dirty_hosts.empty());
   EXPECT_EQ(ep.stats.became_missing, 0u);
+}
+
+// --- DelayStream against the per-edge oracle -------------------------------
+
+/// DelayStream's rules applied one sample at a time over ordered maps and
+/// one reference::EdgeEstimator per edge — the layout the flat shards
+/// replaced.
+class OracleStream {
+ public:
+  OracleStream(DelayMatrix initial, const EstimatorParams& params)
+      : matrix_(std::move(initial)), params_(params) {}
+
+  const DelayMatrix& matrix() const { return matrix_; }
+
+  void ingest(const DelaySample& s) {
+    const HostId n = matrix_.size();
+    if (s.a == s.b || s.a >= n || s.b >= n) {
+      ++stats_.rejected_self_pair;
+      return;
+    }
+    if (!std::isfinite(s.delay_ms) || !std::isfinite(s.timestamp)) {
+      ++stats_.rejected_nonfinite;
+      return;
+    }
+    const auto key = std::minmax(s.a, s.b);
+    const auto [ts, first] = last_timestamp_.try_emplace(key, s.timestamp);
+    if (!first) {
+      if (s.timestamp < ts->second) {
+        ++stats_.rejected_stale;
+        return;
+      }
+      ts->second = s.timestamp;
+    }
+    ++stats_.samples_applied;
+    const float old = matrix_.at(s.a, s.b);
+    if (s.delay_ms < 0.0f) {
+      estimators_.erase(key);
+      if (old >= 0.0f) {
+        matrix_.set_missing(s.a, s.b);
+        ++stats_.became_missing;
+        touch(s.a, s.b);
+      }
+      return;
+    }
+    const float estimate =
+        estimators_.try_emplace(key, params_).first->second.update(s.delay_ms);
+    if (old < 0.0f) ++stats_.became_measured;
+    if (old < 0.0f || estimate != old) {
+      matrix_.set(s.a, s.b, estimate);
+      touch(s.a, s.b);
+    }
+  }
+
+  Epoch commit() {
+    Epoch out;
+    out.dirty_hosts.assign(dirty_.begin(), dirty_.end());
+    out.stats = stats_;
+    dirty_.clear();
+    stats_ = {};
+    return out;
+  }
+
+ private:
+  void touch(HostId a, HostId b) {
+    ++stats_.edges_touched;
+    dirty_.insert(a);
+    dirty_.insert(b);
+  }
+
+  DelayMatrix matrix_;
+  EstimatorParams params_;
+  std::map<std::pair<HostId, HostId>, EdgeEstimator> estimators_;
+  std::map<std::pair<HostId, HostId>, double> last_timestamp_;
+  std::set<HostId> dirty_;
+  EpochStats stats_;
+};
+
+::testing::AssertionResult matrices_bytes_equal(const DelayMatrix& got,
+                                                const DelayMatrix& want) {
+  for (HostId i = 0; i < got.size(); ++i) {
+    if (std::memcmp(got.row(i).data(), want.row(i).data(),
+                    got.size() * sizeof(float)) != 0) {
+      return ::testing::AssertionFailure() << "row " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<std::size_t> stats_fields(const EpochStats& s) {
+  return {s.samples_applied, s.rejected_self_pair, s.rejected_stale,
+          s.rejected_nonfinite, s.edges_touched, s.became_measured,
+          s.became_missing};
+}
+
+/// One random sample over n hosts: mostly measurements of either
+/// orientation, with loss reports, out-of-range and self pairs, non-finite
+/// delays and timestamps, and timestamps behind, at and ahead of `t`.
+DelaySample random_sample(Rng& rng, HostId n, double t) {
+  constexpr float kNanF = std::numeric_limits<float>::quiet_NaN();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  DelaySample s;
+  s.a = static_cast<HostId>(rng.uniform_index(n));
+  s.b = static_cast<HostId>(rng.uniform_index(n));
+  s.delay_ms = static_cast<float>(rng.uniform(1.0, 400.0));
+  s.timestamp = t + 0.5 * static_cast<double>(rng.uniform_index(3)) - 0.5;
+  switch (rng.uniform_index(40)) {
+    case 0: s.b = s.a; break;
+    case 1: s.a = n + static_cast<HostId>(rng.uniform_index(3)); break;
+    case 2: s.delay_ms = kNanF; break;
+    case 3: s.delay_ms = -std::numeric_limits<float>::infinity(); break;
+    case 4: s.timestamp = kNan; break;
+    case 5: s.timestamp = rng.bernoulli(0.5) ? kInf : -kInf; break;
+    case 6: case 7: case 8: case 9: s.delay_ms = DelayMatrix::kMissing; break;
+    case 10: s.delay_ms = -3.0f; break;  // any finite negative is a loss
+    case 11: s.timestamp = t - 5.0; break;
+    default: break;
+  }
+  return s;
+}
+
+TEST(DelayStream, MatchesPerEdgeOracleAtAnyBatchSizeAndThreadCount) {
+  constexpr HostId kN = 37;  // few edges, so most samples revisit one
+  for (const std::size_t threads : {1u, 4u}) {
+    set_parallel_thread_count(threads);
+    for (const SmoothingPolicy policy :
+         {SmoothingPolicy::kLatest, SmoothingPolicy::kEwma,
+          SmoothingPolicy::kWindowedMin}) {
+      for (const std::uint32_t window : {1u, 8u}) {
+        const EstimatorParams params{policy, 0.3f, window};
+        const std::uint64_t seed = 1000 * threads + 10 * window +
+                                   static_cast<std::uint64_t>(policy);
+        const DelayMatrix initial = test::random_matrix(kN, 0.3, seed);
+        DelayStream stream(initial, params);
+        OracleStream oracle(initial, params);
+        Rng rng(seed);
+        for (int e = 0; e < 12; ++e) {
+          // Batches on both sides of the inline cutoff (2048 samples).
+          for (int b = 0; b < 2; ++b) {
+            const std::size_t size = rng.bernoulli(0.5)
+                                         ? 1 + rng.uniform_index(40)
+                                         : 2560 + rng.uniform_index(2048);
+            std::vector<DelaySample> batch;
+            for (std::size_t k = 0; k < size; ++k) {
+              batch.push_back(random_sample(rng, kN, double(e)));
+            }
+            stream.ingest(batch);
+            for (const DelaySample& s : batch) oracle.ingest(s);
+          }
+          const Epoch got = stream.commit_epoch();
+          const Epoch want = oracle.commit();
+          const auto where = ::testing::Message()
+                             << "threads " << threads << " policy "
+                             << static_cast<int>(policy) << " window "
+                             << window << " epoch " << e;
+          ASSERT_TRUE(matrices_bytes_equal(stream.matrix(), oracle.matrix()))
+              << where;
+          ASSERT_EQ(got.dirty_hosts, want.dirty_hosts) << where;
+          ASSERT_EQ(stats_fields(got.stats), stats_fields(want.stats)) << where;
+        }
+      }
+    }
+  }
+  set_parallel_thread_count(0);
 }
 
 // --- IncrementalSeverity: packed-view repair --------------------------------

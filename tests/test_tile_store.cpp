@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,31 @@ TEST(TileStore, RoundTripsPackedViewBlocks) {
     }
   }
   std::filesystem::remove(path);
+}
+
+TEST(TileStore, OutOfRangeBandsAndTilesThrowTyped) {
+  // Range checks at the file's index are exceptions, not asserts, so they
+  // hold in release builds too.
+  const std::string in_path = scratch_path("range_in");
+  TileStore::write_matrix(in_path, random_matrix(37, 0.25, 5), 16);
+  const TileStore store = TileStore::open(in_path);
+  EXPECT_EQ(store.band_rows(2), 5u);
+  EXPECT_THROW(store.band_rows(3), std::out_of_range);
+  EXPECT_NO_THROW(store.tile_offset(2, 0));  // square index: any (r, c)
+  EXPECT_THROW(store.tile_offset(3, 0), std::out_of_range);
+  EXPECT_THROW(store.tile_offset(0, 3), std::out_of_range);
+  std::vector<float> payload(store.payload_floats());
+  EXPECT_THROW(store.read_tile(0, 7, payload.data()), std::out_of_range);
+
+  const std::string sink_path = scratch_path("range_sink");
+  sink::SeverityTileStore::create(sink_path, 37, 16);
+  const auto sink = sink::SeverityTileStore::open(sink_path);
+  EXPECT_EQ(sink.tile_index(1, 2), 4u);  // upper triangle, row-major
+  EXPECT_THROW(sink.tile_index(2, 1), std::out_of_range);
+  EXPECT_THROW(sink.tile_index(0, 3), std::out_of_range);
+  EXPECT_THROW(sink.band_rows(0xffffffffu), std::out_of_range);
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(sink_path);
 }
 
 TEST(TileStore, RejectsBadTileDim) {
