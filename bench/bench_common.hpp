@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -24,9 +25,12 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/severity.hpp"
 #include "delayspace/datasets.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "obs/metrics.hpp"
+#include "stream/delay_stream.hpp"
+#include "stream/severity_engine.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -430,6 +434,42 @@ inline delayspace::DelayMatrix random_matrix(delayspace::HostId n,
     }
   }
   return m;
+}
+
+/// One epoch of churn for the live-engine benches: `hosts` distinct hosts
+/// paired off into disjoint edges, each re-measured once. Returns samples
+/// ingested.
+inline std::size_t replay_churn_epoch(stream::DelayStream& stream, Rng& rng,
+                                      std::size_t hosts, double t) {
+  const auto n = stream.matrix().size();
+  const auto k = static_cast<std::uint32_t>(std::min<std::size_t>(
+      hosts & ~std::size_t{1}, n & ~static_cast<std::size_t>(1)));
+  const auto picks = rng.sample_without_replacement(n, k);
+  std::vector<stream::DelaySample> batch;
+  batch.reserve(k / 2);
+  for (std::uint32_t e = 0; e + 1 < k; e += 2) {
+    batch.push_back({picks[e], picks[e + 1],
+                     static_cast<float>(rng.uniform(1.0, 400.0)), t});
+  }
+  stream.ingest(batch);
+  return batch.size();
+}
+
+/// Cells whose float bits differ between the engine's severities, read
+/// through severity_row, and `want` (0 = bit-identical).
+inline std::size_t bit_mismatches(stream::SeverityEngine& engine,
+                                  const core::SeverityMatrix& want) {
+  std::size_t bad = 0;
+  const delayspace::HostId n = engine.size();
+  std::vector<float> row(n);
+  for (delayspace::HostId a = 0; a < n; ++a) {
+    engine.severity_row(a, row);
+    for (delayspace::HostId b = 0; b < n; ++b) {
+      bad += std::bit_cast<std::uint32_t>(row[b]) !=
+             std::bit_cast<std::uint32_t>(want.at(a, b));
+    }
+  }
+  return bad;
 }
 
 /// Wall time of one invocation of fn, in milliseconds.

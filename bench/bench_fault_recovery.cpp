@@ -43,7 +43,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -82,6 +81,7 @@ using tiv::stream::DelayStream;
 using tiv::stream::ShardStreamConfig;
 using tiv::stream::ShardStreamEngine;
 
+using tiv::bench::bit_mismatches;
 using tiv::bench::random_matrix;
 using tiv::bench::time_ms;
 
@@ -101,23 +101,6 @@ void rot_byte_at(const std::string& path, std::uint64_t offset) {
   std::fseek(f, static_cast<long>(offset), SEEK_SET);
   std::fputc(ch ^ 0x5a, f);
   std::fclose(f);
-}
-
-/// Engine severities (sink readback) vs the in-memory kernel: cells whose
-/// float bits differ (0 = bit-identical).
-std::size_t bit_mismatches(ShardStreamEngine& engine,
-                           const SeverityMatrix& want) {
-  std::size_t bad = 0;
-  const HostId n = engine.size();
-  std::vector<float> row(n);
-  for (HostId a = 0; a < n; ++a) {
-    engine.severity_row(a, row);
-    for (HostId b = 0; b < n; ++b) {
-      bad += std::bit_cast<std::uint32_t>(row[b]) !=
-             std::bit_cast<std::uint32_t>(want.at(a, b));
-    }
-  }
-  return bad;
 }
 
 /// Full out-of-core rebuild of `m` — the recovery baseline: fresh input

@@ -52,6 +52,7 @@
 #include "scenario/score.hpp"
 #include "shard/fault_injector.hpp"
 #include "shard/tile_file.hpp"
+#include "stream/shard_stream.hpp"
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 
@@ -60,9 +61,10 @@ namespace {
 using tiv::delayspace::DelayMatrix;
 using tiv::scenario::DelayTrace;
 using tiv::scenario::QualityScorer;
-using tiv::scenario::ReplayConfig;
 using tiv::scenario::ReplayDriver;
 using tiv::scenario::ScorerParams;
+using tiv::stream::ShardStreamConfig;
+using tiv::stream::ShardStreamEngine;
 
 std::string scratch_file(const std::string& dir, const std::string& tag) {
   return (std::filesystem::path(dir) /
@@ -74,6 +76,7 @@ std::string scratch_file(const std::string& dir, const std::string& tag) {
 struct ScenarioRun {
   QualityScorer scorer;
   ReplayDriver::Result result;
+  ShardStreamEngine::RecoveryStats recovery;
   double replay_epoch_ms = 0.0;
   double truth_ms = 0.0;
   double verify_ms = 0.0;
@@ -81,22 +84,25 @@ struct ScenarioRun {
 };
 
 ScenarioRun replay_and_score(const DelayMatrix& base, const DelayTrace& trace,
-                             const ReplayConfig& cfg,
+                             const ShardStreamConfig& cfg,
                              const ScorerParams& scorer_params,
                              tiv::obs::SpanTracer& tracer,
                              tiv::shard::FaultInjector* input_fault = nullptr,
                              tiv::shard::FaultInjector* sink_fault = nullptr) {
-  ScenarioRun run{QualityScorer(base.size(), scorer_params), {}};
-  ReplayDriver driver(base, trace, cfg);
-  driver.set_fault_injectors(input_fault, sink_fault);
+  ScenarioRun run{QualityScorer(base.size(), scorer_params), {}, {}};
+  ShardStreamEngine engine(base, cfg);
+  engine.set_input_fault_injector(input_fault);
+  engine.set_sink_fault_injector(sink_fault);
+  ReplayDriver driver(base, trace);
   const std::uint64_t epoch_ns0 = tracer.total_ns("scenario-epoch");
   const std::uint64_t truth_ns0 = tracer.total_ns("scenario-truth");
   const std::uint64_t verify_ns0 = tracer.total_ns("scenario-verify");
   const std::uint64_t score_ns0 = tracer.total_ns("scenario-score");
-  run.result = driver.run([&](const ReplayDriver::EpochView& view) {
+  run.result = driver.run(engine, [&](const ReplayDriver::EpochView& view) {
     run.scorer.observe_epoch(view.truth, view.truth_severities, view.monitor,
                              view.monitor_severities);
   });
+  run.recovery = engine.recovery_stats();
   const auto epochs = std::max<std::size_t>(1, run.result.epochs);
   run.replay_epoch_ms =
       static_cast<double>(tracer.total_ns("scenario-epoch") - epoch_ns0) /
@@ -162,9 +168,9 @@ void emit_scenario_record(tiv::bench::BenchReport& json,
       .field("detour_win_rate", d.win_rate(), 4)
       .field("bit_mismatches", run.result.bit_mismatches)
       .field("edges_recomputed", run.result.edges_recomputed)
-      .field("input_tiles_recovered", run.result.recovery.input_tiles_recovered)
-      .field("sink_tiles_recovered", run.result.recovery.sink_tiles_recovered)
-      .field("io_retries", run.result.recovery.io_retries)
+      .field("input_tiles_recovered", run.recovery.input_tiles_recovered)
+      .field("sink_tiles_recovered", run.recovery.sink_tiles_recovered)
+      .field("io_retries", run.recovery.io_retries)
       .field("replay_epoch_ms", run.replay_epoch_ms, 3)
       .field("truth_epoch_ms", run.truth_ms, 3)
       .field("verify_epoch_ms", run.verify_ms, 3)
@@ -238,13 +244,12 @@ int main(int argc, char** argv) {
                        .string());
       }
 
-      ReplayConfig cfg;
-      cfg.engine = ReplayConfig::Engine::kShard;
-      cfg.shard.tile_dim = tile_dim;
-      cfg.shard.input_budget_bytes = input_budget;
-      cfg.shard.output_budget_bytes = output_budget;
-      cfg.shard.input_path = scratch_file(dir, family + "_in");
-      cfg.shard.sink_path = scratch_file(dir, family + "_sev");
+      ShardStreamConfig cfg;
+      cfg.tile_dim = tile_dim;
+      cfg.input_budget_bytes = input_budget;
+      cfg.output_budget_bytes = output_budget;
+      cfg.input_path = scratch_file(dir, family + "_in");
+      cfg.sink_path = scratch_file(dir, family + "_sev");
       const ScenarioRun run =
           replay_and_score(base, trace, cfg, scorer_params, tracer);
       ok = scenario_ok(family, run) && ok;
@@ -285,13 +290,12 @@ int main(int argc, char** argv) {
       fc.seed = seed ^ 0xfbu;
       tiv::shard::FaultInjector sink_fault(fc);
 
-      ReplayConfig cfg;
-      cfg.engine = ReplayConfig::Engine::kShard;
-      cfg.shard.tile_dim = tile_dim;
-      cfg.shard.input_budget_bytes = input_budget;
-      cfg.shard.output_budget_bytes = output_budget;
-      cfg.shard.input_path = scratch_file(dir, "faulted_in");
-      cfg.shard.sink_path = scratch_file(dir, "faulted_sev");
+      ShardStreamConfig cfg;
+      cfg.tile_dim = tile_dim;
+      cfg.input_budget_bytes = input_budget;
+      cfg.output_budget_bytes = output_budget;
+      cfg.input_path = scratch_file(dir, "faulted_in");
+      cfg.sink_path = scratch_file(dir, "faulted_sev");
       const ScenarioRun run = replay_and_score(
           base, trace, cfg, scorer_params, tracer, &input_fault, &sink_fault);
       const std::size_t injected =

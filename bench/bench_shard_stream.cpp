@@ -58,7 +58,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -90,50 +89,17 @@ using tiv::core::TivAnalyzer;
 using tiv::delayspace::DelayMatrix;
 using tiv::delayspace::DelayMatrixView;
 using tiv::delayspace::HostId;
-using tiv::stream::DelaySample;
 using tiv::stream::DelayStream;
 using tiv::stream::ShardStreamConfig;
 using tiv::stream::ShardStreamEngine;
 
+using tiv::bench::bit_mismatches;
 using tiv::bench::random_matrix;
+using tiv::bench::replay_churn_epoch;
 using tiv::bench::time_ms;
 
 /// The epoch's named child spans must cover all but this share of it.
 constexpr double kMaxUnattributedFrac = 0.05;
-
-/// One epoch of churn: `hosts` distinct hosts paired off into disjoint
-/// edges, each re-measured once (the bench_stream_engine workload).
-void replay_churn_epoch(DelayStream& stream, Rng& rng, std::size_t hosts,
-                        double t) {
-  const auto n = stream.matrix().size();
-  const auto k = static_cast<std::uint32_t>(std::min<std::size_t>(
-      hosts & ~std::size_t{1}, n & ~static_cast<std::size_t>(1)));
-  const auto picks = rng.sample_without_replacement(n, k);
-  std::vector<DelaySample> batch;
-  batch.reserve(k / 2);
-  for (std::uint32_t e = 0; e + 1 < k; e += 2) {
-    batch.push_back({picks[e], picks[e + 1],
-                     static_cast<float>(rng.uniform(1.0, 400.0)), t});
-  }
-  stream.ingest(batch);
-}
-
-/// Engine severities (sink readback) vs the in-memory kernel, cells whose
-/// float bits differ (0 = bit-identical).
-std::size_t bit_mismatches(ShardStreamEngine& engine,
-                           const SeverityMatrix& want) {
-  std::size_t bad = 0;
-  const HostId n = engine.size();
-  std::vector<float> row(n);
-  for (HostId a = 0; a < n; ++a) {
-    engine.severity_row(a, row);
-    for (HostId b = 0; b < n; ++b) {
-      bad += std::bit_cast<std::uint32_t>(row[b]) !=
-             std::bit_cast<std::uint32_t>(want.at(a, b));
-    }
-  }
-  return bad;
-}
 
 std::string scratch_file(const std::string& dir, const std::string& tag) {
   return (std::filesystem::path(dir) /

@@ -32,7 +32,6 @@
 //   --epochs=E     epochs per churn point (default 4)
 //   --seed=S       RNG seed
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -62,46 +61,15 @@ using tiv::stream::EstimatorParams;
 using tiv::stream::IncrementalSeverity;
 using tiv::stream::SmoothingPolicy;
 
+using tiv::bench::bit_mismatches;
 using tiv::bench::random_matrix;
+using tiv::bench::replay_churn_epoch;
 using tiv::bench::time_ms;
-
-/// Cells whose float bits differ between the maintained and the rebuilt
-/// severity matrix (0 = bit-identical).
-std::size_t bit_mismatches(const SeverityMatrix& got,
-                           const SeverityMatrix& want) {
-  std::size_t bad = 0;
-  const HostId n = got.size();
-  for (HostId i = 0; i < n; ++i) {
-    for (HostId j = i + 1; j < n; ++j) {
-      bad += std::bit_cast<std::uint32_t>(got.at(i, j)) !=
-             std::bit_cast<std::uint32_t>(want.at(i, j));
-    }
-  }
-  return bad;
-}
 
 SmoothingPolicy parse_policy(const std::string& name) {
   if (name == "latest") return SmoothingPolicy::kLatest;
   if (name == "winmin") return SmoothingPolicy::kWindowedMin;
   return SmoothingPolicy::kEwma;
-}
-
-/// One epoch of churn: `hosts` distinct hosts paired off into hosts/2
-/// disjoint edges, each re-measured once. Returns samples ingested.
-std::size_t replay_churn_epoch(DelayStream& stream, Rng& rng,
-                               std::size_t hosts, double t) {
-  const auto n = stream.matrix().size();
-  const auto k = static_cast<std::uint32_t>(std::min<std::size_t>(
-      hosts & ~std::size_t{1}, n & ~static_cast<std::size_t>(1)));
-  const auto picks = rng.sample_without_replacement(n, k);
-  std::vector<DelaySample> batch;
-  batch.reserve(k / 2);
-  for (std::uint32_t e = 0; e + 1 < k; e += 2) {
-    batch.push_back({picks[e], picks[e + 1],
-                     static_cast<float>(rng.uniform(1.0, 400.0)), t});
-  }
-  stream.ingest(batch);
-  return batch.size();
 }
 
 /// One timed pass of the ingest section: the stream's final matrix, every
@@ -200,7 +168,7 @@ int main(int argc, char** argv) {
     SeverityMatrix full;
     const TivAnalyzer analyzer(stream.matrix());
     const double full_ms = time_ms([&] { full = analyzer.all_severities(); });
-    const std::size_t mismatches = bit_mismatches(inc->severities(), full);
+    const std::size_t mismatches = bit_mismatches(*inc, full);
     ok = ok && mismatches == 0;
 
     const double inc_epoch_ms = apply_ms / epochs;
@@ -273,7 +241,7 @@ int main(int argc, char** argv) {
     SeverityMatrix full;
     const TivAnalyzer analyzer(stream.matrix());
     const double full_ms = time_ms([&] { full = analyzer.all_severities(); });
-    const std::size_t mismatches = bit_mismatches(inc.severities(), full);
+    const std::size_t mismatches = bit_mismatches(inc, full);
     ok = ok && mismatches == 0;
     json.object()
         .field("section", std::string("oscillation"))

@@ -1,7 +1,7 @@
-// Out-of-core streaming TIV monitor: the streaming_monitor example's live
-// pipeline rebuilt on ShardStreamEngine — continuous measurement ingestion
-// with live severity maintenance where *neither the delay matrix nor the
-// severity result is held in memory*.
+// Streaming TIV monitor: continuous measurement ingestion with live
+// severity maintenance — the src/stream/ subsystem end to end, on the tile
+// store of the live severity engine (ShardStreamEngine), where neither the
+// packed matrix nor the severity result is held in memory.
 //
 // The engine spills the matrix to an on-disk tile store and the severities
 // to an on-disk severity tile sink, then keeps both repaired under a

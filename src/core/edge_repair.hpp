@@ -1,11 +1,12 @@
-// The flagged-edge repair loop: where both live engines recompute the
-// severities of the edges an epoch flagged (an EpochEdges set,
-// core/epoch_screen). It walks the columns c, gets packed row c once, and
+// The flagged-edge repair loop: where both stores of the live engine
+// (stream/severity_engine) recompute the severities of the edges an epoch
+// flagged (an EpochEdges set, core/epoch_screen). It walks the columns c, gets packed row c once, and
 // runs it against every flagged dirty row h through
 // witness_ratio_accumulate_portable over the full padded stride. Rows come
-// from a DelayMatrixView (stream::IncrementalSeverity) or are packed from
-// the live DelayMatrix with the view's float encoding
-// (stream::ShardStreamEngine, whose repair then reads no input tile). Each
+// from a DelayMatrixView (the in-memory store, stream::IncrementalSeverity)
+// or are packed from the live DelayMatrix with the view's float encoding
+// (the tile store, stream::ShardStreamEngine, whose repair then reads no
+// input tile). Each
 // edge feeds the lanes of the all_severities kernel in the same order, so
 // every value is bit-identical to a rebuild's. The loop is compiled once,
 // in this library, under its value-safe floating-point flags: without them

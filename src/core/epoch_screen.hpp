@@ -28,9 +28,10 @@
 // with the post-epoch matrix, O(|H| * n), and checks the precondition
 // that DelayStream guarantees: both endpoints of every changed entry are
 // dirty. EpochScreen::flag then costs O(n) per changed entry and writes
-// an EpochEdges bitmap in the engines' canonical enumeration.
-// ShardStreamEngine recomputes only the flagged edges; IncrementalSeverity
-// runs the diff and still recomputes every incident edge. See
+// an EpochEdges bitmap in the canonical enumeration. Both stores of the
+// live engine (stream/severity_engine) run the screen in its one epoch;
+// the tile store's flags are exact, while the in-memory store still
+// answers "flag all" and recomputes every incident edge. See
 // docs/PERFORMANCE.md ("Screened epoch repair").
 #pragma once
 
@@ -50,7 +51,7 @@ using delayspace::DelayMatrix;
 using delayspace::HostId;
 
 /// The edges an epoch repair recomputes: a |H| x n bitmap over the dirty
-/// hosts H (ascending). Both engines enumerate each unordered edge
+/// hosts H (ascending). The live engine enumerates each unordered edge
 /// incident to H once, as (h, c) with c != h, skipping a dirty c < h (that
 /// edge is (c, h)); bit (i, c) stands for edge (dirty_hosts[i], c) in that
 /// enumeration, and no other bit is ever set.
@@ -118,7 +119,7 @@ class EpochEdges {
 };
 
 /// Finds an epoch's changed entries and flags the edges they can reach.
-/// One instance per engine; its buffers are reused across epochs.
+/// One instance per live engine; its buffers are reused across epochs.
 class EpochScreen {
  public:
   /// Starts an epoch: `after` is the post-epoch matrix and `dirty_hosts`

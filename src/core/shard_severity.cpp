@@ -40,8 +40,8 @@ using shard::TileStore;
 // (J, K) for every K and writes sink tile (I, J). Pairs are walked
 // row-major, so consecutive pairs share band I and re-hit its tiles.
 //
-// Epoch repair: the flagged edges run through the repair loop both engines
-// share (core/edge_repair) over rows packed from the post-epoch matrix, so
+// Epoch repair: the flagged edges run through the flagged-edge repair loop
+// (core/edge_repair) over rows packed from the post-epoch matrix, so
 // it reads no input tile; their results merge into the sink tiles. See
 // repair_severities_to_sink.
 // ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@
 //    shard::TileStore through the witness kernels, honoring the budget of a
 //    shard::TileCache; working set O(budget + tile^2) per worker.
 //  - The epoch repair: repair_severities_to_sink, the out-of-core half of
-//    the src/stream/ dirty-epoch engine. It recomputes the edges flagged in
-//    an EpochEdges set (core/epoch_screen) with the flagged-edge repair
-//    loop both engines share (core/edge_repair), over rows packed from the
-//    live post-epoch DelayMatrix, so it reads no input tile, and merges the
-//    results into the sink tiles holding a flagged edge, one writer per
-//    tile. Dirty hosts run in ascending groups of repair_group_hosts(),
+//    the src/stream/ dirty-epoch engine (the tile store's result write). It
+//    recomputes the edges flagged in an EpochEdges set (core/epoch_screen)
+//    with the flagged-edge repair loop (core/edge_repair), over rows packed
+//    from the live post-epoch DelayMatrix, so it reads no input tile, and
+//    merges the results into the sink tiles holding a flagged edge, one
+//    writer per tile. Dirty hosts run in ascending groups of repair_group_hosts(),
 //    sized so the group's packed and result rows fit the input budget.
 //
 // Results are bit-identical to the in-memory TivAnalyzer path: tiles and
@@ -67,10 +67,10 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
 /// change: those holding a measured flagged edge or a stale value reset to
 /// 0. Reads no input tile. Host groups are sized against `budget_bytes`
 /// (repair_group_hosts; the engine passes its input cache budget).
-/// Severities the in-memory IncrementalSeverity::apply_epoch would leave
-/// untouched are untouched here too, so with the screen's flags (or every
-/// incident edge flagged) the sink stays bit-identical to a from-scratch
-/// all_severities of `matrix` after every epoch.
+/// Severities outside the flagged edges are untouched, so with the
+/// screen's flags (or every incident edge flagged) the sink stays
+/// bit-identical to a from-scratch all_severities of `matrix` after every
+/// epoch.
 ///
 /// `written`, when not empty, holds one byte per sink tile
 /// (sink.tile_count(), indexed by sink.tile_index); the pass sets the byte

@@ -6,9 +6,10 @@
 // attached SpanTracer's ring buffer. The instrumented phase names are the
 // pipeline's stages:
 //
-//   epoch                 one ShardStreamEngine::apply_epoch call
+//   epoch                 one SeverityEngine::apply_epoch on the tile store
 //   ├─ ingest             DelayStream::ingest(batch)   (precedes the epoch)
-//   ├─ view-repair        IncrementalSeverity view repair (in-memory path)
+//   ├─ view-repair        one SeverityEngine::apply_epoch on the in-memory
+//   │  │                  store (screen, view repack and repair)
 //   │  ├─ epoch-screen    the screen's diff of the dirty view rows
 //   │  └─ edge-repair     the flagged-edge repair loop over the view's rows
 //   ├─ epoch-screen       pre-epoch dirty rows read and diffed, edges flagged

@@ -1,13 +1,12 @@
 #include "scenario/replay.hpp"
 
 #include <bit>
-#include <optional>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "stream/incremental_severity.hpp"
 
 namespace tiv::scenario {
 namespace {
@@ -28,25 +27,6 @@ obs::Counter& bit_mismatch_counter() {
   return c;
 }
 
-/// Float equality at the bit level — the same comparison the shard-stream
-/// bench gates on: NaNs compare by payload and -0.0f != 0.0f, so "equal"
-/// here means indistinguishable bytes on disk.
-bool bits_equal(float a, float b) {
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-std::size_t count_mismatches(const SeverityMatrix& got,
-                             const SeverityMatrix& want) {
-  std::size_t mismatches = 0;
-  const HostId n = want.size();
-  for (HostId a = 0; a < n; ++a) {
-    for (HostId b = a + 1; b < n; ++b) {
-      mismatches += !bits_equal(got.at(a, b), want.at(a, b));
-    }
-  }
-  return mismatches;
-}
-
 }  // namespace
 
 ReplayDriver::ReplayDriver(const DelayMatrix& base, const DelayTrace& trace,
@@ -58,32 +38,18 @@ ReplayDriver::ReplayDriver(const DelayMatrix& base, const DelayTrace& trace,
   }
 }
 
-void ReplayDriver::set_fault_injectors(shard::FaultInjector* input,
-                                       shard::FaultInjector* sink) {
-  input_fault_ = input;
-  sink_fault_ = sink;
-}
-
-ReplayDriver::Result ReplayDriver::run(const EpochCallback& on_epoch) {
+ReplayDriver::Result ReplayDriver::run(stream::SeverityEngine& engine,
+                                       const EpochCallback& on_epoch) {
   const HostId n = base_.size();
+  if (engine.size() != n) {
+    throw std::invalid_argument(
+        "ReplayDriver::run: engine host count does not match base matrix");
+  }
   Result result;
 
   DelayMatrix truth = base_;
   stream::DelayStream live(base_, config_.estimator);
-
-  std::optional<stream::IncrementalSeverity> inc;
-  std::optional<stream::ShardStreamEngine> engine;
-  SeverityMatrix engine_readback;  // kShard: row-read buffer for the sink
-  if (config_.engine == ReplayConfig::Engine::kShard) {
-    engine.emplace(live.matrix(), config_.shard);
-    engine->attach_source(&live.matrix());
-    engine->set_input_fault_injector(input_fault_);
-    engine->set_sink_fault_injector(sink_fault_);
-    engine_readback = SeverityMatrix(n);
-  } else {
-    inc.emplace(live.matrix());
-  }
-
+  SeverityMatrix monitor_sev(n);
   std::vector<float> row(n);
   for (const auto& epoch : trace_.epochs) {
     obs::Span span("scenario-epoch");
@@ -100,31 +66,29 @@ ReplayDriver::Result ReplayDriver::run(const EpochCallback& on_epoch) {
       obs::Span ingest_span("scenario-ingest");
       live.ingest(epoch.samples);
       committed = live.commit_epoch();
-      if (engine) {
-        result.edges_recomputed +=
-            engine->apply_epoch(live.matrix(), committed.dirty_hosts)
-                .edges_recomputed;
-      } else {
-        result.edges_recomputed +=
-            inc->apply_epoch(live.matrix(), committed.dirty_hosts)
-                .edges_recomputed;
-      }
+      result.edges_recomputed +=
+          engine.apply_epoch(live.matrix(), committed.dirty_hosts)
+              .edges_recomputed;
     }
 
-    std::size_t mismatches = 0;
-    if (engine) {
-      for (HostId a = 0; a < n; ++a) {
-        engine->severity_row(a, row);
-        for (HostId b = 0; b < n; ++b) engine_readback.set(a, b, row[b]);
-      }
-    }
-    const SeverityMatrix& monitor_sev = engine ? engine_readback
-                                               : inc->severities();
+    // The engine's severities, read back row by row, and — when verifying
+    // — the cells whose float bits differ from a from-scratch recompute
+    // (NaNs compare by payload, -0.0f != 0.0f: indistinguishable bytes).
+    SeverityMatrix direct;
     if (config_.verify_bit_identity) {
       obs::Span verify_span("scenario-verify");
-      const SeverityMatrix direct =
-          core::TivAnalyzer(live.matrix()).all_severities();
-      mismatches = count_mismatches(monitor_sev, direct);
+      direct = core::TivAnalyzer(live.matrix()).all_severities();
+    }
+    std::size_t mismatches = 0;
+    for (HostId a = 0; a < n; ++a) {
+      engine.severity_row(a, row);
+      for (HostId b = 0; b < n; ++b) {
+        monitor_sev.set(a, b, row[b]);
+        if (config_.verify_bit_identity && b > a) {
+          mismatches += std::bit_cast<std::uint32_t>(row[b]) !=
+                        std::bit_cast<std::uint32_t>(direct.at(a, b));
+        }
+      }
     }
 
     ++result.epochs;
@@ -145,7 +109,6 @@ ReplayDriver::Result ReplayDriver::run(const EpochCallback& on_epoch) {
     }
   }
 
-  if (engine) result.recovery = engine->recovery_stats();
   return result;
 }
 

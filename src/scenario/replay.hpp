@@ -7,11 +7,12 @@
 //      the truth severities (all_severities on the instantaneous matrix —
 //      the trace's definition of "truly TIV-violating");
 //   2. ingests the sample stream into a DelayStream and commits the epoch
-//      into either IncrementalSeverity (in-memory) or ShardStreamEngine
-//      (out-of-core, optionally under FaultInjector rot);
-//   3. recomputes severities of the monitor matrix from scratch and
-//      bit-compares against the incrementally maintained ones — the
-//      bench/CI-gated bit_mismatches == 0 contract;
+//      into the engine its caller hands it — either store of
+//      stream::SeverityEngine, the in-memory IncrementalSeverity or the
+//      out-of-core ShardStreamEngine (optionally under FaultInjector rot);
+//   3. reads the engine's severities back row by row, recomputes the
+//      monitor matrix's severities from scratch and bit-compares the two —
+//      the bench/CI-gated bit_mismatches == 0 contract;
 //   4. hands both (truth, monitor) pairs to the caller — typically a
 //      QualityScorer (score.hpp).
 //
@@ -25,11 +26,7 @@
 #include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "scenario/trace.hpp"
-#include "stream/shard_stream.hpp"
-
-namespace tiv::shard {
-class FaultInjector;
-}
+#include "stream/severity_engine.hpp"
 
 namespace tiv::scenario {
 
@@ -40,15 +37,6 @@ struct ReplayConfig {
   /// mirrors the live monitor example: EWMA with alpha 0.3.
   stream::EstimatorParams estimator{
       .policy = stream::SmoothingPolicy::kEwma, .ewma_alpha = 0.3f};
-
-  enum class Engine {
-    kInMemory,  ///< DelayStream -> IncrementalSeverity
-    kShard,     ///< DelayStream -> ShardStreamEngine (out-of-core)
-  };
-  Engine engine = Engine::kInMemory;
-
-  /// Tile/budget/path configuration for Engine::kShard.
-  stream::ShardStreamConfig shard;
 
   /// Recompute severities from scratch each epoch and bit-compare against
   /// the incremental path. Costs an O(n^3) kernel per epoch; disable only
@@ -65,7 +53,7 @@ class ReplayDriver {
     const DelayMatrix& truth;
     const SeverityMatrix& truth_severities;
     const DelayMatrix& monitor;             ///< DelayStream's mutated matrix
-    const SeverityMatrix& monitor_severities;  ///< incrementally maintained
+    const SeverityMatrix& monitor_severities;  ///< the engine's, read back
     std::size_t bit_mismatches = 0;         ///< this epoch (0 when verified)
     const stream::Epoch& committed;         ///< dirty hosts + ingest stats
   };
@@ -76,9 +64,6 @@ class ReplayDriver {
     std::size_t samples = 0;          ///< trace samples ingested
     std::size_t bit_mismatches = 0;   ///< summed over all epochs
     std::size_t edges_recomputed = 0; ///< incremental repair work
-    /// Engine::kShard only: the engine's cumulative self-healing counters
-    /// at the end of the run (all zero for kInMemory).
-    stream::ShardStreamEngine::RecoveryStats recovery;
   };
 
   /// Validates trace.hosts == base.size() (throws std::invalid_argument).
@@ -86,21 +71,20 @@ class ReplayDriver {
   ReplayDriver(const DelayMatrix& base, const DelayTrace& trace,
                ReplayConfig config = {});
 
-  /// Engine::kShard only: attach deterministic rot to the stores of the
-  /// NEXT run() (nullptr detaches). Injectors must outlive the run.
-  void set_fault_injectors(shard::FaultInjector* input,
-                           shard::FaultInjector* sink);
-
-  /// Replays the whole trace. Reentrant: each call builds a fresh monitor
-  /// from the base matrix and replays from epoch 0.
-  Result run(const EpochCallback& on_epoch = {});
+  /// Replays the whole trace through `engine`, which must be freshly built
+  /// over the base matrix (throws std::invalid_argument on a size
+  /// mismatch). Each call starts a fresh DelayStream from the base matrix
+  /// and replays from epoch 0, so a new engine replays the trace again.
+  /// The stream's matrix is the driver's own: a ShardStreamEngine heals a
+  /// corrupt input tile from it inside an epoch, but not in the readback
+  /// between epochs (no attached source).
+  Result run(stream::SeverityEngine& engine,
+             const EpochCallback& on_epoch = {});
 
  private:
   const DelayMatrix& base_;
   const DelayTrace& trace_;
   ReplayConfig config_;
-  shard::FaultInjector* input_fault_ = nullptr;
-  shard::FaultInjector* sink_fault_ = nullptr;
 };
 
 }  // namespace tiv::scenario

@@ -44,6 +44,14 @@ double to_unit(std::uint64_t h) {
 
 }  // namespace
 
+FaultInjector::FaultInjector(const Config& config) : config_(config) {
+  // Registered up front, so a snapshot lists every kind before it fires.
+  injected_bitflips();
+  injected_eio();
+  injected_torn_writes();
+  injected_commit_fails();
+}
+
 std::uint64_t FaultInjector::mix(std::uint64_t n) const {
   return splitmix64(config_.seed ^ splitmix64(n));
 }

@@ -85,7 +85,7 @@ class FaultInjector {
     std::size_t commit_fails = 0;  ///< commits killed before the checksum
   };
 
-  explicit FaultInjector(const Config& config) : config_(config) {}
+  explicit FaultInjector(const Config& config);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;

@@ -8,9 +8,9 @@
 // header is the missing layer between the two: a DelayStream owns a mutable
 // DelayMatrix, absorbs batches of raw (a, b, delay, timestamp) samples
 // through per-edge smoothing estimators, and tracks exactly which hosts
-// were perturbed since the last epoch commit so the incremental consumers
-// (IncrementalSeverity, ShardStreamEngine in this directory) can repair
-// their derived state in O(dirty * n) instead of rebuilding in O(n^2)/O(n^3).
+// were perturbed since the last epoch commit so the live severity engine
+// (severity_engine.hpp in this directory, on either store) can repair its
+// derived state in O(dirty * n) instead of rebuilding in O(n^2)/O(n^3).
 //
 // Estimator state is flat: one fixed-size slot per edge ever sampled (key,
 // newest timestamp, policy state inline), in open-addressing tables split

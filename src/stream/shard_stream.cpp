@@ -12,16 +12,10 @@
 #include "core/shard_severity.hpp"
 #include "obs/trace.hpp"
 #include "shard/fault_injector.hpp"
-#include "stream/epoch_manifest.hpp"
 
 namespace tiv::stream {
 namespace {
 
-obs::Counter& engine_epochs_applied() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("engine.epochs_applied");
-  return c;
-}
 obs::Counter& engine_tiles_repacked() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("engine.input_tiles_repacked");
@@ -31,21 +25,6 @@ obs::Counter& engine_sink_tiles_committed() {
   static obs::Counter& c = obs::MetricsRegistry::instance().counter(
       "engine.severity_tiles_committed");
   return c;
-}
-obs::Counter& engine_edges_recomputed() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("engine.edges_recomputed");
-  return c;
-}
-obs::Counter& engine_edges_changed() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("engine.edges_changed");
-  return c;
-}
-obs::Histogram& engine_epoch_ns() {
-  static obs::Histogram& h =
-      obs::MetricsRegistry::instance().histogram("engine.epoch_ns");
-  return h;
 }
 
 std::string derive_path(const std::string& configured, const char* tag) {
@@ -65,9 +44,9 @@ constexpr int kMaxRecoveryActions = 256;
 
 }  // namespace
 
-ShardStreamEngine::ShardStreamEngine(const delayspace::DelayMatrix& initial,
+ShardStreamEngine::ShardStreamEngine(const DelayMatrix& initial,
                                      ShardStreamConfig config)
-    : config_(std::move(config)) {
+    : SeverityEngine(initial.size(), "epoch"), config_(std::move(config)) {
   config_.input_path = derive_path(config_.input_path, "in");
   config_.sink_path = derive_path(config_.sink_path, "sev");
   // The destructor never runs for a partially-constructed engine, so a
@@ -100,10 +79,11 @@ ShardStreamEngine::ShardStreamEngine(const delayspace::DelayMatrix& initial,
   link_recovery_metrics();
 }
 
-ShardStreamEngine::ShardStreamEngine(RecoverTag,
-                                     const delayspace::DelayMatrix& matrix,
+ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
                                      ShardStreamConfig config)
-    : config_(std::move(config)), source_(&matrix) {
+    : SeverityEngine(matrix.size(), "epoch"),
+      config_(std::move(config)),
+      source_(&matrix) {
   if (config_.input_path.empty() || config_.sink_path.empty()) {
     throw std::invalid_argument(
         "ShardStreamEngine::recover: input_path and sink_path must name the "
@@ -161,7 +141,7 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag,
     input_cache_->invalidate(r, c);
   }
   for (const auto& [r, c] : manifest->sink_tiles) {
-    with_recovery([&, r = r, c = c] {
+    with_recovery(source_, [&, r = r, c = c] {
       core::rebuild_sink_tile(*input_, *input_cache_, *sink_, r, c);
       return 0;
     });
@@ -190,8 +170,8 @@ void ShardStreamEngine::link_recovery_metrics() {
                [&r] { return r.torn_epochs_replayed.value(); }));
 }
 
-ShardStreamEngine ShardStreamEngine::recover(
-    const delayspace::DelayMatrix& matrix, ShardStreamConfig config) {
+ShardStreamEngine ShardStreamEngine::recover(const DelayMatrix& matrix,
+                                             ShardStreamConfig config) {
   return ShardStreamEngine(RecoverTag{}, matrix, std::move(config));
 }
 
@@ -205,7 +185,8 @@ ShardStreamEngine::~ShardStreamEngine() {
   std::filesystem::remove(EpochManifest::path_for(config_.sink_path), ec);
 }
 
-void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
+void ShardStreamEngine::heal(const shard::CorruptTileError& e,
+                             const DelayMatrix* source) {
   obs::Span span("recovery-action");
   const std::uint32_t r = e.tile_row();
   const std::uint32_t c = e.tile_col();
@@ -217,10 +198,10 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
     recovery_.sink_tiles_recovered.increment();
     return;
   }
-  if (e.path() == input_->path() && source_ != nullptr) {
+  if (e.path() == input_->path() && source != nullptr) {
     // The live matrix (DelayStream keeps it in RAM) is the ground truth
     // for input tiles; repack is byte-identical to a fresh build.
-    input_->repack_tile(*source_, r, c);
+    input_->repack_tile(*source, r, c);
     input_cache_->invalidate(r, c);
     ++input_heals_;
     recovery_.input_tiles_recovered.increment();
@@ -230,7 +211,8 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e) {
 }
 
 template <typename Fn>
-auto ShardStreamEngine::with_recovery(Fn&& fn) -> decltype(fn()) {
+auto ShardStreamEngine::with_recovery(const DelayMatrix* source, Fn&& fn)
+    -> decltype(fn()) {
   int actions = 0;
   for (;;) {
     try {
@@ -244,7 +226,7 @@ auto ShardStreamEngine::with_recovery(Fn&& fn) -> decltype(fn()) {
       for (;;) {
         if (++actions > kMaxRecoveryActions) throw;
         try {
-          heal(e);
+          heal(e, source);
           break;
         } catch (const shard::CorruptTileError& inner) {
           e = inner;
@@ -260,151 +242,110 @@ auto ShardStreamEngine::with_recovery(Fn&& fn) -> decltype(fn()) {
 }
 
 float ShardStreamEngine::severity(HostId a, HostId b) {
-  return with_recovery([&] { return sink_cache_->at(a, b); });
+  return with_recovery(source_, [&] { return sink_cache_->at(a, b); });
 }
 
 void ShardStreamEngine::severity_row(HostId a, std::span<float> out) {
-  with_recovery([&] {
+  with_recovery(source_, [&] {
     sink_cache_->read_row(a, out);
     return 0;
   });
 }
 
-ShardStreamEngine::EpochStats ShardStreamEngine::apply_epoch(
-    const delayspace::DelayMatrix& matrix,
-    std::span<const HostId> dirty_hosts) {
-  EpochStats stats;
-  if (matrix.size() != input_->size()) {
-    throw std::invalid_argument(
-        "ShardStreamEngine::apply_epoch: matrix size changed");
-  }
-  // Before anything is journaled or rewritten: a bad host list would index
-  // the band tables out of bounds.
-  core::check_dirty_hosts(dirty_hosts, matrix.size(),
-                          "ShardStreamEngine::apply_epoch");
-  if (dirty_hosts.empty()) return stats;
+bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
+                                  std::span<const HostId> dirty_hosts,
+                                  core::EpochScreen& screen) {
+  // A heal in this read repacks the corrupt tile from the post-epoch matrix
+  // and so loses its pre-epoch values: the flags are then not exact.
+  const std::uint64_t heals = input_heals_;
+  bool retry = false;
+  with_recovery(&matrix, [&] {
+    if (retry) screen.begin(matrix, dirty_hosts);  // restart the diff
+    retry = true;
+    core::diff_dirty_rows(*input_, *input_cache_, dirty_hosts, screen);
+    return 0;
+  });
+  return input_heals_ == heals;
+}
 
-  obs::Span epoch_span("epoch");
-  const auto epoch_t0 = obs::kEnabled ? obs::SpanTracer::now_ns() : 0;
-
-  // `matrix` is the ground truth while this epoch applies: make it the
-  // repair source so corrupt input tiles heal mid-epoch too (restored on
-  // exit — the caller may not guarantee it outlives the engine).
-  struct SourceScope {
-    ShardStreamEngine& engine;
-    const delayspace::DelayMatrix* saved;
-    ~SourceScope() { engine.source_ = saved; }
-  } scope{*this, source_};
-  source_ = &matrix;
-
-  // 0. Screen (core/epoch_screen): diff the dirty rows' pre-epoch values,
-  // read tile by tile from the input store before anything is repacked,
-  // against `matrix`, and flag the edges whose severity can change. A
-  // changed entry outside the dirty-host contract throws here, before the
-  // manifest or any tile is written. A heal in this phase repacks the
-  // corrupt tile from the post-epoch matrix and so loses its pre-epoch
-  // values: the epoch then flags every incident edge instead.
-  {
-    obs::Span screen_span("epoch-screen");
-    const std::uint64_t heals = input_heals_;
-    with_recovery([&] {
-      screen_.begin(matrix, dirty_hosts);
-      core::diff_dirty_rows(*input_, *input_cache_, dirty_hosts, screen_);
-      return 0;
-    });
-    screen_.flag(edges_);
-    if (input_heals_ != heals) edges_.flag_all();
-    stats.edges_changed = screen_.edges_changed();
-  }
-
-  EpochManifest manifest;
-  const std::string manifest_path = EpochManifest::path_for(sink_->path());
+void ShardStreamEngine::update_rows(const DelayMatrix& matrix,
+                                    std::span<const HostId> dirty_hosts,
+                                    EpochStats& stats) {
   {
     obs::Span journal_span("epoch-journal");
-    // 1. Journal the epoch before the first in-place write: the input
-    // tiles about to be repacked and the superset of sink tiles that can
-    // hold a dirty edge. A kill anywhere past this point leaves a manifest
-    // naming every possibly-torn tile; recover() replays exactly those
-    // (replaying an untouched one is an idempotent rewrite of identical
-    // bytes).
+    // Journal the epoch before the first in-place write: the input tiles
+    // about to be repacked and the superset of sink tiles that can hold a
+    // dirty edge. A kill anywhere past this point leaves a manifest naming
+    // every possibly-torn tile; recover() replays exactly those (replaying
+    // an untouched one is an idempotent rewrite of identical bytes).
     const std::uint32_t T = input_->tile_dim();
     const std::uint32_t bands = input_->tiles_per_side();
     std::vector<std::uint8_t> band_dirty(bands, 0);
     for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
-    manifest.generation = epochs_applied_ + 1;
+    manifest_ = EpochManifest{};
+    manifest_.generation = epochs_applied() + 1;
     for (std::uint32_t b = 0; b < bands; ++b) {
       if (!band_dirty[b]) continue;
       for (std::uint32_t c = 0; c < bands; ++c) {
-        if (band_dirty[c]) manifest.input_tiles.emplace_back(b, c);
+        if (band_dirty[c]) manifest_.input_tiles.emplace_back(b, c);
       }
     }
     for (std::uint32_t bi = 0; bi < bands; ++bi) {
       for (std::uint32_t bj = bi; bj < bands; ++bj) {
         if (band_dirty[bi] || band_dirty[bj]) {
-          manifest.sink_tiles.emplace_back(bi, bj);
+          manifest_.sink_tiles.emplace_back(bi, bj);
         }
       }
     }
-    manifest.write(manifest_path);
+    manifest_.write(EpochManifest::path_for(sink_->path()));
   }
 
-  // 2. Input repair. A changed entry (x, y) requires edge (x, y) updated,
-  // and DelayStream dirties both endpoints — so a tile can only have
-  // changed when BOTH its row band and its column band hold a dirty host.
-  // The changed input tiles are precisely dirty_bands x dirty_bands;
-  // repack each in place and drop any cached copy so the severity pass
-  // below reads the post-epoch bytes. Tiles with one clean side are
-  // byte-identical to a fresh build already and are not touched.
-  {
-    obs::Span repack_span("tile-repack");
-    for (const auto& [b, c] : manifest.input_tiles) {
-      input_->repack_tile(matrix, b, c);
-      input_cache_->invalidate(b, c);
-      ++stats.input_tiles_repacked;
-    }
+  // A changed entry (x, y) requires edge (x, y) updated, and DelayStream
+  // dirties both endpoints — so a tile can only have changed when BOTH its
+  // row band and its column band hold a dirty host. The changed input
+  // tiles are precisely dirty_bands x dirty_bands; repack each in place and
+  // drop any cached copy. Tiles with one clean side are byte-identical to a
+  // fresh build already and are not touched.
+  obs::Span repack_span("tile-repack");
+  for (const auto& [b, c] : manifest_.input_tiles) {
+    input_->repack_tile(matrix, b, c);
+    input_cache_->invalidate(b, c);
+    ++stats.input_tiles_repacked;
   }
+  engine_tiles_repacked().add(stats.input_tiles_repacked);
+}
 
-  // 3. Severity repair: recompute the flagged edges from rows packed from
-  // `matrix` (no input tile is read) and commit the sink tiles that hold
-  // one. Self-healing: a corrupt sink tile hit by the merge is rebuilt and
-  // the repair retried (recommitting a tile the aborted attempt already
-  // wrote is idempotent); sink_written_ collects the tiles every attempt
-  // wrote.
-  const core::SinkRepairStats repair = with_recovery([&] {
+void ShardStreamEngine::write_results(const DelayMatrix& matrix,
+                                      std::span<const HostId> dirty_hosts,
+                                      const core::EpochEdges& edges,
+                                      EpochStats& stats) {
+  // Recompute the flagged edges from rows packed from `matrix` (no input
+  // tile is read) and commit the sink tiles that hold one. Self-healing: a
+  // corrupt sink tile hit by the merge is rebuilt and the repair retried
+  // (recommitting a tile the aborted attempt already wrote is idempotent);
+  // sink_written_ collects the tiles every attempt wrote.
+  const core::SinkRepairStats repair = with_recovery(&matrix, [&] {
     return core::repair_severities_to_sink(matrix, *sink_,
                                            input_cache_->budget_bytes(),
-                                           dirty_hosts, edges_,
-                                           sink_written_);
+                                           dirty_hosts, edges, sink_written_);
   });
   stats.severity_tiles_committed = repair.tiles_committed;
   stats.edges_recomputed = repair.edges_recomputed;
-
-  {
-    obs::Span commit_span("sink-commit");
-    // 4. Sink-cache coherence: drop the cached copies of the tiles the
-    // repair rewrote — every one of them lies in the journaled superset —
-    // so the cached tiles in between keep serving reads.
-    for (const auto& [bi, bj] : manifest.sink_tiles) {
-      std::uint8_t& written = sink_written_[sink_->tile_index(bi, bj)];
-      if (written) {
-        sink_cache_->invalidate(bi, bj);
-        written = 0;
-      }
-    }
-
-    // 5. Commit point: both stores are consistent, drop the journal.
-    EpochManifest::clear(manifest_path);
-  }
-  ++epochs_applied_;
-  engine_epochs_applied().increment();
-  engine_tiles_repacked().add(stats.input_tiles_repacked);
   engine_sink_tiles_committed().add(stats.severity_tiles_committed);
-  engine_edges_recomputed().add(stats.edges_recomputed);
-  engine_edges_changed().add(stats.edges_changed);
-  if (obs::kEnabled) {
-    engine_epoch_ns().record(obs::SpanTracer::now_ns() - epoch_t0);
+
+  obs::Span commit_span("sink-commit");
+  // Sink-cache coherence: drop the cached copies of the tiles the repair
+  // rewrote — every one of them lies in the journaled superset — so the
+  // cached tiles in between keep serving reads.
+  for (const auto& [bi, bj] : manifest_.sink_tiles) {
+    std::uint8_t& written = sink_written_[sink_->tile_index(bi, bj)];
+    if (written) {
+      sink_cache_->invalidate(bi, bj);
+      written = 0;
+    }
   }
-  return stats;
+  // Commit point: both stores are consistent, drop the journal.
+  EpochManifest::clear(EpochManifest::path_for(sink_->path()));
 }
 
 }  // namespace tiv::stream

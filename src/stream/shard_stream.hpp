@@ -1,34 +1,27 @@
-// Out-of-core live TIV pipeline — the dirty-epoch streaming engine
-// (src/stream/) married to the tile stores (src/shard/ input,
-// src/sink/ output).
+// The tile store of the live severity engine (stream/severity_engine):
+// the packed view and the severities held on disk, in a shard::TileStore
+// (input) and a sink::SeverityTileStore (output), each behind a budgeted
+// cache. Past the memory budget neither fits in RAM; only DelayStream's
+// matrix stays there.
 //
-// IncrementalSeverity keeps the packed view and the severity matrix in
-// RAM; past the memory budget neither fits. A ShardStreamEngine holds both
-// on disk and repairs both incrementally after every committed epoch:
+// Its steps of the one epoch:
+//   - pre-epoch rows: the dirty hosts' rows read tile by tile from the
+//     input store (core::diff_dirty_rows), before anything is repacked.
+//     The flags are exact unless a heal hit this read (see below).
+//   - row update: an edge update (a, b) changes exactly packed rows a and b
+//     and dirties both endpoints, so a changed tile has a dirty host in its
+//     row band AND in its column band — the dirty tiles are precisely
+//     dirty_bands x dirty_bands. The epoch journals them, then rewrites
+//     each in place with TileStore::repack_tile (byte-identical to a fresh
+//     build, the tile-granular mirror of DelayMatrixView::repack_row) and
+//     drops it from the tile cache.
+//   - result write: only the flagged edges are recomputed, by the repair
+//     loop over rows packed from the post-epoch matrix
+//     (core::repair_severities_to_sink), so the repair reads no input tile.
+//     Only the sink tiles holding one are rewritten and committed with
+//     fresh checksums; only those are dropped from the sink cache.
 //
-//   1. An epoch's dirty-host set maps to dirty *input* tiles: an edge
-//      update (a, b) changes exactly packed rows a and b and dirties both
-//      endpoints, so a changed tile has a dirty host in its row band AND
-//      in its column band — the dirty tiles are precisely
-//      dirty_bands x dirty_bands. Each is rewritten in place with
-//      TileStore::repack_tile (byte-identical to a fresh build, the
-//      tile-granular mirror of DelayMatrixView::repack_row) and dropped
-//      from the tile cache (the dirty-tile invalidation rule).
-//   2. Before the repack, the exact screen of core/epoch_screen diffs the
-//      dirty hosts' pre-epoch rows, read tile by tile from the input
-//      store, against the mutated matrix and flags the incident edges
-//      whose severity can change: those that changed themselves or have a
-//      changed witness term that violates before or after the epoch.
-//   3. Only the flagged edges are recomputed, by the repair loop both
-//      engines share (core/edge_repair) over rows packed from the
-//      post-epoch matrix, so the repair reads no input tile. Only the sink
-//      tiles holding one are rewritten and committed with fresh
-//      checksums; only those are dropped from the sink cache.
-//
-// After every epoch the sink contents are *bit-identical* to the in-memory
-// DelayStream -> IncrementalSeverity -> all_severities path over the same
-// mutated matrix (gtest-enforced in tests/test_shard_stream.cpp), while
-// tracked memory stays within the configured input + output cache budgets
+// Tracked memory stays within the configured input + output cache budgets
 // (worker-local O(tile^2) scratch excluded, as everywhere in the streaming
 // driver).
 //
@@ -38,17 +31,17 @@
 //     shard::CorruptTileError carrying the store path and coordinates, and
 //     the engine *self-heals* instead of failing the query: a corrupt sink
 //     tile is rebuilt from its band pair of the (trusted) input store, a
-//     corrupt input tile is repacked from the attached live matrix
-//     (attach_source), and the interrupted operation retries. Healed-tile
-//     counts are in recovery_stats(). A heal during the screen's read of
-//     the pre-epoch rows loses those rows' old values, so that epoch
-//     recomputes every edge incident to a dirty host instead.
-//   - Epoch commits are crash-safe: apply_epoch journals the tiles it is
-//     about to rewrite (stream/epoch_manifest) before the first in-place
-//     write and clears the journal after the last. recover() reopens the
-//     stores of a killed process, replays exactly the journaled tiles, and
-//     converges to the state the completed epoch would have produced —
-//     bit-identical to the in-memory path.
+//     corrupt input tile is repacked from the epoch's matrix or the
+//     attached live matrix (attach_source), and the interrupted operation
+//     retries. Healed-tile counts are in recovery_stats(). A heal during
+//     the read of the pre-epoch rows loses those rows' old values, so that
+//     epoch recomputes every edge incident to a dirty host instead.
+//   - Epoch commits are crash-safe: the row update journals the tiles the
+//     epoch is about to rewrite (stream/epoch_manifest) before the first
+//     in-place write, and the result write clears the journal after the
+//     last. recover() reopens the stores of a killed process, replays
+//     exactly the journaled tiles, and converges to the state the completed
+//     epoch would have produced — bit-identical to the in-memory path.
 #pragma once
 
 #include <cstddef>
@@ -58,13 +51,13 @@
 #include <string>
 #include <vector>
 
-#include "core/epoch_screen.hpp"
 #include "obs/metrics.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_store.hpp"
 #include "sink/severity_cache.hpp"
 #include "sink/severity_tile_store.hpp"
-#include "stream/delay_stream.hpp"
+#include "stream/epoch_manifest.hpp"
+#include "stream/severity_engine.hpp"
 
 namespace tiv::shard {
 class FaultInjector;
@@ -88,19 +81,8 @@ struct ShardStreamConfig {
   bool keep_files = false;
 };
 
-class ShardStreamEngine {
+class ShardStreamEngine final : public SeverityEngine {
  public:
-  /// Accounting for one apply_epoch call.
-  struct EpochStats {
-    std::size_t input_tiles_repacked = 0;
-    std::size_t severity_tiles_committed = 0;
-    /// Changed unordered entries the screen's diff found.
-    std::size_t edges_changed = 0;
-    /// Edges the screen flagged and the repair recomputed (every edge
-    /// incident to a dirty host when a heal hit the screen).
-    std::size_t edges_recomputed = 0;
-  };
-
   /// Cumulative self-healing accounting, per store. A view over the
   /// engine's obs registry metrics ("engine.recovery.*" — maintained
   /// exactly once, see docs/OBSERVABILITY.md); counts read zero under
@@ -126,12 +108,9 @@ class ShardStreamEngine {
   /// Spills `initial` to the input tile store, creates the severity sink,
   /// and runs the full out-of-core build once — the only O(n^3) step;
   /// every epoch after is proportional to the churn.
-  explicit ShardStreamEngine(const delayspace::DelayMatrix& initial,
+  explicit ShardStreamEngine(const DelayMatrix& initial,
                              ShardStreamConfig config = {});
-  ~ShardStreamEngine();
-
-  ShardStreamEngine(const ShardStreamEngine&) = delete;
-  ShardStreamEngine& operator=(const ShardStreamEngine&) = delete;
+  ~ShardStreamEngine() override;
 
   /// Reopens the stores a previous engine (same paths in `config`) left on
   /// disk — after a crash or a clean shutdown with keep_files. Rejects a
@@ -143,49 +122,20 @@ class ShardStreamEngine {
   /// input store, converging bit-identically to the completed epoch. The
   /// matrix is retained as the attached source (see attach_source) and
   /// must outlive the engine.
-  static ShardStreamEngine recover(const delayspace::DelayMatrix& matrix,
+  static ShardStreamEngine recover(const DelayMatrix& matrix,
                                    ShardStreamConfig config);
-
-  /// Repairs input tiles and sink severities after an epoch that dirtied
-  /// `dirty_hosts` (ascending, distinct — what DelayStream::commit_epoch
-  /// returns). `matrix` must be the stream's mutated matrix (same size as
-  /// at construction). Throws std::invalid_argument on a size change, an
-  /// unsorted, duplicate or out-of-range host list, or a changed entry
-  /// with an endpoint outside `dirty_hosts`, before the manifest is
-  /// written or any tile rewritten. Crash-safe: the tiles about to be
-  /// rewritten are journaled first, so a kill anywhere inside is
-  /// recoverable via recover().
-  EpochStats apply_epoch(const delayspace::DelayMatrix& matrix,
-                         std::span<const HostId> dirty_hosts);
-
-  /// Convenience: commit the stream's pending epoch and apply it.
-  EpochStats apply_epoch(DelayStream& stream) {
-    const Epoch epoch = stream.commit_epoch();
-    return apply_epoch(stream.matrix(), epoch.dirty_hosts);
-  }
-
-  HostId size() const { return input_->size(); }
-  std::uint32_t tile_dim() const { return input_->tile_dim(); }
 
   /// Attaches the live delay matrix as the repair source for corrupt
   /// *input* tiles (DelayStream keeps the full matrix in RAM; only the
   /// packed view and the severities are out-of-core). Without a source,
   /// input corruption outside apply_epoch is unrecoverable and rethrows.
   /// The matrix must outlive the engine or be detached (nullptr) first.
-  void attach_source(const delayspace::DelayMatrix* matrix) {
-    source_ = matrix;
-  }
+  void attach_source(const DelayMatrix* matrix) { source_ = matrix; }
 
-  /// Severity of edge (a, b), read through the budgeted sink cache —
-  /// synchronized to the last applied epoch. Self-heals corrupt tiles
-  /// (see RecoveryStats).
-  float severity(HostId a, HostId b);
-  /// Severity row a (size() floats) through the sink cache. Self-healing.
-  void severity_row(HostId a, std::span<float> out);
-
-  /// Epochs applied so far (the generation number journaled by the next
-  /// epoch is epochs_applied() + 1).
-  std::uint64_t epochs_applied() const { return epochs_applied_; }
+  /// Severity of edge (a, b) / row a, read through the budgeted sink
+  /// cache. Self-heals corrupt tiles (see RecoveryStats).
+  float severity(HostId a, HostId b) override;
+  void severity_row(HostId a, std::span<float> out) override;
 
   shard::CacheStats input_cache_stats() const { return input_cache_->stats(); }
   shard::CacheStats output_cache_stats() const {
@@ -216,8 +166,19 @@ class ShardStreamEngine {
 
  private:
   struct RecoverTag {};
-  ShardStreamEngine(RecoverTag, const delayspace::DelayMatrix& matrix,
+  ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
                     ShardStreamConfig config);
+
+  bool diff_rows(const DelayMatrix& matrix,
+                 std::span<const HostId> dirty_hosts,
+                 core::EpochScreen& screen) override;
+  void update_rows(const DelayMatrix& matrix,
+                   std::span<const HostId> dirty_hosts,
+                   EpochStats& stats) override;
+  void write_results(const DelayMatrix& matrix,
+                     std::span<const HostId> dirty_hosts,
+                     const core::EpochEdges& edges,
+                     EpochStats& stats) override;
 
   /// Recovery accounting: obs counters linked into the registry under
   /// "engine.recovery.*" (the engine never moves — recover() relies on
@@ -233,15 +194,16 @@ class ShardStreamEngine {
 
   /// Runs `fn`, healing CorruptTileError (rebuild/repack the named tile)
   /// and retrying transient injected I/O errors, up to a bounded number of
-  /// recovery actions. Rethrows what it cannot heal.
+  /// recovery actions. `source` repairs corrupt input tiles: the epoch's
+  /// matrix while an epoch applies, the attached source otherwise.
+  /// Rethrows what it cannot heal.
   template <typename Fn>
-  auto with_recovery(Fn&& fn) -> decltype(fn());
+  auto with_recovery(const DelayMatrix* source, Fn&& fn) -> decltype(fn());
 
   /// Heals one corrupt tile named by `e`, routing by store path: sink
-  /// tiles rebuild from the input store, input tiles repack from the
-  /// attached source. Rethrows `e` when it cannot (unknown path, no
-  /// source).
-  void heal(const shard::CorruptTileError& e);
+  /// tiles rebuild from the input store, input tiles repack from `source`.
+  /// Rethrows `e` when it cannot (unknown path, no source).
+  void heal(const shard::CorruptTileError& e, const DelayMatrix* source);
 
   ShardStreamConfig config_;
   // Declaration order is lifetime order: caches hold references into their
@@ -250,14 +212,14 @@ class ShardStreamEngine {
   std::optional<shard::TileCache> input_cache_;
   std::optional<sink::SeverityTileStore> sink_;
   std::optional<sink::SeverityCache> sink_cache_;
-  const delayspace::DelayMatrix* source_ = nullptr;
-  std::uint64_t epochs_applied_ = 0;
+  const DelayMatrix* source_ = nullptr;
   /// Input tiles healed so far — a plain count, unlike the registry
-  /// counters (zero under TIV_OBS_DISABLE), so apply_epoch can tell that a
-  /// heal hit its screen.
+  /// counters (zero under TIV_OBS_DISABLE), so diff_rows can tell that a
+  /// heal hit its read.
   std::uint64_t input_heals_ = 0;
-  core::EpochScreen screen_;
-  core::EpochEdges edges_;
+  /// The journal of the epoch in flight: written by update_rows, cleared
+  /// by write_results.
+  EpochManifest manifest_;
   /// One byte per sink tile: written by the current epoch's repair.
   std::vector<std::uint8_t> sink_written_;
   RecoveryCounters recovery_;

@@ -1,10 +1,9 @@
 // Survivable storage (shard/fault_injector + stream/epoch_manifest +
 // ShardStreamEngine self-healing): deterministic fault injection flips
 // bits, tears commits, and kills the process mid-epoch, and the engine
-// must converge back to severities bit-identical to the in-memory
-// reference — plus the crash-consistency and geometry-check contracts of
+// must converge back to severities bit-identical to a from-scratch
+// all_severities — plus the crash-consistency and geometry-check contracts of
 // the tile files themselves.
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -15,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/severity.hpp"
+#include "engine_harness.hpp"
 #include "matrix_test_utils.hpp"
 #include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
@@ -22,7 +22,6 @@
 #include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/epoch_manifest.hpp"
-#include "stream/incremental_severity.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -38,6 +37,7 @@ using shard::FaultInjector;
 using shard::InjectedCrash;
 using shard::InjectedIoError;
 
+using tiv::test::engine_matches;
 using tiv::test::random_matrix;
 
 std::string scratch_path(const std::string& tag) {
@@ -60,28 +60,6 @@ void rot_byte_at(const std::string& path, std::uint64_t offset) {
   ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
   std::fputc(c ^ 0x5a, f);
   std::fclose(f);
-}
-
-::testing::AssertionResult engine_matches(ShardStreamEngine& engine,
-                                          const SeverityMatrix& want) {
-  const HostId n = engine.size();
-  if (want.size() != n) {
-    return ::testing::AssertionFailure() << "size mismatch";
-  }
-  std::vector<float> row(n);
-  for (HostId a = 0; a < n; ++a) {
-    engine.severity_row(a, row);
-    for (HostId b = 0; b < n; ++b) {
-      const auto g = std::bit_cast<std::uint32_t>(row[b]);
-      const auto w = std::bit_cast<std::uint32_t>(want.at(a, b));
-      if (g != w) {
-        return ::testing::AssertionFailure()
-               << "severity (" << a << ", " << b << "): bits " << g
-               << " != " << w;
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
 }
 
 ShardStreamConfig engine_config(const std::string& tag, bool keep_files) {
@@ -263,7 +241,6 @@ TEST(FaultRecovery, DiskRotInInputTileHealsFromLiveMatrix) {
     rot_byte_at(cfg.input_path, in.tile_offset(0, 2) + 64);
   }
   DelayStream stream(m);
-  IncrementalSeverity in_memory(stream.matrix());
   ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
 
   // An epoch dirtying band 0 screens every input tile of that band,
@@ -271,9 +248,8 @@ TEST(FaultRecovery, DiskRotInInputTileHealsFromLiveMatrix) {
   // repack it from the live matrix and finish the epoch bit-identically.
   stream.ingest({0, 5, 17.0f, 0.0});
   const Epoch epoch = stream.commit_epoch();
-  in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
   engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
   EXPECT_GE(engine.recovery_stats().input_tiles_recovered, 1u);
   remove_store_files(cfg);
 }
@@ -316,13 +292,12 @@ TEST(FaultRecovery, InjectedEioRetriesUntilClean) {
 // --- Kill-mid-commit + recover ----------------------------------------------
 
 /// Runs one epoch that dies mid-commit under `make_fault`, then recovers
-/// from the on-disk state and asserts bit-identity with the in-memory
-/// reference that applied the epoch cleanly.
+/// from the on-disk state and asserts bit-identity with a from-scratch
+/// rebuild of the post-epoch matrix.
 void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
                       const std::string& tag) {
   set_parallel_thread_count(2);
   DelayStream stream(random_matrix(37, 0.3, 67));
-  IncrementalSeverity in_memory(stream.matrix());
   auto cfg = engine_config(tag, /*keep_files=*/true);
 
   FaultInjector::Config icfg;
@@ -342,7 +317,6 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
       if (a != b) stream.ingest({a, b, float(10 + u), 0.0});
     }
     const Epoch epoch = stream.commit_epoch();
-    in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
     EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
                  InjectedCrash);
     EXPECT_EQ(inj.stats().torn_writes, 1u);
@@ -358,15 +332,14 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
   EXPECT_EQ(engine.epochs_applied(), 1u);
   EXPECT_FALSE(std::filesystem::exists(EpochManifest::path_for(cfg.sink_path)));
-  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
 
   // The recovered engine keeps working: another clean epoch stays
   // bit-identical.
   stream.ingest({3, 30, 99.0f, 1.0});
   const Epoch epoch2 = stream.commit_epoch();
-  in_memory.apply_epoch(stream.matrix(), epoch2.dirty_hosts);
   engine.apply_epoch(stream.matrix(), epoch2.dirty_hosts);
-  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
 
   remove_store_files(cfg);
   set_parallel_thread_count(0);
@@ -393,7 +366,6 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
   // does not. Identical recovery contract.
   set_parallel_thread_count(2);
   DelayStream stream(random_matrix(37, 0.2, 68));
-  IncrementalSeverity in_memory(stream.matrix());
   auto cfg = engine_config("failck", /*keep_files=*/true);
   FaultInjector::Config icfg;
   icfg.fail_at_commit = 2;
@@ -407,7 +379,6 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
                      0.0});
     }
     const Epoch epoch = stream.commit_epoch();
-    in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
     EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
                  InjectedCrash);
     EXPECT_EQ(inj.stats().commit_fails, 1u);
@@ -415,7 +386,7 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
   ShardStreamEngine engine =
       ShardStreamEngine::recover(stream.matrix(), cfg);
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
-  EXPECT_TRUE(engine_matches(engine, in_memory.severities()));
+  EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
   remove_store_files(cfg);
   set_parallel_thread_count(0);
 }
@@ -424,7 +395,7 @@ TEST(FaultRecovery, OutOfRangeManifestTileIsRejectedBeforeAnyRepack) {
   // A manifest with a valid checksum is still untrusted input: a tile
   // coordinate outside the stores must throw, never reach a tile offset.
   const DelayMatrix m = random_matrix(64, 0.2, 69);  // 4 bands of 16
-  const IncrementalSeverity want(m);
+  const SeverityMatrix want = core::TivAnalyzer(m).all_severities();
   auto cfg = engine_config("bad_manifest", /*keep_files=*/true);
   { ShardStreamEngine engine(m, cfg); }
   const std::string manifest_path = EpochManifest::path_for(cfg.sink_path);
@@ -448,7 +419,7 @@ TEST(FaultRecovery, OutOfRangeManifestTileIsRejectedBeforeAnyRepack) {
   // manifest replays as before.
   ShardStreamEngine engine = recover_with({{3, 3}}, {{0, 3}, {3, 3}});
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
-  EXPECT_TRUE(engine_matches(engine, want.severities()));
+  EXPECT_TRUE(engine_matches(engine, want));
   remove_store_files(cfg);
 }
 
@@ -458,7 +429,6 @@ TEST(FaultRecovery, BitflipSoakStaysBitIdentical) {
   set_parallel_thread_count(2);
   const HostId n = 70;  // 5 bands: 25 input tiles, 15 sink tiles
   DelayStream stream(random_matrix(n, 0.3, 69));
-  IncrementalSeverity in_memory(stream.matrix());
   auto cfg = engine_config("soak", false);
   // Budgets far below the tile grids (just above the 2-thread pinned
   // working set): constant eviction keeps the injectors on the read path —
@@ -495,11 +465,10 @@ TEST(FaultRecovery, BitflipSoakStaysBitIdentical) {
       stream.ingest({a, b, value, double(e)});
     }
     const Epoch epoch = stream.commit_epoch();
-    in_memory.apply_epoch(stream.matrix(), epoch.dirty_hosts);
     engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
     // Full readback under injection after every epoch: zero bit mismatches
     // tolerated, ever.
-    ASSERT_TRUE(engine_matches(engine, in_memory.severities()))
+    ASSERT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()))
         << "epoch " << e;
   }
   // In-flight flips are *transient*: the tile-file layer absorbs them with

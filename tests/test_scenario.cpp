@@ -1,14 +1,18 @@
 // Scenario observatory (src/scenario/): generator determinism (same seed
 // => byte-identical trace file), trace-format roundtrip and torn-trailer
 // rejection, scorer math on hand-built ground truth, replay bit-identity
-// vs direct ingestion across densities and n < 8, and a FaultInjector-
-// under-replay soak asserting post-recovery bit-identity.
+// vs direct ingestion across densities and n < 8 on both stores of the
+// live engine, a FaultInjector-under-replay soak asserting post-recovery
+// bit-identity, and the metric catalogue (docs/OBSERVABILITY.md) held to
+// the names the code registers.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,11 +21,17 @@
 #include "core/alert.hpp"
 #include "core/severity.hpp"
 #include "matrix_test_utils.hpp"
+#include "obs/metrics.hpp"
+#include "routing/graph_engine.hpp"
 #include "scenario/generators.hpp"
 #include "scenario/replay.hpp"
 #include "scenario/score.hpp"
 #include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
+#include "stream/incremental_severity.hpp"
+#include "stream/shard_stream.hpp"
+#include "topology/generator.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::scenario {
@@ -317,40 +327,42 @@ TEST(Score, TimeToDetectAndClearOnHandBuiltTimeline) {
   EXPECT_EQ(scorer.epochs_scored(), 7u);
 }
 
+/// Calls fn(engine, label) with a fresh engine of each store over `base`.
+template <typename Fn>
+void for_each_store(const DelayMatrix& base, Fn&& fn) {
+  {
+    stream::IncrementalSeverity memory(base);
+    fn(memory, "memory");
+  }
+  stream::ShardStreamConfig cfg;
+  cfg.tile_dim = 16;
+  stream::ShardStreamEngine tiles(base, cfg);
+  fn(tiles, "tiles");
+}
+
 void expect_replay_bit_identical(const DelayMatrix& base,
-                                 ReplayConfig::Engine engine,
                                  const std::string& family) {
   const DelayTrace trace = generate_scenario(family, base, small_params(5));
-  ReplayConfig cfg;
-  cfg.engine = engine;
-  cfg.shard.tile_dim = 16;
-  const ReplayDriver::Result result =
-      ReplayDriver(base, trace, cfg).run();
-  EXPECT_EQ(result.bit_mismatches, 0u)
-      << family << " n=" << base.size()
-      << (engine == ReplayConfig::Engine::kShard ? " (shard)" : " (memory)");
-  EXPECT_EQ(result.epochs, trace.epochs.size());
-  EXPECT_EQ(result.samples, trace.total_samples());
+  for_each_store(base, [&](stream::SeverityEngine& engine, const char* store) {
+    const ReplayDriver::Result result = ReplayDriver(base, trace).run(engine);
+    EXPECT_EQ(result.bit_mismatches, 0u)
+        << family << " n=" << base.size() << " (" << store << ")";
+    EXPECT_EQ(result.epochs, trace.epochs.size());
+    EXPECT_EQ(result.samples, trace.total_samples());
+  });
 }
 
 TEST(Replay, BitIdenticalToDirectIngestionAcrossDensities) {
   for (const double missing : {0.0, 0.3, 0.9}) {
     const DelayMatrix base = random_matrix(24, missing, 41);
-    for (const auto engine :
-         {ReplayConfig::Engine::kInMemory, ReplayConfig::Engine::kShard}) {
-      expect_replay_bit_identical(base, engine, "oscillation");
-      expect_replay_bit_identical(base, engine, "partition_heal");
-    }
+    expect_replay_bit_identical(base, "oscillation");
+    expect_replay_bit_identical(base, "partition_heal");
   }
 }
 
 TEST(Replay, BitIdenticalOnTinyMatrices) {
   for (const delayspace::HostId n : {3, 5, 7}) {
-    const DelayMatrix base = random_matrix(n, 0.1, 50 + n);
-    for (const auto engine :
-         {ReplayConfig::Engine::kInMemory, ReplayConfig::Engine::kShard}) {
-      expect_replay_bit_identical(base, engine, "flash_crowd");
-    }
+    expect_replay_bit_identical(random_matrix(n, 0.1, 50 + n), "flash_crowd");
   }
 }
 
@@ -361,19 +373,18 @@ TEST(Replay, ShardAndInMemoryAgreeOnQuality) {
   ScorerParams sp;
   sp.severity_threshold = 0.1;
 
-  auto score = [&](ReplayConfig::Engine engine) {
-    ReplayConfig cfg;
-    cfg.engine = engine;
-    cfg.shard.tile_dim = 16;
+  std::vector<QualityScorer> scored;
+  for_each_store(base, [&](stream::SeverityEngine& engine, const char*) {
     QualityScorer scorer(base.size(), sp);
-    ReplayDriver(base, trace, cfg).run([&](const ReplayDriver::EpochView& v) {
+    ReplayDriver(base, trace).run(engine,
+                                  [&](const ReplayDriver::EpochView& v) {
       scorer.observe_epoch(v.truth, v.truth_severities, v.monitor,
                            v.monitor_severities);
     });
-    return scorer;
-  };
-  const QualityScorer mem = score(ReplayConfig::Engine::kInMemory);
-  const QualityScorer shard = score(ReplayConfig::Engine::kShard);
+    scored.push_back(scorer);
+  });
+  const QualityScorer& mem = scored[0];
+  const QualityScorer& shard = scored[1];
   EXPECT_EQ(mem.headline().counts.tp, shard.headline().counts.tp);
   EXPECT_EQ(mem.headline().counts.fp, shard.headline().counts.fp);
   EXPECT_EQ(mem.headline().counts.fn, shard.headline().counts.fn);
@@ -386,6 +397,10 @@ TEST(Replay, MismatchedHostCountThrows) {
   DelayTrace trace = generate_scenario("oscillation", base, small_params(3));
   trace.hosts = 9;
   EXPECT_THROW(ReplayDriver(base, trace, {}), std::invalid_argument);
+  // An engine over another host count is rejected by run().
+  trace.hosts = 8;
+  stream::IncrementalSeverity wrong(random_matrix(9, 0.0, 3));
+  EXPECT_THROW(ReplayDriver(base, trace).run(wrong), std::invalid_argument);
 }
 
 TEST(Replay, FaultSoakRecoversToBitIdentity) {
@@ -400,22 +415,114 @@ TEST(Replay, FaultSoakRecoversToBitIdentity) {
   fc.seed = 100;
   shard::FaultInjector sink_fault(fc);
 
-  ReplayConfig cfg;
-  cfg.engine = ReplayConfig::Engine::kShard;
-  cfg.shard.tile_dim = 16;
-  ReplayDriver driver(base, trace, cfg);
-  driver.set_fault_injectors(&input_fault, &sink_fault);
-  const ReplayDriver::Result result = driver.run();
+  stream::ShardStreamConfig cfg;
+  cfg.tile_dim = 16;
+  stream::ShardStreamEngine engine(base, cfg);
+  engine.set_input_fault_injector(&input_fault);
+  engine.set_sink_fault_injector(&sink_fault);
+  const ReplayDriver::Result result = ReplayDriver(base, trace).run(engine);
 
   // The soak proves nothing unless rot actually landed...
   EXPECT_GT(input_fault.stats().bitflips + sink_fault.stats().bitflips, 0u);
   // ...and the contract is that recovery absorbed every flip: the replay
   // stayed bit-identical to direct ingestion at every epoch.
   EXPECT_EQ(result.bit_mismatches, 0u);
-  const auto& r = result.recovery;
+  const auto r = engine.recovery_stats();
   EXPECT_GT(r.input_tiles_recovered + r.sink_tiles_recovered + r.io_retries +
                 r.input_read_retries + r.sink_read_retries,
             0u);
+}
+
+// --- Metric catalogue ----------------------------------------------------------
+
+/// Every metric name docs/OBSERVABILITY.md's catalogue table documents: each
+/// row's prefixes (first column, `layer.*`) joined with its metrics (the
+/// backticked names of the third column).
+std::set<std::string> catalogued_names(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  std::set<std::string> names;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_section = line == "## Metric catalogue";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::stringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) cells.push_back(cell);
+    if (cells.size() < 4) continue;  // "", prefix, source, metrics, ...
+    // The backticked names of a cell.
+    const auto tokens = [](const std::string& cell) {
+      std::vector<std::string> out;
+      for (std::size_t open = cell.find('`'); open != std::string::npos;) {
+        const std::size_t close = cell.find('`', open + 1);
+        if (close == std::string::npos) break;
+        out.push_back(cell.substr(open + 1, close - open - 1));
+        open = cell.find('`', close + 1);
+      }
+      return out;
+    };
+    for (std::string prefix : tokens(cells[1])) {
+      if (prefix.size() < 2 || prefix.substr(prefix.size() - 2) != ".*") {
+        ADD_FAILURE() << "catalogue prefix without .*: " << prefix;
+        continue;
+      }
+      prefix.pop_back();
+      for (const std::string& metric : tokens(cells[3])) {
+        names.insert(prefix + metric);
+      }
+    }
+  }
+  return names;
+}
+
+TEST(MetricCatalogue, MatchesTheRegistry) {
+  // Every instrumented layer runs while its objects are alive: DelayStream
+  // (inside the replays), both stores of the live engine, a replay plus a
+  // scorer, a FaultInjector on the tile store, a routing batch, and the
+  // pool at two threads, so it spawns a worker.
+  set_parallel_thread_count(2);
+  const DelayMatrix base = random_matrix(24, 0.1, 81);
+  const DelayTrace trace =
+      generate_scenario("flash_crowd", base, small_params(4));
+  shard::FaultInjector::Config fc;
+  fc.bitflip_every_kth_read = 5;
+  shard::FaultInjector rot(fc);
+  stream::IncrementalSeverity memory(base);
+  stream::ShardStreamConfig cfg;
+  cfg.tile_dim = 16;
+  stream::ShardStreamEngine tiles(base, cfg);
+  tiles.set_sink_fault_injector(&rot);
+  QualityScorer scorer(base.size(), ScorerParams{});
+  ReplayDriver(base, trace).run(memory, [&](const ReplayDriver::EpochView& v) {
+    scorer.observe_epoch(v.truth, v.truth_severities, v.monitor,
+                         v.monitor_severities);
+  });
+  EXPECT_EQ(ReplayDriver(base, trace).run(tiles).bit_mismatches, 0u);
+  const topology::AsGraph graph = topology::generate_topology([] {
+    topology::TopologyParams p;
+    p.num_ases = 60;
+    p.seed = 4;
+    return p;
+  }());
+  routing::shortest_paths_batch(graph, routing::all_nodes(graph));
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::instance().snapshot();
+  set_parallel_thread_count(0);
+
+  std::set<std::string> registered;
+  for (const auto& [name, value] : snap.counters) registered.insert(name);
+  for (const auto& [name, value] : snap.gauges) registered.insert(name);
+  for (const auto& [name, value] : snap.histograms) registered.insert(name);
+  const std::set<std::string> catalogued =
+      catalogued_names(TIV_OBSERVABILITY_MD);
+  ASSERT_FALSE(catalogued.empty());
+  for (const std::string& name : registered) {
+    EXPECT_TRUE(catalogued.count(name))
+        << name << " is registered but missing from the catalogue";
+  }
+  for (const std::string& name : catalogued) {
+    EXPECT_TRUE(registered.count(name))
+        << name << " is catalogued but was not registered";
+  }
 }
 
 }  // namespace

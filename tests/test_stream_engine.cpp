@@ -1,11 +1,12 @@
 // Streaming TIV engine (src/stream/): ingestion semantics, dirty-epoch
-// tracking, incremental view repair, and the headline contract — the
-// incrementally maintained severity matrix is *bit-identical* to a
-// from-scratch TivAnalyzer::all_severities rebuild after every committed
-// epoch, across randomized update sequences that include measured<->missing
-// toggles and repeated same-edge updates within one epoch — and the exact
-// epoch screen behind its repair (core/epoch_screen), checked against a
-// brute-force oracle.
+// tracking, incremental view repair, and the headline contract, run on
+// both stores of the live engine (the LiveEngine suite) — the maintained
+// severities are *bit-identical* to a from-scratch
+// TivAnalyzer::all_severities rebuild after every committed epoch, across
+// randomized update sequences that include measured<->missing toggles and
+// repeated same-edge updates within one epoch, and an out-of-contract
+// epoch moves no row, tile or severity — and the exact epoch screen behind
+// the repair (core/epoch_screen), checked against a brute-force oracle.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -13,9 +14,11 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,10 +26,14 @@
 
 #include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
+#include "engine_harness.hpp"
 #include "matrix_test_utils.hpp"
 #include "reference/oracles.hpp"
+#include "shard/tile_store.hpp"
 #include "stream/delay_stream.hpp"
+#include "stream/epoch_manifest.hpp"
 #include "stream/incremental_severity.hpp"
+#include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -428,167 +435,212 @@ TEST(IncrementalSeverity, DirtyRowViewRepackMatchesFreshBuild) {
   }
 }
 
-// --- IncrementalSeverity: the bit-identity contract -------------------------
+// --- The live engine on both stores -----------------------------------------
 
-::testing::AssertionResult severities_bit_identical(const SeverityMatrix& got,
-                                                    const SeverityMatrix& want) {
-  if (got.size() != want.size()) {
-    return ::testing::AssertionFailure() << "size mismatch";
-  }
-  for (HostId i = 0; i < got.size(); ++i) {
-    for (HostId j = 0; j < got.size(); ++j) {
-      const auto g = std::bit_cast<std::uint32_t>(got.at(i, j));
-      const auto w = std::bit_cast<std::uint32_t>(want.at(i, j));
-      if (g != w) {
-        return ::testing::AssertionFailure()
-               << "severity (" << i << ", " << j << "): bits " << g
-               << " != " << w << " (" << got.at(i, j) << " vs "
-               << want.at(i, j) << ")";
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
+/// The in-memory store: its view and severity matrix.
+test::Store memory_store() {
+  return {"memory",
+          [](const DelayMatrix& m) -> std::unique_ptr<SeverityEngine> {
+            return std::make_unique<IncrementalSeverity>(m);
+          },
+          [](SeverityEngine& engine) {
+            const auto& inc = static_cast<const IncrementalSeverity&>(engine);
+            const DelayMatrixView& v = inc.view();
+            std::string bytes;
+            const auto append = [&](const void* p, std::size_t len) {
+              bytes.append(static_cast<const char*>(p), len);
+            };
+            for (HostId i = 0; i < v.size(); ++i) {
+              append(v.row(i), v.stride() * sizeof(float));
+              append(v.mask_row(i), v.mask_words() * sizeof(std::uint64_t));
+              for (HostId j = 0; j < v.size(); ++j) {
+                const float s = inc.severities().at(i, j);
+                append(&s, sizeof s);
+              }
+            }
+            return bytes;
+          },
+          /*screened=*/false};
 }
 
-/// Replays `epochs` randomized epochs through a DelayStream +
-/// IncrementalSeverity and asserts bit-identity against a from-scratch
-/// rebuild after every commit. Each epoch mixes value updates, missing
-/// toggles (measured -> missing and back), and repeated updates to one
-/// deliberately hammered edge.
-void replay_and_check(HostId n, double missing, std::uint64_t seed,
-                      int epochs, SmoothingPolicy policy) {
-  EstimatorParams params;
-  params.policy = policy;
-  params.window = 3;
-  DelayStream stream(test::random_matrix(n, missing, seed), params);
-  IncrementalSeverity inc(stream.matrix());
-  Rng rng(seed ^ 0xabcdu);
-  for (int e = 0; e < epochs; ++e) {
-    const std::size_t updates = 1 + rng.uniform_index(2 * n);
-    for (std::size_t u = 0; u < updates; ++u) {
-      const auto a = static_cast<HostId>(rng.uniform_index(n));
-      const auto b = static_cast<HostId>(rng.uniform_index(n));
-      if (a == b) continue;
-      const float value =
-          rng.bernoulli(0.2) ? DelayMatrix::kMissing
-                             : static_cast<float>(rng.uniform(1.0, 400.0));
-      stream.ingest({a, b, value, double(e)});
-      if (u == 0 && rng.bernoulli(0.5)) {
-        // Same-edge re-update within the epoch: the estimator folds both
-        // samples, the host is dirtied once.
-        stream.ingest({a, b, static_cast<float>(rng.uniform(1.0, 400.0)),
-                       double(e)});
-      }
-    }
-    inc.apply_epoch(stream);
-    const TivAnalyzer analyzer(stream.matrix());
-    ASSERT_TRUE(
-        severities_bit_identical(inc.severities(), analyzer.all_severities()))
-        << "n=" << n << " missing=" << missing << " seed=" << seed
-        << " epoch=" << e;
-  }
+/// The tile store: 16-wide tiles (so most n here leave a ragged last
+/// band) under budgets of a few tiles, far below the tile grids; its state
+/// is its two store files and the epoch journal.
+test::Store tile_store() {
+  return {"tiles",
+          [](const DelayMatrix& m) -> std::unique_ptr<SeverityEngine> {
+            ShardStreamConfig cfg;
+            cfg.tile_dim = 16;
+            cfg.input_budget_bytes = 10 * shard::tile_size_bytes(16);
+            cfg.output_budget_bytes = 4 * shard::tile_size_bytes(16);
+            return std::make_unique<ShardStreamEngine>(m, cfg);
+          },
+          [](SeverityEngine& engine) {
+            const auto& tiles = static_cast<const ShardStreamEngine&>(engine);
+            return test::file_bytes(tiles.input_path()) +
+                   test::file_bytes(tiles.sink_path()) +
+                   test::file_bytes(EpochManifest::path_for(tiles.sink_path()));
+          },
+          /*screened=*/true};
 }
 
-TEST(IncrementalSeverity, BitIdenticalTinyMatrices) {
-  // The ISSUE's n < 8 grid: every density x seed x policy, several epochs —
-  // small enough that edge cases (empty witness sets, fully-missing rows)
+/// Every case runs on both stores at two pool threads, checked against a
+/// from-scratch all_severities (tests/engine_harness.hpp).
+class LiveEngine : public ::testing::TestWithParam<test::Store> {
+ protected:
+  void SetUp() override { set_parallel_thread_count(2); }
+  void TearDown() override { set_parallel_thread_count(0); }
+
+  /// `epochs` randomized epochs over a random n-host matrix.
+  static void replay(HostId n, double missing, std::uint64_t seed, int epochs,
+                     SmoothingPolicy policy = SmoothingPolicy::kLatest) {
+    EstimatorParams params;
+    params.policy = policy;
+    params.window = 3;
+    test::expect_epochs_match(
+        GetParam(), test::random_matrix(n, missing, seed),
+        test::random_epochs(n, seed ^ 0xabcdu, epochs),
+        "n=" + std::to_string(n) + " missing=" + std::to_string(missing) +
+            " seed=" + std::to_string(seed),
+        params);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Stores, LiveEngine,
+                         ::testing::Values(memory_store(), tile_store()),
+                         [](const auto& info) { return info.param.name; });
+
+TEST_P(LiveEngine, BitIdenticalTinyMatrices) {
+  // n < 8: every density x seed, several epochs — small enough that edge
+  // cases (empty witness sets, fully-missing rows, one ragged tile pair)
   // all occur.
   for (const HostId n : {4, 5, 7}) {
     for (const double missing : {0.0, 0.3, 0.9}) {
-      for (const std::uint64_t seed : {1ull, 2ull}) {
-        replay_and_check(n, missing, seed, 6, SmoothingPolicy::kLatest);
-      }
+      for (const std::uint64_t seed : {1ull, 2ull}) replay(n, missing, seed, 6);
     }
   }
 }
 
-TEST(IncrementalSeverity, BitIdenticalAcrossPolicies) {
-  replay_and_check(6, 0.3, 11, 5, SmoothingPolicy::kEwma);
-  replay_and_check(6, 0.3, 11, 5, SmoothingPolicy::kWindowedMin);
+TEST_P(LiveEngine, BitIdenticalAcrossPolicies) {
+  for (const auto policy :
+       {SmoothingPolicy::kLatest, SmoothingPolicy::kEwma,
+        SmoothingPolicy::kWindowedMin}) {
+    replay(6, 0.3, 11, 5, policy);
+  }
 }
 
-TEST(IncrementalSeverity, BitIdenticalMultiLaneMatrix) {
-  // n past one mask word / several padding lanes: exercises the packed
-  // stride and multi-word masks on the incremental path.
-  replay_and_check(70, 0.3, 23, 4, SmoothingPolicy::kEwma);
+TEST_P(LiveEngine, BitIdenticalMultiLaneMatrix) {
+  // n past one mask word / several padding lanes: the packed stride and
+  // multi-word masks on the incremental path.
+  replay(70, 0.3, 23, 4, SmoothingPolicy::kEwma);
 }
 
-TEST(IncrementalSeverity, CleanEpochRecomputesNothing) {
-  DelayStream stream(test::random_matrix(10, 0.2, 3));
-  IncrementalSeverity inc(stream.matrix());
-  const auto stats = inc.apply_epoch(stream);  // no samples ingested
-  EXPECT_EQ(stats.rows_repacked, 0u);
-  EXPECT_EQ(stats.edges_recomputed, 0u);
+TEST_P(LiveEngine, BitIdenticalNonDividingTileSizes) {
+  // 70 = 4*16 + 6 and 37 = 2*16 + 5: ragged last bands, multi-band dirty
+  // sets, eviction under the tile store's budgets.
+  replay(70, 0.3, 41, 4);
+  replay(37, 0.0, 42, 4);
 }
 
-TEST(IncrementalSeverity, EdgeToggleMeasuredMissingMeasured) {
-  // Deterministic toggle scenario on a dense tiny matrix: severity of the
-  // toggled edge and of its incident edges must follow the full rebuild
-  // exactly through both transitions.
-  DelayStream stream(test::random_matrix(6, 0.0, 5));
-  IncrementalSeverity inc(stream.matrix());
-
-  stream.ingest({0, 1, DelayMatrix::kMissing, 0.0});
-  inc.apply_epoch(stream);
-  EXPECT_TRUE(severities_bit_identical(
-      inc.severities(), TivAnalyzer(stream.matrix()).all_severities()));
-  EXPECT_EQ(inc.severities().at(0, 1), 0.0f);  // unmeasured edge
-
-  stream.ingest({0, 1, 250.0f, 1.0});
-  inc.apply_epoch(stream);
-  EXPECT_TRUE(severities_bit_identical(
-      inc.severities(), TivAnalyzer(stream.matrix()).all_severities()));
+TEST_P(LiveEngine, BitIdenticalDenseAndMostlyMissing) {
+  replay(48, 0.0, 43, 4);
+  replay(48, 0.9, 44, 4);
 }
 
-TEST(IncrementalSeverity, BitIdenticalOverMultiEdgeEpochs) {
-  // Several changed edges per host, dirty-dirty edges, loss toggles and
-  // id-neighbour edges every epoch: the repair must equal a full rebuild,
-  // recomputing every incident edge once, and the screen's diff must count
-  // the changed entries the brute-force definition finds.
+TEST_P(LiveEngine, BitIdenticalOverMultiEdgeEpochs) {
+  // Several changed edges per host, dirty-dirty edges, loss toggles,
+  // id-neighbour edges and the last host (a ragged band) every epoch.
   const HostId n = 75;
   for (const double missing : {0.0, 0.3}) {
-    DelayStream stream(test::random_matrix(n, missing, 31));
-    IncrementalSeverity inc(stream.matrix());
     Rng rng(32);
+    std::vector<std::vector<DelaySample>> epochs;
     for (int e = 0; e < 8; ++e) {
-      const DelayMatrix before = stream.matrix();
-      stream.ingest(test::multi_edge_epoch(rng, n, e));
-      const Epoch epoch = stream.commit_epoch();
-      const std::size_t h = epoch.dirty_hosts.size();
-      const auto stats = inc.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-      EXPECT_EQ(stats.edges_recomputed, h * (n - 1) - h * (h - 1) / 2);
-      std::size_t changed = 0;
-      for (HostId a = 0; a < n; ++a) {
-        for (HostId c = a + 1; c < n; ++c) {
-          changed += before.at(a, c) != stream.matrix().at(a, c);
-        }
-      }
-      EXPECT_EQ(stats.edges_changed, changed);
-      ASSERT_TRUE(severities_bit_identical(
-          inc.severities(), TivAnalyzer(stream.matrix()).all_severities()))
-          << "missing=" << missing << " epoch=" << e;
+      epochs.push_back(test::multi_edge_epoch(rng, n, e));
     }
+    test::expect_epochs_match(GetParam(), test::random_matrix(n, missing, 31),
+                              epochs,
+                              "multi-edge missing=" + std::to_string(missing));
   }
 }
 
-TEST(IncrementalSeverity, ChangeOutsideDirtyHostsIsRejectedUntouched) {
-  // Entry (3, 17) changes, but the host list leaves 17 (or 3) out:
-  // apply_epoch must throw before repacking a row or writing a severity.
+TEST_P(LiveEngine, EdgeToggleMeasuredMissingMeasured) {
+  // The toggled edge and its incident edges follow the rebuild through
+  // both transitions; an unmeasured edge reads 0.
+  test::expect_epochs_match(GetParam(), test::random_matrix(6, 0.0, 5),
+                            {{{0, 1, DelayMatrix::kMissing, 0.0}},
+                             {{0, 1, 250.0f, 0.0}}},
+                            "toggle");
+}
+
+TEST_P(LiveEngine, CleanEpochRecomputesNothing) {
+  const DelayMatrix m = test::random_matrix(24, 0.2, 3);
+  const auto engine = GetParam().make(m);
+  const std::string before = GetParam().state(*engine);
+  const auto stats = engine->apply_epoch(m, std::vector<HostId>{});
+  EXPECT_EQ(stats.rows_repacked, 0u);
+  EXPECT_EQ(stats.input_tiles_repacked, 0u);
+  EXPECT_EQ(stats.severity_tiles_committed, 0u);
+  EXPECT_EQ(stats.edges_changed, 0u);
+  EXPECT_EQ(stats.edges_recomputed, 0u);
+  EXPECT_EQ(engine->epochs_applied(), 0u);
+  EXPECT_TRUE(GetParam().state(*engine) == before);
+}
+
+/// Applies (matrix, hosts), which must throw std::invalid_argument before
+/// any row, tile or severity of `engine` moves.
+void expect_rejected_untouched(SeverityEngine& engine, const DelayMatrix& m,
+                               const std::vector<HostId>& hosts) {
+  const std::string before = LiveEngine::GetParam().state(engine);
+  EXPECT_THROW(engine.apply_epoch(m, hosts), std::invalid_argument)
+      << "n=" << m.size() << " hosts " << ::testing::PrintToString(hosts);
+  EXPECT_TRUE(LiveEngine::GetParam().state(engine) == before)
+      << "state moved: n=" << m.size() << " hosts "
+      << ::testing::PrintToString(hosts);
+  EXPECT_EQ(engine.epochs_applied(), 0u);
+}
+
+TEST_P(LiveEngine, MalformedDirtyHostListsAreRejectedUntouched) {
+  const HostId n = 40;
+  const DelayMatrix m = test::random_matrix(n, 0.2, 91);
+  const auto engine = GetParam().make(m);
+  for (const std::vector<HostId>& hosts :
+       std::vector<std::vector<HostId>>{
+           {5, 3}, {3, 3}, {n}, {1, n + 7}, {2, 9, 9, 30}}) {
+    expect_rejected_untouched(*engine, m, hosts);
+  }
+}
+
+TEST_P(LiveEngine, ChangeOutsideDirtyHostsIsRejectedUntouched) {
+  // Entry (3, 17) changes, but the host list leaves 17 (or 3) out: the
+  // screen's diff throws before any state moves, and the corrected epoch
+  // applies afterwards — its diff still sees the pre-epoch rows.
   const DelayMatrix original = test::random_matrix(40, 0.2, 17);
-  IncrementalSeverity inc(original);
-  const SeverityMatrix sev_before = inc.severities();
+  const auto engine = GetParam().make(original);
   DelayMatrix m = original;
   m.set(3, 17, 5.0f);
   for (const std::vector<HostId>& hosts :
        {std::vector<HostId>{3}, std::vector<HostId>{17},
-        std::vector<HostId>{2, 3}}) {
-    EXPECT_THROW(inc.apply_epoch(m, hosts), std::invalid_argument);
-    expect_views_identical(inc.view(), DelayMatrixView(original));
-    ASSERT_TRUE(severities_bit_identical(inc.severities(), sev_before));
+        std::vector<HostId>{2, 3}, std::vector<HostId>{3, 20}}) {
+    expect_rejected_untouched(*engine, m, hosts);
   }
-  inc.apply_epoch(m, std::vector<HostId>{3, 17});
-  EXPECT_TRUE(severities_bit_identical(inc.severities(),
-                                       TivAnalyzer(m).all_severities()));
+  EXPECT_EQ(engine->apply_epoch(m, std::vector<HostId>{3, 17}).edges_changed,
+            1u);
+  EXPECT_TRUE(test::engine_matches(*engine, TivAnalyzer(m).all_severities()));
+}
+
+TEST_P(LiveEngine, MatrixSizeChangeIsRejectedUntouched) {
+  // A 10-host engine handed a larger matrix (hosts in range of the new
+  // matrix only, and in range of both) and a smaller one: the size check
+  // throws before any row is read.
+  const DelayMatrix m = test::random_matrix(10, 0.1, 53);
+  const auto engine = GetParam().make(m);
+  expect_rejected_untouched(*engine, test::random_matrix(40, 0.1, 54), {30, 35});
+  expect_rejected_untouched(*engine, test::random_matrix(40, 0.1, 54), {1, 2});
+  expect_rejected_untouched(*engine, test::random_matrix(6, 0.1, 55), {1, 2});
+  DelayMatrix next = m;
+  next.set(1, 2, 7.0f);
+  engine->apply_epoch(next, std::vector<HostId>{1, 2});
+  EXPECT_TRUE(test::engine_matches(*engine, TivAnalyzer(next).all_severities()));
 }
 
 // --- The epoch screen --------------------------------------------------------
