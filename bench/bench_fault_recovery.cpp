@@ -60,8 +60,8 @@
 #include "obs/trace.hpp"
 #include "shard/fault_injector.hpp"
 #include "shard/tile_cache.hpp"
+#include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
-#include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/flags.hpp"
@@ -76,6 +76,7 @@ using tiv::delayspace::DelayMatrix;
 using tiv::delayspace::HostId;
 using tiv::shard::FaultInjector;
 using tiv::shard::InjectedCrash;
+using tiv::shard::TileFile;
 using tiv::stream::DelaySample;
 using tiv::stream::DelayStream;
 using tiv::stream::ShardStreamConfig;
@@ -110,12 +111,13 @@ double full_rebuild_ms(const DelayMatrix& m, std::uint32_t tile_dim,
   const std::string rb_in = scratch_file(dir, "rebuild_in");
   const std::string rb_out = scratch_file(dir, "rebuild_sev");
   const double ms = time_ms([&] {
-    tiv::shard::TileStore::write_matrix(rb_in, m, tile_dim);
-    const auto store = tiv::shard::TileStore::open(rb_in);
-    tiv::shard::TileCache cache(store, std::size_t{8} << 20);
-    tiv::sink::SeverityTileStore::create(rb_out, m.size(), tile_dim);
-    auto sink = tiv::sink::SeverityTileStore::open(rb_out, /*writable=*/true);
-    tiv::core::all_severities_to_sink(store, cache, sink);
+    tiv::shard::write_matrix(rb_in, m, tile_dim);
+    const auto store = TileFile::open(tiv::shard::kInputFormat, rb_in);
+    tiv::shard::TileCache cache(store, std::size_t{8} << 20, "cache.input");
+    tiv::shard::create_sink(rb_out, m.size(), tile_dim);
+    auto sink =
+        TileFile::open(tiv::shard::kSinkFormat, rb_out, /*writable=*/true);
+    tiv::core::all_severities_to_sink(cache, sink);
   });
   std::filesystem::remove(rb_in);
   std::filesystem::remove(rb_out);
@@ -188,8 +190,10 @@ int main(int argc, char** argv) {
       std::vector<std::uint64_t> sink_offsets;
       std::vector<std::uint64_t> input_offsets;
       {  // offsets gathered first; stores closed before the rot
-        const auto sink = tiv::sink::SeverityTileStore::open(cfg.sink_path);
-        const auto input = tiv::shard::TileStore::open(cfg.input_path);
+        const auto sink =
+            TileFile::open(tiv::shard::kSinkFormat, cfg.sink_path);
+        const auto input =
+            TileFile::open(tiv::shard::kInputFormat, cfg.input_path);
         std::vector<std::pair<std::uint32_t, std::uint32_t>> coords;
         for (std::uint32_t r = 0; r < sink.tiles_per_side(); ++r) {
           for (std::uint32_t c = r; c < sink.tiles_per_side(); ++c) {

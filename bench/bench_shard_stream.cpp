@@ -73,8 +73,8 @@
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "shard/tile_cache.hpp"
+#include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
-#include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/flags.hpp"
@@ -89,6 +89,7 @@ using tiv::core::TivAnalyzer;
 using tiv::delayspace::DelayMatrix;
 using tiv::delayspace::DelayMatrixView;
 using tiv::delayspace::HostId;
+using tiv::shard::TileFile;
 using tiv::stream::DelayStream;
 using tiv::stream::ShardStreamConfig;
 using tiv::stream::ShardStreamEngine;
@@ -234,13 +235,13 @@ int main(int argc, char** argv) {
       const std::string rb_in = scratch_file(dir, "rebuild_in");
       const std::string rb_out = scratch_file(dir, "rebuild_sev");
       const double rebuild_ms = time_ms([&] {
-        tiv::shard::TileStore::write_matrix(rb_in, stream.matrix(), tile_dim);
-        const auto store = tiv::shard::TileStore::open(rb_in);
-        tiv::shard::TileCache cache(store, input_budget);
-        tiv::sink::SeverityTileStore::create(rb_out, n, tile_dim);
-        auto sink =
-            tiv::sink::SeverityTileStore::open(rb_out, /*writable=*/true);
-        tiv::core::all_severities_to_sink(store, cache, sink);
+        tiv::shard::write_matrix(rb_in, stream.matrix(), tile_dim);
+        const auto store = TileFile::open(tiv::shard::kInputFormat, rb_in);
+        tiv::shard::TileCache cache(store, input_budget, "cache.input");
+        tiv::shard::create_sink(rb_out, n, tile_dim);
+        auto sink = TileFile::open(tiv::shard::kSinkFormat, rb_out,
+                                   /*writable=*/true);
+        tiv::core::all_severities_to_sink(cache, sink);
       });
       std::filesystem::remove(rb_in);
       std::filesystem::remove(rb_out);
@@ -323,13 +324,13 @@ int main(int argc, char** argv) {
       const DelayMatrix m = random_matrix(kGuardHosts, 0.1, seed);
       const std::string in_path = scratch_file(dir, "guard_in");
       const std::string out_path = scratch_file(dir, "guard_sev");
-      tiv::shard::TileStore::write_matrix(in_path, m, kGuardTile);
-      const auto store = tiv::shard::TileStore::open(in_path);
-      tiv::shard::TileCache cache(store, std::size_t{4} << 20);
-      tiv::sink::SeverityTileStore::create(out_path, kGuardHosts, kGuardTile);
-      auto sink = tiv::sink::SeverityTileStore::open(out_path,
-                                                     /*writable=*/true);
-      tiv::core::all_severities_to_sink(store, cache, sink);
+      tiv::shard::write_matrix(in_path, m, kGuardTile);
+      const auto store = TileFile::open(tiv::shard::kInputFormat, in_path);
+      tiv::shard::TileCache cache(store, std::size_t{4} << 20, "cache.input");
+      tiv::shard::create_sink(out_path, kGuardHosts, kGuardTile);
+      auto sink = TileFile::open(tiv::shard::kSinkFormat, out_path,
+                                 /*writable=*/true);
+      tiv::core::all_severities_to_sink(cache, sink);
 
       Rng rng(seed ^ 0x9e7ull);
       const auto picks = rng.sample_without_replacement(

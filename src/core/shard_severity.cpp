@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/edge_repair.hpp"
@@ -19,13 +21,14 @@ namespace {
 
 using delayspace::DelayMatrixView;
 using shard::TileCache;
+using shard::TileFile;
+using shard::TileIndexShape;
 using shard::TileRef;
-using shard::TileStore;
 
 // ---------------------------------------------------------------------------
-// The band-pair walk over the tile store, and the epoch repair beside it.
+// The band-pair walk over the input tiles, and the epoch repair beside it.
 //
-// The matrix is stored as square tiles of T = store.tile_dim() rows; band b
+// The matrix is stored as square tiles of T = tile_dim rows; band b
 // is rows (and, by symmetry, columns) [b*T, b*T + T). The walk feeds
 // kWitnessLanes accumulators per edge with witness bands K in ascending
 // column order. Ascending K plus lane-aligned tile widths is what makes the
@@ -125,9 +128,9 @@ WalkScratch& walk_scratch() {
 /// Recomputes every edge of band pair (bi, bj) and commits the sink tile —
 /// bit-identical to the tile a full build writes (unmeasured pairs, the
 /// diagonal and padding stay 0).
-void process_band_pair_to_sink(const TileStore& store, TileCache& cache,
-                               sink::SeverityTileStore& sink,
+void process_band_pair_to_sink(TileCache& cache, TileFile& sink,
                                std::uint32_t bi, std::uint32_t bj) {
+  const TileFile& store = cache.file();
   const std::uint32_t T = store.tile_dim();
   const std::uint32_t bands = store.tiles_per_side();
   const std::uint32_t rows_i = store.band_rows(bi);
@@ -168,8 +171,10 @@ void process_band_pair_to_sink(const TileStore& store, TileCache& cache,
   sink.write_tile(bi, bj, buf.data());
 }
 
+/// `sink` must be a writable sink of n hosts in tile_dim-wide tiles.
 void check_sink_matches(HostId n, std::uint32_t tile_dim,
-                        const sink::SeverityTileStore& sink) {
+                        const TileFile& sink, const char* caller) {
+  sink.require_shape(TileIndexShape::kTriangular, caller);
   if (sink.size() != n || sink.tile_dim() != tile_dim) {
     throw std::invalid_argument(
         "severity sink geometry (n, tile_dim) must match the input");
@@ -177,6 +182,15 @@ void check_sink_matches(HostId n, std::uint32_t tile_dim,
   if (!sink.writable()) {
     throw std::invalid_argument("severity sink must be opened writable");
   }
+}
+
+/// The band-pair walk's files: `input` must cache an input file and `sink`
+/// must be a writable sink of the same geometry.
+void check_band_pair_files(const TileCache& input, const TileFile& sink,
+                           const char* caller) {
+  const TileFile& store = input.file();
+  store.require_shape(TileIndexShape::kSquare, caller);
+  check_sink_matches(store.size(), store.tile_dim(), sink, caller);
 }
 
 /// The repair pass's per-epoch buffers, owned by the calling thread and
@@ -217,8 +231,7 @@ std::vector<BandRun> band_runs(std::span<const HostId> hosts,
 /// hosts that starts at dirty index `first`: recomputes the flagged edges of
 /// rows [first, first + |group|) of `edges` into the group's result rows,
 /// then merges them into the sink. Accumulates into `stats`.
-void repair_host_group(const DelayMatrix& matrix,
-                       sink::SeverityTileStore& sink,
+void repair_host_group(const DelayMatrix& matrix, TileFile& sink,
                        std::span<const HostId> group, std::size_t first,
                        const EpochEdges& edges, std::span<std::uint8_t> written,
                        RepairBuffers& rb, SinkRepairStats& stats) {
@@ -309,21 +322,19 @@ void repair_host_group(const DelayMatrix& matrix,
 
 }  // namespace
 
-void all_severities_to_sink(const TileStore& store, TileCache& cache,
-                            sink::SeverityTileStore& sink) {
-  check_sink_matches(store.size(), store.tile_dim(), sink);
+void all_severities_to_sink(TileCache& input, TileFile& sink) {
+  check_band_pair_files(input, sink, "all_severities_to_sink");
   obs::Span span("band-pair-stream");
-  for_each_band_pair(store.tiles_per_side(),
+  for_each_band_pair(input.file().tiles_per_side(),
                      [&](std::uint32_t bi, std::uint32_t bj) {
-                       process_band_pair_to_sink(store, cache, sink, bi, bj);
+                       process_band_pair_to_sink(input, sink, bi, bj);
                      });
 }
 
-void rebuild_sink_tile(const TileStore& store, TileCache& cache,
-                       sink::SeverityTileStore& sink, std::uint32_t bi,
+void rebuild_sink_tile(TileCache& input, TileFile& sink, std::uint32_t bi,
                        std::uint32_t bj) {
-  check_sink_matches(store.size(), store.tile_dim(), sink);
-  process_band_pair_to_sink(store, cache, sink, bi, bj);
+  check_band_pair_files(input, sink, "rebuild_sink_tile");
+  process_band_pair_to_sink(input, sink, bi, bj);
 }
 
 std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
@@ -333,9 +344,10 @@ std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,
   return std::max<std::size_t>(1, budget_bytes / host_bytes);
 }
 
-void diff_dirty_rows(const TileStore& store, TileCache& cache,
-                     std::span<const HostId> dirty_hosts,
+void diff_dirty_rows(TileCache& cache, std::span<const HostId> dirty_hosts,
                      EpochScreen& screen) {
+  const TileFile& store = cache.file();
+  store.require_shape(TileIndexShape::kSquare, "diff_dirty_rows");
   check_dirty_hosts(dirty_hosts, store.size(), "diff_dirty_rows");
   const std::uint32_t T = store.tile_dim();
   const std::uint32_t bands = store.tiles_per_side();
@@ -352,13 +364,13 @@ void diff_dirty_rows(const TileStore& store, TileCache& cache,
 }
 
 SinkRepairStats repair_severities_to_sink(const DelayMatrix& matrix,
-                                          sink::SeverityTileStore& sink,
+                                          TileFile& sink,
                                           std::size_t budget_bytes,
                                           std::span<const HostId> dirty_hosts,
                                           const EpochEdges& edges,
                                           std::span<std::uint8_t> written) {
   const HostId n = matrix.size();
-  check_sink_matches(n, sink.tile_dim(), sink);
+  check_sink_matches(n, sink.tile_dim(), sink, "repair_severities_to_sink");
   check_dirty_hosts(dirty_hosts, n, "repair_severities_to_sink");
   SinkRepairStats stats;
   if (dirty_hosts.empty() || n < 2) return stats;
@@ -386,6 +398,43 @@ SinkRepairStats repair_severities_to_sink(const DelayMatrix& matrix,
         edges, written, rb, stats);
   }
   return stats;
+}
+
+float sink_severity(TileCache& sink, HostId a, HostId b) {
+  const TileFile& file = sink.file();
+  file.require_shape(TileIndexShape::kTriangular, "sink_severity");
+  if (a == b) return 0.0f;
+  const std::uint32_t T = file.tile_dim();
+  // sev is symmetric and only tiles r <= c exist; diagonal tiles hold both
+  // local triangles, so (row in the lower band, column in the higher) is
+  // always addressable directly.
+  if (a / T > b / T) std::swap(a, b);
+  const TileRef tile = sink.acquire(a / T, b / T);
+  return tile->row(a % T)[b % T];
+}
+
+void sink_severity_row(TileCache& sink, HostId a, std::span<float> out) {
+  const TileFile& file = sink.file();
+  file.require_shape(TileIndexShape::kTriangular, "sink_severity_row");
+  const std::uint32_t T = file.tile_dim();
+  const std::uint32_t ba = a / T;
+  const std::uint32_t la = a % T;
+  for (std::uint32_t c = 0; c < file.tiles_per_side(); ++c) {
+    const std::uint32_t cols = file.band_rows(c);
+    const std::size_t base = static_cast<std::size_t>(c) * T;
+    if (c >= ba) {
+      // Row la of tile (ba, c), contiguous.
+      const TileRef tile = sink.acquire(ba, c);
+      std::memcpy(out.data() + base, tile->row(la), cols * sizeof(float));
+    } else {
+      // Column la of tile (c, ba): sev(a, x) = sev(x, a) for x in band c.
+      const TileRef tile = sink.acquire(c, ba);
+      const float* p = tile->row(0);
+      for (std::uint32_t lr = 0; lr < cols; ++lr) {
+        out[base + lr] = p[static_cast<std::size_t>(lr) * T + la];
+      }
+    }
+  }
 }
 
 }  // namespace tiv::core

@@ -122,9 +122,9 @@ class DelayMatrixView {
   /// Packs columns [col_begin, col_end) of matrix row i into the view's
   /// float encoding, pack_entry per column, into out[0, col_end - col_begin).
   /// One branch-free loop; it is the single definition of the encoding —
-  /// shared by this view, shard::TileStore's tile writer, the epoch screen
-  /// and the epoch repair's packed rows, whose bit-identity contracts
-  /// depend on them never diverging.
+  /// shared by this view, the input tile writer (shard/tile_store), the
+  /// epoch screen and the epoch repair's packed rows, whose bit-identity
+  /// contracts depend on them never diverging.
   static void pack_row_segment(const DelayMatrix& m, HostId i,
                                HostId col_begin, HostId col_end, float* out);
 

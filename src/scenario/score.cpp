@@ -136,7 +136,9 @@ QualityScorer::QualityScorer(HostId hosts, ScorerParams params)
   totals_.reserve(thresholds.size());
   edge_states_.reserve(thresholds.size());
   for (const double t : thresholds) {
-    totals_.push_back({.threshold = t});
+    ThresholdQuality q;
+    q.threshold = t;
+    totals_.push_back(q);
     edge_states_.emplace_back(edge_count);
   }
 }

@@ -1,7 +1,7 @@
 // The one checksum of every on-disk format in this repo: tile payloads of
-// both tile stores (shard::TileStore for delay-matrix input,
-// sink::SeverityTileStore for severity output), the epoch manifest, and
-// the .tivtrace trailer.
+// both tile-file formats (shard::kInputFormat for delay-matrix input,
+// shard::kSinkFormat for severity output), the epoch manifest, and the
+// .tivtrace trailer.
 //
 // checksum64 is a word-parallel 64-bit hash in the xxHash64 mould: four
 // independent lanes each fold one 64-bit word of every 32-byte stripe as

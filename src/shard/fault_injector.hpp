@@ -1,9 +1,9 @@
 // Deterministic, seedable storage-fault injection for the tile stores.
 //
-// A FaultInjector attaches to one tile file (TileStore or
-// SeverityTileStore, via set_fault_injector) and perturbs its I/O at the
-// shared TileFile layer, so both stores exercise exactly the code paths
-// real hardware faults would take:
+// A FaultInjector attaches to one tile file (input or sink, via
+// TileFile::set_fault_injector) and perturbs its I/O at the TileFile
+// layer, so both formats exercise exactly the code paths real hardware
+// faults would take:
 //
 //   bit-flip on read    one bit of the just-read tile bytes is flipped
 //                       BEFORE checksum validation — the read surfaces as

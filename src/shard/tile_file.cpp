@@ -21,8 +21,8 @@ using delayspace::DelayMatrixView;
 
 constexpr std::size_t kAlign = 64;
 
-// Fixed-width, padding-free on-disk header (40 bytes) — the PR 5 layout,
-// shared verbatim by both stores (they differ only in magic/version).
+// Fixed-width, padding-free on-disk header (40 bytes), shared verbatim by
+// both formats (they differ only in magic/version).
 struct RawHeader {
   char magic[8];
   std::uint32_t version;
@@ -34,10 +34,10 @@ struct RawHeader {
 };
 static_assert(sizeof(RawHeader) == 40);
 
+template <typename Error = std::runtime_error>
 [[noreturn]] void fail_for(const char* store_name, const std::string& what,
                            const std::string& path) {
-  throw std::runtime_error(std::string(store_name) + ": " + what + ": " +
-                           path);
+  throw Error(std::string(store_name) + ": " + what + ": " + path);
 }
 
 void fwrite_all(const void* data, std::size_t bytes, std::FILE* f,
@@ -45,6 +45,11 @@ void fwrite_all(const void* data, std::size_t bytes, std::FILE* f,
   if (std::fwrite(data, 1, bytes, f) != bytes) {
     fail_for(store_name, "write failed", path);
   }
+}
+
+std::size_t tile_count_for(TileIndexShape shape, std::uint32_t tiles) {
+  const auto t = static_cast<std::size_t>(tiles);
+  return shape == TileIndexShape::kSquare ? t * t : t * (t + 1) / 2;
 }
 
 std::size_t checksum_table_offset(std::size_t tile_count) {
@@ -168,7 +173,18 @@ void TileFile::Writer::finish_sparse(std::uint64_t uniform_checksum) {
 // --- TileFile ---------------------------------------------------------------
 
 void TileFile::fail(const std::string& what) const {
-  fail_for(store_name_, what, path_);
+  fail_for(format_->store_name, what, path_);
+}
+
+void TileFile::bad_format(const std::string& what) const {
+  fail_for<TileFormatError>(format_->store_name, what, path_);
+}
+
+void TileFile::wrong_shape(TileIndexShape shape, const char* caller) const {
+  throw std::invalid_argument(
+      std::string(caller) + ": expects " +
+      (shape == TileIndexShape::kSquare ? "an input" : "a severity sink") +
+      " tile file, got the " + format_->store_name + " file " + path_);
 }
 
 TileFile TileFile::open(const TileFileParams& params, const std::string& path,
@@ -177,8 +193,7 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   const int fd = ::open(path.c_str(), writable ? O_RDWR : O_RDONLY);
   if (fd < 0) fail_for(params.store_name, "cannot open", path);
   TileFile f;
-  f.store_name_ = params.store_name;
-  f.shape_ = params.shape;
+  f.format_ = &params;
   f.path_ = path;
   f.fd_ = fd;
   f.writable_ = writable;
@@ -195,29 +210,31 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
 
   RawHeader h{};
   if (::pread(fd, &h, sizeof(h), 0) != static_cast<ssize_t>(sizeof(h))) {
-    f.fail("short header");
+    f.bad_format("short header");
   }
   // The magic's last byte is the format generation digit: a store written
   // by an older generation (e.g. with the previous checksum) reads as an
   // unsupported version, not as a foreign file.
   constexpr std::size_t kFamily = sizeof(h.magic) - 1;
-  if (std::memcmp(h.magic, params.magic, kFamily) != 0) f.fail("bad magic");
+  if (std::memcmp(h.magic, params.magic, kFamily) != 0) {
+    f.bad_format("bad magic");
+  }
   if (h.magic[kFamily] != params.magic[kFamily] ||
       h.version != params.version) {
-    f.fail("unsupported version");
+    f.bad_format("unsupported version");
   }
   // 64-bit: h.n + h.tile_dim - 1 wraps in uint32_t for n near 2^32.
   if (h.tile_dim == 0 || h.tile_dim % DelayMatrixView::kLaneFloats != 0 ||
       h.tiles != (std::uint64_t{h.n} + h.tile_dim - 1) / h.tile_dim) {
-    f.fail("inconsistent header");
+    f.bad_format("inconsistent header");
   }
   if (expected_n != 0 &&
       (h.n != expected_n || h.tile_dim != expected_tile_dim)) {
-    f.fail("header geometry (n=" + std::to_string(h.n) + ", tile_dim=" +
-           std::to_string(h.tile_dim) +
-           ") does not match the requested store (n=" +
-           std::to_string(expected_n) + ", tile_dim=" +
-           std::to_string(expected_tile_dim) + ")");
+    f.bad_format("header geometry (n=" + std::to_string(h.n) +
+                 ", tile_dim=" + std::to_string(h.tile_dim) +
+                 ") does not match the requested store (n=" +
+                 std::to_string(expected_n) + ", tile_dim=" +
+                 std::to_string(expected_tile_dim) + ")");
   }
   // Before anything is sized from the header, both tables and one tile
   // must fit the file. The tile region may end early: a torn tail reads
@@ -230,15 +247,14 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
       data_offset_for(count) > file_bytes ||
       (count != 0 && std::uint64_t{h.tile_dim} * h.tile_dim >
                          file_bytes / sizeof(float))) {
-    f.fail("header (n=" + std::to_string(h.n) + ", tiles=" +
-           std::to_string(h.tiles) + ") does not fit the file's " +
-           std::to_string(file_bytes) + " bytes");
+    f.bad_format("header (n=" + std::to_string(h.n) + ", tiles=" +
+                 std::to_string(h.tiles) + ") does not fit the file's " +
+                 std::to_string(file_bytes) + " bytes");
   }
   f.n_ = h.n;
   f.tile_dim_ = h.tile_dim;
   f.tiles_ = h.tiles;
-  f.tile_bytes_ = tile_size_bytes(h.tile_dim);
-  if (h.tile_bytes != f.tile_bytes_) f.fail("tile size mismatch");
+  if (h.tile_bytes != f.tile_bytes()) f.bad_format("tile size mismatch");
 
   f.tile_offsets_.resize(count);
   f.tile_checksums_.resize(count);
@@ -246,27 +262,25 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   if (count != 0) {
     if (::pread(fd, f.tile_offsets_.data(), index_bytes, sizeof(RawHeader)) !=
         static_cast<ssize_t>(index_bytes)) {
-      f.fail("short index");
+      f.bad_format("short index");
     }
     if (::pread(fd, f.tile_checksums_.data(), index_bytes,
                 static_cast<off_t>(checksum_table_offset(count))) !=
         static_cast<ssize_t>(index_bytes)) {
-      f.fail("short checksum table");
+      f.bad_format("short checksum table");
     }
   }
   return f;
 }
 
 TileFile::TileFile(TileFile&& o) noexcept
-    : store_name_(o.store_name_),
-      shape_(o.shape_),
+    : format_(o.format_),
       path_(std::move(o.path_)),
       fd_(std::exchange(o.fd_, -1)),
       writable_(o.writable_),
       n_(o.n_),
       tile_dim_(o.tile_dim_),
       tiles_(o.tiles_),
-      tile_bytes_(o.tile_bytes_),
       tile_offsets_(std::move(o.tile_offsets_)),
       tile_checksums_(std::move(o.tile_checksums_)),
       read_retries_(o.read_retries_.load(std::memory_order_relaxed)),
@@ -276,15 +290,13 @@ TileFile::TileFile(TileFile&& o) noexcept
 TileFile& TileFile::operator=(TileFile&& o) noexcept {
   if (this != &o) {
     if (fd_ >= 0) ::close(fd_);
-    store_name_ = o.store_name_;
-    shape_ = o.shape_;
+    format_ = o.format_;
     path_ = std::move(o.path_);
     fd_ = std::exchange(o.fd_, -1);
     writable_ = o.writable_;
     n_ = o.n_;
     tile_dim_ = o.tile_dim_;
     tiles_ = o.tiles_;
-    tile_bytes_ = o.tile_bytes_;
     tile_offsets_ = std::move(o.tile_offsets_);
     tile_checksums_ = std::move(o.tile_checksums_);
     read_retries_.store(o.read_retries_.load(std::memory_order_relaxed),
@@ -311,12 +323,12 @@ std::uint32_t TileFile::band_rows(std::uint32_t r) const {
 
 std::size_t TileFile::tile_index(std::uint32_t r, std::uint32_t c) const {
   if (r >= tiles_ || c >= tiles_ ||
-      (shape_ != TileIndexShape::kSquare && r > c)) {
+      (format_->shape != TileIndexShape::kSquare && r > c)) {
     throw std::out_of_range("TileFile: tile (" + std::to_string(r) + ", " +
                             std::to_string(c) + ") outside the " +
                             std::to_string(tiles_) + "-band index");
   }
-  if (shape_ == TileIndexShape::kSquare) {
+  if (format_->shape == TileIndexShape::kSquare) {
     return static_cast<std::size_t>(r) * tiles_ + c;
   }
   // Row r of the upper triangle starts after r full rows minus the
@@ -327,46 +339,44 @@ std::size_t TileFile::tile_index(std::uint32_t r, std::uint32_t c) const {
 
 void TileFile::read_tile(std::uint32_t r, std::uint32_t c, float* tile) const {
   const std::size_t idx = tile_index(r, c);
-  if (metrics_.reads != nullptr) {
-    metrics_.reads->increment();
-    metrics_.read_bytes->add(tile_bytes_);
-  }
+  metrics_.reads->increment();
+  metrics_.read_bytes->add(tile_bytes());
   for (int attempt = 0;; ++attempt) {
     if (injector_ != nullptr) injector_->before_read();
-    const ssize_t got = ::pread(fd_, tile, tile_bytes_,
+    const ssize_t got = ::pread(fd_, tile, tile_bytes(),
                                 static_cast<off_t>(tile_offsets_[idx]));
     if (got < 0) fail("tile read failed");
-    if (got != static_cast<ssize_t>(tile_bytes_)) {
+    if (got != static_cast<ssize_t>(tile_bytes())) {
       // A valid offset returning fewer bytes than the fixed record length
       // means the file lost its tail — data damage a re-read cannot undo,
       // so it escalates straight to the recoverable path.
-      if (metrics_.corrupt_tiles != nullptr) {
-        metrics_.corrupt_tiles->increment();
-      }
-      throw CorruptTileError(store_name_, path_, r, c, "truncated tile");
+      metrics_.corrupt_tiles->increment();
+      throw CorruptTileError(format_->store_name, path_, r, c,
+                             "truncated tile");
     }
     if (injector_ != nullptr) {
       std::size_t byte = 0;
       unsigned bit = 0;
-      if (injector_->corrupt_read(tile_bytes_, &byte, &bit)) {
+      if (injector_->corrupt_read(tile_bytes(), &byte, &bit)) {
         reinterpret_cast<unsigned char*>(tile)[byte] ^=
             static_cast<unsigned char>(1u << bit);
       }
     }
-    if (checksum64(tile, tile_bytes_) == tile_checksums_[idx]) return;
+    if (checksum64(tile, tile_bytes()) == tile_checksums_[idx]) return;
     // Mismatch: a bit flipped between platter and checksum is transient —
     // a fresh pread serves clean bytes — while rot or a torn commit
     // mismatches every time. Retry a bounded number of times so only the
     // persistent kind escalates (and higher layers never pay a rebuild
     // for in-flight noise).
     if (attempt >= kReadRetries) {
-      if (metrics_.corrupt_tiles != nullptr) metrics_.corrupt_tiles->increment();
-      throw CorruptTileError(store_name_, path_, r, c, "checksum mismatch");
+      metrics_.corrupt_tiles->increment();
+      throw CorruptTileError(format_->store_name, path_, r, c,
+                             "checksum mismatch");
     }
     read_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.read_retries != nullptr) metrics_.read_retries->increment();
+    metrics_.read_retries->increment();
     // The re-read bytes count too — they hit the device again.
-    if (metrics_.read_bytes != nullptr) metrics_.read_bytes->add(tile_bytes_);
+    metrics_.read_bytes->add(tile_bytes());
   }
 }
 
@@ -374,34 +384,32 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
                           const float* tile) {
   if (!writable_) fail("tile write on a read-only store");
   const std::size_t idx = tile_index(r, c);
-  if (metrics_.writes != nullptr) {
-    metrics_.writes->increment();
-    metrics_.write_bytes->add(tile_bytes_);
-  }
+  metrics_.writes->increment();
+  metrics_.write_bytes->add(tile_bytes());
   const WriteFault fault =
       injector_ != nullptr ? injector_->on_write() : WriteFault::kNone;
   const auto off = static_cast<off_t>(tile_offsets_[idx]);
   if (fault == WriteFault::kTornWrite) {
     // Persist only the first half of the tile bytes, leave the checksum
     // table untouched, and die: the on-disk tile is now genuinely torn.
-    const std::size_t half = tile_bytes_ / 2;
+    const std::size_t half = tile_bytes() / 2;
     if (::pwrite(fd_, tile, half, off) != static_cast<ssize_t>(half)) {
       fail("tile write failed");
     }
-    throw InjectedCrash(std::string(store_name_) +
+    throw InjectedCrash(std::string(format_->store_name) +
                         ": injected torn write on tile (" +
                         std::to_string(r) + ", " + std::to_string(c) + ")");
   }
 
-  if (::pwrite(fd_, tile, tile_bytes_, off) !=
-      static_cast<ssize_t>(tile_bytes_)) {
+  if (::pwrite(fd_, tile, tile_bytes(), off) !=
+      static_cast<ssize_t>(tile_bytes())) {
     fail("tile write failed");
   }
-  const std::uint64_t h = checksum64(tile, tile_bytes_);
+  const std::uint64_t h = checksum64(tile, tile_bytes());
   if (fault == WriteFault::kFailBeforeChecksum) {
     // The tile bytes landed but the checksum slot never will: the table
     // still describes the old bytes, so the next read reports corruption.
-    throw InjectedCrash(std::string(store_name_) +
+    throw InjectedCrash(std::string(format_->store_name) +
                         ": injected crash before checksum commit on tile (" +
                         std::to_string(r) + ", " + std::to_string(c) + ")");
   }

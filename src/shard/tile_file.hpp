@@ -1,30 +1,34 @@
-// The fixed-record tile-file machinery shared by the two on-disk tile
-// stores — shard::TileStore (delay-matrix input, square tile grid) and
-// sink::SeverityTileStore (severity output, upper-band-triangle grid).
-// One definition of the header/index/checksum-table format, fd lifecycle,
+// The one on-disk tile store: a fixed-record tile file, opened in one of
+// two formats — kInputFormat (the packed delay-matrix view, square tile
+// grid) and kSinkFormat (the severity output, upper-band-triangle grid).
+// One definition of the header/index/checksum-table layout, fd lifecycle,
 // and read/write+validate paths, so a hardening fix cannot land in one
-// store and miss the other. The byte layout:
+// format and miss the other. The byte layout:
 //
 //   [RawHeader 40B][index: tile_count u64 offsets]
 //   [checksums: tile_count u64 checksum64][pad to 64B][tile 0][tile 1]..
 //
-// Every tile of either store is the same record: tile_dim x tile_dim
-// floats, row-major (tile_size_bytes). Stores differ only in their
-// magic/version and their index shape (square vs triangular) — parameters
-// here, not copies of the machinery. Tile is that record resident in
-// memory, the slot type of both tile caches.
+// Every tile of either format is the same record: tile_dim x tile_dim
+// floats, row-major (tile_size_bytes). Formats differ only in their
+// magic/version and their index shape (square vs triangular) — a
+// TileFileParams constant, not a copy of the machinery. What the floats
+// mean (the view encoding, the severity layout) lives with the code that
+// writes them: shard/tile_store (write_matrix, repack_tile, create_sink)
+// and core/shard_severity. Tile is that record resident in memory, the
+// slot type of the tile cache (shard/tile_cache.hpp).
 //
-// Reliability lives at this layer, once for both stores:
+// Reliability lives at this layer, once for both formats:
 //  - every read validates the tile's checksum64 (shard/checksum.hpp);
 //    a mismatch OR a truncated tile body throws CorruptTileError carrying
-//    the tile coordinates and store path (recoverable), while a hard pread
+//    the tile coordinates and file path (recoverable), while a hard pread
 //    failure stays a std::runtime_error (not a data-integrity signal);
 //  - an optional FaultInjector perturbs reads/commits deterministically
 //    (bit-flip, EIO, torn write, fail-before-checksum) — compiled in
 //    always, a single null check when disabled;
-//  - open() can assert the header geometry (n, tile_dim) against the
-//    geometry the caller expects, so reopening a foreign or stale file
-//    fails loudly instead of serving garbage tiles.
+//  - open() rejects a malformed, foreign or unsupported-version header
+//    with TileFormatError, and can assert the header geometry (n,
+//    tile_dim) against the geometry the caller expects, so reopening a
+//    foreign or stale file fails loudly instead of serving garbage tiles.
 #pragma once
 
 #include <atomic>
@@ -32,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,9 +50,22 @@ class FaultInjector;
 
 using delayspace::HostId;
 
-/// Which (r, c) pairs a store holds: every tile of the square grid, or
+/// Which (r, c) pairs a file holds: every tile of the square grid, or
 /// only the upper band triangle r <= c.
 enum class TileIndexShape : std::uint8_t { kSquare, kTriangular };
+
+/// Default tile edge: 64 rows x 64 cols x 4 B = 16 KiB per tile —
+/// large enough that pread cost amortizes, small enough that a few-MB cache
+/// budget holds dozens of tiles.
+inline constexpr std::uint32_t kDefaultTileDim = 64;
+
+/// A tile file whose header cannot be served: malformed or short, a
+/// foreign magic, an unsupported format generation, or a geometry that
+/// does not match the one the caller expects. Thrown by TileFile::open.
+class TileFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Serialized bytes of one tile: tile_dim^2 floats, a multiple of 64 bytes
 /// for every valid tile_dim. Also each resident tile's cache footprint.
@@ -76,27 +94,35 @@ class Tile {
   std::unique_ptr<float[], AlignedFree> data_;
 };
 
-/// The store-specific constants of a tile-file format. Each store defines
-/// one of these (static, constant) and passes it to every TileFile call.
+/// The constants of a tile-file format: kInputFormat or kSinkFormat.
 struct TileFileParams {
   const char* magic;   ///< exactly 8 bytes
   std::uint32_t version;
-  const char* store_name;  ///< error-message prefix ("TileStore", ...)
+  const char* store_name;  ///< error-message prefix
   TileIndexShape shape;
-  /// Registry namespace for this store's I/O counters
+  /// Registry namespace for the file's I/O counters
   /// ("<prefix>.reads", ".read_bytes", ".read_retries", ".corrupt_tiles",
   /// ".writes", ".write_bytes" — see docs/OBSERVABILITY.md).
-  const char* metric_prefix = "tile";
+  const char* metric_prefix;
 };
+
+/// The input format: the packed delay-matrix view on the square grid
+/// (shard/tile_store.hpp). Version 4: tiles are payload only (v3 also
+/// stored per-row missing-entry bitmasks; v3 and older files are rejected
+/// at open as "unsupported version").
+inline constexpr TileFileParams kInputFormat{
+    "TIVSHRD4", 4, "input tiles", TileIndexShape::kSquare, "shard.input"};
+
+/// The sink format: severities on the upper band triangle
+/// (core/shard_severity.hpp). Version 2: tile checksums are checksum64 (v1
+/// files carry FNV-1a sums and are rejected at open as "unsupported
+/// version").
+inline constexpr TileFileParams kSinkFormat{
+    "TIVSSEV2", 2, "severity sink", TileIndexShape::kTriangular,
+    "shard.sink"};
 
 class TileFile {
  public:
-  static std::size_t tile_count_for(TileIndexShape shape,
-                                    std::uint32_t tiles) {
-    const auto t = static_cast<std::size_t>(tiles);
-    return shape == TileIndexShape::kSquare ? t * t : t * (t + 1) / 2;
-  }
-
   /// Streams a new tile file: writes the header, the flat offset index,
   /// a checksum-table placeholder, and the alignment pad, then appends
   /// tiles in index order. finish() seeks back and commits the
@@ -116,10 +142,8 @@ class TileFile {
     Writer& operator=(const Writer&) = delete;
 
     std::uint32_t tiles_per_side() const { return tiles_; }
-    std::size_t tile_count() const { return checksums_.size(); }
-    std::size_t tile_bytes() const { return tile_bytes_; }
 
-    /// Appends the next tile (tile_bytes() bytes) and records its
+    /// Appends the next tile (tile_size_bytes(tile_dim)) and records its
     /// checksum64.
     void append_tile(const float* tile);
 
@@ -144,13 +168,15 @@ class TileFile {
     std::size_t appended_ = 0;
   };
 
-  /// Opens an existing tile file and validates its header, offset index,
-  /// and checksum table. Throws std::runtime_error on a missing file, a
-  /// malformed or foreign header, or — when expected_n is nonzero — a
+  /// Opens an existing tile file of format `params` (kept by reference:
+  /// kInputFormat or kSinkFormat) and validates its header, offset
+  /// index, and checksum table; `writable` opens it O_RDWR
+  /// and enables write_tile. Throws TileFormatError on a malformed, foreign
+  /// or unsupported-version header, or — when expected_n is nonzero — a
   /// header geometry (n, tile_dim) that does not match what the caller
-  /// requested.
+  /// requested; std::runtime_error on a missing file or an I/O failure.
   static TileFile open(const TileFileParams& params, const std::string& path,
-                       bool writable, HostId expected_n = 0,
+                       bool writable = false, HostId expected_n = 0,
                        std::uint32_t expected_tile_dim = 0);
 
   TileFile() = default;
@@ -164,9 +190,20 @@ class TileFile {
   std::uint32_t tile_dim() const { return tile_dim_; }
   std::uint32_t tiles_per_side() const { return tiles_; }
   std::size_t tile_count() const { return tile_offsets_.size(); }
-  std::size_t tile_bytes() const { return tile_bytes_; }
+  /// Floats in one tile (tile_dim^2).
+  std::size_t payload_floats() const {
+    return static_cast<std::size_t>(tile_dim_) * tile_dim_;
+  }
+  std::size_t tile_bytes() const { return tile_size_bytes(tile_dim_); }
   bool writable() const { return writable_; }
   const std::string& path() const { return path_; }
+
+  /// Throws std::invalid_argument, naming `caller`, unless the file has
+  /// index shape `shape` — how the input-side and sink-side functions
+  /// refuse the other format's file.
+  void require_shape(TileIndexShape shape, const char* caller) const {
+    if (shape != format_->shape) wrong_shape(shape, caller);
+  }
 
   /// Rows of tile-row band r that carry real matrix rows (tile_dim except
   /// for the last band). Throws std::out_of_range unless r < tiles.
@@ -187,7 +224,6 @@ class TileFile {
   /// Attaches (or detaches, nullptr) a fault injector. The injector must
   /// outlive the file or be detached first; calls are thread-safe.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   /// Reads tile (r, c) into `tile` (tile_bytes() bytes) with a positional
   /// read — thread-safe — and validates its checksum64. A
@@ -216,16 +252,17 @@ class TileFile {
 
  private:
   [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void bad_format(const std::string& what) const;
+  [[noreturn]] void wrong_shape(TileIndexShape shape,
+                                const char* caller) const;
 
-  const char* store_name_ = "TileFile";
-  TileIndexShape shape_ = TileIndexShape::kSquare;
+  const TileFileParams* format_ = &kInputFormat;
   std::string path_;
   int fd_ = -1;
   bool writable_ = false;
   HostId n_ = 0;
   std::uint32_t tile_dim_ = 0;
   std::uint32_t tiles_ = 0;
-  std::size_t tile_bytes_ = 0;
   std::vector<std::uint64_t> tile_offsets_;    ///< flat index
   std::vector<std::uint64_t> tile_checksums_;  ///< checksum64, same indexing
   mutable std::atomic<std::uint64_t> read_retries_{0};
@@ -233,8 +270,8 @@ class TileFile {
 
   /// Registry-owned I/O telemetry, resolved once at open() from
   /// TileFileParams::metric_prefix. Pointers because registry metrics have
-  /// stable addresses while a TileFile is movable; null on a
-  /// default-constructed file (no I/O possible there either).
+  /// stable addresses while a TileFile is movable; null only on a
+  /// default-constructed file, which has no tile to read or write.
   struct IoMetrics {
     obs::Counter* reads = nullptr;
     obs::Counter* read_bytes = nullptr;

@@ -1,20 +1,15 @@
 #include "shard/tile_store.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <vector>
+
+#include "shard/checksum.hpp"
 
 namespace tiv::shard {
 namespace {
 
 using delayspace::DelayMatrixView;
-
-// Version 4: tiles are payload only (v3 also stored per-row missing-entry
-// bitmasks; v3 and older files are rejected at open as "unsupported
-// version").
-constexpr TileFileParams kParams{"TIVSHRD4", 4, "TileStore",
-                                 TileIndexShape::kSquare, "shard.input"};
 
 /// Packs tile (tr, tc) of `m` into `tile` — the single definition of a
 /// tile's bytes, shared by write_matrix and repack_tile so an in-place
@@ -39,9 +34,9 @@ void pack_tile(const DelayMatrix& m, std::uint32_t tile_dim, std::uint32_t tr,
 
 }  // namespace
 
-void TileStore::write_matrix(const std::string& path, const DelayMatrix& m,
-                             std::uint32_t tile_dim) {
-  TileFile::Writer w(kParams, path, m.size(), tile_dim);
+void write_matrix(const std::string& path, const DelayMatrix& m,
+                  std::uint32_t tile_dim) {
+  TileFile::Writer w(kInputFormat, path, m.size(), tile_dim);
   const std::uint32_t tiles = w.tiles_per_side();
   // Stream one tile at a time, walking a tile-row band of the source so the
   // writer's working set is one tile, not the packed view.
@@ -55,24 +50,25 @@ void TileStore::write_matrix(const std::string& path, const DelayMatrix& m,
   w.finish();
 }
 
-TileStore TileStore::open(const std::string& path, bool writable,
-                          HostId expected_n,
-                          std::uint32_t expected_tile_dim) {
-  TileStore s;
-  s.file_ = TileFile::open(kParams, path, writable, expected_n,
-                           expected_tile_dim);
-  return s;
-}
-
-void TileStore::repack_tile(const DelayMatrix& m, std::uint32_t r,
-                            std::uint32_t c) {
-  if (m.size() != size()) {
-    throw std::runtime_error("TileStore: repack_tile matrix size mismatch: " +
-                             path());
+void repack_tile(TileFile& file, const DelayMatrix& m, std::uint32_t r,
+                 std::uint32_t c) {
+  file.require_shape(TileIndexShape::kSquare, "repack_tile");
+  if (m.size() != file.size()) {
+    throw std::runtime_error("repack_tile: matrix size mismatch: " +
+                             file.path());
   }
   std::vector<float> tile;
-  pack_tile(m, tile_dim(), r, c, tile);
-  file_.write_tile(r, c, tile.data());
+  pack_tile(m, file.tile_dim(), r, c, tile);
+  file.write_tile(r, c, tile.data());
+}
+
+void create_sink(const std::string& path, HostId n, std::uint32_t tile_dim) {
+  TileFile::Writer w(kSinkFormat, path, n, tile_dim);
+  // Every tile starts zeroed, so the whole checksum table is the one hash
+  // of a zero tile (and the tile region itself can stay a hole).
+  const std::vector<float> zero_tile(
+      static_cast<std::size_t>(tile_dim) * tile_dim, 0.0f);
+  w.finish_sparse(checksum64(zero_tile.data(), tile_size_bytes(tile_dim)));
 }
 
 }  // namespace tiv::shard

@@ -12,7 +12,8 @@ IncrementalSeverity::IncrementalSeverity(const DelayMatrix& matrix)
       view_(matrix),
       severities_(TivAnalyzer(matrix).all_severities(&view_)) {}
 
-void IncrementalSeverity::severity_row(HostId a, std::span<float> out) {
+void IncrementalSeverity::read_severity_row(HostId a,
+                                            std::span<float> out) {
   for (HostId b = 0; b < size(); ++b) out[b] = severities_.at(a, b);
 }
 

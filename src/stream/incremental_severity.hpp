@@ -37,8 +37,6 @@ using delayspace::DelayMatrixView;
 
 class IncrementalSeverity final : public SeverityEngine {
  public:
-  using ApplyStats = EpochStats;
-
   /// Packs the view and computes the full severity matrix once — the only
   /// O(n^3) step; every epoch after is proportional to the churn.
   explicit IncrementalSeverity(const DelayMatrix& matrix);
@@ -48,9 +46,6 @@ class IncrementalSeverity final : public SeverityEngine {
   /// The packed view, synchronized to the last applied epoch — byte-
   /// identical to a DelayMatrixView built from the current matrix.
   const DelayMatrixView& view() const { return view_; }
-
-  float severity(HostId a, HostId b) override { return severities_.at(a, b); }
-  void severity_row(HostId a, std::span<float> out) override;
 
  private:
   bool diff_rows(const DelayMatrix& matrix,
@@ -63,6 +58,10 @@ class IncrementalSeverity final : public SeverityEngine {
                      std::span<const HostId> dirty_hosts,
                      const core::EpochEdges& edges,
                      EpochStats& stats) override;
+  float read_severity(HostId a, HostId b) override {
+    return severities_.at(a, b);
+  }
+  void read_severity_row(HostId a, std::span<float> out) override;
 
   DelayMatrixView view_;
   SeverityMatrix severities_;

@@ -71,4 +71,21 @@ SeverityEngine::EpochStats SeverityEngine::apply_epoch(
   return stats;
 }
 
+void SeverityEngine::severity_row(HostId a, std::span<float> out) {
+  if (a >= n_) throw_host_out_of_range(a);
+  if (out.size() != n_) {
+    throw std::invalid_argument(
+        "SeverityEngine::severity_row: output holds " +
+        std::to_string(out.size()) + " floats, the engine has " +
+        std::to_string(n_) + " hosts");
+  }
+  read_severity_row(a, out);
+}
+
+void SeverityEngine::throw_host_out_of_range(HostId host) const {
+  throw std::out_of_range("SeverityEngine: host " + std::to_string(host) +
+                          " outside the engine's " + std::to_string(n_) +
+                          " hosts");
+}
+
 }  // namespace tiv::stream

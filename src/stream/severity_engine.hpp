@@ -15,7 +15,8 @@
 // store it runs on. The store — the derived class — supplies only the
 // steps that touch storage: its pre-epoch rows (for the screen's diff),
 // the row update, the result write (the flagged-edge repair loop,
-// core/edge_repair, and the store), and the reads. RAM (IncrementalSeverity,
+// core/edge_repair, and the store), and the reads, which the base class
+// range-checks once for both. RAM (IncrementalSeverity,
 // stream/incremental_severity.hpp) and tile files (ShardStreamEngine,
 // stream/shard_stream.hpp) are its two implementations; each is the faster
 // one on its own workloads. Either keeps its severities bit-identical to a
@@ -75,9 +76,15 @@ class SeverityEngine {
   }
 
   /// Severity of edge (a, b), synchronized to the last applied epoch.
-  virtual float severity(HostId a, HostId b) = 0;
-  /// Severity row a (size() floats).
-  virtual void severity_row(HostId a, std::span<float> out) = 0;
+  /// Throws std::out_of_range unless a, b < size().
+  float severity(HostId a, HostId b) {
+    if (a >= n_ || b >= n_) throw_host_out_of_range(a >= n_ ? a : b);
+    return read_severity(a, b);
+  }
+  /// Severity row a into `out`, which must hold exactly size() floats.
+  /// Throws std::out_of_range unless a < size(), std::invalid_argument on
+  /// another `out` size.
+  void severity_row(HostId a, std::span<float> out);
 
   HostId size() const { return n_; }
   /// Epochs applied so far (clean epochs, which change nothing, excluded).
@@ -105,10 +112,16 @@ class SeverityEngine {
                              std::span<const HostId> dirty_hosts,
                              const core::EpochEdges& edges,
                              EpochStats& stats) = 0;
+  /// The reads behind severity and severity_row, called with a, b <
+  /// size() and out.size() == size().
+  virtual float read_severity(HostId a, HostId b) = 0;
+  virtual void read_severity_row(HostId a, std::span<float> out) = 0;
 
   std::uint64_t epochs_applied_ = 0;
 
  private:
+  [[noreturn]] void throw_host_out_of_range(HostId host) const;
+
   HostId n_;
   const char* epoch_span_;
   core::EpochScreen screen_;

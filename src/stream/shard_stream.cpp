@@ -12,6 +12,7 @@
 #include "core/shard_severity.hpp"
 #include "obs/trace.hpp"
 #include "shard/fault_injector.hpp"
+#include "shard/tile_store.hpp"
 
 namespace tiv::stream {
 namespace {
@@ -64,17 +65,10 @@ ShardStreamEngine::ShardStreamEngine(const DelayMatrix& initial,
     }
   } guard{config_};
 
-  shard::TileStore::write_matrix(config_.input_path, initial,
-                                 config_.tile_dim);
-  input_ = shard::TileStore::open(config_.input_path, /*writable=*/true);
-  input_cache_.emplace(*input_, config_.input_budget_bytes);
-  sink::SeverityTileStore::create(config_.sink_path, initial.size(),
-                                  config_.tile_dim);
-  sink_ = sink::SeverityTileStore::open(config_.sink_path,
-                                        /*writable=*/true);
-  sink_cache_.emplace(*sink_, config_.output_budget_bytes);
-  sink_written_.assign(sink_->tile_count(), 0);
-  core::all_severities_to_sink(*input_, *input_cache_, *sink_);
+  shard::write_matrix(config_.input_path, initial, config_.tile_dim);
+  shard::create_sink(config_.sink_path, initial.size(), config_.tile_dim);
+  open_files(initial.size());
+  core::all_severities_to_sink(*input_cache_, sink_);
   guard.armed = false;
   link_recovery_metrics();
 }
@@ -92,14 +86,7 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   // Geometry-checked opens: a foreign or stale file (different n or
   // tile_dim than this engine expects) is rejected here instead of
   // serving garbage tiles later.
-  input_ = shard::TileStore::open(config_.input_path, /*writable=*/true,
-                                  matrix.size(), config_.tile_dim);
-  input_cache_.emplace(*input_, config_.input_budget_bytes);
-  sink_ = sink::SeverityTileStore::open(config_.sink_path, /*writable=*/true,
-                                        matrix.size(), config_.tile_dim);
-  sink_cache_.emplace(*sink_, config_.output_budget_bytes);
-  sink_written_.assign(sink_->tile_count(), 0);
-
+  open_files(matrix.size());
   link_recovery_metrics();
 
   const auto manifest =
@@ -108,10 +95,10 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
                                       // write — stores untouched either way)
 
   // The manifest's checksum proves it intact, not sane: every journaled
-  // coordinate must name a tile of these stores before anything is
-  // rewritten (the tile-offset asserts behind repack_tile and
-  // rebuild_sink_tile are gone in Release builds).
-  const std::uint32_t bands = input_->tiles_per_side();
+  // coordinate must name a tile of these files before anything is
+  // rewritten (TileFile's own range check would throw only after the
+  // tiles journaled before the bad one were rewritten).
+  const std::uint32_t bands = input_.tiles_per_side();
   for (const auto& [r, c] : manifest->input_tiles) {
     if (r >= bands || c >= bands) {
       throw std::runtime_error(
@@ -137,12 +124,12 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   // now-consistent input store — the full-build one-tile driver, so each
   // converges to exactly the bytes the completed epoch would have written.
   for (const auto& [r, c] : manifest->input_tiles) {
-    input_->repack_tile(matrix, r, c);
+    shard::repack_tile(input_, matrix, r, c);
     input_cache_->invalidate(r, c);
   }
   for (const auto& [r, c] : manifest->sink_tiles) {
     with_recovery(source_, [&, r = r, c = c] {
-      core::rebuild_sink_tile(*input_, *input_cache_, *sink_, r, c);
+      core::rebuild_sink_tile(*input_cache_, sink_, r, c);
       return 0;
     });
     sink_cache_->invalidate(r, c);
@@ -150,6 +137,16 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   EpochManifest::clear(EpochManifest::path_for(config_.sink_path));
   epochs_applied_ = manifest->generation;
   recovery_.torn_epochs_replayed.increment();
+}
+
+void ShardStreamEngine::open_files(HostId n) {
+  input_ = shard::TileFile::open(shard::kInputFormat, config_.input_path,
+                                 /*writable=*/true, n, config_.tile_dim);
+  input_cache_.emplace(input_, config_.input_budget_bytes, "cache.input");
+  sink_ = shard::TileFile::open(shard::kSinkFormat, config_.sink_path,
+                                /*writable=*/true, n, config_.tile_dim);
+  sink_cache_.emplace(sink_, config_.output_budget_bytes, "cache.sink");
+  sink_written_.assign(sink_.tile_count(), 0);
 }
 
 void ShardStreamEngine::link_recovery_metrics() {
@@ -177,7 +174,7 @@ ShardStreamEngine ShardStreamEngine::recover(const DelayMatrix& matrix,
 
 ShardStreamEngine::~ShardStreamEngine() {
   if (config_.keep_files) return;
-  // Best-effort cleanup; the stores' fds close in the member destructors
+  // Best-effort cleanup; the files' fds close in the member destructors
   // after this body (unlink-while-open is fine on POSIX).
   std::error_code ec;
   std::filesystem::remove(config_.input_path, ec);
@@ -190,18 +187,18 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e,
   obs::Span span("recovery-action");
   const std::uint32_t r = e.tile_row();
   const std::uint32_t c = e.tile_col();
-  if (e.path() == sink_->path()) {
-    // A sink tile is pure function of the input store: rebuild its band
+  if (e.path() == sink_.path()) {
+    // A sink tile is pure function of the input file: rebuild its band
     // pair from scratch — bit-identical to what a full build would write.
-    core::rebuild_sink_tile(*input_, *input_cache_, *sink_, r, c);
+    core::rebuild_sink_tile(*input_cache_, sink_, r, c);
     sink_cache_->invalidate(r, c);
     recovery_.sink_tiles_recovered.increment();
     return;
   }
-  if (e.path() == input_->path() && source != nullptr) {
+  if (e.path() == input_.path() && source != nullptr) {
     // The live matrix (DelayStream keeps it in RAM) is the ground truth
     // for input tiles; repack is byte-identical to a fresh build.
-    input_->repack_tile(*source, r, c);
+    shard::repack_tile(input_, *source, r, c);
     input_cache_->invalidate(r, c);
     ++input_heals_;
     recovery_.input_tiles_recovered.increment();
@@ -217,12 +214,14 @@ auto ShardStreamEngine::with_recovery(const DelayMatrix* source, Fn&& fn)
   for (;;) {
     try {
       return fn();
-    } catch (shard::CorruptTileError e) {
+    } catch (const shard::CorruptTileError& caught) {
       // Heal the named tile, then retry the operation. The heal itself
       // reads tiles and can trip over *another* corrupt tile (or an
       // injected I/O error): heal innermost-first and let the outer retry
-      // find whatever is still broken. InjectedCrash is never caught —
-      // a simulated kill must propagate to the harness.
+      // find whatever is still broken — `e` names the tile to heal next.
+      // InjectedCrash is never caught — a simulated kill must propagate
+      // to the harness.
+      shard::CorruptTileError e = caught;
       for (;;) {
         if (++actions > kMaxRecoveryActions) throw;
         try {
@@ -241,13 +240,14 @@ auto ShardStreamEngine::with_recovery(const DelayMatrix* source, Fn&& fn)
   }
 }
 
-float ShardStreamEngine::severity(HostId a, HostId b) {
-  return with_recovery(source_, [&] { return sink_cache_->at(a, b); });
+float ShardStreamEngine::read_severity(HostId a, HostId b) {
+  return with_recovery(source_,
+                       [&] { return core::sink_severity(*sink_cache_, a, b); });
 }
 
-void ShardStreamEngine::severity_row(HostId a, std::span<float> out) {
+void ShardStreamEngine::read_severity_row(HostId a, std::span<float> out) {
   with_recovery(source_, [&] {
-    sink_cache_->read_row(a, out);
+    core::sink_severity_row(*sink_cache_, a, out);
     return 0;
   });
 }
@@ -262,7 +262,7 @@ bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
   with_recovery(&matrix, [&] {
     if (retry) screen.begin(matrix, dirty_hosts);  // restart the diff
     retry = true;
-    core::diff_dirty_rows(*input_, *input_cache_, dirty_hosts, screen);
+    core::diff_dirty_rows(*input_cache_, dirty_hosts, screen);
     return 0;
   });
   return input_heals_ == heals;
@@ -278,8 +278,8 @@ void ShardStreamEngine::update_rows(const DelayMatrix& matrix,
     // dirty edge. A kill anywhere past this point leaves a manifest naming
     // every possibly-torn tile; recover() replays exactly those (replaying
     // an untouched one is an idempotent rewrite of identical bytes).
-    const std::uint32_t T = input_->tile_dim();
-    const std::uint32_t bands = input_->tiles_per_side();
+    const std::uint32_t T = input_.tile_dim();
+    const std::uint32_t bands = input_.tiles_per_side();
     std::vector<std::uint8_t> band_dirty(bands, 0);
     for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
     manifest_ = EpochManifest{};
@@ -297,7 +297,7 @@ void ShardStreamEngine::update_rows(const DelayMatrix& matrix,
         }
       }
     }
-    manifest_.write(EpochManifest::path_for(sink_->path()));
+    manifest_.write(EpochManifest::path_for(sink_.path()));
   }
 
   // A changed entry (x, y) requires edge (x, y) updated, and DelayStream
@@ -308,7 +308,7 @@ void ShardStreamEngine::update_rows(const DelayMatrix& matrix,
   // fresh build already and are not touched.
   obs::Span repack_span("tile-repack");
   for (const auto& [b, c] : manifest_.input_tiles) {
-    input_->repack_tile(matrix, b, c);
+    shard::repack_tile(input_, matrix, b, c);
     input_cache_->invalidate(b, c);
     ++stats.input_tiles_repacked;
   }
@@ -325,7 +325,7 @@ void ShardStreamEngine::write_results(const DelayMatrix& matrix,
   // (recommitting a tile the aborted attempt already wrote is idempotent);
   // sink_written_ collects the tiles every attempt wrote.
   const core::SinkRepairStats repair = with_recovery(&matrix, [&] {
-    return core::repair_severities_to_sink(matrix, *sink_,
+    return core::repair_severities_to_sink(matrix, sink_,
                                            input_cache_->budget_bytes(),
                                            dirty_hosts, edges, sink_written_);
   });
@@ -338,14 +338,14 @@ void ShardStreamEngine::write_results(const DelayMatrix& matrix,
   // rewrote — every one of them lies in the journaled superset — so the
   // cached tiles in between keep serving reads.
   for (const auto& [bi, bj] : manifest_.sink_tiles) {
-    std::uint8_t& written = sink_written_[sink_->tile_index(bi, bj)];
+    std::uint8_t& written = sink_written_[sink_.tile_index(bi, bj)];
     if (written) {
       sink_cache_->invalidate(bi, bj);
       written = 0;
     }
   }
   // Commit point: both stores are consistent, drop the journal.
-  EpochManifest::clear(EpochManifest::path_for(sink_->path()));
+  EpochManifest::clear(EpochManifest::path_for(sink_.path()));
 }
 
 }  // namespace tiv::stream

@@ -1,8 +1,9 @@
 // The tile store of the live severity engine (stream/severity_engine):
-// the packed view and the severities held on disk, in a shard::TileStore
-// (input) and a sink::SeverityTileStore (output), each behind a budgeted
-// cache. Past the memory budget neither fits in RAM; only DelayStream's
-// matrix stays there.
+// the packed view and the severities held on disk, in two shard::TileFiles
+// — the input (shard::kInputFormat) and the severity sink
+// (shard::kSinkFormat) — each behind its own budgeted shard::TileCache
+// ("cache.input", "cache.sink"). Past the memory budget neither fits in
+// RAM; only DelayStream's matrix stays there.
 //
 // Its steps of the one epoch:
 //   - pre-epoch rows: the dirty hosts' rows read tile by tile from the
@@ -12,7 +13,7 @@
 //     and dirties both endpoints, so a changed tile has a dirty host in its
 //     row band AND in its column band — the dirty tiles are precisely
 //     dirty_bands x dirty_bands. The epoch journals them, then rewrites
-//     each in place with TileStore::repack_tile (byte-identical to a fresh
+//     each in place with shard::repack_tile (byte-identical to a fresh
 //     build, the tile-granular mirror of DelayMatrixView::repack_row) and
 //     drops it from the tile cache.
 //   - result write: only the flagged edges are recomputed, by the repair
@@ -20,6 +21,8 @@
 //     (core::repair_severities_to_sink), so the repair reads no input tile.
 //     Only the sink tiles holding one are rewritten and committed with
 //     fresh checksums; only those are dropped from the sink cache.
+//   - reads: severity and severity_row go through the sink cache
+//     (core::sink_severity, core::sink_severity_row).
 //
 // Tracked memory stays within the configured input + output cache budgets
 // (worker-local O(tile^2) scratch excluded, as everywhere in the streaming
@@ -30,7 +33,7 @@
 //   - Every tile read validates its checksum; a corrupt tile surfaces as
 //     shard::CorruptTileError carrying the store path and coordinates, and
 //     the engine *self-heals* instead of failing the query: a corrupt sink
-//     tile is rebuilt from its band pair of the (trusted) input store, a
+//     tile is rebuilt from its band pair of the (trusted) input file, a
 //     corrupt input tile is repacked from the epoch's matrix or the
 //     attached live matrix (attach_source), and the interrupted operation
 //     retries. Healed-tile counts are in recovery_stats(). A heal during
@@ -53,15 +56,9 @@
 
 #include "obs/metrics.hpp"
 #include "shard/tile_cache.hpp"
-#include "shard/tile_store.hpp"
-#include "sink/severity_cache.hpp"
-#include "sink/severity_tile_store.hpp"
+#include "shard/tile_file.hpp"
 #include "stream/epoch_manifest.hpp"
 #include "stream/severity_engine.hpp"
-
-namespace tiv::shard {
-class FaultInjector;
-}
 
 namespace tiv::stream {
 
@@ -132,11 +129,6 @@ class ShardStreamEngine final : public SeverityEngine {
   /// The matrix must outlive the engine or be detached (nullptr) first.
   void attach_source(const DelayMatrix* matrix) { source_ = matrix; }
 
-  /// Severity of edge (a, b) / row a, read through the budgeted sink
-  /// cache. Self-heals corrupt tiles (see RecoveryStats).
-  float severity(HostId a, HostId b) override;
-  void severity_row(HostId a, std::span<float> out) override;
-
   shard::CacheStats input_cache_stats() const { return input_cache_->stats(); }
   shard::CacheStats output_cache_stats() const {
     return sink_cache_->stats();
@@ -147,21 +139,21 @@ class ShardStreamEngine final : public SeverityEngine {
     s.sink_tiles_recovered = recovery_.sink_tiles_recovered.value();
     s.io_retries = recovery_.io_retries.value();
     s.torn_epochs_replayed = recovery_.torn_epochs_replayed.value();
-    s.input_read_retries = input_->read_retries();
-    s.sink_read_retries = sink_->read_retries();
+    s.input_read_retries = input_.read_retries();
+    s.sink_read_retries = sink_.read_retries();
     return s;
   }
-  const std::string& input_path() const { return input_->path(); }
-  const std::string& sink_path() const { return sink_->path(); }
+  const std::string& input_path() const { return input_.path(); }
+  const std::string& sink_path() const { return sink_.path(); }
 
   /// Attach deterministic fault injectors (shard/fault_injector.hpp) to
   /// the two stores — the hook the soak tests and the recovery bench use.
   /// Injectors must outlive the engine or be detached (nullptr) first.
   void set_input_fault_injector(shard::FaultInjector* injector) {
-    input_->set_fault_injector(injector);
+    input_.set_fault_injector(injector);
   }
   void set_sink_fault_injector(shard::FaultInjector* injector) {
-    sink_->set_fault_injector(injector);
+    sink_.set_fault_injector(injector);
   }
 
  private:
@@ -179,6 +171,15 @@ class ShardStreamEngine final : public SeverityEngine {
                      std::span<const HostId> dirty_hosts,
                      const core::EpochEdges& edges,
                      EpochStats& stats) override;
+  /// Reads through the budgeted sink cache; self-heal corrupt tiles (see
+  /// RecoveryStats).
+  float read_severity(HostId a, HostId b) override;
+  void read_severity_row(HostId a, std::span<float> out) override;
+
+  /// Opens the two tile files at the configured paths, writable and
+  /// geometry-checked against (n, config_.tile_dim), and builds their
+  /// caches.
+  void open_files(HostId n);
 
   /// Recovery accounting: obs counters linked into the registry under
   /// "engine.recovery.*" (the engine never moves — recover() relies on
@@ -200,18 +201,18 @@ class ShardStreamEngine final : public SeverityEngine {
   template <typename Fn>
   auto with_recovery(const DelayMatrix* source, Fn&& fn) -> decltype(fn());
 
-  /// Heals one corrupt tile named by `e`, routing by store path: sink
-  /// tiles rebuild from the input store, input tiles repack from `source`.
+  /// Heals one corrupt tile named by `e`, routing by file path: sink
+  /// tiles rebuild from the input file, input tiles repack from `source`.
   /// Rethrows `e` when it cannot (unknown path, no source).
   void heal(const shard::CorruptTileError& e, const DelayMatrix* source);
 
   ShardStreamConfig config_;
   // Declaration order is lifetime order: caches hold references into their
-  // stores and are destroyed first (reverse order).
-  std::optional<shard::TileStore> input_;
+  // files and are destroyed first (reverse order).
+  shard::TileFile input_;
   std::optional<shard::TileCache> input_cache_;
-  std::optional<sink::SeverityTileStore> sink_;
-  std::optional<sink::SeverityCache> sink_cache_;
+  shard::TileFile sink_;
+  std::optional<shard::TileCache> sink_cache_;
   const DelayMatrix* source_ = nullptr;
   /// Input tiles healed so far — a plain count, unlike the registry
   /// counters (zero under TIV_OBS_DISABLE), so diff_rows can tell that a

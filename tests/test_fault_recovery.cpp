@@ -18,8 +18,8 @@
 #include "matrix_test_utils.hpp"
 #include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
+#include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
-#include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/epoch_manifest.hpp"
 #include "stream/shard_stream.hpp"
@@ -36,6 +36,10 @@ using shard::CorruptTileError;
 using shard::FaultInjector;
 using shard::InjectedCrash;
 using shard::InjectedIoError;
+using shard::kInputFormat;
+using shard::kSinkFormat;
+using shard::TileFile;
+using shard::TileFormatError;
 
 using tiv::test::engine_matches;
 using tiv::test::random_matrix;
@@ -118,8 +122,8 @@ TEST(FaultInjector, EioRateAlwaysFiresAtOne) {
 TEST(FaultInjector, AttachedInjectorCorruptsStoreReads) {
   const DelayMatrix m = random_matrix(20, 0.1, 61);
   const std::string path = scratch_path("inj_store");
-  shard::TileStore::write_matrix(path, m, 16);
-  auto store = shard::TileStore::open(path);
+  shard::write_matrix(path, m, 16);
+  auto store = TileFile::open(kInputFormat, path);
   FaultInjector::Config cfg;
   cfg.bitflip_every_kth_read = 1;  // every read flips
   FaultInjector inj(cfg);
@@ -138,21 +142,21 @@ TEST(GeometryCheck, ReopenRejectsMismatchedStores) {
   const DelayMatrix m = random_matrix(32, 0.1, 62);
   const std::string in_path = scratch_path("geom_in");
   const std::string out_path = scratch_path("geom_out");
-  shard::TileStore::write_matrix(in_path, m, 16);
-  sink::SeverityTileStore::create(out_path, 32, 16);
+  shard::write_matrix(in_path, m, 16);
+  shard::create_sink(out_path, 32, 16);
 
   // Matching expectations open fine; nonzero mismatched n or tile_dim is
-  // rejected in both stores via the shared helper.
-  shard::TileStore::open(in_path, false, 32, 16);
-  sink::SeverityTileStore::open(out_path, false, 32, 16);
-  EXPECT_THROW(shard::TileStore::open(in_path, false, 48, 16),
+  // rejected in both formats, as a TileFormatError.
+  TileFile::open(kInputFormat, in_path, false, 32, 16);
+  TileFile::open(kSinkFormat, out_path, false, 32, 16);
+  EXPECT_THROW(TileFile::open(kInputFormat, in_path, false, 48, 16),
                std::runtime_error);
-  EXPECT_THROW(shard::TileStore::open(in_path, false, 32, 32),
+  EXPECT_THROW(TileFile::open(kInputFormat, in_path, false, 32, 32),
+               TileFormatError);
+  EXPECT_THROW(TileFile::open(kSinkFormat, out_path, false, 48, 16),
                std::runtime_error);
-  EXPECT_THROW(sink::SeverityTileStore::open(out_path, false, 48, 16),
-               std::runtime_error);
-  EXPECT_THROW(sink::SeverityTileStore::open(out_path, false, 32, 32),
-               std::runtime_error);
+  EXPECT_THROW(TileFile::open(kSinkFormat, out_path, false, 32, 32),
+               TileFormatError);
 
   // recover() routes the same check: a config whose geometry does not
   // match the files is rejected before any tile is served.
@@ -215,7 +219,7 @@ TEST(FaultRecovery, DiskRotInSinkTileHealsOnRead) {
   { ShardStreamEngine build(m, cfg); }  // build stores, keep files
 
   {  // rot one byte inside sink tile (1, 2), then reopen cold
-    const auto sink = sink::SeverityTileStore::open(cfg.sink_path);
+    const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);
     rot_byte_at(cfg.sink_path, sink.tile_offset(1, 2) + 100);
   }
   ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
@@ -224,7 +228,7 @@ TEST(FaultRecovery, DiskRotInSinkTileHealsOnRead) {
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 0u);
   // Healed on disk, not just in cache: a second cold open reads clean.
   {
-    const auto sink = sink::SeverityTileStore::open(cfg.sink_path);
+    const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);
     std::vector<float> tile(sink.payload_floats());
     sink.read_tile(1, 2, tile.data());
   }
@@ -237,7 +241,7 @@ TEST(FaultRecovery, DiskRotInInputTileHealsFromLiveMatrix) {
   { ShardStreamEngine build(m, cfg); }
 
   {  // rot input tile (0, 2) — in the dirty band, but not repacked below
-    const auto in = shard::TileStore::open(cfg.input_path);
+    const auto in = TileFile::open(kInputFormat, cfg.input_path);
     rot_byte_at(cfg.input_path, in.tile_offset(0, 2) + 64);
   }
   DelayStream stream(m);

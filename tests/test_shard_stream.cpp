@@ -1,5 +1,6 @@
-// Out-of-core live pipeline (src/sink/ + stream/shard_stream): the
-// severity tile sink round-trips and rejects corruption, the sink-fed
+// Out-of-core live pipeline (core/shard_severity + stream/shard_stream):
+// the severity tile sink round-trips (its corruption and read-only cases
+// run on both formats in test_tile_store), the sink-fed
 // streaming driver matches the in-memory kernel bit for bit, and the tile
 // store's own side of the live engine (its bit-identity cases shared with
 // the in-memory store run in test_stream_engine's LiveEngine suite): the
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -33,9 +33,8 @@
 #include "reference/oracles.hpp"
 #include "shard/checksum.hpp"
 #include "shard/tile_cache.hpp"
+#include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
-#include "sink/severity_cache.hpp"
-#include "sink/severity_tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
@@ -48,9 +47,10 @@ using core::SeverityMatrix;
 using core::TivAnalyzer;
 using delayspace::DelayMatrix;
 using delayspace::HostId;
-using shard::CorruptTileError;
-using sink::SeverityCache;
-using sink::SeverityTileStore;
+using shard::kInputFormat;
+using shard::kSinkFormat;
+using shard::TileCache;
+using shard::TileFile;
 
 using tiv::test::engine_matches;
 using tiv::test::file_bytes;
@@ -77,15 +77,15 @@ void corrupt_byte_at(const std::string& path, long offset) {
   std::fclose(f);
 }
 
-// --- SeverityTileStore ------------------------------------------------------
+// --- Severity sink file -----------------------------------------------------
 
-TEST(SeverityTileStore, CreateReopenRoundTrip) {
+TEST(SinkTileFile, CreateReopenRoundTrip) {
   const std::string path = scratch_path("roundtrip");
   // 37 = 2*16 + 5: ragged last band.
-  SeverityTileStore::create(path, 37, 16);
+  shard::create_sink(path, 37, 16);
   std::vector<float> tile(16 * 16);
   {
-    auto store = SeverityTileStore::open(path, /*writable=*/true);
+    auto store = TileFile::open(kSinkFormat, path, /*writable=*/true);
     EXPECT_EQ(store.size(), 37u);
     EXPECT_EQ(store.tiles_per_side(), 3u);
     EXPECT_EQ(store.tile_count(), 6u);
@@ -105,38 +105,13 @@ TEST(SeverityTileStore, CreateReopenRoundTrip) {
     store.write_tile(1, 2, tile.data());
   }  // closed
   {
-    const auto store = SeverityTileStore::open(path);
+    const auto store = TileFile::open(kSinkFormat, path);
     std::vector<float> got(16 * 16);
     store.read_tile(1, 2, got.data());
     EXPECT_EQ(got, tile);  // survives reopen-after-close, checksum included
     store.read_tile(0, 1, got.data());
     for (const float v : got) EXPECT_EQ(v, 0.0f);
   }
-  std::filesystem::remove(path);
-}
-
-TEST(SeverityTileStore, WriteOnReadOnlyStoreThrows) {
-  const std::string path = scratch_path("readonly");
-  SeverityTileStore::create(path, 16, 16);
-  auto store = SeverityTileStore::open(path);
-  const std::vector<float> tile(16 * 16, 1.0f);
-  EXPECT_THROW(store.write_tile(0, 0, tile.data()), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(SeverityTileStore, CorruptTileIsRejectedLoudly) {
-  const std::string path = scratch_path("corrupt");
-  SeverityTileStore::create(path, 37, 16);
-  {
-    auto store = SeverityTileStore::open(path, /*writable=*/true);
-    std::vector<float> tile(16 * 16, 2.5f);
-    store.write_tile(2, 2, tile.data());
-  }
-  corrupt_byte_at(path, -5);  // inside the last tile's payload (2, 2)
-  const auto store = SeverityTileStore::open(path);
-  std::vector<float> tile(16 * 16);
-  EXPECT_THROW(store.read_tile(2, 2, tile.data()), CorruptTileError);
-  store.read_tile(0, 1, tile.data());  // other tiles unaffected
   std::filesystem::remove(path);
 }
 
@@ -156,12 +131,12 @@ void expect_sink_build_matches_in_memory(
   const std::string out_path = scratch_path(
       "sinkbuild_out_n" + std::to_string(m.size()) + "_t" +
       std::to_string(tile_dim));
-  shard::TileStore::write_matrix(in_path, m, tile_dim);
-  const auto store = shard::TileStore::open(in_path);
-  shard::TileCache cache(store, budget_bytes);
-  SeverityTileStore::create(out_path, m.size(), tile_dim);
-  auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
-  core::all_severities_to_sink(store, cache, sink);
+  shard::write_matrix(in_path, m, tile_dim);
+  const auto store = TileFile::open(kInputFormat, in_path);
+  TileCache cache(store, budget_bytes, "cache.input");
+  shard::create_sink(out_path, m.size(), tile_dim);
+  auto sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+  core::all_severities_to_sink(cache, sink);
 
   const auto stats = cache.stats();
   EXPECT_GT(stats.misses, 0u);
@@ -171,17 +146,17 @@ void expect_sink_build_matches_in_memory(
   }
 
   const SeverityMatrix want = TivAnalyzer(m).all_severities();
-  SeverityCache reader(sink, std::size_t{1} << 22);
+  TileCache reader(sink, std::size_t{1} << 22, "cache.sink");
   const HostId n = m.size();
   std::vector<float> row(n);
   for (HostId a = 0; a < n; ++a) {
-    reader.read_row(a, row);
+    core::sink_severity_row(reader, a, row);
     for (HostId b = 0; b < n; ++b) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(row[b]),
                 std::bit_cast<std::uint32_t>(want.at(a, b)))
           << "(" << a << ", " << b << ")";
       // Point reads agree with row reads (they address the same tiles).
-      ASSERT_EQ(reader.at(a, b), row[b]);
+      ASSERT_EQ(core::sink_severity(reader, a, b), row[b]);
     }
   }
   std::filesystem::remove(in_path);
@@ -223,14 +198,13 @@ TEST(SinkSeverity, TileReadFailurePropagatesAsException) {
   const DelayMatrix m = random_matrix(96, 0.1, 20);
   const std::string in_path = scratch_path("truncated_in");
   const std::string out_path = scratch_path("truncated_out");
-  shard::TileStore::write_matrix(in_path, m, 16);
-  const auto store = shard::TileStore::open(in_path);
+  shard::write_matrix(in_path, m, 16);
+  const auto store = TileFile::open(kInputFormat, in_path);
   std::filesystem::resize_file(in_path, 512);  // header survives, tiles gone
-  shard::TileCache cache(store, std::size_t{1} << 20);
-  SeverityTileStore::create(out_path, m.size(), 16);
-  auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
-  EXPECT_THROW(core::all_severities_to_sink(store, cache, sink),
-               std::runtime_error);
+  TileCache cache(store, std::size_t{1} << 20, "cache.input");
+  shard::create_sink(out_path, m.size(), 16);
+  auto sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+  EXPECT_THROW(core::all_severities_to_sink(cache, sink), std::runtime_error);
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
   set_parallel_thread_count(0);
@@ -240,14 +214,15 @@ TEST(SinkSeverity, GeometryMismatchRejected) {
   const DelayMatrix m = random_matrix(32, 0.1, 34);
   const std::string in_path = scratch_path("geom_in");
   const std::string out_path = scratch_path("geom_out");
-  shard::TileStore::write_matrix(in_path, m, 16);
-  const auto store = shard::TileStore::open(in_path);
-  shard::TileCache cache(store, std::size_t{1} << 20);
-  SeverityTileStore::create(out_path, 48, 16);  // wrong n
-  auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
-  EXPECT_THROW(core::all_severities_to_sink(store, cache, sink),
+  shard::write_matrix(in_path, m, 16);
+  const auto store = TileFile::open(kInputFormat, in_path);
+  TileCache cache(store, std::size_t{1} << 20, "cache.input");
+  shard::create_sink(out_path, 48, 16);  // wrong n
+  auto sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+  EXPECT_THROW(core::all_severities_to_sink(cache, sink),
                std::invalid_argument);
-  auto sink_ro = SeverityTileStore::open(out_path);  // right flag matters too
+  // The writable flag matters too.
+  auto sink_ro = TileFile::open(kSinkFormat, out_path);
   EXPECT_THROW(core::repair_severities_to_sink(m, sink_ro, std::size_t{1} << 20,
                                                std::vector<HostId>{1},
                                                core::EpochEdges{}),
@@ -290,7 +265,7 @@ TEST(ShardStreamEngine, TileSlotPoolsStopGrowingAfterWarmup) {
   // Both caches recycle evicted and invalidated tile slots, so once the
   // first epochs have filled them to budget, further epochs and reads
   // allocate no tile memory — what keeps a long-running monitor's RSS
-  // flat (shard/lru_tile_cache.hpp).
+  // flat (shard/tile_cache.hpp).
   set_parallel_thread_count(2);
   const HostId n = 96;
   const std::uint32_t tile_dim = 16;
@@ -485,13 +460,13 @@ TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
   // The unscreened pass over a fresh copy of the pre-epoch sink.
   const std::string in_path = scratch_path("lost_all_in");
   const std::string out_path = scratch_path("lost_all_out");
-  shard::TileStore::write_matrix(in_path, m, 16);
-  SeverityTileStore::create(out_path, n, 16);
+  shard::write_matrix(in_path, m, 16);
+  shard::create_sink(out_path, n, 16);
   {
-    const auto store = shard::TileStore::open(in_path);
-    shard::TileCache cache(store, std::size_t{1} << 20);
-    auto sink = SeverityTileStore::open(out_path, /*writable=*/true);
-    core::all_severities_to_sink(store, cache, sink);
+    const auto store = TileFile::open(kInputFormat, in_path);
+    TileCache cache(store, std::size_t{1} << 20, "cache.input");
+    auto sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+    core::all_severities_to_sink(cache, sink);
     core::EpochEdges all;
     all.reset(epoch.dirty_hosts, n);
     all.flag_all();
@@ -633,8 +608,9 @@ TEST(DirtyRowRepair, InputCorruptionHealsWhenTheScreenReadsIt) {
   { ShardStreamEngine build(stream.matrix(), cfg); }
   corrupt_byte_at(cfg.input_path,
                   static_cast<long>(
-                      shard::TileStore::open(cfg.input_path).tile_offset(2, 3) +
-                      64));
+                      TileFile::open(kInputFormat, cfg.input_path)
+                              .tile_offset(2, 3) +
+                          64));
   {
     ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
     Rng rng(90);
@@ -670,7 +646,8 @@ TEST(DirtyRowRepair, CorePassRejectsMalformedHostLists) {
   const DelayMatrix m = random_matrix(40, 0.2, 91);
   ShardStreamEngine engine(m, repair_config("badlist", 16));
   const std::string sink_before = file_bytes(engine.sink_path());
-  auto sink = SeverityTileStore::open(engine.sink_path(), /*writable=*/true);
+  auto sink =
+      TileFile::open(kSinkFormat, engine.sink_path(), /*writable=*/true);
   EXPECT_THROW(core::repair_severities_to_sink(m, sink, std::size_t{1} << 20,
                                                std::vector<HostId>{4, 2},
                                                core::EpochEdges{}),
@@ -688,27 +665,24 @@ class UnscreenedShadow {
                    std::size_t budget, const std::string& tag)
       : out_path_(scratch_path(tag + "_shadow_out")), budget_(budget) {
     const std::string in_path = scratch_path(tag + "_shadow_in");
-    shard::TileStore::write_matrix(in_path, m, tile_dim);
-    SeverityTileStore::create(out_path_, m.size(), tile_dim);
-    sink_.emplace(SeverityTileStore::open(out_path_, /*writable=*/true));
+    shard::write_matrix(in_path, m, tile_dim);
+    shard::create_sink(out_path_, m.size(), tile_dim);
+    sink_ = TileFile::open(kSinkFormat, out_path_, /*writable=*/true);
     {
-      const auto store = shard::TileStore::open(in_path);
-      shard::TileCache cache(store, budget);
-      core::all_severities_to_sink(store, cache, *sink_);
+      const auto store = TileFile::open(kInputFormat, in_path);
+      TileCache cache(store, budget, "cache.input");
+      core::all_severities_to_sink(cache, sink_);
     }
     std::filesystem::remove(in_path);
   }
-  ~UnscreenedShadow() {
-    sink_.reset();
-    std::filesystem::remove(out_path_);
-  }
+  ~UnscreenedShadow() { std::filesystem::remove(out_path_); }
 
   void apply(const DelayMatrix& m, std::span<const HostId> dirty) {
     if (dirty.empty()) return;
     core::EpochEdges all;
     all.reset(dirty, m.size());
     all.flag_all();
-    core::repair_severities_to_sink(m, *sink_, budget_, dirty, all);
+    core::repair_severities_to_sink(m, sink_, budget_, dirty, all);
   }
 
   const std::string& sink_path() const { return out_path_; }
@@ -716,7 +690,7 @@ class UnscreenedShadow {
  private:
   std::string out_path_;
   std::size_t budget_;
-  std::optional<SeverityTileStore> sink_;
+  TileFile sink_;
 };
 
 TEST(ScreenedRepair, MultiEdgeEpochsMatchRebuildAndUnscreenedSink) {
@@ -783,7 +757,7 @@ TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
   { ShardStreamEngine build(stream.matrix(), cfg); }
   {
     const auto offset =
-        shard::TileStore::open(cfg.input_path).tile_offset(0, 0) + 40;
+        TileFile::open(kInputFormat, cfg.input_path).tile_offset(0, 0) + 40;
     std::FILE* f = std::fopen(cfg.input_path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);

@@ -29,7 +29,7 @@
 #include "engine_harness.hpp"
 #include "matrix_test_utils.hpp"
 #include "reference/oracles.hpp"
-#include "shard/tile_store.hpp"
+#include "shard/tile_file.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/epoch_manifest.hpp"
 #include "stream/incremental_severity.hpp"
@@ -641,6 +641,32 @@ TEST_P(LiveEngine, MatrixSizeChangeIsRejectedUntouched) {
   next.set(1, 2, 7.0f);
   engine->apply_epoch(next, std::vector<HostId>{1, 2});
   EXPECT_TRUE(test::engine_matches(*engine, TivAnalyzer(next).all_severities()));
+}
+
+TEST_P(LiveEngine, OutOfRangeReadsAreRejected) {
+  // n = 37 leaves the tile store's last band 11 hosts of padding (37..47
+  // with 16-wide tiles). A host at or past size() — padding included — and
+  // a row buffer of any size but size() throw on both stores, before
+  // anything is read or written.
+  const HostId n = 37;
+  const DelayMatrix m = test::random_matrix(n, 0.2, 57);
+  const auto engine = GetParam().make(m);
+  std::vector<float> row(n);
+  for (const HostId bad : {n, n + 5, HostId{3 * 16 - 1}, n + 1000}) {
+    EXPECT_THROW(engine->severity(bad, 0), std::out_of_range) << bad;
+    EXPECT_THROW(engine->severity(0, bad), std::out_of_range) << bad;
+    EXPECT_THROW(engine->severity_row(bad, row), std::out_of_range) << bad;
+  }
+  for (const std::size_t size : {std::size_t{0}, std::size_t{n - 1},
+                                 std::size_t{n + 1}, std::size_t{3 * 16}}) {
+    std::vector<float> out(size, -1.0f);
+    EXPECT_THROW(engine->severity_row(0, out), std::invalid_argument) << size;
+    for (const float v : out) EXPECT_EQ(v, -1.0f);
+  }
+  // The last host still reads, by row and by point.
+  engine->severity_row(n - 1, row);
+  for (HostId b = 0; b < n; ++b) EXPECT_EQ(engine->severity(n - 1, b), row[b]);
+  EXPECT_TRUE(test::engine_matches(*engine, TivAnalyzer(m).all_severities()));
 }
 
 // --- The epoch screen --------------------------------------------------------

@@ -1,9 +1,11 @@
-// Tests for the out-of-core shard subsystem: TileStore round-tripping the
-// packed-view representation (and repacking tiles in place byte-identically
-// to a fresh build), the tile checksum's detection power over real tiles,
-// format-version rejection, and TileCache budget/eviction accounting. The
-// band-pair severity driver's bit-identity to the in-memory kernel is
-// tested through its sink in test_shard_stream.cpp.
+// Tests for the out-of-core shard subsystem: input tile files round-
+// tripping the packed-view representation (and repacking tiles in place
+// byte-identically to a fresh build), what both formats share (corrupt
+// tiles, read-only opens, the cache's budget/eviction accounting under
+// either metric prefix), the formats kept apart, the tile checksum's
+// detection power over real tiles, and typed rejection of foreign, stale
+// and hostile headers. The band-pair severity driver's bit-identity to the
+// in-memory kernel is tested through its sink in test_shard_stream.cpp.
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -17,14 +19,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/epoch_screen.hpp"
 #include "core/shard_severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "matrix_test_utils.hpp"
+#include "obs/metrics.hpp"
 #include "shard/checksum.hpp"
 #include "shard/fault_injector.hpp"
 #include "shard/tile_cache.hpp"
+#include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
-#include "sink/severity_tile_store.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::core {
@@ -33,8 +37,12 @@ namespace {
 using delayspace::DelayMatrix;
 using delayspace::DelayMatrixView;
 using delayspace::HostId;
+using shard::kInputFormat;
+using shard::kSinkFormat;
 using shard::TileCache;
-using shard::TileStore;
+using shard::TileFile;
+using shard::TileFileParams;
+using shard::TileFormatError;
 
 using tiv::test::random_matrix;
 
@@ -52,8 +60,8 @@ TEST(TileStore, RoundTripsPackedViewBlocks) {
   const HostId n = 37;  // does not divide the 16-wide tile
   const DelayMatrix m = random_matrix(n, 0.25, 5);
   const std::string path = scratch_path("roundtrip");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
+  shard::write_matrix(path, m, 16);
+  const TileFile store = TileFile::open(kInputFormat, path);
   EXPECT_EQ(store.size(), n);
   EXPECT_EQ(store.tile_dim(), 16u);
   EXPECT_EQ(store.tiles_per_side(), 3u);
@@ -86,8 +94,8 @@ TEST(TileStore, OutOfRangeBandsAndTilesThrowTyped) {
   // Range checks at the file's index are exceptions, not asserts, so they
   // hold in release builds too.
   const std::string in_path = scratch_path("range_in");
-  TileStore::write_matrix(in_path, random_matrix(37, 0.25, 5), 16);
-  const TileStore store = TileStore::open(in_path);
+  shard::write_matrix(in_path, random_matrix(37, 0.25, 5), 16);
+  const TileFile store = TileFile::open(kInputFormat, in_path);
   EXPECT_EQ(store.band_rows(2), 5u);
   EXPECT_THROW(store.band_rows(3), std::out_of_range);
   EXPECT_NO_THROW(store.tile_offset(2, 0));  // square index: any (r, c)
@@ -97,8 +105,8 @@ TEST(TileStore, OutOfRangeBandsAndTilesThrowTyped) {
   EXPECT_THROW(store.read_tile(0, 7, payload.data()), std::out_of_range);
 
   const std::string sink_path = scratch_path("range_sink");
-  sink::SeverityTileStore::create(sink_path, 37, 16);
-  const auto sink = sink::SeverityTileStore::open(sink_path);
+  shard::create_sink(sink_path, 37, 16);
+  const auto sink = TileFile::open(kSinkFormat, sink_path);
   EXPECT_EQ(sink.tile_index(1, 2), 4u);  // upper triangle, row-major
   EXPECT_THROW(sink.tile_index(2, 1), std::out_of_range);
   EXPECT_THROW(sink.tile_index(0, 3), std::out_of_range);
@@ -109,14 +117,17 @@ TEST(TileStore, OutOfRangeBandsAndTilesThrowTyped) {
 
 TEST(TileStore, RejectsBadTileDim) {
   const DelayMatrix m = random_matrix(8, 0.0, 6);
-  EXPECT_THROW(TileStore::write_matrix(scratch_path("bad"), m, 0),
+  EXPECT_THROW(shard::write_matrix(scratch_path("bad"), m, 0),
                std::invalid_argument);
-  EXPECT_THROW(TileStore::write_matrix(scratch_path("bad"), m, 24),
+  EXPECT_THROW(shard::write_matrix(scratch_path("bad"), m, 24),
+               std::invalid_argument);
+  EXPECT_THROW(shard::create_sink(scratch_path("bad"), 8, 24),
                std::invalid_argument);
 }
 
 TEST(TileStore, OpenRejectsMissingAndMalformed) {
-  EXPECT_THROW(TileStore::open("/nonexistent/tiv_tiles"), std::runtime_error);
+  EXPECT_THROW(TileFile::open(kInputFormat, "/nonexistent/tiv_tiles"),
+               std::runtime_error);
   const std::string path = scratch_path("garbage");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -124,7 +135,8 @@ TEST(TileStore, OpenRejectsMissingAndMalformed) {
     std::fputs("not a tile store", f);
     std::fclose(f);
   }
-  EXPECT_THROW(TileStore::open(path), std::runtime_error);
+  EXPECT_THROW(TileFile::open(kInputFormat, path), std::runtime_error);
+  EXPECT_THROW(TileFile::open(kInputFormat, path), TileFormatError);
   std::filesystem::remove(path);
 }
 
@@ -135,7 +147,7 @@ TEST(TileStore, RepackTileIsByteIdenticalToFreshBuild) {
   // — tiles and the checksum table included.
   DelayMatrix m = random_matrix(70, 0.3, 21);  // 70 = 4*16 + 6: ragged band
   const std::string path = scratch_path("repack");
-  TileStore::write_matrix(path, m, 16);
+  shard::write_matrix(path, m, 16);
 
   Rng rng(99);
   std::vector<std::uint8_t> band_dirty((70 + 15) / 16, 0);
@@ -152,17 +164,17 @@ TEST(TileStore, RepackTileIsByteIdenticalToFreshBuild) {
     band_dirty[b / 16] = 1;
   }
   {
-    auto store = TileStore::open(path, /*writable=*/true);
+    auto store = TileFile::open(kInputFormat, path, /*writable=*/true);
     EXPECT_TRUE(store.writable());
     for (std::uint32_t r = 0; r < store.tiles_per_side(); ++r) {
       if (!band_dirty[r]) continue;
       for (std::uint32_t c = 0; c < store.tiles_per_side(); ++c) {
-        store.repack_tile(m, r, c);
+        shard::repack_tile(store, m, r, c);
       }
     }
   }
   const std::string fresh_path = scratch_path("repack_fresh");
-  TileStore::write_matrix(fresh_path, m, 16);
+  shard::write_matrix(fresh_path, m, 16);
   std::ifstream repacked(path, std::ios::binary);
   std::ifstream fresh(fresh_path, std::ios::binary);
   const std::vector<char> got((std::istreambuf_iterator<char>(repacked)),
@@ -174,41 +186,165 @@ TEST(TileStore, RepackTileIsByteIdenticalToFreshBuild) {
   std::filesystem::remove(fresh_path);
 }
 
-TEST(TileStore, RepackOnReadOnlyStoreThrows) {
-  const DelayMatrix m = random_matrix(16, 0.0, 22);
-  const std::string path = scratch_path("repack_ro");
-  TileStore::write_matrix(path, m, 16);
-  auto store = TileStore::open(path);
-  EXPECT_THROW(store.repack_tile(m, 0, 0), std::runtime_error);
-  std::filesystem::remove(path);
+// --- What both formats share ------------------------------------------------
+
+const char* format_name(const TileFileParams* format) {
+  return format == &kInputFormat ? "Input" : "Sink";
 }
 
-TEST(TileStore, CorruptTileIsRejectedLoudly) {
-  const DelayMatrix m = random_matrix(37, 0.2, 23);
-  const std::string path = scratch_path("checksum");
-  TileStore::write_matrix(path, m, 16);
+/// A 37-host, 16-wide tile file of each format (3 bands; the input one
+/// holds a random matrix, the sink one is fresh) — one fixture for the
+/// cases both formats must pass alike.
+class TileFileFormat : public ::testing::TestWithParam<const TileFileParams*> {
+ protected:
+  void SetUp() override {
+    path_ = scratch_path(std::string("format_") + format_name(GetParam()));
+    if (is_input()) {
+      shard::write_matrix(path_, matrix_, 16);
+    } else {
+      shard::create_sink(path_, matrix_.size(), 16);
+    }
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  bool is_input() const { return GetParam() == &kInputFormat; }
+  /// The cache prefix an engine gives a cache over this format.
+  const char* cache_prefix() const {
+    return is_input() ? "cache.input" : "cache.sink";
+  }
+  TileFile open(bool writable = false) const {
+    return TileFile::open(*GetParam(), path_, writable);
+  }
+
+  const DelayMatrix matrix_ = random_matrix(37, 0.2, 23);
+  std::string path_;
+};
+
+TEST_P(TileFileFormat, CorruptTileIsRejectedLoudly) {
   // Flip one byte inside the last tile's payload.
+  const std::uint32_t last = open().tiles_per_side() - 1;
+  const auto at = static_cast<std::streamoff>(open().tile_offset(last, last));
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
-    f.seekg(-64, std::ios::end);
+    f.seekg(at + 64);
     char byte = 0;
     f.read(&byte, 1);
-    f.seekp(-64, std::ios::end);
+    f.seekp(at + 64);
     byte ^= 0x5a;
     f.write(&byte, 1);
   }
-  const TileStore store = TileStore::open(path);
+  const TileFile store = open();
   std::vector<float> payload(store.payload_floats());
-  const std::uint32_t last = store.tiles_per_side() - 1;
   EXPECT_THROW(store.read_tile(last, last, payload.data()),
                shard::CorruptTileError);
   // CorruptTileError is still a runtime_error for coarse-grained handlers,
   // and other tiles stay readable.
   EXPECT_THROW(store.read_tile(last, last, payload.data()),
                std::runtime_error);
-  store.read_tile(0, 0, payload.data());
-  std::filesystem::remove(path);
+  store.read_tile(0, 1, payload.data());
+}
+
+TEST_P(TileFileFormat, WriteOnReadOnlyFileThrows) {
+  TileFile store = open();
+  const std::vector<float> tile(store.payload_floats(), 1.0f);
+  EXPECT_THROW(store.write_tile(0, 0, tile.data()), std::runtime_error);
+  if (is_input()) {
+    EXPECT_THROW(shard::repack_tile(store, matrix_, 0, 0), std::runtime_error);
+  }
+}
+
+TEST_P(TileFileFormat, CacheCountsHitsMissesAndReusesResidentTiles) {
+  const TileFile store = open();
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::MetricsSnapshot before = reg.snapshot();
+  TileCache cache(store, 1u << 20, cache_prefix());
+
+  const auto t1 = cache.acquire(0, 0);
+  const auto t2 = cache.acquire(0, 0);
+  EXPECT_EQ(t1.get(), t2.get());  // same resident tile, no duplicate load
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.current_bytes, store.tile_bytes());
+
+  cache.acquire(1, 2);
+  stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.current_bytes, 2 * store.tile_bytes());
+  EXPECT_EQ(stats.peak_bytes, 2 * store.tile_bytes());
+
+  // The same counts reach the registry under the cache's prefix.
+  const obs::MetricsSnapshot delta = reg.snapshot().delta_since(before);
+  const std::string prefix = cache_prefix();
+  EXPECT_EQ(delta.counters.at(prefix + ".misses"), 2u);
+  EXPECT_EQ(delta.counters.at(prefix + ".hits"), 1u);
+  EXPECT_EQ(delta.counters.at(prefix + ".slot_allocs"), 2u);
+}
+
+TEST_P(TileFileFormat, CacheEvictsLeastRecentlyUsedButNeverPinned) {
+  const TileFile store = open();
+  // Room for exactly two resident tiles.
+  TileCache cache(store, 2 * store.tile_bytes(), cache_prefix());
+
+  auto pinned = cache.acquire(0, 0);
+  cache.acquire(0, 1);          // unpinned once the ref drops
+  cache.acquire(0, 2);          // must evict (0, 1), not the pinned (0, 0)
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_LE(stats.current_bytes, cache.budget_bytes());
+
+  const auto again = cache.acquire(0, 0);
+  EXPECT_EQ(again.get(), pinned.get());  // survived eviction: was pinned
+  stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_LE(stats.peak_bytes, cache.budget_bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFormats, TileFileFormat, ::testing::Values(&kInputFormat, &kSinkFormat),
+    [](const ::testing::TestParamInfo<const TileFileParams*>& info) {
+      return std::string(format_name(info.param));
+    });
+
+TEST(TileFile, InputAndSinkAreNotInterchangeable) {
+  // Both formats are one TileFile type, so the functions check the index
+  // shape they are handed: a sink where the input is expected, and the
+  // reverse, is an std::invalid_argument before any tile moves.
+  const DelayMatrix m = random_matrix(37, 0.2, 25);
+  const std::string in_path = scratch_path("swap_in");
+  const std::string sink_path = scratch_path("swap_sink");
+  shard::write_matrix(in_path, m, 16);
+  shard::create_sink(sink_path, m.size(), 16);
+  TileFile in = TileFile::open(kInputFormat, in_path, /*writable=*/true);
+  TileFile sink = TileFile::open(kSinkFormat, sink_path, /*writable=*/true);
+  TileCache in_cache(in, 1u << 20, "cache.input");
+  TileCache sink_cache(sink, 1u << 20, "cache.sink");
+  const std::vector<HostId> dirty{3, 20};
+  EpochScreen screen;
+  EpochEdges edges;
+  std::vector<float> row(m.size());
+
+  // The sink where an input is expected.
+  EXPECT_THROW(all_severities_to_sink(sink_cache, sink), std::invalid_argument);
+  EXPECT_THROW(rebuild_sink_tile(sink_cache, sink, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(diff_dirty_rows(sink_cache, dirty, screen),
+               std::invalid_argument);
+  EXPECT_THROW(shard::repack_tile(sink, m, 0, 0), std::invalid_argument);
+  // The input where a sink is expected.
+  EXPECT_THROW(all_severities_to_sink(in_cache, in), std::invalid_argument);
+  EXPECT_THROW(rebuild_sink_tile(in_cache, in, 0, 0), std::invalid_argument);
+  EXPECT_THROW(repair_severities_to_sink(m, in, 1u << 20, dirty, edges),
+               std::invalid_argument);
+  EXPECT_THROW(sink_severity(in_cache, 0, 1), std::invalid_argument);
+  EXPECT_THROW(sink_severity_row(in_cache, 0, row), std::invalid_argument);
+  EXPECT_EQ(in_cache.stats().misses + sink_cache.stats().misses, 0u);
+  // Opened under the other format, each file is foreign.
+  EXPECT_THROW(TileFile::open(kSinkFormat, in_path), TileFormatError);
+  EXPECT_THROW(TileFile::open(kInputFormat, sink_path), TileFormatError);
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(sink_path);
 }
 
 // --- Tile checksum detection -------------------------------------------------
@@ -225,12 +361,12 @@ TileBytes real_tile_bytes() {
   const DelayMatrix m = random_matrix(64, 0.3, 61);
   const std::string in_path = scratch_path("bytes_in");
   const std::string out_path = scratch_path("bytes_out");
-  TileStore::write_matrix(in_path, m, 64);
-  const TileStore store = TileStore::open(in_path);
-  TileCache cache(store, 1u << 20);
-  sink::SeverityTileStore::create(out_path, 64, 64);
-  auto sink = sink::SeverityTileStore::open(out_path, /*writable=*/true);
-  all_severities_to_sink(store, cache, sink);
+  shard::write_matrix(in_path, m, 64);
+  const TileFile store = TileFile::open(kInputFormat, in_path);
+  TileCache cache(store, 1u << 20, "cache.input");
+  shard::create_sink(out_path, 64, 64);
+  auto sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+  all_severities_to_sink(cache, sink);
 
   TileBytes t;
   std::vector<float> payload(store.payload_floats());
@@ -298,10 +434,10 @@ TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
   const DelayMatrix m = random_matrix(64, 0.3, 62);
   const std::string in_path = scratch_path("flip_in");
   const std::string out_path = scratch_path("flip_out");
-  TileStore::write_matrix(in_path, m, 64);
-  TileStore store = TileStore::open(in_path);
-  sink::SeverityTileStore::create(out_path, 64, 64);
-  auto sink = sink::SeverityTileStore::open(out_path);
+  shard::write_matrix(in_path, m, 64);
+  TileFile store = TileFile::open(kInputFormat, in_path);
+  shard::create_sink(out_path, 64, 64);
+  auto sink = TileFile::open(kSinkFormat, out_path);
   std::vector<float> payload(store.payload_floats());
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     // Every read attempt flips one (seeded) bit, so each retry fails too:
@@ -402,10 +538,12 @@ void write_raw_header(const std::string& path, const char (&magic)[9],
                    (n + tile_dim - 1) / tile_dim, tile_bytes);
 }
 
+/// The message of the TileFormatError `open` throws ("" if none; any
+/// other exception escapes and fails the test).
 std::string open_error(const std::function<void()>& open) {
   try {
     open();
-  } catch (const std::runtime_error& e) {
+  } catch (const TileFormatError& e) {
     return e.what();
   }
   return "";
@@ -415,16 +553,17 @@ TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
   const std::string path = scratch_path("old_version");
   // v3 input stores carried per-row bitmasks after each tile's floats.
   write_raw_header(path, "TIVSHRD3", 3, 16, 16, 16 * 16 * 4 + 16 * 8);
-  EXPECT_NE(open_error([&] { TileStore::open(path); })
+  EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
                 .find("unsupported version"),
             std::string::npos);
   write_raw_header(path, "TIVSSEV1", 1, 16, 16, 16 * 16 * 4);
-  EXPECT_NE(open_error([&] { sink::SeverityTileStore::open(path); })
+  EXPECT_NE(open_error([&] { TileFile::open(kSinkFormat, path); })
                 .find("unsupported version"),
             std::string::npos);
   // A foreign magic is still a foreign file.
   write_raw_header(path, "NOTATILE", 4, 16, 16, 16 * 16 * 4);
-  EXPECT_NE(open_error([&] { TileStore::open(path); }).find("bad magic"),
+  EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
+                .find("bad magic"),
             std::string::npos);
   std::filesystem::remove(path);
 }
@@ -436,7 +575,8 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   // n + tile_dim - 1 wraps to 15 in 32 bits, so tiles = 0 once passed
   // for a store of 4 294 967 280 hosts.
   write_raw_header(path, "TIVSHRD4", 4, 0xFFFFFFF0u, kDim, 0, kTileBytes);
-  EXPECT_NE(open_error([&] { TileStore::open(path); })
+  EXPECT_THROW(TileFile::open(kInputFormat, path), TileFormatError);
+  EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
                 .find("inconsistent header"),
             std::string::npos);
   // Consistent geometry whose index and checksum table (2^32 and 2^24
@@ -445,7 +585,9 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   for (const std::uint32_t tiles : {1u << 16, 1u << 12}) {
     write_raw_header(path, "TIVSHRD4", 4, tiles * kDim, kDim, tiles,
                      kTileBytes);
-    EXPECT_NE(open_error([&] { TileStore::open(path); })
+    EXPECT_THROW(TileFile::open(kInputFormat, path), TileFormatError)
+        << "tiles=" << tiles;
+    EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
                   .find("does not fit the file"),
               std::string::npos)
         << "tiles=" << tiles;
@@ -454,7 +596,8 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   // entries here).
   write_raw_header(path, "TIVSSEV2", 2, (1u << 16) * kDim, kDim, 1u << 16,
                    kTileBytes);
-  EXPECT_NE(open_error([&] { sink::SeverityTileStore::open(path); })
+  EXPECT_THROW(TileFile::open(kSinkFormat, path), TileFormatError);
+  EXPECT_NE(open_error([&] { TileFile::open(kSinkFormat, path); })
                 .find("does not fit the file"),
             std::string::npos);
   std::filesystem::remove(path);
@@ -463,8 +606,9 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
 TEST(TileStore, WritesVersion4PayloadOnlyTiles) {
   const DelayMatrix m = random_matrix(64, 0.3, 63);
   const std::string path = scratch_path("v4");
-  TileStore::write_matrix(path, m, 64);
-  EXPECT_EQ(TileStore::open(path).tile_bytes(), 16384u);  // 64 x 64 floats
+  shard::write_matrix(path, m, 64);
+  EXPECT_EQ(TileFile::open(kInputFormat, path).tile_bytes(),
+            16384u);  // 64 x 64 floats
   char magic[8];
   std::uint32_t version = 0;
   std::ifstream f(path, std::ios::binary);
@@ -494,13 +638,13 @@ TEST(TileChecksum, GoldenValuesArePinned) {
 TEST(TileCache, InvalidateDropsResidentTileAndRereadsRepack) {
   DelayMatrix m = random_matrix(32, 0.0, 24);
   const std::string path = scratch_path("invalidate");
-  TileStore::write_matrix(path, m, 16);
-  auto store = TileStore::open(path, /*writable=*/true);
-  TileCache cache(store, 1u << 20);
+  shard::write_matrix(path, m, 16);
+  auto store = TileFile::open(kInputFormat, path, /*writable=*/true);
+  TileCache cache(store, 1u << 20, "cache.input");
 
   { const auto tile = cache.acquire(0, 1); }  // load, then unpin
   m.set(1, 20, 123.0f);  // row 1 (band 0), column 20 (band 1): tile (0, 1)
-  store.repack_tile(m, 0, 1);
+  shard::repack_tile(store, m, 0, 1);
   cache.invalidate(0, 1);
 
   auto stats = cache.stats();
@@ -512,52 +656,6 @@ TEST(TileCache, InvalidateDropsResidentTileAndRereadsRepack) {
   const auto tile = cache.acquire(0, 1);  // re-read sees the repacked bytes
   EXPECT_EQ(tile->row(1)[4], 123.0f);     // local (1, 20-16)
   EXPECT_EQ(cache.stats().misses, 2u);
-  std::filesystem::remove(path);
-}
-
-TEST(TileCache, CountsHitsMissesAndReusesResidentTiles) {
-  const DelayMatrix m = random_matrix(64, 0.1, 17);
-  const std::string path = scratch_path("cache");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
-  TileCache cache(store, 1u << 20);
-
-  const auto t1 = cache.acquire(0, 0);
-  const auto t2 = cache.acquire(0, 0);
-  EXPECT_EQ(t1.get(), t2.get());  // same resident tile, no duplicate load
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.current_bytes, store.tile_bytes());
-
-  cache.acquire(1, 2);
-  stats = cache.stats();
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.current_bytes, 2 * store.tile_bytes());
-  EXPECT_EQ(stats.peak_bytes, 2 * store.tile_bytes());
-  std::filesystem::remove(path);
-}
-
-TEST(TileCache, EvictsLeastRecentlyUsedButNeverPinned) {
-  const DelayMatrix m = random_matrix(64, 0.1, 18);
-  const std::string path = scratch_path("evict");
-  TileStore::write_matrix(path, m, 16);
-  const TileStore store = TileStore::open(path);
-  // Room for exactly two resident tiles.
-  TileCache cache(store, 2 * store.tile_bytes());
-
-  auto pinned = cache.acquire(0, 0);
-  cache.acquire(0, 1);          // unpinned once the ref drops
-  cache.acquire(0, 2);          // must evict (0, 1), not the pinned (0, 0)
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_LE(stats.current_bytes, cache.budget_bytes());
-
-  const auto again = cache.acquire(0, 0);
-  EXPECT_EQ(again.get(), pinned.get());  // survived eviction: was pinned
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_LE(stats.peak_bytes, cache.budget_bytes());
   std::filesystem::remove(path);
 }
 
