@@ -224,14 +224,13 @@ int main(int argc, char** argv) {
       // Recovery: reopen + one full readback. Every rotted tile fails its
       // checksum on first touch and is rebuilt in place.
       cfg.keep_files = false;  // recovery engine owns cleanup
-      const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
+      const std::uint64_t mark = tracer.recorded();
       const auto t0 = std::chrono::steady_clock::now();
       auto engine = ShardStreamEngine::recover(matrix, cfg);
       const std::size_t mismatches = bit_mismatches(engine, want);
       const auto t1 = std::chrono::steady_clock::now();
       const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action") - heal_ns0) /
-          1e6;
+          static_cast<double>(tracer.total_ns("recovery-action", mark)) / 1e6;
       const double recovery_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
       // Second full readback over the now-healed store: the no-fault floor.
@@ -313,15 +312,14 @@ int main(int argc, char** argv) {
       const SeverityMatrix want =
           TivAnalyzer(stream.matrix()).all_severities();
       cfg.keep_files = false;
-      const std::uint64_t heal_ns0 = tracer.total_ns("recovery-action");
+      const std::uint64_t mark = tracer.recorded();
       const auto t0 = std::chrono::steady_clock::now();
       auto engine = ShardStreamEngine::recover(stream.matrix(), cfg);
       const auto t1 = std::chrono::steady_clock::now();
       const double recover_ms =
           std::chrono::duration<double, std::milli>(t1 - t0).count();
       const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action") - heal_ns0) /
-          1e6;
+          static_cast<double>(tracer.total_ns("recovery-action", mark)) / 1e6;
       const std::size_t mismatches = bit_mismatches(engine, want);
 
       const double rebuild_ms =

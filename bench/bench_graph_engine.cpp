@@ -20,11 +20,7 @@
 //   --threads=T    benchmark only thread count T (default: 1, 2, 4, hw)
 //   --seed=S       xor-ed into the topology generator seed
 //   --json         accepted for uniformity; output is always JSON
-//   --profile-out=PATH  run the sampling profiler (src/obs/prof.hpp) for
-//                       the whole bench and write its JSON profile to PATH
-//   --profile-hz=HZ     sampling rate when profiling (default 97)
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -32,7 +28,6 @@
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
 #include "reference/oracles.hpp"
 #include "routing/graph_engine.hpp"
 #include "routing/policy_routing.hpp"
@@ -72,8 +67,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   const auto only_threads = flags.get_int("threads", 0);
   (void)flags.get_bool("json", true);  // always JSON, flag kept for symmetry
-  const std::string profile_out = flags.get_string("profile-out", "");
-  const double profile_hz = flags.get_double("profile-hz", 97.0);
   tiv::reject_unknown_flags(flags);
 
   const std::vector<std::uint32_t> sizes =
@@ -89,9 +82,6 @@ int main(int argc, char** argv) {
   }
   const int reps = quick ? 1 : 2;
   const int scalar_reps = quick ? 3 : reps;
-
-  tiv::obs::SpanProfiler profiler({profile_hz});
-  if (!profile_out.empty()) profiler.start();
 
   std::uint64_t parity_mismatches = 0;
   std::uint64_t warm_scratch_allocs = 0;
@@ -244,11 +234,6 @@ int main(int argc, char** argv) {
         .field("warm_scratch_allocs", warm_scratch_allocs);
   }
   tiv::set_parallel_thread_count(0);
-  if (!profile_out.empty()) {
-    profiler.stop();
-    std::ofstream pf(profile_out);
-    profiler.profile().write_json(pf);
-  }
   if (parity_mismatches != 0 || warm_scratch_allocs != 0) {
     std::cerr << "bench_graph_engine: FAILED (" << parity_mismatches
               << " parity mismatches, " << warm_scratch_allocs

@@ -94,28 +94,21 @@ ScenarioRun replay_and_score(const DelayMatrix& base, const DelayTrace& trace,
   engine.set_input_fault_injector(input_fault);
   engine.set_sink_fault_injector(sink_fault);
   ReplayDriver driver(base, trace);
-  const std::uint64_t epoch_ns0 = tracer.total_ns("scenario-epoch");
-  const std::uint64_t truth_ns0 = tracer.total_ns("scenario-truth");
-  const std::uint64_t verify_ns0 = tracer.total_ns("scenario-verify");
-  const std::uint64_t score_ns0 = tracer.total_ns("scenario-score");
+  const std::uint64_t mark = tracer.recorded();
   run.result = driver.run(engine, [&](const ReplayDriver::EpochView& view) {
     run.scorer.observe_epoch(view.truth, view.truth_severities, view.monitor,
                              view.monitor_severities);
   });
   run.recovery = engine.recovery_stats();
   const auto epochs = std::max<std::size_t>(1, run.result.epochs);
-  run.replay_epoch_ms =
-      static_cast<double>(tracer.total_ns("scenario-epoch") - epoch_ns0) /
-      1e6 / static_cast<double>(epochs);
-  run.truth_ms =
-      static_cast<double>(tracer.total_ns("scenario-truth") - truth_ns0) /
-      1e6 / static_cast<double>(epochs);
-  run.verify_ms =
-      static_cast<double>(tracer.total_ns("scenario-verify") - verify_ns0) /
-      1e6 / static_cast<double>(epochs);
-  run.score_ms =
-      static_cast<double>(tracer.total_ns("scenario-score") - score_ns0) /
-      1e6 / static_cast<double>(epochs);
+  const auto per_epoch_ms = [&](const char* name) {
+    return static_cast<double>(tracer.total_ns(name, mark)) / 1e6 /
+           static_cast<double>(epochs);
+  };
+  run.replay_epoch_ms = per_epoch_ms("scenario-epoch");
+  run.truth_ms = per_epoch_ms("scenario-truth");
+  run.verify_ms = per_epoch_ms("scenario-verify");
+  run.score_ms = per_epoch_ms("scenario-score");
   return run;
 }
 

@@ -50,17 +50,12 @@
 //   --dir=PATH             scratch directory for the tile-store files
 //                          (default: system temp dir); files are removed
 //   --seed=S               RNG seed
-//   --profile-out=PATH     run the span-attributed sampling profiler
-//                          (src/obs/prof.hpp) for the whole bench and
-//                          write its JSON profile to PATH
-//   --profile-hz=HZ        sampling rate when profiling (default 97)
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -70,7 +65,6 @@
 #include "core/severity.hpp"
 #include "core/shard_severity.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_file.hpp"
@@ -128,8 +122,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("input-budget-kb", 512)) * 1024;
   const std::size_t output_budget_flag =
       static_cast<std::size_t>(flags.get_int("output-budget-kb", 256)) * 1024;
-  const std::string profile_out = flags.get_string("profile-out", "");
-  const double profile_hz = flags.get_double("profile-hz", 97.0);
   tiv::reject_unknown_flags(flags);
 
   // Floor the budgets at the pinned working sets so a many-core pool
@@ -153,9 +145,6 @@ int main(int argc, char** argv) {
   tiv::obs::SpanTracer tracer(1 << 14);
   tiv::obs::SpanTracer::attach(&tracer);
 
-  tiv::obs::SpanProfiler profiler({profile_hz});
-  if (!profile_out.empty()) profiler.start();
-
   bool ok = true;
   {
     tiv::bench::BenchConfig bench_cfg;
@@ -168,8 +157,7 @@ int main(int argc, char** argv) {
         .field("missing_fraction", missing, 3)
         .field("input_budget_bytes", input_budget)
         .field("output_budget_bytes", output_budget)
-        .field_bool("quick", quick)
-        .field_bool("profiled", !profile_out.empty());
+        .field_bool("quick", quick);
     for (const double frac : dirty_fractions) {
       DelayStream stream(random_matrix(n, missing, seed));
       Rng rng(seed ^ 0x0c1ull);
@@ -200,8 +188,7 @@ int main(int argc, char** argv) {
                                     "tile-repack", "band-pair-stream",
                                     "sink-commit", "edge-repair",
                                     "sink-merge",  "epoch-screen"};
-      std::vector<std::uint64_t> phase_ns0;
-      for (const char* p : phases) phase_ns0.push_back(tracer.total_ns(p));
+      const std::uint64_t mark = tracer.recorded();
       for (int e = 0; e < epochs; ++e) {
         replay_churn_epoch(stream, rng, dirty_target, double(e));
         const tiv::stream::Epoch epoch = stream.commit_epoch();
@@ -220,10 +207,9 @@ int main(int argc, char** argv) {
       }
       const std::size_t input_tile_loads = in_acquires() - acquires0;
       std::vector<double> phase_ms;
-      for (std::size_t p = 0; p < phase_ns0.size(); ++p) {
-        phase_ms.push_back(
-            static_cast<double>(tracer.total_ns(phases[p]) - phase_ns0[p]) /
-            1e6);
+      for (const char* p : phases) {
+        phase_ms.push_back(static_cast<double>(tracer.total_ns(p, mark)) /
+                           1e6);
       }
       const double apply_ms = phase_ms[0];
       const double unattributed_ms = apply_ms - phase_ms[1] - phase_ms[2] -
@@ -389,11 +375,6 @@ int main(int argc, char** argv) {
               "engine.edges_changed",
               "stream.samples_applied"}) &&
          ok;
-  }
-  if (!profile_out.empty()) {
-    profiler.stop();
-    std::ofstream pf(profile_out);
-    profiler.profile().write_json(pf);
   }
   tiv::obs::SpanTracer::attach(nullptr);
   return ok ? 0 : 1;

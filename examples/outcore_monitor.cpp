@@ -22,16 +22,13 @@
 // stores (the deterministic fault injector) and watch the healing happen.
 //
 // Telemetry (docs/OBSERVABILITY.md): every round ends with a one-line
-// digest of per-phase wall clock, taken from the span tracer rather than
-// ad-hoc timers, so the printed numbers are the same spans a --trace-out
-// capture shows. --metrics-out=FILE appends one JSONL metrics snapshot
-// (deltas since the previous line) per round; --trace-out=FILE dumps the
-// whole run as Chrome trace_event JSON loadable in about://tracing.
-//
-// Profiling (docs/OBSERVABILITY.md): --profile-out=FILE runs the
-// span-attributed sampling profiler for the whole run and writes its JSON
-// profile; --profile-collapsed=FILE writes the collapsed-stack form for
-// flamegraph tooling; --profile-hz=HZ picks the sampling rate (default 97).
+// digest of per-phase wall clock, summed from the span tracer's spans of
+// that round rather than ad-hoc timers, so the printed numbers are the
+// same spans a --trace-out capture shows. --metrics-out=FILE appends one
+// JSONL metrics snapshot (deltas since the previous line) per round;
+// --trace-out=FILE dumps the run's newest 2^16 spans as Chrome
+// trace_event JSON, which Perfetto or speedscope render as a per-thread
+// flame graph.
 //
 // Scenarios (docs/OBSERVABILITY.md, "Quality observatory"):
 // --scenario=NAME replaces the random probe loop with a seeded scenario
@@ -45,8 +42,6 @@
 //                     [--inject-bitflips=K]
 //                     [--scenario=NAME|FILE] [--trace-record=FILE]
 //                     [--metrics-out=FILE] [--trace-out=FILE]
-//                     [--profile-out=FILE] [--profile-collapsed=FILE]
-//                     [--profile-hz=HZ]
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -56,7 +51,6 @@
 
 #include "delayspace/datasets.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "scenario/generators.hpp"
@@ -69,40 +63,6 @@
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-/// Retained-span totals for the digest line; sampled per round so each
-/// line shows that round's delta.
-struct PhaseTotals {
-  std::uint64_t ingest = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t screen = 0;
-  std::uint64_t journal = 0;
-  std::uint64_t repack = 0;
-  std::uint64_t band = 0;
-  std::uint64_t commit = 0;
-};
-
-PhaseTotals sample_phases(const tiv::obs::SpanTracer& tracer) {
-  PhaseTotals t;
-  t.ingest = tracer.total_ns("ingest");
-  t.epoch = tracer.total_ns("epoch");
-  t.screen = tracer.total_ns("epoch-screen");
-  t.journal = tracer.total_ns("epoch-journal");
-  t.repack = tracer.total_ns("tile-repack");
-  t.band = tracer.total_ns("band-pair-stream");
-  t.commit = tracer.total_ns("sink-commit");
-  return t;
-}
-
-double ms(std::uint64_t later_ns, std::uint64_t earlier_ns) {
-  return later_ns >= earlier_ns
-             ? static_cast<double>(later_ns - earlier_ns) / 1e6
-             : 0.0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tiv;
@@ -117,18 +77,14 @@ int main(int argc, char** argv) {
   const std::string record_path = flags.get_string("trace-record", "");
   const std::string metrics_path = flags.get_string("metrics-out", "");
   const std::string trace_path = flags.get_string("trace-out", "");
-  const std::string profile_path = flags.get_string("profile-out", "");
-  const std::string collapsed_path = flags.get_string("profile-collapsed", "");
-  const double profile_hz = flags.get_double("profile-hz", 97.0);
   reject_unknown_flags(flags);
 
   // The tracer powers both the per-round digest and --trace-out, so it is
-  // always attached; 2^16 slots hold every span of a typical run.
+  // always attached. The digest reads each round's spans from a mark, so
+  // it stays exact after the ring wraps; --trace-out keeps the newest
+  // 2^16 spans and says how many older ones it dropped.
   obs::SpanTracer tracer(1 << 16);
   obs::SpanTracer::attach(&tracer);
-
-  obs::SpanProfiler profiler({profile_hz});
-  if (!profile_path.empty() || !collapsed_path.empty()) profiler.start();
 
   std::ofstream metrics_file;
   std::optional<obs::SnapshotReporter> reporter;
@@ -246,9 +202,9 @@ int main(int argc, char** argv) {
                "out peak KiB", "worst edge", "severity"});
   std::vector<float> row(n);
   auto last_rec = monitor.recovery_stats();
-  auto last_phases = sample_phases(tracer);
   auto last_snap = obs::MetricsRegistry::instance().snapshot();
   for (int round = 1; round <= rounds; ++round) {
+    const std::uint64_t mark = tracer.recorded();
     // One round of measurements: the scenario trace's epoch when replaying,
     // otherwise ~2% of hosts' edges re-measured with noise around the true
     // delay and a 5% outage / recovery mix (measured<->missing churn).
@@ -338,10 +294,13 @@ int main(int argc, char** argv) {
     }
     last_rec = rec;
 
-    // Telemetry digest: phase wall clock from the tracer's spans (the same
-    // numbers a --trace-out capture renders) plus the round's I/O and
-    // cache-hit deltas from the registry.
-    const auto phases = sample_phases(tracer);
+    // Telemetry digest: phase wall clock from the tracer's spans since the
+    // round's mark (the same spans a --trace-out capture renders) plus the
+    // round's I/O and cache-hit deltas from the registry.
+    const auto phase_ms = [&tracer, mark](const char* name) {
+      return format_double(
+          static_cast<double>(tracer.total_ns(name, mark)) / 1e6, 2);
+    };
     const auto snap = obs::MetricsRegistry::instance().snapshot();
     const auto delta = snap.delta_since(last_snap);
     const auto counter = [&delta](const char* name) -> std::uint64_t {
@@ -358,19 +317,12 @@ int main(int argc, char** argv) {
             : 100.0 * static_cast<double>(hits) /
                   static_cast<double>(hits + misses);
     std::cout << "[round " << round << "] phases: ingest "
-              << format_double(ms(phases.ingest, last_phases.ingest), 2)
-              << " ms, epoch "
-              << format_double(ms(phases.epoch, last_phases.epoch), 2)
-              << " ms (screen "
-              << format_double(ms(phases.screen, last_phases.screen), 2)
-              << ", journal "
-              << format_double(ms(phases.journal, last_phases.journal), 2)
-              << ", repack "
-              << format_double(ms(phases.repack, last_phases.repack), 2)
-              << ", band-stream "
-              << format_double(ms(phases.band, last_phases.band), 2)
-              << ", commit "
-              << format_double(ms(phases.commit, last_phases.commit), 2)
+              << phase_ms("ingest") << " ms, epoch " << phase_ms("epoch")
+              << " ms (screen " << phase_ms("epoch-screen") << ", journal "
+              << phase_ms("epoch-journal") << ", repack "
+              << phase_ms("tile-repack") << ", band-stream "
+              << phase_ms("band-pair-stream") << ", commit "
+              << phase_ms("sink-commit")
               << ") | io: read "
               << (counter("shard.input.read_bytes") +
                   counter("shard.sink.read_bytes")) / 1024
@@ -382,7 +334,6 @@ int main(int argc, char** argv) {
               << counter("stream.rejected_self_pair") << " self-pair, "
               << counter("stream.rejected_stale") << " stale, "
               << counter("stream.rejected_nonfinite") << " non-finite)\n";
-    last_phases = phases;
     last_snap = snap;
     if (reporter) reporter->report_now("round-" + std::to_string(round));
   }
@@ -397,33 +348,6 @@ int main(int argc, char** argv) {
             << "(spill files are removed when the engine is destroyed)\n";
 
   obs::SpanTracer::attach(nullptr);
-  if (profiler.running()) {
-    profiler.stop();
-    const obs::Profile prof = profiler.profile();
-    if (!profile_path.empty()) {
-      std::ofstream pf(profile_path);
-      if (!pf) {
-        std::cerr << "cannot open --profile-out file: " << profile_path
-                  << "\n";
-        return 1;
-      }
-      prof.write_json(pf);
-      std::cout << "profile: " << prof.samples << " sample(s) over "
-                << prof.ticks << " tick(s) written to " << profile_path
-                << "\n";
-    }
-    if (!collapsed_path.empty()) {
-      std::ofstream cf(collapsed_path);
-      if (!cf) {
-        std::cerr << "cannot open --profile-collapsed file: "
-                  << collapsed_path << "\n";
-        return 1;
-      }
-      prof.write_collapsed(cf);
-      std::cout << "collapsed profile written to " << collapsed_path
-                << " (feed to flamegraph.pl / speedscope)\n";
-    }
-  }
   if (!trace_path.empty()) {
     std::ofstream trace_file(trace_path);
     if (!trace_file) {
@@ -431,8 +355,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     tracer.write_chrome_trace(trace_file);
-    std::cout << "trace: " << tracer.events().size() << " span(s) written to "
-              << trace_path << " (load in about://tracing or perfetto.dev)\n";
+    std::cout << "trace: " << tracer.recorded() - tracer.dropped()
+              << " span(s) written to " << trace_path;
+    if (tracer.dropped() > 0) {
+      std::cout << " (" << tracer.dropped()
+                << " older span(s) dropped; the ring holds "
+                << tracer.capacity() << ")";
+    }
+    std::cout << "; load in ui.perfetto.dev or speedscope\n";
   }
   if (!metrics_path.empty()) {
     std::cout << "metrics: " << rounds << " JSONL snapshot(s) written to "

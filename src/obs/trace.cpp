@@ -5,46 +5,12 @@
 #include <chrono>
 #include <cstring>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 namespace tiv::obs {
 
 std::atomic<SpanTracer*> SpanTracer::current_{nullptr};
-std::atomic<bool> SpanStack::publishing_{false};
-
-namespace {
-
-/// Process-global slot table. Leaked-static storage (like the metrics
-/// registry) so a slot pointer cached by a thread_local stays valid
-/// through static destruction.
-struct SlotTable {
-  std::array<SpanStack::Slot, SpanStack::kMaxThreads> slots;
-  std::atomic<std::size_t> next{0};
-};
-
-SlotTable& slot_table() {
-  static SlotTable* table = new SlotTable();
-  return *table;
-}
-
-}  // namespace
-
-SpanStack::Slot* SpanStack::slot() {
-  thread_local Slot* const slot = []() -> Slot* {
-    SlotTable& t = slot_table();
-    const std::size_t i = t.next.fetch_add(1, std::memory_order_relaxed);
-    return i < kMaxThreads ? &t.slots[i] : nullptr;
-  }();
-  return slot;
-}
-
-std::size_t SpanStack::slots_in_use() {
-  return std::min(slot_table().next.load(std::memory_order_acquire),
-                  kMaxThreads);
-}
-
-const SpanStack::Slot& SpanStack::slot_at(std::size_t i) {
-  return slot_table().slots[i];
-}
 
 std::uint64_t SpanTracer::now_ns() {
   using clock = std::chrono::steady_clock;
@@ -102,20 +68,28 @@ std::vector<TraceEvent> SpanTracer::events() const {
   return out;
 }
 
-std::uint64_t SpanTracer::total_ns(const char* name) const {
-  std::uint64_t sum = 0;
-  for (const TraceEvent& e : events()) {
-    if (std::strcmp(e.name, name) == 0) sum += e.dur_ns;
+SpanTracer::Sum SpanTracer::sum(const char* name, std::uint64_t since,
+                                bool clamp) const {
+  const std::uint64_t n = recorded();
+  const std::uint64_t first = n > ring_.size() ? n - ring_.size() : 0;
+  if (since < first) {
+    if (!clamp) {
+      throw std::out_of_range(
+          "SpanTracer: " + std::to_string(first - since) +
+          " span(s) since the mark were overwritten (ring capacity " +
+          std::to_string(ring_.size()) + ")");
+    }
+    since = first;
   }
-  return sum;
-}
-
-std::size_t SpanTracer::count(const char* name) const {
-  std::size_t n = 0;
-  for (const TraceEvent& e : events()) {
-    if (std::strcmp(e.name, name) == 0) ++n;
+  Sum s;
+  for (std::uint64_t i = since; i < n; ++i) {
+    const TraceEvent& e = ring_[i & mask_];
+    if (e.name == name || std::strcmp(e.name, name) == 0) {
+      s.ns += e.dur_ns;
+      ++s.count;
+    }
   }
-  return n;
+  return s;
 }
 
 void SpanTracer::write_chrome_trace(std::ostream& out) const {

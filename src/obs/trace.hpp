@@ -33,7 +33,6 @@
 // thread render as a flame graph because RAII guarantees containment.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -81,9 +80,26 @@ class SpanTracer {
   std::vector<TraceEvent> events() const;
 
   /// Sum of durations of retained spans named `name` (C-string compare).
-  std::uint64_t total_ns(const char* name) const;
+  std::uint64_t total_ns(const char* name) const {
+    return sum(name, 0, /*clamp=*/true).ns;
+  }
   /// Number of retained spans named `name`.
-  std::size_t count(const char* name) const;
+  std::size_t count(const char* name) const {
+    return sum(name, 0, /*clamp=*/true).count;
+  }
+
+  /// The same over the spans claimed at or after `since`, a recorded()
+  /// mark taken earlier: exactly the spans recorded in between, wrap or
+  /// not. Walks those slots in place (no events() copy), so a per-epoch
+  /// reader costs O(spans in the epoch). Throws std::out_of_range when
+  /// any of them has been overwritten (more than capacity() since the
+  /// mark). Same quiescence rule as events().
+  std::uint64_t total_ns(const char* name, std::uint64_t since) const {
+    return sum(name, since, /*clamp=*/false).ns;
+  }
+  std::size_t count(const char* name, std::uint64_t since) const {
+    return sum(name, since, /*clamp=*/false).count;
+  }
 
   /// Forgets all recorded spans. Caller must ensure no concurrent record().
   void clear() { next_.store(0, std::memory_order_relaxed); }
@@ -109,6 +125,15 @@ class SpanTracer {
   static std::uint32_t thread_ordinal();
 
  private:
+  struct Sum {
+    std::uint64_t ns = 0;
+    std::size_t count = 0;
+  };
+  /// Spans named `name` claimed at or after `since`; an overwritten
+  /// `since` is raised to the oldest retained span when `clamp`, else
+  /// throws std::out_of_range.
+  Sum sum(const char* name, std::uint64_t since, bool clamp) const;
+
   static std::atomic<SpanTracer*> current_;
 
   std::vector<TraceEvent> ring_;
@@ -116,93 +141,15 @@ class SpanTracer {
   std::atomic<std::uint64_t> next_{0};
 };
 
-/// Per-thread current-span registry — the sampling profiler's read surface
-/// (src/obs/prof.hpp).
-///
-/// When publishing is enabled (SpanProfiler::start flips it), every Span
-/// additionally pushes its name onto the calling thread's slot — a fixed
-/// array of name pointers plus an atomic depth — and pops it on
-/// destruction. A sampler thread can then read any slot's current span
-/// path with two ordered loads and no locks: depth (acquire) then the
-/// name pointers below it (relaxed). Names must be string literals (the
-/// same rule TraceEvent already imposes), so a racing read can at worst
-/// see a frame from a neighbouring moment — sampling noise — never a
-/// dangling pointer.
-///
-/// Like the tracer and FaultInjector, the detached state costs one relaxed
-/// load per Span; only the owner thread ever writes its slot's depth, so
-/// push/pop need no read-modify-write.
-class SpanStack {
- public:
-  static constexpr std::size_t kMaxDepth = 16;   ///< frames kept per thread
-  static constexpr std::size_t kMaxThreads = 64; ///< profiled-thread slots
-
-  struct alignas(64) Slot {
-    std::atomic<std::uint32_t> depth{0};
-    std::array<std::atomic<const char*>, kMaxDepth> names{};
-  };
-
-  static bool publishing() {
-    return publishing_.load(std::memory_order_relaxed);
-  }
-  /// Enables/disables Span push/pop publication. Spans already open keep
-  /// the slot pointer they captured, so their pops stay balanced across a
-  /// disable.
-  static void set_publishing(bool on) {
-    publishing_.store(on, std::memory_order_release);
-  }
-
-  /// The calling thread's slot, assigned on first use (nullptr once
-  /// kMaxThreads threads hold one — those threads go unprofiled).
-  static Slot* slot();
-
-  /// Slots handed out so far (sampler iteration bound). A slot stays
-  /// valid for the process lifetime once assigned.
-  static std::size_t slots_in_use();
-  static const Slot& slot_at(std::size_t i);
-
-  /// Owner-thread push/pop. Deeper-than-kMaxDepth nesting still counts
-  /// depth (so pops balance) but records no name; readers clamp.
-  static void push(Slot& s, const char* name) {
-    const std::uint32_t d = s.depth.load(std::memory_order_relaxed);
-    if (d < kMaxDepth) s.names[d].store(name, std::memory_order_relaxed);
-    s.depth.store(d + 1, std::memory_order_release);
-  }
-  static void pop(Slot& s) {
-    const std::uint32_t d = s.depth.load(std::memory_order_relaxed);
-    s.depth.store(d > 0 ? d - 1 : 0, std::memory_order_release);
-  }
-
-  /// Sampler-side read of one slot's current path, innermost frame last.
-  /// Returns the frame count (clamped to kMaxDepth; 0 = thread idle).
-  static std::uint32_t read(const Slot& s,
-                            std::array<const char*, kMaxDepth>& frames) {
-    std::uint32_t d = s.depth.load(std::memory_order_acquire);
-    if (d > kMaxDepth) d = kMaxDepth;
-    for (std::uint32_t i = 0; i < d; ++i) {
-      frames[i] = s.names[i].load(std::memory_order_relaxed);
-    }
-    return d;
-  }
-
- private:
-  static std::atomic<bool> publishing_;
-};
-
 /// RAII phase span. Captures the attached tracer at construction (so an
-/// attach/detach mid-span is safe) and records on destruction; when the
-/// profiler has span-stack publishing enabled, also pushes onto the
-/// thread's SpanStack slot. Compiled to nothing under TIV_OBS_DISABLE.
+/// attach/detach mid-span is safe) and records on destruction. Compiled to
+/// nothing under TIV_OBS_DISABLE.
 class Span {
  public:
   explicit Span(const char* name)
 #ifndef TIV_OBS_DISABLE
       : tracer_(SpanTracer::current()), name_(name) {
     if (tracer_ != nullptr) start_ns_ = SpanTracer::now_ns();
-    if (SpanStack::publishing()) {
-      slot_ = SpanStack::slot();
-      if (slot_ != nullptr) SpanStack::push(*slot_, name);
-    }
   }
 #else
   {
@@ -215,7 +162,6 @@ class Span {
 
   ~Span() {
 #ifndef TIV_OBS_DISABLE
-    if (slot_ != nullptr) SpanStack::pop(*slot_);
     if (tracer_ != nullptr) {
       tracer_->record(name_, start_ns_, SpanTracer::now_ns());
     }
@@ -225,7 +171,6 @@ class Span {
  private:
 #ifndef TIV_OBS_DISABLE
   SpanTracer* tracer_ = nullptr;
-  SpanStack::Slot* slot_ = nullptr;
   const char* name_ = "";
   std::uint64_t start_ns_ = 0;
 #endif

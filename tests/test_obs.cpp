@@ -1,7 +1,7 @@
 // Telemetry layer (src/obs/): counter exactness under concurrent update,
 // log2 histogram bucket boundaries, snapshot/delta semantics, registry
 // link aggregation (sum with retained fold, max), span-tracer ring
-// wraparound, and the pipeline contract — a ShardStreamEngine epoch
+// wraparound and totals since a mark, and the pipeline contract — a ShardStreamEngine epoch
 // records an "epoch" span that nests its epoch-screen / epoch-journal /
 // tile-repack / band-pair-stream / sink-commit child phases with non-zero
 // durations.
@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -279,6 +280,47 @@ TEST(ObsSpanTracer, TotalsAndCountsByName) {
   EXPECT_EQ(t.total_ns("beta"), 100u);
   EXPECT_EQ(t.count("alpha"), 2u);
   EXPECT_EQ(t.count("gamma"), 0u);
+}
+
+TEST(ObsSpanTracer, TotalsSinceAMark) {
+  SpanTracer t(8);
+  for (std::uint64_t i = 0; i < 5; ++i) t.record("old", 0, 1);
+  const std::uint64_t before_wrap = t.recorded();  // 5
+  t.record("a", 0, 100);
+  t.record("b", 0, 1000);
+  t.record("a", 0, 100);
+  EXPECT_EQ(t.total_ns("a", before_wrap), 200u);
+  EXPECT_EQ(t.count("a", before_wrap), 2u);
+  EXPECT_EQ(t.total_ns("b", before_wrap), 1000u);
+  EXPECT_EQ(t.count("old", before_wrap), 0u);
+
+  // Four more spans wrap the ring over spans 0..3; the mark's spans
+  // (5 onward) are all still retained, so its sums stay exact.
+  for (int i = 0; i < 4; ++i) t.record("a", 0, 7);
+  ASSERT_EQ(t.dropped(), 4u);
+  EXPECT_EQ(t.total_ns("a", before_wrap), 228u);
+  EXPECT_EQ(t.count("a", before_wrap), 6u);
+  EXPECT_EQ(t.total_ns("a", t.recorded()), 0u);  // empty window
+
+  // A mark taken after the wrap sees only what follows it.
+  const std::uint64_t after_wrap = t.recorded();  // 12
+  for (int i = 0; i < 3; ++i) t.record("b", 10, 13);
+  EXPECT_EQ(t.total_ns("b", after_wrap), 9u);
+  EXPECT_EQ(t.count("b", after_wrap), 3u);
+  EXPECT_EQ(t.count("a", after_wrap), 0u);
+
+  // Spans 0..6 are overwritten now: older marks throw.
+  EXPECT_THROW(t.total_ns("a", before_wrap), std::out_of_range);
+  EXPECT_THROW(t.count("a", before_wrap), std::out_of_range);
+  EXPECT_THROW(t.total_ns("a", 0), std::out_of_range);
+  EXPECT_EQ(t.count("a", t.dropped()), 5u);  // the oldest retained mark
+
+  // The one-argument forms keep summing the retained spans (7..14).
+  EXPECT_EQ(t.total_ns("a"), 128u);
+  EXPECT_EQ(t.count("a"), 5u);
+  EXPECT_EQ(t.total_ns("b"), 9u);  // span 6's 1000 ns was overwritten
+  EXPECT_EQ(t.count("b"), 3u);
+  EXPECT_EQ(t.count("old"), 0u);
 }
 
 TEST(ObsSpanTracer, DetachedSpanIsNoOp) {
