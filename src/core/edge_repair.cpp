@@ -53,8 +53,8 @@ std::size_t repair_flagged_edges(const DelayMatrix& matrix,
           if (rc == nullptr) rc = row_of(c, column.data());
           // The portable body on purpose, as in edge_severity_batch: a
           // streamed row c makes the masked body's time follow other
-          // processes' memory traffic (docs/PERFORMANCE.md §3). The lanes
-          // are bit-identical.
+          // processes' memory traffic (docs/PERFORMANCE.md, "Streamed rows
+          // keep the portable body"). The lanes are bit-identical.
           double acc[kWitnessLanes] = {};
           witness_ratio_accumulate_portable(dirty[i], rc, stride, dac, acc);
           severity = static_cast<float>(witness_ratio_reduce(acc) / nd);

@@ -199,7 +199,8 @@ std::vector<double> TivAnalyzer::edge_severity_batch(
     // L3 or DRAM. The masked body scans fast enough to make that
     // memory-bound, so its time follows the memory traffic of other
     // processes; the portable body stays divide-bound and steady
-    // (docs/PERFORMANCE.md §3). The lanes are bit-identical.
+    // (docs/PERFORMANCE.md, "Streamed rows keep the portable body"). The
+    // lanes are bit-identical.
     double acc[kWitnessLanes] = {};
     witness_ratio_accumulate_portable(r.a, r.c, r.stride, r.d_ac, acc);
     return witness_ratio_reduce(acc) / nd;
@@ -235,8 +236,8 @@ SeverityMatrix TivAnalyzer::all_severities(
 
 std::vector<std::pair<std::pair<HostId, HostId>, double>>
 TivAnalyzer::sampled_severities(std::size_t count, std::uint64_t seed) const {
-  // The shared sampler reproduces this function's historical draw sequence
-  // exactly (it was the one dedup-correct sampler the others now share).
+  // The shared sampler keeps this function's draw sequence, so seeded
+  // figure outputs repeat.
   const PairSample sample = sample_measured_pairs(matrix_, count, seed);
   const std::vector<double> sevs = edge_severity_batch(sample.pairs);
   std::vector<std::pair<std::pair<HostId, HostId>, double>> out(

@@ -37,7 +37,7 @@ using shard::TileRef;
 // witness_kernels.hpp). The detour d(a, w) + d(w, c) is one float addition,
 // which commutes, so it does not matter which endpoint's row plays `ra`.
 //
-// Band-pair walk (full build, one-tile rebuild): unordered band pairs
+// Band-pair walk (full build, listed-tile rebuild): unordered band pairs
 // (I, J), I <= J, of the upper triangle are dynamically scheduled over the
 // pool. A pair pins the d_ac tile (I, J), then streams tiles (I, K) and
 // (J, K) for every K and writes sink tile (I, J). Pairs are walked
@@ -331,10 +331,13 @@ void all_severities_to_sink(TileCache& input, TileFile& sink) {
                      });
 }
 
-void rebuild_sink_tile(TileCache& input, TileFile& sink, std::uint32_t bi,
-                       std::uint32_t bj) {
-  check_band_pair_files(input, sink, "rebuild_sink_tile");
-  process_band_pair_to_sink(input, sink, bi, bj);
+void rebuild_sink_tiles(
+    TileCache& input, TileFile& sink,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> tiles) {
+  check_band_pair_files(input, sink, "rebuild_sink_tiles");
+  for_each_unit(tiles.size(), [&](std::size_t u) {
+    process_band_pair_to_sink(input, sink, tiles[u].first, tiles[u].second);
+  });
 }
 
 std::size_t repair_group_hosts(std::size_t n, std::uint32_t tile_dim,

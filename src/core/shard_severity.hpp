@@ -3,11 +3,11 @@
 // matrix, and reads them back. Two drivers:
 //
 //  - The band-pair walk: all_severities_to_sink (the full build) and
-//    rebuild_sink_tile (its one-tile form, the engine's self-healing
-//    primitive) stream (a-band, c-band, witness-band) tiles of an input
-//    tile file through the witness kernels, honoring the budget of the
-//    shard::TileCache that reads it; working set O(budget + tile^2) per
-//    worker.
+//    rebuild_sink_tiles (its listed-tiles form, the engine's self-healing
+//    and torn-epoch replay primitive) stream (a-band, c-band,
+//    witness-band) tiles of an input tile file through the witness
+//    kernels, honoring the budget of the shard::TileCache that reads it;
+//    working set O(budget + tile^2) per worker.
 //  - The epoch repair: repair_severities_to_sink, the out-of-core half of
 //    the src/stream/ dirty-epoch engine (the tile store's result write). It
 //    recomputes the edges flagged in an EpochEdges set (core/epoch_screen)
@@ -45,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
@@ -110,15 +111,19 @@ void diff_dirty_rows(shard::TileCache& input,
                      std::span<const HostId> dirty_hosts,
                      EpochScreen& screen);
 
-/// Recomputes sink tile (bi, bj), bi <= bj, from scratch through the
-/// band-pair walk and commits it — the one-tile form of
-/// all_severities_to_sink, bit-identical to the tile a full build would
-/// write (same kernels, same ascending-witness-band order). This is the
-/// self-healing primitive of the out-of-core engine: when a sink tile
-/// fails its checksum, its band pair is rebuilt from the (trusted) input
-/// file instead of abandoning the run. Runs on the calling thread.
-void rebuild_sink_tile(shard::TileCache& input, shard::TileFile& sink,
-                       std::uint32_t bi, std::uint32_t bj);
+/// Recomputes the listed sink tiles (bi, bj), bi <= bj, from scratch
+/// through the band-pair walk and commits them — bit-identical to the
+/// tiles a full build would write (same kernels, same ascending-witness-
+/// band order). The tiles run over the pool, one per claim. This is the
+/// out-of-core engine's rebuild primitive: a sink tile that fails its
+/// checksum, or every sink tile a torn epoch journaled, is rebuilt from
+/// the (trusted) input file. The first error of a tile (a corrupt input
+/// tile, an I/O error) skips the tiles not yet started and is rethrown on
+/// the calling thread once the pass drains; a retry rewrites every listed
+/// tile, which is idempotent.
+void rebuild_sink_tiles(
+    shard::TileCache& input, shard::TileFile& sink,
+    std::span<const std::pair<std::uint32_t, std::uint32_t>> tiles);
 
 /// Severity of edge (a, b) read through `sink`, a cache over a severity
 /// sink — symmetric, 0 for a == b; one cached tile lookup. Requires

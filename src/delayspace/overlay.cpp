@@ -63,10 +63,4 @@ OverlayPaths::OverlayPaths(const DelayMatrix& matrix) : n_(matrix.size()) {
   }
 }
 
-float OverlayPaths::detour_gain(const DelayMatrix& matrix, HostId i,
-                                HostId j) const {
-  if (!matrix.has(i, j)) return 0.0f;
-  return std::max(0.0f, matrix.at(i, j) - delay(i, j));
-}
-
 }  // namespace tiv::delayspace

@@ -27,9 +27,6 @@ class OverlayPaths {
     return dist_[static_cast<std::size_t>(i) * n_ + j];
   }
 
-  /// Direct minus overlay delay; > 0 means a detour beats the direct path.
-  float detour_gain(const DelayMatrix& matrix, HostId i, HostId j) const;
-
   std::size_t size() const { return n_; }
 
  private:

@@ -17,32 +17,19 @@ void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
 }
 
-void write_histogram_json(std::ostream& out, const HistogramSnapshot& h,
-                          const MetricsSnapshot::JsonOptions& opts) {
+void write_histogram_json(std::ostream& out, const HistogramSnapshot& h) {
   out << "{\"count\":" << h.count << ",\"sum\":" << h.sum
       << ",\"mean\":" << h.mean() << ",\"p50\":" << h.quantile(0.50)
       << ",\"p90\":" << h.quantile(0.90) << ",\"p99\":" << h.quantile(0.99)
-      << ",\"buckets\":";
-  if (opts.dense_histograms) {
-    out << "[";
-    for (std::size_t b = 0; b < HistogramSnapshot::kBucketCount; ++b) {
-      if (b != 0) out << ",";
-      out << h.buckets[b];
-    }
-    out << "]";
-  } else {
-    // Sparse: only occupied buckets, keyed by inclusive lower bound.
-    out << "{";
-    bool first = true;
-    for (unsigned b = 0; b < HistogramSnapshot::kBucketCount; ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << Histogram::bucket_lower_bound(b) << "\":" << h.buckets[b];
-    }
-    out << "}";
+      << ",\"buckets\":{";
+  bool first = true;
+  for (unsigned b = 0; b < HistogramSnapshot::kBucketCount; ++b) {
+    if (h.buckets[b] == 0) continue;
+    if (!first) out << ",";
+    first = false;
+    out << "\"" << Histogram::bucket_lower_bound(b) << "\":" << h.buckets[b];
   }
-  out << "}";
+  out << "}}";
 }
 
 }  // namespace
@@ -113,8 +100,7 @@ MetricsSnapshot MetricsSnapshot::delta_since(const MetricsSnapshot& base) const 
   return d;
 }
 
-void MetricsSnapshot::write_json_fields(std::ostream& out,
-                                        const JsonOptions& opts) const {
+void MetricsSnapshot::write_json_fields(std::ostream& out) const {
   out << "\"counters\":{";
   bool first = true;
   for (const auto& [name, v] : counters) {
@@ -138,15 +124,14 @@ void MetricsSnapshot::write_json_fields(std::ostream& out,
     first = false;
     write_json_string(out, name);
     out << ":";
-    write_histogram_json(out, h, opts);
+    write_histogram_json(out, h);
   }
   out << "}";
 }
 
-void MetricsSnapshot::write_json(std::ostream& out,
-                                 const JsonOptions& opts) const {
+void MetricsSnapshot::write_json(std::ostream& out) const {
   out << "{";
-  write_json_fields(out, opts);
+  write_json_fields(out);
   out << "}";
 }
 

@@ -198,16 +198,6 @@ class Histogram {
   std::array<Cell, kShards> cells_;
 };
 
-/// Rendering options for MetricsSnapshot JSON.
-struct MetricsJsonOptions {
-  /// Histogram buckets render sparsely by default — an object keyed by
-  /// the occupied buckets' lower bounds ({"buckets":{"8":3,"64":1}}),
-  /// which keeps a mostly-idle metric's delta line a few bytes instead
-  /// of 65 zeros. Dense mode emits the fixed-shape 65-entry array
-  /// ({"buckets":[0,0,3,...]}) for consumers that index by position.
-  bool dense_histograms = false;
-};
-
 /// One merged snapshot of every registered metric. Plain data: compare,
 /// subtract, serialize.
 struct MetricsSnapshot {
@@ -220,15 +210,14 @@ struct MetricsSnapshot {
   /// point-in-time values.
   MetricsSnapshot delta_since(const MetricsSnapshot& base) const;
 
-  using JsonOptions = MetricsJsonOptions;
-
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// with per-histogram count/sum/mean/p50/p90/p99 and sparse (default)
-  /// or dense log2 buckets.
-  void write_json(std::ostream& out, const JsonOptions& opts = {}) const;
+  /// with per-histogram count/sum/mean/p50/p90/p99 and its occupied log2
+  /// buckets, keyed by inclusive lower bound ({"buckets":{"8":3,"64":1}}),
+  /// which keeps a mostly-idle metric's delta line a few bytes.
+  void write_json(std::ostream& out) const;
   /// The same fields without the surrounding braces, for embedding in a
   /// larger object (the JSONL reporter's per-line records).
-  void write_json_fields(std::ostream& out, const JsonOptions& opts = {}) const;
+  void write_json_fields(std::ostream& out) const;
 };
 
 /// The process-wide registry. Metrics are created on first lookup and live

@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
@@ -9,6 +8,20 @@
 #include <string>
 
 namespace tiv::obs {
+namespace {
+
+/// Nanoseconds as exact microseconds, three decimals (Chrome's ts/dur
+/// unit). A default-precision double keeps six significant digits, which
+/// rounds timestamps past 1 s of process time to 10 us or coarser and
+/// breaks the nesting of short spans.
+void write_us(std::ostream& out, std::uint64_t ns) {
+  const char frac[4] = {static_cast<char>('0' + ns / 100 % 10),
+                        static_cast<char>('0' + ns / 10 % 10),
+                        static_cast<char>('0' + ns % 10), '\0'};
+  out << ns / 1000 << '.' << frac;
+}
+
+}  // namespace
 
 std::atomic<SpanTracer*> SpanTracer::current_{nullptr};
 
@@ -54,20 +67,6 @@ void SpanTracer::record(const char* name, std::uint64_t start_ns,
   e.dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
 }
 
-std::vector<TraceEvent> SpanTracer::events() const {
-  const std::uint64_t n = recorded();
-  std::vector<TraceEvent> out;
-  if (n == 0) return out;
-  const std::size_t kept =
-      static_cast<std::size_t>(std::min<std::uint64_t>(n, ring_.size()));
-  out.reserve(kept);
-  // Oldest retained slot first: when wrapped, that is slot `n mod cap`
-  // (the slot the next record would overwrite).
-  const std::uint64_t first = n > ring_.size() ? n - ring_.size() : 0;
-  for (std::uint64_t i = first; i < n; ++i) out.push_back(ring_[i & mask_]);
-  return out;
-}
-
 SpanTracer::Sum SpanTracer::sum(const char* name, std::uint64_t since,
                                 bool clamp) const {
   const std::uint64_t n = recorded();
@@ -94,15 +93,21 @@ SpanTracer::Sum SpanTracer::sum(const char* name, std::uint64_t since,
 
 void SpanTracer::write_chrome_trace(std::ostream& out) const {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  for (const TraceEvent& e : events()) {
-    if (!first) out << ",\n";
-    first = false;
-    // Complete ("X") events; ts/dur are microseconds (double).
+  // Oldest retained slot first: when wrapped, that is slot `n mod cap`
+  // (the slot the next record would overwrite).
+  const std::uint64_t n = recorded();
+  const std::uint64_t first = n > ring_.size() ? n - ring_.size() : 0;
+  for (std::uint64_t i = first; i < n; ++i) {
+    const TraceEvent& e = ring_[i & mask_];
+    if (i != first) out << ",\n";
+    // Complete ("X") events; ts/dur are microseconds.
     out << "{\"name\":\"" << e.name
         << "\",\"cat\":\"tiv\",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
-        << ",\"ts\":" << static_cast<double>(e.start_ns) / 1e3
-        << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1e3 << "}";
+        << ",\"ts\":";
+    write_us(out, e.start_ns);
+    out << ",\"dur\":";
+    write_us(out, e.dur_ns);
+    out << "}";
   }
   out << "]}\n";
 }

@@ -74,12 +74,9 @@ class SpanTracer {
     return n > ring_.size() ? n - ring_.size() : 0;
   }
 
-  /// The retained spans, oldest first. Valid once writers have quiesced
-  /// (between epochs / after a run) — concurrent record() calls may tear
-  /// the slots they are overwriting.
-  std::vector<TraceEvent> events() const;
-
   /// Sum of durations of retained spans named `name` (C-string compare).
+  /// Readers are valid once writers have quiesced (between epochs / after
+  /// a run): concurrent record() calls may tear the slots they overwrite.
   std::uint64_t total_ns(const char* name) const {
     return sum(name, 0, /*clamp=*/true).ns;
   }
@@ -90,10 +87,9 @@ class SpanTracer {
 
   /// The same over the spans claimed at or after `since`, a recorded()
   /// mark taken earlier: exactly the spans recorded in between, wrap or
-  /// not. Walks those slots in place (no events() copy), so a per-epoch
-  /// reader costs O(spans in the epoch). Throws std::out_of_range when
-  /// any of them has been overwritten (more than capacity() since the
-  /// mark). Same quiescence rule as events().
+  /// not. Walks those slots in place, so a per-epoch reader costs O(spans
+  /// in the epoch). Throws std::out_of_range when any of them has been
+  /// overwritten (more than capacity() since the mark).
   std::uint64_t total_ns(const char* name, std::uint64_t since) const {
     return sum(name, since, /*clamp=*/false).ns;
   }
@@ -104,9 +100,9 @@ class SpanTracer {
   /// Forgets all recorded spans. Caller must ensure no concurrent record().
   void clear() { next_.store(0, std::memory_order_relaxed); }
 
-  /// Dumps the retained spans as a Chrome trace_event JSON document
-  /// ({"traceEvents":[...]}; "X" complete events, microsecond timestamps)
-  /// for about://tracing / Perfetto.
+  /// Dumps the retained spans, oldest first, as a Chrome trace_event JSON
+  /// document ({"traceEvents":[...]}; "X" complete events, microsecond
+  /// timestamps) for about://tracing / Perfetto.
   void write_chrome_trace(std::ostream& out) const;
 
   /// Attaches `tracer` as the process-global span sink (nullptr detaches).

@@ -98,12 +98,6 @@ void DelayStream::mark_dirty(HostId h) {
   }
 }
 
-std::size_t DelayStream::pending_dirty_hosts() const {
-  std::size_t count = 0;
-  for (const std::uint64_t word : host_dirty_) count += std::popcount(word);
-  return count;
-}
-
 void DelayStream::reserve(Shard& shard, std::size_t incoming) const {
   const std::size_t need = shard.size + incoming;
   if (4 * need <= 3 * shard.capacity) return;
@@ -294,10 +288,6 @@ void DelayStream::ingest_batch(std::span<const DelaySample> batch) {
   c.edges_touched.add(sum.edges_touched);
   c.became_measured.add(sum.became_measured);
   c.became_missing.add(sum.became_missing);
-}
-
-void DelayStream::ingest(const DelaySample& sample) {
-  ingest_batch({&sample, 1});
 }
 
 void DelayStream::ingest(std::span<const DelaySample> batch) {

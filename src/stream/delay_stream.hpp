@@ -74,9 +74,9 @@ struct EstimatorParams {
 /// under TIV_OBS_DISABLE.
 struct EpochStats {
   std::size_t samples_applied = 0;  ///< accepted into an estimator
-  /// Rejection breakdown — which guard fired. The registry keeps the
-  /// aggregate "stream.samples_rejected" as a second link over the same
-  /// three counters, so dashboards keyed on the old name keep working.
+  /// Rejection breakdown — which guard fired. The registry also keeps
+  /// their sum, "stream.samples_rejected", as a second link over the same
+  /// three counters.
   std::size_t rejected_self_pair = 0;  ///< a == b or an out-of-range host id
   std::size_t rejected_stale = 0;      ///< older than the edge's newest sample
   std::size_t rejected_nonfinite = 0;  ///< NaN / +-inf delay (producer bug)
@@ -112,8 +112,8 @@ struct Epoch {
 /// already applied to its edge is rejected (counted, not applied) — the
 /// arrival-order hazard of a real ingest fan-in.
 ///
-/// The "stream.*" registry counters advance once per batch (or per
-/// single-sample ingest), after every sample in it has been applied.
+/// The "stream.*" registry counters advance once per batch, after every
+/// sample in it has been applied.
 class DelayStream {
  public:
   /// Throws std::invalid_argument on an unknown policy, a window outside
@@ -123,13 +123,10 @@ class DelayStream {
   const DelayMatrix& matrix() const { return matrix_; }
   const EstimatorParams& estimator_params() const { return params_; }
 
-  void ingest(const DelaySample& sample);
   /// Applies the batch in order (per edge; edges are independent). Batches
   /// of kParallelMinSamples or more walk their shards on the thread pool.
   void ingest(std::span<const DelaySample> batch);
 
-  /// Hosts perturbed since the last commit (distinct).
-  std::size_t pending_dirty_hosts() const;
   /// Epochs sealed so far; the next commit returns index epochs_committed().
   std::uint64_t epochs_committed() const { return epoch_; }
 
@@ -187,7 +184,7 @@ class DelayStream {
   }
 
   /// Guards, counting sort, shard walks and the per-batch counter merge
-  /// behind both ingest overloads (the "ingest" span is the caller's).
+  /// of one ingest chunk (the "ingest" span is the caller's).
   void ingest_batch(std::span<const DelaySample> batch);
   /// Grows `shard` so `incoming` more edges fit without a rehash.
   void reserve(Shard& shard, std::size_t incoming) const;

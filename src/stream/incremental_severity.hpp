@@ -9,8 +9,9 @@
 //     is measured and left for later: it cuts this engine's epoch ~38x on
 //     tivbench's analyze-batch, whose loop keeps a record per epoch, so
 //     that run's peak RSS grows with the epoch rate past the metric's 10%
-//     bound (docs/PERFORMANCE.md, "Screened epoch repair"; ROADMAP item
-//     13). Flipping diff_rows' answer is the whole change.
+//     bound (docs/PERFORMANCE.md, "The in-memory store flags every
+//     incident edge"; ROADMAP item 13). Flipping diff_rows' answer is the
+//     whole change.
 //   - row update: the view's encoding is row-local — an edge update (a, b)
 //     changes exactly rows a and b (delays and missing bitmask) — so
 //     repacking the dirty hosts' rows (DelayMatrixView::repack_row, which

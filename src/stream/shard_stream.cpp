@@ -121,19 +121,19 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   // Torn epoch: only the journaled tiles are suspect. Re-repack every
   // journaled input tile from the post-epoch matrix (idempotent for the
   // ones that did land), then rebuild every journaled sink tile from the
-  // now-consistent input store — the full-build one-tile driver, so each
-  // converges to exactly the bytes the completed epoch would have written.
+  // now-consistent input store in one pooled pass of the full build's
+  // band-pair walk, so each converges to exactly the bytes the completed
+  // epoch would have written. A corrupt input tile met by the pass is
+  // healed from the matrix and the pass retried.
   for (const auto& [r, c] : manifest->input_tiles) {
     shard::repack_tile(input_, matrix, r, c);
     input_cache_->invalidate(r, c);
   }
-  for (const auto& [r, c] : manifest->sink_tiles) {
-    with_recovery(source_, [&, r = r, c = c] {
-      core::rebuild_sink_tile(*input_cache_, sink_, r, c);
-      return 0;
-    });
-    sink_cache_->invalidate(r, c);
-  }
+  with_recovery(source_, [&] {
+    core::rebuild_sink_tiles(*input_cache_, sink_, manifest->sink_tiles);
+    return 0;
+  });
+  for (const auto& [r, c] : manifest->sink_tiles) sink_cache_->invalidate(r, c);
   EpochManifest::clear(EpochManifest::path_for(config_.sink_path));
   epochs_applied_ = manifest->generation;
   recovery_.torn_epochs_replayed.increment();
@@ -190,7 +190,8 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e,
   if (e.path() == sink_.path()) {
     // A sink tile is pure function of the input file: rebuild its band
     // pair from scratch — bit-identical to what a full build would write.
-    core::rebuild_sink_tile(*input_cache_, sink_, r, c);
+    const std::pair<std::uint32_t, std::uint32_t> tile{r, c};
+    core::rebuild_sink_tiles(*input_cache_, sink_, {&tile, 1});
     sink_cache_->invalidate(r, c);
     recovery_.sink_tiles_recovered.increment();
     return;

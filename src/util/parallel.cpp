@@ -72,10 +72,9 @@ class ThreadPool {
   void run(std::size_t n, std::size_t grain,
            const std::function<void(std::size_t, std::size_t)>& body) {
     // The job slot is single-occupancy: concurrent top-level callers queue
-    // here (the seed's spawn-per-call design was naturally safe to call
-    // from several threads at once; this keeps that property). Same-thread
-    // re-entry cannot reach this point — nested calls run inline via
-    // t_in_parallel_region.
+    // here, so the loops stay safe to call from several threads at once.
+    // Same-thread re-entry cannot reach this point — nested calls run
+    // inline via t_in_parallel_region.
     std::lock_guard<std::mutex> run_lock(run_mutex_);
     {
       std::unique_lock<std::mutex> lk(mutex_);
@@ -84,7 +83,7 @@ class ThreadPool {
       // nothing, and ack. The pool therefore only shrinks when
       // set_parallel_thread_count lowers the target — never because one
       // small job came through (a restart-shrink per small job would cost
-      // more than the spawn-per-call design this replaced).
+      // a thread spawn per worker).
       resize_locked(lk, parallel_thread_count() - 1);
       job_body_ = &body;
       job_n_ = n;
@@ -250,19 +249,14 @@ void set_parallel_thread_count(std::size_t n) {
   g_thread_override.store(n, std::memory_order_relaxed);
 }
 
-void parallel_for_chunks(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  // Static contiguous partition: one chunk per thread.
-  const std::size_t threads = std::max<std::size_t>(parallel_thread_count(), 1);
-  dispatch(n, (n + threads - 1) / threads, body);
-}
-
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& body) {
-  parallel_for_chunks(n, [&body](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  });
+  // Static contiguous partition: one chunk per thread.
+  const std::size_t threads = std::max<std::size_t>(parallel_thread_count(), 1);
+  dispatch(n, (n + threads - 1) / threads,
+           [&body](std::size_t begin, std::size_t end) {
+             for (std::size_t i = begin; i < end; ++i) body(i);
+           });
 }
 
 void parallel_for_dynamic(

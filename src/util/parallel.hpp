@@ -2,16 +2,15 @@
 //
 // The pool is created lazily on the first parallel call and reused for every
 // subsequent one: dispatch is a condition-variable wakeup plus an atomic
-// chunk counter, not a spawn/join of fresh std::threads per call (the seed
-// design), so the per-call overhead is microseconds instead of the ~100 us a
-// thread spawn costs. That matters because the O(N^3) TIV analyzer issues a
+// chunk counter, not a spawn/join of fresh std::threads per call, so the
+// per-call overhead is microseconds instead of the ~100 us a thread spawn
+// costs. That matters because the O(N^3) TIV analyzer issues a
 // parallel section per matrix and the delay-space generators issue several
 // per generation.
 //
 // Scheduling comes in two flavors:
-//  - parallel_for / parallel_for_chunks: contiguous static ranges, one per
-//    worker. Right for uniform per-iteration cost (rows of a rectangular
-//    matrix).
+//  - parallel_for: contiguous static ranges, one per worker. Right for
+//    uniform per-iteration cost (rows of a rectangular matrix).
 //  - parallel_for_dynamic: fixed-size chunks claimed from an atomic counter.
 //    Right for skewed cost (triangular loops, per-edge work that varies),
 //    where a static partition leaves the first worker with several times the
@@ -42,12 +41,6 @@ void set_parallel_thread_count(std::size_t n);
 /// run serially inline — they do not deadlock the pool — and concurrent
 /// top-level calls from different threads are serialized, never corrupted.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-/// Chunked variant: body(begin, end) is called on contiguous ranges. Lower
-/// dispatch overhead for very cheap per-iteration work.
-void parallel_for_chunks(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t)>& body);
 
 /// Dynamically scheduled variant: ranges [begin, begin + grain) are claimed
 /// from a shared atomic counter, so threads that finish early keep pulling

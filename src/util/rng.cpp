@@ -96,15 +96,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-double Rng::exponential(double mean) {
-  assert(mean > 0);
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
 double Rng::pareto(double xm, double alpha) {
   assert(xm > 0 && alpha > 0);
   double u = 0.0;

@@ -52,9 +52,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Exponential with the given mean. Requires mean > 0.
-  double exponential(double mean);
-
   /// Pareto (type I) with scale x_m > 0 and shape alpha > 0. Heavy-tailed;
   /// used to model routing-inflation outliers.
   double pareto(double xm, double alpha);

@@ -118,10 +118,8 @@ std::vector<Bin> BinnedSeries::bins() const {
 
 void ErrorAccumulator::add(double predicted, double actual) {
   abs_.push_back(std::abs(predicted - actual));
-  if (actual > 0) rel_.push_back(std::abs(predicted - actual) / actual);
 }
 
 Summary ErrorAccumulator::absolute_error() const { return summarize(abs_); }
-Summary ErrorAccumulator::relative_error() const { return summarize(rel_); }
 
 }  // namespace tiv

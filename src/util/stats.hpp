@@ -94,21 +94,17 @@ class BinnedSeries {
   std::vector<std::vector<double>> ys_;
 };
 
-/// Mean absolute and relative error accumulators used by the embedding
-/// evaluations.
+/// Absolute-error accumulator used by the embedding evaluations.
 class ErrorAccumulator {
  public:
-  /// Records a (predicted, actual) pair; actual <= 0 contributes only to the
-  /// absolute error (relative error would be undefined).
+  /// Records a (predicted, actual) pair.
   void add(double predicted, double actual);
 
   Summary absolute_error() const;   ///< |predicted - actual|
-  Summary relative_error() const;   ///< |predicted - actual| / actual
   std::size_t count() const { return abs_.size(); }
 
  private:
   std::vector<double> abs_;
-  std::vector<double> rel_;
 };
 
 }  // namespace tiv

@@ -119,10 +119,9 @@ inline void expect_epochs_match(
       << label << " initial build";
   for (std::size_t e = 0; e < epochs.size(); ++e) {
     const DelayMatrix before = stream.matrix();
-    for (stream::DelaySample s : epochs[e]) {
-      s.timestamp = static_cast<double>(e);
-      stream.ingest(s);
-    }
+    std::vector<stream::DelaySample> batch = epochs[e];
+    for (stream::DelaySample& s : batch) s.timestamp = static_cast<double>(e);
+    stream.ingest(batch);
     const stream::Epoch epoch = stream.commit_epoch();
     const DelayMatrix& after = stream.matrix();
     const std::uint64_t applied = engine.epochs_applied();

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "delayspace/delay_matrix.hpp"
@@ -12,6 +13,12 @@
 #include "util/rng.hpp"
 
 namespace tiv::test {
+
+/// Ingests one sample as a one-sample batch.
+inline void ingest_one(stream::DelayStream& stream,
+                       const stream::DelaySample& sample) {
+  stream.ingest(std::span<const stream::DelaySample>(&sample, 1));
+}
 
 /// Symmetric matrix of uniform-random RTTs in [1, 400) ms with an
 /// independent per-pair missing probability.

@@ -240,8 +240,6 @@ TEST(Overlay, ShortestPathThroughIntermediate) {
   const OverlayPaths paths(m);
   EXPECT_FLOAT_EQ(paths.delay(0, 2), 10.0f);
   EXPECT_FLOAT_EQ(paths.delay(0, 1), 5.0f);
-  EXPECT_FLOAT_EQ(paths.detour_gain(m, 0, 2), 90.0f);
-  EXPECT_FLOAT_EQ(paths.detour_gain(m, 0, 1), 0.0f);
 }
 
 TEST(Overlay, NeverExceedsDirectEdge) {

@@ -250,7 +250,7 @@ TEST(FaultRecovery, DiskRotInInputTileHealsFromLiveMatrix) {
   // An epoch dirtying band 0 screens every input tile of that band,
   // including the rotten (0, 2), which it does not repack: the engine must
   // repack it from the live matrix and finish the epoch bit-identically.
-  stream.ingest({0, 5, 17.0f, 0.0});
+  test::ingest_one(stream, {0, 5, 17.0f, 0.0});
   const Epoch epoch = stream.commit_epoch();
   engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
   EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
@@ -318,7 +318,7 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
     for (int u = 0; u < 40; ++u) {
       const auto a = static_cast<HostId>(u % 37);
       const auto b = static_cast<HostId>((u * 7 + 3) % 37);
-      if (a != b) stream.ingest({a, b, float(10 + u), 0.0});
+      if (a != b) test::ingest_one(stream, {a, b, float(10 + u), 0.0});
     }
     const Epoch epoch = stream.commit_epoch();
     EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
@@ -340,7 +340,7 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
 
   // The recovered engine keeps working: another clean epoch stays
   // bit-identical.
-  stream.ingest({3, 30, 99.0f, 1.0});
+  test::ingest_one(stream, {3, 30, 99.0f, 1.0});
   const Epoch epoch2 = stream.commit_epoch();
   engine.apply_epoch(stream.matrix(), epoch2.dirty_hosts);
   EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
@@ -378,9 +378,9 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
     ShardStreamEngine engine(stream.matrix(), cfg);
     engine.set_sink_fault_injector(&inj);
     for (int u = 0; u < 30; ++u) {
-      stream.ingest({static_cast<HostId>(u % 37),
-                     static_cast<HostId>((u * 11 + 5) % 37), float(20 + u),
-                     0.0});
+      test::ingest_one(stream, {static_cast<HostId>(u % 37),
+                                static_cast<HostId>((u * 11 + 5) % 37),
+                                float(20 + u), 0.0});
     }
     const Epoch epoch = stream.commit_epoch();
     EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
@@ -391,6 +391,44 @@ TEST(FaultRecovery, FailBeforeChecksumRecovers) {
       ShardStreamEngine::recover(stream.matrix(), cfg);
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
   EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
+  remove_store_files(cfg);
+  set_parallel_thread_count(0);
+}
+
+TEST(FaultRecovery, RotInWitnessInputTileHealsDuringPooledReplay) {
+  // Recovery rebuilds the journaled sink tiles in one pooled pass. A
+  // corrupt input tile that a journaled sink tile reads only as a witness
+  // band aborts the pass on whichever worker meets it; the tile is healed
+  // from the matrix and the pass retried.
+  set_parallel_thread_count(2);
+  DelayStream stream(random_matrix(37, 0.2, 70));  // 3 bands of 16
+  auto cfg = engine_config("replay_rot", /*keep_files=*/true);
+  FaultInjector::Config icfg;
+  icfg.torn_write_at_commit = 1;
+  FaultInjector inj(icfg);
+  {
+    ShardStreamEngine engine(stream.matrix(), cfg);
+    engine.set_sink_fault_injector(&inj);
+    // Band 0 alone goes dirty: the journal names input tile (0, 0) and
+    // sink tiles (0, 0), (0, 1) and (0, 2).
+    for (HostId u = 1; u < 15; u += 2) {
+      test::ingest_one(stream, {u, static_cast<HostId>(u + 1), 2.0f, 0.0});
+    }
+    const Epoch epoch = stream.commit_epoch();
+    ASSERT_LT(epoch.dirty_hosts.back(), 16u);
+    EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
+                 InjectedCrash);
+    EXPECT_EQ(inj.stats().torn_writes, 1u);
+  }
+  {  // rot input tile (1, 2): not journaled, read by sink tile (0, 1)'s walk
+    const auto in = TileFile::open(kInputFormat, cfg.input_path);
+    rot_byte_at(cfg.input_path, in.tile_offset(1, 2) + 64);
+  }
+  ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+  EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
+  EXPECT_GE(engine.recovery_stats().input_tiles_recovered, 1u);
+  EXPECT_TRUE(engine_matches(
+      engine, core::TivAnalyzer(stream.matrix()).all_severities()));
   remove_store_files(cfg);
   set_parallel_thread_count(0);
 }
@@ -466,7 +504,7 @@ TEST(FaultRecovery, BitflipSoakStaysBitIdentical) {
       const float value =
           rng.bernoulli(0.2) ? DelayMatrix::kMissing
                              : static_cast<float>(rng.uniform(1.0, 400.0));
-      stream.ingest({a, b, value, double(e)});
+      test::ingest_one(stream, {a, b, value, double(e)});
     }
     const Epoch epoch = stream.commit_epoch();
     engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);

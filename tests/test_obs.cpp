@@ -7,6 +7,7 @@
 // durations.
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <numeric>
 #include <sstream>
@@ -20,7 +21,6 @@
 
 #include "matrix_test_utils.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
@@ -249,13 +249,57 @@ TEST(ObsRegistryLink, MoveTransfersOwnership) {
 
 // --- SpanTracer -------------------------------------------------------------
 
+/// One span as write_chrome_trace renders it, read back to nanoseconds.
+struct TracedSpan {
+  std::string name;
+  std::uint32_t tid = 0;
+  std::uint64_t start_ns = 0;
+  std::uint64_t dur_ns = 0;
+};
+
+/// Reads the microsecond value after `key` (three decimals) as ns.
+std::uint64_t read_us_as_ns(const std::string& j, std::size_t& pos,
+                            std::string_view key) {
+  pos = j.find(key, pos) + key.size();
+  char* end = nullptr;
+  const std::uint64_t whole = std::strtoull(j.c_str() + pos, &end, 10);
+  EXPECT_EQ(*end, '.');
+  const std::uint64_t frac = std::strtoull(end + 1, &end, 10);
+  pos = static_cast<std::size_t>(end - j.c_str());
+  return whole * 1000 + frac;
+}
+
+/// The tracer's retained spans, in write_chrome_trace order.
+std::vector<TracedSpan> read_chrome_trace(const SpanTracer& t) {
+  std::ostringstream out;
+  t.write_chrome_trace(out);
+  const std::string j = out.str();
+  constexpr std::string_view kOpen = "{\"name\":\"";
+  std::vector<TracedSpan> spans;
+  for (std::size_t pos = j.find(kOpen); pos != std::string::npos;
+       pos = j.find(kOpen, pos)) {
+    TracedSpan s;
+    pos += kOpen.size();
+    const std::size_t name_end = j.find('"', pos);
+    s.name = j.substr(pos, name_end - pos);
+    pos = j.find("\"tid\":", name_end) + 6;
+    s.tid = static_cast<std::uint32_t>(
+        std::strtoul(j.c_str() + pos, nullptr, 10));
+    s.start_ns = read_us_as_ns(j, pos, "\"ts\":");
+    s.dur_ns = read_us_as_ns(j, pos, "\"dur\":");
+    spans.push_back(s);
+  }
+  return spans;
+}
+
 TEST(ObsSpanTracer, RingWraparoundKeepsNewestOldestFirst) {
   SpanTracer t(8);
   EXPECT_EQ(t.capacity(), 8u);
   for (std::uint64_t i = 0; i < 20; ++i) t.record("w", i, i + 1);
   EXPECT_EQ(t.recorded(), 20u);
   EXPECT_EQ(t.dropped(), 12u);
-  const std::vector<TraceEvent> evs = t.events();
+  EXPECT_EQ(t.count("w"), 8u);
+  const std::vector<TracedSpan> evs = read_chrome_trace(t);
   ASSERT_EQ(evs.size(), 8u);
   for (std::size_t i = 0; i < evs.size(); ++i) {
     EXPECT_EQ(evs[i].start_ns, 12 + i);  // spans 12..19 survive, oldest first
@@ -263,7 +307,8 @@ TEST(ObsSpanTracer, RingWraparoundKeepsNewestOldestFirst) {
   }
   t.clear();
   EXPECT_EQ(t.recorded(), 0u);
-  EXPECT_TRUE(t.events().empty());
+  EXPECT_EQ(t.count("w"), 0u);
+  EXPECT_TRUE(read_chrome_trace(t).empty());
 }
 
 TEST(ObsSpanTracer, CapacityRoundsUpToPowerOfTwo) {
@@ -350,9 +395,18 @@ TEST(ObsSpanTracer, ChromeTraceJsonShape) {
   EXPECT_NE(j.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(j.find("\"name\":\"phase-a\""), std::string::npos);
   // Timestamps and durations are microseconds: 1000 ns -> 1 us, 2000 -> 2.
-  EXPECT_NE(j.find("\"ts\":1"), std::string::npos);
-  EXPECT_NE(j.find("\"dur\":2"), std::string::npos);
+  EXPECT_NE(j.find("\"ts\":1.000,\"dur\":2.000"), std::string::npos) << j;
   EXPECT_EQ(j.front(), '{');
+}
+
+TEST(ObsSpanTracer, ChromeTraceKeepsNanosecondsPastOneSecond) {
+  SpanTracer t(4);
+  t.record("late", 1'234'567'891, 1'234'567'999);
+  std::ostringstream out;
+  t.write_chrome_trace(out);
+  EXPECT_NE(out.str().find("\"ts\":1234567.891,\"dur\":0.108"),
+            std::string::npos)
+      << out.str();
 }
 
 // --- Pipeline span nesting --------------------------------------------------
@@ -389,10 +443,10 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   engine.apply_epoch(ds.matrix(), epoch.dirty_hosts);
   SpanTracer::attach(nullptr);
 
-  const std::vector<TraceEvent> evs = tracer.events();
-  const TraceEvent* epoch_ev = nullptr;
-  for (const TraceEvent& e : evs) {
-    if (std::string_view(e.name) == "epoch") epoch_ev = &e;
+  const std::vector<TracedSpan> evs = read_chrome_trace(tracer);
+  const TracedSpan* epoch_ev = nullptr;
+  for (const TracedSpan& e : evs) {
+    if (e.name == "epoch") epoch_ev = &e;
   }
   ASSERT_NE(epoch_ev, nullptr);
   EXPECT_GT(epoch_ev->dur_ns, 0u);
@@ -407,8 +461,8 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   // RAII containment: every child phase ran on the epoch's thread, inside
   // the epoch span's [start, start + dur] window, and took measurable time.
   const std::uint64_t epoch_end = epoch_ev->start_ns + epoch_ev->dur_ns;
-  const TraceEvent* band_ev = nullptr;
-  for (const TraceEvent& e : evs) {
+  const TracedSpan* band_ev = nullptr;
+  for (const TracedSpan& e : evs) {
     const std::string_view name(e.name);
     if (name == "band-pair-stream") band_ev = &e;
     if (name != "epoch-screen" && name != "epoch-journal" &&
@@ -426,8 +480,8 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   const std::uint64_t band_end = band_ev->start_ns + band_ev->dur_ns;
   for (const char* phase : {"edge-repair", "sink-merge"}) {
     std::size_t seen = 0;
-    for (const TraceEvent& e : evs) {
-      if (std::string_view(e.name) != phase) continue;
+    for (const TracedSpan& e : evs) {
+      if (e.name != phase) continue;
       ++seen;
       EXPECT_EQ(e.tid, band_ev->tid) << phase;
       EXPECT_GE(e.start_ns, band_ev->start_ns) << phase;
@@ -438,7 +492,7 @@ TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   set_parallel_thread_count(0);
 }
 
-// --- Histogram JSON bucket encodings ----------------------------------------
+// --- Histogram JSON buckets --------------------------------------------------
 
 TEST(ObsSnapshot, SparseBucketsSkipEmptyAndKeyByLowerBound) {
   MetricsSnapshot s;
@@ -453,73 +507,6 @@ TEST(ObsSnapshot, SparseBucketsSkipEmptyAndKeyByLowerBound) {
   EXPECT_NE(out.str().find("\"buckets\":{\"0\":1,\"8\":2}"),
             std::string::npos)
       << out.str();
-}
-
-TEST(ObsSnapshot, DenseBucketsEmitTheFullArray) {
-  MetricsSnapshot s;
-  s.histograms["h"].buckets[4] = 2;
-  std::ostringstream out;
-  s.write_json(out, MetricsJsonOptions{.dense_histograms = true});
-  const std::string j = out.str();
-  const std::size_t open = j.find("\"buckets\":[");
-  ASSERT_NE(open, std::string::npos) << j;
-  // 65 fixed entries -> 64 commas between them.
-  const std::size_t close = j.find(']', open);
-  ASSERT_NE(close, std::string::npos);
-  EXPECT_EQ(std::count(j.begin() + static_cast<std::ptrdiff_t>(open),
-                       j.begin() + static_cast<std::ptrdiff_t>(close), ','),
-            64);
-}
-
-// --- Prometheus exposition --------------------------------------------------
-
-TEST(ObsPrometheus, MetricNameSanitization) {
-  EXPECT_EQ(prom::metric_name("pool.chunks_claimed"),
-            "tiv_pool_chunks_claimed");
-  EXPECT_EQ(prom::metric_name("a-b c.d"), "tiv_a_b_c_d");
-  EXPECT_EQ(prom::metric_name("ns:sub"), "tiv_ns:sub");  // colons are legal
-}
-
-TEST(ObsPrometheus, HelpEscaping) {
-  EXPECT_EQ(prom::escape_help("plain"), "plain");
-  EXPECT_EQ(prom::escape_help("a\\b\nc"), "a\\\\b\\nc");
-}
-
-TEST(ObsPrometheus, BucketsAreCumulativeAndInfClosesTheSeries) {
-  MetricsSnapshot s;
-  s.counters["engine.epochs"] = 7;
-  s.gauges["cache.bytes"] = -5;
-  auto& h = s.histograms["epoch.ns"];
-  h.count = 5;
-  h.sum = 30;
-  h.buckets[2] = 3;  // values in [2, 4), le = 3
-  h.buckets[4] = 2;  // values in [8, 16), le = 15
-  std::ostringstream out;
-  SnapshotReporter::write_prometheus(out, s);
-  const std::string text = out.str();
-
-  EXPECT_NE(text.find("# TYPE tiv_engine_epochs counter\n"
-                      "tiv_engine_epochs 7\n"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("# TYPE tiv_cache_bytes gauge\ntiv_cache_bytes -5\n"),
-            std::string::npos);
-  // Cumulative counts: 3 at le=3, then 3+2=5 at le=15; empty buckets are
-  // skipped and +Inf carries the total.
-  EXPECT_NE(text.find("tiv_epoch_ns_bucket{le=\"3\"} 3\n"
-                      "tiv_epoch_ns_bucket{le=\"15\"} 5\n"
-                      "tiv_epoch_ns_bucket{le=\"+Inf\"} 5\n"
-                      "tiv_epoch_ns_sum 30\n"
-                      "tiv_epoch_ns_count 5\n"),
-            std::string::npos)
-      << text;
-}
-
-TEST(ObsPrometheus, LiveRegistrySnapshotRenders) {
-  MetricsRegistry::instance().counter("test.prom.live").add(2);
-  std::ostringstream out;
-  SnapshotReporter::write_prometheus(out);
-  EXPECT_NE(out.str().find("tiv_test_prom_live"), std::string::npos);
 }
 
 }  // namespace

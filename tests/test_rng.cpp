@@ -94,18 +94,6 @@ TEST(Rng, NormalWithParameters) {
   EXPECT_NEAR(sum / kDraws, 10.0, 0.1);
 }
 
-TEST(Rng, ExponentialMeanMatches) {
-  Rng rng(21);
-  double sum = 0.0;
-  constexpr int kDraws = 50000;
-  for (int i = 0; i < kDraws; ++i) {
-    const double x = rng.exponential(3.0);
-    ASSERT_GT(x, 0.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kDraws, 3.0, 0.15);
-}
-
 TEST(Rng, ParetoRespectsScaleAndIsHeavyTailed) {
   Rng rng(23);
   int above_10x = 0;

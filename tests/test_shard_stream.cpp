@@ -288,7 +288,8 @@ TEST(ShardStreamEngine, TileSlotPoolsStopGrowingAfterWarmup) {
         const auto a = static_cast<HostId>(rng.uniform_index(n));
         const auto b = static_cast<HostId>(rng.uniform_index(n));
         if (a == b) continue;
-        stream.ingest({a, b, static_cast<float>(rng.uniform(1.0, 400.0)), t});
+        test::ingest_one(
+            stream, {a, b, static_cast<float>(rng.uniform(1.0, 400.0)), t});
       }
       const Epoch epoch = stream.commit_epoch();
       engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
@@ -337,8 +338,9 @@ TEST(ShardStreamEngine, InputCacheCountsAreDeterministicOnOneThread) {
       const auto x = static_cast<HostId>(rng.uniform_index(n));
       const auto y = static_cast<HostId>(rng.uniform_index(n));
       if (x == y) continue;
-      stream.ingest({x, y, static_cast<float>(rng.uniform(1.0, 400.0)),
-                     double(e)});
+      test::ingest_one(stream, {x, y,
+                                static_cast<float>(rng.uniform(1.0, 400.0)),
+                                double(e)});
     }
     const Epoch epoch = stream.commit_epoch();
     a.apply_epoch(stream.matrix(), epoch.dirty_hosts);
@@ -446,7 +448,7 @@ TEST(DirtyRowRepair, DirtyDirtyEdgeLosingItsMeasurementCommitsItsTile) {
   ASSERT_GT(engine.severity(1, 5), 0.0f);
   ASSERT_GT(engine.severity(5, 1), 0.0f);
 
-  stream.ingest({1, 5, kLost, 1.0});
+  test::ingest_one(stream, {1, 5, kLost, 1.0});
   const Epoch epoch = stream.commit_epoch();
   ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{1, 5}));
   const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
@@ -619,7 +621,7 @@ TEST(DirtyRowRepair, InputCorruptionHealsWhenTheScreenReadsIt) {
         stream.ingest(
             std::vector<DelaySample>{{2, 66, 13.0f, 0.0}, {9, 69, kLost, 0.0}});
       } else if (e == 1) {
-        stream.ingest({33, 50, 21.0f, 1.0});
+        test::ingest_one(stream, {33, 50, 21.0f, 1.0});
       } else {
         stream.ingest(random_epoch(rng, n, 10, e));
       }
@@ -768,7 +770,7 @@ TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
   }
   {
     ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
-    stream.ingest({2, 9, 3.0f, 0.0});
+    test::ingest_one(stream, {2, 9, 3.0f, 0.0});
     const Epoch epoch = stream.commit_epoch();
     ASSERT_EQ(epoch.dirty_hosts, (std::vector<HostId>{2, 9}));
     const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
@@ -778,7 +780,7 @@ TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
 
     // The next epoch screens again.
     const DelayMatrix before = stream.matrix();
-    stream.ingest({2, 9, 250.0f, 1.0});
+    test::ingest_one(stream, {2, 9, 250.0f, 1.0});
     const Epoch next = stream.commit_epoch();
     const auto got = engine.apply_epoch(stream.matrix(), next.dirty_hosts);
     EXPECT_EQ(got.edges_recomputed,
@@ -802,7 +804,7 @@ TEST(ScreenedRepair, SinkCacheDropsOnlyRewrittenTiles) {
   std::vector<float> row(n);
   for (HostId a = 0; a < n; ++a) engine.severity_row(a, row);  // warm
 
-  stream.ingest({10, 70, 150.0f, 0.0});
+  test::ingest_one(stream, {10, 70, 150.0f, 0.0});
   const Epoch epoch = stream.commit_epoch();
   const auto before = engine.output_cache_stats();
   const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);

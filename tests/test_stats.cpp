@@ -130,20 +130,14 @@ TEST(BinnedSeries, PercentilesWithinBin) {
   EXPECT_NEAR(bins[0].p90, 90.0, 1e-9);
 }
 
-TEST(ErrorAccumulator, AbsoluteAndRelative) {
+TEST(ErrorAccumulator, AbsoluteError) {
   ErrorAccumulator acc;
-  acc.add(12.0, 10.0);  // abs 2, rel 0.2
-  acc.add(8.0, 10.0);   // abs 2, rel 0.2
-  EXPECT_EQ(acc.count(), 2u);
+  acc.add(12.0, 10.0);
+  acc.add(8.0, 10.0);
+  acc.add(2.0, 0.0);
+  EXPECT_EQ(acc.count(), 3u);
+  EXPECT_EQ(acc.absolute_error().count, 3u);
   EXPECT_DOUBLE_EQ(acc.absolute_error().mean, 2.0);
-  EXPECT_DOUBLE_EQ(acc.relative_error().mean, 0.2);
-}
-
-TEST(ErrorAccumulator, NonPositiveActualSkipsRelative) {
-  ErrorAccumulator acc;
-  acc.add(5.0, 0.0);
-  EXPECT_EQ(acc.absolute_error().count, 1u);
-  EXPECT_EQ(acc.relative_error().count, 0u);
 }
 
 // Property sweep: percentile_sorted must agree with a direct definition on

@@ -86,25 +86,25 @@ TEST(EdgeEstimator, WindowedMinEvictsOldSamples) {
 
 TEST(DelayStream, AppliesSamplesSymmetricallyAndTracksDirtyHosts) {
   DelayStream stream(DelayMatrix(5));
-  stream.ingest({1, 3, 42.0f, 0.0});
+  test::ingest_one(stream, {1, 3, 42.0f, 0.0});
   EXPECT_FLOAT_EQ(stream.matrix().at(1, 3), 42.0f);
   EXPECT_FLOAT_EQ(stream.matrix().at(3, 1), 42.0f);
-  EXPECT_EQ(stream.pending_dirty_hosts(), 2u);
 
   const Epoch ep = stream.commit_epoch();
   EXPECT_EQ(ep.index, 0u);
   EXPECT_EQ(ep.dirty_hosts, (std::vector<HostId>{1, 3}));
   EXPECT_EQ(ep.stats.samples_applied, 1u);
   EXPECT_EQ(ep.stats.became_measured, 1u);
-  EXPECT_EQ(stream.pending_dirty_hosts(), 0u);
   EXPECT_EQ(stream.epochs_committed(), 1u);
+  // The commit cleared the dirty set.
+  EXPECT_TRUE(stream.commit_epoch().dirty_hosts.empty());
 }
 
 TEST(DelayStream, IdenticalResampleStaysClean) {
   DelayStream stream(DelayMatrix(4));  // kLatest policy
-  stream.ingest({0, 1, 10.0f, 0.0});
+  test::ingest_one(stream, {0, 1, 10.0f, 0.0});
   stream.commit_epoch();
-  stream.ingest({0, 1, 10.0f, 1.0});  // same value: matrix unchanged
+  test::ingest_one(stream, {0, 1, 10.0f, 1.0});  // same value: matrix unchanged
   const Epoch ep = stream.commit_epoch();
   EXPECT_TRUE(ep.dirty_hosts.empty());
   EXPECT_EQ(ep.stats.samples_applied, 1u);
@@ -113,10 +113,12 @@ TEST(DelayStream, IdenticalResampleStaysClean) {
 
 TEST(DelayStream, RejectsNonFiniteSamples) {
   DelayStream stream(DelayMatrix(4));
-  stream.ingest({0, 1, 50.0f, 0.0});
-  stream.ingest({0, 1, std::numeric_limits<float>::quiet_NaN(), 1.0});
-  stream.ingest({0, 1, std::numeric_limits<float>::infinity(), 2.0});
-  stream.ingest({0, 1, -std::numeric_limits<float>::infinity(), 3.0});
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  test::ingest_one(stream, {0, 1, 50.0f, 0.0});
+  test::ingest_one(stream,
+                   {0, 1, std::numeric_limits<float>::quiet_NaN(), 1.0});
+  test::ingest_one(stream, {0, 1, kInf, 2.0});
+  test::ingest_one(stream, {0, 1, -kInf, 3.0});
   const Epoch ep = stream.commit_epoch();
   EXPECT_EQ(ep.stats.rejected_nonfinite, 3u);
   EXPECT_EQ(ep.stats.rejected_self_pair, 0u);
@@ -124,7 +126,7 @@ TEST(DelayStream, RejectsNonFiniteSamples) {
   EXPECT_EQ(ep.stats.samples_rejected(), 3u);
   EXPECT_FLOAT_EQ(stream.matrix().at(0, 1), 50.0f);  // untouched
   // Rejected samples must not advance the edge's timestamp watermark.
-  stream.ingest({0, 1, 60.0f, 0.5});
+  test::ingest_one(stream, {0, 1, 60.0f, 0.5});
   EXPECT_FLOAT_EQ(stream.matrix().at(0, 1), 60.0f);
 }
 
@@ -132,11 +134,13 @@ TEST(DelayStream, RejectsNonFiniteTimestamps) {
   // A NaN timestamp compares false with everything: stored as the edge's
   // watermark, it would let the stale sample after it through.
   DelayStream stream(DelayMatrix(4));
-  stream.ingest({0, 1, 10.0f, 10.0});
-  stream.ingest({0, 1, 20.0f, std::numeric_limits<double>::quiet_NaN()});
-  stream.ingest({0, 1, 30.0f, 3.0});
-  stream.ingest({2, 3, 40.0f, std::numeric_limits<double>::infinity()});
-  stream.ingest({2, 3, 50.0f, -std::numeric_limits<double>::infinity()});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  test::ingest_one(stream, {0, 1, 10.0f, 10.0});
+  test::ingest_one(stream,
+                   {0, 1, 20.0f, std::numeric_limits<double>::quiet_NaN()});
+  test::ingest_one(stream, {0, 1, 30.0f, 3.0});
+  test::ingest_one(stream, {2, 3, 40.0f, kInf});
+  test::ingest_one(stream, {2, 3, 50.0f, -kInf});
   const Epoch ep = stream.commit_epoch();
   EXPECT_EQ(ep.stats.samples_applied, 1u);
   EXPECT_EQ(ep.stats.rejected_nonfinite, 3u);
@@ -176,10 +180,10 @@ TEST(DelayStream, ValidatesEstimatorParams) {
 
 TEST(DelayStream, RejectsSelfPairsAndStaleTimestamps) {
   DelayStream stream(DelayMatrix(4));
-  stream.ingest({2, 2, 5.0f, 0.0});  // self pair
-  stream.ingest({0, 1, 10.0f, 5.0});
-  stream.ingest({0, 1, 99.0f, 4.0});  // older than the applied sample
-  stream.ingest({0, 1, 20.0f, 5.0});  // equal timestamp is accepted
+  test::ingest_one(stream, {2, 2, 5.0f, 0.0});  // self pair
+  test::ingest_one(stream, {0, 1, 10.0f, 5.0});
+  test::ingest_one(stream, {0, 1, 99.0f, 4.0});  // older than applied
+  test::ingest_one(stream, {0, 1, 20.0f, 5.0});  // equal timestamp is accepted
   const Epoch ep = stream.commit_epoch();
   EXPECT_EQ(ep.stats.rejected_self_pair, 1u);
   EXPECT_EQ(ep.stats.rejected_stale, 1u);
@@ -194,8 +198,8 @@ TEST(DelayStream, LossReportTransitionsToMissingAndClearsHistory) {
   p.policy = SmoothingPolicy::kEwma;
   p.ewma_alpha = 0.5f;
   DelayStream stream(DelayMatrix(4), p);
-  stream.ingest({0, 1, 100.0f, 0.0});
-  stream.ingest({0, 1, DelayMatrix::kMissing, 1.0});
+  test::ingest_one(stream, {0, 1, 100.0f, 0.0});
+  test::ingest_one(stream, {0, 1, DelayMatrix::kMissing, 1.0});
   EXPECT_FALSE(stream.matrix().has(0, 1));
   Epoch ep = stream.commit_epoch();
   EXPECT_EQ(ep.stats.became_missing, 1u);
@@ -203,7 +207,7 @@ TEST(DelayStream, LossReportTransitionsToMissingAndClearsHistory) {
 
   // Re-measurement after the outage seeds a fresh EWMA (no blending with
   // the pre-outage 100 ms).
-  stream.ingest({0, 1, 10.0f, 2.0});
+  test::ingest_one(stream, {0, 1, 10.0f, 2.0});
   EXPECT_FLOAT_EQ(stream.matrix().at(0, 1), 10.0f);
   ep = stream.commit_epoch();
   EXPECT_EQ(ep.stats.became_measured, 1u);
@@ -211,7 +215,7 @@ TEST(DelayStream, LossReportTransitionsToMissingAndClearsHistory) {
 
 TEST(DelayStream, MissingReportOnMissingEdgeStaysClean) {
   DelayStream stream(DelayMatrix(4));
-  stream.ingest({0, 1, DelayMatrix::kMissing, 0.0});
+  test::ingest_one(stream, {0, 1, DelayMatrix::kMissing, 0.0});
   const Epoch ep = stream.commit_epoch();
   EXPECT_TRUE(ep.dirty_hosts.empty());
   EXPECT_EQ(ep.stats.became_missing, 0u);

@@ -327,14 +327,16 @@ TEST(TileFile, InputAndSinkAreNotInterchangeable) {
 
   // The sink where an input is expected.
   EXPECT_THROW(all_severities_to_sink(sink_cache, sink), std::invalid_argument);
-  EXPECT_THROW(rebuild_sink_tile(sink_cache, sink, 0, 0),
+  const std::pair<std::uint32_t, std::uint32_t> tile00{0, 0};
+  EXPECT_THROW(rebuild_sink_tiles(sink_cache, sink, {&tile00, 1}),
                std::invalid_argument);
   EXPECT_THROW(diff_dirty_rows(sink_cache, dirty, screen),
                std::invalid_argument);
   EXPECT_THROW(shard::repack_tile(sink, m, 0, 0), std::invalid_argument);
   // The input where a sink is expected.
   EXPECT_THROW(all_severities_to_sink(in_cache, in), std::invalid_argument);
-  EXPECT_THROW(rebuild_sink_tile(in_cache, in, 0, 0), std::invalid_argument);
+  EXPECT_THROW(rebuild_sink_tiles(in_cache, in, {&tile00, 1}),
+               std::invalid_argument);
   EXPECT_THROW(repair_severities_to_sink(m, in, 1u << 20, dirty, edges),
                std::invalid_argument);
   EXPECT_THROW(sink_severity(in_cache, 0, 1), std::invalid_argument);

@@ -34,13 +34,19 @@ TEST(ParallelFor, HandlesZeroAndOne) {
 }
 
 TEST(ParallelFor, ChunksCoverRangeWithoutOverlap) {
-  constexpr std::size_t kN = 5000;
-  std::vector<std::atomic<int>> visits(kN);
-  parallel_for_chunks(kN, [&](std::size_t b, std::size_t e) {
-    ASSERT_LE(b, e);
-    for (std::size_t i = b; i < e; ++i) ++visits[i];
-  });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1);
+  // The static partition's last chunk is short whenever the thread count
+  // does not divide n; every count must still visit each index once.
+  for (std::size_t threads : {2u, 3u, 4u, 7u}) {
+    set_parallel_thread_count(threads);
+    for (std::size_t n : {5u, 999u, 5000u}) {
+      std::vector<std::atomic<int>> visits(n);
+      parallel_for(n, [&](std::size_t i) { ++visits[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(visits[i].load(), 1) << threads << " threads, n=" << n;
+      }
+    }
+  }
+  set_parallel_thread_count(0);
 }
 
 TEST(ParallelFor, ThreadCountOverride) {
