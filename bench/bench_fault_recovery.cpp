@@ -12,7 +12,7 @@
 //                             damaged tiles on first touch
 //   section "kill_mid_commit" a deterministic torn write kills apply_epoch
 //                             at a chosen commit ordinal; recover() replays
-//                             the journaled epoch from the manifest
+//                             the journaled epoch from its journal record
 //
 // Each record carries the acceptance properties the exit status enforces:
 //   bit_mismatches     severities read back after recovery vs the in-memory
@@ -26,7 +26,7 @@
 // property fails, so a smoke run turns CI red on its own.
 //
 // Each record also reports recovery_action_ms — the span tracer's total of
-// "recovery-action" spans (manifest replay plus every lazy tile heal), the
+// "recovery-action" spans (journal replay plus every lazy tile heal), the
 // recovery work alone without the surrounding clean readback — and the
 // record stream ends with the registry's metrics snapshot
 // ({"section":"metrics",...}: fault.injected_* vs engine.recovery.* shows
@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
         } else {
           engine.set_sink_fault_injector(nullptr);
         }
-      }  // "killed" engine abandoned; files + epoch manifest survive
+      }  // "killed" engine abandoned; files + journal record survive
 
       const SeverityMatrix want =
           TivAnalyzer(stream.matrix()).all_severities();

@@ -30,9 +30,10 @@
 // dirty. EpochScreen::flag then costs O(n) per changed entry and writes
 // an EpochEdges bitmap in the canonical enumeration. Both stores of the
 // live engine (stream/severity_engine) run the screen in its one epoch;
-// the tile store's flags are exact, while the in-memory store still
-// answers "flag all" and recomputes every incident edge. See
-// docs/PERFORMANCE.md ("Screened epoch repair").
+// the tile store's flags are exact, and it also repacks only the input
+// tiles that hold a changed entry (EpochScreen::changes), while the
+// in-memory store still answers "flag all" and recomputes every incident
+// edge. See docs/PERFORMANCE.md ("Screened epoch repair").
 #pragma once
 
 #include <bit>
@@ -82,18 +83,21 @@ class EpochEdges {
   /// Calls fn(c) for every flagged c in [c0, c1) of row i, ascending.
   template <typename Fn>
   void for_each_in_row(std::size_t i, HostId c0, HostId c1, Fn&& fn) const {
-    const std::uint64_t* row = bits_.data() + i * words_;
     for (std::size_t w = c0 / 64; w * 64 < c1; ++w) {
-      std::uint64_t word = row[w];
-      if (w == c0 / 64) word &= ~std::uint64_t{0} << (c0 % 64);
-      if ((w + 1) * 64 > c1 && c1 % 64 != 0) {
-        word &= ~(~std::uint64_t{0} << (c1 % 64));
-      }
+      std::uint64_t word = word_in(i, w, c0, c1);
       while (word != 0) {
         fn(static_cast<HostId>(w * 64 + std::countr_zero(word)));
         word &= word - 1;
       }
     }
+  }
+
+  /// Whether any c in [c0, c1) of row i is flagged.
+  bool any_in_row(std::size_t i, HostId c0, HostId c1) const {
+    for (std::size_t w = c0 / 64; w * 64 < c1; ++w) {
+      if (word_in(i, w, c0, c1) != 0) return true;
+    }
+    return false;
   }
 
   /// Whether edge (i, c), bit c of row i, is flagged.
@@ -106,6 +110,16 @@ class EpochEdges {
 
  private:
   static constexpr std::uint32_t kClean = ~std::uint32_t{0};
+  /// Word w of row i, with the bits outside [c0, c1) cleared.
+  std::uint64_t word_in(std::size_t i, std::size_t w, HostId c0,
+                        HostId c1) const {
+    std::uint64_t word = bits_[i * words_ + w];
+    if (w == c0 / 64) word &= ~std::uint64_t{0} << (c0 % 64);
+    if ((w + 1) * 64 > c1 && c1 % 64 != 0) {
+      word &= ~(~std::uint64_t{0} << (c1 % 64));
+    }
+    return word;
+  }
   void set(std::size_t i, HostId c) {
     bits_[i * words_ + c / 64] |= std::uint64_t{1} << (c % 64);
   }
@@ -137,20 +151,25 @@ class EpochScreen {
   void diff(std::size_t i, HostId c0, const float* old_values,
             std::size_t len);
 
-  /// Changed unordered entries found so far.
-  std::size_t edges_changed() const { return changed_.size(); }
-
-  /// Resets `out` to this epoch's dirty hosts and flags the edges to
-  /// recompute (see the file comment). Call after every row is diffed.
-  void flag(EpochEdges& out);
-
- private:
   /// A changed entry {x, w}, x < w, with its pre-epoch packed value.
   struct Change {
     HostId x;
     HostId w;
     float old_value;
   };
+
+  /// Changed unordered entries found so far.
+  std::size_t edges_changed() const { return changed_.size(); }
+
+  /// The changed entries, ascending by (x, w) once flag() has run. The
+  /// tile store repacks exactly the input tiles that hold one.
+  std::span<const Change> changes() const { return changed_; }
+
+  /// Resets `out` to this epoch's dirty hosts and flags the edges to
+  /// recompute (see the file comment). Call after every row is diffed.
+  void flag(EpochEdges& out);
+
+ private:
   const DelayMatrix* after_ = nullptr;
   std::span<const HostId> dirty_hosts_;
   std::vector<std::uint8_t> dirty_;

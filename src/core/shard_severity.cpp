@@ -199,7 +199,6 @@ void check_band_pair_files(const TileCache& input, const TileFile& sink,
 /// of the current group, and the tiles committed so far.
 struct RepairBuffers {
   std::vector<float> result;
-  std::vector<std::uint8_t> touched;
   std::vector<std::uint8_t> committed;
 };
 
@@ -256,22 +255,7 @@ void repair_host_group(const DelayMatrix& matrix, TileFile& sink,
   std::atomic<std::size_t> committed{0};
   {
     obs::Span span("sink-merge");
-    rb.touched.assign(sink.tile_count(), 0);
-    for (const BandRun& r : runs) {
-      for (std::uint32_t i = r.begin; i < r.end; ++i) {
-        edges.for_each_in_row(first + i, 0, n, [&](HostId c) {
-          const std::uint32_t bc = c / T;
-          rb.touched[sink.tile_index(std::min(r.band, bc),
-                                     std::max(r.band, bc))] = 1;
-        });
-      }
-    }
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> tiles;
-    for (std::uint32_t bi = 0; bi < bands; ++bi) {
-      for (std::uint32_t bj = bi; bj < bands; ++bj) {
-        if (rb.touched[sink.tile_index(bi, bj)]) tiles.emplace_back(bi, bj);
-      }
-    }
+    const auto tiles = flagged_sink_tiles(edges, group, first, sink);
     for_each_unit(tiles.size(), [&](std::size_t u) {
       const auto [bi, bj] = tiles[u];
       std::vector<float>& buf = walk_scratch().buf;
@@ -321,6 +305,29 @@ void repair_host_group(const DelayMatrix& matrix, TileFile& sink,
 }
 
 }  // namespace
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> flagged_sink_tiles(
+    const EpochEdges& edges, std::span<const HostId> hosts, std::size_t first,
+    const TileFile& sink) {
+  const std::uint32_t T = sink.tile_dim();
+  const std::uint32_t bands = sink.tiles_per_side();
+  std::vector<std::uint8_t> touched(sink.tile_count(), 0);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    const std::uint32_t r = hosts[i] / T;
+    for (std::uint32_t bc = 0; bc < bands; ++bc) {
+      if (edges.any_in_row(first + i, bc * T, bc * T + sink.band_rows(bc))) {
+        touched[sink.tile_index(std::min(r, bc), std::max(r, bc))] = 1;
+      }
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tiles;
+  for (std::uint32_t bi = 0; bi < bands; ++bi) {
+    for (std::uint32_t bj = bi; bj < bands; ++bj) {
+      if (touched[sink.tile_index(bi, bj)]) tiles.emplace_back(bi, bj);
+    }
+  }
+  return tiles;
+}
 
 void all_severities_to_sink(TileCache& input, TileFile& sink) {
   check_band_pair_files(input, sink, "all_severities_to_sink");

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "core/epoch_screen.hpp"
 #include "core/severity.hpp"
@@ -100,6 +101,15 @@ SinkRepairStats repair_severities_to_sink(
     const DelayMatrix& matrix, shard::TileFile& sink,
     std::size_t budget_bytes, std::span<const HostId> dirty_hosts,
     const EpochEdges& edges, std::span<std::uint8_t> written = {});
+
+/// The sink tiles (bi, bj), bi <= bj, in ascending order, that hold an edge
+/// flagged in rows [first, first + |hosts|) of `edges`, `hosts` being those
+/// rows' dirty hosts. With every dirty host (first = 0) these are exactly
+/// the tiles repair_severities_to_sink can write — the set the tile store
+/// journals before it writes any.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> flagged_sink_tiles(
+    const EpochEdges& edges, std::span<const HostId> hosts, std::size_t first,
+    const shard::TileFile& sink);
 
 /// The screen's read of the pre-epoch rows (core/epoch_screen): calls
 /// screen.diff on every dirty host's packed row, read through the input

@@ -13,13 +13,13 @@
 //   │  ├─ epoch-screen    the screen's diff of the dirty view rows
 //   │  └─ edge-repair     the flagged-edge repair loop over the view's rows
 //   ├─ epoch-screen       pre-epoch dirty rows read and diffed, edges flagged
-//   ├─ epoch-journal      manifest planning and write
-//   ├─ tile-repack        dirty input tiles rewritten in place
+//   ├─ epoch-journal      journal record planning and write
+//   ├─ tile-repack        changed input tiles rewritten in place
 //   ├─ band-pair-stream   the streaming severity driver (build or repair)
 //   │  ├─ edge-repair     repair: flagged edges over rows packed from the
 //   │  │                  live matrix (one per host group)
 //   │  └─ sink-merge      repair: flagged edges merged into their sink tiles
-//   └─ sink-commit        rewritten tiles' cache invalidation + manifest clear
+//   └─ sink-commit        rewritten tiles' cache invalidation + record clear
 //   recovery-action       one heal (tile rebuild/repack) or replay
 //
 // Attachment mirrors shard::FaultInjector: a process-global tracer pointer,

@@ -32,6 +32,8 @@ bool IncrementalSeverity::diff_rows(const DelayMatrix& matrix,
 
 void IncrementalSeverity::update_rows(const DelayMatrix& matrix,
                                       std::span<const HostId> dirty_hosts,
+                                      const core::EpochScreen* /*screen*/,
+                                      const core::EpochEdges& /*edges*/,
                                       EpochStats& stats) {
   // Row repacks are independent; epochs large enough to matter (bulk churn,
   // initial backfill) spread across the pool, tiny ones stay cheap because

@@ -54,6 +54,8 @@ class IncrementalSeverity final : public SeverityEngine {
                  core::EpochScreen& screen) override;
   void update_rows(const DelayMatrix& matrix,
                    std::span<const HostId> dirty_hosts,
+                   const core::EpochScreen* screen,
+                   const core::EpochEdges& edges,
                    EpochStats& stats) override;
   void write_results(const DelayMatrix& matrix,
                      std::span<const HostId> dirty_hosts,

@@ -47,10 +47,12 @@ SeverityEngine::EpochStats SeverityEngine::apply_epoch(
 
   obs::Span span(epoch_span_);
   const auto t0 = obs::kEnabled ? obs::SpanTracer::now_ns() : 0;
+  bool exact = false;
   {
     obs::Span screen_span("epoch-screen");
     screen_.begin(matrix, dirty_hosts);
-    if (diff_rows(matrix, dirty_hosts, screen_)) {
+    exact = diff_rows(matrix, dirty_hosts, screen_);
+    if (exact) {
       screen_.flag(edges_);
     } else {
       edges_.reset(dirty_hosts, n_);
@@ -58,7 +60,7 @@ SeverityEngine::EpochStats SeverityEngine::apply_epoch(
     }
     stats.edges_changed = screen_.edges_changed();
   }
-  update_rows(matrix, dirty_hosts, stats);
+  update_rows(matrix, dirty_hosts, exact ? &screen_ : nullptr, edges_, stats);
   write_results(matrix, dirty_hosts, edges_, stats);
 
   ++epochs_applied_;

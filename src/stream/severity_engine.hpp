@@ -103,8 +103,13 @@ class SeverityEngine {
                          std::span<const HostId> dirty_hosts,
                          core::EpochScreen& screen) = 0;
   /// Row update: brings the store's rows of the dirty hosts to `matrix`.
+  /// `screen` lists the epoch's changed entries when its flags are exact
+  /// and is null otherwise; `edges` are the edges write_results will
+  /// recompute.
   virtual void update_rows(const DelayMatrix& matrix,
                            std::span<const HostId> dirty_hosts,
+                           const core::EpochScreen* screen,
+                           const core::EpochEdges& edges,
                            EpochStats& stats) = 0;
   /// Result write: recomputes the flagged edges from `matrix` and stores
   /// them; sets stats.edges_recomputed.

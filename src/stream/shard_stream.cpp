@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <stdexcept>
@@ -62,9 +63,14 @@ ShardStreamEngine::ShardStreamEngine(const DelayMatrix& initial,
       std::error_code ec;  // best-effort, fds may still be open (POSIX ok)
       std::filesystem::remove(config.input_path, ec);
       std::filesystem::remove(config.sink_path, ec);
+      std::filesystem::remove(EpochManifest::path_for(config.sink_path), ec);
     }
   } guard{config_};
 
+  // The journal starts empty, before the stores are overwritten: a record
+  // an earlier engine left at this path describes stores that are gone.
+  journal_.emplace(EpochManifest::path_for(config_.sink_path),
+                   /*truncate=*/true);
   shard::write_matrix(config_.input_path, initial, config_.tile_dim);
   shard::create_sink(config_.sink_path, initial.size(), config_.tile_dim);
   open_files(initial.size());
@@ -89,12 +95,13 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   open_files(matrix.size());
   link_recovery_metrics();
 
-  const auto manifest =
-      EpochManifest::load(EpochManifest::path_for(config_.sink_path));
-  if (!manifest.has_value()) return;  // clean shutdown (or torn manifest
+  const std::string journal_path = EpochManifest::path_for(config_.sink_path);
+  journal_.emplace(journal_path, /*truncate=*/false);
+  const auto manifest = EpochManifest::load(journal_path);
+  if (!manifest.has_value()) return;  // clean shutdown (or torn record
                                       // write — stores untouched either way)
 
-  // The manifest's checksum proves it intact, not sane: every journaled
+  // The record's checksum proves it intact, not sane: every journaled
   // coordinate must name a tile of these files before anything is
   // rewritten (TileFile's own range check would throw only after the
   // tiles journaled before the bad one were rewritten).
@@ -134,7 +141,7 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
     return 0;
   });
   for (const auto& [r, c] : manifest->sink_tiles) sink_cache_->invalidate(r, c);
-  EpochManifest::clear(EpochManifest::path_for(config_.sink_path));
+  journal_->clear();
   epochs_applied_ = manifest->generation;
   recovery_.torn_epochs_replayed.increment();
 }
@@ -271,42 +278,53 @@ bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
 
 void ShardStreamEngine::update_rows(const DelayMatrix& matrix,
                                     std::span<const HostId> dirty_hosts,
+                                    const core::EpochScreen* screen,
+                                    const core::EpochEdges& edges,
                                     EpochStats& stats) {
   {
     obs::Span journal_span("epoch-journal");
     // Journal the epoch before the first in-place write: the input tiles
-    // about to be repacked and the superset of sink tiles that can hold a
-    // dirty edge. A kill anywhere past this point leaves a manifest naming
-    // every possibly-torn tile; recover() replays exactly those (replaying
-    // an untouched one is an idempotent rewrite of identical bytes).
+    // about to be repacked and the sink tiles holding a flagged edge —
+    // exactly the tiles the result write can rewrite. A kill anywhere past
+    // this point leaves a record naming every possibly-torn tile; recover()
+    // replays exactly those (replaying an untouched one is an idempotent
+    // rewrite of identical bytes).
     const std::uint32_t T = input_.tile_dim();
-    const std::uint32_t bands = input_.tiles_per_side();
-    std::vector<std::uint8_t> band_dirty(bands, 0);
-    for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
-    manifest_ = EpochManifest{};
-    manifest_.generation = epochs_applied() + 1;
-    for (std::uint32_t b = 0; b < bands; ++b) {
-      if (!band_dirty[b]) continue;
-      for (std::uint32_t c = 0; c < bands; ++c) {
-        if (band_dirty[c]) manifest_.input_tiles.emplace_back(b, c);
+    auto& tiles = manifest_.input_tiles;
+    tiles.clear();
+    if (screen != nullptr) {
+      // Exact flags: a changed entry {x, w} lives in input tile
+      // (x/T, w/T) and its mirror, and every other tile is byte-identical
+      // to a fresh build already.
+      for (const core::EpochScreen::Change& ch : screen->changes()) {
+        tiles.emplace_back(ch.x / T, ch.w / T);
+        tiles.emplace_back(ch.w / T, ch.x / T);
       }
-    }
-    for (std::uint32_t bi = 0; bi < bands; ++bi) {
-      for (std::uint32_t bj = bi; bj < bands; ++bj) {
-        if (band_dirty[bi] || band_dirty[bj]) {
-          manifest_.sink_tiles.emplace_back(bi, bj);
+      std::sort(tiles.begin(), tiles.end());
+      tiles.erase(std::unique(tiles.begin(), tiles.end()), tiles.end());
+    } else {
+      // A heal in the screen's read lost old values, so the change list
+      // may miss entries. A changed entry (x, y) requires edge (x, y)
+      // updated, and DelayStream dirties both endpoints — so a changed
+      // tile has a dirty host in its row band AND in its column band:
+      // repack dirty_bands x dirty_bands.
+      const std::uint32_t bands = input_.tiles_per_side();
+      std::vector<std::uint8_t> band_dirty(bands, 0);
+      for (const HostId h : dirty_hosts) band_dirty[h / T] = 1;
+      for (std::uint32_t b = 0; b < bands; ++b) {
+        if (!band_dirty[b]) continue;
+        for (std::uint32_t c = 0; c < bands; ++c) {
+          if (band_dirty[c]) tiles.emplace_back(b, c);
         }
       }
     }
-    manifest_.write(EpochManifest::path_for(sink_.path()));
+    manifest_.generation = epochs_applied() + 1;
+    manifest_.sink_tiles =
+        core::flagged_sink_tiles(edges, dirty_hosts, 0, sink_);
+    journal_->write(manifest_);
   }
 
-  // A changed entry (x, y) requires edge (x, y) updated, and DelayStream
-  // dirties both endpoints — so a tile can only have changed when BOTH its
-  // row band and its column band hold a dirty host. The changed input
-  // tiles are precisely dirty_bands x dirty_bands; repack each in place and
-  // drop any cached copy. Tiles with one clean side are byte-identical to a
-  // fresh build already and are not touched.
+  // Repack each journaled tile in place and drop any cached copy.
   obs::Span repack_span("tile-repack");
   for (const auto& [b, c] : manifest_.input_tiles) {
     shard::repack_tile(input_, matrix, b, c);
@@ -336,8 +354,8 @@ void ShardStreamEngine::write_results(const DelayMatrix& matrix,
 
   obs::Span commit_span("sink-commit");
   // Sink-cache coherence: drop the cached copies of the tiles the repair
-  // rewrote — every one of them lies in the journaled superset — so the
-  // cached tiles in between keep serving reads.
+  // rewrote — every one of them is journaled — so the other cached tiles
+  // keep serving reads.
   for (const auto& [bi, bj] : manifest_.sink_tiles) {
     std::uint8_t& written = sink_written_[sink_.tile_index(bi, bj)];
     if (written) {
@@ -345,8 +363,8 @@ void ShardStreamEngine::write_results(const DelayMatrix& matrix,
       written = 0;
     }
   }
-  // Commit point: both stores are consistent, drop the journal.
-  EpochManifest::clear(EpochManifest::path_for(sink_.path()));
+  // Commit point: both stores are consistent, clear the journal's record.
+  journal_->clear();
 }
 
 }  // namespace tiv::stream

@@ -9,13 +9,17 @@
 //   - pre-epoch rows: the dirty hosts' rows read tile by tile from the
 //     input store (core::diff_dirty_rows), before anything is repacked.
 //     The flags are exact unless a heal hit this read (see below).
-//   - row update: an edge update (a, b) changes exactly packed rows a and b
-//     and dirties both endpoints, so a changed tile has a dirty host in its
-//     row band AND in its column band — the dirty tiles are precisely
-//     dirty_bands x dirty_bands. The epoch journals them, then rewrites
-//     each in place with shard::repack_tile (byte-identical to a fresh
-//     build, the tile-granular mirror of DelayMatrixView::repack_row) and
-//     drops it from the tile cache.
+//   - row update: a changed entry {x, w} lives in exactly two input tiles,
+//     (x/T, w/T) and its mirror, and every other tile is byte-identical to
+//     a fresh build already. With exact flags the epoch journals the tiles
+//     of the screen's changed entries (core::EpochScreen::changes), then
+//     rewrites each in place with shard::repack_tile (byte-identical to a
+//     fresh build, the tile-granular mirror of DelayMatrixView::repack_row)
+//     and drops it from the tile cache. When a heal hit the pre-epoch read,
+//     the change list can miss entries; since DelayStream dirties both
+//     endpoints of a changed entry, the epoch then repacks every tile with
+//     a dirty host in its row band AND its column band, dirty_bands x
+//     dirty_bands.
 //   - result write: only the flagged edges are recomputed, by the repair
 //     loop over rows packed from the post-epoch matrix
 //     (core::repair_severities_to_sink), so the repair reads no input tile.
@@ -39,12 +43,17 @@
 //     retries. Healed-tile counts are in recovery_stats(). A heal during
 //     the read of the pre-epoch rows loses those rows' old values, so that
 //     epoch recomputes every edge incident to a dirty host instead.
-//   - Epoch commits are crash-safe: the row update journals the tiles the
-//     epoch is about to rewrite (stream/epoch_manifest) before the first
-//     in-place write, and the result write clears the journal after the
-//     last. recover() reopens the stores of a killed process, replays
-//     exactly the journaled tiles, and converges to the state the completed
-//     epoch would have produced — bit-identical to the in-memory path.
+//   - Epoch commits are crash-safe against process death: the engine keeps
+//     one journal file open (stream/epoch_manifest), created empty by a
+//     fresh engine. Before the first in-place write, the row update writes
+//     and fdatasyncs a record naming the input tiles it repacks and the
+//     sink tiles holding a flagged edge (exactly those the result write can
+//     rewrite); after the last, the result write clears the record in
+//     place — the commit point. recover() reopens the stores of a killed
+//     process, replays exactly the journaled tiles, and converges to the
+//     state the completed epoch would have produced — bit-identical to the
+//     in-memory path. Neither the clear nor the tile writes are synced, so
+//     a power loss is not covered (docs/RELIABILITY.md).
 #pragma once
 
 #include <cstddef>
@@ -112,7 +121,8 @@ class ShardStreamEngine final : public SeverityEngine {
   /// Reopens the stores a previous engine (same paths in `config`) left on
   /// disk — after a crash or a clean shutdown with keep_files. Rejects a
   /// file whose header geometry does not match (matrix.size(),
-  /// config.tile_dim). If a torn epoch manifest is present, replays it:
+  /// config.tile_dim). If the journal holds a torn epoch's record, replays
+  /// it:
   /// the journaled input tiles are repacked from `matrix` (which must be
   /// the *post-epoch* matrix — DelayStream mutates it before apply_epoch
   /// runs) and the journaled sink tiles are rebuilt from the repaired
@@ -166,6 +176,8 @@ class ShardStreamEngine final : public SeverityEngine {
                  core::EpochScreen& screen) override;
   void update_rows(const DelayMatrix& matrix,
                    std::span<const HostId> dirty_hosts,
+                   const core::EpochScreen* screen,
+                   const core::EpochEdges& edges,
                    EpochStats& stats) override;
   void write_results(const DelayMatrix& matrix,
                      std::span<const HostId> dirty_hosts,
@@ -218,8 +230,9 @@ class ShardStreamEngine final : public SeverityEngine {
   /// counters (zero under TIV_OBS_DISABLE), so diff_rows can tell that a
   /// heal hit its read.
   std::uint64_t input_heals_ = 0;
-  /// The journal of the epoch in flight: written by update_rows, cleared
-  /// by write_results.
+  /// The open journal file and the record of the epoch in flight: written
+  /// by update_rows, cleared by write_results.
+  std::optional<EpochJournal> journal_;
   EpochManifest manifest_;
   /// One byte per sink tile: written by the current epoch's repair.
   std::vector<std::uint8_t> sink_written_;

@@ -179,7 +179,9 @@ TEST(EpochManifest, RoundTripAndClear) {
   m.generation = 42;
   m.input_tiles = {{0, 0}, {0, 2}, {2, 0}};
   m.sink_tiles = {{0, 1}, {1, 2}};
-  m.write(path);
+  EpochJournal journal(path, /*truncate=*/true);
+  EXPECT_FALSE(EpochManifest::load(path).has_value());  // created empty
+  journal.write(m);
 
   const auto got = EpochManifest::load(path);
   ASSERT_TRUE(got.has_value());
@@ -187,26 +189,69 @@ TEST(EpochManifest, RoundTripAndClear) {
   EXPECT_EQ(got->input_tiles, m.input_tiles);
   EXPECT_EQ(got->sink_tiles, m.sink_tiles);
 
-  EpochManifest::clear(path);
-  EXPECT_FALSE(std::filesystem::exists(path));
+  journal.clear();
   EXPECT_FALSE(EpochManifest::load(path).has_value());
-  EpochManifest::clear(path);  // idempotent
+  journal.clear();  // idempotent
+  EXPECT_FALSE(EpochManifest::load(path).has_value());
+  std::filesystem::remove(path);
+}
+
+TEST(EpochManifest, ShorterRecordIgnoresTheStaleTail) {
+  // Each epoch overwrites the record at offset 0, so a short record leaves
+  // the tail of a longer earlier one behind it; load ends at the record's
+  // own trailer.
+  const std::string path = scratch_path("manifest_tail");
+  EpochJournal journal(path, /*truncate=*/true);
+  EpochManifest longer;
+  longer.generation = 3;
+  longer.input_tiles = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  longer.sink_tiles = {{0, 0}, {0, 1}, {1, 1}};
+  journal.write(longer);
+  journal.clear();
+  EpochManifest shorter;
+  shorter.generation = 4;
+  shorter.input_tiles = {{1, 1}};
+  journal.write(shorter);
+  const auto got = EpochManifest::load(path);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->generation, 4u);
+  EXPECT_EQ(got->input_tiles, shorter.input_tiles);
+  EXPECT_TRUE(got->sink_tiles.empty());
+  std::filesystem::remove(path);
 }
 
 TEST(EpochManifest, TornManifestLoadsAsClean) {
   const std::string path = scratch_path("manifest_torn");
+  EpochJournal journal(path, /*truncate=*/true);
   EpochManifest m;
   m.generation = 7;
   m.input_tiles = {{1, 1}};
   m.sink_tiles = {{0, 1}};
-  m.write(path);
-  // A crash mid-manifest-write leaves a short or checksum-broken file:
+  journal.write(m);
+  // A crash mid-record-write leaves a short or checksum-broken record:
   // both must read as "no torn epoch" (the stores were not touched yet).
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   EXPECT_FALSE(EpochManifest::load(path).has_value());
-  m.write(path);
+  journal.write(m);
   rot_byte_at(path, 9);
   EXPECT_FALSE(EpochManifest::load(path).has_value());
+
+  // A shorter record torn over a longer one: its prefix lands, the stale
+  // tail of the longer record follows it, and the checksum fails.
+  EpochManifest longer = m;
+  longer.input_tiles = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  journal.write(longer);
+  const std::string alone = scratch_path("manifest_alone");
+  EpochJournal(alone, /*truncate=*/true).write(m);
+  const std::string record = test::file_bytes(alone);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(record.data(), 1, record.size() - 5, f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(EpochManifest::load(path).has_value());
+  std::filesystem::remove(alone);
   std::filesystem::remove(path);
 }
 
@@ -326,8 +371,9 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
     EXPECT_EQ(inj.stats().torn_writes, 1u);
   }  // "process dies": engine destroyed, stores + manifest survive
 
-  ASSERT_TRUE(std::filesystem::exists(EpochManifest::path_for(cfg.sink_path)))
-      << "a torn epoch must leave its journal behind";
+  ASSERT_TRUE(EpochManifest::load(EpochManifest::path_for(cfg.sink_path))
+                  .has_value())
+      << "a torn epoch must leave its journal record behind";
 
   // Reopen-after-kill: the journaled tiles replay from the post-epoch
   // matrix and the result is bit-identical to the clean in-memory path.
@@ -335,7 +381,8 @@ void kill_and_recover(std::uint32_t torn_at, bool fault_on_input,
       ShardStreamEngine::recover(stream.matrix(), cfg);
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
   EXPECT_EQ(engine.epochs_applied(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(EpochManifest::path_for(cfg.sink_path)));
+  EXPECT_FALSE(EpochManifest::load(EpochManifest::path_for(cfg.sink_path))
+                   .has_value());
   EXPECT_TRUE(engine_matches(engine, core::TivAnalyzer(stream.matrix()).all_severities()));
 
   // The recovered engine keeps working: another clean epoch stays
@@ -410,7 +457,7 @@ TEST(FaultRecovery, RotInWitnessInputTileHealsDuringPooledReplay) {
     ShardStreamEngine engine(stream.matrix(), cfg);
     engine.set_sink_fault_injector(&inj);
     // Band 0 alone goes dirty: the journal names input tile (0, 0) and
-    // sink tiles (0, 0), (0, 1) and (0, 2).
+    // the sink tiles of band 0 that hold a flagged edge.
     for (HostId u = 1; u < 15; u += 2) {
       test::ingest_one(stream, {u, static_cast<HostId>(u + 1), 2.0f, 0.0});
     }
@@ -433,6 +480,103 @@ TEST(FaultRecovery, RotInWitnessInputTileHealsDuringPooledReplay) {
   set_parallel_thread_count(0);
 }
 
+/// Ingests one epoch that touches every band of a 37-host matrix.
+void ingest_wide_epoch(DelayStream& stream) {
+  for (int u = 0; u < 40; ++u) {
+    const auto a = static_cast<HostId>(u % 37);
+    const auto b = static_cast<HostId>((u * 7 + 3) % 37);
+    if (a != b) test::ingest_one(stream, {a, b, float(10 + u), 0.0});
+  }
+}
+
+TEST(FaultRecovery, FreshBuildDiscardsAStaleJournal) {
+  // A killed epoch leaves its record; a fresh engine built over the same
+  // paths rewrites both stores, so that record describes nothing left on
+  // disk and must not replay.
+  DelayStream stream(random_matrix(37, 0.3, 71));
+  auto cfg = engine_config("stale_journal", /*keep_files=*/true);
+  FaultInjector::Config icfg;
+  icfg.torn_write_at_commit = 1;
+  FaultInjector inj(icfg);
+  {
+    ShardStreamEngine engine(stream.matrix(), cfg);
+    engine.set_sink_fault_injector(&inj);
+    ingest_wide_epoch(stream);
+    const Epoch epoch = stream.commit_epoch();
+    EXPECT_THROW(engine.apply_epoch(stream.matrix(), epoch.dirty_hosts),
+                 InjectedCrash);
+  }
+  ASSERT_TRUE(EpochManifest::load(EpochManifest::path_for(cfg.sink_path))
+                  .has_value());
+  { ShardStreamEngine fresh(stream.matrix(), cfg); }  // no epoch
+  ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+  EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 0u);
+  EXPECT_EQ(engine.epochs_applied(), 0u);
+  EXPECT_TRUE(engine_matches(
+      engine, core::TivAnalyzer(stream.matrix()).all_severities()));
+  remove_store_files(cfg);
+}
+
+TEST(FaultRecovery, TornEpochShorterThanTheLastRecoversItsGeneration) {
+  // Epoch 1 journals many tiles and commits; epoch 2 changes one edge, so
+  // its record is shorter and lands over epoch 1's stale tail. Killed
+  // mid-commit, it must replay as generation 2 and leave both stores
+  // bit-identical to an engine that applied both epochs cleanly.
+  set_parallel_thread_count(2);
+  const DelayMatrix initial = random_matrix(37, 0.3, 72);
+  const auto apply_both = [&](const ShardStreamConfig& cfg,
+                              FaultInjector* inj, DelayStream& stream) {
+    ShardStreamEngine engine(stream.matrix(), cfg);
+    ingest_wide_epoch(stream);
+    const Epoch first = stream.commit_epoch();
+    engine.apply_epoch(stream.matrix(), first.dirty_hosts);
+    test::ingest_one(stream, {3, 5, 77.0f, 1.0});
+    const Epoch second = stream.commit_epoch();
+    if (inj == nullptr) {
+      engine.apply_epoch(stream.matrix(), second.dirty_hosts);
+      return;
+    }
+    engine.set_sink_fault_injector(inj);
+    EXPECT_THROW(engine.apply_epoch(stream.matrix(), second.dirty_hosts),
+                 InjectedCrash);
+  };
+
+  auto clean_cfg = engine_config("short_clean", /*keep_files=*/true);
+  DelayStream clean_stream(initial);
+  apply_both(clean_cfg, nullptr, clean_stream);
+
+  auto cfg = engine_config("short_torn", /*keep_files=*/true);
+  DelayStream stream(initial);
+  FaultInjector::Config icfg;
+  icfg.torn_write_at_commit = 1;
+  FaultInjector inj(icfg);
+  apply_both(cfg, &inj, stream);
+  EXPECT_EQ(inj.stats().torn_writes, 1u);
+  const std::string journal = EpochManifest::path_for(cfg.sink_path);
+  const auto record = EpochManifest::load(journal);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->generation, 2u);
+  EXPECT_GT(std::filesystem::file_size(journal),
+            24 + 8 * (record->input_tiles.size() + record->sink_tiles.size()) +
+                8)
+      << "epoch 2's record should sit over epoch 1's longer one";
+
+  {
+    ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+    EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 1u);
+    EXPECT_EQ(engine.epochs_applied(), 2u);
+    EXPECT_TRUE(engine_matches(
+        engine, core::TivAnalyzer(stream.matrix()).all_severities()));
+  }
+  EXPECT_EQ(test::file_bytes(cfg.input_path),
+            test::file_bytes(clean_cfg.input_path));
+  EXPECT_EQ(test::file_bytes(cfg.sink_path),
+            test::file_bytes(clean_cfg.sink_path));
+  remove_store_files(cfg);
+  remove_store_files(clean_cfg);
+  set_parallel_thread_count(0);
+}
+
 TEST(FaultRecovery, OutOfRangeManifestTileIsRejectedBeforeAnyRepack) {
   // A manifest with a valid checksum is still untrusted input: a tile
   // coordinate outside the stores must throw, never reach a tile offset.
@@ -448,7 +592,7 @@ TEST(FaultRecovery, OutOfRangeManifestTileIsRejectedBeforeAnyRepack) {
     bad.generation = 1;
     bad.input_tiles = input;
     bad.sink_tiles = sink;
-    bad.write(manifest_path);
+    EpochJournal(manifest_path, /*truncate=*/false).write(bad);
     return ShardStreamEngine::recover(m, cfg);
   };
   EXPECT_THROW(recover_with({{0, 0}, {4000000, 7}}, {}), std::runtime_error);

@@ -36,6 +36,7 @@
 #include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
 #include "stream/delay_stream.hpp"
+#include "stream/epoch_manifest.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -366,9 +367,11 @@ TEST(ShardStreamEngine, RemovesSpillFilesOnDestruction) {
     ShardStreamEngine engine(random_matrix(20, 0.1, 52), cfg);
     EXPECT_TRUE(std::filesystem::exists(in_path));
     EXPECT_TRUE(std::filesystem::exists(out_path));
+    EXPECT_TRUE(std::filesystem::exists(EpochManifest::path_for(out_path)));
   }
   EXPECT_FALSE(std::filesystem::exists(in_path));
   EXPECT_FALSE(std::filesystem::exists(out_path));
+  EXPECT_FALSE(std::filesystem::exists(EpochManifest::path_for(out_path)));
 }
 
 // --- Dirty-row repair pass ---------------------------------------------------
@@ -595,13 +598,57 @@ TEST(DirtyRowRepair, EpochReadsOnlyTheScreensInputTiles) {
   set_parallel_thread_count(0);
 }
 
+/// The input tiles (r, c) whose stored bytes differ between two snapshots
+/// of the input file `file` describes.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> changed_input_tiles(
+    const TileFile& file, const std::string& before, const std::string& after) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> changed;
+  for (std::uint32_t r = 0; r < file.tiles_per_side(); ++r) {
+    for (std::uint32_t c = 0; c < file.tiles_per_side(); ++c) {
+      const std::size_t off = file.tile_offset(r, c);
+      if (before.compare(off, file.tile_bytes(), after, off,
+                         file.tile_bytes()) != 0) {
+        changed.emplace_back(r, c);
+      }
+    }
+  }
+  return changed;
+}
+
+TEST(DirtyRowRepair, RepacksOnlyTheTilesOfChangedEntries) {
+  // 5 bands of 16. With exact flags the epoch repacks the input tiles that
+  // hold a changed entry and no other: tile (x/T, w/T) and its mirror, or
+  // the one diagonal-band tile when both endpoints share a band.
+  DelayStream stream(random_matrix(70, 0.1, 92));
+  ShardStreamEngine engine(stream.matrix(), repair_config("repackset", 16));
+  const auto file = TileFile::open(kInputFormat, engine.input_path());
+  using Tiles = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+  std::string before = file_bytes(engine.input_path());
+  test::ingest_one(stream, {3, 40, 5.0f, 0.0});  // bands 0 and 2
+  auto stats = engine.apply_epoch(stream);
+  std::string after = file_bytes(engine.input_path());
+  EXPECT_EQ(stats.input_tiles_repacked, 2u);
+  EXPECT_EQ(changed_input_tiles(file, before, after), (Tiles{{0, 2}, {2, 0}}));
+  EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
+
+  before = after;
+  test::ingest_one(stream, {17, 30, 9.0f, 1.0});  // both in band 1
+  stats = engine.apply_epoch(stream);
+  after = file_bytes(engine.input_path());
+  EXPECT_EQ(stats.input_tiles_repacked, 1u);
+  EXPECT_EQ(changed_input_tiles(file, before, after), (Tiles{{1, 1}}));
+  EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
+}
+
 TEST(DirtyRowRepair, InputCorruptionHealsWhenTheScreenReadsIt) {
   // Rot input tile (2, 3) on disk, then reopen cold. The repair reads no
   // input tile, so an epoch dirtying bands 0 and 4 only never meets it and
   // heals nothing. The first epoch with a dirty host in band 2 reads the
   // tile in its screen: the engine must repack it from the live matrix,
   // fall back to every incident edge, and stay bit-identical over later
-  // epochs.
+  // epochs. The screened epochs repack only the tiles of changed entries;
+  // the healed one repacks every dirty band x dirty band tile.
   set_parallel_thread_count(2);
   const HostId n = 70;
   DelayStream stream(random_matrix(n, 0.2, 89));
@@ -631,14 +678,19 @@ TEST(DirtyRowRepair, InputCorruptionHealsWhenTheScreenReadsIt) {
           << "epoch " << e;
       if (e == 0) {
         EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 0u);
+        // (2, 66) and (9, 69) share tile (0, 4) and its mirror.
+        EXPECT_EQ(stats.input_tiles_repacked, 2u);
       } else if (e == 1) {
         EXPECT_EQ(stats.edges_recomputed, 2u * (n - 1) - 1u);
+        // Hosts 33 and 50: dirty bands 2 and 3, 2 x 2 tiles.
+        EXPECT_EQ(stats.input_tiles_repacked, 4u);
       }
     }
     EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 1u);
   }
   std::filesystem::remove(cfg.input_path);
   std::filesystem::remove(cfg.sink_path);
+  std::filesystem::remove(EpochManifest::path_for(cfg.sink_path));
   set_parallel_thread_count(0);
 }
 
@@ -790,13 +842,14 @@ TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
   }
   std::filesystem::remove(cfg.input_path);
   std::filesystem::remove(cfg.sink_path);
+  std::filesystem::remove(EpochManifest::path_for(cfg.sink_path));
   set_parallel_thread_count(0);
 }
 
 TEST(ScreenedRepair, SinkCacheDropsOnlyRewrittenTiles) {
   // With the whole sink cached, an epoch invalidates exactly the tiles its
-  // repair committed — fewer than the journaled superset of tiles touching
-  // a dirty band — and the rest keep serving reads from the cache.
+  // repair committed — fewer than the tiles touching a dirty band — and the
+  // rest keep serving reads from the cache.
   const HostId n = 96;
   ShardStreamConfig cfg = repair_config("narrow", 16);
   DelayStream stream(random_matrix(n, 0.1, 99));
