@@ -262,7 +262,7 @@ class JsonArrayWriter {
 /// baseline differ needs to refuse apples-to-oranges comparisons:
 ///
 ///   {"section":"meta","schema_version":1,"bench":"bench_severity_kernel",
-///    "build":"release","obs_enabled":true,"hw_threads":4,
+///    "build":"release","hw_threads":4,
 ///    "hosts":0,"seed":7, ...bench-specific config chained by the caller}
 ///
 /// Usage:
@@ -297,7 +297,6 @@ class BenchReport : public JsonArrayWriter {
                             "debug"
 #endif
                             ))
-        .field_bool("obs_enabled", obs::kEnabled)
         .field("hw_threads", std::thread::hardware_concurrency())
         .field("hosts", cfg.hosts)
         .field("seed", cfg.seed);
@@ -362,6 +361,22 @@ inline bool check_metrics(const char* bench, const obs::MetricsSnapshot& snap,
     const auto it = snap.counters.find(name);
     if (it == snap.counters.end() || it->second == 0) {
       std::cerr << bench << ": counter " << name << " is not > 0\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// Exit-status check of a figure bench: every plotted series holds data.
+/// Each empty one is reported on stderr under `bench`; returns true when
+/// none is.
+inline bool check_series(const char* bench,
+                         const std::vector<std::string>& names,
+                         const std::vector<Cdf>& cdfs) {
+  bool ok = true;
+  for (std::size_t s = 0; s < cdfs.size(); ++s) {
+    if (cdfs[s].empty()) {
+      std::cerr << bench << ": series " << names[s] << " is empty\n";
       ok = false;
     }
   }

@@ -5,7 +5,7 @@
 // within each bin — a heuristic alarm, not a severity predictor.
 //
 // --json emits flat records (sections: config, bins) for machine-checkable
-// regressions.
+// regressions. Exit status is nonzero when no bin holds a sample.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -40,6 +40,11 @@ int main(int argc, char** argv) {
     if (!std::isnan(s.ratio)) series.add(s.ratio, s.severity);
   }
 
+  const std::vector<Bin> bins = series.bins();
+  if (bins.empty()) {
+    std::cerr << "bench_fig19_prediction_ratio: no ratio bin holds a sample\n";
+  }
+  const int status = bins.empty() ? 1 : 0;
   if (cfg.json) {
     BenchReport json(std::cout, "bench_fig19_prediction_ratio");
     json.meta(cfg);
@@ -48,11 +53,11 @@ int main(int argc, char** argv) {
         .field("hosts", space.measured.size())
         .field("edge_samples", samples)
         .field("warmup_s", warmup);
-    emit_bins_json(json, "bins", series.bins(), 2);
-    return 0;
+    emit_bins_json(json, "bins", bins, 2);
+    return status;
   }
 
-  print_bins("Figure 19: TIV severity vs prediction ratio (0.1 bins)",
-             series.bins(), cfg, 2);
-  return 0;
+  print_bins("Figure 19: TIV severity vs prediction ratio (0.1 bins)", bins,
+             cfg, 2);
+  return status;
 }

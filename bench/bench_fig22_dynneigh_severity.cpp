@@ -2,6 +2,7 @@
 // dynamic-neighbor iterations {0, 1, 2, 5, 10}. Paper shape: each iteration
 // shifts the distribution left — the alert-driven neighbor update steadily
 // eliminates severe-TIV edges from the probing sets.
+// Exit status is nonzero when a plotted series is empty.
 #include <iostream>
 #include <optional>
 
@@ -59,6 +60,8 @@ int main(int argc, char** argv) {
 
   const std::vector<double> grid{0.0,  0.01, 0.02, 0.05, 0.10,
                                  0.15, 0.20, 0.30, 0.40, 0.50};
+  const bool ok =
+      check_series("bench_fig22_dynneigh_severity", names, cdfs);
   if (cfg.json) {
     for (std::size_t s = 0; s < snapshots.size(); ++s) {
       json->object()
@@ -67,10 +70,10 @@ int main(int argc, char** argv) {
           .field("mean_severity", means[s], 4);
     }
     emit_cdf_grid_json(*json, "severity_cdf", names, cdfs, grid);
-    return 0;
+    return ok ? 0 : 1;
   }
   print_cdfs_on_grid(
       "Figure 22: TIV severity CDF of Vivaldi neighbor edges per iteration",
       names, cdfs, grid, cfg);
-  return 0;
+  return ok ? 0 : 1;
 }

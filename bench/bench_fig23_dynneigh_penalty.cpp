@@ -2,6 +2,7 @@
 // iterations {0, 1, 2, 5, 10} vs original Vivaldi. Paper shape: penalties
 // improve monotonically with iterations; by iteration 10 the curve clearly
 // dominates original Vivaldi — unlike every strawman in §4.
+// Exit status is nonzero when a plotted series is empty.
 #include <iostream>
 #include <optional>
 
@@ -65,15 +66,16 @@ int main(int argc, char** argv) {
     cdfs.push_back(penalty_cdf());
   }
 
+  const bool ok = check_series("bench_fig23_dynneigh_penalty", names, cdfs);
   if (cfg.json) {
     emit_cdf_grid_json(*json, "penalty_cdf", names, cdfs,
                        log_grid(1.0, 10000.0), 0);
     emit_cdf_quantiles_json(*json, "penalty_quantiles", names, cdfs);
-    return 0;
+    return ok ? 0 : 1;
   }
   print_cdfs_on_grid(
       "Figure 23: neighbor selection, dynamic-neighbor Vivaldi",
       names, cdfs, log_grid(1.0, 10000.0), cfg, 0);
   print_cdfs_by_quantile("Figure 23 (quantile view)", names, cdfs, cfg);
-  return 0;
+  return ok ? 0 : 1;
 }

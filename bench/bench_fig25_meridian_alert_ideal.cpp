@@ -4,6 +4,7 @@
 // no-termination variant. Paper shape: TIV alert beats even the
 // no-termination ideal at ~5% extra probes, because it copes with TIV
 // directly instead of merely probing more.
+// Exit status is nonzero when a plotted series is empty.
 #include <iostream>
 #include <optional>
 
@@ -96,13 +97,16 @@ int main(int argc, char** argv) {
   const auto ideal =
       neighbor::run_meridian_experiment(space.measured, p_ideal);
 
+  const std::vector<std::string> names{
+      "Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"};
+  const std::vector<Cdf> penalties{original.penalties, alert.penalties,
+                                   ideal.penalties};
+  const bool ok =
+      check_series("bench_fig25_meridian_alert_ideal", names, penalties);
   if (cfg.json) {
-    const std::vector<std::string> names{
-        "Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"};
     const neighbor::MeridianExperimentResult* results[] = {&original, &alert,
                                                            &ideal};
-    emit_cdf_grid_json(*json, "penalty_cdf", names,
-                       {original.penalties, alert.penalties, ideal.penalties},
+    emit_cdf_grid_json(*json, "penalty_cdf", names, penalties,
                        log_grid(1.0, 10000.0), 0);
     for (int s = 0; s < 3; ++s) {
       json->object()
@@ -118,14 +122,12 @@ int main(int argc, char** argv) {
                  4);
     }
     emit_alert_quality(*json, vivaldi, cfg.seed);
-    return 0;
+    return ok ? 0 : 1;
   }
 
   print_cdfs_on_grid(
       "Figure 25: Meridian with TIV alert (200-node full-ring setting)",
-      {"Meridian-original", "Meridian-TIV-alert", "Meridian-no-termination"},
-      {original.penalties, alert.penalties, ideal.penalties},
-      log_grid(1.0, 10000.0), cfg, 0);
+      names, penalties, log_grid(1.0, 10000.0), cfg, 0);
 
   print_section(std::cout, "Probe accounting");
   Table table({"scheme", "probes/query", "overhead %", "found optimal"});
@@ -143,5 +145,5 @@ int main(int argc, char** argv) {
   add("Meridian-TIV-alert", alert);
   add("Meridian-no-termination", ideal);
   emit(table, cfg);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 
 #include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
+#include "meridian/misplacement.hpp"
 #include "routing/policy_routing.hpp"
 #include "routing/shortest_path.hpp"
 #include "stream/delay_stream.hpp"
@@ -42,6 +43,13 @@ std::vector<std::pair<HostId, HostId>> reachable_edges_scalar(
 /// min(direct, best one-hop relay a -> c -> b), +inf when neither exists;
 /// DetourRouter::oracle_one_hop equals it bit for bit.
 double oracle_one_hop_scalar(const DelayMatrix& m, HostId a, HostId b);
+
+/// Misplacement of the ordered pair (i, j) by a branchy scan over the
+/// matrix rows, skipping columns i and j; meridian::pair_misplacements
+/// equals it field for field.
+meridian::PairMisplacement misplacement_pair_scalar(const DelayMatrix& matrix,
+                                                    HostId i, HostId j,
+                                                    double beta);
 
 /// Rows that routing::shortest_paths_batch and policy_routes_batch must
 /// reproduce exactly: one std::priority_queue Dijkstra per source, and

@@ -195,8 +195,7 @@ void check_band_pair_files(const TileCache& input, const TileFile& sink,
 
 /// The repair pass's per-epoch buffers, owned by the calling thread and
 /// reused across epochs: one host group's severity rows (|group| x n
-/// floats), plus two per-sink-tile maps: the tiles holding a flagged edge
-/// of the current group, and the tiles committed so far.
+/// floats), and one per-sink-tile map of the tiles committed so far.
 struct RepairBuffers {
   std::vector<float> result;
   std::vector<std::uint8_t> committed;

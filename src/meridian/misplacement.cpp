@@ -13,26 +13,20 @@ using delayspace::DelayMatrix;
 using delayspace::DelayMatrixView;
 using delayspace::HostId;
 
-struct PairResult {
-  double d_ij = 0.0;
-  double misplaced_fraction = 0.0;
-  bool valid = false;
-};
-
 // Ring scan over the packed view's masked rows instead of raw
 // DelayMatrix::get branches: missing entries are kMaskedDelay (huge), so
 // "in Nj's beta-ball" (d_jk <= ball) excludes missing and padding columns
 // with no sign test, and a missing d_ik lands outside [lo, hi] on the high
 // side — the loop body is branch-free and runs the padded stride in full
-// lanes. The two self-columns the branchy scan skipped are corrected in
+// lanes. The two self-columns the branchy scan skips are corrected in
 // O(1) afterwards: k == j always enters the ball (view diagonal is 0) but
 // sits exactly at d_ij within [lo, hi]; k == i enters only when
 // d_ij <= ball (beta >= 1) and its d_ik = 0 is then inside [lo, hi] too
 // (lo <= 0), so both corrections only ever decrement in_ball. Produces
-// exactly the counts of evaluate_pair_scalar below.
-PairResult evaluate_pair(const DelayMatrixView& view, HostId i, HostId j,
-                         double beta) {
-  PairResult out;
+// exactly the counts of reference::misplacement_pair_scalar.
+PairMisplacement evaluate_pair(const DelayMatrixView& view, HostId i,
+                               HostId j, double beta) {
+  PairMisplacement out;
   const double d_ij = view.row(i)[j];
   if (d_ij >= DelayMatrixView::kMaskedDelay || d_ij <= 0) return out;
   const double ball = beta * d_ij;
@@ -66,39 +60,8 @@ PairResult evaluate_pair(const DelayMatrixView& view, HostId i, HostId j,
   return out;
 }
 
-/// The branchy per-pair scan: no setup cost, right for a handful of
-/// sampled pairs where packing the O(N^2) view would dominate.
-PairResult evaluate_pair_scalar(const DelayMatrix& matrix, HostId i,
-                                HostId j, double beta) {
-  PairResult out;
-  if (!matrix.has(i, j)) return out;
-  const double d_ij = matrix.at(i, j);
-  if (d_ij <= 0) return out;
-  const double ball = beta * d_ij;
-  const double lo = (1.0 - beta) * d_ij;
-  const double hi = (1.0 + beta) * d_ij;
-  const auto row_j = matrix.row(j);
-  const auto row_i = matrix.row(i);
-  std::size_t in_ball = 0;
-  std::size_t misplaced = 0;
-  for (HostId k = 0; k < matrix.size(); ++k) {
-    if (k == i || k == j) continue;
-    const float d_jk = row_j[k];
-    if (d_jk < 0.0f || d_jk > ball) continue;
-    ++in_ball;
-    const float d_ik = row_i[k];
-    if (d_ik < 0.0f || d_ik < lo || d_ik > hi) ++misplaced;
-  }
-  if (in_ball == 0) return out;
-  out.d_ij = d_ij;
-  out.misplaced_fraction =
-      static_cast<double>(misplaced) / static_cast<double>(in_ball);
-  out.valid = true;
-  return out;
-}
-
-std::vector<PairResult> evaluate_all(const DelayMatrix& matrix,
-                                     const MisplacementParams& params) {
+std::vector<PairMisplacement> evaluate_all(const DelayMatrix& matrix,
+                                           const MisplacementParams& params) {
   const HostId n = matrix.size();
   std::vector<std::pair<HostId, HostId>> pairs;
   if (params.sample_pairs == 0) {
@@ -131,32 +94,26 @@ std::vector<PairResult> evaluate_all(const DelayMatrix& matrix,
       pairs.emplace_back(i, j);
     }
   }
-  std::vector<PairResult> results(pairs.size());
-  // The packed view costs an O(N^2) build that only pays for itself when
-  // enough per-pair scans amortize it (same guard as sampled_severities);
-  // a small sampled run takes the zero-setup scalar scan instead. The two
-  // paths produce identical counts.
-  if (pairs.size() * 4 >= n) {
-    const DelayMatrixView view(matrix);
-    parallel_for(pairs.size(), [&](std::size_t p) {
-      results[p] =
-          evaluate_pair(view, pairs[p].first, pairs[p].second, params.beta);
-    });
-  } else {
-    parallel_for(pairs.size(), [&](std::size_t p) {
-      results[p] = evaluate_pair_scalar(matrix, pairs[p].first,
-                                        pairs[p].second, params.beta);
-    });
-  }
-  return results;
+  return pair_misplacements(matrix, pairs, params.beta);
 }
 
 }  // namespace
 
+std::vector<PairMisplacement> pair_misplacements(
+    const DelayMatrix& matrix, std::span<const std::pair<HostId, HostId>> pairs,
+    double beta) {
+  std::vector<PairMisplacement> results(pairs.size());
+  const DelayMatrixView view(matrix);
+  parallel_for(pairs.size(), [&](std::size_t p) {
+    results[p] = evaluate_pair(view, pairs[p].first, pairs[p].second, beta);
+  });
+  return results;
+}
+
 std::vector<Bin> misplacement_series(const DelayMatrix& matrix,
                                      const MisplacementParams& params) {
   BinnedSeries series(0.0, params.max_delay_ms, params.bin_width_ms);
-  for (const PairResult& r : evaluate_all(matrix, params)) {
+  for (const PairMisplacement& r : evaluate_all(matrix, params)) {
     if (r.valid) series.add(r.d_ij, r.misplaced_fraction);
   }
   return series.bins();
@@ -166,7 +123,7 @@ double misplacement_fraction(const DelayMatrix& matrix,
                              const MisplacementParams& params) {
   double sum = 0.0;
   std::size_t count = 0;
-  for (const PairResult& r : evaluate_all(matrix, params)) {
+  for (const PairMisplacement& r : evaluate_all(matrix, params)) {
     if (r.valid) {
       sum += r.misplaced_fraction;
       ++count;

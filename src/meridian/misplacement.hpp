@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "delayspace/delay_matrix.hpp"
@@ -25,6 +27,21 @@ struct MisplacementParams {
   std::size_t sample_pairs = 0;
   std::uint64_t seed = 13;
 };
+
+/// One ordered pair's result. Valid when d_ij is measured and positive and
+/// Nj's beta-ball (other than Ni and Nj themselves) is not empty.
+struct PairMisplacement {
+  double d_ij = 0.0;
+  double misplaced_fraction = 0.0;  ///< of Nj's beta-ball
+  bool valid = false;
+};
+
+/// The misplacement of each ordered pair, parallelized: one branch-free
+/// scan over the rows of one DelayMatrixView of `matrix`.
+std::vector<PairMisplacement> pair_misplacements(
+    const delayspace::DelayMatrix& matrix,
+    std::span<const std::pair<delayspace::HostId, delayspace::HostId>> pairs,
+    double beta);
 
 /// Returns the binned series: x = d_ij, y = fraction of Nj's beta-ball that
 /// would be misplaced in Ni's rings. Pairs whose beta-ball is empty are

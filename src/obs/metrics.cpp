@@ -171,55 +171,12 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return *it->second;
 }
 
-MetricsRegistry::Link MetricsRegistry::link(
-    std::string name, Agg agg, std::function<std::uint64_t()> probe,
-    bool retain_on_unlink) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const std::uint64_t id = next_link_id_++;
-  links_.emplace(id,
-                 LinkEntry{std::move(name), agg, std::move(probe),
-                           retain_on_unlink});
-  return Link(this, id);
-}
-
-void MetricsRegistry::unlink(std::uint64_t id) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  const auto it = links_.find(id);
-  if (it == links_.end()) return;
-  const LinkEntry& e = it->second;
-  if (e.retain) {
-    const std::uint64_t v = e.probe();
-    Retained& base = retained_[e.name];
-    base.agg = e.agg;
-    base.value = e.agg == Agg::kSum ? base.value + v : std::max(base.value, v);
-  }
-  links_.erase(it);
-}
-
-void MetricsRegistry::Link::release() {
-  if (reg_ != nullptr) {
-    reg_->unlink(id_);
-    reg_ = nullptr;
-  }
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
   std::lock_guard<std::mutex> lk(mutex_);
   for (const auto& [name, c] : counters_) s.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_) s.histograms[name] = h->snapshot();
-  // Retained bases of destroyed linked sources, then the live links on top.
-  for (const auto& [name, base] : retained_) {
-    std::uint64_t& slot = s.counters[name];
-    slot = base.agg == Agg::kSum ? slot + base.value
-                                 : std::max(slot, base.value);
-  }
-  for (const auto& [id, e] : links_) {
-    const std::uint64_t v = e.probe();
-    std::uint64_t& slot = s.counters[e.name];
-    slot = e.agg == Agg::kSum ? slot + v : std::max(slot, v);
-  }
   return s;
 }
 

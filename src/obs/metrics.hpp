@@ -5,7 +5,7 @@
 // coordination beyond a relaxed atomic add:
 //
 //   Counter    monotonic event count (pool.chunks_claimed, cache.*.hits)
-//   Gauge      point-in-time level (pool.threads)
+//   Gauge      point-in-time level (pool.threads, cache.*.current_bytes)
 //   Histogram  log2-bucketed latency/size distribution (engine.epoch_ns)
 //
 // Hot-path cost model: a Counter::add is one relaxed fetch_add on a
@@ -19,18 +19,11 @@
 // subtractable (delta_since) and serializable as JSON. Snapshots are
 // consistent per metric, not across metrics (no stop-the-world).
 //
-// Caller-owned sources: subsystems that keep their own counters (a cache
-// instance's hits, an engine's recovery counts) link them into the
-// registry with link() — the snapshot aggregates live instances (sum or
-// max) and folds the final value of a destroyed instance into a retained
-// base, so registry totals never go backwards when an engine is torn
-// down. This is how CacheStats/RecoveryStats stay per-instance views
-// while every count is maintained exactly once (satellite: no parallel
-// hand-rolled accumulation).
-//
-// TIV_OBS_DISABLE compiles the update paths to no-ops (registry and
-// snapshot machinery stay; every count reads zero) — the baseline build
-// for the overhead measurements in docs/OBSERVABILITY.md.
+// Objects with per-instance views (a cache's CacheStats, an engine's
+// RecoveryStats, a stream's Epoch::stats) keep plain counts for the view
+// and add the same events to the registry metrics they looked up at
+// construction. A registry metric outlives every object that feeds it, so
+// its totals never go backwards when an object is destroyed.
 #pragma once
 
 #include <array>
@@ -38,22 +31,14 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace tiv::obs {
-
-#ifdef TIV_OBS_DISABLE
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
 
 /// Number of per-thread shards a Counter/Histogram spreads its updates
 /// over. Threads hash to a shard by a stable per-thread ordinal, so up to
@@ -78,11 +63,7 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void add(std::uint64_t delta) {
-#ifndef TIV_OBS_DISABLE
     cells_[thread_shard()].v.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   void increment() { add(1); }
 
@@ -99,38 +80,25 @@ class Counter {
   std::array<Cell, kShards> cells_;
 };
 
-/// Point-in-time level. set/add are relaxed atomics on one cell — gauges
-/// are updated from slow paths (pool resize), not hot loops.
+/// Point-in-time level. set/add are relaxed atomics on one unsharded cell
+/// — gauges are updated from slow paths (pool resize, a cache's tile
+/// loads), not hot loops.
 class Gauge {
  public:
   Gauge() = default;
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void set(std::int64_t v) {
-#ifndef TIV_OBS_DISABLE
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t delta) {
-#ifndef TIV_OBS_DISABLE
     v_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   /// Raises the gauge to `v` if above the current value (high-water marks).
   void max_of(std::int64_t v) {
-#ifndef TIV_OBS_DISABLE
     std::int64_t cur = v_.load(std::memory_order_relaxed);
     while (v > cur &&
            !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
-#else
-    (void)v;
-#endif
   }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
@@ -179,13 +147,9 @@ class Histogram {
   }
 
   void record(std::uint64_t v) {
-#ifndef TIV_OBS_DISABLE
     Cell& c = cells_[thread_shard()];
     c.count[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     c.sum.fetch_add(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   HistogramSnapshot snapshot() const;
@@ -233,75 +197,15 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// How a linked caller-owned source combines with live siblings under
-  /// the same name (and, for kSum, with the retained base of destroyed
-  /// instances).
-  enum class Agg : std::uint8_t { kSum, kMax };
-
-  /// RAII handle for one linked source; unlinks on destruction. Movable so
-  /// owners can keep a vector<Link>.
-  class Link {
-   public:
-    Link() = default;
-    Link(Link&& o) noexcept : reg_(o.reg_), id_(o.id_) { o.reg_ = nullptr; }
-    Link& operator=(Link&& o) noexcept {
-      if (this != &o) {
-        release();
-        reg_ = o.reg_;
-        id_ = o.id_;
-        o.reg_ = nullptr;
-      }
-      return *this;
-    }
-    Link(const Link&) = delete;
-    Link& operator=(const Link&) = delete;
-    ~Link() { release(); }
-
-   private:
-    friend class MetricsRegistry;
-    Link(MetricsRegistry* reg, std::uint64_t id) : reg_(reg), id_(id) {}
-    void release();
-
-    MetricsRegistry* reg_ = nullptr;
-    std::uint64_t id_ = 0;
-  };
-
-  /// Links a caller-owned value source under `name`. snapshot() reports
-  /// the aggregate of all live links with that name (plus any owned
-  /// counter of the same name). When a kSum link dies with
-  /// `retain_on_unlink`, its final probed value folds into a retained base
-  /// so the reported total is monotonic across instance lifetimes. The
-  /// probe runs under the registry mutex at snapshot time: it must not
-  /// call back into the registry, but may take the owner's own locks.
-  Link link(std::string name, Agg agg, std::function<std::uint64_t()> probe,
-            bool retain_on_unlink = true);
-
   MetricsSnapshot snapshot() const;
 
  private:
   MetricsRegistry() = default;
 
-  struct LinkEntry {
-    std::string name;
-    Agg agg = Agg::kSum;
-    std::function<std::uint64_t()> probe;
-    bool retain = true;
-  };
-
-  void unlink(std::uint64_t id);
-
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  struct Retained {
-    std::uint64_t value = 0;
-    Agg agg = Agg::kSum;
-  };
-
-  std::map<std::uint64_t, LinkEntry> links_;
-  std::map<std::string, Retained> retained_;  ///< folded bases of dead links
-  std::uint64_t next_link_id_ = 1;
 };
 
 }  // namespace tiv::obs

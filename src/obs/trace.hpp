@@ -138,38 +138,27 @@ class SpanTracer {
 };
 
 /// RAII phase span. Captures the attached tracer at construction (so an
-/// attach/detach mid-span is safe) and records on destruction. Compiled to
-/// nothing under TIV_OBS_DISABLE.
+/// attach/detach mid-span is safe) and records on destruction.
 class Span {
  public:
   explicit Span(const char* name)
-#ifndef TIV_OBS_DISABLE
       : tracer_(SpanTracer::current()), name_(name) {
     if (tracer_ != nullptr) start_ns_ = SpanTracer::now_ns();
   }
-#else
-  {
-    (void)name;
-  }
-#endif
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   ~Span() {
-#ifndef TIV_OBS_DISABLE
     if (tracer_ != nullptr) {
       tracer_->record(name_, start_ns_, SpanTracer::now_ns());
     }
-#endif
   }
 
  private:
-#ifndef TIV_OBS_DISABLE
   SpanTracer* tracer_ = nullptr;
   const char* name_ = "";
   std::uint64_t start_ns_ = 0;
-#endif
 };
 
 }  // namespace tiv::obs

@@ -18,7 +18,19 @@ std::uint64_t key_of(std::uint32_t r, std::uint32_t c) {
 TileCache::TileCache(const TileFile& file, std::size_t budget_bytes,
                      const char* metric_prefix)
     : file_(file), budget_(budget_bytes) {
-  link_metrics(metric_prefix);
+  auto& reg = obs::MetricsRegistry::instance();
+  const std::string p(metric_prefix);
+  metrics_ = {&reg.counter(p + ".hits"),
+              &reg.counter(p + ".misses"),
+              &reg.counter(p + ".evictions"),
+              &reg.counter(p + ".invalidations"),
+              &reg.counter(p + ".slot_allocs"),
+              &reg.gauge(p + ".current_bytes"),
+              &reg.gauge(p + ".peak_bytes")};
+}
+
+TileCache::~TileCache() {
+  metrics_.current_bytes->add(-static_cast<std::int64_t>(stats_.current_bytes));
 }
 
 TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
@@ -30,7 +42,8 @@ TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
       return load_and_publish(key, lk);
     }
     if (!it->second.loading) {
-      hits_.increment();
+      ++stats_.hits;
+      metrics_.hits->increment();
       lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
       return it->second.tile;
     }
@@ -53,27 +66,30 @@ void TileCache::invalidate(std::uint32_t r, std::uint32_t c) {
     }
     assert(it->second.tile.use_count() == 1 && "invalidating a pinned tile");
     release_locked(it);
-    invalidations_.increment();
+    ++stats_.invalidations;
+    metrics_.invalidations->increment();
     return;
   }
 }
 
 CacheStats TileCache::stats() const {
-  CacheStats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.evictions = evictions_.value();
-  s.invalidations = invalidations_.value();
-  s.slot_allocs = slot_allocs_.value();
   std::lock_guard<std::mutex> lk(mutex_);
-  s.current_bytes = current_bytes_;
-  s.peak_bytes = peak_bytes_;
-  return s;
+  return stats_;
+}
+
+void TileCache::charge_locked(std::ptrdiff_t delta) {
+  stats_.current_bytes += static_cast<std::size_t>(delta);
+  metrics_.current_bytes->add(delta);
+  if (stats_.current_bytes > stats_.peak_bytes) {
+    stats_.peak_bytes = stats_.current_bytes;
+    metrics_.peak_bytes->max_of(static_cast<std::int64_t>(stats_.peak_bytes));
+  }
 }
 
 TileRef TileCache::load_and_publish(std::uint64_t key,
                                     std::unique_lock<std::mutex>& lk) {
-  misses_.increment();
+  ++stats_.misses;
+  metrics_.misses->increment();
   evict_for_locked(footprint());
   // Keep a reference, not the iterator: concurrent inserts during the
   // unlocked I/O below may rehash the map, which invalidates iterators
@@ -81,8 +97,8 @@ TileRef TileCache::load_and_publish(std::uint64_t key,
   Entry& entry = insert_loading_locked(key);
   // Reserve the bytes before dropping the lock so concurrent loaders see
   // each other's in-flight tiles in the accounting.
-  current_bytes_ += footprint();
-  peak_bytes_ = std::max(peak_bytes_, current_bytes_);
+  const auto bytes = static_cast<std::ptrdiff_t>(footprint());
+  charge_locked(bytes);
   lk.unlock();
 
   try {
@@ -90,7 +106,7 @@ TileRef TileCache::load_and_publish(std::uint64_t key,
                     static_cast<std::uint32_t>(key), entry.tile->data());
   } catch (...) {
     lk.lock();
-    current_bytes_ -= footprint();
+    charge_locked(-bytes);
     free_.push_back(map_.extract(key));
     loaded_cv_.notify_all();
     throw;
@@ -113,7 +129,8 @@ TileRef TileCache::load_and_publish(std::uint64_t key,
 /// node (with its tile) when the pool has one, a fresh one otherwise.
 TileCache::Entry& TileCache::insert_loading_locked(std::uint64_t key) {
   if (free_.empty()) {
-    slot_allocs_.increment();
+    ++stats_.slot_allocs;
+    metrics_.slot_allocs->increment();
     return map_
         .emplace(key, Entry{std::make_shared<Tile>(file_.tile_dim()), true,
                             lru_.end()})
@@ -131,7 +148,7 @@ TileCache::Entry& TileCache::insert_loading_locked(std::uint64_t key) {
 void TileCache::release_locked(Map::iterator it) {
   lru_spare_.splice(lru_spare_.end(), lru_, it->second.lru);
   Map::node_type node = map_.extract(it);
-  current_bytes_ -= footprint();
+  charge_locked(-static_cast<std::ptrdiff_t>(footprint()));
   // A slot a reader still pins (only if invalidate()'s precondition is
   // broken) is dropped, never refilled under the reader. The check
   // copies the pointer: that refcount increment is an acq_rel RMW, so it
@@ -147,44 +164,16 @@ void TileCache::evict_for_locked(std::size_t incoming_bytes) {
   // the map's own keeps use_count > 1). Loading placeholders are not in
   // lru_ and so are never considered.
   auto it = lru_.end();
-  while (current_bytes_ + incoming_bytes > budget_ && it != lru_.begin()) {
+  while (stats_.current_bytes + incoming_bytes > budget_ &&
+         it != lru_.begin()) {
     --it;
     auto mit = map_.find(*it);
     if (mit->second.tile.use_count() > 1) continue;  // pinned
     it = std::next(it);  // the LRU node moves to the spare list
     release_locked(mit);
-    evictions_.increment();
+    ++stats_.evictions;
+    metrics_.evictions->increment();
   }
-}
-
-void TileCache::link_metrics(const char* prefix) {
-  auto& reg = obs::MetricsRegistry::instance();
-  using Agg = obs::MetricsRegistry::Agg;
-  const std::string p(prefix);
-  links_.reserve(7);
-  links_.push_back(
-      reg.link(p + ".hits", Agg::kSum, [this] { return hits_.value(); }));
-  links_.push_back(
-      reg.link(p + ".misses", Agg::kSum, [this] { return misses_.value(); }));
-  links_.push_back(reg.link(p + ".evictions", Agg::kSum,
-                            [this] { return evictions_.value(); }));
-  links_.push_back(reg.link(p + ".invalidations", Agg::kSum,
-                            [this] { return invalidations_.value(); }));
-  links_.push_back(reg.link(p + ".slot_allocs", Agg::kSum,
-                            [this] { return slot_allocs_.value(); }));
-  // Byte levels: current sums live instances only (a destroyed cache
-  // holds nothing), peak is the process-wide high-water mark.
-  links_.push_back(reg.link(
-      p + ".current_bytes", Agg::kSum,
-      [this] {
-        std::lock_guard<std::mutex> lk(mutex_);
-        return static_cast<std::uint64_t>(current_bytes_);
-      },
-      /*retain_on_unlink=*/false));
-  links_.push_back(reg.link(p + ".peak_bytes", Agg::kMax, [this] {
-    std::lock_guard<std::mutex> lk(mutex_);
-    return static_cast<std::uint64_t>(peak_bytes_);
-  }));
 }
 
 }  // namespace tiv::shard

@@ -48,12 +48,10 @@
 
 namespace tiv::shard {
 
-/// Per-instance accounting view. The event counts (hits, misses, ...) are
-/// maintained exactly once, as obs registry metrics inside the cache
-/// (docs/OBSERVABILITY.md) — this struct is the compatibility shim stats()
-/// fills from them, so existing callers keep working. Note the counts read
-/// zero under TIV_OBS_DISABLE; the byte accounting (current/peak) is
-/// functional state (it drives eviction) and is always live.
+/// One cache's own accounting, kept as plain counts under the cache's
+/// mutex (the byte levels also drive eviction). The cache adds every event
+/// to the process-wide registry metrics too (docs/OBSERVABILITY.md), where
+/// all caches under one metric prefix add up.
 struct CacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;       ///< tiles loaded from disk
@@ -76,12 +74,14 @@ class TileCache {
  public:
   /// The cache keeps a reference to `file`; it must outlive the cache, and
   /// the cache must outlive every TileRef it hands out. `metric_prefix`
-  /// links the counters into the process metrics registry under
-  /// "<prefix>.hits", ".misses", ".evictions", ".invalidations",
-  /// ".slot_allocs", ".current_bytes" (summed across live instances) and
-  /// ".peak_bytes" (max).
+  /// names the registry metrics every cache event also adds to: counters
+  /// "<prefix>.hits", ".misses", ".evictions", ".invalidations" and
+  /// ".slot_allocs"; gauges ".current_bytes" (the bytes all live caches
+  /// hold) and ".peak_bytes" (the largest one cache's peak).
   TileCache(const TileFile& file, std::size_t budget_bytes,
             const char* metric_prefix);
+  /// Takes what the cache still holds off the registry's current_bytes.
+  ~TileCache();
 
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
@@ -120,7 +120,9 @@ class TileCache {
   Entry& insert_loading_locked(std::uint64_t key);
   void release_locked(Map::iterator it);
   void evict_for_locked(std::size_t incoming_bytes);
-  void link_metrics(const char* prefix);
+  /// Moves the byte level by `delta` bytes (negative on release), in
+  /// stats_ and in the registry.
+  void charge_locked(std::ptrdiff_t delta);
 
   /// Bytes charged per resident tile: the serialized size, which is also
   /// the in-memory layout; allocator slack is not modeled.
@@ -137,17 +139,18 @@ class TileCache {
   std::vector<Map::node_type> free_;
   std::list<std::uint64_t> lru_spare_;
 
-  // Event counts: obs registry metrics, the single point of maintenance
-  // (CacheStats is a view — see stats()). Byte accounting stays plain
-  // mutex-guarded state because eviction decisions read it.
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter evictions_;
-  obs::Counter invalidations_;
-  obs::Counter slot_allocs_;
-  std::size_t current_bytes_ = 0;
-  std::size_t peak_bytes_ = 0;
-  std::vector<obs::MetricsRegistry::Link> links_;
+  CacheStats stats_;  ///< guarded by mutex_
+  /// The registry metrics named by the metric prefix, looked up once.
+  struct Metrics {
+    obs::Counter* hits;
+    obs::Counter* misses;
+    obs::Counter* evictions;
+    obs::Counter* invalidations;
+    obs::Counter* slot_allocs;
+    obs::Gauge* current_bytes;
+    obs::Gauge* peak_bytes;
+  };
+  Metrics metrics_;
 };
 
 }  // namespace tiv::shard

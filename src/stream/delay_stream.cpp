@@ -58,36 +58,21 @@ DelayStream::DelayStream(DelayMatrix initial, EstimatorParams params)
     : matrix_(std::move(initial)),
       params_(validated(params)),
       shards_(kShards),
-      host_dirty_((matrix_.size() + 63) / 64, 0),
-      counters_(std::make_unique<IngestCounters>()) {
+      host_dirty_((matrix_.size() + 63) / 64, 0) {
   const std::size_t ring =
       params_.policy == SmoothingPolicy::kWindowedMin ? params_.window : 0;
   slot_bytes_ = (sizeof(Slot) + ring * sizeof(float) + 7) & ~std::size_t{7};
 
   auto& reg = obs::MetricsRegistry::instance();
-  using Agg = obs::MetricsRegistry::Agg;
-  IngestCounters& c = *counters_;
-  c.links.reserve(8);
-  c.links.push_back(reg.link("stream.samples_applied", Agg::kSum,
-                             [&c] { return c.samples_applied.value(); }));
-  c.links.push_back(reg.link("stream.rejected_self_pair", Agg::kSum,
-                             [&c] { return c.rejected_self_pair.value(); }));
-  c.links.push_back(reg.link("stream.rejected_stale", Agg::kSum,
-                             [&c] { return c.rejected_stale.value(); }));
-  c.links.push_back(reg.link("stream.rejected_nonfinite", Agg::kSum,
-                             [&c] { return c.rejected_nonfinite.value(); }));
-  // Aggregate view: kSum links under one name add up, so the historical
-  // "stream.samples_rejected" metric stays exact without a fourth counter.
-  c.links.push_back(reg.link("stream.samples_rejected", Agg::kSum, [&c] {
-    return c.rejected_self_pair.value() + c.rejected_stale.value() +
-           c.rejected_nonfinite.value();
-  }));
-  c.links.push_back(reg.link("stream.edges_touched", Agg::kSum,
-                             [&c] { return c.edges_touched.value(); }));
-  c.links.push_back(reg.link("stream.became_measured", Agg::kSum,
-                             [&c] { return c.became_measured.value(); }));
-  c.links.push_back(reg.link("stream.became_missing", Agg::kSum,
-                             [&c] { return c.became_missing.value(); }));
+  metrics_ = {&reg.counter("stream.samples_applied"),
+              &reg.counter("stream.rejected_self_pair"),
+              &reg.counter("stream.rejected_stale"),
+              &reg.counter("stream.rejected_nonfinite"),
+              &reg.counter("stream.samples_rejected"),
+              &reg.counter("stream.edges_touched"),
+              &reg.counter("stream.became_measured"),
+              &reg.counter("stream.became_missing"),
+              &reg.counter("stream.epochs_committed")};
 }
 
 void DelayStream::mark_dirty(HostId h) {
@@ -280,14 +265,23 @@ void DelayStream::ingest_batch(std::span<const DelaySample> batch) {
     sum.became_measured += t.became_measured;
     sum.became_missing += t.became_missing;
   }
-  IngestCounters& c = *counters_;
-  c.rejected_self_pair.add(self_pair);
-  c.rejected_nonfinite.add(nonfinite);
-  c.samples_applied.add(sum.samples_applied);
-  c.rejected_stale.add(sum.rejected_stale);
-  c.edges_touched.add(sum.edges_touched);
-  c.became_measured.add(sum.became_measured);
-  c.became_missing.add(sum.became_missing);
+  EpochStats& e = pending_;
+  e.rejected_self_pair += self_pair;
+  e.rejected_nonfinite += nonfinite;
+  e.samples_applied += sum.samples_applied;
+  e.rejected_stale += sum.rejected_stale;
+  e.edges_touched += sum.edges_touched;
+  e.became_measured += sum.became_measured;
+  e.became_missing += sum.became_missing;
+  const Metrics& m = metrics_;
+  m.rejected_self_pair->add(self_pair);
+  m.rejected_nonfinite->add(nonfinite);
+  m.samples_rejected->add(self_pair + nonfinite + sum.rejected_stale);
+  m.samples_applied->add(sum.samples_applied);
+  m.rejected_stale->add(sum.rejected_stale);
+  m.edges_touched->add(sum.edges_touched);
+  m.became_measured->add(sum.became_measured);
+  m.became_missing->add(sum.became_missing);
 }
 
 void DelayStream::ingest(std::span<const DelaySample> batch) {
@@ -299,37 +293,11 @@ void DelayStream::ingest(std::span<const DelaySample> batch) {
   }
 }
 
-EpochStats DelayStream::cumulative_stats() const {
-  EpochStats s;
-  const IngestCounters& c = *counters_;
-  s.samples_applied = c.samples_applied.value();
-  s.rejected_self_pair = c.rejected_self_pair.value();
-  s.rejected_stale = c.rejected_stale.value();
-  s.rejected_nonfinite = c.rejected_nonfinite.value();
-  s.edges_touched = c.edges_touched.value();
-  s.became_measured = c.became_measured.value();
-  s.became_missing = c.became_missing.value();
-  return s;
-}
-
 Epoch DelayStream::commit_epoch() {
   Epoch out;
   out.index = epoch_++;
-  // The epoch's stats are the registry counters' advance since the last
-  // commit — the counters are the single source of truth.
-  const EpochStats cur = cumulative_stats();
-  out.stats.samples_applied = cur.samples_applied - committed_base_.samples_applied;
-  out.stats.rejected_self_pair =
-      cur.rejected_self_pair - committed_base_.rejected_self_pair;
-  out.stats.rejected_stale = cur.rejected_stale - committed_base_.rejected_stale;
-  out.stats.rejected_nonfinite =
-      cur.rejected_nonfinite - committed_base_.rejected_nonfinite;
-  out.stats.edges_touched = cur.edges_touched - committed_base_.edges_touched;
-  out.stats.became_measured = cur.became_measured - committed_base_.became_measured;
-  out.stats.became_missing = cur.became_missing - committed_base_.became_missing;
-  committed_base_ = cur;
-  obs::MetricsRegistry::instance().counter("stream.epochs_committed")
-      .increment();
+  out.stats = std::exchange(pending_, EpochStats{});
+  metrics_.epochs_committed->increment();
   // The bitset scan yields the hosts ascending.
   for (std::size_t w = 0; w < host_dirty_.size(); ++w) {
     for (std::uint64_t bits = std::exchange(host_dirty_[w], 0); bits != 0;

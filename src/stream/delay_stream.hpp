@@ -67,16 +67,13 @@ struct EstimatorParams {
                              ///< sets every edge's slot size
 };
 
-/// Per-epoch ingestion accounting. A view: the stream maintains these as
-/// cumulative obs registry metrics ("stream.samples_applied", ...) and
-/// commit_epoch reports the delta since the previous commit, so every
-/// count is kept exactly once (docs/OBSERVABILITY.md). Counts read zero
-/// under TIV_OBS_DISABLE.
+/// Per-epoch ingestion accounting: the stream's own counts since the
+/// previous commit. Each batch also adds them to the cumulative registry
+/// counters "stream.samples_applied", ... (docs/OBSERVABILITY.md).
 struct EpochStats {
   std::size_t samples_applied = 0;  ///< accepted into an estimator
-  /// Rejection breakdown — which guard fired. The registry also keeps
-  /// their sum, "stream.samples_rejected", as a second link over the same
-  /// three counters.
+  /// Rejection breakdown — which guard fired. The registry also counts
+  /// their sum, "stream.samples_rejected".
   std::size_t rejected_self_pair = 0;  ///< a == b or an out-of-range host id
   std::size_t rejected_stale = 0;      ///< older than the edge's newest sample
   std::size_t rejected_nonfinite = 0;  ///< NaN / +-inf delay (producer bug)
@@ -112,8 +109,8 @@ struct Epoch {
 /// already applied to its edge is rejected (counted, not applied) — the
 /// arrival-order hazard of a real ingest fan-in.
 ///
-/// The "stream.*" registry counters advance once per batch, after every
-/// sample in it has been applied.
+/// The epoch's stats and the "stream.*" registry counters advance once per
+/// batch, after every sample in it has been applied.
 class DelayStream {
  public:
   /// Throws std::invalid_argument on an unknown policy, a window outside
@@ -196,21 +193,20 @@ class DelayStream {
   /// Adds h to the dirty set; shard walks call this concurrently.
   void mark_dirty(HostId h);
 
-  /// Cumulative ingestion counters, linked into the metrics registry under
-  /// "stream.*". Heap-allocated so the stream stays movable while the
-  /// registry links keep probing stable addresses.
-  struct IngestCounters {
-    obs::Counter samples_applied;
-    obs::Counter rejected_self_pair;
-    obs::Counter rejected_stale;
-    obs::Counter rejected_nonfinite;
-    obs::Counter edges_touched;
-    obs::Counter became_measured;
-    obs::Counter became_missing;
-    std::vector<obs::MetricsRegistry::Link> links;
+  /// The "stream.*" registry counters, looked up once at construction.
+  /// Pointers, because registry metrics have stable addresses while a
+  /// stream is movable.
+  struct Metrics {
+    obs::Counter* samples_applied;
+    obs::Counter* rejected_self_pair;
+    obs::Counter* rejected_stale;
+    obs::Counter* rejected_nonfinite;
+    obs::Counter* samples_rejected;
+    obs::Counter* edges_touched;
+    obs::Counter* became_measured;
+    obs::Counter* became_missing;
+    obs::Counter* epochs_committed;
   };
-  /// Current cumulative counter values as a stats struct.
-  EpochStats cumulative_stats() const;
 
   DelayMatrix matrix_;
   EstimatorParams params_;
@@ -221,8 +217,8 @@ class DelayStream {
   /// (kShards = rejected), then the admitted sample indices by shard.
   std::vector<std::uint8_t> sample_shard_;
   std::vector<std::uint32_t> order_;
-  std::unique_ptr<IngestCounters> counters_;
-  EpochStats committed_base_;  ///< cumulative totals at the last commit
+  EpochStats pending_;  ///< the open epoch's stats
+  Metrics metrics_;
   std::uint64_t epoch_ = 0;
 };
 

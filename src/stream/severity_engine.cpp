@@ -46,7 +46,7 @@ SeverityEngine::EpochStats SeverityEngine::apply_epoch(
   if (dirty_hosts.empty()) return stats;
 
   obs::Span span(epoch_span_);
-  const auto t0 = obs::kEnabled ? obs::SpanTracer::now_ns() : 0;
+  const auto t0 = obs::SpanTracer::now_ns();
   bool exact = false;
   {
     obs::Span screen_span("epoch-screen");
@@ -67,9 +67,7 @@ SeverityEngine::EpochStats SeverityEngine::apply_epoch(
   engine_epochs_applied().increment();
   engine_edges_recomputed().add(stats.edges_recomputed);
   engine_edges_changed().add(stats.edges_changed);
-  if (obs::kEnabled) {
-    engine_epoch_ns().record(obs::SpanTracer::now_ns() - t0);
-  }
+  engine_epoch_ns().record(obs::SpanTracer::now_ns() - t0);
   return stats;
 }
 

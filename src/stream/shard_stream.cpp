@@ -48,7 +48,8 @@ constexpr int kMaxRecoveryActions = 256;
 
 ShardStreamEngine::ShardStreamEngine(const DelayMatrix& initial,
                                      ShardStreamConfig config)
-    : SeverityEngine(initial.size(), "epoch"), config_(std::move(config)) {
+    : SeverityEngine(initial.size(), "epoch"),
+      config_(std::move(config)) {
   config_.input_path = derive_path(config_.input_path, "in");
   config_.sink_path = derive_path(config_.sink_path, "sev");
   // The destructor never runs for a partially-constructed engine, so a
@@ -76,7 +77,6 @@ ShardStreamEngine::ShardStreamEngine(const DelayMatrix& initial,
   open_files(initial.size());
   core::all_severities_to_sink(*input_cache_, sink_);
   guard.armed = false;
-  link_recovery_metrics();
 }
 
 ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
@@ -93,7 +93,6 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   // tile_dim than this engine expects) is rejected here instead of
   // serving garbage tiles later.
   open_files(matrix.size());
-  link_recovery_metrics();
 
   const std::string journal_path = EpochManifest::path_for(config_.sink_path);
   journal_.emplace(journal_path, /*truncate=*/false);
@@ -143,7 +142,8 @@ ShardStreamEngine::ShardStreamEngine(RecoverTag, const DelayMatrix& matrix,
   for (const auto& [r, c] : manifest->sink_tiles) sink_cache_->invalidate(r, c);
   journal_->clear();
   epochs_applied_ = manifest->generation;
-  recovery_.torn_epochs_replayed.increment();
+  ++recovery_.torn_epochs_replayed;
+  recovery_metrics_.torn_epochs_replayed->increment();
 }
 
 void ShardStreamEngine::open_files(HostId n) {
@@ -154,24 +154,11 @@ void ShardStreamEngine::open_files(HostId n) {
                                 /*writable=*/true, n, config_.tile_dim);
   sink_cache_.emplace(sink_, config_.output_budget_bytes, "cache.sink");
   sink_written_.assign(sink_.tile_count(), 0);
-}
-
-void ShardStreamEngine::link_recovery_metrics() {
   auto& reg = obs::MetricsRegistry::instance();
-  using Agg = obs::MetricsRegistry::Agg;
-  RecoveryCounters& r = recovery_;
-  r.links.reserve(4);
-  r.links.push_back(
-      reg.link("engine.recovery.input_tiles_recovered", Agg::kSum,
-               [&r] { return r.input_tiles_recovered.value(); }));
-  r.links.push_back(
-      reg.link("engine.recovery.sink_tiles_recovered", Agg::kSum,
-               [&r] { return r.sink_tiles_recovered.value(); }));
-  r.links.push_back(reg.link("engine.recovery.io_retries", Agg::kSum,
-                             [&r] { return r.io_retries.value(); }));
-  r.links.push_back(
-      reg.link("engine.recovery.torn_epochs_replayed", Agg::kSum,
-               [&r] { return r.torn_epochs_replayed.value(); }));
+  recovery_metrics_ = {&reg.counter("engine.recovery.input_tiles_recovered"),
+                       &reg.counter("engine.recovery.sink_tiles_recovered"),
+                       &reg.counter("engine.recovery.io_retries"),
+                       &reg.counter("engine.recovery.torn_epochs_replayed")};
 }
 
 ShardStreamEngine ShardStreamEngine::recover(const DelayMatrix& matrix,
@@ -200,7 +187,8 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e,
     const std::pair<std::uint32_t, std::uint32_t> tile{r, c};
     core::rebuild_sink_tiles(*input_cache_, sink_, {&tile, 1});
     sink_cache_->invalidate(r, c);
-    recovery_.sink_tiles_recovered.increment();
+    ++recovery_.sink_tiles_recovered;
+    recovery_metrics_.sink_tiles_recovered->increment();
     return;
   }
   if (e.path() == input_.path() && source != nullptr) {
@@ -208,8 +196,8 @@ void ShardStreamEngine::heal(const shard::CorruptTileError& e,
     // for input tiles; repack is byte-identical to a fresh build.
     shard::repack_tile(input_, *source, r, c);
     input_cache_->invalidate(r, c);
-    ++input_heals_;
-    recovery_.input_tiles_recovered.increment();
+    ++recovery_.input_tiles_recovered;
+    recovery_metrics_.input_tiles_recovered->increment();
     return;
   }
   throw e;  // foreign store, or input damage with no repair source
@@ -238,12 +226,14 @@ auto ShardStreamEngine::with_recovery(const DelayMatrix* source, Fn&& fn)
         } catch (const shard::CorruptTileError& inner) {
           e = inner;
         } catch (const shard::InjectedIoError&) {
-          recovery_.io_retries.increment();
+          ++recovery_.io_retries;
+          recovery_metrics_.io_retries->increment();
         }
       }
     } catch (const shard::InjectedIoError&) {
       if (++actions > kMaxRecoveryActions) throw;
-      recovery_.io_retries.increment();
+      ++recovery_.io_retries;
+      recovery_metrics_.io_retries->increment();
     }
   }
 }
@@ -265,7 +255,7 @@ bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
                                   core::EpochScreen& screen) {
   // A heal in this read repacks the corrupt tile from the post-epoch matrix
   // and so loses its pre-epoch values: the flags are then not exact.
-  const std::uint64_t heals = input_heals_;
+  const std::size_t heals = recovery_.input_tiles_recovered;
   bool retry = false;
   with_recovery(&matrix, [&] {
     if (retry) screen.begin(matrix, dirty_hosts);  // restart the diff
@@ -273,7 +263,7 @@ bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
     core::diff_dirty_rows(*input_cache_, dirty_hosts, screen);
     return 0;
   });
-  return input_heals_ == heals;
+  return recovery_.input_tiles_recovered == heals;
 }
 
 void ShardStreamEngine::update_rows(const DelayMatrix& matrix,

@@ -89,10 +89,10 @@ struct ShardStreamConfig {
 
 class ShardStreamEngine final : public SeverityEngine {
  public:
-  /// Cumulative self-healing accounting, per store. A view over the
-  /// engine's obs registry metrics ("engine.recovery.*" — maintained
-  /// exactly once, see docs/OBSERVABILITY.md); counts read zero under
-  /// TIV_OBS_DISABLE.
+  /// Cumulative self-healing accounting, per store: the engine's own
+  /// counts, kept on its calling thread. Each event also adds to the
+  /// registry counter of the same name under "engine.recovery.*"
+  /// (docs/OBSERVABILITY.md).
   struct RecoveryStats {
     /// Input tiles repacked from the attached source matrix after failing
     /// their checksum.
@@ -144,11 +144,7 @@ class ShardStreamEngine final : public SeverityEngine {
     return sink_cache_->stats();
   }
   RecoveryStats recovery_stats() const {
-    RecoveryStats s;
-    s.input_tiles_recovered = recovery_.input_tiles_recovered.value();
-    s.sink_tiles_recovered = recovery_.sink_tiles_recovered.value();
-    s.io_retries = recovery_.io_retries.value();
-    s.torn_epochs_replayed = recovery_.torn_epochs_replayed.value();
+    RecoveryStats s = recovery_;
     s.input_read_retries = input_.read_retries();
     s.sink_read_retries = sink_.read_retries();
     return s;
@@ -189,21 +185,9 @@ class ShardStreamEngine final : public SeverityEngine {
   void read_severity_row(HostId a, std::span<float> out) override;
 
   /// Opens the two tile files at the configured paths, writable and
-  /// geometry-checked against (n, config_.tile_dim), and builds their
-  /// caches.
+  /// geometry-checked against (n, config_.tile_dim), builds their caches
+  /// and looks up the engine's recovery counters.
   void open_files(HostId n);
-
-  /// Recovery accounting: obs counters linked into the registry under
-  /// "engine.recovery.*" (the engine never moves — recover() relies on
-  /// guaranteed elision — so probes into these members stay valid).
-  struct RecoveryCounters {
-    obs::Counter input_tiles_recovered;
-    obs::Counter sink_tiles_recovered;
-    obs::Counter io_retries;
-    obs::Counter torn_epochs_replayed;
-    std::vector<obs::MetricsRegistry::Link> links;
-  };
-  void link_recovery_metrics();
 
   /// Runs `fn`, healing CorruptTileError (rebuild/repack the named tile)
   /// and retrying transient injected I/O errors, up to a bounded number of
@@ -226,17 +210,24 @@ class ShardStreamEngine final : public SeverityEngine {
   shard::TileFile sink_;
   std::optional<shard::TileCache> sink_cache_;
   const DelayMatrix* source_ = nullptr;
-  /// Input tiles healed so far — a plain count, unlike the registry
-  /// counters (zero under TIV_OBS_DISABLE), so diff_rows can tell that a
-  /// heal hit its read.
-  std::uint64_t input_heals_ = 0;
   /// The open journal file and the record of the epoch in flight: written
   /// by update_rows, cleared by write_results.
   std::optional<EpochJournal> journal_;
   EpochManifest manifest_;
   /// One byte per sink tile: written by the current epoch's repair.
   std::vector<std::uint8_t> sink_written_;
-  RecoveryCounters recovery_;
+  /// The recovery counts; recovery_stats() fills the read-retry fields
+  /// from the files.
+  RecoveryStats recovery_;
+  /// The "engine.recovery.*" registry counters, looked up once by
+  /// open_files().
+  struct RecoveryMetrics {
+    obs::Counter* input_tiles_recovered;
+    obs::Counter* sink_tiles_recovered;
+    obs::Counter* io_retries;
+    obs::Counter* torn_epochs_replayed;
+  };
+  RecoveryMetrics recovery_metrics_{};
 };
 
 }  // namespace tiv::stream

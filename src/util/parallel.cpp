@@ -94,9 +94,7 @@ class ThreadPool {
     }
     work_cv_.notify_all();
     pool_jobs().increment();
-    const auto job_t0 =
-        obs::kEnabled ? std::chrono::steady_clock::now()
-                      : std::chrono::steady_clock::time_point{};
+    const auto job_t0 = std::chrono::steady_clock::now();
     {
       // The caller is a full participant. The guard marks it as inside a
       // parallel region (nested calls from body run inline) and — even if
@@ -105,12 +103,10 @@ class ThreadPool {
       JobGuard guard(*this);
       drain();
     }
-    if (obs::kEnabled) {
-      pool_job_ns().record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - job_t0)
-              .count()));
-    }
+    pool_job_ns().record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - job_t0)
+            .count()));
   }
 
  private:
@@ -161,18 +157,14 @@ class ThreadPool {
     t_in_parallel_region = true;
     std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {
-      const auto idle_t0 =
-          obs::kEnabled ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
+      const auto idle_t0 = std::chrono::steady_clock::now();
       work_cv_.wait(lk, [&] {
         return stop_ || generation_ != seen_generation;
       });
-      if (obs::kEnabled) {
-        pool_idle_ns().add(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - idle_t0)
-                .count()));
-      }
+      pool_idle_ns().add(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - idle_t0)
+              .count()));
       if (stop_) return;
       seen_generation = generation_;
       lk.unlock();

@@ -18,6 +18,7 @@
 
 #include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
+#include "obs/metrics.hpp"
 #include "reference/oracles.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/severity_engine.hpp"
@@ -162,6 +163,35 @@ inline void expect_epochs_match(
   const auto engine = store.make(stream.matrix());
   expect_epochs_match(*engine, stream, epochs, store.screened,
                       store.name + " " + label);
+}
+
+/// Adds one epoch's ingestion stats to `sum`.
+inline void add_stats(stream::EpochStats& sum, const stream::EpochStats& e) {
+  sum.samples_applied += e.samples_applied;
+  sum.rejected_self_pair += e.rejected_self_pair;
+  sum.rejected_stale += e.rejected_stale;
+  sum.rejected_nonfinite += e.rejected_nonfinite;
+  sum.edges_touched += e.edges_touched;
+  sum.became_measured += e.became_measured;
+  sum.became_missing += e.became_missing;
+}
+
+/// The "stream.*" registry counters' advance since `base` equals `want`.
+inline void expect_registry_stream_stats(const obs::MetricsSnapshot& base,
+                                         const stream::EpochStats& want) {
+  const obs::MetricsSnapshot d =
+      obs::MetricsRegistry::instance().snapshot().delta_since(base);
+  const auto c = [&](const char* name) {
+    return d.counters.at(std::string("stream.") + name);
+  };
+  EXPECT_EQ(c("samples_applied"), want.samples_applied);
+  EXPECT_EQ(c("rejected_self_pair"), want.rejected_self_pair);
+  EXPECT_EQ(c("rejected_stale"), want.rejected_stale);
+  EXPECT_EQ(c("rejected_nonfinite"), want.rejected_nonfinite);
+  EXPECT_EQ(c("samples_rejected"), want.samples_rejected());
+  EXPECT_EQ(c("edges_touched"), want.edges_touched);
+  EXPECT_EQ(c("became_measured"), want.became_measured);
+  EXPECT_EQ(c("became_missing"), want.became_missing);
 }
 
 }  // namespace tiv::test

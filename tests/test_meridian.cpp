@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "delayspace/datasets.hpp"
 #include "delayspace/generate.hpp"
+#include "matrix_test_utils.hpp"
 #include "meridian/meridian.hpp"
 #include "meridian/misplacement.hpp"
+#include "reference/oracles.hpp"
 #include "util/rng.hpp"
 
 namespace tiv::meridian {
@@ -217,6 +220,44 @@ TEST(Meridian, RingOccupancySums) {
 }
 
 // --- Misplacement analysis ------------------------------------------------
+
+TEST(Misplacement, PairScanEqualsTheScalarOracle) {
+  // pair_misplacements' branch-free scan over view rows must equal the
+  // branchy scan field for field, with the ball inside (beta < 1) and
+  // around (beta >= 1) Ni, on dense, 30%-missing and DS^2 matrices.
+  const HostId n = 80;
+  const std::vector<std::pair<std::string, DelayMatrix>> matrices = {
+      {"dense", tiv::test::random_matrix(n, 0.0, 91)},
+      {"missing30", tiv::test::random_matrix(n, 0.3, 92)},
+      {"ds2",
+       delayspace::make_dataset(delayspace::DatasetId::kDs2, n).measured}};
+  std::vector<std::pair<HostId, HostId>> all;
+  for (HostId i = 0; i < n; ++i) {
+    for (HostId j = 0; j < n; ++j) {
+      if (i != j) all.emplace_back(i, j);
+    }
+  }
+  for (const auto& [name, m] : matrices) {
+    ASSERT_EQ(m.size(), n) << name;
+    for (const double beta : {0.3, 0.5, 1.0, 1.5}) {
+      const auto got = pair_misplacements(m, all, beta);
+      ASSERT_EQ(got.size(), all.size());
+      std::size_t valid = 0;
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        const auto [i, j] = all[p];
+        const PairMisplacement want =
+            reference::misplacement_pair_scalar(m, i, j, beta);
+        ASSERT_EQ(got[p].valid, want.valid)
+            << name << " beta " << beta << " pair " << i << "," << j;
+        ASSERT_EQ(got[p].d_ij, want.d_ij) << name << " " << i << "," << j;
+        ASSERT_EQ(got[p].misplaced_fraction, want.misplaced_fraction)
+            << name << " beta " << beta << " pair " << i << "," << j;
+        valid += got[p].valid;
+      }
+      EXPECT_GT(valid, 0u) << name << " beta " << beta;
+    }
+  }
+}
 
 TEST(Misplacement, ZeroOnMetricSpace) {
   // Triangle inequality guarantees every node in the beta-ball of Nj lies

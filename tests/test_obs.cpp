@@ -1,8 +1,9 @@
 // Telemetry layer (src/obs/): counter exactness under concurrent update,
-// log2 histogram bucket boundaries, snapshot/delta semantics, registry
-// link aggregation (sum with retained fold, max), span-tracer ring
-// wraparound and totals since a mark, and the pipeline contract — a ShardStreamEngine epoch
-// records an "epoch" span that nests its epoch-screen / epoch-journal /
+// log2 histogram bucket boundaries, snapshot/delta semantics, the registry
+// totals of objects that feed one prefix (two tile caches add up, a dead
+// one's counts stay, its bytes leave), span-tracer ring wraparound and
+// totals since a mark, and the pipeline contract — a ShardStreamEngine
+// epoch records an "epoch" span that nests its epoch-screen / epoch-journal /
 // tile-repack / band-pair-stream / sink-commit child phases with non-zero
 // durations.
 #include <algorithm>
@@ -22,14 +23,15 @@
 #include "matrix_test_utils.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "shard/tile_cache.hpp"
+#include "shard/tile_file.hpp"
+#include "shard/tile_store.hpp"
 #include "stream/delay_stream.hpp"
 #include "stream/shard_stream.hpp"
 #include "util/parallel.hpp"
 
 namespace tiv::obs {
 namespace {
-
-using Agg = MetricsRegistry::Agg;
 
 // --- Counter ----------------------------------------------------------------
 
@@ -180,71 +182,80 @@ TEST(ObsSnapshot, JsonHasAllSections) {
   EXPECT_EQ(j.back(), '}');
 }
 
-// --- Registry links ---------------------------------------------------------
+// --- Registry totals of instance-owned counts --------------------------------
 
-TEST(ObsRegistryLink, SumAggregatesLiveSourcesAndRetainsDeadOnes) {
-  auto& reg = MetricsRegistry::instance();
-  std::uint64_t a = 3;
-  std::uint64_t b = 4;
-  {
-    auto la = reg.link("test.link.sum", Agg::kSum, [&a] { return a; });
-    auto lb = reg.link("test.link.sum", Agg::kSum, [&b] { return b; });
-    EXPECT_EQ(reg.snapshot().counters.at("test.link.sum"), 7u);
-    a = 10;
-    EXPECT_EQ(reg.snapshot().counters.at("test.link.sum"), 14u);
-  }
-  // Both sources died; their final values fold into the retained base so
-  // the total never goes backwards.
-  EXPECT_EQ(reg.snapshot().counters.at("test.link.sum"), 14u);
-  std::uint64_t c = 100;
-  auto lc = reg.link("test.link.sum", Agg::kSum, [&c] { return c; });
-  EXPECT_EQ(reg.snapshot().counters.at("test.link.sum"), 114u);
+std::string scratch_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("tiv_test_obs_" + tag + "_" +
+           std::to_string(
+               ::testing::UnitTest::GetInstance()->random_seed()) +
+           ".tiles"))
+      .string();
 }
 
-TEST(ObsRegistryLink, MaxAggregates) {
+TEST(ObsRegistryTotals, TileCachesUnderOnePrefixAddUpAndOutliveTheirCaches) {
+  // Two caches over one input file report under one prefix: the registry's
+  // counters and current_bytes are their sums, peak_bytes the larger
+  // cache's peak. A destroyed cache's counts stay in the totals; its bytes
+  // leave current_bytes. Counters are compared as deltas over the test, so
+  // earlier use of the prefix in the process does not show.
+  const std::string path = scratch_path("cache_pair");
+  shard::write_matrix(path, tiv::test::random_matrix(64, 0.1, 78), 16);
+  const shard::TileFile file = shard::TileFile::open(shard::kInputFormat, path);
+  const std::size_t tile = file.tile_bytes();
+  const char* prefix = "test.cache_pair";
   auto& reg = MetricsRegistry::instance();
-  std::uint64_t a = 3;
-  std::uint64_t b = 9;
-  {
-    auto la = reg.link("test.link.max", Agg::kMax, [&a] { return a; });
-    auto lb = reg.link("test.link.max", Agg::kMax, [&b] { return b; });
-    EXPECT_EQ(reg.snapshot().counters.at("test.link.max"), 9u);
-  }
-  // Retained fold keeps the high-water mark, and a smaller live source
-  // does not lower it.
-  std::uint64_t c = 4;
-  auto lc = reg.link("test.link.max", Agg::kMax, [&c] { return c; });
-  EXPECT_EQ(reg.snapshot().counters.at("test.link.max"), 9u);
-  c = 12;
-  EXPECT_EQ(reg.snapshot().counters.at("test.link.max"), 12u);
-}
+  const MetricsSnapshot base = reg.snapshot();
+  const auto counter = [&](const char* name) {
+    return reg.snapshot().delta_since(base).counters.at(std::string(prefix) +
+                                                        "." + name);
+  };
+  const auto gauge = [&](const char* name) {
+    return reg.snapshot().gauges.at(std::string(prefix) + "." + name);
+  };
+  const auto expect_sums = [&](const shard::CacheStats& a,
+                               const shard::CacheStats& b) {
+    EXPECT_EQ(counter("hits"), a.hits + b.hits);
+    EXPECT_EQ(counter("misses"), a.misses + b.misses);
+    EXPECT_EQ(counter("evictions"), a.evictions + b.evictions);
+    EXPECT_EQ(counter("invalidations"), a.invalidations + b.invalidations);
+    EXPECT_EQ(counter("slot_allocs"), a.slot_allocs + b.slot_allocs);
+  };
 
-TEST(ObsRegistryLink, NoRetainDropsValueOnUnlink) {
-  auto& reg = MetricsRegistry::instance();
-  std::uint64_t v = 55;
+  shard::CacheStats small_final;
   {
-    auto l = reg.link("test.link.noretain", Agg::kSum, [&v] { return v; },
-                      /*retain_on_unlink=*/false);
-    EXPECT_EQ(reg.snapshot().counters.at("test.link.noretain"), 55u);
+    shard::TileCache big(file, 6 * tile, prefix);
+    {
+      shard::TileCache small(file, 2 * tile, prefix);
+      for (std::uint32_t r = 0; r < 4; ++r) {
+        for (std::uint32_t c = 0; c < 4; ++c) {
+          small.acquire(r, c);
+          if (c < 2) big.acquire(r, c);
+        }
+      }
+      big.acquire(3, 0);
+      big.invalidate(3, 1);
+      const shard::CacheStats s = small.stats();
+      const shard::CacheStats b = big.stats();
+      EXPECT_GT(s.evictions, 0u);
+      EXPECT_GT(b.hits, 0u);
+      expect_sums(s, b);
+      EXPECT_EQ(static_cast<std::size_t>(gauge("current_bytes")),
+                s.current_bytes + b.current_bytes);
+      ASSERT_GT(b.peak_bytes, s.peak_bytes);
+      EXPECT_EQ(static_cast<std::size_t>(gauge("peak_bytes")), b.peak_bytes);
+      small_final = s;
+    }
+    const shard::CacheStats b = big.stats();
+    expect_sums(small_final, b);
+    EXPECT_EQ(static_cast<std::size_t>(gauge("current_bytes")),
+              b.current_bytes);
+    EXPECT_EQ(static_cast<std::size_t>(gauge("peak_bytes")), b.peak_bytes);
+    EXPECT_EQ(b.current_bytes, 5 * tile);
   }
-  const MetricsSnapshot s = reg.snapshot();
-  const auto it = s.counters.find("test.link.noretain");
-  EXPECT_TRUE(it == s.counters.end() || it->second == 0u);
-}
-
-TEST(ObsRegistryLink, MoveTransfersOwnership) {
-  auto& reg = MetricsRegistry::instance();
-  std::uint64_t v = 8;
-  auto l1 = reg.link("test.link.move", Agg::kSum, [&v] { return v; },
-                     /*retain_on_unlink=*/false);
-  MetricsRegistry::Link l2 = std::move(l1);
-  EXPECT_EQ(reg.snapshot().counters.at("test.link.move"), 8u);
-  {
-    MetricsRegistry::Link l3 = std::move(l2);
-  }  // unlink happens exactly once, here
-  const MetricsSnapshot s = reg.snapshot();
-  const auto it = s.counters.find("test.link.move");
-  EXPECT_TRUE(it == s.counters.end() || it->second == 0u);
+  EXPECT_EQ(gauge("current_bytes"), 0);
+  EXPECT_EQ(static_cast<std::size_t>(gauge("peak_bytes")), 6 * tile);
+  std::filesystem::remove(path);
 }
 
 // --- SpanTracer -------------------------------------------------------------
@@ -410,15 +421,6 @@ TEST(ObsSpanTracer, ChromeTraceKeepsNanosecondsPastOneSecond) {
 }
 
 // --- Pipeline span nesting --------------------------------------------------
-
-std::string scratch_path(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("tiv_test_obs_" + tag + "_" +
-           std::to_string(
-               ::testing::UnitTest::GetInstance()->random_seed()) +
-           ".tiles"))
-      .string();
-}
 
 TEST(ObsPipeline, EngineEpochSpanNestsItsPhases) {
   set_parallel_thread_count(2);

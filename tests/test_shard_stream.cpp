@@ -5,7 +5,8 @@
 // store's own side of the live engine (its bit-identity cases shared with
 // the in-memory store run in test_stream_engine's LiveEngine suite): the
 // caches stay within budget over randomized epochs, tile slots are
-// recycled, and the epoch repair pass's edges — dirty hosts packed into
+// recycled, every per-instance view equals its registry delta over a rot
+// soak, and the epoch repair pass's edges — dirty hosts packed into
 // one band or spread over adjacent ones, ragged last bands, dirty-dirty
 // edges that lose their measurement, host groups forced by a small
 // budget, pool widths, the screen as the epoch's only input reader, and
@@ -30,8 +31,10 @@
 #include "core/shard_severity.hpp"
 #include "engine_harness.hpp"
 #include "matrix_test_utils.hpp"
+#include "obs/metrics.hpp"
 #include "reference/oracles.hpp"
 #include "shard/checksum.hpp"
+#include "shard/fault_injector.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
@@ -372,6 +375,130 @@ TEST(ShardStreamEngine, RemovesSpillFilesOnDestruction) {
   EXPECT_FALSE(std::filesystem::exists(in_path));
   EXPECT_FALSE(std::filesystem::exists(out_path));
   EXPECT_FALSE(std::filesystem::exists(EpochManifest::path_for(out_path)));
+}
+
+// --- Per-instance views and the registry --------------------------------------
+
+TEST(ShardStreamEngine, EachViewEqualsItsRegistryDelta) {
+  // One rot soak on one thread: a torn epoch replayed by recover(), on-disk
+  // rot in input and sink tiles, and injected EIO on both stores, under
+  // budgets small enough that tiles keep reloading. Over the run, the
+  // stream's Epoch::stats, both caches' CacheStats and the engine's
+  // RecoveryStats each equal the advance of their registry metrics; once
+  // the engine is gone its counts stay and its caches' bytes leave.
+  set_parallel_thread_count(1);
+  const HostId n = 64;
+  const std::uint32_t tile_dim = 16;
+  const std::size_t tile_bytes = shard::tile_size_bytes(tile_dim);
+  ShardStreamConfig cfg;
+  cfg.tile_dim = tile_dim;
+  cfg.input_path = scratch_path("views_in");
+  cfg.sink_path = scratch_path("views_out");
+  cfg.input_budget_bytes = 4 * tile_bytes;   // of 16 input tiles
+  cfg.output_budget_bytes = 2 * tile_bytes;  // of 10 sink tiles
+  cfg.keep_files = true;
+  DelayStream stream(random_matrix(n, 0.2, 75));
+  {  // an epoch killed before its first sink checksum lands
+    ShardStreamEngine killed(stream.matrix(), cfg);
+    shard::FaultInjector::Config kill;
+    kill.fail_at_commit = 1;
+    shard::FaultInjector injector(kill);
+    killed.set_sink_fault_injector(&injector);
+    test::ingest_one(stream, {3, 40, 7.0f, 0.0});
+    const Epoch epoch = stream.commit_epoch();
+    EXPECT_THROW(killed.apply_epoch(stream.matrix(), epoch.dirty_hosts),
+                 shard::InjectedCrash);
+    killed.set_sink_fault_injector(nullptr);
+  }
+
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::MetricsSnapshot base = reg.snapshot();
+  EXPECT_EQ(base.gauges.at("cache.input.current_bytes"), 0);
+  EXPECT_EQ(base.gauges.at("cache.sink.current_bytes"), 0);
+  EpochStats ingested;
+  shard::CacheStats in_view;
+  shard::CacheStats sink_view;
+  ShardStreamEngine::RecoveryStats recovery;
+  {
+    ShardStreamEngine engine = ShardStreamEngine::recover(stream.matrix(), cfg);
+    shard::FaultInjector::Config eio;
+    eio.eio_read_rate = 0.1;
+    shard::FaultInjector in_injector(eio);
+    eio.seed = 2;
+    shard::FaultInjector sink_injector(eio);
+    engine.set_input_fault_injector(&in_injector);
+    engine.set_sink_fault_injector(&sink_injector);
+    Rng rng(76);
+    std::vector<float> row(n);
+    for (std::uint32_t e = 0; e < 6; ++e) {
+      const auto input_tile = TileFile::open(kInputFormat, cfg.input_path)
+                                  .tile_offset(e % 4, (e + 1) % 4);
+      const auto sink_tile =
+          TileFile::open(kSinkFormat, cfg.sink_path).tile_offset(e % 4, 3);
+      corrupt_byte_at(cfg.input_path, static_cast<long>(input_tile + 8));
+      corrupt_byte_at(cfg.sink_path, static_cast<long>(sink_tile + 8));
+      std::vector<DelaySample> batch;
+      for (int u = 0; u < 12; ++u) {
+        batch.push_back({static_cast<HostId>(rng.uniform_index(n)),
+                         static_cast<HostId>(rng.uniform_index(n)),
+                         static_cast<float>(rng.uniform(1.0, 400.0)),
+                         1.0 + e});
+      }
+      stream.ingest(batch);
+      const Epoch epoch = stream.commit_epoch();
+      test::add_stats(ingested, epoch.stats);
+      engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      for (HostId a = 0; a < n; a += 5) engine.severity_row(a, row);
+    }
+    engine.set_input_fault_injector(nullptr);
+    engine.set_sink_fault_injector(nullptr);
+    ASSERT_TRUE(
+        engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
+    in_view = engine.input_cache_stats();
+    sink_view = engine.output_cache_stats();
+    recovery = engine.recovery_stats();
+    EXPECT_EQ(recovery.torn_epochs_replayed, 1u);
+    EXPECT_GT(recovery.input_tiles_recovered, 0u);
+    EXPECT_GT(recovery.sink_tiles_recovered, 0u);
+    EXPECT_GT(recovery.io_retries, 0u);
+    EXPECT_GT(in_view.evictions, 0u);
+    EXPECT_GT(sink_view.evictions, 0u);
+
+    const obs::MetricsSnapshot live = reg.snapshot();
+    const auto bytes = [&](const char* name) {
+      return static_cast<std::size_t>(live.gauges.at(name));
+    };
+    EXPECT_EQ(bytes("cache.input.current_bytes"), in_view.current_bytes);
+    EXPECT_EQ(bytes("cache.sink.current_bytes"), sink_view.current_bytes);
+  }
+
+  test::expect_registry_stream_stats(base, ingested);
+  const obs::MetricsSnapshot d = reg.snapshot().delta_since(base);
+  const auto c = [&](const std::string& name) { return d.counters.at(name); };
+  for (const auto& [prefix, view] :
+       {std::pair{std::string("cache.input."), in_view},
+        std::pair{std::string("cache.sink."), sink_view}}) {
+    EXPECT_EQ(c(prefix + "hits"), view.hits) << prefix;
+    EXPECT_EQ(c(prefix + "misses"), view.misses) << prefix;
+    EXPECT_EQ(c(prefix + "evictions"), view.evictions) << prefix;
+    EXPECT_EQ(c(prefix + "invalidations"), view.invalidations) << prefix;
+    EXPECT_EQ(c(prefix + "slot_allocs"), view.slot_allocs) << prefix;
+    EXPECT_EQ(d.gauges.at(prefix + "current_bytes"), 0) << prefix;
+    EXPECT_GE(static_cast<std::size_t>(d.gauges.at(prefix + "peak_bytes")),
+              view.peak_bytes)
+        << prefix;
+  }
+  EXPECT_EQ(c("engine.recovery.input_tiles_recovered"),
+            recovery.input_tiles_recovered);
+  EXPECT_EQ(c("engine.recovery.sink_tiles_recovered"),
+            recovery.sink_tiles_recovered);
+  EXPECT_EQ(c("engine.recovery.io_retries"), recovery.io_retries);
+  EXPECT_EQ(c("engine.recovery.torn_epochs_replayed"),
+            recovery.torn_epochs_replayed);
+  std::filesystem::remove(cfg.input_path);
+  std::filesystem::remove(cfg.sink_path);
+  std::filesystem::remove(EpochManifest::path_for(cfg.sink_path));
+  set_parallel_thread_count(0);
 }
 
 // --- Dirty-row repair pass ---------------------------------------------------

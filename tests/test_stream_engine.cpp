@@ -1,5 +1,6 @@
-// Streaming TIV engine (src/stream/): ingestion semantics, dirty-epoch
-// tracking, incremental view repair, and the headline contract, run on
+// Streaming TIV engine (src/stream/): ingestion semantics and the
+// registry totals of every stream's epochs, dirty-epoch tracking,
+// incremental view repair, and the headline contract, run on
 // both stores of the live engine (the LiveEngine suite) — the maintained
 // severities are *bit-identical* to a from-scratch
 // TivAnalyzer::all_severities rebuild after every committed epoch, across
@@ -219,6 +220,58 @@ TEST(DelayStream, MissingReportOnMissingEdgeStaysClean) {
   const Epoch ep = stream.commit_epoch();
   EXPECT_TRUE(ep.dirty_hosts.empty());
   EXPECT_EQ(ep.stats.became_missing, 0u);
+}
+
+// --- DelayStream's registry counters ----------------------------------------
+
+/// A batch mixing every sample kind: measurements, loss reports, self
+/// pairs and out-of-range hosts, non-finite delays, and per-edge timestamp
+/// inversions (stale samples).
+std::vector<DelaySample> mixed_batch(HostId n, std::size_t count, Rng& rng,
+                                     double t) {
+  std::vector<DelaySample> batch;
+  batch.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    DelaySample s{static_cast<HostId>(rng.uniform_index(n)),
+                  static_cast<HostId>(rng.uniform_index(n + 1)),
+                  static_cast<float>(rng.uniform(1.0, 400.0)),
+                  t + rng.uniform(0.0, 1.0)};
+    if (rng.bernoulli(0.1)) s.delay_ms = DelayMatrix::kMissing;
+    if (rng.bernoulli(0.05)) {
+      s.delay_ms = std::numeric_limits<float>::quiet_NaN();
+    }
+    batch.push_back(s);
+  }
+  return batch;
+}
+
+TEST(DelayStream, RegistryCountsAddUpOverStreamsAndOutliveThem) {
+  // Two live streams add every epoch's stats to the one set of "stream.*"
+  // counters, and a destroyed stream's counts stay in the totals. Batches
+  // above and below the parallel threshold take both shard walks.
+  set_parallel_thread_count(2);
+  const obs::MetricsSnapshot base = obs::MetricsRegistry::instance().snapshot();
+  Rng rng(0x5eed);
+  EpochStats total;
+  DelayStream a(test::random_matrix(64, 0.3, 11));
+  {
+    DelayStream b(test::random_matrix(64, 0.3, 12));
+    for (int e = 0; e < 3; ++e) {
+      for (DelayStream* s : {&a, &b}) {
+        s->ingest(mixed_batch(64, e == 1 ? 3000 : 40, rng, e));
+        test::add_stats(total, s->commit_epoch().stats);
+      }
+    }
+    EXPECT_GT(total.rejected_stale, 0u);
+    EXPECT_GT(total.rejected_self_pair, 0u);
+    EXPECT_GT(total.rejected_nonfinite, 0u);
+    EXPECT_GT(total.became_missing, 0u);
+    test::expect_registry_stream_stats(base, total);
+  }
+  a.ingest(mixed_batch(64, 40, rng, 3));
+  test::add_stats(total, a.commit_epoch().stats);
+  test::expect_registry_stream_stats(base, total);
+  set_parallel_thread_count(0);
 }
 
 // --- DelayStream against the per-edge oracle -------------------------------
