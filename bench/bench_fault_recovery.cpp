@@ -14,6 +14,12 @@
 //                             at a chosen commit ordinal; recover() replays
 //                             the journaled epoch from its journal record
 //
+// Both sections time a recovery and a full rebuild of about a millisecond
+// each at --quick, so each side reports its best of kTimedReps timings,
+// every recovery timed on a freshly damaged copy of the same stores and
+// followed by one rebuild: one slow run, or a burst of load from outside
+// the process, reaches both sides and does not decide the comparison.
+//
 // Each record carries the acceptance properties the exit status enforces:
 //   bit_mismatches     severities read back after recovery vs the in-memory
 //                      all_severities of the same matrix — must be 0
@@ -104,6 +110,10 @@ void rot_byte_at(const std::string& path, std::uint64_t offset) {
   std::fclose(f);
 }
 
+/// Timings per side of a recovery-vs-rebuild comparison; each side keeps
+/// its best.
+constexpr int kTimedReps = 5;
+
 /// Full out-of-core rebuild of `m` — the recovery baseline: fresh input
 /// spill + full severity build to a fresh sink, all on disk.
 double full_rebuild_ms(const DelayMatrix& m, std::uint32_t tile_dim,
@@ -181,65 +191,84 @@ int main(int argc, char** argv) {
       cfg.tile_dim = tile_dim;
       cfg.input_path = scratch_file(dir, "rot_in");
       cfg.sink_path = scratch_file(dir, "rot_sev");
-      cfg.keep_files = true;
-      { ShardStreamEngine build(matrix, cfg); }  // clean shutdown, files kept
 
-      // Pick the victim sink tiles (and rot the matching input tile under
-      // every other one — the nested-corruption path: healing the sink tile
-      // trips over the rotten input tile mid-rebuild).
-      std::vector<std::uint64_t> sink_offsets;
-      std::vector<std::uint64_t> input_offsets;
-      {  // offsets gathered first; stores closed before the rot
-        const auto sink =
-            TileFile::open(tiv::shard::kSinkFormat, cfg.sink_path);
-        const auto input =
-            TileFile::open(tiv::shard::kInputFormat, cfg.input_path);
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> coords;
-        for (std::uint32_t r = 0; r < sink.tiles_per_side(); ++r) {
-          for (std::uint32_t c = r; c < sink.tiles_per_side(); ++c) {
-            coords.emplace_back(r, c);
+      std::size_t sink_rotted = 0;
+      std::size_t input_rotted = 0;
+      std::size_t mismatches = 0;
+      bool healed_all = true;
+      double recovery_ms = 0.0;
+      double heal_ms = 0.0;
+      double clean_ms = 0.0;
+      double rebuild_ms = 0.0;
+      ShardStreamEngine::RecoveryStats rec;
+      for (int rep = 0; rep < kTimedReps; ++rep) {
+        cfg.keep_files = true;
+        { ShardStreamEngine build(matrix, cfg); }  // clean shutdown, files kept
+
+        // Pick the victim sink tiles (and rot the matching input tile under
+        // every other one — the nested-corruption path: healing the sink tile
+        // trips over the rotten input tile mid-rebuild).
+        std::vector<std::uint64_t> sink_offsets;
+        std::vector<std::uint64_t> input_offsets;
+        {  // offsets gathered first; stores closed before the rot
+          const auto sink =
+              TileFile::open(tiv::shard::kSinkFormat, cfg.sink_path);
+          const auto input =
+              TileFile::open(tiv::shard::kInputFormat, cfg.input_path);
+          std::vector<std::pair<std::uint32_t, std::uint32_t>> coords;
+          for (std::uint32_t r = 0; r < sink.tiles_per_side(); ++r) {
+            for (std::uint32_t c = r; c < sink.tiles_per_side(); ++c) {
+              coords.emplace_back(r, c);
+            }
+          }
+          const auto k = static_cast<std::uint32_t>(std::max<std::size_t>(
+              1, static_cast<std::size_t>(frac *
+                                          static_cast<double>(coords.size()))));
+          Rng rng(seed ^ 0xd15cull);
+          const auto picks = rng.sample_without_replacement(
+              static_cast<HostId>(coords.size()), k);
+          for (std::size_t i = 0; i < picks.size(); ++i) {
+            const auto [r, c] = coords[picks[i]];
+            sink_offsets.push_back(sink.tile_offset(r, c));
+            if (i % 2 == 1) input_offsets.push_back(input.tile_offset(r, c));
           }
         }
-        const auto k = static_cast<std::uint32_t>(std::max<std::size_t>(
-            1, static_cast<std::size_t>(frac *
-                                        static_cast<double>(coords.size()))));
-        Rng rng(seed ^ 0xd15cull);
-        const auto picks = rng.sample_without_replacement(
-            static_cast<HostId>(coords.size()), k);
-        for (std::size_t i = 0; i < picks.size(); ++i) {
-          const auto [r, c] = coords[picks[i]];
-          sink_offsets.push_back(sink.tile_offset(r, c));
-          if (i % 2 == 1) input_offsets.push_back(input.tile_offset(r, c));
+        for (const std::uint64_t off : sink_offsets) {
+          rot_byte_at(cfg.sink_path, off + 11);
         }
-      }
-      for (const std::uint64_t off : sink_offsets) {
-        rot_byte_at(cfg.sink_path, off + 11);
-      }
-      for (const std::uint64_t off : input_offsets) {
-        rot_byte_at(cfg.input_path, off + 23);
-      }
-      const std::size_t sink_rotted = sink_offsets.size();
-      const std::size_t input_rotted = input_offsets.size();
+        for (const std::uint64_t off : input_offsets) {
+          rot_byte_at(cfg.input_path, off + 23);
+        }
+        sink_rotted = sink_offsets.size();
+        input_rotted = input_offsets.size();
 
-      // Recovery: reopen + one full readback. Every rotted tile fails its
-      // checksum on first touch and is rebuilt in place.
-      cfg.keep_files = false;  // recovery engine owns cleanup
-      const std::uint64_t mark = tracer.recorded();
-      const auto t0 = std::chrono::steady_clock::now();
-      auto engine = ShardStreamEngine::recover(matrix, cfg);
-      const std::size_t mismatches = bit_mismatches(engine, want);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action", mark)) / 1e6;
-      const double recovery_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      // Second full readback over the now-healed store: the no-fault floor.
-      const double clean_ms = time_ms([&] { bit_mismatches(engine, want); });
+        // Recovery: reopen + one full readback. Every rotted tile fails its
+        // checksum on first touch and is rebuilt in place.
+        cfg.keep_files = false;  // recovery engine owns cleanup
+        const std::uint64_t mark = tracer.recorded();
+        const auto t0 = std::chrono::steady_clock::now();
+        auto engine = ShardStreamEngine::recover(matrix, cfg);
+        mismatches += bit_mismatches(engine, want);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ms =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        // Second full readback over the now-healed store: the no-fault
+        // floor.
+        const double clean = time_ms([&] { bit_mismatches(engine, want); });
+        rec = engine.recovery_stats();
+        healed_all = healed_all && rec.sink_tiles_recovered >= sink_rotted &&
+                     rec.input_tiles_recovered >= input_rotted;
+        if (rep == 0 || ms < recovery_ms) {
+          recovery_ms = ms;
+          heal_ms = static_cast<double>(
+                        tracer.total_ns("recovery-action", mark)) /
+                    1e6;
+          clean_ms = clean;
+        }
+        const double rebuild = full_rebuild_ms(matrix, tile_dim, dir);
+        if (rep == 0 || rebuild < rebuild_ms) rebuild_ms = rebuild;
+      }
 
-      const double rebuild_ms = full_rebuild_ms(matrix, tile_dim, dir);
-      const auto rec = engine.recovery_stats();
-      const bool healed_all = rec.sink_tiles_recovered >= sink_rotted &&
-                              rec.input_tiles_recovered >= input_rotted;
       const bool cheaper = recovery_ms < rebuild_ms;
       ok = ok && mismatches == 0 && healed_all && cheaper;
 
@@ -274,60 +303,74 @@ int main(int argc, char** argv) {
         {"sink_commit_3", false, 3},
     };
     for (const KillPoint& kp : kill_points) {
-      DelayStream stream(random_matrix(n, missing, seed ^ 0x1a11ull));
-
       ShardStreamConfig cfg;
       cfg.tile_dim = tile_dim;
       cfg.input_path = scratch_file(dir, std::string("kill_in_") + kp.name);
       cfg.sink_path = scratch_file(dir, std::string("kill_sev_") + kp.name);
-      cfg.keep_files = true;
 
-      FaultInjector::Config fault;
-      fault.torn_write_at_commit = kp.ordinal;
-      FaultInjector injector(fault);
+      bool crashed = true;
+      double recover_ms = 0.0;
+      double rebuild_ms = 0.0;
+      double heal_ms = 0.0;
+      std::size_t mismatches = 0;
+      std::size_t replayed = 0;
+      std::optional<DelayStream> stream;
+      for (int rep = 0; rep < kTimedReps; ++rep) {
+        stream.emplace(random_matrix(n, missing, seed ^ 0x1a11ull));
+        cfg.keep_files = true;
+        FaultInjector::Config fault;
+        fault.torn_write_at_commit = kp.ordinal;
+        FaultInjector injector(fault);
+        bool torn = false;
+        Rng rng(seed ^ 0x6b11ull);
+        {
+          ShardStreamEngine engine(stream->matrix(), cfg);
+          if (kp.on_input) {
+            engine.set_input_fault_injector(&injector);
+          } else {
+            engine.set_sink_fault_injector(&injector);
+          }
+          localized_churn(*stream, rng, static_cast<HostId>(2 * tile_dim),
+                          1.0);
+          const tiv::stream::Epoch epoch = stream->commit_epoch();
+          try {
+            engine.apply_epoch(stream->matrix(), epoch.dirty_hosts);
+          } catch (const InjectedCrash&) {
+            torn = true;
+          }
+          if (kp.on_input) {
+            engine.set_input_fault_injector(nullptr);
+          } else {
+            engine.set_sink_fault_injector(nullptr);
+          }
+        }  // "killed" engine abandoned; files + journal record survive
+        crashed = crashed && torn;
 
-      bool crashed = false;
-      Rng rng(seed ^ 0x6b11ull);
-      {
-        ShardStreamEngine engine(stream.matrix(), cfg);
-        if (kp.on_input) {
-          engine.set_input_fault_injector(&injector);
-        } else {
-          engine.set_sink_fault_injector(&injector);
+        cfg.keep_files = false;
+        const std::uint64_t mark = tracer.recorded();
+        const auto t0 = std::chrono::steady_clock::now();
+        auto engine = ShardStreamEngine::recover(stream->matrix(), cfg);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double ms =
+            std::chrono::duration<double, std::milli>(t1 - t0).count();
+        if (rep == 0 || ms < recover_ms) {
+          recover_ms = ms;
+          heal_ms = static_cast<double>(
+                        tracer.total_ns("recovery-action", mark)) /
+                    1e6;
         }
-        localized_churn(stream, rng, static_cast<HostId>(2 * tile_dim), 1.0);
-        const tiv::stream::Epoch epoch = stream.commit_epoch();
-        try {
-          engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
-        } catch (const InjectedCrash&) {
-          crashed = true;
-        }
-        if (kp.on_input) {
-          engine.set_input_fault_injector(nullptr);
-        } else {
-          engine.set_sink_fault_injector(nullptr);
-        }
-      }  // "killed" engine abandoned; files + journal record survive
+        const SeverityMatrix want =
+            TivAnalyzer(stream->matrix()).all_severities();
+        mismatches += bit_mismatches(engine, want);
+        replayed += engine.recovery_stats().torn_epochs_replayed;
+        const double rebuild =
+            full_rebuild_ms(stream->matrix(), tile_dim, dir);
+        if (rep == 0 || rebuild < rebuild_ms) rebuild_ms = rebuild;
+      }
 
-      const SeverityMatrix want =
-          TivAnalyzer(stream.matrix()).all_severities();
-      cfg.keep_files = false;
-      const std::uint64_t mark = tracer.recorded();
-      const auto t0 = std::chrono::steady_clock::now();
-      auto engine = ShardStreamEngine::recover(stream.matrix(), cfg);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double recover_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      const double heal_ms =
-          static_cast<double>(tracer.total_ns("recovery-action", mark)) / 1e6;
-      const std::size_t mismatches = bit_mismatches(engine, want);
-
-      const double rebuild_ms =
-          full_rebuild_ms(stream.matrix(), tile_dim, dir);
-      const auto rec = engine.recovery_stats();
       const bool cheaper = recover_ms < rebuild_ms;
-      ok = ok && crashed && rec.torn_epochs_replayed == 1 &&
-           mismatches == 0 && cheaper;
+      ok = ok && crashed && replayed == kTimedReps && mismatches == 0 &&
+           cheaper;
 
       json.object()
           .field("section", std::string("kill_mid_commit"))
@@ -335,7 +378,7 @@ int main(int argc, char** argv) {
           .field("tile_dim", tile_dim)
           .field("kill_point", std::string(kp.name))
           .field_bool("crash_injected", crashed)
-          .field("torn_epochs_replayed", rec.torn_epochs_replayed)
+          .field("torn_epochs_replayed", replayed / kTimedReps)
           .field("recover_ms", recover_ms, 3)
           .field("recovery_action_ms", heal_ms, 3)
           .field("full_rebuild_ms", rebuild_ms, 3)

@@ -20,7 +20,13 @@
 //                        repair packs its rows from the live matrix and
 //                        reads no input tile
 // plus the repair-vs-rebuild timings whose speedup docs/PERFORMANCE.md
-// quotes. A {"section":"codegen"} record times one repair against the
+// quotes. A {"section":"sink_reads"} record times point and row reads
+// through the engine (point_us_p50, row_us_p50) beside a ceiling measured
+// on the same sink file in the same run (segment_ceiling_us,
+// tile_ceiling_us: a raw pread plus checksum64 of one row segment, of one
+// tile) and counts the sink file bytes the reads fetched
+// (sink_read_bytes, deterministic; CI gates it). A {"section":"codegen"}
+// record times one repair against the
 // in-memory kernel on the same matrix (repair_gops, kernel_gops and their
 // ratio repair_vs_kernel, which CI gates); that repair flags every
 // incident edge, so it measures the repair loop, not the screen. The
@@ -50,10 +56,12 @@
 //   --dir=PATH             scratch directory for the tile-store files
 //                          (default: system temp dir); files are removed
 //   --seed=S               RNG seed
+#include <fcntl.h>
 #include <sys/types.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -66,6 +74,7 @@
 #include "core/shard_severity.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "shard/checksum.hpp"
 #include "shard/tile_cache.hpp"
 #include "shard/tile_file.hpp"
 #include "shard/tile_store.hpp"
@@ -74,6 +83,7 @@
 #include "util/flags.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -95,6 +105,15 @@ using tiv::bench::time_ms;
 
 /// The epoch's named child spans must cover all but this share of it.
 constexpr double kMaxUnattributedFrac = 0.05;
+
+/// Where the ceiling's hashes go, so the compiler keeps computing them.
+volatile std::uint64_t g_hash_sink = 0;
+
+double us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 std::string scratch_file(const std::string& dir, const std::string& tag) {
   return (std::filesystem::path(dir) /
@@ -292,6 +311,134 @@ int main(int argc, char** argv) {
           .field_bool("peak_within_budget", within_budget)
           .field("bit_mismatches", mismatches);
     }
+    // Sink reads: point and row reads through a fresh engine's sink cache,
+    // beside their ceiling measured on the same file in the same run — a
+    // raw pread plus checksum64 of one row segment, and of one whole tile.
+    // The sink cache holds a quarter of the sink's tiles, so the reads run
+    // out of core at every size (only this thread reads it, pinning one
+    // tile at a time, so the budget needs no per-thread floor).
+    // Row reads warm the cache first, as a live monitor's do (they load the
+    // column tiles); a point read then finds its tile resident or reads its
+    // one segment. The reads run on the calling thread in a fixed order
+    // from an empty cache, so sink_read_bytes (the sink file bytes the
+    // timed reads fetched) is deterministic; CI gates it.
+    {
+      constexpr std::size_t kPointReads = 4096;
+      constexpr std::size_t kPointGroup = 16;  // reads timed as one group
+      constexpr std::size_t kRowReads = 256;
+      constexpr std::size_t kCeilingReads = 4096;
+      const DelayMatrix m = random_matrix(n, missing, seed);
+      const std::size_t bands = (n + tile_dim - 1) / tile_dim;
+      const std::size_t read_budget =
+          std::max<std::size_t>(bands * (bands + 1) / 2 / 4, 1) * tile_bytes;
+      ShardStreamConfig cfg;
+      cfg.tile_dim = tile_dim;
+      cfg.input_budget_bytes = input_budget;
+      cfg.output_budget_bytes = read_budget;
+      cfg.input_path = scratch_file(dir, "reads_in");
+      cfg.sink_path = scratch_file(dir, "reads_sev");
+      ShardStreamEngine engine(m, cfg);
+      Rng rng(seed ^ 0x5eadull);
+      std::vector<std::pair<HostId, HostId>> points;
+      while (points.size() < kPointReads) {
+        const auto a = static_cast<HostId>(rng.uniform_index(n));
+        const auto b = static_cast<HostId>(rng.uniform_index(n));
+        if (a != b) points.emplace_back(a, b);
+      }
+      std::vector<HostId> rows(kRowReads);
+      for (HostId& a : rows) a = static_cast<HostId>(rng.uniform_index(n));
+
+      std::vector<float> row(n);
+      for (const HostId a : rows) engine.severity_row(a, row);  // warm
+      auto& reg = tiv::obs::MetricsRegistry::instance();
+      const auto before = reg.snapshot();
+      const auto cache_before = engine.output_cache_stats();
+      std::vector<double> point_us;
+      for (std::size_t g = 0; g < points.size(); g += kPointGroup) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t k = g; k < g + kPointGroup; ++k) {
+          engine.severity(points[k].first, points[k].second);
+        }
+        point_us.push_back(us_since(t0) / kPointGroup);
+      }
+      std::vector<double> row_us;
+      for (const HostId a : rows) {
+        const auto t0 = std::chrono::steady_clock::now();
+        engine.severity_row(a, row);
+        row_us.push_back(us_since(t0));
+      }
+      const auto delta = reg.snapshot().delta_since(before);
+      const auto cache_after = engine.output_cache_stats();
+      const std::size_t hits = cache_after.hits - cache_before.hits;
+      const std::size_t lookups =
+          hits + cache_after.misses - cache_before.misses;
+
+      // The ceiling: raw preads of the engine's sink file, one random row
+      // segment or one random tile at a time, each hashed as a read
+      // verifies it.
+      const TileFile layout =
+          TileFile::open(tiv::shard::kSinkFormat, engine.sink_path());
+      const int fd = ::open(engine.sink_path().c_str(), O_RDONLY);
+      if (fd < 0) {
+        std::cerr << "bench_shard_stream: cannot open the sink file\n";
+        return 1;
+      }
+      std::vector<float> tile(layout.payload_floats());
+      std::uint64_t hash = 0;
+      const auto ceiling_us = [&](std::size_t bytes, bool segment) {
+        std::vector<double> us;
+        for (std::size_t i = 0; i < kCeilingReads; ++i) {
+          const auto r = static_cast<std::uint32_t>(
+              rng.uniform_index(layout.tiles_per_side()));
+          const auto c = r + static_cast<std::uint32_t>(rng.uniform_index(
+                                 layout.tiles_per_side() - r));
+          const std::uint64_t off =
+              layout.tile_offset(r, c) +
+              (segment ? rng.uniform_index(tile_dim) * layout.row_bytes()
+                       : 0);
+          const auto t0 = std::chrono::steady_clock::now();
+          if (::pread(fd, tile.data(), bytes, static_cast<off_t>(off)) !=
+              static_cast<ssize_t>(bytes)) {
+            ok = false;
+          }
+          hash ^= tiv::shard::checksum64(tile.data(), bytes);
+          us.push_back(us_since(t0));
+        }
+        return tiv::percentile(std::move(us), 50.0);
+      };
+      const double segment_us = ceiling_us(layout.row_bytes(), true);
+      const double tile_us = ceiling_us(layout.tile_bytes(), false);
+      ::close(fd);
+      g_hash_sink = hash;
+      const double point_p50 = tiv::percentile(point_us, 50.0);
+      const double row_p50 = tiv::percentile(row_us, 50.0);
+      const auto counter = [&](const char* name) {
+        const auto it = delta.counters.find(name);
+        return it == delta.counters.end() ? std::uint64_t{0} : it->second;
+      };
+      json.object()
+          .field("section", std::string("sink_reads"))
+          .field("n", n)
+          .field("tile_dim", tile_dim)
+          .field("output_budget_bytes", read_budget)
+          .field("sink_row_checksum_bytes", layout.row_checksum_bytes())
+          .field("point_reads", kPointReads)
+          .field("row_reads", kRowReads)
+          .field("sink_reads", counter("shard.sink.reads"))
+          .field("sink_read_bytes", counter("shard.sink.read_bytes"))
+          .field("cache_hit_ratio",
+                 lookups == 0 ? 0.0
+                              : static_cast<double>(hits) /
+                                    static_cast<double>(lookups),
+                 3)
+          .field("point_us_p50", point_p50, 3)
+          .field("row_us_p50", row_p50, 3)
+          .field("segment_ceiling_us", segment_us, 3)
+          .field("tile_ceiling_us", tile_us, 3)
+          .field("point_vs_segment_ceiling",
+                 segment_us > 0.0 ? point_p50 / segment_us : 0.0, 2);
+    }
+
     // Codegen guard for the out-of-core repair kernel: one repair of 5% of
     // hosts on a violation-dense matrix against the in-memory
     // edge_severity_batch over every upper-triangle pair of the same

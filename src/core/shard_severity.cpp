@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/edge_repair.hpp"
 #include "core/triangle_schedule.hpp"
 #include "core/witness_kernels.hpp"
@@ -110,19 +114,24 @@ struct PairTask {
   float dac;
 };
 
-/// Per-thread working buffers — a sink tile image, and a band pair's
-/// selected edges and their accumulator lanes (O(T^2), outside the cache
-/// budgets by design). Kept per pool worker and reused across units and
-/// epochs, so the walk and the sink merge allocate nothing once warm.
-struct WalkScratch {
-  std::vector<float> buf;
-  std::vector<PairTask> tasks;
-  std::vector<double> acc;
-};
+/// A per-thread sink tile image, reused across units and epochs, so the
+/// walk and the sink merge allocate nothing for it once warm.
+std::vector<float>& tile_scratch() {
+  thread_local std::vector<float> buf;
+  return buf;
+}
 
-WalkScratch& walk_scratch() {
-  thread_local WalkScratch scratch;
-  return scratch;
+/// Row lr of sink tile (r, c): the resident tile's row, pinned by `pin`,
+/// when the cache holds the tile, else that one row segment read into a
+/// per-thread buffer. Never loads the tile.
+const float* sink_row(TileCache& sink, std::uint32_t r, std::uint32_t c,
+                      std::uint32_t lr, TileRef& pin) {
+  pin = sink.peek(r, c);
+  if (pin) return pin->row(lr);
+  thread_local std::vector<float> segment;
+  segment.resize(sink.file().tile_dim());
+  sink.file().read_row_segment(r, c, lr, segment.data());
+  return segment.data();
 }
 
 /// Recomputes every edge of band pair (bi, bj) and commits the sink tile —
@@ -138,11 +147,13 @@ void process_band_pair_to_sink(TileCache& cache, TileFile& sink,
   const auto nd = static_cast<double>(store.size());
   const TileRef dac_tile = cache.acquire(bi, bj);
 
-  WalkScratch& scratch = walk_scratch();
-  std::vector<float>& buf = scratch.buf;
-  std::vector<PairTask>& tasks = scratch.tasks;
+  // The pair's selected edges and their accumulator lanes: O(T^2), about
+  // 300 KiB at T = 64, outside the cache budgets by design, and freed with
+  // the pair, so no pool thread holds them between walks.
+  std::vector<PairTask> tasks;
+  tasks.reserve(std::size_t{rows_i} * rows_j);
+  std::vector<float>& buf = tile_scratch();
   buf.assign(sink.payload_floats(), 0.0f);
-  tasks.clear();
   for (std::uint32_t al = 0; al < rows_i; ++al) {
     const float* dac_row = dac_tile->row(al);
     for (std::uint32_t cl = bi == bj ? al + 1 : 0; cl < rows_j; ++cl) {
@@ -152,8 +163,7 @@ void process_band_pair_to_sink(TileCache& cache, TileFile& sink,
     }
   }
 
-  std::vector<double>& acc = scratch.acc;
-  acc.assign(tasks.size() * kWitnessLanes, 0.0);
+  std::vector<double> acc(tasks.size() * kWitnessLanes, 0.0);
   for (std::uint32_t k = 0; k < bands && !tasks.empty(); ++k) {
     const TileRef ta = cache.acquire(bi, k);
     const TileRef tc = bj == bi ? ta : cache.acquire(bj, k);
@@ -257,7 +267,7 @@ void repair_host_group(const DelayMatrix& matrix, TileFile& sink,
     const auto tiles = flagged_sink_tiles(edges, group, first, sink);
     for_each_unit(tiles.size(), [&](std::size_t u) {
       const auto [bi, bj] = tiles[u];
-      std::vector<float>& buf = walk_scratch().buf;
+      std::vector<float>& buf = tile_scratch();
       buf.resize(sink.payload_floats());
       sink.read_tile(bi, bj, buf.data());
       bool commit = false;
@@ -335,6 +345,13 @@ void all_severities_to_sink(TileCache& input, TileFile& sink) {
                      [&](std::uint32_t bi, std::uint32_t bj) {
                        process_band_pair_to_sink(input, sink, bi, bj);
                      });
+#if defined(__GLIBC__)
+  // Every pool thread freed its band pairs' scratch (about 300 KiB each)
+  // into its own malloc arena, which keeps the pages resident for the
+  // life of the process and never lends them to another thread. Hand them
+  // back: a finished build leaves only the caches resident.
+  ::malloc_trim(0);
+#endif
 }
 
 void rebuild_sink_tiles(
@@ -418,8 +435,8 @@ float sink_severity(TileCache& sink, HostId a, HostId b) {
   // local triangles, so (row in the lower band, column in the higher) is
   // always addressable directly.
   if (a / T > b / T) std::swap(a, b);
-  const TileRef tile = sink.acquire(a / T, b / T);
-  return tile->row(a % T)[b % T];
+  TileRef pin;
+  return sink_row(sink, a / T, b / T, a % T, pin)[b % T];
 }
 
 void sink_severity_row(TileCache& sink, HostId a, std::span<float> out) {
@@ -430,17 +447,17 @@ void sink_severity_row(TileCache& sink, HostId a, std::span<float> out) {
   const std::uint32_t la = a % T;
   for (std::uint32_t c = 0; c < file.tiles_per_side(); ++c) {
     const std::uint32_t cols = file.band_rows(c);
-    const std::size_t base = static_cast<std::size_t>(c) * T;
+    float* const dst = out.data() + static_cast<std::size_t>(c) * T;
     if (c >= ba) {
       // Row la of tile (ba, c), contiguous.
-      const TileRef tile = sink.acquire(ba, c);
-      std::memcpy(out.data() + base, tile->row(la), cols * sizeof(float));
+      TileRef pin;
+      std::memcpy(dst, sink_row(sink, ba, c, la, pin), cols * sizeof(float));
     } else {
       // Column la of tile (c, ba): sev(a, x) = sev(x, a) for x in band c.
       const TileRef tile = sink.acquire(c, ba);
       const float* p = tile->row(0);
       for (std::uint32_t lr = 0; lr < cols; ++lr) {
-        out[base + lr] = p[static_cast<std::size_t>(lr) * T + la];
+        dst[lr] = p[static_cast<std::size_t>(lr) * T + la];
       }
     }
   }

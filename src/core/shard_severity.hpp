@@ -7,7 +7,8 @@
 //    and torn-epoch replay primitive) stream (a-band, c-band,
 //    witness-band) tiles of an input tile file through the witness
 //    kernels, honoring the budget of the shard::TileCache that reads it;
-//    working set O(budget + tile^2) per worker.
+//    working set O(budget + tile^2) per worker, the tile^2 part freed
+//    with each band pair (and, after a full build, handed back to the OS).
 //  - The epoch repair: repair_severities_to_sink, the out-of-core half of
 //    the src/stream/ dirty-epoch engine (the tile store's result write). It
 //    recomputes the edges flagged in an EpochEdges set (core/epoch_screen)
@@ -27,10 +28,15 @@
 // with 0.0f for unmeasured pairs, the diagonal, and the padding beyond the
 // matrix edge — the exact values the in-memory SeverityMatrix holds there.
 // Diagonal tiles (r == c) store their little square in full (both local
-// triangles), so a row read never transposes within a tile; reading global
-// row i still walks tiles (c, band(i)) for c < band(i) column-wise, which
-// the budgeted sink cache keeps cheap. sink_severity and sink_severity_row
-// are those reads.
+// triangles), so a row read never transposes within a tile. Every tile row
+// is a row segment with its own checksum (shard/tile_file.hpp), so the
+// reads take only the rows they need: sink_severity reads entry (a, b)
+// from row a % T of tile (band(a), band(b)) — the resident tile when the
+// sink cache holds it, else that one segment preaded and verified, never
+// the whole tile. sink_severity_row reads global row i the same way from
+// tiles (band(i), c), c >= band(i), one segment each, and walks tiles
+// (c, band(i)) for c < band(i) column-wise through the cache, which loads
+// them whole.
 //
 // Results are bit-identical to the in-memory TivAnalyzer path: tiles and
 // packed rows hold the view's encoding, every path feeds the same
@@ -136,14 +142,16 @@ void rebuild_sink_tiles(
     std::span<const std::pair<std::uint32_t, std::uint32_t>> tiles);
 
 /// Severity of edge (a, b) read through `sink`, a cache over a severity
-/// sink — symmetric, 0 for a == b; one cached tile lookup. Requires
-/// a, b < n (hosts in the last band's padding read 0).
+/// sink — symmetric, 0 for a == b. One non-loading cache lookup; on a miss,
+/// one row-segment read of the sink file (the tile is not loaded).
+/// Requires a, b < n (hosts in the last band's padding read 0).
 float sink_severity(shard::TileCache& sink, HostId a, HostId b);
 
 /// Severity row a into `out` (n floats): sev(a, x) for every x, read
 /// through `sink`. Walks the band tiles of row a — tiles (band(a), c)
-/// row-wise past the diagonal band, tiles (c, band(a)) column-wise before
-/// it. Requires a < n and out.size() >= n.
+/// row-wise from the diagonal band on, each the resident tile's row or one
+/// row-segment read, and tiles (c, band(a)) column-wise before it, each
+/// acquired (loaded on a miss). Requires a < n and out.size() >= n.
 void sink_severity_row(shard::TileCache& sink, HostId a,
                        std::span<float> out);
 

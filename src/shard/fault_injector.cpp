@@ -66,9 +66,9 @@ void FaultInjector::before_read() {
   }
 }
 
-bool FaultInjector::corrupt_read(std::size_t tile_bytes,
-                                 std::size_t* byte_index, unsigned* bit) {
-  if (tile_bytes == 0) return false;
+bool FaultInjector::corrupt_read(std::size_t bytes, std::size_t* byte_index,
+                                 unsigned* bit) {
+  if (bytes == 0) return false;
   // reads_ was already bumped by before_read; the ordinal of THIS read is
   // the pre-bump value, recovered without a second counter.
   const std::uint64_t n = reads_.load(std::memory_order_relaxed) - 1;
@@ -81,7 +81,7 @@ bool FaultInjector::corrupt_read(std::size_t tile_bytes,
   }
   if (!flip) return false;
   const std::uint64_t h = mix(n ^ 0x0b17ull);
-  *byte_index = static_cast<std::size_t>(h % tile_bytes);
+  *byte_index = static_cast<std::size_t>(h % bytes);
   *bit = static_cast<unsigned>((h >> 32) & 7);
   bitflips_.fetch_add(1, std::memory_order_relaxed);
   injected_bitflips().increment();

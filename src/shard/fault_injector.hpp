@@ -62,8 +62,9 @@ class FaultInjector {
  public:
   struct Config {
     std::uint64_t seed = 1;
-    /// Every k-th read_tile has one bit flipped (0 = off). Deterministic —
-    /// the soak tests' "bit-flip every k-th read" mode.
+    /// Every k-th read (a tile or a row segment) has one bit flipped
+    /// (0 = off). Deterministic — the soak tests' "bit-flip every k-th
+    /// read" mode.
     std::uint32_t bitflip_every_kth_read = 0;
     /// Independent per-read bit-flip probability (0 = off).
     double bitflip_read_rate = 0.0;
@@ -77,7 +78,7 @@ class FaultInjector {
   };
 
   struct Stats {
-    std::size_t reads = 0;         ///< read_tile calls seen
+    std::size_t reads = 0;         ///< tile and row-segment reads seen
     std::size_t writes = 0;        ///< write_tile calls seen
     std::size_t bitflips = 0;      ///< reads corrupted in flight
     std::size_t eio_errors = 0;    ///< reads failed as InjectedIoError
@@ -97,9 +98,9 @@ class FaultInjector {
 
   /// After the pread, before checksum validation: decides whether this
   /// read's bytes get one bit flipped. When it returns true, *byte_index
-  /// (in [0, tile_bytes), over the tile's serialized byte order) and *bit
-  /// name the flip; TileFile applies it to the tile buffer.
-  bool corrupt_read(std::size_t tile_bytes, std::size_t* byte_index,
+  /// (in [0, bytes), over the bytes read, in file order) and *bit name the
+  /// flip; TileFile applies it to the read buffer.
+  bool corrupt_read(std::size_t bytes, std::size_t* byte_index,
                     unsigned* bit);
 
   /// Before a tile commit: what TileFile should do with it.

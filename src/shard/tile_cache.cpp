@@ -41,17 +41,30 @@ TileRef TileCache::acquire(std::uint32_t r, std::uint32_t c) {
     if (it == map_.end()) {
       return load_and_publish(key, lk);
     }
-    if (!it->second.loading) {
-      ++stats_.hits;
-      metrics_.hits->increment();
-      lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-      return it->second.tile;
-    }
+    if (!it->second.loading) return hit_locked(it);
     // Another thread is reading this tile; wait for it rather than
     // duplicating the I/O. If its load failed the entry vanishes and
     // the loop retries as a fresh miss.
     loaded_cv_.wait(lk);
   }
+}
+
+TileRef TileCache::peek(std::uint32_t r, std::uint32_t c) {
+  std::lock_guard<std::mutex> lk(mutex_);
+  const auto it = map_.find(key_of(r, c));
+  if (it == map_.end() || it->second.loading) {
+    ++stats_.misses;
+    metrics_.misses->increment();
+    return nullptr;
+  }
+  return hit_locked(it);
+}
+
+TileRef TileCache::hit_locked(Map::iterator it) {
+  ++stats_.hits;
+  metrics_.hits->increment();
+  lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
+  return it->second.tile;
 }
 
 void TileCache::invalidate(std::uint32_t r, std::uint32_t c) {

@@ -8,9 +8,10 @@
 // read runs outside it, so distinct tiles load in parallel. A thread
 // requesting a tile another thread is already loading waits on a condition
 // variable instead of issuing a duplicate read (no cache stampede). Reads
-// are demand-only: the thread that acquires a tile loads it, so only the
-// caller's threads ever read the file, and an in-place tile rewrite
-// between scans needs no other quiesce than invalidate().
+// are demand-only: the thread that acquires a tile loads it (peek never
+// loads), so only the caller's threads ever read the file, and an
+// in-place tile rewrite between scans needs no other quiesce than
+// invalidate().
 //
 // Budget accounting counts every resident tile (loaded entries plus
 // in-flight loads, whose bytes are reserved before the read starts).
@@ -54,7 +55,9 @@ namespace tiv::shard {
 /// all caches under one metric prefix add up.
 struct CacheStats {
   std::size_t hits = 0;
-  std::size_t misses = 0;       ///< tiles loaded from disk
+  /// Lookups that found no resident tile: acquire then loads it, peek
+  /// does not.
+  std::size_t misses = 0;
   std::size_t evictions = 0;
   std::size_t invalidations = 0;  ///< resident tiles dropped by invalidate()
   std::size_t peak_bytes = 0;   ///< high-water mark of live tile bytes
@@ -91,6 +94,12 @@ class TileCache {
   /// only while another thread is loading the same tile.
   TileRef acquire(std::uint32_t r, std::uint32_t c);
 
+  /// Returns tile (r, c) if it is resident, else null; never reads the
+  /// file (a tile another thread is loading counts as absent). Counts a
+  /// hit or a miss as acquire does — the lookup of a reader that wants
+  /// less than a tile and reads the rest from the file itself.
+  TileRef peek(std::uint32_t r, std::uint32_t c);
+
   /// Drops tile (r, c) so the next acquire re-reads it — the coherence
   /// hook after an in-place tile rewrite. Waits for an in-flight load of
   /// the tile to finish (a stale read racing the rewrite must not be
@@ -115,6 +124,9 @@ class TileCache {
   };
   using Map = std::unordered_map<std::uint64_t, Entry>;
 
+  /// Counts a hit on the loaded entry `it`, marks it most recently used
+  /// and returns it.
+  TileRef hit_locked(Map::iterator it);
   TileRef load_and_publish(std::uint64_t key,
                            std::unique_lock<std::mutex>& lk);
   Entry& insert_loading_locked(std::uint64_t key);

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "shard/fault_injector.hpp"
 
@@ -56,10 +58,20 @@ std::size_t checksum_table_offset(std::size_t tile_count) {
   return sizeof(RawHeader) + tile_count * sizeof(std::uint64_t);
 }
 
-std::uint64_t data_offset_for(std::size_t tile_count) {
+std::uint64_t data_offset_for(std::size_t tile_count, std::uint32_t tile_dim) {
   const std::size_t tables_end =
-      checksum_table_offset(tile_count) + tile_count * sizeof(std::uint64_t);
+      checksum_table_offset(tile_count) +
+      tile_count * tile_dim * sizeof(std::uint64_t);
   return (tables_end + kAlign - 1) / kAlign * kAlign;
+}
+
+/// The checksum64 of each of `tile`'s tile_dim rows, into `sums`.
+void hash_rows(const float* tile, std::uint32_t tile_dim,
+               std::uint64_t* sums) {
+  const std::size_t row_bytes = tile_dim * sizeof(float);
+  for (std::uint32_t lr = 0; lr < tile_dim; ++lr) {
+    sums[lr] = checksum64(tile + std::size_t{lr} * tile_dim, row_bytes);
+  }
 }
 
 }  // namespace
@@ -81,11 +93,12 @@ TileFile::Writer::Writer(const TileFileParams& params,
         ": tile_dim must be a nonzero multiple of " +
         std::to_string(DelayMatrixView::kLaneFloats));
   }
+  tile_dim_ = tile_dim;
   tiles_ = (n + tile_dim - 1) / tile_dim;
   tile_bytes_ = tile_size_bytes(tile_dim);
   const std::size_t count = tile_count_for(params.shape, tiles_);
-  checksums_.assign(count, 0);
-  data_offset_ = data_offset_for(count);
+  row_checksums_.assign(count * tile_dim, 0);
+  data_offset_ = data_offset_for(count, tile_dim);
 
   f_ = std::fopen(path.c_str(), "wb");
   if (f_ == nullptr) {
@@ -107,14 +120,16 @@ TileFile::Writer::Writer(const TileFileParams& params,
     offsets[t] = data_offset_ + t * tile_bytes_;
   }
   const std::size_t index_bytes = count * sizeof(std::uint64_t);
+  const std::size_t table_bytes = row_checksums_.size() * sizeof(std::uint64_t);
   if (count != 0) {
     fwrite_all(offsets.data(), index_bytes, f_, params.store_name, path_);
-    // Checksum-table placeholder: per-tile hashes accumulate as tiles are
+    // Checksum-table placeholder: row hashes accumulate as tiles are
     // appended and are committed with one seek-back by finish().
-    fwrite_all(checksums_.data(), index_bytes, f_, params.store_name, path_);
+    fwrite_all(row_checksums_.data(), table_bytes, f_, params.store_name,
+               path_);
   }
   const std::vector<char> pad(
-      data_offset_ - sizeof(RawHeader) - 2 * index_bytes, 0);
+      data_offset_ - sizeof(RawHeader) - index_bytes - table_bytes, 0);
   if (!pad.empty()) {
     fwrite_all(pad.data(), pad.size(), f_, params.store_name, path_);
   }
@@ -125,20 +140,20 @@ TileFile::Writer::~Writer() {
 }
 
 void TileFile::Writer::append_tile(const float* tile) {
-  assert(appended_ < checksums_.size());
+  assert((appended_ + 1) * tile_dim_ <= row_checksums_.size());
   fwrite_all(tile, tile_bytes_, f_, params_.store_name, path_);
-  checksums_[appended_++] = checksum64(tile, tile_bytes_);
+  hash_rows(tile, tile_dim_, row_checksums_.data() + appended_++ * tile_dim_);
 }
 
 void TileFile::Writer::commit_checksums_and_close() {
-  if (!checksums_.empty()) {
-    if (std::fseek(f_,
-                   static_cast<long>(checksum_table_offset(checksums_.size())),
+  if (!row_checksums_.empty()) {
+    const std::size_t count = row_checksums_.size() / tile_dim_;
+    if (std::fseek(f_, static_cast<long>(checksum_table_offset(count)),
                    SEEK_SET) != 0) {
       fail_for(params_.store_name, "seek to checksum table failed", path_);
     }
-    fwrite_all(checksums_.data(),
-               checksums_.size() * sizeof(std::uint64_t), f_,
+    fwrite_all(row_checksums_.data(),
+               row_checksums_.size() * sizeof(std::uint64_t), f_,
                params_.store_name, path_);
   }
   std::FILE* f = std::exchange(f_, nullptr);
@@ -148,23 +163,23 @@ void TileFile::Writer::commit_checksums_and_close() {
 }
 
 void TileFile::Writer::finish() {
-  assert(appended_ == checksums_.size());
+  assert(appended_ * tile_dim_ == row_checksums_.size());
   commit_checksums_and_close();
 }
 
-void TileFile::Writer::finish_sparse(std::uint64_t uniform_checksum) {
+void TileFile::Writer::finish_sparse(std::uint64_t uniform_row_checksum) {
   assert(appended_ == 0);
-  checksums_.assign(checksums_.size(), uniform_checksum);
+  row_checksums_.assign(row_checksums_.size(), uniform_row_checksum);
   // The tile region becomes a hole, not tile_count physical zero writes
   // (~20 GB at the N >= 1e5 target): holes pread back as zeros, which is
-  // exactly what `uniform_checksum` describes, so read behavior is
+  // exactly what `uniform_row_checksum` describes, so read behavior is
   // byte-identical while blocks materialize only as tiles are committed.
   if (std::fflush(f_) != 0) {
     fail_for(params_.store_name, "flush failed", path_);
   }
-  if (::ftruncate(::fileno(f_),
-                  static_cast<off_t>(data_offset_ +
-                                     checksums_.size() * tile_bytes_)) != 0) {
+  const std::size_t count = row_checksums_.size() / tile_dim_;
+  if (::ftruncate(::fileno(f_), static_cast<off_t>(data_offset_ +
+                                                   count * tile_bytes_)) != 0) {
     fail_for(params_.store_name, "truncate failed", path_);
   }
   commit_checksums_and_close();
@@ -236,15 +251,17 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
                  std::to_string(expected_n) + ", tile_dim=" +
                  std::to_string(expected_tile_dim) + ")");
   }
-  // Before anything is sized from the header, both tables and one tile
-  // must fit the file. The tile region may end early: a torn tail reads
-  // back as a CorruptTileError, which self-healing rewrites in place.
+  // Before anything is sized from the header, both tables (the index and
+  // tile_dim row checksums per tile) and one tile must fit the file. The
+  // tile region may end early: a torn tail reads back as a
+  // CorruptTileError, which self-healing rewrites in place.
   struct stat st {};
   if (::fstat(fd, &st) != 0) f.fail("cannot stat");
   const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
   const std::uint64_t count = tile_count_for(params.shape, h.tiles);
-  if (count > file_bytes / (2 * sizeof(std::uint64_t)) ||
-      data_offset_for(count) > file_bytes ||
+  if (count > file_bytes / ((1 + std::uint64_t{h.tile_dim}) *
+                            sizeof(std::uint64_t)) ||
+      data_offset_for(count, h.tile_dim) > file_bytes ||
       (count != 0 && std::uint64_t{h.tile_dim} * h.tile_dim >
                          file_bytes / sizeof(float))) {
     f.bad_format("header (n=" + std::to_string(h.n) + ", tiles=" +
@@ -254,19 +271,21 @@ TileFile TileFile::open(const TileFileParams& params, const std::string& path,
   f.n_ = h.n;
   f.tile_dim_ = h.tile_dim;
   f.tiles_ = h.tiles;
+  f.file_bytes_.store(file_bytes, std::memory_order_relaxed);
   if (h.tile_bytes != f.tile_bytes()) f.bad_format("tile size mismatch");
 
   f.tile_offsets_.resize(count);
-  f.tile_checksums_.resize(count);
+  f.row_checksums_.resize(count * h.tile_dim);
   const std::size_t index_bytes = count * sizeof(std::uint64_t);
+  const std::size_t table_bytes = index_bytes * h.tile_dim;
   if (count != 0) {
     if (::pread(fd, f.tile_offsets_.data(), index_bytes, sizeof(RawHeader)) !=
         static_cast<ssize_t>(index_bytes)) {
       f.bad_format("short index");
     }
-    if (::pread(fd, f.tile_checksums_.data(), index_bytes,
+    if (::pread(fd, f.row_checksums_.data(), table_bytes,
                 static_cast<off_t>(checksum_table_offset(count))) !=
-        static_cast<ssize_t>(index_bytes)) {
+        static_cast<ssize_t>(table_bytes)) {
       f.bad_format("short checksum table");
     }
   }
@@ -282,7 +301,8 @@ TileFile::TileFile(TileFile&& o) noexcept
       tile_dim_(o.tile_dim_),
       tiles_(o.tiles_),
       tile_offsets_(std::move(o.tile_offsets_)),
-      tile_checksums_(std::move(o.tile_checksums_)),
+      row_checksums_(std::move(o.row_checksums_)),
+      file_bytes_(o.file_bytes_.load(std::memory_order_relaxed)),
       read_retries_(o.read_retries_.load(std::memory_order_relaxed)),
       injector_(std::exchange(o.injector_, nullptr)),
       metrics_(o.metrics_) {}
@@ -298,7 +318,9 @@ TileFile& TileFile::operator=(TileFile&& o) noexcept {
     tile_dim_ = o.tile_dim_;
     tiles_ = o.tiles_;
     tile_offsets_ = std::move(o.tile_offsets_);
-    tile_checksums_ = std::move(o.tile_checksums_);
+    row_checksums_ = std::move(o.row_checksums_);
+    file_bytes_.store(o.file_bytes_.load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
     read_retries_.store(o.read_retries_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
     injector_ = std::exchange(o.injector_, nullptr);
@@ -338,18 +360,47 @@ std::size_t TileFile::tile_index(std::uint32_t r, std::uint32_t c) const {
 }
 
 void TileFile::read_tile(std::uint32_t r, std::uint32_t c, float* tile) const {
+  read_rows(r, c, 0, tile_dim_, tile);
+}
+
+void TileFile::read_row_segment(std::uint32_t r, std::uint32_t c,
+                                std::uint32_t lr, float* out) const {
+  if (lr >= tile_dim_) {
+    throw std::out_of_range("TileFile: row " + std::to_string(lr) +
+                            " outside a " + std::to_string(tile_dim_) +
+                            "-row tile");
+  }
+  read_rows(r, c, lr, 1, out);
+}
+
+bool TileFile::record_present(std::size_t idx) const {
+  const std::uint64_t end = tile_offsets_[idx] + tile_bytes();
+  if (end <= file_bytes_.load(std::memory_order_relaxed)) return true;
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) fail("cannot stat");
+  const auto now = static_cast<std::uint64_t>(st.st_size);
+  file_bytes_.store(now, std::memory_order_relaxed);
+  return end <= now;
+}
+
+void TileFile::read_rows(std::uint32_t r, std::uint32_t c, std::uint32_t first,
+                         std::uint32_t rows, float* out) const {
   const std::size_t idx = tile_index(r, c);
+  const std::size_t bytes = rows * row_bytes();
+  const auto off =
+      static_cast<off_t>(tile_offsets_[idx] + first * row_bytes());
+  const std::uint64_t* sums =
+      row_checksums_.data() + idx * tile_dim_ + first;
   metrics_.reads->increment();
-  metrics_.read_bytes->add(tile_bytes());
+  metrics_.read_bytes->add(bytes);
   for (int attempt = 0;; ++attempt) {
     if (injector_ != nullptr) injector_->before_read();
-    const ssize_t got = ::pread(fd_, tile, tile_bytes(),
-                                static_cast<off_t>(tile_offsets_[idx]));
+    const ssize_t got = ::pread(fd_, out, bytes, off);
     if (got < 0) fail("tile read failed");
-    if (got != static_cast<ssize_t>(tile_bytes())) {
-      // A valid offset returning fewer bytes than the fixed record length
-      // means the file lost its tail — data damage a re-read cannot undo,
-      // so it escalates straight to the recoverable path.
+    if (got != static_cast<ssize_t>(bytes) || !record_present(idx)) {
+      // A tile record the file's end cuts short means the file lost its
+      // tail — data damage a re-read cannot undo, so it escalates
+      // straight to the recoverable path, whichever rows were asked for.
       metrics_.corrupt_tiles->increment();
       throw CorruptTileError(format_->store_name, path_, r, c,
                              "truncated tile");
@@ -357,12 +408,17 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c, float* tile) const {
     if (injector_ != nullptr) {
       std::size_t byte = 0;
       unsigned bit = 0;
-      if (injector_->corrupt_read(tile_bytes(), &byte, &bit)) {
-        reinterpret_cast<unsigned char*>(tile)[byte] ^=
+      if (injector_->corrupt_read(bytes, &byte, &bit)) {
+        reinterpret_cast<unsigned char*>(out)[byte] ^=
             static_cast<unsigned char>(1u << bit);
       }
     }
-    if (checksum64(tile, tile_bytes()) == tile_checksums_[idx]) return;
+    bool clean = true;
+    for (std::uint32_t i = 0; i < rows; ++i) {
+      clean &= checksum64(out + std::size_t{i} * tile_dim_, row_bytes()) ==
+               sums[i];
+    }
+    if (clean) return;
     // Mismatch: a bit flipped between platter and checksum is transient —
     // a fresh pread serves clean bytes — while rot or a torn commit
     // mismatches every time. Retry a bounded number of times so only the
@@ -376,7 +432,7 @@ void TileFile::read_tile(std::uint32_t r, std::uint32_t c, float* tile) const {
     read_retries_.fetch_add(1, std::memory_order_relaxed);
     metrics_.read_retries->increment();
     // The re-read bytes count too — they hit the device again.
-    metrics_.read_bytes->add(tile_bytes());
+    metrics_.read_bytes->add(bytes);
   }
 }
 
@@ -405,22 +461,27 @@ void TileFile::write_tile(std::uint32_t r, std::uint32_t c,
       static_cast<ssize_t>(tile_bytes())) {
     fail("tile write failed");
   }
-  const std::uint64_t h = checksum64(tile, tile_bytes());
+  // The tile's rows are adjacent in the table: one write commits them.
+  thread_local std::vector<std::uint64_t> sums;
+  sums.resize(tile_dim_);
+  hash_rows(tile, tile_dim_, sums.data());
   if (fault == WriteFault::kFailBeforeChecksum) {
-    // The tile bytes landed but the checksum slot never will: the table
-    // still describes the old bytes, so the next read reports corruption.
+    // The tile bytes landed but the checksums never will: the table still
+    // describes the old bytes, so the next read reports corruption.
     throw InjectedCrash(std::string(format_->store_name) +
                         ": injected crash before checksum commit on tile (" +
                         std::to_string(r) + ", " + std::to_string(c) + ")");
   }
-  if (::pwrite(fd_, &h, sizeof(h),
-               static_cast<off_t>(
-                   checksum_table_offset(tile_checksums_.size()) +
-                   idx * sizeof(std::uint64_t))) !=
-      static_cast<ssize_t>(sizeof(h))) {
+  const std::size_t sums_bytes = tile_dim_ * sizeof(std::uint64_t);
+  if (::pwrite(fd_, sums.data(), sums_bytes,
+               static_cast<off_t>(checksum_table_offset(tile_count()) +
+                                  idx * sums_bytes)) !=
+      static_cast<ssize_t>(sums_bytes)) {
     fail("checksum write failed");
   }
-  tile_checksums_[idx] = h;
+  std::copy(sums.begin(), sums.end(),
+            row_checksums_.begin() +
+                static_cast<std::ptrdiff_t>(idx * tile_dim_));
 }
 
 }  // namespace tiv::shard

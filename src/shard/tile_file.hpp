@@ -6,22 +6,29 @@
 // format and miss the other. The byte layout:
 //
 //   [RawHeader 40B][index: tile_count u64 offsets]
-//   [checksums: tile_count u64 checksum64][pad to 64B][tile 0][tile 1]..
+//   [row checksums: tile_count x tile_dim u64 checksum64]
+//   [pad to 64B][tile 0][tile 1]..
 //
 // Every tile of either format is the same record: tile_dim x tile_dim
-// floats, row-major (tile_size_bytes). Formats differ only in their
-// magic/version and their index shape (square vs triangular) — a
-// TileFileParams constant, not a copy of the machinery. What the floats
+// floats, row-major (tile_size_bytes). Each row of a tile — a row segment,
+// tile_dim floats — has its own checksum64, tile-major in the table (the
+// rows of tile t are entries [t * tile_dim, (t + 1) * tile_dim)), so a
+// reader that needs one row preads and verifies that segment alone
+// (read_row_segment) while a whole-tile read verifies every row. Formats
+// differ only in their magic/version and their index shape (square vs
+// triangular) — a TileFileParams constant, not a copy of the machinery.
+// The table is held in memory while the file is open. What the floats
 // mean (the view encoding, the severity layout) lives with the code that
 // writes them: shard/tile_store (write_matrix, repack_tile, create_sink)
 // and core/shard_severity. Tile is that record resident in memory, the
 // slot type of the tile cache (shard/tile_cache.hpp).
 //
 // Reliability lives at this layer, once for both formats:
-//  - every read validates the tile's checksum64 (shard/checksum.hpp);
-//    a mismatch OR a truncated tile body throws CorruptTileError carrying
-//    the tile coordinates and file path (recoverable), while a hard pread
-//    failure stays a std::runtime_error (not a data-integrity signal);
+//  - every read validates the checksum64 of each row it returns
+//    (shard/checksum.hpp); a mismatch OR a truncated tile record throws
+//    CorruptTileError carrying the tile coordinates and file path
+//    (recoverable), while a hard pread failure stays a std::runtime_error
+//    (not a data-integrity signal);
 //  - an optional FaultInjector perturbs reads/commits deterministically
 //    (bit-flip, EIO, torn write, fail-before-checksum) — compiled in
 //    always, a single null check when disabled;
@@ -107,18 +114,18 @@ struct TileFileParams {
 };
 
 /// The input format: the packed delay-matrix view on the square grid
-/// (shard/tile_store.hpp). Version 4: tiles are payload only (v3 also
-/// stored per-row missing-entry bitmasks; v3 and older files are rejected
-/// at open as "unsupported version").
+/// (shard/tile_store.hpp). Version 5: one checksum per tile row (v4 kept
+/// one per tile, v3 also stored per-row missing-entry bitmasks; v4 and
+/// older files are rejected at open as "unsupported version").
 inline constexpr TileFileParams kInputFormat{
-    "TIVSHRD4", 4, "input tiles", TileIndexShape::kSquare, "shard.input"};
+    "TIVSHRD5", 5, "input tiles", TileIndexShape::kSquare, "shard.input"};
 
 /// The sink format: severities on the upper band triangle
-/// (core/shard_severity.hpp). Version 2: tile checksums are checksum64 (v1
-/// files carry FNV-1a sums and are rejected at open as "unsupported
-/// version").
+/// (core/shard_severity.hpp). Version 3: one checksum per tile row (v2
+/// kept one per tile, v1 carried FNV-1a sums; both are rejected at open as
+/// "unsupported version").
 inline constexpr TileFileParams kSinkFormat{
-    "TIVSSEV2", 2, "severity sink", TileIndexShape::kTriangular,
+    "TIVSSEV3", 3, "severity sink", TileIndexShape::kTriangular,
     "shard.sink"};
 
 class TileFile {
@@ -126,8 +133,8 @@ class TileFile {
   /// Streams a new tile file: writes the header, the flat offset index,
   /// a checksum-table placeholder, and the alignment pad, then appends
   /// tiles in index order. finish() seeks back and commits the
-  /// accumulated per-tile checksums; finish_sparse() instead records one
-  /// uniform checksum for every tile and truncates the tile region into a
+  /// accumulated row checksums; finish_sparse() instead records one
+  /// uniform checksum for every row and truncates the tile region into a
   /// hole (the zero-filled-create path). Destroying an unfinished Writer
   /// closes the stream without committing (error-path cleanup is the
   /// caller's concern, as before).
@@ -143,17 +150,17 @@ class TileFile {
 
     std::uint32_t tiles_per_side() const { return tiles_; }
 
-    /// Appends the next tile (tile_size_bytes(tile_dim)) and records its
-    /// checksum64.
+    /// Appends the next tile (tile_size_bytes(tile_dim)) and records the
+    /// checksum64 of each of its rows.
     void append_tile(const float* tile);
 
     /// Commits the checksums accumulated by append_tile and closes.
     void finish();
 
-    /// Commits `uniform_checksum` for every tile, truncates the file to
-    /// its full size (the unwritten tile region preads back as zeros),
-    /// and closes.
-    void finish_sparse(std::uint64_t uniform_checksum);
+    /// Commits `uniform_row_checksum` for every row of every tile,
+    /// truncates the file to its full size (the unwritten tile region
+    /// preads back as zeros), and closes.
+    void finish_sparse(std::uint64_t uniform_row_checksum);
 
    private:
     void commit_checksums_and_close();
@@ -161,11 +168,12 @@ class TileFile {
     const TileFileParams& params_;
     std::string path_;
     std::FILE* f_ = nullptr;
+    std::uint32_t tile_dim_ = 0;
     std::uint32_t tiles_ = 0;
     std::size_t tile_bytes_ = 0;
     std::uint64_t data_offset_ = 0;
-    std::vector<std::uint64_t> checksums_;
-    std::size_t appended_ = 0;
+    std::vector<std::uint64_t> row_checksums_;
+    std::size_t appended_ = 0;  ///< tiles
   };
 
   /// Opens an existing tile file of format `params` (kept by reference:
@@ -195,6 +203,13 @@ class TileFile {
     return static_cast<std::size_t>(tile_dim_) * tile_dim_;
   }
   std::size_t tile_bytes() const { return tile_size_bytes(tile_dim_); }
+  /// Bytes of one row segment (tile_dim floats).
+  std::size_t row_bytes() const { return tile_dim_ * sizeof(float); }
+  /// Bytes of the row-checksum table the open file holds in memory,
+  /// outside every cache budget: tile_count() x tile_dim x 8.
+  std::size_t row_checksum_bytes() const {
+    return row_checksums_.size() * sizeof(std::uint64_t);
+  }
   bool writable() const { return writable_; }
   const std::string& path() const { return path_; }
 
@@ -226,14 +241,23 @@ class TileFile {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
   /// Reads tile (r, c) into `tile` (tile_bytes() bytes) with a positional
-  /// read — thread-safe — and validates its checksum64. A
+  /// read — thread-safe — and validates the checksum64 of every row. A
   /// mismatch is first retried with a fresh pread (up to kReadRetries
   /// times): a bit flipped in flight — bus/DMA/RAM, or the injector's
   /// read-flip — is gone on the re-read, so only *persistent* damage (rot
   /// on the platter, a torn commit) escalates. Throws CorruptTileError on
-  /// a persistent mismatch or a truncated tile body, std::runtime_error on
-  /// a hard I/O failure.
+  /// a persistent mismatch or a truncated tile record, std::runtime_error
+  /// on a hard I/O failure.
   void read_tile(std::uint32_t r, std::uint32_t c, float* tile) const;
+
+  /// Reads row lr of tile (r, c) — one row segment, row_bytes() bytes —
+  /// into `out` and validates that row's checksum64 alone, with
+  /// read_tile's retries, fault-injector hooks and errors: a persistent
+  /// mismatch, or a tile record the file's end cuts short, throws
+  /// CorruptTileError naming tile (r, c). Throws std::out_of_range unless
+  /// lr < tile_dim.
+  void read_row_segment(std::uint32_t r, std::uint32_t c, std::uint32_t lr,
+                        float* out) const;
 
   /// Extra read attempts after a checksum mismatch before giving up.
   static constexpr int kReadRetries = 2;
@@ -244,8 +268,8 @@ class TileFile {
     return read_retries_.load(std::memory_order_relaxed);
   }
 
-  /// Commits tile (r, c) in place: a positional write of `tile`, then the
-  /// refreshed checksum into the table slot (disk and memory). Safe
+  /// Commits tile (r, c) in place: a positional write of `tile`, then its
+  /// refreshed row checksums into the table (disk and memory). Safe
   /// from concurrent threads for distinct tiles. Throws std::runtime_error
   /// on I/O failure or a read-only open.
   void write_tile(std::uint32_t r, std::uint32_t c, const float* tile);
@@ -255,6 +279,14 @@ class TileFile {
   [[noreturn]] void bad_format(const std::string& what) const;
   [[noreturn]] void wrong_shape(TileIndexShape shape,
                                 const char* caller) const;
+  /// Reads `rows` rows of tile (r, c) from row `first` into `out` and
+  /// validates each row's checksum: the one read path of read_tile and
+  /// read_row_segment.
+  void read_rows(std::uint32_t r, std::uint32_t c, std::uint32_t first,
+                 std::uint32_t rows, float* out) const;
+  /// False when tile `idx`'s record extends past the end of the file (a
+  /// lost tail), whichever of its rows a read wants.
+  bool record_present(std::size_t idx) const;
 
   const TileFileParams* format_ = &kInputFormat;
   std::string path_;
@@ -263,8 +295,12 @@ class TileFile {
   HostId n_ = 0;
   std::uint32_t tile_dim_ = 0;
   std::uint32_t tiles_ = 0;
-  std::vector<std::uint64_t> tile_offsets_;    ///< flat index
-  std::vector<std::uint64_t> tile_checksums_;  ///< checksum64, same indexing
+  std::vector<std::uint64_t> tile_offsets_;  ///< flat index
+  /// checksum64 of every row, tile_dim entries per tile in index order.
+  std::vector<std::uint64_t> row_checksums_;
+  /// The file size last seen: at open, and again whenever a tile record
+  /// seems to end past it (a heal may have rewritten a lost tail since).
+  mutable std::atomic<std::uint64_t> file_bytes_{0};
   mutable std::atomic<std::uint64_t> read_retries_{0};
   FaultInjector* injector_ = nullptr;
 

@@ -65,10 +65,9 @@ void repack_tile(TileFile& file, const DelayMatrix& m, std::uint32_t r,
 void create_sink(const std::string& path, HostId n, std::uint32_t tile_dim) {
   TileFile::Writer w(kSinkFormat, path, n, tile_dim);
   // Every tile starts zeroed, so the whole checksum table is the one hash
-  // of a zero tile (and the tile region itself can stay a hole).
-  const std::vector<float> zero_tile(
-      static_cast<std::size_t>(tile_dim) * tile_dim, 0.0f);
-  w.finish_sparse(checksum64(zero_tile.data(), tile_size_bytes(tile_dim)));
+  // of a zero row (and the tile region itself can stay a hole).
+  const std::vector<float> zero_row(tile_dim, 0.0f);
+  w.finish_sparse(checksum64(zero_row.data(), tile_dim * sizeof(float)));
 }
 
 }  // namespace tiv::shard

@@ -4,6 +4,7 @@
 // must converge back to severities bit-identical to a from-scratch
 // all_severities — plus the crash-consistency and geometry-check contracts of
 // the tile files themselves.
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -53,16 +54,17 @@ std::string scratch_path(const std::string& tag) {
       .string();
 }
 
-/// XORs one byte at absolute `offset` of `path` — persistent disk rot, as
-/// opposed to the injector's in-flight read flips.
-void rot_byte_at(const std::string& path, std::uint64_t offset) {
+/// XORs `mask` into one byte at absolute `offset` of `path` — persistent
+/// disk rot, as opposed to the injector's in-flight read flips.
+void rot_byte_at(const std::string& path, std::uint64_t offset,
+                 int mask = 0x5a) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
   const int c = std::fgetc(f);
   ASSERT_NE(c, EOF);
   ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
-  std::fputc(c ^ 0x5a, f);
+  std::fputc(c ^ mask, f);
   std::fclose(f);
 }
 
@@ -317,6 +319,95 @@ TEST(FaultRecovery, TruncatedSinkTailHealsOnRead) {
   EXPECT_GE(engine.recovery_stats().sink_tiles_recovered, 1u);
   // The heal rewrote the lost tail in place.
   EXPECT_EQ(std::filesystem::file_size(cfg.sink_path), full_size);
+  remove_store_files(cfg);
+}
+
+// --- Self-healing row-segment reads -----------------------------------------
+
+TEST(FaultRecovery, EveryBitFlipInASinkSegmentHealsOnPointAndRowReads) {
+  const HostId n = 37;
+  const DelayMatrix m = random_matrix(n, 0.2, 71);
+  const SeverityMatrix want = core::TivAnalyzer(m).all_severities();
+  auto cfg = engine_config("segflip", /*keep_files=*/true);
+  { ShardStreamEngine build(m, cfg); }
+  const std::uint64_t segment = [&] {  // host 5's row of sink tile (0, 1)
+    const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);
+    return sink.tile_offset(0, 1) + 5 * sink.row_bytes();
+  }();
+  std::vector<float> row(n);
+  for (std::size_t bit = 0; bit < 16 * sizeof(float) * 8; ++bit) {
+    // A cold reopen, so no sink tile is cached: a point read of row 5
+    // reads the rotten segment alone, fails its checksum, and heals.
+    rot_byte_at(cfg.sink_path, segment + bit / 8, 1 << (bit % 8));
+    ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(engine.severity(5, 20)),
+              std::bit_cast<std::uint32_t>(want.at(5, 20)))
+        << "bit " << bit;
+    ASSERT_EQ(engine.recovery_stats().sink_tiles_recovered, 1u)
+        << "bit " << bit;
+    // The heal rewrote the tile without caching it: the same flip again
+    // surfaces on the row read, which heals it too.
+    rot_byte_at(cfg.sink_path, segment + bit / 8, 1 << (bit % 8));
+    engine.severity_row(5, row);
+    for (HostId x = 0; x < n; ++x) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(row[x]),
+                std::bit_cast<std::uint32_t>(want.at(5, x)))
+          << "bit " << bit << ", column " << x;
+    }
+    ASSERT_EQ(engine.recovery_stats().sink_tiles_recovered, 2u)
+        << "bit " << bit;
+  }
+  ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
+  EXPECT_TRUE(engine_matches(engine, want));
+  EXPECT_EQ(engine.recovery_stats().sink_tiles_recovered, 0u);
+  remove_store_files(cfg);
+}
+
+TEST(FaultRecovery, TransientSegmentFlipIsAbsorbedWithoutAHeal) {
+  const DelayMatrix m = random_matrix(37, 0.2, 72);
+  const SeverityMatrix want = core::TivAnalyzer(m).all_severities();
+  ShardStreamEngine engine(m, engine_config("segretry", false));
+  FaultInjector::Config icfg;
+  icfg.bitflip_every_kth_read = 2;  // sink reads 2, 4, ... arrive flipped
+  FaultInjector inj(icfg);
+  engine.set_sink_fault_injector(&inj);
+  // Row 5 lies in band 0, so each point read is one segment read: the
+  // first is clean, the second is flipped and its re-read is clean.
+  EXPECT_EQ(engine.severity(5, 20), want.at(5, 20));
+  EXPECT_EQ(engine.severity(5, 30), want.at(5, 30));
+  engine.set_sink_fault_injector(nullptr);
+  EXPECT_EQ(inj.stats().bitflips, 1u);
+  EXPECT_EQ(engine.recovery_stats().sink_read_retries, 1u);
+  EXPECT_EQ(engine.recovery_stats().sink_tiles_recovered, 0u);
+}
+
+TEST(FaultRecovery, TruncatedSinkTailHealsOnSegmentRead) {
+  const HostId n = 37;  // band 2 holds hosts 32..36: rows 0..4 of its tiles
+  const DelayMatrix m = random_matrix(n, 0.3, 73);
+  const SeverityMatrix want = core::TivAnalyzer(m).all_severities();
+  auto cfg = engine_config("segtrunc", /*keep_files=*/true);
+  { ShardStreamEngine build(m, cfg); }
+  const auto full_size = std::filesystem::file_size(cfg.sink_path);
+  const std::uint64_t last = [&] {
+    const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);
+    return sink.tile_offset(2, 2);
+  }();
+  // The file ends inside row 4 of the last tile (host 36's segment), and
+  // then, after that heals, inside its padding rows only: a segment read
+  // of any row of a tile the file's end cuts short heals it.
+  const std::pair<std::uint64_t, HostId> cuts[] = {{last + 4 * 64 + 10, 36},
+                                                   {full_size - 10, 32}};
+  for (const auto& [size, host] : cuts) {
+    std::filesystem::resize_file(cfg.sink_path, size);
+    ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(engine.severity(host, 34)),
+              std::bit_cast<std::uint32_t>(want.at(host, 34)))
+        << "host " << host;
+    EXPECT_EQ(engine.recovery_stats().sink_tiles_recovered, 1u)
+        << "host " << host;
+    EXPECT_EQ(std::filesystem::file_size(cfg.sink_path), full_size);
+    EXPECT_TRUE(engine_matches(engine, want));
+  }
   remove_store_files(cfg);
 }
 

@@ -725,13 +725,16 @@ TEST(DirtyRowRepair, EpochReadsOnlyTheScreensInputTiles) {
   set_parallel_thread_count(0);
 }
 
-/// The input tiles (r, c) whose stored bytes differ between two snapshots
-/// of the input file `file` describes.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> changed_input_tiles(
+/// The tiles (r, c) whose stored bytes differ between two snapshots of the
+/// tile file `file` describes — every tile of a square (input) file, the
+/// upper band triangle of a triangular (sink) one.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> changed_tiles(
     const TileFile& file, const std::string& before, const std::string& after) {
+  const std::uint32_t tiles = file.tiles_per_side();
+  const bool square = file.tile_count() == std::size_t{tiles} * tiles;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> changed;
-  for (std::uint32_t r = 0; r < file.tiles_per_side(); ++r) {
-    for (std::uint32_t c = 0; c < file.tiles_per_side(); ++c) {
+  for (std::uint32_t r = 0; r < tiles; ++r) {
+    for (std::uint32_t c = square ? 0 : r; c < tiles; ++c) {
       const std::size_t off = file.tile_offset(r, c);
       if (before.compare(off, file.tile_bytes(), after, off,
                          file.tile_bytes()) != 0) {
@@ -756,7 +759,7 @@ TEST(DirtyRowRepair, RepacksOnlyTheTilesOfChangedEntries) {
   auto stats = engine.apply_epoch(stream);
   std::string after = file_bytes(engine.input_path());
   EXPECT_EQ(stats.input_tiles_repacked, 2u);
-  EXPECT_EQ(changed_input_tiles(file, before, after), (Tiles{{0, 2}, {2, 0}}));
+  EXPECT_EQ(changed_tiles(file, before, after), (Tiles{{0, 2}, {2, 0}}));
   EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
 
   before = after;
@@ -764,7 +767,7 @@ TEST(DirtyRowRepair, RepacksOnlyTheTilesOfChangedEntries) {
   stats = engine.apply_epoch(stream);
   after = file_bytes(engine.input_path());
   EXPECT_EQ(stats.input_tiles_repacked, 1u);
-  EXPECT_EQ(changed_input_tiles(file, before, after), (Tiles{{1, 1}}));
+  EXPECT_EQ(changed_tiles(file, before, after), (Tiles{{1, 1}}));
   EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
 }
 
@@ -974,24 +977,48 @@ TEST(ScreenedRepair, HealDuringScreenFallsBackToEveryIncidentEdge) {
 }
 
 TEST(ScreenedRepair, SinkCacheDropsOnlyRewrittenTiles) {
-  // With the whole sink cached, an epoch invalidates exactly the tiles its
-  // repair committed — fewer than the tiles touching a dirty band — and the
-  // rest keep serving reads from the cache.
+  // With every tile a row read loads cached, an epoch invalidates exactly
+  // the cached tiles its repair committed — fewer than the tiles touching a
+  // dirty band — and the rest keep serving reads from the cache.
   const HostId n = 96;
   ShardStreamConfig cfg = repair_config("narrow", 16);
   DelayStream stream(random_matrix(n, 0.1, 99));
   ShardStreamEngine engine(stream.matrix(), cfg);
+  const auto sink = TileFile::open(kSinkFormat, engine.sink_path());
   std::vector<float> row(n);
   for (HostId a = 0; a < n; ++a) engine.severity_row(a, row);  // warm
+  // Row reads load the column tiles (c, band(a)), c < band(a): every
+  // off-diagonal tile, 15 of 21. Diagonal tiles are read a segment at a
+  // time and never cached.
+  ASSERT_EQ(engine.output_cache_stats().current_bytes,
+            15 * shard::tile_size_bytes(16));
 
   test::ingest_one(stream, {10, 70, 150.0f, 0.0});
   const Epoch epoch = stream.commit_epoch();
+  const std::string bytes_before = file_bytes(engine.sink_path());
   const auto before = engine.output_cache_stats();
   const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
   const auto after = engine.output_cache_stats();
-  // Bands 0 and 4 of 6 are dirty: 6 + 6 - 1 tiles touch one of them.
-  EXPECT_EQ(after.invalidations - before.invalidations,
-            stats.severity_tiles_committed);
+  // Every committed tile's bytes changed here, so the byte diff is the
+  // committed set.
+  const auto committed =
+      changed_tiles(sink, bytes_before, file_bytes(engine.sink_path()));
+  ASSERT_EQ(committed.size(), stats.severity_tiles_committed);
+  // Bands 0 and 4 of 6 are dirty: 6 + 6 - 1 tiles touch one of them. The
+  // cache drops exactly the committed off-diagonal tiles; a committed
+  // diagonal tile can only be (0, 0) or (4, 4), and was never cached.
+  std::size_t off_diagonal = 0;
+  for (const auto& [r, c] : committed) {
+    if (r != c) {
+      ++off_diagonal;
+    } else {
+      EXPECT_TRUE(r == 0 || r == 4) << "committed diagonal tile " << r;
+    }
+  }
+  ASSERT_GT(off_diagonal, 0u);
+  EXPECT_EQ(after.invalidations - before.invalidations, off_diagonal);
+  EXPECT_EQ(before.current_bytes - after.current_bytes,
+            off_diagonal * shard::tile_size_bytes(16));
   EXPECT_LT(stats.severity_tiles_committed, 11u);
   EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
   EXPECT_GT(engine.output_cache_stats().hits, after.hits);

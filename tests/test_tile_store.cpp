@@ -56,6 +56,19 @@ std::string scratch_path(const std::string& tag) {
       .string();
 }
 
+/// XORs `mask` into the byte at `offset` of the file at `path`.
+void xor_byte_at(const std::string& path, std::uint64_t offset,
+                 unsigned char mask) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  f.seekp(static_cast<std::streamoff>(offset));
+  byte = static_cast<char>(byte ^ mask);
+  f.write(&byte, 1);
+}
+
 TEST(TileStore, RoundTripsPackedViewBlocks) {
   const HostId n = 37;  // does not divide the 16-wide tile
   const DelayMatrix m = random_matrix(n, 0.25, 5);
@@ -223,17 +236,7 @@ class TileFileFormat : public ::testing::TestWithParam<const TileFileParams*> {
 TEST_P(TileFileFormat, CorruptTileIsRejectedLoudly) {
   // Flip one byte inside the last tile's payload.
   const std::uint32_t last = open().tiles_per_side() - 1;
-  const auto at = static_cast<std::streamoff>(open().tile_offset(last, last));
-  {
-    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(at + 64);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(at + 64);
-    byte ^= 0x5a;
-    f.write(&byte, 1);
-  }
+  xor_byte_at(path_, open().tile_offset(last, last) + 64, 0x5a);
   const TileFile store = open();
   std::vector<float> payload(store.payload_floats());
   EXPECT_THROW(store.read_tile(last, last, payload.data()),
@@ -243,6 +246,38 @@ TEST_P(TileFileFormat, CorruptTileIsRejectedLoudly) {
   EXPECT_THROW(store.read_tile(last, last, payload.data()),
                std::runtime_error);
   store.read_tile(0, 1, payload.data());
+}
+
+TEST_P(TileFileFormat, RowSegmentReadVerifiesOnlyItsRow) {
+  const TileFile store = open();
+  const std::uint32_t T = store.tile_dim();
+  std::vector<float> tile(store.payload_floats());
+  std::vector<float> segment(T);
+  store.read_tile(0, 1, tile.data());
+  for (std::uint32_t lr = 0; lr < T; ++lr) {
+    store.read_row_segment(0, 1, lr, segment.data());
+    EXPECT_EQ(std::memcmp(segment.data(), tile.data() + lr * T,
+                          store.row_bytes()),
+              0)
+        << "row " << lr;
+  }
+  EXPECT_THROW(store.read_row_segment(0, 1, T, segment.data()),
+               std::out_of_range);
+  // Rot one byte of row 3: its segment and the whole tile fail, naming
+  // tile (0, 1), while the tile's other rows still read.
+  xor_byte_at(path_, store.tile_offset(0, 1) + 3 * store.row_bytes() + 5,
+              0x5a);
+  try {
+    store.read_row_segment(0, 1, 3, segment.data());
+    ADD_FAILURE() << "a rotten row segment read back";
+  } catch (const shard::CorruptTileError& e) {
+    EXPECT_EQ(e.tile_row(), 0u);
+    EXPECT_EQ(e.tile_col(), 1u);
+    EXPECT_EQ(e.path(), path_);
+  }
+  EXPECT_THROW(store.read_tile(0, 1, tile.data()), shard::CorruptTileError);
+  store.read_row_segment(0, 1, 2, segment.data());
+  store.read_row_segment(0, 1, 4, segment.data());
 }
 
 TEST_P(TileFileFormat, WriteOnReadOnlyFileThrows) {
@@ -456,16 +491,79 @@ TEST(TileChecksum, InjectedReadFlipsSurfaceAsCorruptTileAfterRetries) {
                  shard::CorruptTileError);
     EXPECT_THROW(sink.read_tile(0, 0, payload.data()),
                  shard::CorruptTileError);
+    EXPECT_THROW(sink.read_row_segment(0, 0, 7, payload.data()),
+                 shard::CorruptTileError);
     EXPECT_EQ(store.read_retries() - in_retries,
               static_cast<std::uint64_t>(shard::TileFile::kReadRetries));
     EXPECT_EQ(sink.read_retries() - sink_retries,
-              static_cast<std::uint64_t>(shard::TileFile::kReadRetries));
+              2u * shard::TileFile::kReadRetries);
     EXPECT_EQ(injector.stats().bitflips,
-              2u * (shard::TileFile::kReadRetries + 1));
+              3u * (shard::TileFile::kReadRetries + 1));
     store.set_fault_injector(nullptr);
     sink.set_fault_injector(nullptr);
   }
   store.read_tile(0, 0, payload.data());  // disk is intact
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(out_path);
+}
+
+TEST(TileChecksum, TransientSegmentFlipIsAbsorbedByTheRetry) {
+  const DelayMatrix m = random_matrix(64, 0.3, 62);
+  const std::string path = scratch_path("transient_segment");
+  shard::write_matrix(path, m, 64);
+  TileFile store = TileFile::open(kInputFormat, path);
+  shard::FaultInjector::Config cfg;
+  cfg.bitflip_every_kth_read = 2;  // reads 2, 4, ... arrive flipped
+  shard::FaultInjector injector(cfg);
+  store.set_fault_injector(&injector);
+  std::vector<float> clean(64);
+  std::vector<float> got(64);
+  store.read_row_segment(0, 0, 9, clean.data());  // read 1: clean
+  store.read_row_segment(0, 0, 9, got.data());    // 2 flipped, 3 clean
+  EXPECT_EQ(store.read_retries(), 1u);
+  EXPECT_EQ(injector.stats().bitflips, 1u);
+  EXPECT_EQ(injector.stats().reads, 3u);
+  EXPECT_EQ(std::memcmp(clean.data(), got.data(), store.row_bytes()), 0);
+  store.set_fault_injector(nullptr);
+  std::filesystem::remove(path);
+}
+
+TEST(SinkSegmentRead, EveryBitFlipInARowSegmentSurfacesOnPointAndRowReads) {
+  const HostId n = 37;
+  const std::string in_path = scratch_path("segment_flip_in");
+  const std::string out_path = scratch_path("segment_flip_out");
+  shard::write_matrix(in_path, random_matrix(n, 0.2, 71), 16);
+  const TileFile input = TileFile::open(kInputFormat, in_path);
+  TileCache input_cache(input, std::size_t{1} << 20, "cache.input");
+  shard::create_sink(out_path, n, 16);
+  TileFile sink = TileFile::open(kSinkFormat, out_path, /*writable=*/true);
+  all_severities_to_sink(input_cache, sink);
+
+  // Host 5's row segment in tile (0, 1); every read of row 5 is a segment
+  // read (band 0 has no column tiles), so the cache stays cold.
+  TileCache cache(sink, std::size_t{1} << 20, "cache.sink");
+  const HostId a = 5;
+  const HostId b = 20;
+  const float want = sink_severity(cache, a, b);
+  std::vector<float> want_row(n);
+  sink_severity_row(cache, a, want_row);
+  std::vector<float> row(n);
+  const std::uint64_t segment = sink.tile_offset(0, 1) + a * sink.row_bytes();
+  for (std::size_t bit = 0; bit < sink.row_bytes() * 8; ++bit) {
+    const auto mask = static_cast<unsigned char>(1u << (bit % 8));
+    xor_byte_at(out_path, segment + bit / 8, mask);
+    EXPECT_THROW(sink_severity(cache, a, b), shard::CorruptTileError)
+        << "bit " << bit;
+    EXPECT_THROW(sink_severity_row(cache, a, row), shard::CorruptTileError)
+        << "bit " << bit;
+    xor_byte_at(out_path, segment + bit / 8, mask);
+  }
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(sink_severity(cache, a, b)),
+            std::bit_cast<std::uint32_t>(want));
+  sink_severity_row(cache, a, row);
+  EXPECT_EQ(std::memcmp(row.data(), want_row.data(), n * sizeof(float)), 0);
+  EXPECT_EQ(cache.stats().slot_allocs, 0u);  // no tile was ever loaded
+  EXPECT_GT(cache.stats().misses, 0u);
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
 }
@@ -562,8 +660,17 @@ TEST(TileChecksum, PreviousFormatGenerationsAreUnsupportedVersions) {
   EXPECT_NE(open_error([&] { TileFile::open(kSinkFormat, path); })
                 .find("unsupported version"),
             std::string::npos);
+  // v4 input and v2 sink stores kept one checksum per tile, not per row.
+  write_raw_header(path, "TIVSHRD4", 4, 16, 16, 16 * 16 * 4);
+  EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
+                .find("unsupported version"),
+            std::string::npos);
+  write_raw_header(path, "TIVSSEV2", 2, 16, 16, 16 * 16 * 4);
+  EXPECT_NE(open_error([&] { TileFile::open(kSinkFormat, path); })
+                .find("unsupported version"),
+            std::string::npos);
   // A foreign magic is still a foreign file.
-  write_raw_header(path, "NOTATILE", 4, 16, 16, 16 * 16 * 4);
+  write_raw_header(path, "NOTATILE", 5, 16, 16, 16 * 16 * 4);
   EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
                 .find("bad magic"),
             std::string::npos);
@@ -576,7 +683,7 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   constexpr std::uint64_t kTileBytes = kDim * kDim * 4;
   // n + tile_dim - 1 wraps to 15 in 32 bits, so tiles = 0 once passed
   // for a store of 4 294 967 280 hosts.
-  write_raw_header(path, "TIVSHRD4", 4, 0xFFFFFFF0u, kDim, 0, kTileBytes);
+  write_raw_header(path, "TIVSHRD5", 5, 0xFFFFFFF0u, kDim, 0, kTileBytes);
   EXPECT_THROW(TileFile::open(kInputFormat, path), TileFormatError);
   EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
                 .find("inconsistent header"),
@@ -585,7 +692,7 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   // entries per table) cannot fit this ~16 KiB file: rejected before the
   // tables are sized from the header (32 GiB and 128 MiB before).
   for (const std::uint32_t tiles : {1u << 16, 1u << 12}) {
-    write_raw_header(path, "TIVSHRD4", 4, tiles * kDim, kDim, tiles,
+    write_raw_header(path, "TIVSHRD5", 5, tiles * kDim, kDim, tiles,
                      kTileBytes);
     EXPECT_THROW(TileFile::open(kInputFormat, path), TileFormatError)
         << "tiles=" << tiles;
@@ -596,29 +703,68 @@ TEST(TileStore, HostileHeadersThrowBeforeAllocating) {
   }
   // The sink format shares the check (its triangular index holds 2^31
   // entries here).
-  write_raw_header(path, "TIVSSEV2", 2, (1u << 16) * kDim, kDim, 1u << 16,
+  write_raw_header(path, "TIVSSEV3", 3, (1u << 16) * kDim, kDim, 1u << 16,
                    kTileBytes);
   EXPECT_THROW(TileFile::open(kSinkFormat, path), TileFormatError);
   EXPECT_NE(open_error([&] { TileFile::open(kSinkFormat, path); })
                 .find("does not fit the file"),
             std::string::npos);
+  // 36 tiles: the index (288 B) would fit this 16 488-byte file, and so
+  // would one checksum per tile, but tile_dim row checksums per tile
+  // (36 x 64 x 8 = 18 KiB) cannot — rejected before that table is sized.
+  write_raw_header(path, "TIVSHRD5", 5, 6 * kDim, kDim, 6, kTileBytes);
+  EXPECT_NE(open_error([&] { TileFile::open(kInputFormat, path); })
+                .find("does not fit the file"),
+            std::string::npos);
   std::filesystem::remove(path);
 }
 
-TEST(TileStore, WritesVersion4PayloadOnlyTiles) {
+TEST(TileStore, WritesVersion5RowChecksummedTiles) {
   const DelayMatrix m = random_matrix(64, 0.3, 63);
-  const std::string path = scratch_path("v4");
+  const std::string path = scratch_path("v5");
   shard::write_matrix(path, m, 64);
-  EXPECT_EQ(TileFile::open(kInputFormat, path).tile_bytes(),
-            16384u);  // 64 x 64 floats
-  char magic[8];
-  std::uint32_t version = 0;
+  const TileFile store = TileFile::open(kInputFormat, path);
+  EXPECT_EQ(store.tile_bytes(), 16384u);  // 64 x 64 floats, payload only
   std::ifstream f(path, std::ios::binary);
-  f.read(magic, sizeof(magic));
-  f.read(reinterpret_cast<char*>(&version), sizeof(version));
-  EXPECT_EQ(std::string(magic, sizeof(magic)), "TIVSHRD4");
-  EXPECT_EQ(version, 4u);
+  const std::vector<char> bytes{std::istreambuf_iterator<char>(f),
+                                std::istreambuf_iterator<char>()};
+  EXPECT_EQ(std::string(bytes.data(), 8), "TIVSHRD5");
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof(version));
+  EXPECT_EQ(version, 5u);
+  // One tile: the 40-byte header, its offset, its 64 row checksums, and
+  // the pad to 64 bytes put the tile at 576.
+  std::uint64_t data_offset = 0;
+  std::memcpy(&data_offset, bytes.data() + 32, sizeof(data_offset));
+  EXPECT_EQ(data_offset, 576u);
+  EXPECT_EQ(store.tile_offset(0, 0), 576u);
+  ASSERT_EQ(bytes.size(), 576u + 16384u);
+  for (std::size_t lr = 0; lr < 64; ++lr) {
+    std::uint64_t sum = 0;
+    std::memcpy(&sum, bytes.data() + 48 + lr * 8, sizeof(sum));
+    EXPECT_EQ(sum, shard::checksum64(bytes.data() + 576 + lr * 256, 256))
+        << "row " << lr;
+  }
   std::filesystem::remove(path);
+}
+
+TEST(TileStore, RowChecksumTablesAreResidentAtTileCountTimesTileDim) {
+  // Each open file holds its whole row-checksum table, outside every cache
+  // budget: 8 B per tile row. At n = 1024, T = 64: 256 input tiles and 136
+  // sink tiles, 128 KiB and 68 KiB (docs/PERFORMANCE.md).
+  const HostId n = 1024;
+  const std::string in_path = scratch_path("table_in");
+  const std::string sink_path = scratch_path("table_sink");
+  shard::write_matrix(in_path, random_matrix(n, 0.3, 71), 64);
+  shard::create_sink(sink_path, n, 64);
+  const TileFile input = TileFile::open(kInputFormat, in_path);
+  const TileFile sink = TileFile::open(kSinkFormat, sink_path);
+  EXPECT_EQ(input.row_checksum_bytes(), input.tile_count() * 64 * 8);
+  EXPECT_EQ(sink.row_checksum_bytes(), sink.tile_count() * 64 * 8);
+  EXPECT_EQ(input.row_checksum_bytes(), std::size_t{128} << 10);
+  EXPECT_EQ(sink.row_checksum_bytes(), std::size_t{68} << 10);
+  std::filesystem::remove(in_path);
+  std::filesystem::remove(sink_path);
 }
 
 TEST(TileChecksum, GoldenValuesArePinned) {
