@@ -12,7 +12,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,14 +24,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/severity.hpp"
+#include "bench_workloads.hpp"
 #include "delayspace/datasets.hpp"
-#include "delayspace/delay_matrix.hpp"
 #include "obs/metrics.hpp"
-#include "stream/delay_stream.hpp"
-#include "stream/severity_engine.hpp"
 #include "util/flags.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -62,10 +57,7 @@ inline BenchConfig parse_config(const Flags& flags,
 /// Generates a dataset preset at the configured scale.
 inline delayspace::DelaySpace make_space(delayspace::DatasetId id,
                                          const BenchConfig& c) {
-  auto params = delayspace::dataset_params(id, c.hosts);
-  params.topology.seed ^= c.seed;
-  params.hosts.seed ^= c.seed;
-  return delayspace::generate_delay_space(params);
+  return make_space(id, c.hosts, c.seed);
 }
 
 inline void emit(const Table& table, const BenchConfig& c) {
@@ -133,11 +125,11 @@ inline void print_bins(const std::string& title, const std::vector<Bin>& bins,
   emit(table, c);
 }
 
-/// Repeated-timing summary: min-of-k (the regression-gate number — least
-/// noise-contaminated), plus mean and relative spread so a baseline diff
-/// can tell a real regression from a noisy box.
+/// Repeated-timing summary: min-of-k (the least noise-contaminated
+/// number), plus mean and relative spread so a reader can tell a real
+/// change from a noisy box.
 struct Timing {
-  double best_ms = 0.0;  ///< minimum over reps — the gated metric
+  double best_ms = 0.0;  ///< minimum over reps
   double mean_ms = 0.0;
   double spread = 0.0;  ///< (max - min) / min; 0 when min is 0
   int reps = 1;
@@ -208,8 +200,8 @@ class JsonArrayWriter {
       sep() << quoted(key) << ":" << (v ? "true" : "false");
       return *this;
     }
-    /// The standard repeated-timing fields: "ms" is min-of-reps (the
-    /// number benchdiff gates), mean/spread qualify the measurement.
+    /// The standard repeated-timing fields: "ms" is min-of-reps, mean and
+    /// spread qualify the measurement.
     Object& timing(const Timing& t) {
       return field("ms", t.best_ms, 3)
           .field("ms_mean", t.mean_ms, 3)
@@ -256,28 +248,19 @@ class JsonArrayWriter {
   bool first_ = true;
 };
 
-/// The unified bench JSON envelope (docs/OBSERVABILITY.md, "Benchmark
-/// methodology & baselines"). A BenchReport is a JsonArrayWriter whose
-/// first record is a {"section":"meta"} envelope carrying everything a
-/// baseline differ needs to refuse apples-to-oranges comparisons:
+/// The bench JSON envelope: a JsonArrayWriter whose first record is a
+/// {"section":"meta"} record naming the bench, the build and the
+/// configuration the records below it were measured under:
 ///
-///   {"section":"meta","schema_version":1,"bench":"bench_severity_kernel",
-///    "build":"release","hw_threads":4,
-///    "hosts":0,"seed":7, ...bench-specific config chained by the caller}
+///   {"section":"meta","bench":"bench_severity_kernel","build":"release",
+///    "hw_threads":4,"hosts":0,"seed":7, ...bench-specific config}
 ///
 /// Usage:
 ///   BenchReport report(std::cout, "bench_severity_kernel");
 ///   report.meta(cfg).field("reps", reps).field("quick", ...);
 ///   report.object().field("section", "engine")...;   // as before
-///
-/// tools/benchdiff keys on schema_version (mismatch = structural error,
-/// exit 2) and on bench to reject diffing unrelated runs.
 class BenchReport : public JsonArrayWriter {
  public:
-  /// Bump when the envelope or the shared record conventions change
-  /// incompatibly; benchdiff refuses to diff across versions.
-  static constexpr int kSchemaVersion = 1;
-
   BenchReport(std::ostream& out, std::string bench)
       : JsonArrayWriter(out), bench_(std::move(bench)) {}
 
@@ -288,7 +271,6 @@ class BenchReport : public JsonArrayWriter {
   Object meta(const BenchConfig& cfg) {
     Object o = object();
     o.field("section", std::string("meta"))
-        .field("schema_version", kSchemaVersion)
         .field("bench", bench_)
         .field("build", std::string(
 #ifdef NDEBUG
@@ -432,59 +414,6 @@ inline void emit_bins_json(JsonArrayWriter& json, const std::string& section,
         .field("mean", b.mean, 4)
         .field("count", b.count);
   }
-}
-
-/// Synthetic uniform-random RTT matrix for the kernel benches: cost
-/// depends only on n and the missing pattern, and this keeps large-n
-/// setups cheap compared to generating a full delay space.
-inline delayspace::DelayMatrix random_matrix(delayspace::HostId n,
-                                             double missing_fraction,
-                                             std::uint64_t seed) {
-  delayspace::DelayMatrix m(n);
-  Rng rng(seed);
-  for (delayspace::HostId i = 0; i < n; ++i) {
-    for (delayspace::HostId j = i + 1; j < n; ++j) {
-      if (rng.bernoulli(missing_fraction)) continue;
-      m.set(i, j, static_cast<float>(rng.uniform(1.0, 400.0)));
-    }
-  }
-  return m;
-}
-
-/// One epoch of churn for the live-engine benches: `hosts` distinct hosts
-/// paired off into disjoint edges, each re-measured once. Returns samples
-/// ingested.
-inline std::size_t replay_churn_epoch(stream::DelayStream& stream, Rng& rng,
-                                      std::size_t hosts, double t) {
-  const auto n = stream.matrix().size();
-  const auto k = static_cast<std::uint32_t>(std::min<std::size_t>(
-      hosts & ~std::size_t{1}, n & ~static_cast<std::size_t>(1)));
-  const auto picks = rng.sample_without_replacement(n, k);
-  std::vector<stream::DelaySample> batch;
-  batch.reserve(k / 2);
-  for (std::uint32_t e = 0; e + 1 < k; e += 2) {
-    batch.push_back({picks[e], picks[e + 1],
-                     static_cast<float>(rng.uniform(1.0, 400.0)), t});
-  }
-  stream.ingest(batch);
-  return batch.size();
-}
-
-/// Cells whose float bits differ between the engine's severities, read
-/// through severity_row, and `want` (0 = bit-identical).
-inline std::size_t bit_mismatches(stream::SeverityEngine& engine,
-                                  const core::SeverityMatrix& want) {
-  std::size_t bad = 0;
-  const delayspace::HostId n = engine.size();
-  std::vector<float> row(n);
-  for (delayspace::HostId a = 0; a < n; ++a) {
-    engine.severity_row(a, row);
-    for (delayspace::HostId b = 0; b < n; ++b) {
-      bad += std::bit_cast<std::uint32_t>(row[b]) !=
-             std::bit_cast<std::uint32_t>(want.at(a, b));
-    }
-  }
-  return bad;
 }
 
 /// Wall time of one invocation of fn, in milliseconds.

@@ -1,19 +1,17 @@
 // Scenario observatory benchmark: detection quality of the live pipeline
-// under ground-truthed dynamic traces (src/scenario/), regression-gated in
-// CI exactly like the perf benches.
+// under ground-truthed dynamic traces (src/scenario/).
 //
 // For every generator family the bench (1) generates a seeded trace over a
 // DS^2 delay space, (2) replays it through DelayStream ->
 // ShardStreamEngine with per-epoch bit-identity verification against
 // direct ingestion, (3) grades detection with the QualityScorer, and
-// (4) emits one "scenario" record carrying the quality numbers CI gates:
-//
-//   =  bit_mismatches (0), tp/fp/fn, onsets, onsets_detected, detour
-//      counts — all deterministic for a seeded trace (the severity kernel
-//      is bit-identical across thread counts and the generators bake the
-//      measurement noise into the trace)
-//   >  precision / recall / f1 / detour_win_rate floors
-//   <  replay timings (generous, like every timing gate)
+// (4) emits one "scenario" record carrying the quality numbers and the
+// replay's per-epoch timings. The counts (tp/fp/fn, onsets, clears,
+// detour wins, edges_recomputed) are deterministic for a seeded trace —
+// the severity kernel is bit-identical across thread counts and the
+// generators bake the measurement noise into the trace — and
+// test_scenario pins them exactly at this bench's --quick configuration
+// (bench_workloads.hpp builds both).
 //
 // One extra leg replays flash_crowd with deterministic FaultInjector rot
 // on both tile stores ("flash_crowd_faulted"): the engine must self-heal
@@ -21,12 +19,13 @@
 // (unchanged) quality numbers. Exit status is nonzero when any property
 // fails, so a smoke run turns CI red on its own: every scenario record
 // (at least 4, faulted leg included, the leg having landed rot) must have
-// bit_mismatches == 0 and precision and recall in (0, 1], threshold-sweep
-// records must be present, and the registry snapshot must carry the
-// scenario.* telemetry.
+// bit_mismatches == 0, every scenario and threshold-sweep record must
+// clear the detection floors below (kScenarioFloors, kSweepFloors,
+// kDetourWinRateFloor), threshold-sweep records must be present, and the
+// registry snapshot must carry the scenario.* telemetry.
 //
 // Flags:
-//   --quick           reduced scale (CI run: committed baseline scale)
+//   --quick           reduced scale (the CI smoke run)
 //   --hosts=N         matrix size (default 160; 96 quick)
 //   --epochs=E        trace length in epochs (default 16; 12 quick)
 //   --tile=T          engine tile edge (default 32)
@@ -48,23 +47,30 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scenario/generators.hpp"
-#include "scenario/replay.hpp"
 #include "scenario/score.hpp"
 #include "shard/fault_injector.hpp"
-#include "shard/tile_file.hpp"
-#include "stream/shard_stream.hpp"
 #include "util/flags.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
+using tiv::bench::ScenarioRun;
 using tiv::delayspace::DelayMatrix;
+using tiv::scenario::ClassificationCounts;
 using tiv::scenario::DelayTrace;
-using tiv::scenario::QualityScorer;
-using tiv::scenario::ReplayDriver;
 using tiv::scenario::ScorerParams;
-using tiv::stream::ShardStreamConfig;
-using tiv::stream::ShardStreamEngine;
+
+/// Detection floors, each 0.95 x the lowest value a --quick run reported
+/// for it when the floors were set (the scenario records' precision
+/// 0.9681, recall 0.9959 and detour win rate 0.9986; the threshold-sweep
+/// records' precision 0.9209 and recall 0.9803), so detection accuracy
+/// cannot drop by more than 5% without the exit status saying so.
+struct Floors {
+  double precision;
+  double recall;
+};
+constexpr Floors kScenarioFloors{0.9197, 0.9461};
+constexpr Floors kSweepFloors{0.8749, 0.9313};
+constexpr double kDetourWinRateFloor = 0.9487;
 
 std::string scratch_file(const std::string& dir, const std::string& tag) {
   return (std::filesystem::path(dir) /
@@ -73,56 +79,56 @@ std::string scratch_file(const std::string& dir, const std::string& tag) {
       .string();
 }
 
-struct ScenarioRun {
-  QualityScorer scorer;
-  ReplayDriver::Result result;
-  ShardStreamEngine::RecoveryStats recovery;
+/// The replay's per-epoch span totals.
+struct ScenarioTimings {
   double replay_epoch_ms = 0.0;
   double truth_ms = 0.0;
   double verify_ms = 0.0;
   double score_ms = 0.0;
 };
 
-ScenarioRun replay_and_score(const DelayMatrix& base, const DelayTrace& trace,
-                             const ShardStreamConfig& cfg,
-                             const ScorerParams& scorer_params,
-                             tiv::obs::SpanTracer& tracer,
-                             tiv::shard::FaultInjector* input_fault = nullptr,
-                             tiv::shard::FaultInjector* sink_fault = nullptr) {
-  ScenarioRun run{QualityScorer(base.size(), scorer_params), {}, {}};
-  ShardStreamEngine engine(base, cfg);
-  engine.set_input_fault_injector(input_fault);
-  engine.set_sink_fault_injector(sink_fault);
-  ReplayDriver driver(base, trace);
-  const std::uint64_t mark = tracer.recorded();
-  run.result = driver.run(engine, [&](const ReplayDriver::EpochView& view) {
-    run.scorer.observe_epoch(view.truth, view.truth_severities, view.monitor,
-                             view.monitor_severities);
-  });
-  run.recovery = engine.recovery_stats();
-  const auto epochs = std::max<std::size_t>(1, run.result.epochs);
+ScenarioTimings timings_since(const tiv::obs::SpanTracer& tracer,
+                              std::uint64_t mark, std::size_t epochs) {
   const auto per_epoch_ms = [&](const char* name) {
     return static_cast<double>(tracer.total_ns(name, mark)) / 1e6 /
-           static_cast<double>(epochs);
+           static_cast<double>(std::max<std::size_t>(1, epochs));
   };
-  run.replay_epoch_ms = per_epoch_ms("scenario-epoch");
-  run.truth_ms = per_epoch_ms("scenario-truth");
-  run.verify_ms = per_epoch_ms("scenario-verify");
-  run.score_ms = per_epoch_ms("scenario-score");
-  return run;
+  return {per_epoch_ms("scenario-epoch"), per_epoch_ms("scenario-truth"),
+          per_epoch_ms("scenario-verify"), per_epoch_ms("scenario-score")};
 }
 
-/// The exit-status properties of one scenario record: bit-identical replay
-/// and non-degenerate detection rates. Failures are reported on stderr.
-bool scenario_ok(const std::string& label, const ScenarioRun& run) {
-  const auto& c = run.scorer.headline().counts;
-  const bool ok = run.result.bit_mismatches == 0 && c.precision() > 0.0 &&
-                  c.precision() <= 1.0 && c.recall() > 0.0 &&
-                  c.recall() <= 1.0;
+/// Whether `counts` clear `floors`; a failure is reported on stderr.
+bool above_floors(const std::string& label, const ClassificationCounts& c,
+                  const Floors& floors) {
+  const bool ok =
+      c.precision() >= floors.precision && c.recall() >= floors.recall;
   if (!ok) {
+    std::cerr << "bench_scenario: " << label << " precision "
+              << c.precision() << " (floor " << floors.precision
+              << "), recall " << c.recall() << " (floor " << floors.recall
+              << ")\n";
+  }
+  return ok;
+}
+
+/// The exit-status properties of one scenario record and its sweep:
+/// bit-identical replay and detection above the floors. Failures are
+/// reported on stderr.
+bool scenario_ok(const std::string& label, const ScenarioRun& run) {
+  bool ok = above_floors(label, run.scorer.headline().counts, kScenarioFloors);
+  for (std::size_t t = 1; t < run.scorer.thresholds().size(); ++t) {
+    const auto& tq = run.scorer.thresholds()[t];
+    ok = above_floors(label + " @" + std::to_string(tq.threshold), tq.counts,
+                      kSweepFloors) &&
+         ok;
+  }
+  if (run.result.bit_mismatches != 0 ||
+      run.scorer.detour().win_rate() < kDetourWinRateFloor) {
     std::cerr << "bench_scenario: " << label << " failed ("
-              << run.result.bit_mismatches << " bit mismatches, precision "
-              << c.precision() << ", recall " << c.recall() << ")\n";
+              << run.result.bit_mismatches << " bit mismatches, detour win rate "
+              << run.scorer.detour().win_rate() << ", floor "
+              << kDetourWinRateFloor << ")\n";
+    ok = false;
   }
   return ok;
 }
@@ -130,7 +136,7 @@ bool scenario_ok(const std::string& label, const ScenarioRun& run) {
 void emit_scenario_record(tiv::bench::BenchReport& json,
                           const std::string& label, const DelayTrace& trace,
                           std::uint32_t n, double threshold,
-                          const ScenarioRun& run) {
+                          const ScenarioRun& run, const ScenarioTimings& t) {
   const auto& q = run.scorer.headline();
   const auto& d = run.scorer.detour();
   json.object()
@@ -164,10 +170,10 @@ void emit_scenario_record(tiv::bench::BenchReport& json,
       .field("input_tiles_recovered", run.recovery.input_tiles_recovered)
       .field("sink_tiles_recovered", run.recovery.sink_tiles_recovered)
       .field("io_retries", run.recovery.io_retries)
-      .field("replay_epoch_ms", run.replay_epoch_ms, 3)
-      .field("truth_epoch_ms", run.truth_ms, 3)
-      .field("verify_epoch_ms", run.verify_ms, 3)
-      .field("score_epoch_ms", run.score_ms, 3);
+      .field("replay_epoch_ms", t.replay_epoch_ms, 3)
+      .field("truth_epoch_ms", t.truth_ms, 3)
+      .field("verify_epoch_ms", t.verify_ms, 3)
+      .field("score_epoch_ms", t.score_ms, 3);
 }
 
 }  // namespace
@@ -188,17 +194,6 @@ int main(int argc, char** argv) {
       "dir", std::filesystem::temp_directory_path().string());
   const std::string trace_dir = flags.get_string("trace-dir", "");
   tiv::reject_unknown_flags(flags);
-
-  // Same pinned-working-set budget floor as bench_shard_stream: the
-  // band-pair drivers pin <= 3 input tiles per worker (plus two tiles of
-  // headroom), sink reads pin one tile per reader.
-  const std::size_t tile_bytes = tiv::shard::tile_size_bytes(tile_dim);
-  const std::size_t input_budget = std::max<std::size_t>(
-      std::size_t{256} << 10,
-      (3 * tiv::parallel_thread_count() + 2) * tile_bytes);
-  const std::size_t output_budget = std::max<std::size_t>(
-      std::size_t{128} << 10,
-      (tiv::parallel_thread_count() + 1) * tile_bytes);
 
   tiv::obs::SpanTracer tracer(1 << 14);
   tiv::obs::SpanTracer::attach(&tracer);
@@ -237,20 +232,20 @@ int main(int argc, char** argv) {
                        .string());
       }
 
-      ShardStreamConfig cfg;
-      cfg.tile_dim = tile_dim;
-      cfg.input_budget_bytes = input_budget;
-      cfg.output_budget_bytes = output_budget;
-      cfg.input_path = scratch_file(dir, family + "_in");
-      cfg.sink_path = scratch_file(dir, family + "_sev");
-      const ScenarioRun run =
-          replay_and_score(base, trace, cfg, scorer_params, tracer);
+      const std::uint64_t mark = tracer.recorded();
+      const ScenarioRun run = tiv::bench::replay_and_score(
+          base, trace,
+          tiv::bench::scenario_engine_config(tile_dim,
+                                             scratch_file(dir, family + "_in"),
+                                             scratch_file(dir, family + "_sev")),
+          scorer_params);
       ok = scenario_ok(family, run) && ok;
 
-      emit_scenario_record(json, family, trace, n, threshold, run);
+      emit_scenario_record(json, family, trace, n, threshold, run,
+                           timings_since(tracer, mark, run.result.epochs));
       ++scenario_records;
-      // Sweep records: the same replay graded at tighter/looser
-      // thresholds (informational, not gated).
+      // Sweep records: the same replay graded at a tighter and a looser
+      // threshold.
       for (std::size_t t = 1; t < run.scorer.thresholds().size(); ++t) {
         const auto& tq = run.scorer.thresholds()[t];
         ++sweep_records;
@@ -283,14 +278,13 @@ int main(int argc, char** argv) {
       fc.seed = seed ^ 0xfbu;
       tiv::shard::FaultInjector sink_fault(fc);
 
-      ShardStreamConfig cfg;
-      cfg.tile_dim = tile_dim;
-      cfg.input_budget_bytes = input_budget;
-      cfg.output_budget_bytes = output_budget;
-      cfg.input_path = scratch_file(dir, "faulted_in");
-      cfg.sink_path = scratch_file(dir, "faulted_sev");
-      const ScenarioRun run = replay_and_score(
-          base, trace, cfg, scorer_params, tracer, &input_fault, &sink_fault);
+      const std::uint64_t mark = tracer.recorded();
+      const ScenarioRun run = tiv::bench::replay_and_score(
+          base, trace,
+          tiv::bench::scenario_engine_config(tile_dim,
+                                             scratch_file(dir, "faulted_in"),
+                                             scratch_file(dir, "faulted_sev")),
+          scorer_params, &input_fault, &sink_fault);
       const std::size_t injected =
           input_fault.stats().bitflips + sink_fault.stats().bitflips;
       // The soak only proves something if rot actually landed.
@@ -298,7 +292,7 @@ int main(int argc, char** argv) {
       ok = scenario_ok("flash_crowd_faulted", run) && injected > 0 && ok;
 
       emit_scenario_record(json, "flash_crowd_faulted", trace, n, threshold,
-                           run);
+                           run, timings_since(tracer, mark, run.result.epochs));
       ++scenario_records;
     }
 

@@ -5,7 +5,7 @@
 //
 // Emits a BenchReport JSON array (meta envelope first) so future PRs can
 // track the trajectory:
-//   [{"section":"meta","schema_version":1,"bench":"bench_severity_kernel",...},
+//   [{"section":"meta","bench":"bench_severity_kernel",...},
 //    {"section":"kernel","n":1024,"threads":1,"missing_fraction":0.1,
 //     "scalar_ms":..., "blocked_ms":..., "speedup":..., "max_rel_err":...,
 //     "witness_ops":..., "bytes_touched":..., "gops_per_s":..., "gb_per_s":...},
@@ -38,10 +38,11 @@
 // divides of L1-resident operands), and fraction_of_ceiling is the masked
 // sweep's violator divides per second over it.
 //
-// Exit status is nonzero when a kernel record's max_rel_err exceeds 1e-6,
-// when any witness-body record has bit_mismatches > 0, or when an
-// "avx512" build's DS^2 masked_vs_portable falls below 1.6 (3.2 at n=1024
-// on one Sapphire Rapids core).
+// Exit status is nonzero when a kernel record's max_rel_err exceeds 1e-6
+// or its speedup falls below kMinSpeedup, when any witness-body record
+// has bit_mismatches > 0, or when an "avx512" build's DS^2
+// masked_vs_portable falls below 1.6 (3.2 at n=1024 on one Sapphire
+// Rapids core).
 //
 // Flags:
 //   --quick        n in {256, 512} only, 1 repetition; witness-body leg at
@@ -76,6 +77,12 @@
 #include "util/rng.hpp"
 
 namespace {
+
+/// Floor of every kernel record's speedup (scalar_ms / blocked_ms, both
+/// timed in the same run): 0.2 x the lowest speedup, 6.062, a --quick run
+/// reported when the floor was set. It trips when the blocked kernel loses
+/// most of its edge over the scalar reference, e.g. stops vectorizing.
+constexpr double kMinSpeedup = 1.212;
 
 using tiv::core::kWitnessLanes;
 using tiv::core::SeverityMatrix;
@@ -288,6 +295,12 @@ int main(int argc, char** argv) {
           .field_sig("gb_per_s", secs > 0 ? bytes_touched / secs / 1e9 : 0.0,
                      4);
       if (!(err <= 1e-6)) ok = false;
+      if (!(scalar.best_ms / t.best_ms >= kMinSpeedup)) {
+        std::cerr << "bench_severity_kernel: n=" << n << " threads=" << threads
+                  << " speedup " << scalar.best_ms / t.best_ms
+                  << " below its floor " << kMinSpeedup << "\n";
+        ok = false;
+      }
     }
   }
   tiv::set_parallel_thread_count(0);

@@ -60,6 +60,11 @@ class SeverityMatrix {
     data_[static_cast<std::size_t>(i) * n_ + j] = v;
     data_[static_cast<std::size_t>(j) * n_ + i] = v;
   }
+  /// Row i (n floats), for a reader that fills the matrix a block at a
+  /// time; unlike set, a write through it lands in one orientation only.
+  std::span<float> row(HostId i) {
+    return {data_.data() + static_cast<std::size_t>(i) * n_, n_};
+  }
 
   /// Severities of all measured edges of `matrix` (unordered pairs).
   std::vector<double> values_for_measured_edges(

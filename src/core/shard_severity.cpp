@@ -463,4 +463,28 @@ void sink_severity_row(TileCache& sink, HostId a, std::span<float> out) {
   }
 }
 
+void sink_severities(shard::TileCache& sink, SeverityMatrix& out) {
+  const TileFile& file = sink.file();
+  file.require_shape(TileIndexShape::kTriangular, "sink_severities");
+  const std::uint32_t T = file.tile_dim();
+  for (std::uint32_t r = 0; r < file.tiles_per_side(); ++r) {
+    const std::uint32_t rows = file.band_rows(r);
+    for (std::uint32_t c = r; c < file.tiles_per_side(); ++c) {
+      const std::uint32_t cols = file.band_rows(c);
+      const TileRef tile = sink.acquire(r, c);
+      for (std::uint32_t lr = 0; lr < rows; ++lr) {
+        const float* src = tile->row(lr);
+        std::memcpy(out.row(r * T + lr).data() + std::size_t{c} * T, src,
+                    cols * sizeof(float));
+        // Diagonal tiles hold both local triangles; the others hold
+        // sev(x, y) for x in band r only, so band c's rows take the column.
+        if (c == r) continue;
+        for (std::uint32_t lc = 0; lc < cols; ++lc) {
+          out.row(c * T + lc)[std::size_t{r} * T + lr] = src[lc];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace tiv::core

@@ -36,7 +36,8 @@
 // the whole tile. sink_severity_row reads global row i the same way from
 // tiles (band(i), c), c >= band(i), one segment each, and walks tiles
 // (c, band(i)) for c < band(i) column-wise through the cache, which loads
-// them whole.
+// them whole. sink_severities, the whole-matrix read, takes every tile
+// once through the cache instead of one segment per row.
 //
 // Results are bit-identical to the in-memory TivAnalyzer path: tiles and
 // packed rows hold the view's encoding, every path feeds the same
@@ -154,5 +155,11 @@ float sink_severity(shard::TileCache& sink, HostId a, HostId b);
 /// acquired (loaded on a miss). Requires a < n and out.size() >= n.
 void sink_severity_row(shard::TileCache& sink, HostId a,
                        std::span<float> out);
+
+/// Every severity into `out` (n x n): each upper-triangle tile acquired
+/// once through `sink` (loaded on a miss), its rows copied into their rows
+/// of `out` and, off the diagonal, its columns into the mirrored rows.
+/// Requires out.size() == n.
+void sink_severities(shard::TileCache& sink, SeverityMatrix& out);
 
 }  // namespace tiv::core

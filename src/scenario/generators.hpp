@@ -6,7 +6,7 @@
 // trace's truth stream and a noisy measurement into the sample stream (see
 // trace.hpp for the two-stream contract). Generation is a pure function of
 // (family, base, params): the same inputs produce a byte-identical trace
-// file, which is what lets CI gate precision/recall as deterministic
+// file, which is what lets test_scenario pin detection counts as exact
 // numbers instead of noisy estimates.
 //
 // Families (ROADMAP "Scenario engine" item; WangZN07 §4-5 dynamics):

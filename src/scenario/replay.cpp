@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -50,7 +49,6 @@ ReplayDriver::Result ReplayDriver::run(stream::SeverityEngine& engine,
   DelayMatrix truth = base_;
   stream::DelayStream live(base_, config_.estimator);
   SeverityMatrix monitor_sev(n);
-  std::vector<float> row(n);
   for (const auto& epoch : trace_.epochs) {
     obs::Span span("scenario-epoch");
 
@@ -71,21 +69,19 @@ ReplayDriver::Result ReplayDriver::run(stream::SeverityEngine& engine,
               .edges_recomputed;
     }
 
-    // The engine's severities, read back row by row, and — when verifying
-    // — the cells whose float bits differ from a from-scratch recompute
-    // (NaNs compare by payload, -0.0f != 0.0f: indistinguishable bytes).
-    SeverityMatrix direct;
+    // The engine's severities, read back in one pass, and — when
+    // verifying — the edges whose float bits differ from a from-scratch
+    // recompute (NaNs compare by payload, -0.0f != 0.0f: indistinguishable
+    // bytes).
+    engine.all_severities(monitor_sev);
+    std::size_t mismatches = 0;
     if (config_.verify_bit_identity) {
       obs::Span verify_span("scenario-verify");
-      direct = core::TivAnalyzer(live.matrix()).all_severities();
-    }
-    std::size_t mismatches = 0;
-    for (HostId a = 0; a < n; ++a) {
-      engine.severity_row(a, row);
-      for (HostId b = 0; b < n; ++b) {
-        monitor_sev.set(a, b, row[b]);
-        if (config_.verify_bit_identity && b > a) {
-          mismatches += std::bit_cast<std::uint32_t>(row[b]) !=
+      const SeverityMatrix direct =
+          core::TivAnalyzer(live.matrix()).all_severities();
+      for (HostId a = 0; a < n; ++a) {
+        for (HostId b = a + 1; b < n; ++b) {
+          mismatches += std::bit_cast<std::uint32_t>(monitor_sev.at(a, b)) !=
                         std::bit_cast<std::uint32_t>(direct.at(a, b));
         }
       }

@@ -10,9 +10,10 @@
 //      into the engine its caller hands it — either store of
 //      stream::SeverityEngine, the in-memory IncrementalSeverity or the
 //      out-of-core ShardStreamEngine (optionally under FaultInjector rot);
-//   3. reads the engine's severities back row by row, recomputes the
-//      monitor matrix's severities from scratch and bit-compares the two —
-//      the bench/CI-gated bit_mismatches == 0 contract;
+//   3. reads the engine's severities back in one all_severities pass,
+//      recomputes the monitor matrix's severities from scratch and
+//      bit-compares the two — the bit_mismatches == 0 contract that
+//      bench_scenario's exit status and test_scenario enforce;
 //   4. hands both (truth, monitor) pairs to the caller — typically a
 //      QualityScorer (score.hpp).
 //

@@ -18,10 +18,10 @@
 //
 // Every count is deterministic for a seeded trace — the severity kernel is
 // bit-identical across thread counts and the generators bake noise into
-// the trace — so CI gates these with `=` tolerances and `>` floors
-// (bench/baselines/bench_scenario.quick.json), exactly like PR 9's perf
-// gates. Headline-threshold totals are also published as `scenario.*`
-// registry metrics.
+// the trace — so test_scenario pins them exactly at bench_scenario's
+// --quick configuration, and the bench's exit status holds precision,
+// recall and detour win rate above absolute floors. Headline-threshold
+// totals are also published as `scenario.*` registry metrics.
 //
 // score_ratio_alert is the shared binary-classification core the figure
 // benches (20/21 via core::evaluate_alert, 24/25 directly) route through,

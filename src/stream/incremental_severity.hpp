@@ -65,6 +65,9 @@ class IncrementalSeverity final : public SeverityEngine {
     return severities_.at(a, b);
   }
   void read_severity_row(HostId a, std::span<float> out) override;
+  void read_all_severities(core::SeverityMatrix& out) override {
+    out = severities_;
+  }
 
   DelayMatrixView view_;
   SeverityMatrix severities_;

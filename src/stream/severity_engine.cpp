@@ -82,6 +82,16 @@ void SeverityEngine::severity_row(HostId a, std::span<float> out) {
   read_severity_row(a, out);
 }
 
+void SeverityEngine::all_severities(core::SeverityMatrix& out) {
+  if (out.size() != n_) {
+    throw std::invalid_argument(
+        "SeverityEngine::all_severities: output holds " +
+        std::to_string(out.size()) + " hosts, the engine has " +
+        std::to_string(n_));
+  }
+  read_all_severities(out);
+}
+
 void SeverityEngine::throw_host_out_of_range(HostId host) const {
   throw std::out_of_range("SeverityEngine: host " + std::to_string(host) +
                           " outside the engine's " + std::to_string(n_) +

@@ -15,8 +15,8 @@
 // store it runs on. The store — the derived class — supplies only the
 // steps that touch storage: its pre-epoch rows (for the screen's diff),
 // the row update, the result write (the flagged-edge repair loop,
-// core/edge_repair, and the store), and the reads, which the base class
-// range-checks once for both. RAM (IncrementalSeverity,
+// core/edge_repair, and the store), and the reads (a point, a row, the
+// whole matrix), which the base class range-checks once for both. RAM (IncrementalSeverity,
 // stream/incremental_severity.hpp) and tile files (ShardStreamEngine,
 // stream/shard_stream.hpp) are its two implementations; each is the faster
 // one on its own workloads. Either keeps its severities bit-identical to a
@@ -29,6 +29,7 @@
 #include <span>
 
 #include "core/epoch_screen.hpp"
+#include "core/severity.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "stream/delay_stream.hpp"
 
@@ -85,6 +86,10 @@ class SeverityEngine {
   /// Throws std::out_of_range unless a < size(), std::invalid_argument on
   /// another `out` size.
   void severity_row(HostId a, std::span<float> out);
+  /// Every severity into `out`, which must be size() x size() — one pass
+  /// over the store, cheaper than size() severity_row calls. Throws
+  /// std::invalid_argument on another `out` size.
+  void all_severities(core::SeverityMatrix& out);
 
   HostId size() const { return n_; }
   /// Epochs applied so far (clean epochs, which change nothing, excluded).
@@ -121,6 +126,8 @@ class SeverityEngine {
   /// size() and out.size() == size().
   virtual float read_severity(HostId a, HostId b) = 0;
   virtual void read_severity_row(HostId a, std::span<float> out) = 0;
+  /// The read behind all_severities, called with out.size() == size().
+  virtual void read_all_severities(core::SeverityMatrix& out) = 0;
 
   std::uint64_t epochs_applied_ = 0;
 

@@ -250,6 +250,13 @@ void ShardStreamEngine::read_severity_row(HostId a, std::span<float> out) {
   });
 }
 
+void ShardStreamEngine::read_all_severities(core::SeverityMatrix& out) {
+  with_recovery(source_, [&] {
+    core::sink_severities(*sink_cache_, out);
+    return 0;
+  });
+}
+
 bool ShardStreamEngine::diff_rows(const DelayMatrix& matrix,
                                   std::span<const HostId> dirty_hosts,
                                   core::EpochScreen& screen) {

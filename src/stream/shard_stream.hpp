@@ -25,8 +25,9 @@
 //     (core::repair_severities_to_sink), so the repair reads no input tile.
 //     Only the sink tiles holding one are rewritten and committed with
 //     fresh checksums; only those are dropped from the sink cache.
-//   - reads: severity and severity_row go through the sink cache
-//     (core::sink_severity, core::sink_severity_row).
+//   - reads: severity, severity_row and all_severities go through the
+//     sink cache (core::sink_severity, core::sink_severity_row,
+//     core::sink_severities).
 //
 // Tracked memory stays within the configured input + output cache budgets
 // (worker-local O(tile^2) scratch excluded, as everywhere in the streaming
@@ -183,6 +184,7 @@ class ShardStreamEngine final : public SeverityEngine {
   /// RecoveryStats).
   float read_severity(HostId a, HostId b) override;
   void read_severity_row(HostId a, std::span<float> out) override;
+  void read_all_severities(core::SeverityMatrix& out) override;
 
   /// Opens the two tile files at the configured paths, writable and
   /// geometry-checked against (n, config_.tile_dim), builds their caches

@@ -29,25 +29,26 @@ namespace tiv::test {
 using delayspace::DelayMatrix;
 using delayspace::HostId;
 
-/// The engine's severities, read through severity_row, agree bit for bit
-/// with `want` on every cell, unmeasured pairs and the diagonal included.
+/// The engine's severities, read in one all_severities pass, agree bit for
+/// bit with `want` on every cell, unmeasured pairs and the diagonal
+/// included.
 inline ::testing::AssertionResult engine_matches(
     stream::SeverityEngine& engine, const core::SeverityMatrix& want) {
   const HostId n = engine.size();
   if (want.size() != n) {
     return ::testing::AssertionFailure() << "size mismatch";
   }
-  std::vector<float> row(n);
+  core::SeverityMatrix got(n);
+  engine.all_severities(got);
   for (HostId a = 0; a < n; ++a) {
-    engine.severity_row(a, row);
     for (HostId b = 0; b < n; ++b) {
-      const auto g = std::bit_cast<std::uint32_t>(row[b]);
+      const auto g = std::bit_cast<std::uint32_t>(got.at(a, b));
       const auto w = std::bit_cast<std::uint32_t>(want.at(a, b));
       if (g != w) {
         return ::testing::AssertionFailure()
                << "severity (" << a << ", " << b << "): bits " << g
-               << " != " << w << " (" << row[b] << " vs " << want.at(a, b)
-               << ")";
+               << " != " << w << " (" << got.at(a, b) << " vs "
+               << want.at(a, b) << ")";
       }
     }
   }

@@ -1,13 +1,16 @@
 // Shared test-matrix and epoch generators. One definition instead of a
 // copy per test binary: a change to the delay range or missing-entry
-// encoding must reach every suite at once. (Named without the test_ prefix so the tests/
-// CMake glob does not turn it into a binary.)
+// encoding must reach every suite at once. random_matrix is the benches'
+// own (bench/bench_workloads.hpp), so a test can rebuild a bench's input.
+// (Named without the test_ prefix so the tests/ CMake glob does not turn
+// it into a binary.)
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "bench/bench_workloads.hpp"
 #include "delayspace/delay_matrix.hpp"
 #include "stream/delay_stream.hpp"
 #include "util/rng.hpp"
@@ -20,21 +23,7 @@ inline void ingest_one(stream::DelayStream& stream,
   stream.ingest(std::span<const stream::DelaySample>(&sample, 1));
 }
 
-/// Symmetric matrix of uniform-random RTTs in [1, 400) ms with an
-/// independent per-pair missing probability.
-inline delayspace::DelayMatrix random_matrix(delayspace::HostId n,
-                                             double missing_fraction,
-                                             std::uint64_t seed) {
-  delayspace::DelayMatrix m(n);
-  Rng rng(seed);
-  for (delayspace::HostId i = 0; i < n; ++i) {
-    for (delayspace::HostId j = i + 1; j < n; ++j) {
-      if (rng.bernoulli(missing_fraction)) continue;
-      m.set(i, j, static_cast<float>(rng.uniform(1.0, 400.0)));
-    }
-  }
-  return m;
-}
+using bench::random_matrix;
 
 /// One epoch of samples, timestamped e, that changes several edges per
 /// host: 1-4 hub hosts each re-measure 2-6 edges — to a random host, to

@@ -265,14 +265,23 @@ TEST(FaultRecovery, DiskRotInSinkTileHealsOnRead) {
   auto cfg = engine_config("sinkrot", /*keep_files=*/true);
   { ShardStreamEngine build(m, cfg); }  // build stores, keep files
 
-  {  // rot one byte inside sink tile (1, 2), then reopen cold
+  {  // rot one byte inside sink tile (1, 2), which holds the ragged last
+     // band, then reopen cold
     const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);
     rot_byte_at(cfg.sink_path, sink.tile_offset(1, 2) + 100);
   }
+  // The whole-matrix read (engine_matches) acquires every sink tile once:
+  // the rotten one fails its checksum, is rebuilt, and the read resumes
+  // over the healed store — exactly one heal, and a second read finds
+  // nothing left to heal.
   ShardStreamEngine engine = ShardStreamEngine::recover(m, cfg);
+  ASSERT_EQ(engine.recovery_stats().sink_tiles_recovered, 0u);
   EXPECT_TRUE(engine_matches(engine, want));
-  EXPECT_GE(engine.recovery_stats().sink_tiles_recovered, 1u);
+  EXPECT_EQ(engine.recovery_stats().sink_tiles_recovered, 1u);
+  EXPECT_EQ(engine.recovery_stats().input_tiles_recovered, 0u);
   EXPECT_EQ(engine.recovery_stats().torn_epochs_replayed, 0u);
+  EXPECT_TRUE(engine_matches(engine, want));
+  EXPECT_EQ(engine.recovery_stats().sink_tiles_recovered, 1u);
   // Healed on disk, not just in cache: a second cold open reads clean.
   {
     const auto sink = TileFile::open(kSinkFormat, cfg.sink_path);

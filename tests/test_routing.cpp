@@ -331,6 +331,18 @@ TEST(GraphEngine, GeneratedTopologiesVariedTierMixes) {
   }
 }
 
+TEST(GraphEngine, BenchQuickTopologiesMatchTheReference) {
+  // bench_graph_engine --quick's parity leg: its two generated topologies
+  // (96 and 160 ASes, seed 7 ^ n), every batched cell equal to the scalar
+  // reference.
+  for (const std::uint32_t n : {96u, 160u}) {
+    topology::TopologyParams p;
+    p.num_ases = n;
+    p.seed = 7 ^ n;
+    expect_exact_parity(generate_topology(p));
+  }
+}
+
 TEST(GraphEngine, EmptyBatchIsEmpty) {
   const AsGraph g = line_graph();
   EXPECT_TRUE(policy_routes_batch(g, {}).empty());

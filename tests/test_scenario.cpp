@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_workloads.hpp"
 #include "core/alert.hpp"
 #include "core/severity.hpp"
 #include "matrix_test_utils.hpp"
@@ -431,6 +433,98 @@ TEST(Replay, FaultSoakRecoversToBitIdentity) {
   EXPECT_GT(r.input_tiles_recovered + r.sink_tiles_recovered + r.io_retries +
                 r.input_read_retries + r.sink_read_retries,
             0u);
+}
+
+// --- The counts bench_scenario --quick reports ----------------------------------
+
+/// One scenario record's counts: the headline threshold's classification
+/// and state machine, the detour wins, the repair's work, and the
+/// classification at the two swept thresholds (0.05, 0.2).
+struct QuickCounts {
+  std::size_t tp, fp, fn, onsets, onsets_detected, clears, detour_wins,
+      edges_recomputed;
+  ClassificationCounts sweep_low, sweep_high;  ///< tp, fp, fn
+};
+
+void expect_counts(const bench::ScenarioRun& run, const QuickCounts& want,
+                   const std::string& label) {
+  const ThresholdQuality& q = run.scorer.headline();
+  EXPECT_EQ(run.result.bit_mismatches, 0u) << label;
+  EXPECT_EQ(q.counts.tp, want.tp) << label;
+  EXPECT_EQ(q.counts.fp, want.fp) << label;
+  EXPECT_EQ(q.counts.fn, want.fn) << label;
+  EXPECT_EQ(q.onsets, want.onsets) << label;
+  EXPECT_EQ(q.onsets_detected, want.onsets_detected) << label;
+  EXPECT_EQ(q.clears, want.clears) << label;
+  EXPECT_EQ(run.scorer.detour().wins, want.detour_wins) << label;
+  EXPECT_EQ(run.result.edges_recomputed, want.edges_recomputed) << label;
+  ASSERT_EQ(run.scorer.thresholds().size(), 3u) << label;
+  for (const auto& [t, w] : {std::pair{1, want.sweep_low},
+                             std::pair{2, want.sweep_high}}) {
+    const ClassificationCounts& c = run.scorer.thresholds()[t].counts;
+    EXPECT_EQ(c.tp, w.tp) << label << " sweep " << t;
+    EXPECT_EQ(c.fp, w.fp) << label << " sweep " << t;
+    EXPECT_EQ(c.fn, w.fn) << label << " sweep " << t;
+  }
+}
+
+TEST(BenchScenarioQuick, QualityCountsAreExact) {
+  // bench_scenario --quick: the DS^2 preset at 96 hosts, 12-epoch traces,
+  // seed 7, 32-wide tiles, threshold 0.1 swept at x0.5 and x2 — the
+  // bench's own setup (bench/bench_workloads.hpp), so every count of its
+  // scenario and threshold-sweep records is pinned here exactly.
+  constexpr std::uint64_t kSeed = 7;
+  constexpr std::uint32_t kTile = 32;
+  const std::map<std::string, QuickCounts> want = {
+      {"diurnal_drift",
+       {12550, 68, 6, 1092, 1092, 44, 12556, 6215, {15088, 52, 5},
+        {11643, 80, 10}}},
+      {"correlated_links",
+       {12216, 206, 0, 1044, 1044, 39, 12216, 4117, {14674, 205, 50},
+        {11349, 187, 3}}},
+      {"flash_crowd",
+       {12292, 162, 50, 1071, 1060, 66, 12342, 7860, {14768, 170, 58},
+        {11370, 153, 62}}},
+      {"partition_heal",
+       {10816, 356, 32, 1308, 1304, 303, 10833, 24220, {12756, 1095, 256},
+        {9941, 74, 23}}},
+      {"oscillation",
+       {12264, 186, 30, 1152, 1138, 108, 12294, 6368, {14709, 198, 63},
+        {11396, 175, 34}}},
+  };
+  const DelayMatrix base =
+      bench::make_space(delayspace::DatasetId::kDs2, 96, kSeed).measured;
+  ScenarioParams params;
+  params.epochs = 12;
+  params.seed = kSeed;
+  ScorerParams scorer;
+  scorer.severity_threshold = 0.1;
+  scorer.threshold_sweep = {0.1 * 0.5, 0.1 * 2.0};
+  const auto config = [&](const std::string& tag) {
+    return bench::scenario_engine_config(kTile, scratch_path(tag + "_in"),
+                                         scratch_path(tag + "_sev"));
+  };
+
+  ASSERT_EQ(scenario_families().size(), want.size());
+  for (const std::string& family : scenario_families()) {
+    const DelayTrace trace = generate_scenario(family, base, params);
+    expect_counts(bench::replay_and_score(base, trace, config(family), scorer),
+                  want.at(family), family);
+  }
+
+  // The fault-injected leg: rot on both stores, healed to the clean
+  // flash_crowd numbers.
+  const DelayTrace trace = generate_scenario("flash_crowd", base, params);
+  shard::FaultInjector::Config fc;
+  fc.seed = kSeed ^ 0xfau;
+  fc.bitflip_every_kth_read = 61;
+  shard::FaultInjector input_fault(fc);
+  fc.seed = kSeed ^ 0xfbu;
+  shard::FaultInjector sink_fault(fc);
+  expect_counts(bench::replay_and_score(base, trace, config("faulted"), scorer,
+                                        &input_fault, &sink_fault),
+                want.at("flash_crowd"), "flash_crowd_faulted");
+  EXPECT_GT(input_fault.stats().bitflips + sink_fault.stats().bitflips, 0u);
 }
 
 // --- Metric catalogue ----------------------------------------------------------

@@ -163,6 +163,21 @@ void expect_sink_build_matches_in_memory(
       ASSERT_EQ(core::sink_severity(reader, a, b), row[b]);
     }
   }
+  // The whole-matrix read, over a cold cache of its own.
+  TileCache scan_reader(sink, std::size_t{1} << 22, "cache.sink");
+  SeverityMatrix got(n);
+  core::sink_severities(scan_reader, got);
+  for (HostId a = 0; a < n; ++a) {
+    for (HostId b = 0; b < n; ++b) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(a, b)),
+                std::bit_cast<std::uint32_t>(want.at(a, b)))
+          << "scan (" << a << ", " << b << ")";
+    }
+  }
+  // One load per upper-triangle tile, none twice.
+  const std::size_t bands = sink.tiles_per_side();
+  EXPECT_EQ(scan_reader.stats().misses, bands * (bands + 1) / 2);
+  EXPECT_EQ(scan_reader.stats().hits, 0u);
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
 }
@@ -1022,6 +1037,81 @@ TEST(ScreenedRepair, SinkCacheDropsOnlyRewrittenTiles) {
   EXPECT_LT(stats.severity_tiles_committed, 11u);
   EXPECT_TRUE(engine_matches(engine, TivAnalyzer(stream.matrix()).all_severities()));
   EXPECT_GT(engine.output_cache_stats().hits, after.hits);
+}
+
+// --- The counts bench_shard_stream --quick reports -------------------------
+
+/// bench_shard_stream --quick: 128 hosts, 16-wide tiles, 10% missing, seed
+/// 29, the default cache budgets. Built from the bench's own inputs
+/// (bench/bench_workloads.hpp), so every count its records report is
+/// pinned here exactly.
+constexpr HostId kQuickHosts = 128;
+constexpr std::uint32_t kQuickTile = 16;
+constexpr double kQuickMissing = 0.1;
+constexpr std::uint64_t kQuickSeed = 29;
+
+TEST(BenchShardStreamQuick, ChurnCountsAreExact) {
+  // Per churn point, summed over its two epochs: the repack, the commit,
+  // the repair and the screen's input-tile reads.
+  struct Point {
+    double dirty_fraction;
+    std::size_t repacked, committed, recomputed, input_tile_loads;
+  };
+  for (const Point& p :
+       {Point{0.02, 4, 14, 21, 32}, Point{0.2, 36, 70, 969, 128}}) {
+    DelayStream stream(random_matrix(kQuickHosts, kQuickMissing, kQuickSeed));
+    Rng rng(kQuickSeed ^ 0x0c1ull);
+    ShardStreamConfig cfg = repair_config("bench_churn", kQuickTile);
+    cfg.input_budget_bytes = std::size_t{512} << 10;
+    cfg.output_budget_bytes = std::size_t{256} << 10;
+    ShardStreamEngine engine(stream.matrix(), cfg);
+    const auto acquires = [&] {
+      const auto s = engine.input_cache_stats();
+      return s.hits + s.misses;
+    };
+    const std::size_t acquires0 = acquires();
+    const auto dirty = std::max<std::size_t>(
+        2, static_cast<std::size_t>(kQuickHosts * p.dirty_fraction));
+    SeverityEngine::EpochStats sum;
+    for (int e = 0; e < 2; ++e) {
+      bench::replay_churn_epoch(stream, rng, dirty, double(e));
+      const Epoch epoch = stream.commit_epoch();
+      const auto stats = engine.apply_epoch(stream.matrix(), epoch.dirty_hosts);
+      sum.input_tiles_repacked += stats.input_tiles_repacked;
+      sum.severity_tiles_committed += stats.severity_tiles_committed;
+      sum.edges_recomputed += stats.edges_recomputed;
+    }
+    const std::string at = "dirty fraction " + std::to_string(p.dirty_fraction);
+    EXPECT_EQ(sum.input_tiles_repacked, p.repacked) << at;
+    EXPECT_EQ(sum.severity_tiles_committed, p.committed) << at;
+    EXPECT_EQ(sum.edges_recomputed, p.recomputed) << at;
+    EXPECT_EQ(acquires() - acquires0, p.input_tile_loads) << at;
+    EXPECT_TRUE(engine_matches(engine,
+                               TivAnalyzer(stream.matrix()).all_severities()))
+        << at;
+  }
+}
+
+TEST(BenchShardStreamQuick, SinkReadBytesAreExact) {
+  // The sink_reads leg: warm with the row reads, then the point reads and
+  // the row reads again, all on this thread from an empty sink cache of a
+  // quarter of the sink's tiles.
+  Rng rng(kQuickSeed ^ 0x5eadull);
+  const auto plan =
+      bench::sink_read_plan(rng, kQuickHosts, kQuickTile, 4096, 256);
+  ShardStreamConfig cfg = repair_config("bench_reads", kQuickTile);
+  cfg.input_budget_bytes = std::size_t{512} << 10;
+  cfg.output_budget_bytes = plan.budget_bytes;
+  ShardStreamEngine engine(
+      random_matrix(kQuickHosts, kQuickMissing, kQuickSeed), cfg);
+  std::vector<float> row(kQuickHosts);
+  for (const HostId a : plan.rows) engine.severity_row(a, row);
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::MetricsSnapshot before = reg.snapshot();
+  for (const auto& [a, b] : plan.points) engine.severity(a, b);
+  for (const HostId a : plan.rows) engine.severity_row(a, row);
+  const obs::MetricsSnapshot d = reg.snapshot().delta_since(before);
+  EXPECT_EQ(d.counters.at("shard.sink.read_bytes"), 910208u);
 }
 
 }  // namespace

@@ -719,11 +719,40 @@ TEST_P(LiveEngine, OutOfRangeReadsAreRejected) {
     std::vector<float> out(size, -1.0f);
     EXPECT_THROW(engine->severity_row(0, out), std::invalid_argument) << size;
     for (const float v : out) EXPECT_EQ(v, -1.0f);
+    SeverityMatrix all(static_cast<HostId>(size));
+    EXPECT_THROW(engine->all_severities(all), std::invalid_argument) << size;
   }
   // The last host still reads, by row and by point.
   engine->severity_row(n - 1, row);
   for (HostId b = 0; b < n; ++b) EXPECT_EQ(engine->severity(n - 1, b), row[b]);
   EXPECT_TRUE(test::engine_matches(*engine, TivAnalyzer(m).all_severities()));
+}
+
+TEST_P(LiveEngine, WholeScanMatchesRowReadsOnRaggedSizes) {
+  // 37 = 2*16 + 5 and 70 = 4*16 + 6: the tile store's last band is ragged.
+  // all_severities walks each tile once; severity_row reads a row segment
+  // per tile — the two must return the same bits, after epochs too.
+  for (const HostId n : {HostId{37}, HostId{70}}) {
+    DelayStream stream(test::random_matrix(n, 0.2, 58 + n));
+    const auto engine = GetParam().make(stream.matrix());
+    for (const auto& batch : test::random_epochs(n, 59 + n, 2)) {
+      stream.ingest(batch);
+      engine->apply_epoch(stream);
+    }
+    SeverityMatrix all(n);
+    engine->all_severities(all);
+    std::vector<float> row(n);
+    for (HostId a = 0; a < n; ++a) {
+      engine->severity_row(a, row);
+      for (HostId b = 0; b < n; ++b) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(all.at(a, b)),
+                  std::bit_cast<std::uint32_t>(row[b]))
+            << "n=" << n << " (" << a << ", " << b << ")";
+      }
+    }
+    EXPECT_TRUE(test::engine_matches(
+        *engine, TivAnalyzer(stream.matrix()).all_severities()));
+  }
 }
 
 // --- The epoch screen --------------------------------------------------------
